@@ -1,6 +1,6 @@
 # Convenience targets; everything also works with plain go commands.
 
-.PHONY: build test race race-par bench bench-quick sweep phase-tables trace-check soak loadgen-smoke
+.PHONY: build test race race-par bench bench-quick bench-smoke sweep phase-tables trace-check soak loadgen-smoke
 
 build:
 	go build ./...
@@ -20,14 +20,21 @@ race-par:
 	GOMAXPROCS=4 go test -race -short ./internal/crashtest ./internal/core ./internal/pmem ./internal/bench
 
 # Append a full host-performance run (micro ops, one YCSB cell, the default
-# Figure-11 grid) to BENCH_hostperf.json. Compare entries against the first
-# (baseline) run; see README "Tracking host performance".
+# Figure-11 grid) to BENCH_hostperf.json. Speedups are against the first
+# (baseline) run, the -check gate against the best comparable one; see README
+# "Tracking host performance".
 bench:
 	go run ./cmd/falcon-hostbench -label "$(shell git rev-parse --short HEAD)"
 
 # Grid-free variant for quick checks (~10 s).
 bench-quick:
 	go run ./cmd/falcon-hostbench -quick -label "$(shell git rev-parse --short HEAD)-quick"
+
+# The benchmark's own smoke tests (BENCHMARK.json's program at reduced scale:
+# every workload end to end, its checks, the metric tables). benchmark/ is a
+# module of its own, so `go test ./...` at the root does not reach it.
+bench-smoke:
+	cd benchmark && go test ./...
 
 sweep:
 	go run ./cmd/falcon-sweep

@@ -7,8 +7,9 @@
 //
 // Results append to a JSON baseline file (default BENCH_hostperf.json).
 // Each run adds one entry; speedups are reported against the file's first
-// entry, so the first committed entry is the tracked baseline. Compare runs
-// with: jq '.runs[] | {label, grid_s, pmem_store64_ns}' BENCH_hostperf.json
+// entry, so the first committed entry is the tracked baseline, while the
+// -check regression gate compares against the best comparable entry. Compare
+// runs with: jq '.runs[] | {label, grid_s, pmem_store64_ns}' BENCH_hostperf.json
 package main
 
 import (
@@ -78,8 +79,36 @@ var (
 )
 
 // gridRegressionLimit is the -check gate: the run fails when grid_s exceeds
-// the comparable baseline entry by more than this factor.
+// the best comparable entry by more than this factor.
 const gridRegressionLimit = 1.10
+
+// bestComparable returns the fastest gridded entry that timed the same
+// machine as r — same worker scheduler, commit path and GOMAXPROCS — or nil.
+// The gate measures against the best, not the first: the file's first entry
+// is the pre-optimisation baseline, and a gate anchored there lets every
+// gain since be given back unnoticed.
+func bestComparable(runs []Run, r Run) *Run {
+	var best *Run
+	for i := range runs {
+		p := &runs[i]
+		if p.GridS > 0 && p.WorkerPar == r.WorkerPar && p.GroupCommit == r.GroupCommit &&
+			p.GoMaxProcs == r.GoMaxProcs && (best == nil || p.GridS < best.GridS) {
+			best = p
+		}
+	}
+	return best
+}
+
+// checkGrid is the -check verdict on r: the entry it was measured against
+// (nil when nothing tracked is comparable) and the regression, if any.
+func checkGrid(runs []Run, r Run) (best *Run, err error) {
+	best = bestComparable(runs, r)
+	if best != nil && r.GridS > best.GridS*gridRegressionLimit {
+		err = fmt.Errorf("grid_s %.2fs regressed more than %.0f%% vs the best comparable entry %q (%.2fs)",
+			r.GridS, (gridRegressionLimit-1)*100, best.Label, best.GridS)
+	}
+	return best, err
+}
 
 func main() {
 	out := flag.String("out", "BENCH_hostperf.json", "baseline file to append this run to")
@@ -88,7 +117,7 @@ func main() {
 	par := flag.Int("par", 0, "concurrent grid cells (0 = GOMAXPROCS)")
 	procs := flag.Int("gomaxprocs", 0, "set runtime.GOMAXPROCS before timing (0 = leave as-is); the effective value is recorded in the run entry")
 	flag.BoolVar(&parWorkers, "parworkers", false, "run the timed cells' workers through the deterministic group scheduler; recorded per entry as worker_par")
-	check := flag.Bool("check", false, "regression gate: compare this run's grid_s against the baseline's first comparable gridded entry and exit 1 on a >10% regression; the run is not appended to the baseline")
+	check := flag.Bool("check", false, "regression gate: compare this run's grid_s against the baseline file's best (fastest) gridded entry with the same worker_par, group_commit and gomaxprocs, and exit 1 on a >10% regression (a grid that reads regressed is timed up to three times and the best pass counts, as tracked entries are minima); the run is not appended to the baseline")
 	cf = bench.RegisterCommonFlags(true)
 	flag.Parse()
 
@@ -141,20 +170,27 @@ func main() {
 			if prev.GridS > 0 && prev.WorkerPar == r.WorkerPar && prev.GroupCommit == r.GroupCommit {
 				r.GridSpeedupVsBase = prev.GridS / r.GridS
 				fmt.Printf("grid speedup vs %q: %.2fx\n", prev.Label, r.GridSpeedupVsBase)
-				if *check && r.GridS > prev.GridS*gridRegressionLimit {
-					fmt.Fprintf(os.Stderr, "check: grid_s %.2fs regressed more than %.0f%% vs baseline %q (%.2fs)\n",
-						r.GridS, (gridRegressionLimit-1)*100, prev.Label, prev.GridS)
-					os.Exit(1)
-				}
 				break
 			}
 		}
 	}
 	if *check {
-		if r.GridSpeedupVsBase == 0 {
-			fmt.Fprintf(os.Stderr, "check: no comparable gridded baseline in %s; nothing to gate against\n", *out)
+		best, err := checkGrid(base.Runs, r)
+		// Tracked grid_s are minima over several runs (host noise only adds),
+		// so a pass that reads regressed gets two more to show it was noise.
+		for pass := 1; err != nil && pass < 3; pass++ {
+			r.GridS = min(r.GridS, fig11Grid(*par))
+			fmt.Printf("fig11 grid:       %8.2f host-s (best of %d)\n", r.GridS, pass+1)
+			best, err = checkGrid(base.Runs, r)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "check:", err)
+			os.Exit(1)
+		}
+		if best == nil {
+			fmt.Fprintf(os.Stderr, "check: no comparable gridded entry in %s; nothing to gate against\n", *out)
 		} else {
-			fmt.Println("check: grid_s within the regression limit")
+			fmt.Printf("check: grid_s within the regression limit of %q (%.2fs)\n", best.Label, best.GridS)
 		}
 		return
 	}

@@ -1,6 +1,11 @@
 package pmem
 
-import "falcon/internal/sim"
+import (
+	"sync/atomic"
+	"unsafe"
+
+	"falcon/internal/sim"
+)
 
 // backend is the memory level beneath a Cache: the XPBuffer+media stack for
 // NVM, or a flat DRAM array for volatile spaces. Write-backs and fills charge
@@ -20,17 +25,29 @@ type backend interface {
 // or by the eADR crash flush. This makes persistence behaviour — the entire
 // subject of the paper — directly observable in tests.
 //
-// The store/load line paths are the hottest host-side code in the whole
-// simulation (every simulated memory access funnels through them), so they
-// are written lock-lean: a bare address-compare scan on the hit path with
-// the victim walk deferred to misses, explicit unlocks instead of defer,
-// and per-worker stats shards instead of shared counters.
+// Every simulated memory access funnels through accessLine, so the host
+// layout is built around what one access costs the host — dependent cache
+// misses and locked instructions: per-set state is one contiguous block of
+// meta and the payloads one flat array, so every address follows from the set
+// index; multi-line spans touch their set blocks before walking them (see
+// touch); hit/miss counts are added once per call.
 type Cache struct {
-	mode  Mode
-	ways  int
-	nsets uint64
-	limit uint64
-	sets  []cacheSet
+	mode   Mode
+	ways   int
+	nsets  uint64
+	stride uint64 // words per set block, a multiple of 8 (one host cache line)
+	limit  uint64
+	// meta holds the set blocks, the first on a 64 B boundary. All zero is an
+	// empty cache.
+	meta []uint64
+	// data holds the payloads, way w of set s at s*ways+w. It is nil in a
+	// dataless, timing-only cache: hit/miss/eviction state and cost charging
+	// run as usual, but line payloads are never copied in or out.
+	// Deterministic worker-parallel mode uses one dataless cache per worker
+	// for timing while the device holds the authoritative bytes (see
+	// System.EnterGroup) — payload copies here would both waste host work
+	// and race with other workers' direct device access.
+	data  [][LineSize]byte
 	lower backend
 	stats *Stats
 	cost  sim.CostModel
@@ -42,47 +59,35 @@ type Cache struct {
 	// flush-traffic attribution (see ContendFn). Writebacks are off the
 	// hit path, so the disarmed cost is one pointer test per writeback.
 	contend ContendFn
-	// dataless marks a timing-only cache: hit/miss/eviction state and cost
-	// charging run as usual, but line payloads are never copied in or out.
-	// Deterministic worker-parallel mode uses one dataless cache per worker
-	// for timing while the device holds the authoritative bytes (see
-	// System.EnterGroup) — payload copies here would both waste host work
-	// and race with other workers' direct device access.
-	dataless bool
 }
 
-// lineMeta is the scanned-per-access part of a cache line. It is kept apart
-// from the 64 B payloads so the way walk in findHit/victim streams over a
-// compact array (24 B per way) instead of striding across payload data —
-// with 8–16 ways that is the difference between one or two host cache lines
-// and a dozen.
-type lineMeta struct {
-	addr  uint64 // line-aligned address; meaningful only when state != lineInvalid
-	lru   uint64 // last-access tick (per set)
-	state uint8
-}
-
+// Word offsets inside a set block. Every access writes the lock and the
+// tick, so blocks are whole, aligned host cache lines: adjacent sets never
+// share one and bounce it between workers hitting different sets.
 const (
-	lineInvalid uint8 = iota
-	lineClean
-	lineDirty
+	setLock = iota // spinlock word; the only word read without the lock (touch)
+	setTick        // last LRU tick handed out
+	setTags        // ways tags, then ways LRU words
 )
 
-// cacheSet occupies exactly one host cache line (4 B lock + padding + 8 B tick + two
-// 24 B slice headers): its mutex and LRU tick are written on every access,
-// and without that sizing adjacent sets would share a host cache line and
-// bounce it between workers hitting different sets.
-type cacheSet struct {
-	mu   spinLock
-	tick uint64
-	meta []lineMeta
-	data [][LineSize]byte
-}
+const (
+	// tagValid marks an occupied way: a tag is the line address (low six
+	// bits zero) with this bit set, so the zero word is an empty way and
+	// findHit is a bare compare.
+	tagValid = 1
+	// lruDirty marks a dirty line: an LRU word is the way's last-access
+	// tick shifted left one, with this bit set while the line is dirty.
+	lruDirty = 1
+)
+
+// setWords returns the size of one set block in words.
+func setWords(ways int) uint64 { return (setTags + 2*uint64(ways) + 7) &^ 7 }
 
 // newCache creates a cache of capacityBytes with the given associativity
 // over the backend. The set count is rounded down to a power of two so set
-// indexing is a mask. limit bounds valid addresses.
-func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, limit uint64, cost sim.CostModel) *Cache {
+// indexing is a mask. limit bounds valid addresses. A dataless cache (see
+// Cache.data) needs a backend that ignores the line pointers it is given.
+func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, limit uint64, cost sim.CostModel, dataless bool) *Cache {
 	if ways < 1 {
 		ways = 1
 	}
@@ -93,11 +98,13 @@ func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, l
 	for nsets&(nsets-1) != 0 {
 		nsets &= nsets - 1 // round down to a power of two
 	}
-	c := &Cache{mode: mode, ways: ways, nsets: nsets, limit: limit, lower: lower, stats: stats, cost: cost}
-	c.sets = make([]cacheSet, nsets)
-	for i := range c.sets {
-		c.sets[i].meta = make([]lineMeta, ways)
-		c.sets[i].data = make([][LineSize]byte, ways)
+	c := &Cache{mode: mode, ways: ways, nsets: nsets, stride: setWords(ways), limit: limit,
+		lower: lower, stats: stats, cost: cost}
+	raw := make([]uint64, nsets*c.stride+7)
+	skip := -uintptr(unsafe.Pointer(&raw[0])) % 64 / 8 // the heap does not move: alignment holds
+	c.meta = raw[skip : skip+uintptr(nsets*c.stride)]
+	if !dataless {
+		c.data = make([][LineSize]byte, nsets*uint64(ways))
 	}
 	return c
 }
@@ -110,16 +117,46 @@ func (c *Cache) Mode() Mode { return c.mode }
 // eviction times of adjacent lines; without this, a tuple's lines would be
 // evicted together and merge in the XPBuffer even when never flushed,
 // erasing the write-amplification effect the paper builds on (§3.3).
-func (c *Cache) setFor(lineAddr uint64) *cacheSet {
+func (c *Cache) setFor(lineAddr uint64) uint64 {
 	x := lineAddr / LineSize
 	x ^= x >> 17
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
-	return &c.sets[x&(c.nsets-1)]
+	return x & (c.nsets - 1)
+}
+
+// set returns set si's block and, within it, the tag and LRU arrays.
+func (c *Cache) set(si uint64) (blk, tags, lru []uint64) {
+	blk = c.meta[si*c.stride : (si+1)*c.stride]
+	return blk, blk[setTags : setTags+c.ways], blk[setTags+c.ways : setTags+2*c.ways]
+}
+
+// line returns the payload of way w of set si, or nil in a dataless cache
+// (whose backend never looks at it).
+func (c *Cache) line(si uint64, w int) *[LineSize]byte {
+	if c.data == nil {
+		return nil
+	}
+	return &c.data[si*uint64(c.ways)+uint64(w)]
+}
+
+// touch starts the host-cache fills of the set blocks of every line in
+// [la, end) before a multi-line span is walked. The walk takes each set's
+// lock in turn and a locked instruction drains the pipeline, so without this
+// the up-to-16 independent host misses of a 1 KB tuple would queue one behind
+// the other. The lock word is the one word of a block only ever accessed
+// atomically, so an atomic load — a plain MOV — is race-clean.
+func (c *Cache) touch(la, end uint64) {
+	if end-la <= LineSize {
+		return
+	}
+	for ; la < end; la += LineSize {
+		atomic.LoadUint64(&c.meta[c.setFor(la)*c.stride+setLock])
+	}
 }
 
 func (c *Cache) checkRange(addr uint64, n int) {
-	if addr+uint64(n) > c.limit {
+	if addr > c.limit || uint64(n) > c.limit-addr {
 		panic("pmem: access beyond space bounds")
 	}
 }
@@ -128,121 +165,160 @@ func (c *Cache) checkRange(addr uint64, n int) {
 // as dirty. The backend is not touched except through replacement
 // write-backs.
 func (c *Cache) Store(clk *sim.Clock, addr uint64, src []byte) {
-	c.checkRange(addr, len(src))
 	if c.faults != nil {
 		c.faults.note(FaultStore)
 		c.faults.check()
 	}
-	sh := c.stats.ShardFor(clk)
-	sh.BytesStored.Add(uint64(len(src)))
-	for len(src) > 0 {
-		la := lineFloor(addr)
-		off := int(addr - la)
-		n := LineSize - off
-		if n > len(src) {
-			n = len(src)
-		}
-		c.storeLine(clk, sh, la, off, src[:n])
-		if c.faults != nil {
-			// A line store may have noted evictions/drains under the set
-			// lock; fire the pending crash now that no lock is held.
-			c.faults.check()
-		}
-		addr += uint64(n)
-		src = src[n:]
-	}
-}
-
-func (c *Cache) storeLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off int, src []byte) {
-	set := c.setFor(lineAddr)
-	set.mu.lock()
-
-	if w := set.findHit(lineAddr); w >= 0 {
-		if !c.dataless {
-			copy(set.data[w][off:off+len(src)], src)
-		}
-		set.meta[w].state = lineDirty
-		set.tick++
-		set.meta[w].lru = set.tick
-		set.mu.unlock()
-		sh.CacheHits.Add(1)
-		clk.Advance(c.cost.CacheHitLine)
-		return
-	}
-
-	w := set.victim()
-	c.evictLocked(clk, sh, set, w)
-	m := &set.meta[w]
-	m.addr = lineAddr
-	set.tick++
-	m.lru = set.tick
-	sh.CacheMisses.Add(1)
-	clk.Advance(c.cost.CacheMissLine)
-	if off != 0 || len(src) != LineSize {
-		// Write-allocate with fill: the untouched bytes of the line must
-		// come from below. A store covering the whole line skips the fill —
-		// every byte is about to be overwritten, so the read-modify-write
-		// would be pure wasted host work and a spurious media/buffer read.
-		c.lower.fillLine(clk, lineAddr, &set.data[w])
-	}
-	if !c.dataless {
-		copy(set.data[w][off:off+len(src)], src)
-	}
-	m.state = lineDirty
-	set.mu.unlock()
+	c.access(clk, addr, src, true)
 }
 
 // Load reads [addr, addr+len(dst)) into dst through the cache, installing
 // missing lines as clean.
-func (c *Cache) Load(clk *sim.Clock, addr uint64, dst []byte) {
-	c.checkRange(addr, len(dst))
+func (c *Cache) Load(clk *sim.Clock, addr uint64, dst []byte) { c.access(clk, addr, dst, false) }
+
+// access walks the lines of [addr, addr+len(buf)) in address order, storing
+// buf to them or loading it from them.
+func (c *Cache) access(clk *sim.Clock, addr uint64, buf []byte, store bool) {
+	c.checkRange(addr, len(buf))
 	sh := c.stats.ShardFor(clk)
-	for len(dst) > 0 {
-		la := lineFloor(addr)
-		off := int(addr - la)
-		n := LineSize - off
-		if n > len(dst) {
-			n = len(dst)
+	if store {
+		sh.BytesStored.Add(uint64(len(buf)))
+	}
+	la := lineFloor(addr)
+	off := int(addr - la)
+	if uint(len(buf)-1) < uint(LineSize-off) && c.faults == nil {
+		// One to LineSize-off bytes, as every aligned word is: one line, no
+		// span to walk (an armed fault plan wants the walk's check points).
+		if c.accessLine(clk, sh, la, off, buf, store) {
+			sh.CacheHits.Add(1)
+		} else {
+			sh.CacheMisses.Add(1)
 		}
-		c.loadLine(clk, sh, la, off, dst[:n])
+		return
+	}
+	c.touch(la, addr+uint64(len(buf)))
+	var hits, misses uint64
+	for len(buf) > 0 {
+		n := min(LineSize-off, len(buf))
+		if c.accessLine(clk, sh, la, off, buf[:n], store) {
+			hits++
+		} else {
+			misses++
+		}
 		if c.faults != nil {
-			c.faults.check() // evictions noted under the set lock
+			// The line may have noted evictions/drains under the set lock;
+			// fire the pending crash now that no lock is held, with the
+			// counts up to date in case it unwinds.
+			sh.addLines(hits, misses)
+			hits, misses = 0, 0
+			c.faults.check()
 		}
-		addr += uint64(n)
-		dst = dst[n:]
+		la, off, buf = la+LineSize, 0, buf[n:]
+	}
+	sh.addLines(hits, misses)
+}
+
+// accessLine stores buf at off within one line, or loads it from there, and
+// reports whether the line was resident.
+func (c *Cache) accessLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off int, buf []byte, store bool) bool {
+	si := c.setFor(lineAddr)
+	blk, tags, lru := c.set(si)
+	lockWord(&blk[setLock])
+	w := findHit(tags, lineAddr)
+	hit := w >= 0
+	if hit {
+		blk[setTick]++
+		lru[w] = blk[setTick]<<1 | lru[w]&lruDirty
+		clk.Advance(c.cost.CacheHitLine)
+	} else {
+		// Allocate with fill: the untouched bytes of the line must come from
+		// below. A store covering the whole line skips the fill — every byte
+		// is about to be overwritten, so the read-modify-write would be pure
+		// wasted host work and a spurious media/buffer read.
+		w = c.missLocked(clk, sh, si, lineAddr, !store || len(buf) != LineSize)
+	}
+	if store {
+		lru[w] |= lruDirty
+	}
+	if line := c.line(si, w); line != nil {
+		if store {
+			copyLine(line[off:off+len(buf)], buf)
+		} else {
+			copyLine(buf, line[off:off+len(buf)])
+		}
+	}
+	unlockWord(&blk[setLock])
+	return hit
+}
+
+// copyLine is copy for two equally long pieces of a line. A whole line and
+// one word, the two lengths the engine moves most, are fixed-size moves
+// instead of memmove calls; the whole line goes through a local because the
+// compiler only inlines a move whose ends it knows not to overlap.
+func copyLine(dst, src []byte) {
+	switch len(dst) {
+	case LineSize:
+		t := *(*[LineSize]byte)(src)
+		*(*[LineSize]byte)(dst) = t
+	case 8:
+		*(*[8]byte)(dst) = *(*[8]byte)(src)
+	default:
+		copy(dst, src)
 	}
 }
 
-func (c *Cache) loadLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off int, dst []byte) {
-	set := c.setFor(lineAddr)
-	set.mu.lock()
-
-	if w := set.findHit(lineAddr); w >= 0 {
-		if !c.dataless {
-			copy(dst, set.data[w][off:off+len(dst)])
+// missLocked installs lineAddr, clean, in the replacement way of set si —
+// the first empty way if any, otherwise the least recently used (strict <,
+// walk order breaks ties) — writing the victim back first if it is dirty,
+// and fills it from below if fill is set. It returns the way. Caller holds
+// the set lock.
+func (c *Cache) missLocked(clk *sim.Clock, sh *StatShard, si, lineAddr uint64, fill bool) int {
+	blk, tags, lru := c.set(si)
+	w, wlru := -1, uint64(0)
+	for i, tag := range tags {
+		if tag == 0 {
+			w = i
+			break
 		}
-		set.tick++
-		set.meta[w].lru = set.tick
-		set.mu.unlock()
-		sh.CacheHits.Add(1)
-		clk.Advance(c.cost.CacheHitLine)
-		return
+		if w < 0 || lru[i]>>1 < wlru {
+			w, wlru = i, lru[i]>>1
+		}
 	}
-
-	w := set.victim()
-	c.evictLocked(clk, sh, set, w)
-	m := &set.meta[w]
-	m.addr = lineAddr
-	set.tick++
-	m.lru = set.tick
-	sh.CacheMisses.Add(1)
+	if victim := tags[w]; victim != 0 {
+		if c.faults != nil {
+			c.faults.note(FaultEvict) // under the set lock: note only, no panic
+		}
+		if lru[w]&lruDirty != 0 {
+			clk.Advance(c.cost.LineWriteback)
+			c.lower.writeBackLine(clk, victim&^tagValid, c.line(si, w))
+			sh.DirtyEvictions.Add(1)
+			if c.contend != nil {
+				c.contend(clk.ShardID(), ContendEvictLine, victim&^tagValid)
+			}
+		} else {
+			sh.CleanEvictions.Add(1)
+		}
+	}
+	tags[w] = lineAddr | tagValid
+	blk[setTick]++
+	lru[w] = blk[setTick] << 1
 	clk.Advance(c.cost.CacheMissLine)
-	c.lower.fillLine(clk, lineAddr, &set.data[w])
-	m.state = lineClean
-	if !c.dataless {
-		copy(dst, set.data[w][off:off+len(dst)])
+	if fill {
+		c.lower.fillLine(clk, lineAddr, c.line(si, w))
 	}
-	set.mu.unlock()
+	return w
+}
+
+// findHit returns the way holding lineAddr, or -1. Hits are the common
+// case, so this is a bare compare per way over the contiguous tag array;
+// the victim walk runs separately and only on misses.
+func findHit(tags []uint64, lineAddr uint64) int {
+	for w, tag := range tags {
+		if tag == lineAddr|tagValid {
+			return w
+		}
+	}
+	return -1
 }
 
 // CLWB writes back the lines covering [addr, addr+n) if they are present and
@@ -256,28 +332,39 @@ func (c *Cache) CLWB(clk *sim.Clock, addr uint64, n int) {
 	}
 	c.checkRange(addr, n)
 	sh := c.stats.ShardFor(clk)
-	end := addr + uint64(n)
-	for la := lineFloor(addr); la < end; la += LineSize {
-		if c.faults != nil {
-			c.faults.note(FaultFlush)
-			c.faults.check()
+	la, end := lineFloor(addr), addr+uint64(n)
+	c.touch(la, end)
+	for ; la < end; la += LineSize {
+		c.flushLine(clk, sh, la, c.cost.ClwbIssue, ContendClwbLine)
+	}
+}
+
+// flushLine is one line of a CLWB or of a flush train: a FaultFlush point,
+// the issue cost, and the write-back if the line is resident and dirty.
+func (c *Cache) flushLine(clk *sim.Clock, sh *StatShard, la, issue uint64, kind ContendKind) {
+	if c.faults != nil {
+		c.faults.note(FaultFlush)
+		c.faults.check()
+	}
+	clk.Advance(issue)
+	if kind == ContendTrainLine {
+		sh.FlushTrainLines.Add(1)
+	}
+	si := c.setFor(la)
+	blk, tags, lru := c.set(si)
+	lockWord(&blk[setLock])
+	if w := findHit(tags, la); w >= 0 && lru[w]&lruDirty != 0 {
+		clk.Advance(c.cost.LineWriteback)
+		c.lower.writeBackLine(clk, la, c.line(si, w))
+		lru[w] &^= lruDirty
+		sh.ClwbWritebacks.Add(1)
+		if c.contend != nil {
+			c.contend(clk.ShardID(), kind, la)
 		}
-		clk.Advance(c.cost.ClwbIssue)
-		set := c.setFor(la)
-		set.mu.lock()
-		if w := set.findHit(la); w >= 0 && set.meta[w].state == lineDirty {
-			clk.Advance(c.cost.LineWriteback)
-			c.lower.writeBackLine(clk, la, &set.data[w])
-			set.meta[w].state = lineClean
-			sh.ClwbWritebacks.Add(1)
-			if c.contend != nil {
-				c.contend(clk.ShardID(), ContendClwbLine, la)
-			}
-		}
-		set.mu.unlock()
-		if c.faults != nil {
-			c.faults.check() // drains noted under the bank lock
-		}
+	}
+	unlockWord(&blk[setLock])
+	if c.faults != nil {
+		c.faults.check() // drains noted under the bank lock
 	}
 }
 
@@ -313,35 +400,12 @@ func (c *Cache) CLWBTrain(clk *sim.Clock, spans []Span) {
 		}
 		c.checkRange(sp.Off, sp.N)
 		trained = true
-		end := sp.Off + uint64(sp.N)
-		first := true
-		for la := lineFloor(sp.Off); la < end; la += LineSize {
-			if c.faults != nil {
-				c.faults.note(FaultFlush)
-				c.faults.check()
-			}
-			if first {
-				clk.Advance(c.cost.ClwbIssue)
-				first = false
-			} else {
-				clk.Advance(c.cost.ClwbTrainNext)
-			}
-			sh.FlushTrainLines.Add(1)
-			set := c.setFor(la)
-			set.mu.lock()
-			if w := set.findHit(la); w >= 0 && set.meta[w].state == lineDirty {
-				clk.Advance(c.cost.LineWriteback)
-				c.lower.writeBackLine(clk, la, &set.data[w])
-				set.meta[w].state = lineClean
-				sh.ClwbWritebacks.Add(1)
-				if c.contend != nil {
-					c.contend(clk.ShardID(), ContendTrainLine, la)
-				}
-			}
-			set.mu.unlock()
-			if c.faults != nil {
-				c.faults.check() // drains noted under the bank lock
-			}
+		la, end := lineFloor(sp.Off), sp.Off+uint64(sp.N)
+		c.touch(la, end)
+		issue := c.cost.ClwbIssue
+		for ; la < end; la += LineSize {
+			c.flushLine(clk, sh, la, issue, ContendTrainLine)
+			issue = c.cost.ClwbTrainNext
 		}
 	}
 	if trained {
@@ -353,21 +417,32 @@ func (c *Cache) CLWBTrain(clk *sim.Clock, spans []Span) {
 // simulation executes each worker's operations in program order.
 func (c *Cache) SFence(clk *sim.Clock) { clk.Advance(c.cost.Sfence) }
 
+// sweep visits every occupied way of every set under the set's lock: visit
+// gets the line address, its payload and a pointer to its LRU word, and
+// reports whether the line stays resident.
+func (c *Cache) sweep(visit func(lineAddr uint64, data *[LineSize]byte, lru *uint64) (keep bool)) {
+	for si := uint64(0); si < c.nsets; si++ {
+		blk, tags, lru := c.set(si)
+		lockWord(&blk[setLock])
+		for w, tag := range tags {
+			if tag != 0 && !visit(tag&^tagValid, c.line(si, w), &lru[w]) {
+				tags[w] = 0
+			}
+		}
+		unlockWord(&blk[setLock])
+	}
+}
+
 // FlushAll writes back every dirty line (clean shutdown / sync point). Lines
 // remain resident and clean.
 func (c *Cache) FlushAll(clk *sim.Clock) {
-	for i := range c.sets {
-		set := &c.sets[i]
-		set.mu.lock()
-		for j := range set.meta {
-			m := &set.meta[j]
-			if m.state == lineDirty {
-				c.lower.writeBackLine(clk, m.addr, &set.data[j])
-				m.state = lineClean
-			}
+	c.sweep(func(lineAddr uint64, data *[LineSize]byte, lru *uint64) bool {
+		if *lru&lruDirty != 0 {
+			c.lower.writeBackLine(clk, lineAddr, data)
+			*lru &^= lruDirty
 		}
-		set.mu.unlock()
-	}
+		return true
+	})
 	c.lower.drain(clk)
 }
 
@@ -387,44 +462,17 @@ func (c *Cache) CrashFlush() {
 // between the two steps (System.Crash).
 func (c *Cache) crashWriteback(clk *sim.Clock) {
 	sh := c.stats.ShardFor(clk)
-	for i := range c.sets {
-		set := &c.sets[i]
-		set.mu.lock()
-		for j := range set.meta {
-			m := &set.meta[j]
-			if m.state == lineDirty {
-				if c.mode == EADR {
-					c.lower.writeBackLine(clk, m.addr, &set.data[j])
-					sh.CrashFlushedLines.Add(1)
-				} else {
-					sh.CrashDroppedLines.Add(1)
-				}
+	c.sweep(func(lineAddr uint64, data *[LineSize]byte, lru *uint64) bool {
+		if *lru&lruDirty != 0 {
+			if c.mode == EADR {
+				c.lower.writeBackLine(clk, lineAddr, data)
+				sh.CrashFlushedLines.Add(1)
+			} else {
+				sh.CrashDroppedLines.Add(1)
 			}
-			m.state = lineInvalid
 		}
-		set.mu.unlock()
-	}
-}
-
-// evictLocked frees way w, writing back its line if dirty. Caller holds the
-// set mutex and immediately reuses the slot.
-func (c *Cache) evictLocked(clk *sim.Clock, sh *StatShard, set *cacheSet, w int) {
-	m := &set.meta[w]
-	if c.faults != nil && m.state != lineInvalid {
-		c.faults.note(FaultEvict) // under the set lock: note only, no panic
-	}
-	switch m.state {
-	case lineDirty:
-		clk.Advance(c.cost.LineWriteback)
-		c.lower.writeBackLine(clk, m.addr, &set.data[w])
-		sh.DirtyEvictions.Add(1)
-		if c.contend != nil {
-			c.contend(clk.ShardID(), ContendEvictLine, m.addr)
-		}
-	case lineClean:
-		sh.CleanEvictions.Add(1)
-	}
-	m.state = lineInvalid
+		return false
+	})
 }
 
 // invalidateAll drops every resident line without writing anything back.
@@ -432,42 +480,5 @@ func (c *Cache) evictLocked(clk *sim.Clock, sh *StatShard, set *cacheSet, w int)
 // been made authoritative (FlushAll), and any line left resident would go
 // stale against the group's direct device writes.
 func (c *Cache) invalidateAll() {
-	for i := range c.sets {
-		set := &c.sets[i]
-		set.mu.lock()
-		for j := range set.meta {
-			set.meta[j].state = lineInvalid
-		}
-		set.mu.unlock()
-	}
-}
-
-// findHit returns the way holding lineAddr, or -1. Hits are the common
-// case, so this scan is kept to a bare address compare per way over the
-// compact meta array; the victim walk runs separately and only on misses.
-func (s *cacheSet) findHit(lineAddr uint64) int {
-	for i := range s.meta {
-		if s.meta[i].addr == lineAddr && s.meta[i].state != lineInvalid {
-			return i
-		}
-	}
-	return -1
-}
-
-// victim returns the replacement way for a miss: the first invalid slot if
-// any, otherwise the least-recently-used line (strict <, walk order breaks
-// ties — the same choice the pre-split single-pass lookup made).
-func (s *cacheSet) victim() int {
-	v := -1
-	var vlru uint64
-	for i := range s.meta {
-		m := &s.meta[i]
-		if m.state == lineInvalid {
-			return i
-		}
-		if v < 0 || m.lru < vlru {
-			v, vlru = i, m.lru
-		}
-	}
-	return v
+	c.sweep(func(uint64, *[LineSize]byte, *uint64) bool { return false })
 }

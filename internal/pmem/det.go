@@ -56,13 +56,11 @@ func (s *System) EnterGroup(workers int) {
 	}
 	caches := make([]*Cache, workers)
 	for w := range caches {
-		xpb := NewXPBuffer(s.Dev, s.cfg.XPBufferBytes/workers, banks, s.cfg.Cost)
-		xpb.dataless = true
+		xpb := NewXPBuffer(s.Dev, s.cfg.XPBufferBytes/workers, banks, s.cfg.Cost, true)
 		xpb.trace = s.XPB.trace
 		xpb.contend = s.XPB.contend
 		c := newCache(xpb, &s.Dev.stats, s.cfg.Mode, s.cfg.CacheBytes/workers,
-			s.cfg.CacheWays, s.Dev.Size(), s.cfg.Cost)
-		c.dataless = true
+			s.cfg.CacheWays, s.Dev.Size(), s.cfg.Cost, true)
 		c.contend = s.Cache.contend
 		caches[w] = c
 	}
@@ -107,9 +105,7 @@ func (s *DRAMSpace) EnterGroup(workers int, cacheBytes, ways int, cost sim.CostM
 	back := &dramTimingBackend{cost: cost}
 	caches := make([]*Cache, workers)
 	for w := range caches {
-		c := newCache(back, s.cache.stats, ADR, cacheBytes/workers, ways, s.Size(), cost)
-		c.dataless = true
-		caches[w] = c
+		caches[w] = newCache(back, s.cache.stats, ADR, cacheBytes/workers, ways, s.Size(), cost, true)
 	}
 	s.det = &detPartition{caches: caches}
 }

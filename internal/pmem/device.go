@@ -69,36 +69,17 @@ func (d *Device) ensureChunk(addr uint64) *deviceChunk {
 	return slot.Load()
 }
 
-// readBlockInto copies the durable content of the block containing addr into
-// dst (len BlockSize). The caller is responsible for charging the media-read
-// latency and holding whatever lock covers the block. Blocks are aligned and
-// BlockSize divides the chunk size, so a block never straddles chunks.
-func (d *Device) readBlockInto(blockAddr uint64, dst []byte) {
-	ch := d.chunkFor(blockAddr)
-	if ch == nil {
-		clear(dst[:BlockSize])
-		return
-	}
-	off := blockAddr & (deviceChunkBytes - 1)
-	copy(dst[:BlockSize], ch[off:off+BlockSize])
-}
-
-// writeBlock stores a full block to the media.
-func (d *Device) writeBlock(blockAddr uint64, src []byte) {
-	off := blockAddr & (deviceChunkBytes - 1)
-	copy(d.ensureChunk(blockAddr)[off:off+BlockSize], src[:BlockSize])
-}
-
 // writeLines stores the valid 64 B sub-lines of a block to the media
-// according to mask (bit i covers bytes [i*64, (i+1)*64)). Used after a
-// read-modify-write merge.
-func (d *Device) writeLines(blockAddr uint64, src []byte, mask uint8) {
+// according to mask (bit i covers bytes [i*64, (i+1)*64)): the whole block
+// when it was fully buffered, the merge half of a read-modify-write
+// otherwise. Blocks are aligned and BlockSize divides the chunk size, so a
+// block never straddles chunks.
+func (d *Device) writeLines(blockAddr uint64, src *xpBlock, mask uint8) {
 	ch := d.ensureChunk(blockAddr)
 	base := blockAddr & (deviceChunkBytes - 1)
-	for i := 0; i < LinesPerBlock; i++ {
+	for i := range src {
 		if mask&(1<<i) != 0 {
-			off := base + uint64(i)*LineSize
-			copy(ch[off:off+LineSize], src[i*LineSize:(i+1)*LineSize])
+			*(*[LineSize]byte)(ch[base+uint64(i)*LineSize:]) = src[i]
 		}
 	}
 }
@@ -155,7 +136,7 @@ func (d *Device) RawWrite(off uint64, src []byte) {
 }
 
 func (d *Device) checkRange(off uint64, n int) {
-	if off+uint64(n) > d.size {
-		panic(fmt.Sprintf("pmem: access [%d, %d) beyond device size %d", off, off+uint64(n), d.size))
+	if off > d.size || uint64(n) > d.size-off {
+		panic(fmt.Sprintf("pmem: access [%d, +%d) beyond device size %d", off, n, d.size))
 	}
 }

@@ -181,7 +181,7 @@ func NewDRAMSpaceCache(size uint64, cost sim.CostModel, cacheBytes, ways int) *D
 	stats := &Stats{} // DRAM spaces keep private counters; media stats stay NVM-only
 	return &DRAMSpace{
 		back:  back,
-		cache: newCache(back, stats, ADR, cacheBytes, ways, size, cost),
+		cache: newCache(back, stats, ADR, cacheBytes, ways, size, cost, false),
 	}
 }
 

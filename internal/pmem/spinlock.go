@@ -5,32 +5,32 @@ import (
 	"sync/atomic"
 )
 
-// spinLock is a 4-byte test-and-set lock for the simulation's hottest
-// critical sections (cache sets, XPBuffer banks). Those sections run for
-// tens of nanoseconds, the lock spaces are heavily striped (thousands of
-// sets, 16 banks), and every simulated memory access takes one — at that
-// grain sync.Mutex's unlock (an atomic add plus wake check) is a measurable
-// slice of sweep host time, while a release store is nearly free.
+// lockWord and unlockWord are a test-and-set spinlock on a bare word, for the
+// simulation's hottest critical sections (cache sets, XPBuffer banks). Those
+// sections run for tens of nanoseconds, the lock spaces are heavily striped
+// (thousands of sets, 16 banks), and every simulated memory access takes one
+// — at that grain sync.Mutex's unlock (an atomic add plus wake check) is a
+// measurable slice of sweep host time, while a release store is nearly free.
+// The lock is a plain uint64 rather than an atomic type so that a cache set's
+// lock can be a word of its flat set block (see Cache.meta); it must only
+// ever be accessed through these functions and atomic loads.
 //
 // The slow path yields to the scheduler rather than parking: with critical
 // sections this short, a contended acquirer is overwhelmingly likely to get
 // the lock within a few spins, and on a single-core host Gosched lets the
 // holder run instead of burning the preemption slice.
-type spinLock struct {
-	v atomic.Int32
-}
-
-// lock is split from lockSlow so the uncontended path — a single CAS —
-// inlines into loadLine/storeLine; the loop would push it past the
+//
+// lockWord is split from lockWordSlow so the uncontended path — a single
+// CAS — inlines into loadLine/storeLine; the loop would push it past the
 // inlining budget.
-func (l *spinLock) lock() {
-	if !l.v.CompareAndSwap(0, 1) {
-		l.lockSlow()
+func lockWord(l *uint64) {
+	if !atomic.CompareAndSwapUint64(l, 0, 1) {
+		lockWordSlow(l)
 	}
 }
 
-func (l *spinLock) lockSlow() {
-	for spins := 0; !l.v.CompareAndSwap(0, 1); spins++ {
+func lockWordSlow(l *uint64) {
+	for spins := 0; !atomic.CompareAndSwapUint64(l, 0, 1); spins++ {
 		if spins >= 16 {
 			runtime.Gosched()
 			spins = 0
@@ -38,6 +38,6 @@ func (l *spinLock) lockSlow() {
 	}
 }
 
-func (l *spinLock) unlock() {
-	l.v.Store(0)
+func unlockWord(l *uint64) {
+	atomic.StoreUint64(l, 0)
 }

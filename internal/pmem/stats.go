@@ -71,6 +71,18 @@ type StatShard struct {
 	_ [56]byte
 }
 
+// addLines adds one call's per-line hit and miss counts. The span walks
+// count in locals and add once per call: a locked add per simulated line was
+// a measurable slice of a 1 KB tuple access.
+func (sh *StatShard) addLines(hits, misses uint64) {
+	if hits != 0 {
+		sh.CacheHits.Add(hits)
+	}
+	if misses != 0 {
+		sh.CacheMisses.Add(misses)
+	}
+}
+
 // Stats counts simulated hardware events on an NVM device and its attached
 // cache, sharded into per-worker counter blocks. Writers pick their block
 // with ShardFor; readers merge all blocks with Snapshot. All counters are

@@ -65,8 +65,8 @@ func NewSystem(cfg Config) *System {
 }
 
 func newSystemOn(cfg Config, dev *Device) *System {
-	xpb := NewXPBuffer(dev, cfg.XPBufferBytes, cfg.XPBanks, cfg.Cost)
-	cache := newCache(xpb, &dev.stats, cfg.Mode, cfg.CacheBytes, cfg.CacheWays, dev.Size(), cfg.Cost)
+	xpb := NewXPBuffer(dev, cfg.XPBufferBytes, cfg.XPBanks, cfg.Cost, false)
+	cache := newCache(xpb, &dev.stats, cfg.Mode, cfg.CacheBytes, cfg.CacheWays, dev.Size(), cfg.Cost, false)
 	return &System{cfg: cfg, Dev: dev, XPB: xpb, Cache: cache, Space: NewNVMSpace(cache, dev)}
 }
 

@@ -1,6 +1,10 @@
 package pmem
 
-import "falcon/internal/sim"
+import (
+	"math/bits"
+
+	"falcon/internal/sim"
+)
 
 // TraceFn receives one XPBuffer eviction for trace capture: the causing
 // clock's shard id (= worker id, the same routing the sharded counters use),
@@ -45,29 +49,113 @@ type XPBuffer struct {
 	dataless bool
 }
 
+// xpSlot is the per-slot state the bank walks: LRU links, block address and
+// valid-line mask. Payloads live apart in xpBank.data, so an LRU relink —
+// which touches up to three other slots — stays within a few host lines.
 type xpSlot struct {
 	blockAddr uint64
-	mask      uint8 // bit i set => line i of the block holds valid data
-	used      bool
 	// LRU list links (indexes into the bank's slot array; -1 = none). The
 	// next link doubles as the free-list link while the slot is unused.
-	prev, next int
-	data       [BlockSize]byte
+	prev, next int32
+	mask       uint8 // bit i set => line i of the block holds valid data
+	used       bool
 }
 
+// xpBlock is one slot's payload, line by line.
+type xpBlock [LinesPerBlock][LineSize]byte
+
+// xpBank is padded to two host cache lines: its lock and list heads are
+// written on every access, and adjacent banks belong to different workers.
 type xpBank struct {
-	mu    spinLock
+	mu    uint64 // lockWord/unlockWord
 	slots []xpSlot
-	index map[uint64]int // blockAddr -> slot
-	head  int            // most recently used
-	tail  int            // least recently used
-	free  int            // head of the unused-slot list (-1 = bank full)
+	data  []xpBlock // payload of each slot; nil in a dataless buffer
+	index xpIndex   // blockAddr -> slot
+	head  int32     // most recently used
+	tail  int32     // least recently used
+	free  int32     // head of the unused-slot list (-1 = bank full)
+	_     [24]byte
+}
+
+// xpIndex maps the block addresses buffered in one bank to their slots: an
+// open-addressed, linearly probed table sized at construction to stay at
+// most half full (a bank never holds more keys than it has slots). A lookup
+// is a multiply and a compare or two over adjacent entries — no runtime map
+// call on every write-back, no assign/delete churn on every eviction.
+type xpIndex struct {
+	ents  []xpEnt // power-of-two length
+	shift uint8   // 64 - log2(len(ents))
+}
+
+type xpEnt struct {
+	key  uint64 // blockAddr | xpEntUsed; 0 = empty
+	slot int32
+}
+
+// xpEntUsed marks an occupied entry (block addresses have their low bits
+// clear, and block 0 is a valid key).
+const xpEntUsed = 1
+
+func newXPIndex(slots int) xpIndex {
+	n := 2
+	for n < 2*slots {
+		n <<= 1
+	}
+	return xpIndex{ents: make([]xpEnt, n), shift: uint8(64 - bits.TrailingZeros(uint(n)))}
+}
+
+// home is the first entry probed for key.
+func (x *xpIndex) home(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> x.shift }
+
+// get returns the slot holding blockAddr, or -1.
+func (x *xpIndex) get(blockAddr uint64) int32 {
+	key, mask := blockAddr|xpEntUsed, uint64(len(x.ents)-1)
+	for i := x.home(key); ; i = (i + 1) & mask {
+		switch x.ents[i].key {
+		case key:
+			return x.ents[i].slot
+		case 0:
+			return -1
+		}
+	}
+}
+
+// put adds blockAddr, which must be absent.
+func (x *xpIndex) put(blockAddr uint64, slot int32) {
+	key, mask := blockAddr|xpEntUsed, uint64(len(x.ents)-1)
+	i := x.home(key)
+	for x.ents[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	x.ents[i] = xpEnt{key, slot}
+}
+
+// del removes blockAddr if present, shifting later entries of the probe run
+// back over the hole (no tombstones): an entry moves into the hole unless
+// its home lies cyclically after the hole, so every remaining key stays
+// reachable from its home without crossing an empty entry.
+func (x *xpIndex) del(blockAddr uint64) {
+	key, mask := blockAddr|xpEntUsed, uint64(len(x.ents)-1)
+	i := x.home(key)
+	for x.ents[i].key != key {
+		if x.ents[i].key == 0 {
+			return
+		}
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; x.ents[j].key != 0; j = (j + 1) & mask {
+		if (j-x.home(x.ents[j].key))&mask >= (j-i)&mask {
+			x.ents[i] = x.ents[j]
+			i = j
+		}
+	}
+	x.ents[i] = xpEnt{}
 }
 
 // NewXPBuffer creates a buffer with the given total capacity in bytes spread
 // over nbanks banks. Capacity is rounded so each bank holds at least one
-// slot.
-func NewXPBuffer(dev *Device, capacityBytes, nbanks int, cost sim.CostModel) *XPBuffer {
+// slot. A dataless buffer (see XPBuffer.dataless) allocates no payloads.
+func NewXPBuffer(dev *Device, capacityBytes, nbanks int, cost sim.CostModel, dataless bool) *XPBuffer {
 	if nbanks < 1 {
 		nbanks = 1
 	}
@@ -75,17 +163,20 @@ func NewXPBuffer(dev *Device, capacityBytes, nbanks int, cost sim.CostModel) *XP
 	if slotsPerBank < 1 {
 		slotsPerBank = 1
 	}
-	b := &XPBuffer{dev: dev, cost: cost, banks: make([]xpBank, nbanks)}
+	b := &XPBuffer{dev: dev, cost: cost, banks: make([]xpBank, nbanks), dataless: dataless}
 	for i := range b.banks {
 		bank := &b.banks[i]
 		bank.slots = make([]xpSlot, slotsPerBank)
-		bank.index = make(map[uint64]int, slotsPerBank)
+		if !dataless {
+			bank.data = make([]xpBlock, slotsPerBank)
+		}
+		bank.index = newXPIndex(slotsPerBank)
 		bank.head, bank.tail = -1, -1
 		// Chain all slots onto the free list through their next links.
 		bank.free = 0
 		for j := range bank.slots {
 			bank.slots[j].prev = -1
-			bank.slots[j].next = j + 1
+			bank.slots[j].next = int32(j + 1)
 		}
 		bank.slots[slotsPerBank-1].next = -1
 	}
@@ -105,39 +196,34 @@ func (b *XPBuffer) WriteLine(clk *sim.Clock, lineAddr uint64, data *[LineSize]by
 	bank := b.bankFor(blockAddr)
 	sh := b.dev.stats.ShardFor(clk)
 
-	bank.mu.lock()
+	lockWord(&bank.mu)
 
-	if si, ok := bank.index[blockAddr]; ok {
+	si := bank.index.get(blockAddr)
+	if si >= 0 {
 		s := &bank.slots[si]
-		if !b.dataless {
-			copy(s.data[lineIdx*LineSize:(lineIdx+1)*LineSize], data[:])
-		}
 		if s.mask&(1<<lineIdx) == 0 {
 			s.mask |= 1 << lineIdx
 			sh.XPBufferMerges.Add(1)
 		}
 		bank.touch(si)
-		bank.mu.unlock()
-		return
-	}
-
-	si := bank.takeFreeSlot()
-	if si < 0 {
-		si = bank.tail
-		b.evictSlotLocked(clk, sh, bank, si)
-		// evictSlotLocked pushed the slot back on the free list; reclaim it.
+	} else {
 		si = bank.takeFreeSlot()
+		if si < 0 {
+			b.evictSlotLocked(clk, sh, bank, bank.tail)
+			// evictSlotLocked pushed the slot back on the free list; reclaim it.
+			si = bank.takeFreeSlot()
+		}
+		s := &bank.slots[si]
+		s.blockAddr = blockAddr
+		s.mask = 1 << lineIdx
+		s.used = true
+		bank.index.put(blockAddr, si)
+		bank.pushFront(si)
 	}
-	s := &bank.slots[si]
-	s.blockAddr = blockAddr
-	s.mask = 1 << lineIdx
-	s.used = true
 	if !b.dataless {
-		copy(s.data[lineIdx*LineSize:(lineIdx+1)*LineSize], data[:])
+		bank.data[si][lineIdx] = *data
 	}
-	bank.index[blockAddr] = si
-	bank.pushFront(si)
-	bank.mu.unlock()
+	unlockWord(&bank.mu)
 }
 
 // ReadLine fills dst with the current content of the 64 B line at lineAddr,
@@ -150,18 +236,15 @@ func (b *XPBuffer) ReadLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte
 	bank := b.bankFor(blockAddr)
 	sh := b.dev.stats.ShardFor(clk)
 
-	bank.mu.lock()
-	if si, ok := bank.index[blockAddr]; ok {
-		s := &bank.slots[si]
-		if s.mask&(1<<lineIdx) != 0 {
-			if !b.dataless {
-				copy(dst[:], s.data[lineIdx*LineSize:(lineIdx+1)*LineSize])
-			}
-			bank.mu.unlock()
-			sh.XPBufferHits.Add(1)
-			clk.Advance(b.cost.XPBufferHit)
-			return true
+	lockWord(&bank.mu)
+	if si := bank.index.get(blockAddr); si >= 0 && bank.slots[si].mask&(1<<lineIdx) != 0 {
+		if !b.dataless {
+			*dst = bank.data[si][lineIdx]
 		}
+		unlockWord(&bank.mu)
+		sh.XPBufferHits.Add(1)
+		clk.Advance(b.cost.XPBufferHit)
+		return true
 	}
 	// The media read happens under the bank lock, like evictions' media
 	// writes, so a fill can never observe a torn concurrent write-back.
@@ -170,7 +253,7 @@ func (b *XPBuffer) ReadLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte
 	if !b.dataless {
 		b.dev.readLineInto(lineAddr, dst)
 	}
-	bank.mu.unlock()
+	unlockWord(&bank.mu)
 	sh.MediaReads.Add(1)
 	clk.Advance(b.cost.MediaReadBlock)
 	return false
@@ -179,7 +262,7 @@ func (b *XPBuffer) ReadLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte
 // evictSlotLocked writes the victim slot out to the media and returns it to
 // the bank's free list. Full blocks cost a single media write; partial
 // blocks cost a read-modify-write.
-func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, si int) {
+func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, si int32) {
 	s := &bank.slots[si]
 	if !s.used {
 		return
@@ -190,19 +273,16 @@ func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, 
 	evStart := clk.Nanos()
 	full := s.mask == (1<<LinesPerBlock)-1
 	if full {
-		if !b.dataless {
-			b.dev.writeBlock(s.blockAddr, s.data[:])
-		}
 		sh.FullBlockWrites.Add(1)
 	} else {
 		// Read-modify-write: fetch the block, merge the valid lines, write
 		// the whole block back.
 		sh.MediaReads.Add(1)
 		clk.Advance(b.cost.MediaReadBlock)
-		if !b.dataless {
-			b.dev.writeLines(s.blockAddr, s.data[:], s.mask)
-		}
 		sh.PartialBlockWrites.Add(1)
+	}
+	if !b.dataless {
+		b.dev.writeLines(s.blockAddr, &bank.data[si], s.mask)
 	}
 	sh.MediaWrites.Add(1)
 	sh.BytesToMedia.Add(BlockSize)
@@ -220,12 +300,7 @@ func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, 
 		b.contend(clk.ShardID(), kind, s.blockAddr)
 	}
 
-	delete(bank.index, s.blockAddr)
-	bank.unlink(si)
-	s.used = false
-	s.mask = 0
-	s.next = bank.free
-	bank.free = si
+	bank.release(si)
 }
 
 // Drain writes every buffered block to the media. The memory controller is
@@ -235,11 +310,11 @@ func (b *XPBuffer) Drain(clk *sim.Clock) {
 	sh := b.dev.stats.ShardFor(clk)
 	for i := range b.banks {
 		bank := &b.banks[i]
-		bank.mu.lock()
+		lockWord(&bank.mu)
 		for bank.tail != -1 {
 			b.evictSlotLocked(clk, sh, bank, bank.tail)
 		}
-		bank.mu.unlock()
+		unlockWord(&bank.mu)
 	}
 }
 
@@ -252,14 +327,14 @@ func (b *XPBuffer) Drain(clk *sim.Clock) {
 func (b *XPBuffer) tearOne(p *FaultPlan) {
 	type cand struct {
 		bank *xpBank
-		si   int
+		si   int32
 	}
 	var cands []cand
 	for i := range b.banks {
 		bank := &b.banks[i]
 		for si := range bank.slots {
 			if bank.slots[si].used {
-				cands = append(cands, cand{bank, si})
+				cands = append(cands, cand{bank, int32(si)})
 			}
 		}
 	}
@@ -275,11 +350,7 @@ func (b *XPBuffer) tearOne(p *FaultPlan) {
 	}
 	s.mask &^= drop
 	if s.mask == 0 {
-		delete(c.bank.index, s.blockAddr)
-		c.bank.unlink(c.si)
-		s.used = false
-		s.next = c.bank.free
-		c.bank.free = c.si
+		c.bank.release(c.si)
 	}
 }
 
@@ -299,7 +370,7 @@ func (b *XPBuffer) drain(clk *sim.Clock) { b.Drain(clk) }
 
 // takeFreeSlot pops the free-list head, replacing the former O(slots) scan
 // for an unused slot with a constant-time unlink.
-func (k *xpBank) takeFreeSlot() int {
+func (k *xpBank) takeFreeSlot() int32 {
 	si := k.free
 	if si >= 0 {
 		k.free = k.slots[si].next
@@ -308,7 +379,19 @@ func (k *xpBank) takeFreeSlot() int {
 	return si
 }
 
-func (k *xpBank) pushFront(si int) {
+// release empties slot si: out of the index and the LRU list, onto the free
+// list.
+func (k *xpBank) release(si int32) {
+	s := &k.slots[si]
+	k.index.del(s.blockAddr)
+	k.unlink(si)
+	s.used = false
+	s.mask = 0
+	s.next = k.free
+	k.free = si
+}
+
+func (k *xpBank) pushFront(si int32) {
 	s := &k.slots[si]
 	s.prev = -1
 	s.next = k.head
@@ -321,7 +404,7 @@ func (k *xpBank) pushFront(si int) {
 	}
 }
 
-func (k *xpBank) unlink(si int) {
+func (k *xpBank) unlink(si int32) {
 	s := &k.slots[si]
 	if s.prev != -1 {
 		k.slots[s.prev].next = s.next
@@ -336,7 +419,7 @@ func (k *xpBank) unlink(si int) {
 	s.prev, s.next = -1, -1
 }
 
-func (k *xpBank) touch(si int) {
+func (k *xpBank) touch(si int32) {
 	if k.head == si {
 		return
 	}
