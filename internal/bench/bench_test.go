@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"errors"
 	"testing"
 
+	"falcon/internal/cc"
 	"falcon/internal/core"
 	"falcon/internal/workload/tpcc"
 	"falcon/internal/workload/ycsb"
@@ -71,5 +73,36 @@ func TestEstimateDeviceBytesCoversLoad(t *testing.T) {
 	_, _, err := NewTPCC(ecfg, tpcc.Config{Warehouses: 4, Items: 500, CustomersPerDistrict: 60})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTPCCRunsUntilTheHeapIsFull is `falcon-tpcc -threads 2 -warehouses 2 -cc
+// OCC` run past the capacity of the orders table, at a quarter of the tool's
+// default customer count so that it takes seconds. Every preset must either
+// finish or stop with core.ErrTableFull: when the orders B-tree of the
+// out-of-place presets filled before their heap, inserts committed without
+// an index entry and Delivery later failed with "key not found".
+func TestTPCCRunsUntilTheHeapIsFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs eight presets for thousands of transactions")
+	}
+	wcfg := tpcc.Config{Warehouses: 2, Items: 2000, CustomersPerDistrict: 30}
+	for _, ecfg := range EngineConfigs() {
+		ecfg := ecfg
+		t.Run(ecfg.Name, func(t *testing.T) {
+			t.Parallel()
+			ecfg.Threads = 2
+			ecfg.CC = cc.OCC
+			e, d, err := NewTPCC(ecfg, wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Run(e, "TPC-C", Options{Workers: 2, TxnsPerWorker: 6000, WarmupPerWorker: 100},
+				func(w int) (int, error) { return 0, d.Next(w) })
+			if err != nil && !errors.Is(err, core.ErrTableFull) {
+				t.Fatalf("stopped with %v, want completion or core.ErrTableFull", err)
+			}
+			t.Logf("ended with: %v", err)
+		})
 	}
 }

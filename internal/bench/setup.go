@@ -44,10 +44,6 @@ func EstimateDeviceBytes(cfg core.Config, specs []core.TableSpec) uint64 {
 	if c.Threads == 0 {
 		c.Threads = 4
 	}
-	headroom := cfg.VersionHeadroom
-	if headroom == 0 {
-		headroom = 4
-	}
 	var total uint64 = 16 << 20 // catalog, markers, slack
 	// Per-thread log windows: Inp's large flushed-log regions with their
 	// overflow areas are substantial at high thread counts.
@@ -67,18 +63,12 @@ func EstimateDeviceBytes(cfg core.Config, specs []core.TableSpec) uint64 {
 	}
 	total += wal.BytesNeeded(w) * uint64(c.Threads)
 	for _, spec := range specs {
-		slots := spec.Capacity
-		if cfg.Update == core.OutOfPlace {
-			slots *= uint64(headroom)
-			if min := uint64(c.Threads) * 128; slots < min {
-				slots = min
-			}
-		}
 		total += heap.BytesNeeded(heap.Config{
-			SlotSize: spec.Schema.TupleSize(), NSlots: slots, NThreads: c.Threads,
+			SlotSize: spec.Schema.TupleSize(), NSlots: cfg.HeapSlots(spec.Capacity), NThreads: c.Threads,
 		})
-		idxCap := spec.Capacity * 11 / 10
-		total += index.HashBytes(idxCap) + index.BTreeBytes(idxCap)
+		// Room for a primary of either kind and a secondary B-tree.
+		total += index.HashBytes(cfg.IndexKeys(index.Hash, spec.Capacity)) +
+			2*index.BTreeBytes(cfg.IndexKeys(index.BTree, spec.Capacity))
 	}
 	return total + total/4
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 
@@ -199,14 +200,31 @@ func (tx *Txn) applyInsert(ins *insertOp) {
 		lock.Store(tx.tid & cc.WTSMaskTO)
 	}
 	prev := tx.pt.To(obs.PhaseIndexUpdate)
-	t.primary.Insert(tx.clk, ins.key, ins.slot) // unique: reservation held
+	t.indexInsert(tx.clk, t.primary, ins.key, ins.slot)
 	if t.secondary != nil {
-		secKey := t.schema.GetUint64(payload, t.secondaryCol)
-		t.secondary.Insert(tx.clk, secKey, ins.slot)
+		t.indexInsert(tx.clk, t.secondary, t.schema.GetUint64(payload, t.secondaryCol), ins.slot)
 	}
 	tx.pt.To(prev)
 	tx.releaseKey(t, ins.key)
 	tx.e.tcPut(tx.clk, tx.worker, t.id, ins.key, payload)
+}
+
+// indexInsert publishes a committed tuple in one of its table's indexes. It
+// runs after the commit point, so it has no way to fail: the key is unique
+// (the reservation is held; a secondary key by the table's contract) and the
+// index is built never to fill before the heap (Config.IndexKeys). An error
+// is therefore a bug, and dropping it would leave a committed row that no
+// lookup finds, so it panics. The one duplicate that is no bug is the stale
+// entry of a key whose delete an ADR crash lost (Engine.validateHits): it is
+// repointed, as recovery repoints moved keys.
+func (t *Table) indexInsert(clk *sim.Clock, idx index.Index, key, slot uint64) {
+	err := idx.Insert(clk, key, slot)
+	if errors.Is(err, index.ErrDuplicate) && t.e.validateHits && idx.Update(clk, key, slot) {
+		return
+	}
+	if err != nil {
+		panic(fmt.Sprintf("core: table %q: index insert of committed key %d (slot %d): %v", t.name, key, slot, err))
+	}
 }
 
 func (tx *Txn) applyDelete(w *writeOp) {
@@ -579,9 +597,19 @@ func (tx *Txn) ScanSecondary(t *Table, from uint64, limit int, fn func(secKey ui
 }
 
 func (tx *Txn) scanIndex(t *Table, idx index.Index, from uint64, limit int, fn func(uint64, []byte) bool) (int, error) {
-	// A private buffer: fn may issue reads that use the worker scratch.
+	// A buffer of the scan's own: fn may issue reads that use the worker
+	// scratch. The worker's scan buffer is taken while the scan runs, so a
+	// scan that fn starts allocates one for itself.
 	tx.tstat(t).IndexProbes++
-	scratch := make([]byte, t.schema.TupleSize())
+	ws := &tx.e.scratch[tx.worker]
+	scratch := ws.scan
+	ws.scan = nil
+	if n := t.schema.TupleSize(); cap(scratch) < n {
+		scratch = make([]byte, n)
+	} else {
+		scratch = scratch[:n]
+	}
+	defer func() { ws.scan = scratch }()
 	visited := 0
 	var scanErr error
 	err := idx.Scan(tx.clk, from, func(key, slot uint64) bool {

@@ -180,6 +180,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// HeapSlots is the slot count of the heap behind a table of the given
+// capacity: out-of-place engines add room for stale versions.
+func (c Config) HeapSlots(capacity uint64) uint64 {
+	c = c.withDefaults()
+	if c.Update != OutOfPlace {
+		return capacity
+	}
+	// Hot tiny tables (TPC-C warehouse/district) churn versions far faster
+	// than proportional headroom suggests; guarantee a working set of stale
+	// versions per thread.
+	return max(capacity*uint64(c.VersionHeadroom), uint64(c.Threads)*128)
+}
+
+// IndexKeys is the key count an index of a table of the given capacity is
+// built for: a tenth above the table's live tuples (stale versions leave the
+// index at update time), and for a B-tree no fewer than the heap has slots.
+// An out-of-place heap whose versions are collected promptly holds more live
+// tuples than the table's capacity, and an insert can be refused for a full
+// heap but not for a full index (the index is written after the commit
+// point), so the tree is sized never to fill first.
+func (c Config) IndexKeys(kind index.Kind, capacity uint64) uint64 {
+	keys := capacity * 11 / 10
+	if kind == index.BTree {
+		keys = max(keys, c.HeapSlots(capacity))
+	}
+	return keys
+}
+
 // ---- engine presets (paper Table 1 and Figure 10) ----
 
 // FalconConfig is the full Falcon design: in-place updates, small log

@@ -3,7 +3,6 @@ package core
 import (
 	"falcon/internal/cc"
 	"falcon/internal/heap"
-	"falcon/internal/index"
 	"falcon/internal/obs"
 	"falcon/internal/obs/contend"
 )
@@ -28,16 +27,9 @@ func (e *Engine) NewObservatory() *contend.Observatory {
 		hcfg := heap.Config{SlotSize: t.schema.TupleSize(), NSlots: t.heap.NSlots(), NThreads: e.cfg.Threads}
 		o.AddRange(t.name, t.heapBase, t.heapBase+heap.BytesNeeded(hcfg))
 		if e.cfg.Index == IndexNVM {
-			idxCap := t.capacity * 11 / 10
-			var pb uint64
-			if t.indexKind == index.Hash {
-				pb = index.HashBytes(idxCap)
-			} else {
-				pb = index.BTreeBytes(idxCap)
-			}
-			o.AddRange(t.name, t.priBase, t.priBase+pb)
+			o.AddRange(t.name, t.priBase, t.priBase+t.primary.Bytes())
 			if t.secondary != nil {
-				o.AddRange(t.name, t.secBase, t.secBase+index.BTreeBytes(idxCap))
+				o.AddRange(t.name, t.secBase, t.secBase+t.secondary.Bytes())
 			}
 		}
 	}

@@ -97,11 +97,13 @@ type Engine struct {
 	validateHits bool
 }
 
-// workerScratch is a per-worker reusable payload buffer, padded against
-// false sharing.
+// workerScratch holds a worker's reusable payload buffers, padded against
+// false sharing: buf for point operations, scan for the scan in progress
+// (scanIndex takes it for the length of the scan).
 type workerScratch struct {
-	buf []byte
-	_   [5]uint64
+	buf  []byte
+	scan []byte
+	_    [2]uint64
 }
 
 // Table is one relation: a tuple heap plus its indexes and (for MVCC) the
@@ -398,17 +400,7 @@ func (e *Engine) createTable(clk *sim.Clock, spec TableSpec) (*Table, error) {
 		capacity:     spec.Capacity,
 		indexKind:    spec.IndexKind,
 	}
-	slots := spec.Capacity
-	if e.cfg.Update == OutOfPlace {
-		slots *= uint64(e.cfg.VersionHeadroom)
-		// Hot tiny tables (TPC-C warehouse/district) churn versions far
-		// faster than proportional headroom suggests; guarantee a working
-		// set of stale versions per thread.
-		if min := uint64(e.cfg.Threads) * 128; slots < min {
-			slots = min
-		}
-	}
-	hcfg := heap.Config{SlotSize: spec.Schema.TupleSize(), NSlots: slots, NThreads: e.cfg.Threads}
+	hcfg := heap.Config{SlotSize: spec.Schema.TupleSize(), NSlots: e.cfg.HeapSlots(spec.Capacity), NThreads: e.cfg.Threads}
 	var err error
 	t.heapBase, err = e.arena.Alloc(clk, heap.BytesNeeded(hcfg), 64)
 	if err != nil {
@@ -419,15 +411,12 @@ func (e *Engine) createTable(clk *sim.Clock, spec TableSpec) (*Table, error) {
 		return nil, err
 	}
 
-	// Index capacity covers live tuples only (in-place) since stale
-	// versions are removed from the index at update time.
-	idxCap := spec.Capacity * 11 / 10
-	t.primary, t.priBase, err = e.buildIndex(clk, spec.IndexKind, idxCap)
+	t.primary, t.priBase, err = e.buildIndex(clk, spec.IndexKind, spec.Capacity)
 	if err != nil {
 		return nil, err
 	}
 	if t.secondaryCol > 0 {
-		t.secondary, t.secBase, err = e.buildIndex(clk, index.BTree, idxCap)
+		t.secondary, t.secBase, err = e.buildIndex(clk, index.BTree, spec.Capacity)
 		if err != nil {
 			return nil, err
 		}
@@ -450,8 +439,10 @@ func (e *Engine) ensureTupleCache(slotBytes int) {
 	}
 }
 
-// buildIndex places an index on NVM or DRAM per the configuration.
+// buildIndex places the index of a table of the given capacity on NVM or
+// DRAM per the configuration.
 func (e *Engine) buildIndex(clk *sim.Clock, kind index.Kind, capacity uint64) (index.Index, uint64, error) {
+	capacity = e.cfg.IndexKeys(kind, capacity)
 	var bytes uint64
 	if kind == index.Hash {
 		bytes = index.HashBytes(capacity)

@@ -216,7 +216,7 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 				g.t.secondary.Update(tx.clk, g.newSec, g.newSlot)
 			} else {
 				g.t.secondary.Delete(tx.clk, g.oldSec)
-				_ = g.t.secondary.Insert(tx.clk, g.newSec, g.newSlot)
+				g.t.indexInsert(tx.clk, g.t.secondary, g.newSec, g.newSlot)
 			}
 		}
 		tx.pt.To(obs.PhaseHeapWrite)
@@ -231,10 +231,9 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 		} else {
 			lock.Store(tx.tid & cc.WTSMaskTO)
 		}
-		ins.t.primary.Insert(tx.clk, ins.key, ins.slot)
+		ins.t.indexInsert(tx.clk, ins.t.primary, ins.key, ins.slot)
 		if ins.t.secondary != nil {
-			secKey := ins.t.schema.GetUint64(ins.data, ins.t.secondaryCol)
-			ins.t.secondary.Insert(tx.clk, secKey, ins.slot)
+			ins.t.indexInsert(tx.clk, ins.t.secondary, ins.t.schema.GetUint64(ins.data, ins.t.secondaryCol), ins.slot)
 		}
 		tx.releaseKey(ins.t, ins.key)
 		e.tcPut(tx.clk, tx.worker, ins.t.id, ins.key, ins.data)

@@ -159,13 +159,12 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 				}
 			}
 		} else {
-			idxCap := t.capacity * 11 / 10
-			t.primary, t.priBase, err = e.buildIndex(clk, t.indexKind, idxCap)
+			t.primary, t.priBase, err = e.buildIndex(clk, t.indexKind, t.capacity)
 			if err != nil {
 				return nil, nil, err
 			}
 			if t.secondaryCol > 0 {
-				t.secondary, t.secBase, err = e.buildIndex(clk, index.BTree, idxCap)
+				t.secondary, t.secBase, err = e.buildIndex(clk, index.BTree, t.capacity)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -342,20 +341,15 @@ func (e *Engine) replayLogs(clk *sim.Clock, rep *RecoveryReport, fixIndexes bool
 					// Repoint rather than skip: the key may still carry a
 					// stale entry from a lost in-cache index update.
 					key := t.schema.GetUint64(op.Data, t.keyCol)
-					if !t.primary.Update(clk, key, op.Slot) {
-						_ = t.primary.Insert(clk, key, op.Slot)
-					}
+					t.indexRestore(clk, t.primary, key, op.Slot, true)
 					if t.secondary != nil {
-						secKey := t.schema.GetUint64(op.Data, t.secondaryCol)
-						if !t.secondary.Update(clk, secKey, op.Slot) {
-							_ = t.secondary.Insert(clk, secKey, op.Slot)
-						}
+						t.indexRestore(clk, t.secondary, t.schema.GetUint64(op.Data, t.secondaryCol), op.Slot, true)
 					}
 				} else if fixIndexes {
 					key := t.schema.GetUint64(op.Data, t.keyCol)
-					_ = t.primary.Insert(clk, key, op.Slot) // idempotent: duplicates ignored
+					t.indexRestore(clk, t.primary, key, op.Slot, false)
 					if t.secondary != nil {
-						_ = t.secondary.Insert(clk, t.schema.GetUint64(op.Data, t.secondaryCol), op.Slot)
+						t.indexRestore(clk, t.secondary, t.schema.GetUint64(op.Data, t.secondaryCol), op.Slot, false)
 					}
 				}
 			case wal.OpDelete:
@@ -394,6 +388,20 @@ func (e *Engine) replayLogs(clk *sim.Clock, rep *RecoveryReport, fixIndexes bool
 	return maxTID, nil
 }
 
+// indexRestore puts a recovered tuple back in one of its table's indexes,
+// where the entry may exist already: repoint moves an existing entry to slot
+// (an NVM index may hold the stale entry of a lost update), otherwise it
+// stays (replay is idempotent). Any other failure is the bug indexInsert
+// describes.
+func (t *Table) indexRestore(clk *sim.Clock, idx index.Index, key, slot uint64, repoint bool) {
+	if repoint && idx.Update(clk, key, slot) {
+		return
+	}
+	if err := idx.Insert(clk, key, slot); err != nil && !errors.Is(err, index.ErrDuplicate) {
+		panic(fmt.Sprintf("core: table %q: index insert of recovered key %d (slot %d): %v", t.name, key, slot, err))
+	}
+}
+
 // rebuildDRAMIndexes scans every heap and reinserts live tuples — the slow
 // path the paper attributes to DRAM-index engines.
 func (e *Engine) rebuildDRAMIndexes(clk *sim.Clock, rep *RecoveryReport) {
@@ -405,9 +413,9 @@ func (e *Engine) rebuildDRAMIndexes(clk *sim.Clock, rep *RecoveryReport) {
 				return
 			}
 			key := t.schema.GetUint64(payload, t.keyCol)
-			_ = t.primary.Insert(clk, key, slot)
+			t.indexRestore(clk, t.primary, key, slot, false)
 			if t.secondary != nil {
-				_ = t.secondary.Insert(clk, t.schema.GetUint64(payload, t.secondaryCol), slot)
+				t.indexRestore(clk, t.secondary, t.schema.GetUint64(payload, t.secondaryCol), slot, false)
 			}
 		})
 	}
@@ -527,16 +535,11 @@ func (e *Engine) recoverOutOfPlace(clk *sim.Clock, rep *RecoveryReport) (uint64,
 		}
 		for key, b := range newest {
 			// NVM indexes may hold stale entries; repoint rather than skip.
-			if !t.primary.Update(clk, key, b.slot) {
-				_ = t.primary.Insert(clk, key, b.slot)
-			}
+			t.indexRestore(clk, t.primary, key, b.slot, true)
 			if t.secondary != nil {
 				scratch := e.scratchFor(0, t.schema.TupleSize())
 				t.heap.ReadPayload(clk, b.slot, scratch)
-				secKey := t.schema.GetUint64(scratch, t.secondaryCol)
-				if !t.secondary.Update(clk, secKey, b.slot) {
-					_ = t.secondary.Insert(clk, secKey, b.slot)
-				}
+				t.indexRestore(clk, t.secondary, t.schema.GetUint64(scratch, t.secondaryCol), b.slot, true)
 			}
 		}
 	}

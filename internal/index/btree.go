@@ -15,23 +15,38 @@ const (
 	nodeBytes   = pmem.BlockSize // one NVM media block per node
 	nodeEntries = 15             // 16 B header + 15 × 16 B entries
 	maxDepth    = 24
+
+	// Byte offsets in the 64 B tree header, after the magic word.
+	hdrRoot     = 8
+	hdrNextFree = 16
+	hdrCap      = 24
+	hdrFreeHead = 32
 )
 
-// BTreeIndex is a B+-tree with 256 B nodes, leaf sibling links and lazy
-// deletes (no rebalancing; empty leaves stay linked, which is harmless for
-// routing). Writers are serialized by a tree lock; readers share it. In the
+// BTreeIndex is a B+-tree with 256 B nodes and leaf sibling links. Nodes are
+// never rebalanced, but a leaf that Delete empties leaves the tree (see
+// unlinkLeaf) and its node is reused, so scans and space follow the live
+// keys. Writers are serialized by a tree lock; readers share it. In the
 // virtual-time model host lock waits are free, so the coarse lock does not
 // distort measured results.
+//
+// Every change to a node is one store, and multi-node changes are ordered so
+// that a crash between two stores leaves a tree that answers correctly, with
+// one exception: a split's right half is reachable by scans only until its
+// separator lands in the parent (DESIGN.md §3).
 type BTreeIndex struct {
 	space pmem.Space
 	base  uint64
 	cap   uint64 // node capacity
 
 	mu sync.RWMutex
-	// root and nextFree mirror the persistent header (single-writer under
-	// mu; rebuilt from the header on Open).
+	// root, nextFree and freeHead mirror the persistent header
+	// (single-writer under mu; rebuilt from the header on Open). freeHead is
+	// the first node of the free list plus one, 0 for an empty list; a free
+	// node keeps the rest of the list in its sibling word.
 	root     uint64
 	nextFree uint64
+	freeHead uint64
 }
 
 // BTreeBytes returns the persistent footprint for a capacity-key tree.
@@ -39,10 +54,15 @@ func BTreeBytes(capacity uint64) uint64 {
 	return 64 + btreeNodes(capacity)*nodeBytes
 }
 
+// btreeNodes is the most nodes capacity inserts can need in any order, so a
+// table's heap fills before its tree does. A middle split leaves 8 and 8
+// entries, a split at the end 15 and 1; alternating them (fill a half to 15,
+// split it at the end, split the full node in the middle) spends 9 keys on 2
+// leaves, and inner nodes split the same way: capacity·2/9 leaves, and 2/7
+// as many inner nodes above them. (Leaves are never merged: deletes that
+// thin leaves out without emptying them are outside this bound.)
 func btreeNodes(capacity uint64) uint64 {
-	// Leaves fill to ~half after random inserts; add ~20% for inner nodes.
-	n := capacity/6 + 64
-	return n
+	return capacity*2/7 + 64
 }
 
 type node struct {
@@ -58,21 +78,26 @@ func (n *node) setKind(inner bool) {
 		n.buf[0] = 0
 	}
 }
-func (n *node) count() int     { return int(n.buf[1]) }
+func (n *node) count() int { return int(n.buf[1]) }
+
+// appended is a hint in the header: the last insert into the node went after
+// all its entries. Two such inserts in a row are taken for an ascending run.
+func (n *node) appended() bool { return n.buf[2] != 0 }
+func (n *node) setAppended(a bool) {
+	n.buf[2] = 0
+	if a {
+		n.buf[2] = 1
+	}
+}
 func (n *node) setCount(c int) { n.buf[1] = byte(c) }
 func (n *node) next() (uint64, bool) {
 	v := binary.LittleEndian.Uint64(n.buf[8:16])
 	return v - 1, v != 0
 }
-func (n *node) setNext(id uint64, ok bool) {
-	if ok {
-		binary.LittleEndian.PutUint64(n.buf[8:16], id+1)
-	} else {
-		binary.LittleEndian.PutUint64(n.buf[8:16], 0)
-	}
-}
-func (n *node) key(i int) uint64 { return binary.LittleEndian.Uint64(n.buf[16+16*i:]) }
-func (n *node) val(i int) uint64 { return binary.LittleEndian.Uint64(n.buf[24+16*i:]) }
+func (n *node) setNext(id uint64)  { binary.LittleEndian.PutUint64(n.buf[8:16], id+1) }
+func (n *node) entry(i int) []byte { return n.buf[16+16*i : 32+16*i] }
+func (n *node) key(i int) uint64   { return binary.LittleEndian.Uint64(n.buf[16+16*i:]) }
+func (n *node) val(i int) uint64   { return binary.LittleEndian.Uint64(n.buf[24+16*i:]) }
 func (n *node) set(i int, k, v uint64) {
 	binary.LittleEndian.PutUint64(n.buf[16+16*i:], k)
 	binary.LittleEndian.PutUint64(n.buf[24+16*i:], v)
@@ -133,9 +158,9 @@ func NewBTree(space pmem.Space, base uint64, capacity uint64) (*BTreeIndex, erro
 	}
 	var hdr [64]byte
 	binary.LittleEndian.PutUint64(hdr[0:], btreeMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], 0) // root = node 0
-	binary.LittleEndian.PutUint64(hdr[16:], 1)
-	binary.LittleEndian.PutUint64(hdr[24:], t.cap)
+	binary.LittleEndian.PutUint64(hdr[hdrRoot:], 0) // root = node 0
+	binary.LittleEndian.PutUint64(hdr[hdrNextFree:], 1)
+	binary.LittleEndian.PutUint64(hdr[hdrCap:], t.cap)
 	space.BulkWrite(base, hdr[:])
 	// Node 0: empty leaf.
 	zero := make([]byte, nodeBytes)
@@ -154,9 +179,10 @@ func OpenBTree(space pmem.Space, clk *sim.Clock, base uint64) (*BTreeIndex, erro
 	return &BTreeIndex{
 		space:    space,
 		base:     base,
-		root:     binary.LittleEndian.Uint64(hdr[8:]),
-		nextFree: binary.LittleEndian.Uint64(hdr[16:]),
-		cap:      binary.LittleEndian.Uint64(hdr[24:]),
+		root:     binary.LittleEndian.Uint64(hdr[hdrRoot:]),
+		nextFree: binary.LittleEndian.Uint64(hdr[hdrNextFree:]),
+		cap:      binary.LittleEndian.Uint64(hdr[hdrCap:]),
+		freeHead: binary.LittleEndian.Uint64(hdr[hdrFreeHead:]),
 	}, nil
 }
 
@@ -174,34 +200,59 @@ func (t *BTreeIndex) loadInto(clk *sim.Clock, id uint64, n *node) *node {
 	return n
 }
 
-func (t *BTreeIndex) store(clk *sim.Clock, n *node) {
-	t.space.Write(clk, t.nodeOff(n.id), n.buf[:])
+// storeHead persists n's header and, when entries from position lo on moved,
+// everything up to its last entry, in one store: a crash sees the node either
+// before the change or after it.
+func (t *BTreeIndex) storeHead(clk *sim.Clock, n *node, lo int) {
+	end := 16
+	if lo < n.count() {
+		end = 16 + 16*n.count()
+	}
+	t.space.Write(clk, t.nodeOff(n.id), n.buf[:end])
 }
 
+// allocNode takes a node off the free list, or the next one never used. A
+// crash before the caller links the node into the tree leaks it.
 func (t *BTreeIndex) allocNode(clk *sim.Clock) (uint64, error) {
+	if t.freeHead != 0 {
+		id := t.freeHead - 1
+		t.freeHead = t.space.ReadU64(clk, t.nodeOff(id)+8)
+		t.space.WriteU64(clk, t.base+hdrFreeHead, t.freeHead)
+		return id, nil
+	}
 	if t.nextFree >= t.cap {
 		return 0, ErrFull
 	}
 	id := t.nextFree
 	t.nextFree++
-	t.space.WriteU64(clk, t.base+16, t.nextFree)
+	t.space.WriteU64(clk, t.base+hdrNextFree, t.nextFree)
 	return id, nil
+}
+
+// freeNode pushes a node nothing points at any more on the free list: first
+// the link in the node, then the head, so a crash between the two leaks the
+// node and keeps the list whole.
+func (t *BTreeIndex) freeNode(clk *sim.Clock, id uint64) {
+	t.space.WriteU64(clk, t.nodeOff(id)+8, t.freeHead)
+	t.freeHead = id + 1
+	t.space.WriteU64(clk, t.base+hdrFreeHead, t.freeHead)
 }
 
 func (t *BTreeIndex) setRoot(clk *sim.Clock, id uint64) {
 	t.root = id
-	t.space.WriteU64(clk, t.base+8, id)
+	t.space.WriteU64(clk, t.base+hdrRoot, id)
 }
 
 // treeWalk holds the reusable per-operation state of a root-to-leaf walk:
-// one node buffer per level plus the recorded path. Every tree operation
-// descends, and allocating (and zeroing) a fresh 256 B node per level was a
-// measurable slice of sweep host time, so walks come from a pool. Split
-// nodes are still allocated fresh: their zeroed buffers are what the store
-// persists beyond the entry count.
+// one node buffer per level plus the recorded path, and a spare buffer for
+// the one node an operation touches off that path (a split's new sibling, an
+// unlink's previous leaf). Every tree operation descends, and allocating
+// (and zeroing) a fresh 256 B node per level was a measurable slice of sweep
+// host time, so walks come from a pool.
 type treeWalk struct {
 	nodes [maxDepth + 1]node
 	path  [maxDepth]pathEntry
+	spare node
 }
 
 var walkPool = sync.Pool{New: func() any { return new(treeWalk) }}
@@ -213,7 +264,10 @@ func (t *BTreeIndex) descend(clk *sim.Clock, key uint64, w *treeWalk, record boo
 	n = t.loadInto(clk, t.root, &w.nodes[0])
 	for !n.leaf() {
 		if npath >= maxDepth {
-			panic("index: btree deeper than maxDepth")
+			// Only the torn image of an ADR crash can hold a cycle of inner
+			// nodes: the walk ends on an empty leaf and finds nothing.
+			n.buf = [nodeBytes]byte{}
+			return n, npath
 		}
 		i := n.childFor(key)
 		child := n.val(i)
@@ -258,84 +312,78 @@ func (t *BTreeIndex) Insert(clk *sim.Clock, key, val uint64) error {
 	if exists {
 		return ErrDuplicate
 	}
+	return t.insertEntry(clk, w, npath, n, i, key, val)
+}
+
+// insertEntry places (k, v) at position i of n, the node w.path[:npath]
+// leads to. A full node splits first and hands the separator of its new
+// right sibling to the level above.
+func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node, i int, k, v uint64) error {
 	if n.count() < nodeEntries {
-		n.insertAt(i, key, val)
-		t.store(clk, n)
+		n.insertAt(i, k, v)
+		n.setAppended(i == n.count()-1)
+		if n.appended() {
+			// An entry past the count is invisible: appending stores the
+			// entry and then the header, not the whole node.
+			t.space.Write(clk, t.nodeOff(n.id)+uint64(16+16*i), n.entry(i))
+			i = n.count()
+		}
+		t.storeHead(clk, n, i)
 		return nil
 	}
-	// Split the leaf, then propagate.
 	rightID, err := t.allocNode(clk)
 	if err != nil {
 		return err
 	}
-	right := &node{id: rightID}
-	mid := nodeEntries / 2 // left keeps [0,mid), right gets [mid,count)
-	copy(right.buf[16:], n.buf[16+16*mid:16+16*nodeEntries])
-	right.setKind(false)
+	// Left keeps [0,mid), right gets [mid,count). In an ascending run (TPC-C's
+	// per-district order ids) the key opens the right sibling alone, which
+	// leaves full nodes behind, not half-full ones; a key that merely happens
+	// to sort after a full node splits it in the middle like any other.
+	mid, toLeft := nodeEntries/2, i <= nodeEntries/2
+	if i == nodeEntries && n.appended() {
+		mid = nodeEntries
+	}
+	right := &w.spare
+	right.id, right.buf = rightID, [nodeBytes]byte{}
+	copy(right.buf[:16], n.buf[:16]) // kind, and a leaf's next
+	copy(right.buf[16:], n.buf[16+16*mid:])
 	right.setCount(nodeEntries - mid)
-	if nxt, ok := n.next(); ok {
-		right.setNext(nxt, true)
-	}
+	right.setAppended(i == nodeEntries)
 	n.setCount(mid)
-	n.setNext(rightID, true)
-	sep := right.key(0)
-	if key < sep {
-		n.insertAt(i, key, val)
+	if n.leaf() {
+		n.setNext(rightID)
+	}
+	moved := mid // first entry of n that changed: none, unless the key went there
+	if toLeft {
+		n.insertAt(i, k, v)
+		moved = i
 	} else {
-		j, _ := right.searchLeaf(key)
-		right.insertAt(j, key, val)
+		right.insertAt(i-mid, k, v)
 	}
-	t.store(clk, right)
-	t.store(clk, n)
-	return t.insertParent(clk, w.path[:npath], n.id, sep, rightID)
-}
-
-// insertParent inserts separator sep pointing at rightID above the split
-// child, recursively splitting inner nodes.
-func (t *BTreeIndex) insertParent(clk *sim.Clock, path []pathEntry, leftID, sep, rightID uint64) error {
-	if len(path) == 0 {
-		// Root split: new root with two children.
-		newRootID, err := t.allocNode(clk)
-		if err != nil {
-			return err
-		}
-		r := &node{id: newRootID}
-		r.setKind(true)
-		r.set(0, 0, leftID)
-		r.set(1, sep, rightID)
-		r.setCount(2)
-		t.store(clk, r)
-		t.setRoot(clk, newRootID)
-		return nil
+	// The sibling first: nothing reaches it until the left node's link does.
+	// A new node is stored whole: whole-line stores need no fill from the
+	// media, and they leave the node cached for the descents that follow.
+	sep := right.key(0)
+	t.space.Write(clk, t.nodeOff(rightID), right.buf[:])
+	t.storeHead(clk, n, moved)
+	if npath > 0 {
+		p := w.path[npath-1]
+		return t.insertEntry(clk, w, npath-1, p.n, p.idx+1, sep, rightID)
 	}
-	p := path[len(path)-1]
-	n := p.n
-	i := p.idx + 1 // new separator goes right after the descended entry
-	if n.count() < nodeEntries {
-		n.insertAt(i, sep, rightID)
-		t.store(clk, n)
-		return nil
-	}
-	// Split the inner node.
-	newID, err := t.allocNode(clk)
+	// Root split: new root with two children.
+	rootID, err := t.allocNode(clk)
 	if err != nil {
 		return err
 	}
-	right := &node{id: newID}
-	mid := nodeEntries / 2
-	copy(right.buf[16:], n.buf[16+16*mid:16+16*nodeEntries])
-	right.setKind(true)
-	right.setCount(nodeEntries - mid)
-	n.setCount(mid)
-	upSep := right.key(0)
-	if i <= mid {
-		n.insertAt(i, sep, rightID)
-	} else {
-		right.insertAt(i-mid, sep, rightID)
-	}
-	t.store(clk, right)
-	t.store(clk, n)
-	return t.insertParent(clk, path[:len(path)-1], n.id, upSep, newID)
+	r := &w.spare
+	r.id, r.buf = rootID, [nodeBytes]byte{}
+	r.setKind(true)
+	r.set(0, 0, n.id)
+	r.set(1, sep, rightID)
+	r.setCount(2)
+	t.space.Write(clk, t.nodeOff(rootID), r.buf[:])
+	t.setRoot(clk, rootID)
+	return nil
 }
 
 // Update repoints an existing key.
@@ -350,24 +398,82 @@ func (t *BTreeIndex) Update(clk *sim.Clock, key, val uint64) bool {
 		return false
 	}
 	n.set(i, key, val)
-	t.space.Write(clk, t.nodeOff(n.id)+uint64(16+16*i), n.buf[16+16*i:16+16*(i+1)])
+	t.space.Write(clk, t.nodeOff(n.id)+uint64(16+16*i), n.entry(i))
 	return true
 }
 
-// Delete removes key (lazy: no rebalancing).
+// Delete removes key; a leaf it empties leaves the tree.
 func (t *BTreeIndex) Delete(clk *sim.Clock, key uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
-	n, _ := t.descend(clk, key, w, false)
+	n, npath := t.descend(clk, key, w, true)
 	i, ok := n.searchLeaf(key)
 	if !ok {
 		return false
 	}
 	n.removeAt(i)
-	t.store(clk, n)
+	t.storeHead(clk, n, i)
+	if n.count() == 0 {
+		t.unlinkLeaf(clk, w, npath, n)
+	}
 	return true
+}
+
+// unlinkLeaf takes the empty leaf that w.path[:npath] leads to out of the
+// tree, with every inner node it was the only leaf under, and frees them. The
+// stores are ordered so that a crash after any of them leaves a valid tree:
+// the leaf is already stored empty; dropping its entry above means no descent
+// reaches it, so no key can land in it while scans still pass through;
+// relinking the leaf before it takes it out of the scans' way; only then do
+// the nodes go on the free list, where an insert may reuse them. A crash on
+// the way leaks the nodes not yet freed, and before the relink leaves the
+// empty leaf chained for good.
+func (t *BTreeIndex) unlinkLeaf(clk *sim.Clock, w *treeWalk, npath int, leaf *node) {
+	// a is the deepest level that keeps another child.
+	a := npath - 1
+	for a >= 0 && w.path[a].n.count() == 1 {
+		a--
+	}
+	if a < 0 {
+		return // the tree's only leaf stays, empty, as a root leaf does
+	}
+	prev, hasPrev := t.prevLeaf(clk, w, npath)
+	p := w.path[a]
+	p.n.removeAt(p.idx)
+	t.storeHead(clk, p.n, p.idx)
+	if hasPrev {
+		t.space.Write(clk, t.nodeOff(prev)+8, leaf.buf[8:16])
+	}
+	t.freeNode(clk, leaf.id)
+	for l := a + 1; l < npath; l++ {
+		t.freeNode(clk, w.path[l].n.id)
+	}
+	// A root left with one child hands the root to it.
+	for r := w.path[0].n; !r.leaf() && r.count() == 1; {
+		child := r.val(0)
+		t.setRoot(clk, child)
+		t.freeNode(clk, r.id)
+		r = t.loadInto(clk, child, r)
+	}
+}
+
+// prevLeaf finds the leaf chained before the one w.path[:npath] leads to:
+// the last leaf under the nearest left sibling along the path.
+func (t *BTreeIndex) prevLeaf(clk *sim.Clock, w *treeWalk, npath int) (uint64, bool) {
+	l := npath - 1
+	for l >= 0 && w.path[l].idx == 0 {
+		l--
+	}
+	if l < 0 {
+		return 0, false
+	}
+	n := t.loadInto(clk, w.path[l].n.val(w.path[l].idx-1), &w.spare)
+	for !n.leaf() {
+		n = t.loadInto(clk, n.val(n.count()-1), n)
+	}
+	return n.id, true
 }
 
 // Scan iterates keys >= from in ascending order until fn returns false.
@@ -378,11 +484,18 @@ func (t *BTreeIndex) Scan(clk *sim.Clock, from uint64, fn func(key, val uint64) 
 	defer walkPool.Put(w)
 	n, _ := t.descend(clk, from, w, false)
 	i, _ := n.searchLeaf(from)
-	for {
+	// The chain of a sound tree ascends and is shorter than nextFree; the
+	// torn image of an ADR crash may do neither.
+	for hops, least := uint64(0), from; hops < t.nextFree; hops++ {
 		for ; i < n.count(); i++ {
-			if !fn(n.key(i), n.val(i)) {
+			k := n.key(i)
+			if k < least {
+				return ErrCorrupt
+			}
+			if !fn(k, n.val(i)) {
 				return nil
 			}
+			least = k + 1
 		}
 		nxt, ok := n.next()
 		if !ok {
@@ -391,4 +504,5 @@ func (t *BTreeIndex) Scan(clk *sim.Clock, from uint64, fn func(key, val uint64) 
 		n = t.loadInto(clk, nxt, n)
 		i = 0
 	}
+	return ErrCorrupt
 }

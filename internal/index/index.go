@@ -49,6 +49,10 @@ var ErrFull = errors.New("index: full")
 // ErrDuplicate is returned by Insert when the key is already present.
 var ErrDuplicate = errors.New("index: duplicate key")
 
+// ErrCorrupt is returned by Scan when the structure it walks cannot be a
+// sound index: a leaf chain that does not ascend or does not end.
+var ErrCorrupt = errors.New("index: structure is corrupt")
+
 // ErrUnordered is returned by Scan on indexes without ordered iteration.
 var ErrUnordered = errors.New("index: structure does not support scans")
 

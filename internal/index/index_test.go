@@ -115,10 +115,40 @@ func TestIndexMatchesReferenceMap(t *testing.T) {
 					}
 				}
 			}
-			for k, v := range ref {
-				if got, ok := idx.Get(clk, k); !ok || got != v {
-					t.Fatalf("final: Get(%d) = %d,%v want %d", k, got, ok, v)
+			// verify compares every key of the key space with the model; a
+			// B-tree must also be sound and scan the model's keys in order.
+			verify := func(when string) {
+				t.Helper()
+				for k := uint64(0); k < 4000; k++ {
+					got, ok := idx.Get(clk, k)
+					if want, exists := ref[k]; ok != exists || got != want {
+						t.Fatalf("%s: Get(%d) = %d,%v want %d,%v", when, k, got, ok, want, exists)
+					}
 				}
+				if bt, ok := idx.(*BTreeIndex); ok {
+					checkSound(t, bt)
+					checkAgainstModel(t, bt, ref, 0)
+				}
+			}
+			verify("after the random mix")
+			// Delete-heavy: drain whole key ranges and refill them, so B-tree
+			// leaves and inner nodes leave the tree and their nodes come back.
+			for round, r := range [][2]uint64{{1000, 3000}, {0, 4000}, {500, 3500}, {0, 4000}} {
+				for k := r[0]; k < r[1]; k++ {
+					_, exists := ref[k]
+					if got := idx.Delete(clk, k); got != exists {
+						t.Fatalf("round %d: delete(%d) = %v, want %v", round, k, got, exists)
+					}
+					delete(ref, k)
+				}
+				verify("after a drain")
+				for k := r[0]; k < r[1]; k += uint64(round + 1) {
+					if err := idx.Insert(clk, k, k+9); err != nil {
+						t.Fatalf("round %d: refill insert(%d): %v", round, k, err)
+					}
+					ref[k] = k + 9
+				}
+				verify("after a refill")
 			}
 		})
 	}
@@ -304,4 +334,178 @@ func TestNVMIndexChargesMoreThanDRAM(t *testing.T) {
 	if nvmT <= dramT {
 		t.Fatalf("NVM index (%d ns) not slower than DRAM index (%d ns)", nvmT, dramT)
 	}
+}
+
+// leafImage is one chained leaf as the sizing adversary sees it.
+type leafImage struct {
+	keys []uint64
+	next uint64 // first key of the following leaf, or the largest key there is
+}
+
+// chainImages walks the leaf chain from the tree's first leaf.
+func chainImages(t *BTreeIndex) []leafImage {
+	clk := sim.NewClock()
+	w := new(treeWalk)
+	n, _ := t.descend(clk, 0, w, false)
+	var out []leafImage
+	for {
+		img := leafImage{next: ^uint64(0)}
+		for i := 0; i < n.count(); i++ {
+			img.keys = append(img.keys, n.key(i))
+		}
+		if len(out) > 0 && len(img.keys) > 0 {
+			out[len(out)-1].next = img.keys[0]
+		}
+		out = append(out, img)
+		nxt, ok := n.next()
+		if !ok {
+			return out
+		}
+		n = t.loadInto(clk, nxt, n)
+	}
+}
+
+// TestBTreeSizedForWorstCaseFill: a tree built for capacity keys takes
+// capacity inserts in any order without ErrFull — the heap of the table it
+// indexes is what fills first. Ascending keys leave full leaves; the stream
+// that plays splits at the end of a node against splits in the middle gets
+// the fewest keys per leaf there are, and still fits.
+func TestBTreeSizedForWorstCaseFill(t *testing.T) {
+	const capacity = 20000
+	fill := func(name string, key func(i int) uint64) *BTreeIndex {
+		bt, err := NewBTree(newSys().Space, 0, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk := sim.NewClock()
+		for i := 0; i < capacity; i++ {
+			if err := bt.Insert(clk, key(i), uint64(i)); err != nil {
+				t.Fatalf("%s: insert %d of %d: %v", name, i, capacity, err)
+			}
+		}
+		checkSound(t, bt)
+		return bt
+	}
+	asc := fill("ascending", func(i int) uint64 { return uint64(i) })
+	if leaves, limit := checkSound(t, asc).leaves, capacity/14; leaves > limit {
+		t.Fatalf("ascending keys: %d leaves for %d keys, want at most %d (full leaves)", leaves, capacity, limit)
+	}
+	fill("descending", func(i int) uint64 { return uint64(capacity - i) })
+	rng := rand.New(rand.NewSource(5))
+	fill("random", func(int) uint64 { return rng.Uint64() })
+
+	// The adversary: bring a leaf to 15 keys with keys after its last, split
+	// it at the end with one more, then split the full leaf in the middle.
+	bt, err := NewBTree(newSys().Space, 0, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := sim.NewClock()
+	inserted := 0
+	insert := func(k uint64) {
+		if inserted == capacity {
+			return
+		}
+		if err := bt.Insert(clk, k, 0); err != nil {
+			t.Fatalf("adversary: insert %d of %d: %v", inserted, capacity, err)
+		}
+		inserted++
+	}
+	for i := uint64(1); i <= 8; i++ {
+		insert(i << 59)
+	}
+	for inserted < capacity {
+		before := inserted
+		for _, leaf := range chainImages(bt) {
+			c := len(leaf.keys)
+			if c < 7 || c == nodeEntries {
+				continue
+			}
+			last := leaf.keys[c-1]
+			step := (leaf.next - last) / 32
+			mid := leaf.keys[3] + (leaf.keys[4]-leaf.keys[3])/2
+			if step == 0 || mid == leaf.keys[3] {
+				continue // no room left between these keys
+			}
+			for j := 1; j <= nodeEntries-c+1; j++ {
+				insert(last + uint64(j)*step)
+			}
+			insert(mid)
+		}
+		if inserted == before {
+			t.Fatalf("adversary ran out of key space after %d inserts", inserted)
+		}
+	}
+	rep := checkSound(t, bt)
+	perLeaf := float64(capacity) / float64(rep.leaves)
+	t.Logf("adversary: %d keys in %d leaves (%.2f per leaf) and %d inner nodes, %d of %d nodes", capacity, rep.leaves, perLeaf, rep.inner, bt.nextFree, bt.cap)
+	if perLeaf > 5.5 {
+		t.Fatalf("adversary reached only %.2f keys per leaf, the sizing argument says 4.5", perLeaf)
+	}
+}
+
+// TestDrainedRangesLeaveNoEmptyLeaves plays TPC-C's new_order table: twenty
+// key ranges, each appended to at its end and drained from its front. The
+// walk Scan makes from the start of a range to the range's first key must
+// never pass an empty leaf, and the tree must stay as small as its live keys.
+func TestDrainedRangesLeaveNoEmptyLeaves(t *testing.T) {
+	const ranges, rounds = 20, 60_000
+	bt, err := NewBTree(newSys().Space, 0, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := sim.NewClock()
+	rng := rand.New(rand.NewSource(9))
+	var head, tail [ranges]uint64 // live keys of range r: r<<32 | [head, tail)
+	w := new(treeWalk)
+	hops, emptyHops, maxNodes := 0, 0, uint64(0)
+	for round := 0; round < rounds; round++ {
+		r := uint64(rng.Intn(ranges))
+		if err := bt.Insert(clk, r<<32|tail[r], tail[r]); err != nil {
+			t.Fatal(err)
+		}
+		tail[r]++
+		if rng.Intn(10) == 0 {
+			continue // arrivals outpace deliveries a little
+		}
+		r = uint64(rng.Intn(ranges))
+		// Delivery: find the oldest key of range r as Scan does, then delete it.
+		n, _ := bt.descend(clk, r<<32, w, false)
+		i, _ := n.searchLeaf(r << 32)
+		for i == n.count() {
+			nxt, ok := n.next()
+			if !ok {
+				break
+			}
+			n, i = bt.loadInto(clk, nxt, n), 0
+			hops++
+			if n.count() == 0 {
+				emptyHops++
+			}
+		}
+		if head[r] < tail[r] {
+			if i == n.count() || n.key(i) != r<<32|head[r] {
+				t.Fatalf("round %d: oldest key of range %d not found", round, r)
+			}
+			if !bt.Delete(clk, r<<32|head[r]) {
+				t.Fatalf("round %d: delete of %d/%d failed", round, r, head[r])
+			}
+			head[r]++
+		}
+		maxNodes = max(maxNodes, bt.nextFree)
+	}
+	if emptyHops != 0 {
+		t.Fatalf("%d of %d leaf-to-leaf hops landed on an empty leaf", emptyHops, hops)
+	}
+	rep := checkSound(t, bt)
+	live := 0
+	for r := range head {
+		live += int(tail[r] - head[r])
+	}
+	// Full leaves but one at each end of every range, and the inner nodes.
+	if limit := live/14 + 2*ranges + rep.inner; rep.leaves > limit {
+		t.Fatalf("%d leaves for %d live keys in %d ranges, want at most %d", rep.leaves, live, ranges, limit)
+	}
+	t.Logf("%d live keys in %d leaves and %d inner nodes; %d nodes ever allocated, %d on the free list; %d hops, none onto an empty leaf",
+		live, rep.leaves, rep.inner, maxNodes, rep.free, hops)
 }

@@ -2,7 +2,6 @@ package index
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,9 +9,75 @@ import (
 	"falcon/internal/sim"
 )
 
-// TestQuickBTreeScanMatchesSortedReference: after arbitrary insert/delete
-// sequences, every range scan must return exactly the live keys in order.
+// modelOps drives a tree and a reference map through one batch of a
+// delete-heavy stream. Besides random inserts and deletes it drains whole key
+// ranges and refills them in key order, so that leaves empty out and leave
+// the tree, inner nodes lose their last child, the root hands over to its
+// only child, freed nodes come back and splits happen at the end of a node.
+// It reports whether every result matched the model.
+func modelOps(rng *rand.Rand, bt *BTreeIndex, ref map[uint64]uint64, keySpace int) bool {
+	clk := sim.NewClock()
+	del := func(k uint64) bool {
+		_, want := ref[k]
+		delete(ref, k)
+		return bt.Delete(clk, k) == want
+	}
+	ins := func(k uint64) bool {
+		err := bt.Insert(clk, k, k*7)
+		if _, dup := ref[k]; dup {
+			return err == ErrDuplicate
+		}
+		ref[k] = k * 7
+		return err == nil
+	}
+	lo := rng.Intn(keySpace)
+	hi := lo + rng.Intn(keySpace-lo) + 1
+	switch rng.Intn(6) {
+	case 0: // drain a range from the front, as Delivery drains a district
+		for k := lo; k < hi; k++ {
+			if !del(uint64(k)) {
+				return false
+			}
+		}
+	case 1: // drain a range from the back
+		for k := hi - 1; k >= lo; k-- {
+			if !del(uint64(k)) {
+				return false
+			}
+		}
+	case 2: // refill a range in key order
+		for k := lo; k < hi; k++ {
+			if !ins(uint64(k)) {
+				return false
+			}
+		}
+	case 3: // drain everything
+		for k := range ref {
+			if !del(k) {
+				return false
+			}
+		}
+	default: // random mix
+		for i := 0; i < 1500; i++ {
+			k := uint64(rng.Intn(keySpace))
+			if rng.Intn(3) == 0 {
+				if !del(k) {
+					return false
+				}
+			} else if !ins(k) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestQuickBTreeScanMatchesSortedReference: after every batch of an
+// arbitrary insert/delete stream, a range scan must return exactly the live
+// keys in order and the tree must be sound.
 func TestQuickBTreeScanMatchesSortedReference(t *testing.T) {
+	const keySpace = 6000 // 400 full leaves: three levels
+	fired := treeReport{}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sys := pmem.NewSystem(pmem.Config{DeviceBytes: 64 << 20})
@@ -20,61 +85,30 @@ func TestQuickBTreeScanMatchesSortedReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clk := sim.NewClock()
 		ref := map[uint64]uint64{}
-		for i := 0; i < 2000; i++ {
-			k := uint64(rng.Intn(3000))
-			if rng.Intn(3) == 0 {
-				got := bt.Delete(clk, k)
-				_, want := ref[k]
-				if got != want {
-					return false
-				}
-				delete(ref, k)
-			} else {
-				err := bt.Insert(clk, k, k*7)
-				if _, dup := ref[k]; dup {
-					if err != ErrDuplicate {
-						return false
-					}
-				} else if err != nil {
-					return false
-				} else {
-					ref[k] = k * 7
-				}
-			}
-		}
-		// Full scan from a random start point.
-		from := uint64(rng.Intn(3000))
-		var wantKeys []uint64
-		for k := range ref {
-			if k >= from {
-				wantKeys = append(wantKeys, k)
-			}
-		}
-		sort.Slice(wantKeys, func(i, j int) bool { return wantKeys[i] < wantKeys[j] })
-		var got []uint64
-		if err := bt.Scan(clk, from, func(k, v uint64) bool {
-			if v != k*7 {
+		for batch := 0; batch < 12; batch++ {
+			if !modelOps(rng, bt, ref, keySpace) {
 				return false
 			}
-			got = append(got, k)
-			return true
-		}); err != nil {
-			return false
-		}
-		if len(got) != len(wantKeys) {
-			return false
-		}
-		for i := range got {
-			if got[i] != wantKeys[i] {
-				return false
+			checkAgainstModel(t, bt, ref, uint64(rng.Intn(keySpace)))
+			rep := checkSound(t, bt)
+			if live := uint64(rep.leaves + rep.inner); bt.nextFree-uint64(rep.free) != live {
+				t.Fatalf("nextFree %d - %d free != %d live nodes", bt.nextFree, rep.free, live)
 			}
+			fired.free = max(fired.free, rep.free)
+			fired.depth = max(fired.depth, rep.depth)
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	streams := 20
+	if testing.Short() {
+		streams = 6
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: streams}); err != nil {
 		t.Fatal(err)
+	}
+	if fired.free == 0 || fired.depth < 2 {
+		t.Fatalf("streams never freed a node or never grew three levels: %+v", fired)
 	}
 }
 

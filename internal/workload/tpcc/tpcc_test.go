@@ -15,8 +15,14 @@ func tinyConfig() Config {
 
 func newLoadedEngine(t *testing.T, ecfg core.Config, cfg Config) (*core.Engine, *Driver) {
 	t.Helper()
-	ecfg.Threads = 4
-	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 512 << 20})
+	if ecfg.Threads == 0 {
+		ecfg.Threads = 4
+	}
+	return newLoadedEngineOn(t, pmem.NewSystem(pmem.Config{DeviceBytes: 512 << 20}), ecfg, cfg)
+}
+
+func newLoadedEngineOn(t *testing.T, sys *pmem.System, ecfg core.Config, cfg Config) (*core.Engine, *Driver) {
+	t.Helper()
 	e, err := core.New(sys, ecfg, TableSpecs(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -295,5 +301,70 @@ func TestCrashRecoveryPreservesTPCC(t *testing.T) {
 		if err := d2.Next(i % 4); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestDeliveryCostDoesNotAge: a Delivery call costs the same virtual time on
+// an old database as on a fresh one. Each of its ten transactions starts with
+// a scan for the district's oldest NEW-ORDER row; when emptied B-tree leaves
+// stayed chained, that scan walked every leaf earlier Deliveries had drained
+// and the call's cost grew with the age of the database.
+func TestDeliveryCostDoesNotAge(t *testing.T) {
+	const calls = 30_000
+	cfg := tinyConfig()
+	// One worker sends every NewOrder (45 % of the calls) to its home
+	// warehouse; the order tables hold OrderHeadroom times the preload.
+	preload := cfg.Warehouses * Districts * cfg.CustomersPerDistrict
+	cfg.OrderHeadroom = 2 + calls*45/100/preload
+	ecfg := core.FalconConfig()
+	ecfg.Threads = 1 // or the one worker fills its share of each heap early
+	// A cache that holds the whole database: the comparison is about the
+	// tree, not about how much of a growing database stays cached.
+	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 512 << 20, CacheBytes: 64 << 20})
+	e, d := newLoadedEngineOn(t, sys, ecfg, cfg)
+	clk := e.Clock(0)
+	// oldest is the virtual cost of Delivery's first step over the ten
+	// districts, on a second pass so that every node it loads is cached.
+	oldest := func() uint64 {
+		var cost uint64
+		for pass := 0; pass < 2; pass++ {
+			before := clk.Nanos()
+			for did := 1; did <= Districts; did++ {
+				if err := e.RunRO(0, func(tx *core.Txn) error {
+					_, err := tx.Scan(d.newOrder, oKeyPrefix(1, did), 1, func(uint64, []byte) bool { return false })
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cost = clk.Nanos() - before
+		}
+		return cost
+	}
+	scanFresh := oldest()
+	var ns, n [10]uint64
+	for i := 0; i < calls; i++ {
+		before := clk.Nanos()
+		typ, err := d.NextTyped(0)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if typ == TxnDelivery {
+			ns[i*10/calls] += clk.Nanos() - before
+			n[i*10/calls]++
+		}
+	}
+	first, last := float64(ns[0])/float64(n[0]), float64(ns[9])/float64(n[9])
+	t.Logf("virtual ns per Delivery call: %.0f in the first tenth (%d calls), %.0f in the last (%d calls)", first, n[0], last, n[9])
+	if n[0] < 50 || n[9] < 50 {
+		t.Fatalf("too few Delivery calls to compare: %v", n)
+	}
+	if scanAged := oldest(); float64(scanAged) > 1.25*float64(scanFresh) {
+		t.Fatalf("finding the oldest NEW-ORDER of ten districts: %d virtual ns after %d calls, %d before", scanAged, calls, scanFresh)
+	} else {
+		t.Logf("finding the oldest NEW-ORDER of ten districts: %d virtual ns before, %d after", scanFresh, scanAged)
+	}
+	if last > 1.25*first {
+		t.Fatalf("Delivery aged: %.0f virtual ns per call in the last tenth, %.0f in the first (limit 1.25x)", last, first)
 	}
 }

@@ -34,7 +34,10 @@ type tpccWorker struct {
 	obuf []byte
 	sbuf []byte
 	dbuf []byte
-	_    [4]uint64
+	// StockLevel's distinct items, in scan order and as a set.
+	items []int64
+	seen  map[int64]struct{}
+	_     [4]uint64
 }
 
 // TxnType enumerates the five transaction profiles.
@@ -79,6 +82,7 @@ func NewDriver(e *core.Engine, cfg Config) (*Driver, error) {
 		ws.obuf = make([]byte, d.order.Schema().TupleSize())
 		ws.sbuf = make([]byte, d.stock.Schema().TupleSize())
 		ws.dbuf = make([]byte, d.district.Schema().TupleSize())
+		ws.seen = make(map[int64]struct{}, 256)
 	}
 	return d, nil
 }
@@ -639,8 +643,8 @@ func (d *Driver) StockLevelTxn(w int) error {
 			firstO = 1
 		}
 		ols := d.orderLine.Schema()
-		seen := make(map[int64]struct{}, 64)
-		items := make([]int64, 0, 64)
+		seen, items := ws.seen, ws.items[:0]
+		clear(seen)
 		olPrefix := olKeyPrefix(home, did, firstO)
 		limit := olKeyPrefix(home, did, nextO)
 		if _, err := tx.Scan(d.orderLine, olPrefix, 0, func(k uint64, payload []byte) bool {
@@ -656,6 +660,7 @@ func (d *Driver) StockLevelTxn(w int) error {
 		}); err != nil {
 			return err
 		}
+		ws.items = items
 		// Probe stock in scan order, not map order: ranging over the map
 		// would issue the reads in Go's randomized iteration order, making
 		// the simulated cache walk differ between identical runs.
