@@ -1,6 +1,6 @@
 # Convenience targets; everything also works with plain go commands.
 
-.PHONY: build test race race-par bench bench-quick bench-smoke sweep phase-tables trace-check soak loadgen-smoke tpcc-aging fuzz-smoke
+.PHONY: build test race race-par bench bench-quick bench-smoke sweep phase-tables trace-check soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke
 
 build:
 	go build ./...
@@ -15,9 +15,11 @@ race:
 # Worker-parallel race lane: the same engine/simulation packages plus the
 # crash-consistency oracle, with GOMAXPROCS=4 so the group scheduler's round
 # barriers, per-worker timing partitions, and the free-running spin-locked
-# paths actually interleave across cores under the race detector.
+# paths actually interleave across cores under the race detector. The index
+# and TPC-C packages are here for the B-tree's lock-free readers: what they
+# load beside a writer (root, nextFree, the sequence word) must be atomic.
 race-par:
-	GOMAXPROCS=4 go test -race -short ./internal/crashtest ./internal/core ./internal/pmem ./internal/bench
+	GOMAXPROCS=4 go test -race -short ./internal/crashtest ./internal/core ./internal/pmem ./internal/bench ./internal/index ./internal/workload/tpcc
 
 # Append a full host-performance run (micro ops, one YCSB cell, the default
 # Figure-11 grid) to BENCH_hostperf.json. Speedups are against the first
@@ -46,6 +48,15 @@ tpcc-aging:
 	go test -count=1 -run 'TestTPCCRunsUntilTheHeapIsFull' ./internal/bench
 	go run ./cmd/falcon-tpcc -threads 2 -warehouses 2 -cc OCC -txns 13000 2>&1 | tee /dev/stderr | \
 		awk '/worker [0-9]+ txn/ && !/table full/ { bad = 1 } END { exit bad }'
+
+# Four free-running TPC-C workers under each multi-version algorithm, every
+# preset (~12 s per algorithm). While Scan held the B-tree's lock across its
+# callbacks this hung on the Outp row in two runs of three: a snapshot read
+# spun for a writer that was queued on the same tree's lock.
+tpcc-mv-smoke:
+	for cc in MV2PL MVTO MVOCC; do \
+		timeout 120 go run ./cmd/falcon-tpcc -cc $$cc -threads 4 -warehouses 2 -txns 3000 -warmup 200 || exit 1; \
+	done
 
 # Ten seconds of native fuzzing per target, on top of the checked-in corpora
 # that every `go test` run replays (same lane CI runs).

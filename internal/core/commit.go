@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"falcon/internal/cc"
 	"falcon/internal/index"
@@ -164,15 +165,21 @@ type applyEntry struct {
 	ins *insertOp
 }
 
+// applyOrder returns the write set in log order, in the worker's buffer: the
+// result is good until the worker's next commit.
 func (tx *Txn) applyOrder() []applyEntry {
-	out := make([]applyEntry, 0, len(tx.writes)+len(tx.inserts))
+	ws := &tx.e.scratch[tx.worker]
+	out := ws.apply[:0]
 	for i := range tx.writes {
 		out = append(out, applyEntry{pos: tx.writes[i].logPos, w: &tx.writes[i]})
 	}
 	for i := range tx.inserts {
 		out = append(out, applyEntry{pos: tx.inserts[i].logPos, ins: &tx.inserts[i]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	// logPos is unique, so every sort gives the same order; this one needs no
+	// reflect swapper for its few, nearly sorted entries.
+	slices.SortFunc(out, func(a, b applyEntry) int { return cmp.Compare(a.pos, b.pos) })
+	ws.apply = out
 	return out
 }
 

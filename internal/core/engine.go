@@ -97,13 +97,15 @@ type Engine struct {
 	validateHits bool
 }
 
-// workerScratch holds a worker's reusable payload buffers, padded against
-// false sharing: buf for point operations, scan for the scan in progress
-// (scanIndex takes it for the length of the scan).
+// workerScratch holds a worker's reusable buffers, padded against false
+// sharing: buf for point operations, scan for the scan in progress (scanIndex
+// takes it for the length of the scan), apply for the commit in progress
+// (applyOrder).
 type workerScratch struct {
-	buf  []byte
-	scan []byte
-	_    [2]uint64
+	buf   []byte
+	scan  []byte
+	apply []applyEntry
+	_     [7]uint64
 }
 
 // Table is one relation: a tuple heap plus its indexes and (for MVCC) the
@@ -289,18 +291,23 @@ func (e *Engine) initObs() {
 			for w := range e.tstats {
 				agg.Add(e.tstats[w][t.id].TableStats)
 			}
+			for _, idx := range []index.Index{t.primary, t.secondary} {
+				if r, ok := idx.(interface{ Restarts() uint64 }); ok {
+					agg.IndexRestarts += r.Restarts()
+				}
+			}
 			s.Tables[t.name] = agg
 		}
 	})
 }
 
 // paddedTableStats keeps one worker's counters for one table on a cache
-// line of its own. TableStats is 32 B, so unpadded rows from different
+// line of its own. TableStats is 40 B, so unpadded rows from different
 // workers share lines and the per-op increments turn into cross-core
 // traffic (measured ~40% on the host YCSB cell when this shipped unpadded).
 type paddedTableStats struct {
 	obs.TableStats
-	_ [4]uint64
+	_ [3]uint64
 }
 
 // addTable registers a fully built table with the engine, growing every

@@ -208,10 +208,14 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 			tx.pt.To(obs.PhaseIndexUpdate)
 			tx.tstat(g.t).Versions++
 		}
-		g.t.primary.Update(tx.clk, g.key, g.newSlot)
 		if g.t.secondary != nil {
 			// The tuple moved; the secondary must follow. A changed
-			// secondary key additionally relocates the entry.
+			// secondary key additionally relocates the entry. The secondary
+			// goes first: writers resolve through the primary, and the new
+			// slot is unlocked, so once the primary names it the next writer
+			// can move the tuple on and repoint both indexes. Were the
+			// secondary still to come then, this store would put it back on a
+			// slot that writer has retired.
 			if g.oldSec == g.newSec {
 				g.t.secondary.Update(tx.clk, g.newSec, g.newSlot)
 			} else {
@@ -219,6 +223,7 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 				g.t.indexInsert(tx.clk, g.t.secondary, g.newSec, g.newSlot)
 			}
 		}
+		g.t.primary.Update(tx.clk, g.key, g.newSlot)
 		tx.pt.To(obs.PhaseHeapWrite)
 		g.t.heap.Retire(tx.clk, g.oldSlot, tx.tid, e.gen.Next(tx.worker), true)
 		tx.pt.To(obs.PhaseIndexUpdate)
@@ -231,10 +236,10 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 		} else {
 			lock.Store(tx.tid & cc.WTSMaskTO)
 		}
-		ins.t.indexInsert(tx.clk, ins.t.primary, ins.key, ins.slot)
-		if ins.t.secondary != nil {
+		if ins.t.secondary != nil { // before the primary, as above
 			ins.t.indexInsert(tx.clk, ins.t.secondary, ins.t.schema.GetUint64(ins.data, ins.t.secondaryCol), ins.slot)
 		}
+		ins.t.indexInsert(tx.clk, ins.t.primary, ins.key, ins.slot)
 		tx.releaseKey(ins.t, ins.key)
 		e.tcPut(tx.clk, tx.worker, ins.t.id, ins.key, ins.data)
 	}

@@ -477,7 +477,12 @@ func (tx *Txn) snapshotReadSlotSpin(t *Table, slot uint64, off, n int, dst []byt
 			}
 			return nil
 		}
-		if word = lock.Load(); !cc.Locked(word) {
+		// No version for us in the chain. What that means can be told only
+		// from the word the chain was read under: a writer that was mid-apply
+		// then has since published its pre-image, and an unlocked word loaded
+		// now would pass its tuple off as created after our snapshot (TPC-C
+		// StockLevel under MV2PL: "key not found" for a stock row).
+		if !cc.Locked(word) && lock.Load() == word {
 			flags := t.heap.ReadFlags(tx.clk, slot)
 			if flags&heap.FlagInvalidated != 0 {
 				// Stale out-of-place version whose chain migrated to its

@@ -3,7 +3,9 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"falcon/internal/pmem"
 	"falcon/internal/sim"
@@ -15,6 +17,7 @@ const (
 	nodeBytes   = pmem.BlockSize // one NVM media block per node
 	nodeEntries = 15             // 16 B header + 15 × 16 B entries
 	maxDepth    = 24
+	readTries   = 8 // optimistic tries of a read before it takes the writers' mutex
 
 	// Byte offsets in the 64 B tree header, after the magic word.
 	hdrRoot     = 8
@@ -26,9 +29,19 @@ const (
 // BTreeIndex is a B+-tree with 256 B nodes and leaf sibling links. Nodes are
 // never rebalanced, but a leaf that Delete empties leaves the tree (see
 // unlinkLeaf) and its node is reused, so scans and space follow the live
-// keys. Writers are serialized by a tree lock; readers share it. In the
-// virtual-time model host lock waits are free, so the coarse lock does not
-// distort measured results.
+// keys.
+//
+// Writers exclude one another with mu and make seq odd around their stores.
+// Readers take no lock (see read): they wait for an even seq, read, and keep
+// what they read only if seq is still the same, so a reader never parks behind
+// a writer and Scan holds nothing while its callback runs. Until it is
+// validated a view may mix two versions of a node (each 64 B line is
+// consistent, the node need not be), or show a node that was freed and reused
+// since: ids are range-checked before they are followed and walks are bounded,
+// so such a view costs another try, never a panic. A retry reads the nodes
+// again and pays their virtual time as a real optimistic reader pays real
+// time; when no writer runs beside the readers (one worker, or the
+// deterministic group mode, whose barrier applies writes alone) there is none.
 //
 // Every change to a node is one store, and multi-node changes are ordered so
 // that a crash between two stores leaves a tree that answers correctly, with
@@ -39,13 +52,15 @@ type BTreeIndex struct {
 	base  uint64
 	cap   uint64 // node capacity
 
-	mu sync.RWMutex
-	// root, nextFree and freeHead mirror the persistent header
-	// (single-writer under mu; rebuilt from the header on Open). freeHead is
-	// the first node of the free list plus one, 0 for an empty list; a free
-	// node keeps the rest of the list in its sibling word.
-	root     uint64
-	nextFree uint64
+	mu       sync.Mutex    // writers, and a reader out of tries
+	seq      atomic.Uint64 // DRAM only; odd while a writer is storing
+	restarts atomic.Uint64 // reads thrown away because seq moved under them
+	// root, nextFree and freeHead mirror the persistent header (written under
+	// mu, rebuilt from the header on Open; readers load the first two).
+	// freeHead is the first node of the free list plus one, 0 for an empty
+	// list; a free node keeps the rest of the list in its sibling word.
+	root     atomic.Uint64
+	nextFree atomic.Uint64
 	freeHead uint64
 }
 
@@ -165,7 +180,7 @@ func NewBTree(space pmem.Space, base uint64, capacity uint64) (*BTreeIndex, erro
 	// Node 0: empty leaf.
 	zero := make([]byte, nodeBytes)
 	space.BulkWrite(t.nodeOff(0), zero)
-	t.root, t.nextFree = 0, 1
+	t.nextFree.Store(1)
 	return t, nil
 }
 
@@ -176,14 +191,15 @@ func OpenBTree(space pmem.Space, clk *sim.Clock, base uint64) (*BTreeIndex, erro
 	if binary.LittleEndian.Uint64(hdr[0:]) != btreeMagic {
 		return nil, fmt.Errorf("index: no btree at %d", base)
 	}
-	return &BTreeIndex{
+	t := &BTreeIndex{
 		space:    space,
 		base:     base,
-		root:     binary.LittleEndian.Uint64(hdr[hdrRoot:]),
-		nextFree: binary.LittleEndian.Uint64(hdr[hdrNextFree:]),
 		cap:      binary.LittleEndian.Uint64(hdr[hdrCap:]),
 		freeHead: binary.LittleEndian.Uint64(hdr[hdrFreeHead:]),
-	}, nil
+	}
+	t.root.Store(binary.LittleEndian.Uint64(hdr[hdrRoot:]))
+	t.nextFree.Store(binary.LittleEndian.Uint64(hdr[hdrNextFree:]))
+	return t, nil
 }
 
 // Kind returns BTree.
@@ -220,12 +236,12 @@ func (t *BTreeIndex) allocNode(clk *sim.Clock) (uint64, error) {
 		t.space.WriteU64(clk, t.base+hdrFreeHead, t.freeHead)
 		return id, nil
 	}
-	if t.nextFree >= t.cap {
+	id := t.nextFree.Load()
+	if id >= t.cap {
 		return 0, ErrFull
 	}
-	id := t.nextFree
-	t.nextFree++
-	t.space.WriteU64(clk, t.base+hdrNextFree, t.nextFree)
+	t.nextFree.Store(id + 1)
+	t.space.WriteU64(clk, t.base+hdrNextFree, id+1)
 	return id, nil
 }
 
@@ -239,7 +255,7 @@ func (t *BTreeIndex) freeNode(clk *sim.Clock, id uint64) {
 }
 
 func (t *BTreeIndex) setRoot(clk *sim.Clock, id uint64) {
-	t.root = id
+	t.root.Store(id)
 	t.space.WriteU64(clk, t.base+hdrRoot, id)
 }
 
@@ -261,22 +277,25 @@ var walkPool = sync.Pool{New: func() any { return new(treeWalk) }}
 // recording the path of (node, childEntry) when record is true. npath is the
 // leaf's depth; w.path[:npath] is valid when recorded.
 func (t *BTreeIndex) descend(clk *sim.Clock, key uint64, w *treeWalk, record bool) (n *node, npath int) {
-	n = t.loadInto(clk, t.root, &w.nodes[0])
-	for !n.leaf() {
-		if npath >= maxDepth {
-			// Only the torn image of an ADR crash can hold a cycle of inner
-			// nodes: the walk ends on an empty leaf and finds nothing.
-			n.buf = [nodeBytes]byte{}
+	n = &w.nodes[0]
+	for id := t.root.Load(); id < t.cap; npath++ {
+		n = t.loadInto(clk, id, &w.nodes[npath])
+		if n.leaf() {
 			return n, npath
 		}
+		if npath >= maxDepth {
+			break
+		}
 		i := n.childFor(key)
-		child := n.val(i)
 		if record {
 			w.path[npath] = pathEntry{n: n, idx: i}
 		}
-		npath++
-		n = t.loadInto(clk, child, &w.nodes[npath])
+		id = n.val(i)
 	}
+	// A reader's view that will not validate, or the torn image of an ADR
+	// crash, can hold a cycle of inner nodes or an id past the last node: the
+	// walk ends on an empty leaf and finds nothing.
+	n.buf = [nodeBytes]byte{}
 	return n, npath
 }
 
@@ -285,17 +304,48 @@ type pathEntry struct {
 	idx int
 }
 
-// Get returns the value for key.
-func (t *BTreeIndex) Get(clk *sim.Clock, key uint64) (uint64, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	w := walkPool.Get().(*treeWalk)
-	n, _ := t.descend(clk, key, w, false)
-	i, ok := n.searchLeaf(key)
-	var v uint64
-	if ok {
-		v = n.val(i)
+// read runs fn, which reads the tree at sequence s into variables of its own,
+// until a run ends with seq unchanged, and returns that s. fn must tolerate
+// any view (see BTreeIndex). A run that readTries tries could not fit between
+// two writers is made under the writers' mutex, so every read finishes.
+func (t *BTreeIndex) read(fn func(s uint64)) uint64 {
+	for try := 0; try < readTries; try++ {
+		s := t.seq.Load()
+		// A writer's stores take a microsecond or two; one that is still at
+		// it after the spin has lost its processor.
+		for spin := 0; s&1 != 0 && spin < 256; spin++ {
+			s = t.seq.Load()
+		}
+		if s&1 != 0 {
+			runtime.Gosched()
+			continue
+		}
+		if fn(s); t.seq.Load() == s {
+			return s
+		}
+		t.restarts.Add(1)
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.seq.Load()
+	fn(s)
+	return s
+}
+
+// Restarts returns how many reads (a Get, or one leaf of a Scan) were thrown
+// away and made again because a writer stored under them.
+func (t *BTreeIndex) Restarts() uint64 { return t.restarts.Load() }
+
+// Get returns the value for key.
+func (t *BTreeIndex) Get(clk *sim.Clock, key uint64) (v uint64, ok bool) {
+	w := walkPool.Get().(*treeWalk)
+	t.read(func(uint64) {
+		n, _ := t.descend(clk, key, w, false)
+		var i int
+		if i, ok = n.searchLeaf(key); ok {
+			v = n.val(i)
+		}
+	})
 	walkPool.Put(w)
 	return v, ok
 }
@@ -312,6 +362,8 @@ func (t *BTreeIndex) Insert(clk *sim.Clock, key, val uint64) error {
 	if exists {
 		return ErrDuplicate
 	}
+	t.seq.Add(1)
+	defer t.seq.Add(1)
 	return t.insertEntry(clk, w, npath, n, i, key, val)
 }
 
@@ -398,7 +450,9 @@ func (t *BTreeIndex) Update(clk *sim.Clock, key, val uint64) bool {
 		return false
 	}
 	n.set(i, key, val)
+	t.seq.Add(1)
 	t.space.Write(clk, t.nodeOff(n.id)+uint64(16+16*i), n.entry(i))
+	t.seq.Add(1)
 	return true
 }
 
@@ -413,6 +467,8 @@ func (t *BTreeIndex) Delete(clk *sim.Clock, key uint64) bool {
 	if !ok {
 		return false
 	}
+	t.seq.Add(1)
+	defer t.seq.Add(1)
 	n.removeAt(i)
 	t.storeHead(clk, n, i)
 	if n.count() == 0 {
@@ -476,17 +532,32 @@ func (t *BTreeIndex) prevLeaf(clk *sim.Clock, w *treeWalk, npath int) (uint64, b
 	return n.id, true
 }
 
-// Scan iterates keys >= from in ascending order until fn returns false.
+// Scan iterates keys >= from in ascending order until fn returns false. It
+// reads one leaf at a time into its own buffer and calls fn with nothing held:
+// fn may wait for a writer that is itself waiting to store into this tree.
 func (t *BTreeIndex) Scan(clk *sim.Clock, from uint64, fn func(key, val uint64) bool) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
-	n, _ := t.descend(clk, from, w, false)
-	i, _ := n.searchLeaf(from)
+	var (
+		n       *node
+		i       int
+		nxt, at uint64 // the leaf after n, as of sequence at
+		chained bool
+	)
 	// The chain of a sound tree ascends and is shorter than nextFree; the
 	// torn image of an ADR crash may do neither.
-	for hops, least := uint64(0), from; hops < t.nextFree; hops++ {
+	for hops, least := uint64(0), from; hops < t.nextFree.Load(); hops++ {
+		at = t.read(func(s uint64) {
+			if chained && s == at {
+				n, i = t.loadInto(clk, nxt, &w.nodes[0]), 0
+				return
+			}
+			// The tree changed since nxt was read, and its node may be another
+			// leaf's by now: go by the smallest key not yet delivered.
+			n, _ = t.descend(clk, least, w, false)
+			i, _ = n.searchLeaf(least)
+			hops = 0
+		})
 		for ; i < n.count(); i++ {
 			k := n.key(i)
 			if k < least {
@@ -497,12 +568,9 @@ func (t *BTreeIndex) Scan(clk *sim.Clock, from uint64, fn func(key, val uint64) 
 			}
 			least = k + 1
 		}
-		nxt, ok := n.next()
-		if !ok {
+		if nxt, chained = n.next(); !chained {
 			return nil
 		}
-		n = t.loadInto(clk, nxt, n)
-		i = 0
 	}
 	return ErrCorrupt
 }

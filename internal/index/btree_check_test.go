@@ -38,8 +38,8 @@ func checkInvariants(tb testing.TB, t *BTreeIndex) treeReport {
 	rep.depth = -1
 	var walk func(id uint64, depth int, lo, hi uint64, bounded bool)
 	walk = func(id uint64, depth int, lo, hi uint64, bounded bool) {
-		if id >= t.nextFree {
-			tb.Fatalf("node %d at or above nextFree %d", id, t.nextFree)
+		if id >= t.nextFree.Load() {
+			tb.Fatalf("node %d at or above nextFree %d", id, t.nextFree.Load())
 		}
 		if inTree[id] {
 			tb.Fatalf("node %d reached twice", id)
@@ -83,7 +83,7 @@ func checkInvariants(tb testing.TB, t *BTreeIndex) treeReport {
 			walk(n.val(i), depth+1, clo, chi, cb)
 		}
 	}
-	walk(t.root, 0, 0, 0, false)
+	walk(t.root.Load(), 0, 0, 0, false)
 
 	// The chain from the first leaf must pass every tree leaf, in order.
 	next := 0
@@ -127,8 +127,8 @@ func checkInvariants(tb testing.TB, t *BTreeIndex) treeReport {
 
 	for head := t.freeHead; head != 0; {
 		id := head - 1
-		if id >= t.nextFree || inTree[id] || seen[id] {
-			tb.Fatalf("free list holds node %d (nextFree %d, in tree %v, chained %v)", id, t.nextFree, inTree[id], seen[id])
+		if id >= t.nextFree.Load() || inTree[id] || seen[id] {
+			tb.Fatalf("free list holds node %d (nextFree %d, in tree %v, chained %v)", id, t.nextFree.Load(), inTree[id], seen[id])
 		}
 		seen[id] = true // also catches a loop
 		rep.free++
@@ -137,9 +137,9 @@ func checkInvariants(tb testing.TB, t *BTreeIndex) treeReport {
 	if hdr := t.space.ReadU64(clk, t.base+hdrFreeHead); hdr != t.freeHead {
 		tb.Fatalf("free head %d in memory, %d in the header", t.freeHead, hdr)
 	}
-	rep.leaked = int(t.nextFree) - rep.free - rep.leaves - rep.inner - rep.deadHops - rep.offTree
+	rep.leaked = int(t.nextFree.Load()) - rep.free - rep.leaves - rep.inner - rep.deadHops - rep.offTree
 	if rep.leaked < 0 {
-		tb.Fatalf("more nodes in use than allocated: %+v, nextFree %d", rep, t.nextFree)
+		tb.Fatalf("more nodes in use than allocated: %+v, nextFree %d", rep, t.nextFree.Load())
 	}
 	return rep
 }
@@ -150,7 +150,7 @@ func checkSound(tb testing.TB, t *BTreeIndex) treeReport {
 	tb.Helper()
 	rep := checkInvariants(tb, t)
 	if !rep.sound() {
-		tb.Fatalf("tree not sound: %+v (nextFree %d)", rep, t.nextFree)
+		tb.Fatalf("tree not sound: %+v (nextFree %d)", rep, t.nextFree.Load())
 	}
 	return rep
 }

@@ -438,7 +438,7 @@ func TestBTreeSizedForWorstCaseFill(t *testing.T) {
 	}
 	rep := checkSound(t, bt)
 	perLeaf := float64(capacity) / float64(rep.leaves)
-	t.Logf("adversary: %d keys in %d leaves (%.2f per leaf) and %d inner nodes, %d of %d nodes", capacity, rep.leaves, perLeaf, rep.inner, bt.nextFree, bt.cap)
+	t.Logf("adversary: %d keys in %d leaves (%.2f per leaf) and %d inner nodes, %d of %d nodes", capacity, rep.leaves, perLeaf, rep.inner, bt.nextFree.Load(), bt.cap)
 	if perLeaf > 5.5 {
 		t.Fatalf("adversary reached only %.2f keys per leaf, the sizing argument says 4.5", perLeaf)
 	}
@@ -492,7 +492,7 @@ func TestDrainedRangesLeaveNoEmptyLeaves(t *testing.T) {
 			}
 			head[r]++
 		}
-		maxNodes = max(maxNodes, bt.nextFree)
+		maxNodes = max(maxNodes, bt.nextFree.Load())
 	}
 	if emptyHops != 0 {
 		t.Fatalf("%d of %d leaf-to-leaf hops landed on an empty leaf", emptyHops, hops)

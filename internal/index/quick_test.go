@@ -92,8 +92,8 @@ func TestQuickBTreeScanMatchesSortedReference(t *testing.T) {
 			}
 			checkAgainstModel(t, bt, ref, uint64(rng.Intn(keySpace)))
 			rep := checkSound(t, bt)
-			if live := uint64(rep.leaves + rep.inner); bt.nextFree-uint64(rep.free) != live {
-				t.Fatalf("nextFree %d - %d free != %d live nodes", bt.nextFree, rep.free, live)
+			if live := uint64(rep.leaves + rep.inner); bt.nextFree.Load()-uint64(rep.free) != live {
+				t.Fatalf("nextFree %d - %d free != %d live nodes", bt.nextFree.Load(), rep.free, live)
 			}
 			fired.free = max(fired.free, rep.free)
 			fired.depth = max(fired.depth, rep.depth)

@@ -81,6 +81,7 @@ func promSnapshot(p *promWriter, s Snapshot) {
 		p.counter("falcon_table_writes_total", "Write-set entries applied per table.", l, t.Writes)
 		p.counter("falcon_table_versions_total", "Versions installed per table.", l, t.Versions)
 		p.counter("falcon_table_index_probes_total", "Index lookups per table.", l, t.IndexProbes)
+		p.counter("falcon_table_index_restarts_total", "B-tree reads made again because a writer stored under them.", l, t.IndexRestarts)
 	}
 
 	p.counter("falcon_pmem_media_reads_total", "256B media block reads.", nil, s.Mem.MediaReads)

@@ -30,7 +30,7 @@ func promTestSnapshot() Snapshot {
 	s.Hot = HotSetStats{Hits: 400, Misses: 100, Evictions: 20}
 	s.Tables = map[string]TableStats{
 		"kv":    {Reads: 5000, Writes: 900, Versions: 10, IndexProbes: 5100},
-		"order": {Reads: 100, Writes: 50, Versions: 2, IndexProbes: 120},
+		"order": {Reads: 100, Writes: 50, Versions: 2, IndexProbes: 120, IndexRestarts: 6},
 	}
 	s.Epochs = EpochStats{Sealed: 40, Records: 990, ForcedSeals: 1,
 		EpochSize: epochSize.Dump(), DurableLag: lag.Dump()}

@@ -183,6 +183,12 @@ type TableStats struct {
 	Versions uint64
 	// IndexProbes counts index lookups (point gets and scan descents).
 	IndexProbes uint64
+	// IndexRestarts counts B-tree reads (a Get, or one leaf of a Scan) that
+	// were made again because a writer stored under them: host-side work
+	// thrown away, and virtual time paid twice. It is a counter of the trees,
+	// not of a worker, and stays 0 where no writer runs beside the readers
+	// (one worker; deterministic group mode).
+	IndexRestarts uint64 `json:",omitempty"`
 }
 
 // Add sums o into s.
@@ -191,15 +197,17 @@ func (s *TableStats) Add(o TableStats) {
 	s.Writes += o.Writes
 	s.Versions += o.Versions
 	s.IndexProbes += o.IndexProbes
+	s.IndexRestarts += o.IndexRestarts
 }
 
 // Sub returns s - o.
 func (s TableStats) Sub(o TableStats) TableStats {
 	return TableStats{
-		Reads:       s.Reads - o.Reads,
-		Writes:      s.Writes - o.Writes,
-		Versions:    s.Versions - o.Versions,
-		IndexProbes: s.IndexProbes - o.IndexProbes,
+		Reads:         s.Reads - o.Reads,
+		Writes:        s.Writes - o.Writes,
+		Versions:      s.Versions - o.Versions,
+		IndexProbes:   s.IndexProbes - o.IndexProbes,
+		IndexRestarts: s.IndexRestarts - o.IndexRestarts,
 	}
 }
 
@@ -320,8 +328,12 @@ func (s Snapshot) Text() string {
 		b.WriteString("tables    reads / writes / versions / index-probes\n")
 		for _, name := range names {
 			t := s.Tables[name]
-			fmt.Fprintf(&b, "  %-14s %10d %10d %10d %10d\n",
+			fmt.Fprintf(&b, "  %-14s %10d %10d %10d %10d",
 				name, t.Reads, t.Writes, t.Versions, t.IndexProbes)
+			if t.IndexRestarts > 0 {
+				fmt.Fprintf(&b, "  (%d index reads restarted)", t.IndexRestarts)
+			}
+			b.WriteByte('\n')
 		}
 	}
 	fmt.Fprintf(&b, "pmem      media reads %d  writes %d (full %d, partial %d)  write-amp %.2f\n",

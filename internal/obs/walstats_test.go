@@ -1,6 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+)
 
 // TestWALStatsGaugeRoundTrip pins the gauge semantics that the snapshot
 // diffing in bench.Run depends on: counters subtract cleanly, while
@@ -41,12 +45,34 @@ func TestWALStatsGaugeRoundTrip(t *testing.T) {
 
 func TestTableStatsAddSub(t *testing.T) {
 	var sum TableStats
-	sum.Add(TableStats{Reads: 10, Writes: 4, Versions: 2, IndexProbes: 12})
+	sum.Add(TableStats{Reads: 10, Writes: 4, Versions: 2, IndexProbes: 12, IndexRestarts: 7})
 	sum.Add(TableStats{Reads: 5, Writes: 1, IndexProbes: 3})
-	diff := sum.Sub(TableStats{Reads: 6, Writes: 2, Versions: 1, IndexProbes: 10})
-	want := TableStats{Reads: 9, Writes: 3, Versions: 1, IndexProbes: 5}
+	diff := sum.Sub(TableStats{Reads: 6, Writes: 2, Versions: 1, IndexProbes: 10, IndexRestarts: 4})
+	want := TableStats{Reads: 9, Writes: 3, Versions: 1, IndexProbes: 5, IndexRestarts: 3}
 	if diff != want {
 		t.Fatalf("diff = %+v, want %+v", diff, want)
+	}
+}
+
+// TestIndexRestartsShowOnlyWhenCounted: a run without a restarted B-tree read
+// (every deterministic group-mode cell) renders its tables as it did before
+// the counter existed, in JSON and in the -stats text.
+func TestIndexRestartsShowOnlyWhenCounted(t *testing.T) {
+	render := func(ts TableStats) (string, string) {
+		s := Snapshot{Tables: map[string]TableStats{"kv": ts}}
+		b, err := json.Marshal(s.Tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b), s.Text()
+	}
+	js, txt := render(TableStats{Reads: 1, IndexProbes: 2})
+	if strings.Contains(js, "IndexRestarts") || strings.Contains(txt, "restarted") {
+		t.Fatalf("zero restarts rendered:\n%s\n%s", js, txt)
+	}
+	js, txt = render(TableStats{Reads: 1, IndexProbes: 2, IndexRestarts: 3})
+	if !strings.Contains(js, `"IndexRestarts":3`) || !strings.Contains(txt, "(3 index reads restarted)") {
+		t.Fatalf("three restarts not rendered:\n%s\n%s", js, txt)
 	}
 }
 

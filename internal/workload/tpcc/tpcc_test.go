@@ -310,6 +310,9 @@ func TestCrashRecoveryPreservesTPCC(t *testing.T) {
 // stayed chained, that scan walked every leaf earlier Deliveries had drained
 // and the call's cost grew with the age of the database.
 func TestDeliveryCostDoesNotAge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one worker, virtual time only: nothing for the race lane, which it holds up for 77 s")
+	}
 	const calls = 30_000
 	cfg := tinyConfig()
 	// One worker sends every NewOrder (45 % of the calls) to its home
