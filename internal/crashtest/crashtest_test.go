@@ -2,6 +2,10 @@ package crashtest
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"flag"
+	"os"
+	"sync"
 	"testing"
 
 	"falcon/internal/bench"
@@ -17,29 +21,112 @@ func seedsForTest(t *testing.T) int {
 	return 200
 }
 
+var updateCounts = flag.Bool("update", false, "rewrite this lane's rows of testdata/crash_matrix.json from this binary")
+
+const countsPath = "testdata/crash_matrix.json"
+
+// cellCounts is what the pinned table holds per cell: how many seeds crashed,
+// how many ran torn-write and flipped-byte injection, what the recovery
+// scanner classified, and how many published records the epoch marker gated
+// out. The harness is seeded and single-threaded, so every figure is exact.
+type cellCounts struct {
+	Crashes, Torn, Corrupt, DetectedTorn, DetectedCorrupt, DroppedUnsealed int
+}
+
+func countsOf(r CellResult) cellCounts {
+	return cellCounts{r.Crashes, r.Torn, r.Corrupt, r.DetectedTorn, r.DetectedCorrupt, r.DroppedUnsealed}
+}
+
+// laneName keys the pinned table by seed count: "seeds-200" is the full lane,
+// "seeds-12" the -short one.
+func laneName(seeds int) string {
+	if seeds == 12 {
+		return "seeds-12"
+	}
+	return "seeds-200"
+}
+
+// checkPinned compares a finished cell with its pinned row.
+func checkPinned(t *testing.T, want map[string]cellCounts, res CellResult) {
+	t.Helper()
+	if *updateCounts {
+		return
+	}
+	if w, ok := want[res.Cell.String()]; !ok || w != countsOf(res) {
+		t.Errorf("counts moved: pinned %+v (present %v), got %+v", w, ok, countsOf(res))
+	}
+}
+
+func readCounts(t *testing.T) map[string]map[string]cellCounts {
+	t.Helper()
+	table := map[string]map[string]cellCounts{}
+	b, err := os.ReadFile(countsPath)
+	if err != nil {
+		if *updateCounts {
+			return table
+		}
+		t.Fatalf("%v (generate with -update, once with and once without -short)", err)
+	}
+	if err := json.Unmarshal(b, &table); err != nil {
+		t.Fatalf("%s: %v", countsPath, err)
+	}
+	return table
+}
+
 // TestCrashMatrix is the acceptance gate: every engine preset under eADR and
 // ADR must survive seeded mid-transaction crashes — including torn-write and
 // flipped-byte corruption seeds under ADR — with its oracle intact.
+//
+// Beside the verdicts it pins the counts: testdata/crash_matrix.json holds
+// one row per cell and lane, asserted exactly, so a change that shifts where
+// crashes land (an extra store, a reordered flush) shows as a moved number and
+// not only as a violation. Regenerate a lane's rows with
+//
+//	go test ./internal/crashtest -run TestCrashMatrix -update [-short]
 func TestCrashMatrix(t *testing.T) {
 	seeds := seedsForTest(t)
-	for _, cell := range Matrix() {
-		cell := cell
-		t.Run(cell.String(), func(t *testing.T) {
-			t.Parallel()
-			res := RunCell(cell, Options{Seeds: seeds})
-			if res.Crashes == 0 {
-				t.Errorf("no injected crash ever fired across %d seeds", seeds)
-			}
-			if cell.Mode == pmem.ADR && res.Torn == 0 {
-				t.Errorf("no torn-write seeds ran under ADR")
-			}
-			if cell.Mode == pmem.ADR && res.Corrupt == 0 {
-				t.Errorf("no corruption seeds ran under ADR")
-			}
-			for _, v := range res.Violations {
-				t.Errorf("seed %d: %s\n  repro: %s", v.Seed, v.Detail, cell.Repro(v.Seed))
-			}
-		})
+	table := readCounts(t)
+	want := table[laneName(seeds)]
+	var mu sync.Mutex
+	got := map[string]cellCounts{}
+	t.Run("cells", func(t *testing.T) { // returns once the parallel cells are done
+		for _, cell := range Matrix() {
+			cell := cell
+			t.Run(cell.String(), func(t *testing.T) {
+				t.Parallel()
+				res := RunCell(cell, Options{Seeds: seeds})
+				mu.Lock()
+				got[cell.String()] = countsOf(res)
+				mu.Unlock()
+				checkPinned(t, want, res)
+				if res.Crashes == 0 {
+					t.Errorf("no injected crash ever fired across %d seeds", seeds)
+				}
+				if cell.Mode == pmem.ADR && res.Torn == 0 {
+					t.Errorf("no torn-write seeds ran under ADR")
+				}
+				if cell.Mode == pmem.ADR && res.Corrupt == 0 {
+					t.Errorf("no corruption seeds ran under ADR")
+				}
+				for _, v := range res.Violations {
+					t.Errorf("seed %d: %s\n  repro: %s", v.Seed, v.Detail, cell.Repro(v.Seed))
+				}
+			})
+		}
+	})
+	if !*updateCounts {
+		return
+	}
+	table[laneName(seeds)] = got
+	b, err := json.MarshalIndent(table, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(countsPath, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -72,6 +159,7 @@ func matrixCell(t *testing.T, name string, mode pmem.Mode) Cell {
 // which the matrix covers but which leaves no drop counter to assert on.
 func TestGroupCommitMidEpochCrash(t *testing.T) {
 	seeds := seedsForTest(t)
+	want := readCounts(t)[laneName(seeds)]
 
 	t.Run("ADR", func(t *testing.T) {
 		t.Parallel()
@@ -80,6 +168,7 @@ func TestGroupCommitMidEpochCrash(t *testing.T) {
 			t.Fatalf("ADR group commit acks before the epoch seals; it must use the containment oracle")
 		}
 		res := RunCell(cell, Options{Seeds: seeds})
+		checkPinned(t, want, res)
 		for _, v := range res.Violations {
 			t.Errorf("seed %d: %s\n  repro: %s", v.Seed, v.Detail, cell.Repro(v.Seed))
 		}
@@ -98,6 +187,7 @@ func TestGroupCommitMidEpochCrash(t *testing.T) {
 			t.Fatalf("eADR group commit is physically durable at publish; it must be checked strictly")
 		}
 		res := RunCell(cell, Options{Seeds: seeds})
+		checkPinned(t, want, res)
 		for _, v := range res.Violations {
 			t.Errorf("seed %d: %s\n  repro: %s", v.Seed, v.Detail, cell.Repro(v.Seed))
 		}
