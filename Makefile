@@ -8,9 +8,10 @@ build:
 test:
 	go test ./...
 
-# The race lane CI runs: -short trims property-check sample counts.
+# The race lane, here and in CI (ci.yml runs this target, so there is one
+# package list): -short trims property-check sample counts.
 race:
-	go test -race -short ./internal/obs ./internal/bench ./internal/pmem ./internal/index ./internal/core
+	go test -race -short ./internal/obs ./internal/bench ./internal/pmem ./internal/index ./internal/core ./internal/wal
 
 # Worker-parallel race lane: the same engine/simulation packages plus the
 # crash-consistency oracle, with GOMAXPROCS=4 so the group scheduler's round

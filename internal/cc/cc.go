@@ -162,7 +162,10 @@ func NewActiveSet(nthreads int) *ActiveSet {
 	return &ActiveSet{slots: make([]paddedU64, nthreads)}
 }
 
-// Set registers thread as running tid.
+// Set registers thread as running tid. A thread about to draw its TID must
+// first Set a lower bound on it (TIDGen.Seq()<<8|0xFF: every later TID is
+// larger) and Set the TID itself afterwards; registering only after the draw
+// leaves a window in which Min overshoots a TID that already exists.
 func (s *ActiveSet) Set(thread int, tid uint64) { s.slots[thread].v.Store(tid) }
 
 // Clear unregisters thread.

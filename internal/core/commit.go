@@ -10,7 +10,6 @@ import (
 	"falcon/internal/cc"
 	"falcon/internal/index"
 	"falcon/internal/obs"
-	"falcon/internal/pmem"
 	"falcon/internal/sim"
 	"falcon/internal/wal"
 )
@@ -22,32 +21,36 @@ var ErrRollback = errors.New("core: rollback requested")
 
 // Commit finishes the transaction. On ErrConflict the transaction is left
 // for the caller to Abort (Engine.Run does this automatically).
+//
+// Every engine and every mode commits through the same two halves: validate
+// on the worker, then commitTail — called from here when workers run free,
+// and from the round barrier (detReplay), in canonical order, in group mode.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return errors.New("core: commit on finished transaction")
 	}
+	if err := tx.validate(); err != nil {
+		return err
+	}
 	if tx.dt != nil {
-		// Group mode: run the worker-side head, then submit to the round
-		// barrier, which replays commit tails in canonical order (det.go).
-		return tx.commitDet()
+		return tx.submit()
 	}
-	if tx.ro || (len(tx.writes) == 0 && len(tx.inserts) == 0) {
-		tx.pt.To(obs.PhaseCC)
-		tx.releaseLocksKeep()
-		tx.finish(true)
-		return nil
-	}
-	if tx.e.cfg.Update == OutOfPlace {
-		return tx.commitOutOfPlace()
-	}
-	return tx.commitInPlace()
+	return tx.commitTail()
 }
 
-// commitInPlace is the paper's Algorithm 1: validate (OCC), publish old
-// versions (MVCC), mark the write set COMMITTED (the durable point), apply
-// the updates in place, fence, then run the selective data flush.
-func (tx *Txn) commitInPlace() error {
-	if tx.log.Full() {
+// hasWrites reports whether there is a write set to commit (a read-only
+// transaction cannot buffer one).
+func (tx *Txn) hasWrites() bool { return len(tx.writes)+len(tx.inserts) > 0 }
+
+// validate is the worker-side head of a read-write commit: the redo record
+// must have fitted its window, and under OCC the read set must still hold. It
+// touches only what the worker owns (in group mode the CC words are the
+// private overlay; the barrier re-checks against the round's earlier winners).
+func (tx *Txn) validate() error {
+	if !tx.hasWrites() {
+		return nil
+	}
+	if tx.log != nil && tx.log.Full() { // out-of-place engines keep no log
 		tx.setAbortCause(obs.AbortLogFull)
 		return ErrTxnTooLarge
 	}
@@ -60,82 +63,131 @@ func (tx *Txn) commitInPlace() error {
 			return ErrConflict
 		}
 	}
-	tx.commitInPlaceTail()
 	return nil
 }
 
-// commitInPlaceTail is the shared-state half of the in-place commit; group
-// mode runs it inside the round barrier.
-func (tx *Txn) commitInPlaceTail() {
-	tx.publishVersions()
-
-	if tx.e.board != nil {
-		tx.commitGroupTail()
-		return
+// commitTail is the shared-state half of Commit: the write set becomes
+// durable and visible in the update scheme's own order, then the locks go. An
+// error (out-of-place only: no slot for a new version) leaves the transaction
+// for the caller to Abort.
+func (tx *Txn) commitTail() error {
+	wrote := tx.hasWrites()
+	if wrote {
+		if tx.e.cfg.Update == OutOfPlace {
+			if err := tx.commitOutOfPlace(); err != nil {
+				return err
+			}
+		} else {
+			tx.commitInPlace()
+		}
 	}
-
-	// Durable commit point (Algorithm 1 line 2 + the write-set contents
-	// already in the window).
-	tx.pt.To(obs.PhaseLogAppend)
-	tx.log.Commit(tx.clk)
-	tx.pt.To(obs.PhaseHeapWrite)
-	apply := tx.applyWriteSet()
-	tx.e.nvm.SFence(tx.clk) // Algorithm 1 line 7
-
-	tx.pt.To(obs.PhaseFlush)
-	tx.selectiveFlush(apply)
 	tx.pt.To(obs.PhaseCC)
-	tx.releaseLocksCommitted()
+	tx.releaseLocks(wrote)
 	tx.finish(true)
+	return nil
 }
 
-// commitGroupTail is the in-place commit with group commit on. The commit
-// splits: the *publish* point makes the record visible (and closes the
-// conflict window — locks release and the caller proceeds), while the
-// *durable* point is the epoch seal's coalesced drain. Nothing here fences
-// or flushes on its own behalf: an unsealed epoch leaves no durable claim,
-// so the crash outcome per epoch is all-or-nothing (recovery drops published
-// records whose epoch the durable marker does not cover).
-func (tx *Txn) commitGroupTail() {
-	// Publish point (Algorithm 1 line 2, split from the drain): state word
-	// ordered before the heap writes below, like the per-commit path.
+// commitInPlace is the paper's Algorithm 1 after validation: publish old
+// versions (MVCC), mark the write set COMMITTED, apply the updates in place,
+// then write the touched tuples back through persist. The order is crash-safe
+// because the state word precedes every heap store: whatever part of the
+// apply a crash cuts off, recovery replays from the record.
+//
+// With group commit on, the state word is the *publish* point (the record is
+// visible, the conflict window closes) and the *durable* point moves to the
+// epoch seal's coalesced drain: nothing here fences or flushes on its own
+// behalf, persist enlists the tuple ranges on the record's epoch, and an
+// unsealed epoch leaves no durable claim (recovery drops published records
+// the durable marker does not cover), so a crash takes an epoch all or
+// nothing.
+func (tx *Txn) commitInPlace() {
+	e := tx.e
+	tx.publishVersions()
+
+	deferred := e.board != nil // group commit: the epoch seal drains
 	tx.pt.To(obs.PhaseLogAppend)
-	epoch := tx.log.Publish(tx.clk)
+	var epoch uint64
+	if deferred {
+		epoch = tx.log.Publish(tx.clk)
+	} else {
+		tx.log.Commit(tx.clk) // Algorithm 1 line 2: the durable point
+	}
 	tx.pt.To(obs.PhaseHeapWrite)
 	apply := tx.applyWriteSet()
+	if !deferred {
+		e.nvm.SFence(tx.clk) // Algorithm 1 line 7
+	}
 
 	tx.pt.To(obs.PhaseFlush)
-	tx.deferredFlush(apply, epoch)
-	tx.e.windows[tx.worker].SealExpired(tx.clk) // lazy leader step
-	tx.pt.To(obs.PhaseCC)
-	tx.releaseLocksCommitted()
-	tx.finish(true)
+	ws := &e.scratch[tx.worker]
+	ws.spans, ws.flushed, ws.elided = ws.spans[:0], 0, 0
+	flushStart := tx.clk.Nanos()
+	for _, a := range apply {
+		tx.persist(a.extent())
+	}
+	if deferred {
+		tx.log.EnlistData(tx.clk, epoch, ws.spans)
+		e.windows[tx.worker].SealExpired(tx.clk) // lazy leader step
+	} else if tx.tr != nil && ws.flushed+ws.elided > 0 {
+		tx.tr.Span(obs.EvFlushTrain, flushStart, tx.clk.Nanos(), ws.flushed, ws.elided)
+	}
+}
+
+// persist is the one place outside recovery where tuple data is written back:
+// it takes the payload range [off, off+n) of a slot the commit has just
+// stored to (n == 0: the header alone) and owns the whole decision.
+//
+// Which: FlushNone relies on the persistent cache and issues nothing;
+// FlushAll writes every range back; FlushSelective (§4.4, Algorithm 1 lines
+// 8-11) skips tuples tracked hot — safe only where a redo record can
+// re-apply the skipped tuple, so an out-of-place engine, which has none,
+// treats it as FlushAll.
+//
+// When: at once with clwb, or — under group commit — as spans the caller
+// enlists on the record's epoch, where the seal batches adjacent lines into
+// flush trains. Hot-set bookkeeping runs here either way, so elision does not
+// depend on when the flush happens.
+//
+// An in-place commit calls it from its flush phase; an out-of-place commit
+// from the middle of its heap-write phase, which persist leaves and restores.
+func (tx *Txn) persist(t *Table, slot uint64, off, n int) {
+	e := tx.e
+	if e.cfg.Flush == FlushNone {
+		return
+	}
+	ws := &e.scratch[tx.worker]
+	if e.cfg.Update == OutOfPlace {
+		prev := tx.pt.To(obs.PhaseFlush)
+		defer tx.pt.To(prev)
+	} else if e.cfg.Flush == FlushSelective {
+		hot := e.hot[tx.worker]
+		if hot.contains(tx.clk, t.id, slot) {
+			ws.elided++
+			return // hot tuples are never manually flushed
+		}
+		hot.add(tx.clk, t.id, slot)
+	}
+	if e.board != nil {
+		ws.spans = t.heap.FlushSpans(slot, off, n, ws.spans)
+		return
+	}
+	t.heap.CLWBSlot(tx.clk, slot, off, n)
+	ws.flushed++
 }
 
 // applyWriteSet applies the write set to the tuple heap in log order (so
 // later ops override earlier ones) and stamps durable writer timestamps,
-// one per touched slot. Touched slots are tracked in first-touch order (a
-// map here would iterate in random order, making the WriteTS sequence — and
-// with it the simulated cache state — differ between identical runs).
+// one per touched slot, in first-touch order (a map would iterate in random
+// order, making the WriteTS sequence — and with it the simulated cache
+// state — differ between identical runs).
 func (tx *Txn) applyWriteSet() []applyEntry {
 	apply := tx.applyOrder()
-	type touchedSlot struct {
-		t    *Table
-		slot uint64
-	}
-	touched := make([]touchedSlot, 0, len(apply))
-	markTouched := func(t *Table, slot uint64) {
-		for i := range touched {
-			if touched[i].t == t && touched[i].slot == slot {
-				return
-			}
-		}
-		touched = append(touched, touchedSlot{t, slot})
-	}
+	ws := &tx.e.scratch[tx.worker]
+	ws.slots = ws.slots[:0]
 	for _, a := range apply {
 		if a.ins != nil {
 			tx.applyInsert(a.ins)
-			markTouched(a.ins.t, a.ins.slot)
+			ws.touch(a.ins.t, a.ins.slot)
 			tx.tstat(a.ins.t).Writes++
 			tx.cw.LogicalBytes(uint64(a.ins.t.id), uint64(a.ins.t.schema.TupleSize()))
 			continue
@@ -145,16 +197,15 @@ func (tx *Txn) applyWriteSet() []applyEntry {
 		case wal.OpUpdate:
 			op, _ := tx.log.ReadOp(tx.clk, w.logPos)
 			w.t.heap.WriteRange(tx.clk, w.slot, w.off, op.Data)
-			markTouched(w.t, w.slot)
+			ws.touch(w.t, w.slot)
 			tx.cw.LogicalBytes(uint64(w.t.id), uint64(w.n))
 		case wal.OpDelete:
 			tx.applyDelete(w)
 		}
 		tx.tstat(w.t).Writes++
 	}
-	// Durable writer timestamps, one per touched slot.
-	for i := range touched {
-		touched[i].t.heap.WriteTS(tx.clk, touched[i].slot, tx.tid)
+	for _, s := range ws.slots {
+		s.t.heap.WriteTS(tx.clk, s.slot, tx.tid)
 	}
 	return apply
 }
@@ -163,6 +214,19 @@ type applyEntry struct {
 	pos int
 	w   *writeOp
 	ins *insertOp
+}
+
+// extent is the tuple range the entry dirtied: the whole payload for an
+// insert, the written bytes for an update, the header alone for a delete.
+func (a applyEntry) extent() (t *Table, slot uint64, off, n int) {
+	switch {
+	case a.ins != nil:
+		return a.ins.t, a.ins.slot, 0, a.ins.t.schema.TupleSize()
+	case a.w.kind == wal.OpUpdate:
+		return a.w.t, a.w.slot, a.w.off, a.w.n
+	default:
+		return a.w.t, a.w.slot, 0, 0
+	}
 }
 
 // applyOrder returns the write set in log order, in the worker's buffer: the
@@ -183,29 +247,32 @@ func (tx *Txn) applyOrder() []applyEntry {
 	return out
 }
 
+// publishTuple fills a slot no reader can reach yet. Publish order: payload,
+// then TID, then the occupied flag LAST — the flag is what makes the slot
+// visible to recovery scans, and a crash between it and a later TID store
+// would expose the tuple with ts 0, indistinguishable from bulk-loaded
+// (always-committed) data.
+func (tx *Txn) publishTuple(t *Table, slot uint64, payload []byte) {
+	t.heap.WritePayload(tx.clk, slot, payload)
+	t.heap.WriteTS(tx.clk, slot, tx.tid)
+	t.heap.SetOccupied(tx.clk, slot)
+}
+
+// stampWord initializes a fresh slot's shadow word so readers see this
+// transaction as its writer. It must precede the index store that publishes
+// the slot: once reachable, concurrent readers may lock it, and a blind store
+// would wipe their lock state.
+func (tx *Txn) stampWord(t *Table, slot uint64) {
+	lock, _ := t.heap.Meta(slot)
+	lock.Store(tx.e.wordOf(tx.tid))
+}
+
 func (tx *Txn) applyInsert(ins *insertOp) {
 	t := ins.t
-	var payload []byte
-	if tx.e.cfg.Update == InPlace {
-		op, _ := tx.log.ReadOp(tx.clk, ins.logPos)
-		payload = op.Data
-	} else {
-		payload = ins.data
-	}
-	// Publish order: payload, then TID, then occupied LAST — the occupied
-	// flag makes the slot visible to recovery scans, and a crash between
-	// occupied and the TID store would expose the tuple with ts 0 (the
-	// always-committed bulk-load stamp).
-	t.heap.WritePayload(tx.clk, ins.slot, payload)
-	t.heap.WriteTS(tx.clk, ins.slot, tx.tid)
-	t.heap.SetOccupied(tx.clk, ins.slot)
-	// Initialize the shadow word so future readers see our TID as writer.
-	lock, _ := t.heap.Meta(ins.slot)
-	if tx.e.cfg.CC.Base() == cc.TwoPL {
-		lock.Store(tx.tid & cc.WTSMask2PL)
-	} else {
-		lock.Store(tx.tid & cc.WTSMaskTO)
-	}
+	op, _ := tx.log.ReadOp(tx.clk, ins.logPos)
+	payload := op.Data
+	tx.publishTuple(t, ins.slot, payload)
+	tx.stampWord(t, ins.slot)
 	prev := tx.pt.To(obs.PhaseIndexUpdate)
 	t.indexInsert(tx.clk, t.primary, ins.key, ins.slot)
 	if t.secondary != nil {
@@ -249,83 +316,6 @@ func (tx *Txn) applyDelete(w *writeOp) {
 	tx.e.tcInvalidate(tx.clk, t.id, w.key)
 }
 
-// selectiveFlush implements §4.4 / Algorithm 1 lines 8-11: hinted flushes
-// (<sfence already issued> + clwb over the touched contiguous ranges),
-// skipping hot tuples under FlushSelective.
-func (tx *Txn) selectiveFlush(apply []applyEntry) {
-	policy := tx.e.cfg.Flush
-	if policy == FlushNone {
-		return
-	}
-	flushStart := tx.clk.Nanos()
-	var flushed, elided uint64
-	hot := tx.e.hot[tx.worker]
-	for _, a := range apply {
-		var t *Table
-		var slot uint64
-		var off, n int
-		switch {
-		case a.ins != nil:
-			t, slot, off, n = a.ins.t, a.ins.slot, 0, a.ins.t.schema.TupleSize()
-		case a.w.kind == wal.OpUpdate:
-			t, slot, off, n = a.w.t, a.w.slot, a.w.off, a.w.n
-		default: // delete: header-only change
-			t, slot, off, n = a.w.t, a.w.slot, 0, 0
-		}
-		if policy == FlushSelective {
-			if hot.contains(tx.clk, t.id, slot) {
-				elided++
-				continue // hot tuples are never manually flushed
-			}
-			hot.add(tx.clk, t.id, slot)
-		}
-		t.heap.CLWBSlot(tx.clk, slot, off, n)
-		flushed++
-	}
-	if tx.tr != nil && flushed+elided > 0 {
-		tx.tr.Span(obs.EvFlushTrain, flushStart, tx.clk.Nanos(), flushed, elided)
-	}
-}
-
-// deferredFlush is selectiveFlush's group-commit counterpart: the same
-// hot-set policy decides which touched tuples need write-back hints, but
-// instead of issuing per-commit clwbs the surviving ranges enlist on the
-// record's epoch, where the seal batches adjacent lines into flush trains.
-// Hot-set bookkeeping still runs here, at commit time, so elision behaviour
-// matches the per-commit path.
-func (tx *Txn) deferredFlush(apply []applyEntry, epoch uint64) {
-	policy := tx.e.cfg.Flush
-	if policy == FlushNone {
-		return
-	}
-	var elided uint64
-	hot := tx.e.hot[tx.worker]
-	spans := make([]pmem.Span, 0, len(apply)+1)
-	for _, a := range apply {
-		var t *Table
-		var slot uint64
-		var off, n int
-		switch {
-		case a.ins != nil:
-			t, slot, off, n = a.ins.t, a.ins.slot, 0, a.ins.t.schema.TupleSize()
-		case a.w.kind == wal.OpUpdate:
-			t, slot, off, n = a.w.t, a.w.slot, a.w.off, a.w.n
-		default: // delete: header-only change
-			t, slot, off, n = a.w.t, a.w.slot, 0, 0
-		}
-		if policy == FlushSelective {
-			if hot.contains(tx.clk, t.id, slot) {
-				elided++
-				continue // hot tuples are never manually flushed
-			}
-			hot.add(tx.clk, t.id, slot)
-		}
-		spans = t.heap.FlushSpans(slot, off, n, spans)
-	}
-	tx.log.EnlistData(tx.clk, epoch, spans)
-	_ = elided // counted in the hot-set stats, as on the per-commit path
-}
-
 // publishVersions copies the pre-images of updated/deleted tuples into the
 // DRAM version heap before they are overwritten (in-place MVCC, §5.2.3).
 func (tx *Txn) publishVersions() {
@@ -334,18 +324,13 @@ func (tx *Txn) publishVersions() {
 	}
 	prev := tx.pt.To(obs.PhaseHeapWrite)
 	defer tx.pt.To(prev)
-	seen := make(map[*Table]map[uint64]struct{}, 2)
+	ws := &tx.e.scratch[tx.worker]
+	ws.slots = ws.slots[:0]
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		m := seen[w.t]
-		if m == nil {
-			m = make(map[uint64]struct{}, 4)
-			seen[w.t] = m
-		}
-		if _, dup := m[w.slot]; dup {
+		if _, first := ws.touch(w.t, w.slot); !first {
 			continue
 		}
-		m[w.slot] = struct{}{}
 		lock, _ := w.t.heap.Meta(w.slot)
 		beginTS := tx.e.wtsOf(lock.Load())
 		scratch := tx.e.scratchFor(tx.worker, w.t.schema.TupleSize())
@@ -403,64 +388,34 @@ func (tx *Txn) selfLocked(t *Table, slot uint64) bool {
 	return false
 }
 
-// releaseLocksKeep releases every held lock, preserving the pre-lock writer
-// timestamps (read-only commit and abort paths).
-func (tx *Txn) releaseLocksKeep() {
-	if tx.dt != nil {
-		// Group mode: locks were taken on the private overlay, which dies
-		// with the transaction — nothing to undo on live words.
-		tx.locks = tx.locks[:0]
-		return
-	}
+// releaseLocks drops every lock the transaction holds. A committed write
+// installs the new writer TID; everything else — shared locks, and exclusive
+// ones on the read-only, empty and abort paths — leaves the writer timestamp
+// as it was. Locks live where they were taken (metaFor: the private overlay in
+// group mode, which dies with the transaction), but the new writer timestamp
+// must land on the LIVE word so that later transactions observe the commit; in
+// group mode that word was never locked and the store is all there is to do.
+func (tx *Txn) releaseLocks(committed bool) {
+	twoPL := tx.e.cfg.CC.Base() == cc.TwoPL
 	for i := range tx.locks {
 		l := &tx.locks[i]
-		lock, _ := l.t.heap.Meta(l.slot)
+		if committed && !l.shared {
+			live, _ := l.t.heap.Meta(l.slot)
+			if twoPL {
+				cc.WriteUnlock2PL(live, tx.tid)
+			} else {
+				cc.UnlockTO(live, tx.tid)
+			}
+			continue
+		}
+		lock, _ := tx.metaFor(l.t, l.slot)
 		switch {
 		case l.shared:
 			cc.ReadUnlock2PL(lock)
-		case tx.e.cfg.CC.Base() == cc.TwoPL:
+		case twoPL:
 			cc.WriteUnlock2PLKeepTS(lock)
 		default:
 			cc.UnlockTOKeep(lock, l.pre)
-		}
-	}
-	tx.locks = tx.locks[:0]
-}
-
-// releaseLocksCommitted installs the new writer TID and releases every lock.
-func (tx *Txn) releaseLocksCommitted() {
-	if tx.dt != nil {
-		// Group mode: exclusive locks were taken on the overlay, so there is
-		// nothing to unlock — but the new writer timestamp must land on the
-		// LIVE word so later rounds observe this commit. Shared locks were
-		// never reflected in the live word; skip them (a live ReadUnlock2PL
-		// here would underflow the reader count).
-		for i := range tx.locks {
-			l := &tx.locks[i]
-			if l.shared {
-				continue
-			}
-			lock, _ := l.t.heap.Meta(l.slot)
-			if tx.e.cfg.CC.Base() == cc.TwoPL {
-				cc.WriteUnlock2PL(lock, tx.tid)
-			} else {
-				cc.UnlockTO(lock, tx.tid)
-			}
-		}
-		tx.locks = tx.locks[:0]
-		return
-	}
-	for i := range tx.locks {
-		l := &tx.locks[i]
-		lock, _ := l.t.heap.Meta(l.slot)
-		if l.shared {
-			cc.ReadUnlock2PL(lock)
-			continue
-		}
-		if tx.e.cfg.CC.Base() == cc.TwoPL {
-			cc.WriteUnlock2PL(lock, tx.tid)
-		} else {
-			cc.UnlockTO(lock, tx.tid)
 		}
 	}
 	tx.locks = tx.locks[:0]
@@ -476,7 +431,7 @@ func (tx *Txn) Abort() {
 	if tx.log != nil {
 		tx.log.Abort(tx.clk)
 	}
-	tx.releaseLocksKeep()
+	tx.releaseLocks(false)
 	for i := range tx.inserts {
 		ins := &tx.inserts[i]
 		tx.releaseKey(ins.t, ins.key)

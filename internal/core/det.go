@@ -26,10 +26,11 @@ import (
 //     copied on first touch into a private overlay (Txn.metaFor); all six CC
 //     algorithms run unchanged against the overlay. Live words are never
 //     mutated mid-round.
-//   - The commit is split: the head (log-capacity check, OCC validation over
-//     the overlay) runs worker-side; the tail — version publish, log commit,
-//     heap apply, index updates, flushes, lock release — runs inside the round
-//     barrier, serially, in canonical order (detReplay).
+//   - The commit is split where Commit itself splits it: validate (log-capacity
+//     check, OCC validation over the overlay) runs worker-side; commitTail —
+//     version publish, log commit, heap apply, index updates, flushes, lock
+//     release, the same function free-running workers call — runs inside the
+//     round barrier, serially, in canonical order (detReplay).
 //   - The barrier revalidates each attempt against what earlier-ordered
 //     winners of the same round committed, using virtual-time windows: a read
 //     at virtual time v conflicts with an earlier winner's write to the same
@@ -217,7 +218,7 @@ func (e *Engine) minActive() uint64 {
 // free-running mode, the transaction-private overlay in group mode. Overlay
 // entries copy the round-frozen live words on first touch; the overlay is
 // discarded with the transaction, and the commit tail writes final words back
-// to the live slots (releaseLocksCommitted).
+// to the live slots (releaseLocks).
 func (tx *Txn) metaFor(t *Table, slot uint64) (lock, readTS *atomic.Uint64) {
 	dt := tx.dt
 	if dt == nil {
@@ -325,29 +326,12 @@ func (e *Engine) tcInvalidate(clk *sim.Clock, table uint8, key uint64) {
 	}
 }
 
-// commitDet is the group-mode Commit: run the worker-side head (private-safe
-// checks and overlay validation locking), then submit the transaction as this
-// round's attempt and park until the barrier has replayed it.
-func (tx *Txn) commitDet() error {
-	e := tx.e
-	if !tx.ro && (len(tx.writes) > 0 || len(tx.inserts) > 0) {
-		if e.cfg.Update == InPlace && tx.log.Full() {
-			tx.setAbortCause(obs.AbortLogFull)
-			return ErrTxnTooLarge
-		}
-		if e.cfg.CC.Base() == cc.OCC {
-			prev := tx.pt.To(obs.PhaseCC)
-			ok := tx.occValidate()
-			tx.pt.To(prev)
-			if !ok {
-				tx.setAbortCause(obs.AbortValidation)
-				return ErrConflict
-			}
-		}
-	}
+// submit is the group-mode end of Commit: the validated transaction becomes
+// this round's attempt and its worker parks until the barrier has replayed it.
+func (tx *Txn) submit() error {
 	att := &sim.Attempt{Order: tx.tid, Data: tx}
 	tx.dt.submitted = true
-	e.det.group.Submit(att)
+	tx.e.det.group.Submit(att)
 	if att.OK {
 		return nil
 	}
@@ -501,19 +485,4 @@ func (tx *Txn) detMergeReadTS() {
 		_, rts := r.t.heap.Meta(r.slot)
 		cc.MaxTS(rts, tx.tid)
 	}
-}
-
-// commitTail is the shared-state half of Commit, run inside the barrier.
-func (tx *Txn) commitTail() error {
-	if tx.ro || (len(tx.writes) == 0 && len(tx.inserts) == 0) {
-		tx.pt.To(obs.PhaseCC)
-		tx.releaseLocksKeep()
-		tx.finish(true)
-		return nil
-	}
-	if tx.e.cfg.Update == OutOfPlace {
-		return tx.commitOutOfPlaceTail()
-	}
-	tx.commitInPlaceTail()
-	return nil
 }

@@ -4,76 +4,60 @@ import (
 	"errors"
 	"fmt"
 
-	"falcon/internal/cc"
 	"falcon/internal/heap"
 	"falcon/internal/obs"
 	"falcon/internal/sim"
 	"falcon/internal/wal"
 )
 
-// commitOutOfPlace implements the log-free commit of the out-of-place
-// engines (Outp and ZenS, §2.1.2): each update materializes a complete new
-// tuple version in a freshly allocated heap slot, the per-thread commit
-// marker makes the transaction durable atomically, and the index is
-// repointed afterwards.
+// outpGroup is one logical tuple of an out-of-place write set: the buffered
+// updates to it, in order, or its delete.
+type outpGroup struct {
+	t                *Table
+	oldSlot, newSlot uint64
+	key              uint64
+	del              bool
+	ops              []*writeOp
+	// oldSec/newSec track the secondary key across the version move; a delete
+	// carries the key captured at buffering time in oldSec.
+	oldSec, newSec uint64
+}
+
+// commitOutOfPlace is the log-free commit of the out-of-place engines (Outp
+// and ZenS, §2.1.2), after validation: each update materializes a complete
+// new tuple version in a freshly allocated heap slot, the per-thread commit
+// marker makes the transaction durable atomically, and the index is repointed
+// afterwards.
 //
 // Durability protocol (what recovery relies on):
 //
 //  1. New versions (full payload + writer TID + occupied flag) are written
-//     and, per the flush policy, clwb'd. Deletes durably set the deleted
-//     flag + TID on the old slot.
+//     and written back through persist. Deletes durably set the deleted flag +
+//     TID on the old slot.
 //  2. sfence, then the thread's commit marker is set to the TID and flushed.
 //     A version is committed iff its TID <= its writer thread's marker.
 //  3. Indexes are repointed and old versions invalidated. These steps are
 //     idempotently redone by the recovery heap scan, which is why
 //     out-of-place recovery time is proportional to heap size (§5.4, §6.5).
+//
+// An error (no slot for a new version) comes before the marker: nothing is
+// committed and the caller aborts.
 func (tx *Txn) commitOutOfPlace() error {
 	e := tx.e
-	if e.cfg.CC.Base() == cc.OCC {
-		prev := tx.pt.To(obs.PhaseCC)
-		ok := tx.occValidate()
-		tx.pt.To(prev)
-		if !ok {
-			tx.setAbortCause(obs.AbortValidation)
-			return ErrConflict
-		}
-	}
-	return tx.commitOutOfPlaceTail()
-}
 
-// commitOutOfPlaceTail is the shared-state half of the out-of-place commit;
-// group mode runs it inside the round barrier.
-func (tx *Txn) commitOutOfPlaceTail() error {
-	e := tx.e
-
-	// Group update ops by target slot: one new version per logical tuple.
-	type group struct {
-		t       *Table
-		oldSlot uint64
-		key     uint64
-		newSlot uint64
-		del     bool
-		ops     []*writeOp
-		// oldSec/newSec track the secondary key across the version move.
-		oldSec, newSec uint64
-	}
-	var groups []*group
-	byslot := make(map[*Table]map[uint64]*group, 2)
+	// One new version per logical tuple.
+	ws := &e.scratch[tx.worker]
+	ws.slots = ws.slots[:0]
+	groups := make([]outpGroup, 0, len(tx.writes))
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		m := byslot[w.t]
-		if m == nil {
-			m = make(map[uint64]*group, 4)
-			byslot[w.t] = m
+		gi, first := ws.touch(w.t, w.slot)
+		if first {
+			groups = append(groups, outpGroup{t: w.t, oldSlot: w.slot, key: w.key})
 		}
-		g := m[w.slot]
-		if g == nil {
-			g = &group{t: w.t, oldSlot: w.slot, key: w.key}
-			m[w.slot] = g
-			groups = append(groups, g)
-		}
+		g := &groups[gi]
 		if w.kind == wal.OpDelete {
-			g.del = true
+			g.del, g.oldSec = true, w.secKey
 		} else {
 			g.ops = append(g.ops, w)
 		}
@@ -81,21 +65,19 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 
 	// Phase 1: materialize new versions / durable delete records.
 	tx.pt.To(obs.PhaseHeapWrite)
-	for _, g := range groups {
+	for gi := range groups {
+		g := &groups[gi]
+		size := g.t.schema.TupleSize()
 		tx.tstat(g.t).Writes++
 		if g.del {
 			// The deleted flag + TID on the old slot is the durable delete
 			// record; linking for recycling waits until after the marker so
 			// an uncommitted delete can be rolled back by recovery.
 			g.t.heap.MarkDeleted(tx.clk, g.oldSlot, tx.tid)
-			if e.cfg.Flush != FlushNone {
-				tx.pt.To(obs.PhaseFlush)
-				g.t.heap.CLWBSlot(tx.clk, g.oldSlot, 0, 0)
-				tx.pt.To(obs.PhaseHeapWrite)
-			}
+			tx.persist(g.t, g.oldSlot, 0, 0)
 			continue
 		}
-		scratch := e.scratchFor(tx.worker, g.t.schema.TupleSize())
+		scratch := e.scratchFor(tx.worker, size)
 		g.t.heap.ReadPayload(tx.clk, g.oldSlot, scratch) // full-tuple copy (§6.2.2: write amplification of out-of-place)
 		if e.cfg.OwnershipCopy && g.t.heap.Owner(g.oldSlot) != tx.worker {
 			// Zen does not let a thread modify another thread's tuple
@@ -116,52 +98,31 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 		}
 		slot, err := g.t.heap.Alloc(tx.clk, tx.worker, e.minActive())
 		if err != nil {
-			retryable := errors.Is(err, heap.ErrReclaimPending)
 			// Roll back versions already materialized in this phase so the
 			// slots are not leaked.
-			for _, rb := range groups {
-				if rb == g {
-					break
-				}
-				if !rb.del && rb.newSlot != 0 {
+			for _, rb := range groups[:gi] {
+				if !rb.del {
 					rb.t.heap.Retire(tx.clk, rb.newSlot, 0, 0, true)
 				}
 			}
-			if retryable {
+			if errors.Is(err, heap.ErrReclaimPending) {
 				return ErrConflict // backpressure: retry once horizons advance
 			}
 			return fmt.Errorf("%w: %s (out-of-place version)", ErrTableFull, g.t.name)
 		}
 		g.newSlot = slot
-		// Publish order: payload, then TID, then the occupied flag LAST. The
-		// occupied flag is what makes the slot visible to the recovery scan;
-		// were it written before the TID, a crash between the two stores
-		// would expose an uncommitted version with ts 0 — indistinguishable
-		// from bulk-loaded (always-committed) data.
-		g.t.heap.WritePayload(tx.clk, slot, scratch)
-		g.t.heap.WriteTS(tx.clk, slot, tx.tid)
-		g.t.heap.SetOccupied(tx.clk, slot)
-		if e.cfg.Flush != FlushNone {
-			tx.pt.To(obs.PhaseFlush)
-			g.t.heap.CLWBSlot(tx.clk, slot, 0, g.t.schema.TupleSize())
-			tx.pt.To(obs.PhaseHeapWrite)
-		}
+		tx.publishTuple(g.t, slot, scratch)
+		tx.persist(g.t, slot, 0, size)
 		e.tcPut(tx.clk, tx.worker, g.t.id, g.key, scratch)
 	}
 	// Inserts: fresh slots, same durability rules.
 	for i := range tx.inserts {
 		ins := &tx.inserts[i]
+		size := ins.t.schema.TupleSize()
 		tx.tstat(ins.t).Writes++
-		tx.cw.LogicalBytes(uint64(ins.t.id), uint64(ins.t.schema.TupleSize()))
-		// Same publish order as above: occupied flag last.
-		ins.t.heap.WritePayload(tx.clk, ins.slot, ins.data)
-		ins.t.heap.WriteTS(tx.clk, ins.slot, tx.tid)
-		ins.t.heap.SetOccupied(tx.clk, ins.slot)
-		if e.cfg.Flush != FlushNone {
-			tx.pt.To(obs.PhaseFlush)
-			ins.t.heap.CLWBSlot(tx.clk, ins.slot, 0, ins.t.schema.TupleSize())
-			tx.pt.To(obs.PhaseHeapWrite)
-		}
+		tx.cw.LogicalBytes(uint64(ins.t.id), uint64(size))
+		tx.publishTuple(ins.t, ins.slot, ins.data)
+		tx.persist(ins.t, ins.slot, 0, size)
 	}
 
 	// Phase 2: the commit marker — the out-of-place engines' durable point,
@@ -172,18 +133,12 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 
 	// Phase 3: index repointing, version chains, invalidation.
 	tx.pt.To(obs.PhaseIndexUpdate)
-	for _, g := range groups {
+	for gi := range groups {
+		g := &groups[gi]
 		if g.del {
 			g.t.primary.Delete(tx.clk, g.key)
 			if g.t.secondary != nil {
-				// The secondary key was captured at buffering time.
-				for i := range tx.writes {
-					w := &tx.writes[i]
-					if w.t == g.t && w.slot == g.oldSlot && w.kind == wal.OpDelete {
-						g.t.secondary.Delete(tx.clk, w.secKey)
-						break
-					}
-				}
+				g.t.secondary.Delete(tx.clk, g.oldSec)
 			}
 			e.tcInvalidate(tx.clk, g.t.id, g.key)
 			tx.pt.To(obs.PhaseHeapWrite)
@@ -193,15 +148,7 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 		}
 		lock, _ := g.t.heap.Meta(g.oldSlot)
 		beginTS := e.wtsOf(lock.Load())
-		// Initialize the new slot's shadow word BEFORE the index publishes
-		// the slot: once reachable, concurrent readers may lock it, and a
-		// blind store would wipe their lock state.
-		newLock, _ := g.t.heap.Meta(g.newSlot)
-		if e.cfg.CC.Base() == cc.TwoPL {
-			newLock.Store(tx.tid & cc.WTSMask2PL)
-		} else {
-			newLock.Store(tx.tid & cc.WTSMaskTO)
-		}
+		tx.stampWord(g.t, g.newSlot)
 		if g.t.versions != nil {
 			tx.pt.To(obs.PhaseHeapWrite)
 			g.t.versions.PublishRef(tx.clk, tx.worker, g.newSlot, beginTS, tx.tid, g.oldSlot)
@@ -230,12 +177,7 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 	}
 	for i := range tx.inserts {
 		ins := &tx.inserts[i]
-		lock, _ := ins.t.heap.Meta(ins.slot)
-		if e.cfg.CC.Base() == cc.TwoPL {
-			lock.Store(tx.tid & cc.WTSMask2PL)
-		} else {
-			lock.Store(tx.tid & cc.WTSMaskTO)
-		}
+		tx.stampWord(ins.t, ins.slot)
 		if ins.t.secondary != nil { // before the primary, as above
 			ins.t.indexInsert(tx.clk, ins.t.secondary, ins.t.schema.GetUint64(ins.data, ins.t.secondaryCol), ins.slot)
 		}
@@ -243,10 +185,6 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 		tx.releaseKey(ins.t, ins.key)
 		e.tcPut(tx.clk, tx.worker, ins.t.id, ins.key, ins.data)
 	}
-
-	tx.pt.To(obs.PhaseCC)
-	tx.releaseLocksCommitted()
-	tx.finish(true)
 	return nil
 }
 

@@ -173,6 +173,11 @@ func (e *Engine) begin(worker int, ro bool) *Txn {
 	if e.det != nil {
 		tid = e.detTID(worker, clk)
 	} else {
+		// A TID that is drawn but not yet registered is invisible to a
+		// concurrent Min(), which would then hand version GC and slot reclaim
+		// a horizon above this snapshot. Register a lower bound first: every
+		// TID drawn from here on is larger.
+		e.active.Set(worker, e.gen.Seq()<<8|0xFF)
 		tid = e.gen.Next(worker)
 	}
 	e.active.Set(worker, tid)
@@ -221,6 +226,15 @@ func (e *Engine) wtsOf(word uint64) uint64 {
 		return cc.WTS2PL(word)
 	}
 	return cc.WTSTO(word)
+}
+
+// wordOf is wtsOf's inverse: the unlocked shadow word that names tid as the
+// slot's writer.
+func (e *Engine) wordOf(tid uint64) uint64 {
+	if e.cfg.CC.Base() == cc.TwoPL {
+		return tid & cc.WTSMask2PL
+	}
+	return tid & cc.WTSMaskTO
 }
 
 // ---- read path ----

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -39,12 +40,7 @@ func countsOf(r CellResult) cellCounts {
 
 // laneName keys the pinned table by seed count: "seeds-200" is the full lane,
 // "seeds-12" the -short one.
-func laneName(seeds int) string {
-	if seeds == 12 {
-		return "seeds-12"
-	}
-	return "seeds-200"
-}
+func laneName(seeds int) string { return fmt.Sprintf("seeds-%d", seeds) }
 
 // checkPinned compares a finished cell with its pinned row.
 func checkPinned(t *testing.T, want map[string]cellCounts, res CellResult) {
