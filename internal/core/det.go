@@ -404,9 +404,12 @@ func (d *detState) validate(tx *Txn) (obs.AbortReason, bool) {
 		reason = obs.AbortValidation
 	}
 	if tx.dt.scanVts != nil {
-		for tab, svt := range tx.dt.scanVts {
-			if first, ok := d.tmods[tab]; ok && svt > first {
-				tx.noteConflict(tx.e.tables[tab], 0, 0, 0, obs.ConflictDetBarrier)
+		// In table-id order, not map order: when two scanned tables both
+		// changed, the conflict report must name the same one on every run.
+		for _, t := range tx.e.tables {
+			svt, scanned := tx.dt.scanVts[t.id]
+			if first, ok := d.tmods[t.id]; scanned && ok && svt > first {
+				tx.noteConflict(t, 0, 0, 0, obs.ConflictDetBarrier)
 				return reason, false
 			}
 		}

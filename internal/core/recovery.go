@@ -441,7 +441,10 @@ func (e *Engine) recoverOutOfPlace(clk *sim.Clock, rep *RecoveryReport) (uint64,
 	for _, t := range e.tables {
 		t := t
 		newest := make(map[uint64]best, t.capacity/2+1)
-		var stale []uint64
+		// order lists newest's keys as the scan first met them: the restore
+		// loop below advances the clock and writes the index, so it must not
+		// walk the map (Go randomises that order per run).
+		var order, stale []uint64
 		// The durable deleted lists are cached state and may be stale on the
 		// media after an ADR crash (they could even reference live slots).
 		// Discard them and rebuild from the scan's classification below.
@@ -521,6 +524,7 @@ func (e *Engine) recoverOutOfPlace(clk *sim.Clock, rep *RecoveryReport) (uint64,
 				}
 			} else {
 				newest[key] = best{slot, ts}
+				order = append(order, key)
 			}
 		})
 		for _, m := range maxOcc {
@@ -533,7 +537,8 @@ func (e *Engine) recoverOutOfPlace(clk *sim.Clock, rep *RecoveryReport) (uint64,
 		for _, slot := range stale {
 			t.heap.Retire(clk, slot, t.heap.ReadTS(clk, slot), 0, true)
 		}
-		for key, b := range newest {
+		for _, key := range order {
+			b := newest[key]
 			// NVM indexes may hold stale entries; repoint rather than skip.
 			t.indexRestore(clk, t.primary, key, b.slot, true)
 			if t.secondary != nil {
