@@ -1,6 +1,6 @@
 # Convenience targets; everything also works with plain go commands.
 
-.PHONY: build test race race-par bench bench-quick bench-smoke sweep phase-tables trace-check soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke
+.PHONY: build test race race-par bench bench-quick bench-smoke sweep phase-tables trace-check soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke old-spellings
 
 build:
 	go build ./...
@@ -27,11 +27,11 @@ race-par:
 # (baseline) run, the -check gate against the best comparable one; see README
 # "Tracking host performance".
 bench:
-	go run ./cmd/falcon-hostbench -label "$(shell git rev-parse --short HEAD)"
+	go run ./cmd/falcon hostbench -label "$(shell git rev-parse --short HEAD)"
 
 # Grid-free variant for quick checks (~10 s).
 bench-quick:
-	go run ./cmd/falcon-hostbench -quick -label "$(shell git rev-parse --short HEAD)-quick"
+	go run ./cmd/falcon hostbench -quick -label "$(shell git rev-parse --short HEAD)-quick"
 
 # The benchmark's own smoke tests (BENCHMARK.json's program at reduced scale:
 # every workload end to end, its checks, the metric tables). benchmark/ is a
@@ -43,11 +43,13 @@ bench-smoke:
 # same virtual time after 30 000 calls as at the start, and the run the orders
 # B-tree of the out-of-place presets once filled in, leaving committed rows
 # out of the index ("Delivery: core: key not found" at txn ~12 300), must end
-# on every preset either complete or with "table full".
+# on every preset either complete or with "table full". The awk, not the exit
+# status, is the verdict: a failed cell exits 1, and "table full" is this
+# run's accepted ending.
 tpcc-aging:
 	go test -count=1 -run 'TestDeliveryCostDoesNotAge' ./internal/workload/tpcc
 	go test -count=1 -run 'TestTPCCRunsUntilTheHeapIsFull' ./internal/bench
-	go run ./cmd/falcon-tpcc -threads 2 -warehouses 2 -cc OCC -txns 13000 2>&1 | tee /dev/stderr | \
+	go run ./cmd/falcon tpcc -threads 2 -warehouses 2 -cc OCC -txns 13000 2>&1 | tee /dev/stderr | \
 		awk '/worker [0-9]+ txn/ && !/table full/ { bad = 1 } END { exit bad }'
 
 # Four free-running TPC-C workers under each multi-version algorithm, every
@@ -56,7 +58,7 @@ tpcc-aging:
 # spun for a writer that was queued on the same tree's lock.
 tpcc-mv-smoke:
 	for cc in MV2PL MVTO MVOCC; do \
-		timeout 120 go run ./cmd/falcon-tpcc -cc $$cc -threads 4 -warehouses 2 -txns 3000 -warmup 200 || exit 1; \
+		timeout 120 go run ./cmd/falcon tpcc -cc $$cc -threads 4 -warehouses 2 -txns 3000 -warmup 200 || exit 1; \
 	done
 
 # Ten seconds of native fuzzing per target, on top of the checked-in corpora
@@ -66,16 +68,16 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzXPIndex -fuzztime 10s ./internal/pmem
 
 sweep:
-	go run ./cmd/falcon-sweep
+	go run ./cmd/falcon sweep
 
-# Regenerate the phase-share tables in EXPERIMENTS.md from a fresh Figure-11
-# sweep (the marker-delimited generated section; hand-written text survives).
-# Regenerate the EXPERIMENTS.md phase-share tables: the per-commit baseline
-# grid, then the same grid through leader-based group commit (its own marker
-# section, so the two render side by side for the log+flush comparison).
+# Regenerate the generated sections of EXPERIMENTS.md (marker-delimited;
+# hand-written text survives) from a fresh Figure-11 sweep: the phase-share
+# tables of the per-commit baseline grid and the hot-key heat tables, then the
+# same grid through leader-based group commit (its own marker section, so the
+# two render side by side for the log+flush comparison).
 phase-tables:
-	go run ./cmd/falcon-sweep -md EXPERIMENTS.md
-	go run ./cmd/falcon-sweep -md EXPERIMENTS.md -groupcommit
+	go run ./cmd/falcon sweep -md EXPERIMENTS.md
+	go run ./cmd/falcon sweep -md EXPERIMENTS.md -groupcommit
 
 # Server soak: the serving layer (admission, deadlines, idempotent replay,
 # drain) and every loadgen scenario — including overload at 2x the saturation
@@ -84,7 +86,7 @@ phase-tables:
 soak:
 	go test -race ./internal/server/... ./internal/loadgen
 
-# End-to-end serving smoke: boot falcon-serve, drive one closed-loop loadgen
+# End-to-end serving smoke: boot `falcon serve`, drive one closed-loop loadgen
 # round, check the falcon/loadgen/v1 report stamp and /metrics exposition,
 # then SIGTERM-drain (same lane CI runs).
 loadgen-smoke:
@@ -93,5 +95,13 @@ loadgen-smoke:
 # Produce a tiny trace and validate it against the Chrome trace-event schema
 # (same lane CI runs).
 trace-check:
-	go run ./cmd/falcon-ycsb -threads 2 -records 2000 -txns 50 -warmup 10 -workloads A -trace /tmp/falcon-trace.json
-	go run ./cmd/falcon-tracecheck /tmp/falcon-trace.json
+	go run ./cmd/falcon ycsb -threads 2 -records 2000 -txns 50 -warmup 10 -workloads A -trace /tmp/falcon-trace.json
+	go run ./cmd/falcon tracecheck /tmp/falcon-trace.json
+
+# The nine per-tool binaries were folded into `falcon <subcommand>`; fail when
+# a removed spelling comes back (same lane CI runs). CHANGES.md, ROADMAP.md,
+# benchmark/ and EXPERIMENTS.md's dated sections are history and exempt. The
+# [-] keeps this recipe from matching itself.
+old-spellings:
+	! grep -rnE 'cmd/falcon[-]|falcon[-](micro|tpcc|ycsb|sweep|recovery|hostbench|serve|loadgen|tracecheck)\b' \
+		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go

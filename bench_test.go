@@ -1,32 +1,32 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§6). Each Benchmark* corresponds to one figure; the series it prints are
 // the figure's data points, measured in virtual time (see DESIGN.md §5).
-// These run at reduced scale so `go test -bench=.` finishes in minutes; the
-// cmd/falcon-* tools expose the full parameter space.
+// The figures are the catalogue's (internal/bench/figures.go), built here at
+// a reduced scale so `go test -bench=.` finishes in minutes; the `falcon`
+// subcommands expose the full parameter space.
 package falcon_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"falcon/internal/bench"
 	"falcon/internal/cc"
-	"falcon/internal/core"
-	"falcon/internal/pmem"
-	"falcon/internal/sim"
 	"falcon/internal/workload/tpcc"
 	"falcon/internal/workload/ycsb"
 )
 
 const benchThreads = 4
 
-func tpccCfg() tpcc.Config {
-	return tpcc.Config{Warehouses: 2, Items: 1000, CustomersPerDistrict: 90}
-}
-
-func ycsbCfg(w ycsb.Workload, d ycsb.Distribution) ycsb.Config {
-	return ycsb.Config{Records: 30_000, Workload: w, Distribution: d}
+// benchScale is the reduced scale the figures run at under `go test -bench`;
+// each Benchmark* sets the transaction counts that suit its workload.
+func benchScale(txns, warmup int) bench.Scale {
+	return bench.Scale{
+		Threads: []int{benchThreads}, Txns: txns, Warmup: warmup, Records: 30_000,
+		TPCC: tpcc.Config{Warehouses: 2, Items: 1000, CustomersPerDistrict: 90}, CC: cc.All,
+	}
 }
 
 // benchCache memoizes each sub-benchmark's measurement: these benchmarks
@@ -49,270 +49,114 @@ func runCached(b *testing.B, fn func(b *testing.B) map[string]float64) {
 	}
 }
 
-// BenchmarkFig3ClwbBandwidth — §3.3 Figure 3: store bandwidth with and
-// without clwb hints at 256/128/64 B granularity.
-func BenchmarkFig3ClwbBandwidth(b *testing.B) {
-	for _, size := range []int{256, 128, 64} {
-		for _, clwb := range []bool{false, true} {
-			name := fmt.Sprintf("%dB/store+sfence", size)
-			if clwb {
-				name = fmt.Sprintf("%dB/store+clwb+sfence", size)
-			}
-			size, clwb := size, clwb
-			b.Run(name, func(b *testing.B) {
+// runFigure runs every cell of a catalogue figure as one sub-benchmark: name
+// builds the sub-benchmark's name from the cell and its column index, metrics
+// turns the cell's index within the figure and its result into the reported
+// series.
+func runFigure(b *testing.B, fig *bench.Figure, name func(c bench.Cell, col int) string,
+	metrics func(i int, r *bench.Result) map[string]float64) {
+	first := 0 // index within the figure of the table's first cell
+	for _, t := range fig.Tables {
+		perRow := len(t.Cells) / len(t.Rows)
+		for j, c := range t.Cells {
+			i := first + j
+			b.Run(name(c, j%perRow), func(b *testing.B) {
 				runCached(b, func(b *testing.B) map[string]float64 {
-					sys := pmem.NewSystem(pmem.Config{DeviceBytes: 256 << 20})
-					clk := sim.NewClock()
-					buf := make([]byte, size)
-					state := uint64(0x9E3779B97F4A7C15)
-					mask := sys.Space.Size()/uint64(size) - 1
-					const writes = 200_000
-					for i := 0; i < writes; i++ {
-						state ^= state >> 12
-						state ^= state << 25
-						state ^= state >> 27
-						addr := (state * 2685821657736338717 & mask) * uint64(size)
-						sys.Space.Write(clk, addr, buf)
-						sys.Space.SFence(clk)
-						if clwb {
-							sys.Space.CLWB(clk, addr, size)
-						}
+					res, err := c.Run()
+					if err != nil {
+						b.Fatal(err)
 					}
-					sys.Cache.FlushAll(clk)
-					gbps := float64(writes) * float64(size) / float64(clk.Nanos())
-					return map[string]float64{"GB/s(virtual)": gbps}
+					return metrics(i, res)
 				})
 			})
 		}
+		first += len(t.Cells)
 	}
 }
 
-func runTPCC(b *testing.B, ecfg core.Config, algo cc.Algo, txns int) *bench.Result {
-	b.Helper()
-	ecfg.Threads = benchThreads
-	ecfg.CC = algo
-	e, d, err := bench.NewTPCC(ecfg, tpccCfg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := bench.Run(e, "TPC-C",
-		bench.Options{Workers: benchThreads, TxnsPerWorker: txns, WarmupPerWorker: txns / 4, Classes: 5},
-		func(w int) (int, error) {
-			ty, err := d.NextTyped(w)
-			return int(ty), err
+func mtxn(_ int, r *bench.Result) map[string]float64 {
+	return map[string]float64{"MTxn/s(virtual)": r.MTxnPerSec}
+}
+
+// BenchmarkFig3ClwbBandwidth — §3.3 Figure 3: store bandwidth with and
+// without clwb hints at 256/128/64 B granularity.
+func BenchmarkFig3ClwbBandwidth(b *testing.B) {
+	s := bench.Scale{Writes: 200_000, Region: 256 << 20}
+	sizes := []int{256, 128, 64}
+	runFigure(b, bench.Fig3(s),
+		func(c bench.Cell, _ int) string { return c.Extra + "/" + c.Workload },
+		func(i int, r *bench.Result) map[string]float64 {
+			return map[string]float64{"GB/s(virtual)": float64(s.Writes) * float64(sizes[i/2]) / float64(r.VirtualNanos)}
 		})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
 }
 
 // BenchmarkFig7TPCCThroughput — Figure 7: TPC-C throughput for all engines
 // under all six concurrency-control algorithms.
 func BenchmarkFig7TPCCThroughput(b *testing.B) {
-	for _, ecfg := range bench.EngineConfigs() {
-		for _, algo := range cc.All {
-			ecfg, algo := ecfg, algo
-			b.Run(fmt.Sprintf("%s/%s", ecfg.Name, algo), func(b *testing.B) {
-				runCached(b, func(b *testing.B) map[string]float64 {
-					res := runTPCC(b, ecfg, algo, 300)
-					return map[string]float64{"MTxn/s(virtual)": res.MTxnPerSec}
-				})
-			})
-		}
-	}
+	runFigure(b, bench.Fig7(benchScale(300, 75)), func(c bench.Cell, _ int) string { return c.Label }, mtxn)
 }
 
 // BenchmarkFig8TPCCLatency — Figure 8: NewOrder and Payment latency
 // (average and 95th percentile) under OCC.
 func BenchmarkFig8TPCCLatency(b *testing.B) {
-	for _, ecfg := range bench.EngineConfigs() {
-		ecfg := ecfg
-		b.Run(ecfg.Name, func(b *testing.B) {
-			runCached(b, func(b *testing.B) map[string]float64 {
-				res := runTPCC(b, ecfg, cc.OCC, 300)
-				no, pay := int(tpcc.TxnNewOrder), int(tpcc.TxnPayment)
-				return map[string]float64{
-					"NewOrder-avg-us": float64(res.LatAvgNanos[no]) / 1e3,
-					"NewOrder-p95-us": float64(res.LatP95Nanos[no]) / 1e3,
-					"Payment-avg-us":  float64(res.LatAvgNanos[pay]) / 1e3,
-					"Payment-p95-us":  float64(res.LatP95Nanos[pay]) / 1e3,
-				}
-			})
+	runFigure(b, bench.Fig8(benchScale(300, 75)), func(c bench.Cell, _ int) string { return c.Engine },
+		func(_ int, res *bench.Result) map[string]float64 {
+			no, pay := int(tpcc.TxnNewOrder), int(tpcc.TxnPayment)
+			return map[string]float64{
+				"NewOrder-avg-us": float64(res.LatAvgNanos[no]) / 1e3,
+				"NewOrder-p95-us": float64(res.LatP95Nanos[no]) / 1e3,
+				"Payment-avg-us":  float64(res.LatAvgNanos[pay]) / 1e3,
+				"Payment-p95-us":  float64(res.LatP95Nanos[pay]) / 1e3,
+			}
 		})
-	}
 }
 
 // BenchmarkFig9YCSBThroughput — Figure 9: YCSB throughput under Uniform and
 // Zipfian distributions. The default run covers the write workloads the
-// paper focuses on (A and F); cmd/falcon-ycsb covers A–F.
+// paper focuses on (A and F); `falcon ycsb` covers A–F.
 func BenchmarkFig9YCSBThroughput(b *testing.B) {
-	for _, ecfg := range bench.EngineConfigs() {
-		for _, w := range []ycsb.Workload{ycsb.A, ycsb.F} {
-			for _, dist := range []ycsb.Distribution{ycsb.Uniform, ycsb.Zipfian} {
-				ecfg, w, dist := ecfg, w, dist
-				b.Run(fmt.Sprintf("%s/%s/%s", ecfg.Name, w, dist), func(b *testing.B) {
-					runCached(b, func(b *testing.B) map[string]float64 {
-						cfg := ecfg
-						cfg.Threads = benchThreads
-						cfg.CC = cc.OCC
-						e, d, err := bench.NewYCSB(cfg, ycsbCfg(w, dist))
-						if err != nil {
-							b.Fatal(err)
-						}
-						res, err := bench.Run(e, w.String(),
-							bench.Options{Workers: benchThreads, TxnsPerWorker: 800, WarmupPerWorker: 200},
-							func(w int) (int, error) { return 0, d.Next(w) })
-						if err != nil {
-							b.Fatal(err)
-						}
-						return map[string]float64{"MTxn/s(virtual)": res.MTxnPerSec}
-					})
-				})
-			}
-		}
-	}
+	s := benchScale(800, 200)
+	s.Workloads = []ycsb.Workload{ycsb.A, ycsb.F}
+	runFigure(b, bench.Fig9(s), func(c bench.Cell, _ int) string { return c.Label }, mtxn)
 }
 
 // BenchmarkFig11Scalability — Figures 10/11: the individual-optimization
 // (ablation) engines across thread counts on TPC-C and YCSB-A.
 func BenchmarkFig11Scalability(b *testing.B) {
-	threadCounts := []int{2, 4, 8}
-	type wl struct {
-		name string
-		run  func(b *testing.B, ecfg core.Config, th int) *bench.Result
-	}
-	wls := []wl{
-		{"TPC-C", func(b *testing.B, ecfg core.Config, th int) *bench.Result {
-			e, d, err := bench.NewTPCC(ecfg, tpccCfg())
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := bench.Run(e, "TPC-C",
-				bench.Options{Workers: th, TxnsPerWorker: 250, WarmupPerWorker: 60},
-				func(w int) (int, error) { return 0, d.Next(w) })
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res
-		}},
-		{"YCSB-A-Uniform", ycsbScaler(ycsb.Uniform)},
-		{"YCSB-A-Zipfian", ycsbScaler(ycsb.Zipfian)},
-	}
-	for _, w := range wls {
-		for _, ecfg := range bench.AblationConfigs() {
-			for _, th := range threadCounts {
-				w, ecfg, th := w, ecfg, th
-				b.Run(fmt.Sprintf("%s/%s/threads=%d", w.name, ecfg.Name, th), func(b *testing.B) {
-					runCached(b, func(b *testing.B) map[string]float64 {
-						cfg := ecfg
-						cfg.Threads = th
-						res := w.run(b, cfg, th)
-						return map[string]float64{"MTxn/s(virtual)": res.MTxnPerSec}
-					})
-				})
-			}
-		}
-	}
-}
-
-func ycsbScaler(dist ycsb.Distribution) func(*testing.B, core.Config, int) *bench.Result {
-	return func(b *testing.B, ecfg core.Config, th int) *bench.Result {
-		e, d, err := bench.NewYCSB(ecfg, ycsbCfg(ycsb.A, dist))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := bench.Run(e, "YCSB-A",
-			bench.Options{Workers: th, TxnsPerWorker: 500, WarmupPerWorker: 120},
-			func(w int) (int, error) { return 0, d.Next(w) })
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
+	s := benchScale(250, 60)
+	s.Threads = []int{2, 4, 8}
+	runFigure(b, bench.Fig11(s), func(c bench.Cell, _ int) string {
+		return fmt.Sprintf("%s/%s/threads=%d", strings.ReplaceAll(c.Workload, " ", "-"), c.Engine, c.Threads)
+	}, mtxn)
 }
 
 // BenchmarkFig12TupleSize — Figure 12: YCSB-A throughput as the tuple (and
 // therefore redo-log) size grows past the small log window.
 func BenchmarkFig12TupleSize(b *testing.B) {
-	engines := []core.Config{core.FalconConfig(), core.InpConfig(), core.OutpConfig()}
-	for _, ecfg := range engines {
-		for _, size := range []int{256, 1024, 4096, 16 << 10, 64 << 10} {
-			ecfg, size := ecfg, size
-			b.Run(fmt.Sprintf("%s/size=%d", ecfg.Name, size), func(b *testing.B) {
-				runCached(b, func(b *testing.B) map[string]float64 {
-					cfg := ecfg
-					cfg.Threads = benchThreads
-					cfg.Window.OverflowBytes = size + 64<<10
-					fields := 8
-					fieldBytes := (size - 8) / fields
-					records := uint64(64 << 20 / size)
-					if records > 20_000 {
-						records = 20_000
-					}
-					if records < 1024 {
-						records = 1024
-					}
-					txns := 400
-					if size >= 16<<10 {
-						txns = 100
-					}
-					e, d, err := bench.NewYCSB(cfg, ycsb.Config{
-						Records: records, Fields: fields, FieldBytes: fieldBytes,
-						Workload: ycsb.A, Distribution: ycsb.Uniform,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := bench.Run(e, "YCSB-A",
-						bench.Options{Workers: benchThreads, TxnsPerWorker: txns, WarmupPerWorker: txns / 4},
-						func(w int) (int, error) { return 0, d.Next(w) })
-					if err != nil {
-						b.Fatal(err)
-					}
-					return map[string]float64{"KTxn/s(virtual)": res.MTxnPerSec * 1e3}
-				})
-			})
-		}
-	}
+	runFigure(b, bench.Fig12(benchScale(400, 200)),
+		func(c bench.Cell, col int) string { return fmt.Sprintf("%s/size=%d", c.Engine, bench.TupleSizes[col]) },
+		func(_ int, r *bench.Result) map[string]float64 {
+			return map[string]float64{"KTxn/s(virtual)": r.MTxnPerSec * 1e3}
+		})
 }
 
 // BenchmarkRecovery — §6.5: recovery time after a crash, by engine and data
 // size. Falcon's is milliseconds and size-independent; heap-scanning engines
 // grow linearly.
 func BenchmarkRecovery(b *testing.B) {
-	engines := []core.Config{
-		core.FalconConfig(), core.FalconDRAMIndexConfig(), core.InpConfig(), core.ZenSConfig(),
-	}
-	for _, ecfg := range engines {
-		for _, records := range []uint64{20_000, 80_000} {
-			ecfg, records := ecfg, records
-			b.Run(fmt.Sprintf("%s/records=%d", ecfg.Name, records), func(b *testing.B) {
-				runCached(b, func(b *testing.B) map[string]float64 {
-					cfg := ecfg
-					cfg.Threads = benchThreads
-					e, d, err := bench.NewYCSB(cfg, ycsb.Config{Records: records, Workload: ycsb.A})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := bench.Run(e, "pre-crash",
-						bench.Options{Workers: benchThreads, TxnsPerWorker: 150},
-						func(w int) (int, error) { return 0, d.Next(w) }); err != nil {
-						b.Fatal(err)
-					}
-					sys := e.System().Crash()
-					_, rep, err := core.Recover(sys, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					return map[string]float64{
-						"recovery-ms(virtual)": float64(rep.TotalNanos) / 1e6,
-						"tuples-scanned":       float64(rep.TuplesScanned),
-					}
-				})
-			})
-		}
-	}
+	s := benchScale(150, 0)
+	s.RecoveryRecords = []uint64{20_000, 80_000}
+	fig, reports := bench.Recovery(s)
+	runFigure(b, fig,
+		func(c bench.Cell, col int) string {
+			return fmt.Sprintf("%s/records=%d", c.Engine, s.RecoveryRecords[col])
+		},
+		func(i int, _ *bench.Result) map[string]float64 {
+			return map[string]float64{
+				"recovery-ms(virtual)": float64(reports[i].TotalNanos) / 1e6,
+				"tuples-scanned":       float64(reports[i].TuplesScanned),
+			}
+		})
 }
 
 // BenchmarkTable1EngineMatrix — Table 1: prints the feature matrix of the

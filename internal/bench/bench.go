@@ -289,8 +289,3 @@ func percentiles(hists [][]obs.Histogram, classes int) (avg, p50, p95, p99 []uin
 	}
 	return avg, p50, p95, p99, dumps
 }
-
-// FormatMTxn renders throughput the way the paper's axes do.
-func FormatMTxn(v float64) string {
-	return fmt.Sprintf("%.3f MTxn/s", v)
-}

@@ -76,7 +76,7 @@ func TestEstimateDeviceBytesCoversLoad(t *testing.T) {
 	}
 }
 
-// TestTPCCRunsUntilTheHeapIsFull is `falcon-tpcc -threads 2 -warehouses 2 -cc
+// TestTPCCRunsUntilTheHeapIsFull is `falcon tpcc -threads 2 -warehouses 2 -cc
 // OCC` run past the capacity of the orders table, at a quarter of the tool's
 // default customer count so that it takes seconds. Every preset must either
 // finish or stop with core.ErrTableFull: when the orders B-tree of the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"falcon/internal/core"
 	"falcon/internal/workload/ycsb"
 )
 
@@ -16,27 +15,27 @@ import (
 // run under the deterministic group scheduler: free-running workers on a
 // small host can serialize and dodge every conflict, while group rounds
 // force the overlap and make the rendered tables byte-stable across
-// regenerations.
+// regenerations. The cells are the default Figure-11 grid's own eight-worker
+// Falcon YCSB-A cells.
 func HeatTablesMarkdown() (string, error) {
-	const workers, txns, warmup, records = 8, 600, 150, 50_000
+	s := SweepScale()
+	s.Flags = &CommonFlags{Contend: true, ParWorkers: true}
+	const workers = 8
 	var b strings.Builder
 	fmt.Fprintf(&b, "#### Hot-key heat — YCSB-A Uniform vs Zipfian (Falcon, %d workers, %d txns/worker)\n\n",
-		workers, txns)
+		workers, s.Txns)
 	b.WriteString("Key-space heat rings from the contention observatory (`-contend`): every\n" +
 		"conflicting or flushed tuple hashes to one ring bucket, and glyph density\n" +
 		"scales with each map's own maximum. Uniform load spreads across the ring;\n" +
 		"Zipfian(0.99) concentrates lock/version conflicts onto a few buckets while\n" +
 		"flush traffic stays broad.\n\n")
+	fig := Fig11(s)
 	for _, dist := range []ycsb.Distribution{ycsb.Uniform, ycsb.Zipfian} {
-		cfg := core.FalconConfig()
-		cfg.Threads = workers
-		e, d, err := NewYCSB(cfg, ycsb.Config{Records: records, Workload: ycsb.A, Distribution: dist})
+		cell, err := fig.Cell(fmt.Sprintf("Falcon/YCSB-A %s/%d", dist, workers))
 		if err != nil {
-			return "", fmt.Errorf("heat cell (%s): %w", dist, err)
+			return "", err
 		}
-		res, err := Run(e, "YCSB-A",
-			Options{Workers: workers, TxnsPerWorker: txns, WarmupPerWorker: warmup, Contend: true, ParWorkers: true},
-			func(w int) (int, error) { return 0, d.Next(w) })
+		res, err := cell.Run()
 		if err != nil {
 			return "", fmt.Errorf("heat cell (%s): %w", dist, err)
 		}

@@ -9,15 +9,17 @@ import (
 	"falcon/internal/obs"
 )
 
-// GridCell is one sweep measurement destined for markdown rendering — the
-// same shape falcon-sweep's -json export uses, minus the error rows.
+// GridCell is one sweep measurement as exported: the element of the -json
+// file and the input of the markdown tables (which skip the error rows).
 type GridCell struct {
-	Figure   string
-	Workload string
-	Engine   string
-	Threads  int
-	Extra    string // e.g. tuple size in the Figure 12 sweep
-	Result   *Result
+	Schema   string  `json:"schema"`
+	Figure   string  `json:"figure"`
+	Workload string  `json:"workload"`
+	Engine   string  `json:"engine"`
+	Threads  int     `json:"threads"`
+	Extra    string  `json:"extra,omitempty"` // e.g. tuple size in the Figure 12 sweep
+	Result   *Result `json:"result,omitempty"`
+	Err      string  `json:"err,omitempty"`
 }
 
 // commitPhases are the transaction phases shown in phase-share tables (the

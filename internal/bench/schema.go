@@ -8,11 +8,11 @@ package bench
 const (
 	// StreamSchema marks -stream JSONL epoch lines (EpochLine).
 	StreamSchema = "falcon/stream/v1"
-	// SweepCellSchema marks falcon-sweep -json grid cells.
+	// SweepCellSchema marks `falcon sweep` -json grid cells.
 	SweepCellSchema = "falcon/sweep-cell/v1"
-	// HostPerfSchema marks the falcon-hostbench baseline file
+	// HostPerfSchema marks the `falcon hostbench` baseline file
 	// (BENCH_hostperf.json).
 	HostPerfSchema = "falcon/hostperf/v1"
-	// LoadgenSchema marks falcon-loadgen -json reports (loadgen.Report).
+	// LoadgenSchema marks `falcon loadgen` -json reports (loadgen.Report).
 	LoadgenSchema = "falcon/loadgen/v1"
 )

@@ -40,31 +40,14 @@ func AblationConfigs() []core.Config {
 // EstimateDeviceBytes sizes the simulated NVM device for an engine+tables
 // combination, with headroom for windows, indexes and allocator slack.
 func EstimateDeviceBytes(cfg core.Config, specs []core.TableSpec) uint64 {
-	c := cfg
-	if c.Threads == 0 {
-		c.Threads = 4
-	}
+	threads := cfg.Workers()
 	var total uint64 = 16 << 20 // catalog, markers, slack
 	// Per-thread log windows: Inp's large flushed-log regions with their
 	// overflow areas are substantial at high thread counts.
-	w := cfg.Window
-	if w.Slots == 0 {
-		if cfg.Log == core.SmallLogWindow {
-			w.Slots = 3
-		} else {
-			w.Slots = 64
-		}
-	}
-	if w.SlotBytes == 0 {
-		w.SlotBytes = 4096
-	}
-	if w.OverflowBytes == 0 {
-		w.OverflowBytes = 64 << 10
-	}
-	total += wal.BytesNeeded(w) * uint64(c.Threads)
+	total += wal.BytesNeeded(cfg.LogWindow()) * uint64(threads)
 	for _, spec := range specs {
 		total += heap.BytesNeeded(heap.Config{
-			SlotSize: spec.Schema.TupleSize(), NSlots: cfg.HeapSlots(spec.Capacity), NThreads: c.Threads,
+			SlotSize: spec.Schema.TupleSize(), NSlots: cfg.HeapSlots(spec.Capacity), NThreads: threads,
 		})
 		// Room for a primary of either kind and a secondary B-tree.
 		total += index.HashBytes(cfg.IndexKeys(index.Hash, spec.Capacity)) +
@@ -83,14 +66,19 @@ func CacheBytesFor(threads int) int {
 	return 2<<20 + threads*(256<<10)
 }
 
-// NewTPCC builds a loaded TPC-C engine+driver for the given engine config.
-func NewTPCC(ecfg core.Config, wcfg tpcc.Config) (*core.Engine, *tpcc.Driver, error) {
-	specs := tpcc.TableSpecs(wcfg)
+// NewEngine builds an engine for the tables on a simulated device sized for
+// them, with the cache scaled to the engine's thread count.
+func NewEngine(ecfg core.Config, specs []core.TableSpec) (*core.Engine, error) {
 	sys := pmem.NewSystem(pmem.Config{
 		DeviceBytes: EstimateDeviceBytes(ecfg, specs),
 		CacheBytes:  CacheBytesFor(ecfg.Threads),
 	})
-	e, err := core.New(sys, ecfg, specs)
+	return core.New(sys, ecfg, specs)
+}
+
+// NewTPCC builds a loaded TPC-C engine+driver for the given engine config.
+func NewTPCC(ecfg core.Config, wcfg tpcc.Config) (*core.Engine, *tpcc.Driver, error) {
+	e, err := NewEngine(ecfg, tpcc.TableSpecs(wcfg))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -98,20 +86,12 @@ func NewTPCC(ecfg core.Config, wcfg tpcc.Config) (*core.Engine, *tpcc.Driver, er
 		return nil, nil, err
 	}
 	d, err := tpcc.NewDriver(e, wcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, d, nil
+	return e, d, err
 }
 
 // NewYCSB builds a loaded YCSB engine+driver for the given engine config.
 func NewYCSB(ecfg core.Config, wcfg ycsb.Config) (*core.Engine, *ycsb.Driver, error) {
-	specs := ycsb.TableSpecs(wcfg)
-	sys := pmem.NewSystem(pmem.Config{
-		DeviceBytes: EstimateDeviceBytes(ecfg, specs),
-		CacheBytes:  CacheBytesFor(ecfg.Threads),
-	})
-	e, err := core.New(sys, ecfg, specs)
+	e, err := NewEngine(ecfg, ycsb.TableSpecs(wcfg))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -119,8 +99,5 @@ func NewYCSB(ecfg core.Config, wcfg ycsb.Config) (*core.Engine, *ycsb.Driver, er
 		return nil, nil, err
 	}
 	d, err := ycsb.NewDriver(e, wcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, d, nil
+	return e, d, err
 }

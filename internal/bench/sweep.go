@@ -17,6 +17,11 @@ type Cell struct {
 	// Run builds the cell's engine, executes the workload, and returns the
 	// measurement.
 	Run func() (*Result, error)
+	// Workload, Engine, Threads and Extra (e.g. the tuple size in the Figure
+	// 12 sweep) are the cell's grid coordinates in the -json and -md exports.
+	Workload, Engine string
+	Threads          int
+	Extra            string
 }
 
 // CellResult is the outcome of one Cell, delivered in original cell order.
@@ -38,13 +43,20 @@ type CellResult struct {
 // without cell parallelism (their workers interleave on shared simulated
 // state). Single-worker cells are bit-deterministic under any par.
 func RunCells(cells []Cell, par int) []CellResult {
+	out := make([]CellResult, len(cells))
+	runCells(cells, par, func(i int, cr CellResult) { out[i] = cr })
+	return out
+}
+
+// runCells is RunCells handing each outcome to done as its cell finishes
+// (from the runner's goroutine; distinct i never race).
+func runCells(cells []Cell, par int, done func(i int, cr CellResult)) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	if par > len(cells) {
 		par = len(cells)
 	}
-	out := make([]CellResult, len(cells))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for r := 0; r < par; r++ {
@@ -57,10 +69,9 @@ func RunCells(cells []Cell, par int) []CellResult {
 					return
 				}
 				res, err := cells[i].Run()
-				out[i] = CellResult{Label: cells[i].Label, Res: res, Err: err}
+				done(i, CellResult{Label: cells[i].Label, Res: res, Err: err})
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }

@@ -39,7 +39,7 @@ func sweepCells(t *testing.T) []Cell {
 	return cells
 }
 
-// renderTable formats results the way falcon-sweep renders a figure row, so
+// renderTable formats results the way `falcon sweep` renders a figure row, so
 // the comparison below is a byte-level "the printed tables match" check.
 func renderTable(results []CellResult) string {
 	s := ""
@@ -55,7 +55,7 @@ func renderTable(results []CellResult) string {
 }
 
 // TestRunCellsParallelMatchesSequential is the determinism guarantee behind
-// falcon-sweep -par: running the grid with concurrent cell runners must
+// `falcon sweep` -par: running the grid with concurrent cell runners must
 // produce byte-identical tables to a sequential run.
 func TestRunCellsParallelMatchesSequential(t *testing.T) {
 	seq := RunCells(sweepCells(t), 1)

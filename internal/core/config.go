@@ -180,6 +180,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Workers is the worker-thread count an engine of this configuration runs.
+func (c Config) Workers() int { return c.withDefaults().Threads }
+
+// LogWindow is the per-thread log window an engine of this configuration is
+// built with: Window with the scheme-dependent defaults filled in.
+func (c Config) LogWindow() wal.Config { return c.withDefaults().Window }
+
 // HeapSlots is the slot count of the heap behind a table of the given
 // capacity: out-of-place engines add room for stale versions.
 func (c Config) HeapSlots(capacity uint64) uint64 {

@@ -95,7 +95,7 @@ func (a *afterUpdate) Update(clk *sim.Clock, key, val uint64) bool {
 // the secondary only after that, it put the secondary back on a slot the
 // second writer had retired: scans by the secondary key then conflicted for
 // good, and once the slot was recycled returned another tuple's payload (TPC-C
-// Payment by last name: "key not found", one falcon-tpcc Outp/ZenS cell in
+// Payment by last name: "key not found", one `falcon tpcc` Outp/ZenS cell in
 // forty).
 func TestOutpRepointsSecondaryBeforePrimary(t *testing.T) {
 	cfg := OutpConfig()

@@ -69,7 +69,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 
 	// Recovery reports its virtual time through the same phase machinery as
 	// the commit path; the set is registered under "recovery" by initObs so
-	// `falcon-recovery -stats` shows the restart breakdown.
+	// `falcon recovery -stats` shows the restart breakdown.
 	ps := &obs.PhaseSet{}
 	var pt obs.PhaseTimer
 	pt.Start(ps, clk)

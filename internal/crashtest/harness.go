@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"falcon/internal/bench"
@@ -36,10 +37,24 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%s/%s", c.Config.Name, ModeName(c.Mode))
 }
 
-// Repro returns the one-line command that re-runs exactly this seed.
+// ReproArgs is the `falcon` argument list that re-runs exactly this seed.
+func (c Cell) ReproArgs(seed uint64) []string {
+	return []string{"recovery", "-faults", "1", "-seed", strconv.FormatUint(seed, 10),
+		"-preset", c.Config.Name, "-mode", ModeName(c.Mode)}
+}
+
+// Repro returns ReproArgs as a one-line shell command (preset names can hold
+// spaces and parentheses; such arguments are quoted).
 func (c Cell) Repro(seed uint64) string {
-	return fmt.Sprintf("go run ./cmd/falcon-recovery -faults 1 -seed %d -preset %q -mode %s",
-		seed, c.Config.Name, ModeName(c.Mode))
+	var b strings.Builder
+	b.WriteString("go run ./cmd/falcon")
+	for _, a := range c.ReproArgs(seed) {
+		if strings.ContainsAny(a, " ()") {
+			a = strconv.Quote(a)
+		}
+		b.WriteString(" " + a)
+	}
+	return b.String()
 }
 
 // Strict reports whether the cell promises strict durable linearizability:

@@ -1,4 +1,4 @@
-// Package loadgen drives a falcon-serve endpoint with closed- and open-loop
+// Package loadgen drives a `falcon serve` endpoint with closed- and open-loop
 // load, finds the saturation knee, and exercises overload and retry-storm
 // scenarios. Reports carry the falcon/loadgen/v1 schema stamp and the same
 // log2 latency histograms the bench harness uses.
@@ -103,7 +103,7 @@ type Round struct {
 	AcceptedP99Nanos uint64            `json:"accepted_p99_nanos"`
 }
 
-// Report is a falcon-loadgen artifact.
+// Report is a `falcon loadgen` artifact.
 type Report struct {
 	// Schema is always bench.LoadgenSchema (falcon/loadgen/v1).
 	Schema   string `json:"schema"`

@@ -54,7 +54,7 @@ const (
 
 	// The remaining phases partition recovery (core.Recover) rather than a
 	// transaction: restart-path virtual time reported from the same registry
-	// as the commit path, so `falcon-recovery -stats` shows both.
+	// as the commit path, so `falcon recovery -stats` shows both.
 
 	// PhaseRecCatalog is reading the durable catalog and reattaching table
 	// heaps and log windows.

@@ -389,7 +389,7 @@ func (s Snapshot) JSON() ([]byte, error) {
 // Registry is the unified stats registry: named collectors contribute their
 // slice of a Snapshot, and Snapshot() assembles them all at once. The engine
 // registers its phase sets, abort counts, WAL windows, hot sets, and the
-// pmem device; tools may register their own sources (falcon-micro registers
+// pmem device; tools may register their own sources (`falcon micro` registers
 // a bare phase set over its store loop).
 type Registry struct {
 	mu         sync.Mutex

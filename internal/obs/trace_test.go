@@ -166,7 +166,7 @@ func buildGoldenDump() *TraceDump {
 }
 
 // TestChromeTraceGolden is the format contract: the exporter's output must
-// satisfy the same schema checks falcon-tracecheck applies, carry the
+// satisfy the same schema checks `falcon tracecheck` applies, carry the
 // nanosecond display unit, and lay out metadata the way Perfetto expects.
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer

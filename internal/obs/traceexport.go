@@ -185,7 +185,7 @@ func chromeEventFor(pid int, e *Event) chromeEvent {
 // ValidateChromeTrace checks that data parses as Chrome trace-event JSON:
 // a traceEvents array whose entries carry the fields each phase type
 // requires. It is the schema check shared by the golden test and the
-// falcon-tracecheck tool.
+// `falcon tracecheck` tool.
 func ValidateChromeTrace(data []byte) error {
 	var raw struct {
 		TraceEvents []map[string]json.RawMessage `json:"traceEvents"`

@@ -12,7 +12,7 @@ import (
 // Virtual-time results are unaffected by any of this.
 //
 // The loop shapes (64 B ops striding a 32 MiB working set on a 64 MiB
-// device) match cmd/falcon-hostbench so `go test -bench` and the tracked
+// device) match `falcon hostbench` so `go test -bench` and the tracked
 // BENCH_hostperf.json baseline measure the same thing.
 
 func hostbenchSystem() *System {

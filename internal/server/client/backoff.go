@@ -1,4 +1,4 @@
-// Package client is the retrying falcon-serve client: capped exponential
+// Package client is the retrying `falcon serve` client: capped exponential
 // backoff with seeded deterministic jitter, idempotency-key reuse across
 // retries (the server's idempotency table turns retries into replays), and
 // Retry-After honoring so a shed burst does not reconverge as a

@@ -12,7 +12,7 @@ import (
 	"falcon/internal/server"
 )
 
-// Client submits transactions to a falcon-serve endpoint with retries. The
+// Client submits transactions to a `falcon serve` endpoint with retries. The
 // idempotency key is fixed per logical request and reused across retries, so
 // a retry after a timeout or crash is answered from the server's idempotency
 // table instead of re-executing.

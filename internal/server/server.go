@@ -129,6 +129,10 @@ func New(e *core.Engine, cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// Config returns the effective configuration: cfg as given to New with the
+// defaults (pool size, queue depth, deadline) filled in.
+func (s *Server) Config() Config { return s.cfg }
+
 // Engine returns the served engine.
 func (s *Server) Engine() *core.Engine { return s.e }
 

@@ -15,7 +15,7 @@ import (
 // writer stores into the same B-tree (applyInsert's Insert; the out-of-place
 // commit's Update of the customer's secondary key): when Scan held the tree's
 // read lock across its callbacks, the writer queued on the write lock behind
-// the scanner that was waiting for it, and falcon-tpcc -cc MV2PL -threads 4
+// the scanner that was waiting for it, and `falcon tpcc -cc MV2PL -threads 4`
 // hung on the Outp row in two runs of three. Nobody joins a hung worker, so
 // the test waits under a deadline of its own and fails with the goroutine
 // dump.
