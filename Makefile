@@ -66,6 +66,7 @@ tpcc-mv-smoke:
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzBTreeOps -fuzztime 10s ./internal/index
 	go test -run '^$$' -fuzz FuzzXPIndex -fuzztime 10s ./internal/pmem
+	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/server
 
 sweep:
 	go run ./cmd/falcon sweep
@@ -80,9 +81,9 @@ phase-tables:
 	go run ./cmd/falcon sweep -md EXPERIMENTS.md -groupcommit
 
 # Server soak: the serving layer (admission, deadlines, idempotent replay,
-# drain) and every loadgen scenario — including overload at 2x the saturation
-# knee and the retry storm — under the race detector against in-process
-# servers (same lane CI runs).
+# drain, sixteen connections on two engine-worker slots) and every loadgen
+# scenario — including overload at 2x the saturation knee and the retry storm —
+# under the race detector against in-process servers (same lane CI runs).
 soak:
 	go test -race ./internal/server/... ./internal/loadgen
 

@@ -18,11 +18,19 @@ import (
 	"falcon/internal/server"
 )
 
+// A connection holds a goroutine for as long as it is open: one that never
+// finishes its headers, or sits idle between requests, gets this long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // runServe exposes one Falcon engine over HTTP: an admission-controlled
-// request path (bounded worker pool, deadline-aware shedding) with
-// exactly-once retry semantics backed by the engine-resident idempotency
-// table. SIGTERM/SIGINT triggers a graceful drain: admission stops, in-flight
-// requests finish, and the group-commit epoch is sealed before exit.
+// request path (a bounded set of engine-worker slots, deadline-aware
+// shedding) with exactly-once retry semantics backed by the engine-resident
+// idempotency table. SIGTERM/SIGINT triggers a graceful drain: admission
+// stops, in-flight requests finish, and the group-commit epoch is sealed
+// before exit.
 //
 // Endpoints: POST /v1/txn (Idempotency-Key header required, optional
 // X-Deadline-Ms), POST /v1/read (gets only, no key needed), GET /metrics
@@ -110,7 +118,7 @@ func serve(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	if err != nil {
 		return fail("serve", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(stdout, "falcon serve: %s on %s (%d engine threads, %d pool workers, queue %d, %d kv rows)\n",
@@ -135,7 +143,7 @@ func serve(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 }
 
 // preload inserts the initial kv rows directly through the engine before the
-// serving pool starts — batched, rotating across the engine workers so every
+// server starts — batched, rotating across the engine workers so every
 // thread's heap range fills evenly (slots are partitioned per thread).
 func preload(e *core.Engine, records uint64) error {
 	t := e.Table("kv")

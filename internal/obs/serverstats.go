@@ -7,8 +7,8 @@ import (
 )
 
 // EndpointStats counts one serving endpoint's request outcomes. The serving
-// layer owns the live accumulators (guarded by its own lock) and contributes
-// a copy at snapshot time, so the fields here are plain values.
+// layer owns the live accumulators (atomics, and a lock around the histogram)
+// and contributes a copy at snapshot time, so the fields here are plain values.
 type EndpointStats struct {
 	// Requests counts every request that reached the endpoint, accepted or
 	// not; OK and Errors partition the completed ones (Errors are engine or
@@ -18,7 +18,7 @@ type EndpointStats struct {
 	Errors   uint64
 	// ShedQueue / ShedDeadline / ShedDraining count admission rejections by
 	// cause: queue at capacity, deadline unmeetable given the estimated
-	// queue wait, and drain in progress. Shed requests never reach a worker.
+	// queue wait, and drain in progress. Shed requests never take a slot.
 	ShedQueue    uint64
 	ShedDeadline uint64
 	ShedDraining uint64
@@ -33,8 +33,10 @@ type EndpointStats struct {
 	// land in Requests; Retried is maintained by clients, so servers leave
 	// it zero unless the transport conveys it).
 	Retried uint64
-	// Latency is the endpoint's accepted-request service-time distribution
-	// in host nanoseconds (admission to response write).
+	// Latency is the service-time distribution of the endpoint's committed
+	// requests in host nanoseconds: from taking an engine-worker slot to the
+	// end of the transaction, any service-floor padding included. The wait
+	// for the slot and the response write are not in it.
 	Latency HistogramDump `json:",omitempty"`
 }
 

@@ -5,16 +5,16 @@ import (
 	"time"
 )
 
-// admission is the controller in front of the worker pool: a bounded queue
-// plus an EWMA service-time estimate. It sheds BEFORE saturation: a request
-// is rejected when the queue is at capacity, or when the estimated queue
-// wait already exceeds the request's deadline — queuing it would only
-// manufacture a timeout storm. Rejections carry a Retry-After hint sized to
-// the estimated drain time.
+// admission is the controller in front of the engine-worker slots: a bound on
+// admitted requests plus an EWMA service-time estimate. It sheds BEFORE
+// saturation: a request is rejected when that bound is reached, or when the
+// estimated wait for a slot already exceeds the request's deadline — letting
+// it wait would only manufacture a timeout storm. Rejections carry a
+// Retry-After hint sized to the estimated drain time.
 type admission struct {
 	depth    atomic.Int64  // requests admitted but not yet completed
-	capacity int64         // queue bound (admitted requests, queued + running)
-	workers  int64         // pool size (service parallelism)
+	capacity int64         // bound on admitted requests, waiting for a slot + running
+	workers  int64         // engine-worker slots (service parallelism)
 	ewma     atomic.Uint64 // service-time estimate, host nanos
 	draining atomic.Bool
 }
@@ -59,7 +59,7 @@ func (a *admission) admit(now, deadline time.Time) (shedReason, time.Duration) {
 	return shedNone, 0
 }
 
-// release returns an admitted request's slot.
+// release takes a finished request out of the admitted count.
 func (a *admission) release() { a.depth.Add(-1) }
 
 // estWait estimates the queue wait with `ahead` admitted requests in front.

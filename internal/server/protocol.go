@@ -1,10 +1,11 @@
 // Package server is the networked serving front-end over core.Engine: an
-// HTTP request path with a bounded worker pool, a deadline-aware admission
-// controller that sheds before saturation, and exactly-once retry semantics
-// backed by an idempotency table stored as a first-class engine table (a
-// "detectable operation": after a timeout or crash, a retried request can
-// tell whether its original attempt took effect, and if so gets the original
-// result digest back without re-executing).
+// HTTP request path that runs each request to completion on its connection's
+// goroutine over a bounded set of engine-worker slots, a deadline-aware
+// admission controller that sheds before saturation, and exactly-once retry
+// semantics backed by an idempotency table stored as a first-class engine
+// table (a "detectable operation": after a timeout or crash, a retried
+// request can tell whether its original attempt took effect, and if so gets
+// the original result digest back without re-executing).
 //
 // Served tables use the serving schema: a uint64 key in column 0 and an
 // int64 value in column 1 (ServeSchema builds one). Transactions are
@@ -13,9 +14,13 @@
 package server
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 
+	"falcon/internal/core"
+	"falcon/internal/heap"
+	"falcon/internal/index"
 	"falcon/internal/layout"
 )
 
@@ -78,24 +83,60 @@ func ServeSchema(padBytes int) *layout.Schema {
 	return layout.NewSchema(cols...)
 }
 
-// ParseRequest decodes and validates a transaction request body.
+// ParseRequest decodes and validates a transaction request body. It is the
+// handler's own decoder run into fresh memory, so the request owns its ops.
 func ParseRequest(body []byte) (*TxnRequest, error) {
-	var req TxnRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request body: %w", err)
+	req := new(TxnRequest)
+	if err := parse(req, body); err != nil {
+		return nil, err
 	}
+	return req, nil
+}
+
+// validate applies the protocol-level rules to a decoded request.
+func validate(req *TxnRequest) error {
 	if len(req.Ops) == 0 {
-		return nil, fmt.Errorf("empty op list")
+		return fmt.Errorf("empty op list")
 	}
 	for i, op := range req.Ops {
 		switch op.Op {
 		case "get", "put", "insert", "add", "delete":
 		default:
-			return nil, fmt.Errorf("op %d: unknown verb %q", i, op.Op)
+			return fmt.Errorf("op %d: unknown verb %q", i, op.Op)
 		}
 		if op.Table == "" {
-			return nil, fmt.Errorf("op %d: missing table", i)
+			return fmt.Errorf("op %d: missing table", i)
 		}
 	}
-	return &req, nil
+	return nil
+}
+
+// getsOnly refuses a request that carries anything but gets: /v1/read checks
+// before admission, ApplyRO for the callers that reach it directly.
+func getsOnly(req *TxnRequest) error {
+	for _, op := range req.Ops {
+		if op.Op != "get" {
+			return fmt.Errorf("server: read-only request carries %q op", op.Op)
+		}
+	}
+	return nil
+}
+
+// statusOf is the one table from a failed transaction's error to its HTTP
+// status. The error alone decides: a request that fails on a duplicate key
+// and happens to finish past its deadline is still a 409.
+func statusOf(err error) int {
+	switch {
+	case errors.Is(err, core.ErrNotFound):
+		return http.StatusNotFound // an add of a missing key
+	case errors.Is(err, core.ErrDuplicateKey):
+		return http.StatusConflict
+	case errors.Is(err, core.ErrTxnTooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, core.ErrTableFull), errors.Is(err, heap.ErrHeapFull), errors.Is(err, index.ErrFull):
+		return http.StatusInsufficientStorage
+	case errors.Is(err, core.ErrCanceled):
+		return http.StatusGatewayTimeout // the deadline hook cut it short
+	}
+	return http.StatusInternalServerError
 }

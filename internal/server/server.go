@@ -2,11 +2,14 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"falcon/internal/bench"
@@ -16,12 +19,12 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Workers is the pool size; each pool worker is pinned to the engine
-	// worker of the same id, so Workers must not exceed the engine's
-	// configured Threads. 0 means all engine threads.
+	// Workers is the number of engine workers requests may run on at once
+	// (ids 0..Workers-1), so Workers must not exceed the engine's configured
+	// Threads. 0 means all engine threads.
 	Workers int
-	// QueueDepth bounds admitted-but-unfinished requests (queued + running);
-	// 0 means 4× Workers.
+	// QueueDepth bounds admitted-but-unfinished requests (waiting for an
+	// engine worker + running); 0 means 4× Workers.
 	QueueDepth int
 	// DefaultDeadline applies when a request carries no X-Deadline-Ms
 	// header; 0 means 1s.
@@ -40,23 +43,40 @@ type Config struct {
 	Stop *bench.StopFlag
 }
 
-// pending is one admitted request waiting for a pool worker.
-type pending struct {
-	req      *TxnRequest
-	idemKey  uint64
+// endpoint is the live accumulator behind one obs.EndpointStats. The counters
+// are bumped from every connection's goroutine, so they are atomics; only the
+// latency histogram, which moves several words per sample, takes a lock.
+type endpoint struct {
+	name     string
 	readOnly bool
-	deadline time.Time
-	enqueued time.Time
-	endpoint string
-	done     chan result
+
+	requests, ok, errors, expired, replayed atomic.Uint64
+	shedQueue, shedDeadline, shedDraining   atomic.Uint64
+
+	latMu   sync.Mutex
+	latency obs.Histogram
 }
 
-type result struct {
-	resp   *TxnResponse
-	status int
+func (ep *endpoint) stats() obs.EndpointStats {
+	ep.latMu.Lock()
+	defer ep.latMu.Unlock()
+	return obs.EndpointStats{
+		Requests: ep.requests.Load(), OK: ep.ok.Load(), Errors: ep.errors.Load(),
+		ShedQueue: ep.shedQueue.Load(), ShedDeadline: ep.shedDeadline.Load(), ShedDraining: ep.shedDraining.Load(),
+		Expired: ep.expired.Load(), Replayed: ep.replayed.Load(),
+		Latency: ep.latency.Dump(),
+	}
 }
 
 // Server is the admission-controlled serving front-end over one engine.
+//
+// A request runs to completion on the goroutine net/http gave its
+// connection: it is decoded there, takes the id of a free engine worker from
+// slots, runs its transaction as that worker, puts the id back and writes its
+// reply. The engine's per-thread log windows (the paper's D1) make the thread
+// that begins a transaction the one that commits it; handing the request to
+// another goroutine and its result back would add two scheduler round trips
+// to every request for nothing the engine needs.
 type Server struct {
 	e   *core.Engine
 	cfg Config
@@ -66,29 +86,24 @@ type Server struct {
 	// single-owner accumulators whose snapshot contract is quiescence, so
 	// /metrics takes the write lock to get a true quiescent point.
 	execMu sync.RWMutex
-	// gate orders enqueues against drain: handlers enqueue under the read
-	// lock, and Drain takes the write lock after raising the flag, so once
-	// Drain proceeds no request can slip into the queue behind the exiting
-	// workers.
+	// slots holds the ids of the engine workers no request is running on. An
+	// id is in the channel or in exactly one request's hands, which is the
+	// engine's one-writer-per-worker rule; requests that find it empty wait in
+	// arrival order, and admission has already bounded how many can.
+	slots chan int
+	// gate orders admission against drain: handlers join inflight under the
+	// read lock, and Drain takes the write lock after raising the flag, so
+	// once Drain waits on inflight no request can still join it.
 	gate     sync.RWMutex
-	queue    chan *pending
-	quit     chan struct{}
-	quitOnce sync.Once
+	inflight sync.WaitGroup
 	stop     *bench.StopFlag
-	wg       sync.WaitGroup
+	states   sync.Pool // *txnState
 
-	statsMu   sync.Mutex
-	endpoints map[string]*endpointCounters
-}
-
-// endpointCounters is the live accumulator behind obs.EndpointStats.
-type endpointCounters struct {
-	obs.EndpointStats
-	latency obs.Histogram
+	txn, read endpoint
 }
 
 // New builds a Server over an already-opened engine (which must include the
-// idempotency table — WithIdemTable) and starts its worker pool.
+// idempotency table — WithIdemTable).
 func New(e *core.Engine, cfg Config) (*Server, error) {
 	if e.Table(IdemTable) == nil {
 		return nil, fmt.Errorf("server: engine has no %s table (see WithIdemTable)", IdemTable)
@@ -113,24 +128,28 @@ func New(e *core.Engine, cfg Config) (*Server, error) {
 		stop = &bench.StopFlag{}
 	}
 	s := &Server{
-		e:         e,
-		cfg:       cfg,
-		adm:       newAdmission(cfg.QueueDepth, cfg.Workers, cfg.SeedServiceNanos),
-		queue:     make(chan *pending, cfg.QueueDepth),
-		quit:      make(chan struct{}),
-		stop:      stop,
-		endpoints: map[string]*endpointCounters{},
+		e:     e,
+		cfg:   cfg,
+		adm:   newAdmission(cfg.QueueDepth, cfg.Workers, cfg.SeedServiceNanos),
+		slots: make(chan int, cfg.Workers),
+		stop:  stop,
+		txn:   endpoint{name: "/v1/txn"},
+		read:  endpoint{name: "/v1/read", readOnly: true},
+	}
+	s.states.New = func() any {
+		st := new(txnState)
+		st.expired = func() bool { return time.Now().After(st.deadline) }
+		return st
+	}
+	for w := 0; w < cfg.Workers; w++ {
+		s.slots <- w
 	}
 	e.Obs().Register("server", s.collect)
-	for w := 0; w < cfg.Workers; w++ {
-		s.wg.Add(1)
-		go s.worker(w)
-	}
 	return s, nil
 }
 
 // Config returns the effective configuration: cfg as given to New with the
-// defaults (pool size, queue depth, deadline) filled in.
+// defaults (workers, queue depth, deadline) filled in.
 func (s *Server) Config() Config { return s.cfg }
 
 // Engine returns the served engine.
@@ -139,43 +158,41 @@ func (s *Server) Engine() *core.Engine { return s.e }
 // Stop returns the drain flag (shared with bench.Run when Config.Stop was).
 func (s *Server) Stop() *bench.StopFlag { return s.stop }
 
-func (s *Server) worker(w int) {
-	defer s.wg.Done()
-	for {
-		select {
-		case p := <-s.queue:
-			s.serve(w, p)
-		case <-s.quit:
-			// Drain started: finish whatever is still queued (those requests
-			// were admitted before the flag rose), then exit.
-			for {
-				select {
-				case p := <-s.queue:
-					s.serve(w, p)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
+var (
+	errExpiredInQueue = errors.New("deadline expired in queue")
+	errExpired        = errors.New("deadline expired")
+)
 
-func (s *Server) serve(w int, p *pending) {
+// run executes an admitted request's transaction on the caller's goroutine
+// as whichever engine worker is free, and gives back what admission and the
+// slot took before the caller writes the reply. A nil error means st holds
+// the committed outcome; otherwise status is the reply's.
+func (s *Server) run(ep *endpoint, st *txnState, idemKey uint64) (status int, err error) {
+	w := <-s.slots
+	defer func() {
+		if p := recover(); p != nil {
+			// A transaction that panics (a full index, after the publish
+			// point) leaves the engine in a state nobody has reasoned about.
+			// net/http would recover the panic on this goroutine, log it and
+			// go on serving; raise it where nothing recovers instead, and
+			// keep the worker id out of other hands until the process is gone.
+			go panic(fmt.Sprintf("%v [raised again off the connection's goroutine]\n\n%s", p, debug.Stack()))
+			select {}
+		}
+		s.slots <- w
+		s.adm.release()
+		s.inflight.Done()
+	}()
 	start := time.Now()
-	defer s.adm.release()
-	if start.After(p.deadline) {
-		s.count(p.endpoint, func(c *endpointCounters) { c.Expired++ })
-		p.done <- result{&TxnResponse{Outcome: "error", Error: "deadline expired in queue"}, http.StatusGatewayTimeout}
-		return
+	if start.After(st.deadline) {
+		ep.expired.Add(1)
+		return http.StatusGatewayTimeout, errExpiredInQueue
 	}
-	canceled := func() bool { return time.Now().After(p.deadline) }
 	s.execMu.RLock()
-	var resp *TxnResponse
-	var err error
-	if p.readOnly {
-		resp, err = ApplyRO(s.e, w, p.req, canceled)
+	if ep.readOnly {
+		err = st.applyRO(s.e, w, &st.req, st.expired)
 	} else {
-		resp, err = Apply(s.e, w, p.idemKey, p.req, canceled)
+		err = st.apply(s.e, w, idemKey, &st.req, st.expired)
 	}
 	s.execMu.RUnlock()
 	if s.cfg.ServiceFloor > 0 {
@@ -186,76 +203,48 @@ func (s *Server) serve(w int, p *pending) {
 	service := uint64(time.Since(start))
 	s.adm.observe(service)
 
-	var res result
-	switch {
-	case err == nil:
-		res = result{resp, http.StatusOK}
-		s.count(p.endpoint, func(c *endpointCounters) {
-			c.OK++
-			if resp.Replayed {
-				c.Replayed++
-			}
-			c.latency.Observe(service)
-		})
-	case err == core.ErrCanceled || time.Now().After(p.deadline):
-		s.count(p.endpoint, func(c *endpointCounters) { c.Expired++ })
-		res = result{&TxnResponse{Outcome: "error", Error: "deadline expired"}, http.StatusGatewayTimeout}
-	default:
-		status := http.StatusInternalServerError
-		if err == core.ErrDuplicateKey {
-			status = http.StatusConflict
+	if err == nil {
+		ep.ok.Add(1)
+		if st.replayed {
+			ep.replayed.Add(1)
 		}
-		s.count(p.endpoint, func(c *endpointCounters) { c.Errors++ })
-		res = result{&TxnResponse{Outcome: "error", Error: err.Error()}, status}
+		ep.latMu.Lock()
+		ep.latency.Observe(service)
+		ep.latMu.Unlock()
+		return http.StatusOK, nil
 	}
-	p.done <- res
-}
-
-// count applies fn to the endpoint's live counters under the stats lock.
-func (s *Server) count(endpoint string, fn func(*endpointCounters)) {
-	s.statsMu.Lock()
-	c := s.endpoints[endpoint]
-	if c == nil {
-		c = &endpointCounters{}
-		s.endpoints[endpoint] = c
+	if status = statusOf(err); status == http.StatusGatewayTimeout {
+		ep.expired.Add(1)
+		return status, errExpired
 	}
-	fn(c)
-	s.statsMu.Unlock()
+	ep.errors.Add(1)
+	return status, err
 }
 
 // collect is the registry collector contributing Snapshot.Server.
 func (s *Server) collect(snap *obs.Snapshot) {
 	sv := &obs.ServerStats{
 		Endpoints:       map[string]obs.EndpointStats{},
-		QueueDepth:      uint64(max64(s.adm.depth.Load(), 0)),
+		QueueDepth:      uint64(max(s.adm.depth.Load(), 0)),
 		QueueCap:        uint64(s.cfg.QueueDepth),
 		Workers:         uint64(s.cfg.Workers),
 		EstServiceNanos: s.adm.ewma.Load(),
 		Draining:        s.adm.draining.Load(),
 	}
-	s.statsMu.Lock()
-	for name, c := range s.endpoints {
-		ep := c.EndpointStats
-		ep.Latency = c.latency.Dump()
-		sv.Endpoints[name] = ep
+	for _, ep := range []*endpoint{&s.txn, &s.read} {
+		if st := ep.stats(); st.Requests > 0 { // an endpoint appears with its first request
+			sv.Endpoints[ep.name] = st
+		}
 	}
-	s.statsMu.Unlock()
 	snap.Server = sv
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Handler returns the HTTP mux: /v1/txn, /v1/read, /metrics, /healthz,
 // /readyz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/txn", func(w http.ResponseWriter, r *http.Request) { s.handleTxn(w, r, false) })
-	mux.HandleFunc("/v1/read", func(w http.ResponseWriter, r *http.Request) { s.handleTxn(w, r, true) })
+	mux.HandleFunc(s.txn.name, func(w http.ResponseWriter, r *http.Request) { s.handleTxn(w, r, &s.txn) })
+	mux.HandleFunc(s.read.name, func(w http.ResponseWriter, r *http.Request) { s.handleTxn(w, r, &s.read) })
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -272,85 +261,121 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request, readOnly bool) {
-	endpoint := "/v1/txn"
-	if readOnly {
-		endpoint = "/v1/read"
+// maxBody bounds a request body: a larger one is refused, not cut short.
+// maxPooledBody bounds the body buffer a state may take back into the pool,
+// so that one huge request does not pin its buffers.
+const maxBody, maxPooledBody = 1 << 20, 64 << 10
+
+// readBody reads the request's body into st.body. On failure it returns the
+// status to refuse the request with.
+func (st *txnState) readBody(w http.ResponseWriter, r *http.Request) (int, error) {
+	n := r.ContentLength
+	switch {
+	case n > maxBody:
+		return http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body of %d bytes is over the limit of %d", n, maxBody)
+	case n >= 0: // net/http hands out no more than the declared length
+		st.body = sized(st.body, int(n))
+		if _, err := io.ReadFull(r.Body, st.body); err != nil {
+			return http.StatusBadRequest, err
+		}
+		return 0, nil
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	switch {
+	case err == nil:
+		st.body = body
+		return 0, nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
+func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	s.count(endpoint, func(c *endpointCounters) { c.Requests++ })
+	ep.requests.Add(1)
+	st := s.states.Get().(*txnState)
+	defer func() {
+		if cap(st.body) <= maxPooledBody {
+			s.states.Put(st)
+		}
+	}()
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		s.replyError(w, endpoint, http.StatusBadRequest, err)
+	if status, err := st.readBody(w, r); err != nil {
+		replyError(w, ep, status, err)
 		return
 	}
-	req, err := ParseRequest(body)
+	err := parse(&st.req, st.body)
+	if err == nil && ep.readOnly {
+		err = getsOnly(&st.req)
+	}
 	if err != nil {
-		s.replyError(w, endpoint, http.StatusBadRequest, err)
+		replyError(w, ep, http.StatusBadRequest, err)
 		return
 	}
 	var idemKey uint64
-	if !readOnly {
+	if !ep.readOnly {
 		idemKey, err = strconv.ParseUint(r.Header.Get("Idempotency-Key"), 10, 64)
 		if err != nil {
-			s.replyError(w, endpoint, http.StatusBadRequest,
+			replyError(w, ep, http.StatusBadRequest,
 				fmt.Errorf("missing or malformed Idempotency-Key header"))
 			return
 		}
 	}
 	now := time.Now()
-	deadline := now.Add(s.cfg.DefaultDeadline)
+	st.deadline = now.Add(s.cfg.DefaultDeadline)
 	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
 		ms, err := strconv.ParseUint(h, 10, 32)
 		if err != nil {
-			s.replyError(w, endpoint, http.StatusBadRequest, fmt.Errorf("malformed X-Deadline-Ms"))
+			replyError(w, ep, http.StatusBadRequest, fmt.Errorf("malformed X-Deadline-Ms"))
 			return
 		}
-		deadline = now.Add(time.Duration(ms) * time.Millisecond)
+		st.deadline = now.Add(time.Duration(ms) * time.Millisecond)
 	}
 
-	p := &pending{
-		req: req, idemKey: idemKey, readOnly: readOnly,
-		deadline: deadline, enqueued: now, endpoint: endpoint,
-		done: make(chan result, 1),
-	}
 	s.gate.RLock()
 	// The drain flag sheds before the admission bookkeeping runs.
 	if s.stop.Stopped() {
 		s.gate.RUnlock()
-		s.shed(w, endpoint, shedDraining, s.adm.estWait(1))
+		s.shed(w, ep, shedDraining, s.adm.estWait(1))
 		return
 	}
-	reason, wait := s.adm.admit(now, deadline)
+	reason, wait := s.adm.admit(now, st.deadline)
 	if reason != shedNone {
 		s.gate.RUnlock()
-		s.shed(w, endpoint, reason, wait)
+		s.shed(w, ep, reason, wait)
 		return
 	}
-	s.queue <- p // admit() bounded the depth, so the buffer always has room
+	s.inflight.Add(1)
 	s.gate.RUnlock()
-	res := <-p.done
-	writeJSON(w, res.status, res.resp)
+
+	status, err := s.run(ep, st, idemKey)
+	if err != nil {
+		writeJSON(w, status, &TxnResponse{Outcome: "error", Error: err.Error()})
+		return
+	}
+	st.out = appendOK(st.out[:0], st.results, st.digest, st.replayed)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_, _ = w.Write(st.out) // a client that has gone away is not the server's failure
 }
 
 // shed writes an admission rejection with Retry-After hints (whole seconds
 // per RFC 9110, plus a millisecond-precision extension header for clients
 // that can use it).
-func (s *Server) shed(w http.ResponseWriter, endpoint string, reason shedReason, wait time.Duration) {
-	s.count(endpoint, func(c *endpointCounters) {
-		switch reason {
-		case shedDraining:
-			c.ShedDraining++
-		case shedQueue:
-			c.ShedQueue++
-		case shedDeadline:
-			c.ShedDeadline++
-		}
-	})
+func (s *Server) shed(w http.ResponseWriter, ep *endpoint, reason shedReason, wait time.Duration) {
+	switch reason {
+	case shedDraining:
+		ep.shedDraining.Add(1)
+	case shedQueue:
+		ep.shedQueue.Add(1)
+	case shedDeadline:
+		ep.shedDeadline.Add(1)
+	}
 	if wait <= 0 {
 		wait = time.Duration(s.adm.ewma.Load())
 	}
@@ -372,13 +397,18 @@ func (s *Server) shed(w http.ResponseWriter, endpoint string, reason shedReason,
 	writeJSON(w, status, &TxnResponse{Outcome: "error", Error: msg})
 }
 
-func (s *Server) replyError(w http.ResponseWriter, endpoint string, status int, err error) {
-	s.count(endpoint, func(c *endpointCounters) { c.Errors++ })
+// replyError refuses a request that never reached admission.
+func replyError(w http.ResponseWriter, ep *endpoint, status int, err error) {
+	ep.errors.Add(1)
 	writeJSON(w, status, &TxnResponse{Outcome: "error", Error: err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// jsonContentType is shared by every reply; net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON renders the replies that are not a commit with encoding/json.
+func writeJSON(w http.ResponseWriter, status int, v *TxnResponse) {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -410,15 +440,14 @@ func (s *Server) Snapshot() obs.Snapshot {
 func (s *Server) Drain(timeout time.Duration) bool {
 	s.stop.Stop()
 	s.adm.draining.Store(true)
-	// Wait out in-flight enqueues: after this, every admitted request is in
-	// the queue and no new one can enter (handlers re-check the flag under
+	// Wait out in-flight admissions: after this, every admitted request has
+	// joined inflight and no new one can (handlers re-check the flag under
 	// the read lock).
 	s.gate.Lock()
 	s.gate.Unlock() //nolint:staticcheck // empty critical section is the barrier
-	s.quitOnce.Do(func() { close(s.quit) })
 	done := make(chan struct{})
 	go func() {
-		s.wg.Wait()
+		s.inflight.Wait()
 		close(done)
 	}()
 	drained := true
