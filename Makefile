@@ -1,6 +1,6 @@
 # Convenience targets; everything also works with plain go commands.
 
-.PHONY: build test race race-par bench bench-quick bench-smoke sweep phase-tables trace-check soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke old-spellings
+.PHONY: build test race race-par bench bench-quick bench-smoke sweep phase-tables trace-check contend-smoke soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke old-spellings
 
 build:
 	go build ./...
@@ -19,8 +19,10 @@ race:
 # paths actually interleave across cores under the race detector. The index
 # and TPC-C packages are here for the B-tree's lock-free readers: what they
 # load beside a writer (root, nextFree, the sequence word) must be atomic.
+# -count=1 because GOMAXPROCS is not part of Go's test-cache key: right after
+# `make race` the shared packages would otherwise report (cached).
 race-par:
-	GOMAXPROCS=4 go test -race -short ./internal/crashtest ./internal/core ./internal/pmem ./internal/bench ./internal/index ./internal/workload/tpcc
+	GOMAXPROCS=4 go test -race -short -count=1 ./internal/crashtest ./internal/core ./internal/pmem ./internal/bench ./internal/index ./internal/workload/tpcc
 
 # Append a full host-performance run (micro ops, one YCSB cell, the default
 # Figure-11 grid) to BENCH_hostperf.json. Speedups are against the first
@@ -98,6 +100,15 @@ loadgen-smoke:
 trace-check:
 	go run ./cmd/falcon ycsb -threads 2 -records 2000 -txns 50 -warmup 10 -workloads A -trace /tmp/falcon-trace.json
 	go run ./cmd/falcon tracecheck /tmp/falcon-trace.json
+
+# The contention observatory and the probe that feeds it under the race
+# detector (planted hot key, group-mode determinism, one event to each
+# consumer once, the exposition), then a -contend -prom run that must leave a
+# non-empty scrape file (same lane CI runs).
+contend-smoke:
+	go test -race -short -run 'TestContend|TestConcurrentMerge|TestReportShape|TestProbe|TestAbortCounts|TestNilProbe|TestEveryEvent|TestWritePrometheus|TestPrometheus|TestSchema|TestStreamLine|TestObsSnapshot' ./internal/core ./internal/obs ./internal/bench
+	go run ./cmd/falcon ycsb -threads 2 -records 2000 -txns 50 -warmup 10 -workloads A -contend -prom /tmp/falcon-metrics.prom
+	test -s /tmp/falcon-metrics.prom
 
 # The nine per-tool binaries were folded into `falcon <subcommand>`; fail when
 # a removed spelling comes back (same lane CI runs). CHANGES.md, ROADMAP.md,

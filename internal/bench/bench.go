@@ -202,19 +202,20 @@ func Run(e *core.Engine, workload string, opts Options, fn TxnFunc) (*Result, er
 	e.ResetCounters()
 	obs0 := e.ObsSnapshot() // post-warmup baseline (pmem counters et al.)
 
-	// Arm the tracer only for the measured phase: the workers are quiescent
-	// here, the same window ResetCounters relies on.
+	// Arm the tracer and the observatory for the measured phase only — the
+	// workers are quiescent here, the same window ResetCounters relies on —
+	// and disarm however the phase ends. obs0.Contend is nil, so Sub passes
+	// the measured-phase report through untouched.
 	var tracer *obs.Tracer
 	if opts.Trace != nil {
 		tracer = obs.NewTracer(e.Config().Threads, *opts.Trace)
-		e.SetTracer(tracer)
 	}
-	// The observatory is armed in the same quiescent window, after the tracer
-	// so conflict exemplars can capture span stacks. obs0.Contend is nil, so
-	// Sub passes the measured-phase report through untouched.
+	var observatory *obs.Observatory
 	if opts.Contend {
-		e.SetContend(e.NewObservatory())
+		observatory = e.NewObservatory()
 	}
+	e.Arm(tracer, observatory)
+	defer e.Arm(nil, nil)
 
 	if opts.EpochTxns > 0 && opts.OnEpoch != nil {
 		// Epoch streaming: run the measured phase in chunks; between chunks
@@ -255,13 +256,7 @@ func Run(e *core.Engine, workload string, opts Options, fn TxnFunc) (*Result, er
 	}
 	res.LatAvgNanos, res.LatP50Nanos, res.LatP95Nanos, res.LatP99Nanos, res.LatHists =
 		percentiles(hists, opts.Classes)
-	if tracer != nil {
-		res.Trace = tracer.Dump()
-		e.SetTracer(nil)
-	}
-	if opts.Contend {
-		e.SetContend(nil)
-	}
+	res.Trace = tracer.Dump()
 	return res, nil
 }
 

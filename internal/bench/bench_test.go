@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"encoding/json"
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 
 	"falcon/internal/cc"
 	"falcon/internal/core"
+	"falcon/internal/obs"
 	"falcon/internal/workload/tpcc"
 	"falcon/internal/workload/ycsb"
 )
@@ -62,6 +66,113 @@ func TestRunYCSBSmoke(t *testing.T) {
 	if res.LatP50Nanos[0] > res.LatP95Nanos[0] || res.LatP95Nanos[0] > res.LatP99Nanos[0] {
 		t.Fatalf("quantiles not monotone: %d/%d/%d",
 			res.LatP50Nanos[0], res.LatP95Nanos[0], res.LatP99Nanos[0])
+	}
+}
+
+// TestEveryEventReachesEachConsumerOnce arms the tracer (every transaction
+// sampled, a ring that drops nothing) and the observatory on a two-worker
+// YCSB-A cell and holds the three ledgers against one another: what the
+// memory system counted, what the trace recorded and what the observatory
+// attributed are the same events, and a transaction's outcome is in the
+// counts, the taxonomy and the trace exactly once. A disarmed engine then
+// leaves both consumers as they were.
+func TestEveryEventReachesEachConsumerOnce(t *testing.T) {
+	ecfg := core.FalconConfig()
+	ecfg.Threads = 2
+	e, d, err := NewYCSB(ecfg, ycsb.Config{Records: 20000, Workload: ycsb.A})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tracer *obs.Tracer
+	var observatory *obs.Observatory
+	opts := Options{Workers: 2, TxnsPerWorker: 1500, WarmupPerWorker: 100,
+		Trace: &obs.TraceOptions{Sample: 1, RingCap: 1 << 18}, Contend: true}
+	res, err := Run(e, "YCSB-A", opts, func(w int) (int, error) {
+		if w == 0 {
+			tracer, observatory = e.Tracer(), e.Contend()
+		}
+		return 0, d.Next(w)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace.Dropped != 0 {
+		t.Fatalf("ring dropped %d events; the comparison needs all of them", res.Trace.Dropped)
+	}
+
+	type txnKey struct {
+		worker int32
+		tid    uint64
+	}
+	var evicts uint64
+	txns := map[txnKey][]obs.Event{}
+	segs := map[txnKey][]obs.Event{}
+	for _, ev := range res.Trace.Events {
+		k := txnKey{ev.Worker, ev.TID}
+		switch ev.Kind {
+		case obs.EvXPEvict:
+			evicts++
+		case obs.EvTxn:
+			txns[k] = append(txns[k], ev)
+		case obs.EvPhase:
+			segs[k] = append(segs[k], ev)
+		}
+	}
+	var attributed uint64
+	for _, n := range res.Obs.Contend.BankEvictions {
+		attributed += n
+	}
+	if evicts == 0 || evicts != attributed || evicts != res.Obs.Mem.MediaWrites {
+		t.Errorf("XPBuffer evictions: %d traced, %d attributed to banks, %d media writes counted", evicts, attributed, res.Obs.Mem.MediaWrites)
+	}
+
+	var ended uint64
+	for k, evs := range txns {
+		ended += uint64(len(evs))
+		if len(evs) != 1 {
+			t.Fatalf("worker %d tid %#x ended %d times", k.worker, k.tid, len(evs))
+		}
+		at := evs[0].Start
+		ss := segs[k]
+		sort.Slice(ss, func(i, j int) bool { return ss[i].Start < ss[j].Start })
+		for _, sg := range ss {
+			if sg.Start != at {
+				t.Fatalf("worker %d tid %#x: phase segment starts at %d, the one before ended at %d", k.worker, k.tid, sg.Start, at)
+			}
+			at = sg.End
+		}
+		if at != evs[0].End {
+			t.Fatalf("worker %d tid %#x: segments end at %d, the transaction at %d", k.worker, k.tid, at, evs[0].End)
+		}
+	}
+	if len(segs) != len(txns) {
+		t.Errorf("%d transactions have phase segments, %d have an end", len(segs), len(txns))
+	}
+	if ended != res.Obs.Commits+res.Obs.Aborts {
+		t.Errorf("%d transaction ends traced, %d commits + %d aborts counted", ended, res.Obs.Commits, res.Obs.Aborts)
+	}
+	var reasons uint64
+	for _, n := range res.Obs.AbortCounts {
+		reasons += n
+	}
+	if reasons != res.Obs.Aborts {
+		t.Errorf("abort reasons sum to %d, aborts %d", reasons, res.Obs.Aborts)
+	}
+
+	// Run disarmed on return; another run must reach neither consumer.
+	if e.Tracer() != nil || e.Contend() != nil {
+		t.Fatal("Run left the engine armed")
+	}
+	report, _ := json.Marshal(observatory.Report())
+	if _, err := Run(e, "YCSB-A", Options{Workers: 2, TxnsPerWorker: 300},
+		func(w int) (int, error) { return 0, d.Next(w) }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tracer.Dump(), res.Trace) {
+		t.Error("a disarmed run changed the old tracer's dump")
+	}
+	if after, _ := json.Marshal(observatory.Report()); string(after) != string(report) {
+		t.Error("a disarmed run changed the old observatory's report")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"falcon/internal/core"
+	"falcon/internal/obs"
 	"falcon/internal/workload/tpcc"
 	"falcon/internal/workload/ycsb"
 )
@@ -108,7 +109,8 @@ func TestParWorkersDeterministicJSON(t *testing.T) {
 // one worker's transaction function fails, the other workers must stop at
 // their next transaction boundary instead of grinding through the full count.
 // Group mode makes the bound tight — workers advance in lockstep rounds, so
-// nobody can be more than a round or two past the failure point.
+// nobody can be more than a round or two past the failure point. A failed
+// measured phase must also leave the engine disarmed, like a finished one.
 func TestRunCancelsPhaseOnWorkerError(t *testing.T) {
 	const failAt = 5
 	boom := errors.New("injected workload failure")
@@ -121,9 +123,14 @@ func TestRunCancelsPhaseOnWorkerError(t *testing.T) {
 			t.Fatal(err)
 		}
 		var executed [4]int
-		_, err = Run(e, "YCSB-A", Options{Workers: 4, TxnsPerWorker: 5000, ParWorkers: true},
+		var armed *obs.Tracer
+		_, err = Run(e, "YCSB-A", Options{Workers: 4, TxnsPerWorker: 5000, ParWorkers: true,
+			Trace: &obs.TraceOptions{Sample: 1}, Contend: true},
 			func(w int) (int, error) {
 				executed[w]++
+				if w == 0 {
+					armed = e.Tracer()
+				}
 				if err := d.Next(w); err != nil {
 					return 0, err
 				}
@@ -139,6 +146,20 @@ func TestRunCancelsPhaseOnWorkerError(t *testing.T) {
 			if n > failAt+2 {
 				t.Errorf("worker %d executed %d txns after worker 2 failed at %d; phase not cancelled promptly", w, n, failAt)
 			}
+		}
+		if armed == nil {
+			t.Fatal("the measured phase ran without the tracer it asked for")
+		}
+		if e.Tracer() != nil || e.Contend() != nil {
+			t.Errorf("failed phase left the engine armed: tracer %v, observatory %v", e.Tracer() != nil, e.Contend() != nil)
+		}
+		before := len(armed.Dump().Events)
+		if _, err := Run(e, "YCSB-A", Options{Workers: 4, TxnsPerWorker: 20},
+			func(w int) (int, error) { return 0, d.Next(w) }); err != nil {
+			t.Fatal(err)
+		}
+		if after := len(armed.Dump().Events); before == 0 || after != before {
+			t.Errorf("an untraced run after the failed phase grew the old dump from %d to %d events", before, after)
 		}
 	})
 

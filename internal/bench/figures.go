@@ -195,7 +195,7 @@ func Fig3(s Scale) *Figure {
 
 // storeLoop writes random aligned chunks and reports the virtual time they
 // took plus the observability snapshot of the run. There is no engine, so it
-// registers its own bare phase set over the loop: stores are heap-write time,
+// keeps a probe of its own over the loop: stores are heap-write time,
 // sfence/clwb are flush time. With topt set it also arms a single-worker
 // tracer: phase segments and XPBuffer evictions land in the ring (the ring
 // keeps the tail of the run; there are no transactions here, so no sampling).
@@ -203,22 +203,23 @@ func storeLoop(writes, size int, region uint64, clwb bool, topt *obs.TraceOption
 	sys := pmem.NewSystem(pmem.Config{Mode: pmem.EADR, DeviceBytes: region})
 	clk := sim.NewClock()
 	reg := obs.NewRegistry()
-	var ps obs.PhaseSet
-	reg.Register("store", func(s *obs.Snapshot) { ps.AddTo(&s.PhaseNanos) })
+	var pr obs.Probe
+	reg.Register("store", pr.AddTo)
 	reg.Register("pmem", func(s *obs.Snapshot) { s.Mem = sys.Dev.Stats().Snapshot() })
 	buf := make([]byte, size)
 	for i := range buf {
 		buf[i] = byte(i)
 	}
-	var pt obs.PhaseTimer
-	pt.Start(&ps, clk)
 	var tr *obs.Tracer
 	if topt != nil {
 		tr = obs.NewTracer(1, *topt)
-		pt.AttachTrace(tr.Worker(0)) // after Start: Start clears the trace hook
-		sys.SetTrace(tr.PmemTrace)
+		pr.Arm(tr, nil, 0)
+		sys.SetHook(func(_ uint64, kind pmem.FlushKind, addr, start, end uint64) {
+			pr.Flush(kind, addr, start, end)
+		})
 	}
-	pt.To(obs.PhaseHeapWrite)
+	pr.Start(clk)
+	pr.To(obs.PhaseHeapWrite)
 	// xorshift for the random aligned addresses (the paper's setup).
 	state := uint64(0x9E3779B97F4A7C15)
 	mask := region/uint64(size) - 1
@@ -228,21 +229,17 @@ func storeLoop(writes, size int, region uint64, clwb bool, topt *obs.TraceOption
 		state ^= state >> 27
 		addr := (state * 2685821657736338717 & mask) * uint64(size)
 		sys.Space.Write(clk, addr, buf)
-		pt.To(obs.PhaseFlush)
+		pr.To(obs.PhaseFlush)
 		sys.Space.SFence(clk) // the paper's <sfence + clwbs> sequence
 		if clwb {
 			sys.Space.CLWB(clk, addr, size)
 		}
-		pt.To(obs.PhaseHeapWrite)
+		pr.To(obs.PhaseHeapWrite)
 	}
-	pt.To(obs.PhaseFlush)
+	pr.To(obs.PhaseFlush)
 	sys.Cache.FlushAll(clk)
-	pt.Finish()
-	res := &Result{Workers: 1, VirtualNanos: clk.Nanos(), Obs: reg.Snapshot()}
-	if tr != nil {
-		res.Trace = tr.Dump()
-	}
-	return res
+	pr.Finish()
+	return &Result{Workers: 1, VirtualNanos: clk.Nanos(), Obs: reg.Snapshot(), Trace: tr.Dump()}
 }
 
 // tpccGrid is the shape Figures 7 and 8 share: every engine under each

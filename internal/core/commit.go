@@ -55,9 +55,9 @@ func (tx *Txn) validate() error {
 		return ErrTxnTooLarge
 	}
 	if tx.e.cfg.CC.Base() == cc.OCC {
-		prev := tx.pt.To(obs.PhaseCC)
+		prev := tx.pr.To(obs.PhaseCC)
 		ok := tx.occValidate()
-		tx.pt.To(prev)
+		tx.pr.To(prev)
 		if !ok {
 			tx.setAbortCause(obs.AbortValidation)
 			return ErrConflict
@@ -81,7 +81,7 @@ func (tx *Txn) commitTail() error {
 			tx.commitInPlace()
 		}
 	}
-	tx.pt.To(obs.PhaseCC)
+	tx.pr.To(obs.PhaseCC)
 	tx.releaseLocks(wrote)
 	tx.finish(true)
 	return nil
@@ -105,20 +105,20 @@ func (tx *Txn) commitInPlace() {
 	tx.publishVersions()
 
 	deferred := e.board != nil // group commit: the epoch seal drains
-	tx.pt.To(obs.PhaseLogAppend)
+	tx.pr.To(obs.PhaseLogAppend)
 	var epoch uint64
 	if deferred {
 		epoch = tx.log.Publish(tx.clk)
 	} else {
 		tx.log.Commit(tx.clk) // Algorithm 1 line 2: the durable point
 	}
-	tx.pt.To(obs.PhaseHeapWrite)
+	tx.pr.To(obs.PhaseHeapWrite)
 	apply := tx.applyWriteSet()
 	if !deferred {
 		e.nvm.SFence(tx.clk) // Algorithm 1 line 7
 	}
 
-	tx.pt.To(obs.PhaseFlush)
+	tx.pr.To(obs.PhaseFlush)
 	ws := &e.scratch[tx.worker]
 	ws.spans, ws.flushed, ws.elided = ws.spans[:0], 0, 0
 	flushStart := tx.clk.Nanos()
@@ -128,8 +128,8 @@ func (tx *Txn) commitInPlace() {
 	if deferred {
 		tx.log.EnlistData(tx.clk, epoch, ws.spans)
 		e.windows[tx.worker].SealExpired(tx.clk) // lazy leader step
-	} else if tx.tr != nil && ws.flushed+ws.elided > 0 {
-		tx.tr.Span(obs.EvFlushTrain, flushStart, tx.clk.Nanos(), ws.flushed, ws.elided)
+	} else {
+		tx.pr.DataFlush(flushStart, tx.clk.Nanos(), ws.flushed, ws.elided)
 	}
 }
 
@@ -157,8 +157,8 @@ func (tx *Txn) persist(t *Table, slot uint64, off, n int) {
 	}
 	ws := &e.scratch[tx.worker]
 	if e.cfg.Update == OutOfPlace {
-		prev := tx.pt.To(obs.PhaseFlush)
-		defer tx.pt.To(prev)
+		prev := tx.pr.To(obs.PhaseFlush)
+		defer tx.pr.To(prev)
 	} else if e.cfg.Flush == FlushSelective {
 		hot := e.hot[tx.worker]
 		if hot.contains(tx.clk, t.id, slot) {
@@ -189,7 +189,7 @@ func (tx *Txn) applyWriteSet() []applyEntry {
 			tx.applyInsert(a.ins)
 			ws.touch(a.ins.t, a.ins.slot)
 			tx.tstat(a.ins.t).Writes++
-			tx.cw.LogicalBytes(uint64(a.ins.t.id), uint64(a.ins.t.schema.TupleSize()))
+			tx.pr.LogicalBytes(uint64(a.ins.t.id), uint64(a.ins.t.schema.TupleSize()))
 			continue
 		}
 		w := a.w
@@ -198,7 +198,7 @@ func (tx *Txn) applyWriteSet() []applyEntry {
 			op, _ := tx.log.ReadOp(tx.clk, w.logPos)
 			w.t.heap.WriteRange(tx.clk, w.slot, w.off, op.Data)
 			ws.touch(w.t, w.slot)
-			tx.cw.LogicalBytes(uint64(w.t.id), uint64(w.n))
+			tx.pr.LogicalBytes(uint64(w.t.id), uint64(w.n))
 		case wal.OpDelete:
 			tx.applyDelete(w)
 		}
@@ -273,12 +273,12 @@ func (tx *Txn) applyInsert(ins *insertOp) {
 	payload := op.Data
 	tx.publishTuple(t, ins.slot, payload)
 	tx.stampWord(t, ins.slot)
-	prev := tx.pt.To(obs.PhaseIndexUpdate)
+	prev := tx.pr.To(obs.PhaseIndexUpdate)
 	t.indexInsert(tx.clk, t.primary, ins.key, ins.slot)
 	if t.secondary != nil {
 		t.indexInsert(tx.clk, t.secondary, t.schema.GetUint64(payload, t.secondaryCol), ins.slot)
 	}
-	tx.pt.To(prev)
+	tx.pr.To(prev)
 	tx.releaseKey(t, ins.key)
 	tx.e.tcPut(tx.clk, tx.worker, t.id, ins.key, payload)
 }
@@ -307,12 +307,12 @@ func (tx *Txn) applyDelete(w *writeOp) {
 	// horizon is a fresh TID so in-flight readers that resolved this slot
 	// drain before it is recycled.
 	t.heap.Retire(tx.clk, w.slot, tx.tid, tx.e.gen.Next(tx.worker), false)
-	prev := tx.pt.To(obs.PhaseIndexUpdate)
+	prev := tx.pr.To(obs.PhaseIndexUpdate)
 	t.primary.Delete(tx.clk, w.key)
 	if t.secondary != nil {
 		t.secondary.Delete(tx.clk, w.secKey)
 	}
-	tx.pt.To(prev)
+	tx.pr.To(prev)
 	tx.e.tcInvalidate(tx.clk, t.id, w.key)
 }
 
@@ -322,8 +322,8 @@ func (tx *Txn) publishVersions() {
 	if !tx.e.cfg.CC.MultiVersion() {
 		return
 	}
-	prev := tx.pt.To(obs.PhaseHeapWrite)
-	defer tx.pt.To(prev)
+	prev := tx.pr.To(obs.PhaseHeapWrite)
+	defer tx.pr.To(prev)
 	ws := &tx.e.scratch[tx.worker]
 	ws.slots = ws.slots[:0]
 	for i := range tx.writes {
@@ -427,7 +427,7 @@ func (tx *Txn) Abort() {
 	if tx.done {
 		return
 	}
-	tx.pt.To(obs.PhaseAbort)
+	tx.pr.To(obs.PhaseAbort)
 	if tx.log != nil {
 		tx.log.Abort(tx.clk)
 	}
@@ -443,21 +443,15 @@ func (tx *Txn) Abort() {
 	if !tx.causeSet {
 		tx.cause = obs.AbortUserRollback
 	}
-	tx.e.abortReasons.Inc(tx.cause)
 	tx.finish(false)
 }
 
 func (tx *Txn) finish(committed bool) {
 	tx.e.active.Clear(tx.worker)
-	if committed {
-		tx.e.commits.Add(1)
-	} else {
-		tx.e.aborts.Add(1)
-	}
 	// Version-heap GC piggybacks on worker threads (§5.4: no dedicated
 	// recycling threads).
 	if tx.e.cfg.CC.MultiVersion() && committed {
-		tx.pt.To(obs.PhaseHeapWrite)
+		tx.pr.To(obs.PhaseHeapWrite)
 		min := tx.e.active.Min()
 		for _, t := range tx.e.tables {
 			if t.versions != nil {
@@ -465,15 +459,7 @@ func (tx *Txn) finish(committed bool) {
 			}
 		}
 	}
-	tx.pt.Finish()
-	if tx.tr != nil {
-		reason := -1
-		if !committed {
-			reason = int(tx.cause)
-		}
-		tx.tr.TxnEnd(tx.clk.Nanos(), reason)
-		tx.tr = nil
-	}
+	tx.pr.End(committed, tx.cause)
 	tx.done = true
 }
 
@@ -602,6 +588,6 @@ func (tx *Txn) readSlot(t *Table, key, slot uint64, dst []byte) error {
 	}
 	tx.clk.Advance(tx.e.sys.Cost().OpOverhead)
 	tx.tstat(t).Reads++
-	tx.cw.Touch(int(t.id), key)
+	tx.pr.Touch(int(t.id), key)
 	return tx.readResolved(t, key, slot, 0, t.schema.TupleSize(), dst)
 }

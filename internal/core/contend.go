@@ -4,20 +4,20 @@ import (
 	"falcon/internal/cc"
 	"falcon/internal/heap"
 	"falcon/internal/obs"
-	"falcon/internal/obs/contend"
+	"falcon/internal/pmem"
 )
 
 // NewObservatory builds a contention observatory shaped for this engine: one
 // recorder shard per worker, the CC algorithm label, the table catalog, and
 // the flush-attribution address map (each table's heap plus its NVM index
 // regions under the table's name, every thread's log window under "(log)").
-// Arm it with SetContend; its report lands in ObsSnapshot while armed.
-func (e *Engine) NewObservatory() *contend.Observatory {
+// Arm it with Arm; its report lands in ObsSnapshot while armed.
+func (e *Engine) NewObservatory() *obs.Observatory {
 	names := make([]string, len(e.tables))
 	for i, t := range e.tables {
 		names[i] = t.name
 	}
-	o := contend.New(contend.Config{
+	o := obs.NewObservatory(obs.ObservatoryConfig{
 		Workers: e.cfg.Threads,
 		Algo:    e.cfg.CC.String(),
 		Tables:  names,
@@ -38,49 +38,46 @@ func (e *Engine) NewObservatory() *contend.Observatory {
 	return o
 }
 
-// SetContend arms the contention observatory: worker w's conflict events
-// route to o.Worker(w), the WAL windows report flush lines and group-commit
-// waits, and the pmem system reports writeback and eviction traffic. Pass nil
-// to disarm. Must be called while no transactions are in flight (between
-// benchmark phases) — the same quiescence contract as SetTracer.
-func (e *Engine) SetContend(o *contend.Observatory) {
-	e.contendObs = o
-	if o == nil {
-		e.contendW = nil
-		for _, w := range e.windows {
-			w.SetContend(nil)
-		}
-		e.sys.SetContend(nil)
+// Arm routes every worker's probe to its shard of tr and of o (either may be
+// nil) and the memory system's write-backs to the probe of the worker whose
+// clock caused them; Arm(nil, nil) disarms and takes the hook off the memory
+// system again. Must be called while no transaction is in flight (between
+// benchmark phases) — the same quiescence contract as ResetCounters.
+func (e *Engine) Arm(tr *obs.Tracer, o *obs.Observatory) {
+	e.tracer, e.observatory = tr, o
+	workers := e.probes[:e.cfg.Threads]
+	for i := range workers {
+		workers[i].Arm(tr, o, i)
+	}
+	if tr == nil && o == nil {
+		e.sys.SetHook(nil)
 		return
 	}
-	e.contendW = make([]*contend.Worker, e.cfg.Threads)
-	for i := range e.contendW {
-		cw := o.Worker(i)
-		e.contendW[i] = cw
-		e.windows[i].SetContend(cw)
-		if e.tracerW != nil {
-			cw.SetTracer(e.tracerW[i])
+	e.sys.SetHook(func(shard uint64, kind pmem.FlushKind, addr, start, end uint64) {
+		if shard < uint64(len(workers)) {
+			workers[shard].Flush(kind, addr, start, end)
 		}
-	}
-	e.sys.SetContend(o.PmemContend)
+	})
 }
 
-// Contend returns the armed observatory, or nil.
-func (e *Engine) Contend() *contend.Observatory { return e.contendObs }
+// Tracer and Contend return the armed tracer and observatory, or nil.
+func (e *Engine) Tracer() *obs.Tracer       { return e.tracer }
+func (e *Engine) Contend() *obs.Observatory { return e.observatory }
 
-// noteConflict reports one CC conflict to the armed observatory shard. word
-// is the shadow word observed at the failure site; the writer TID it encodes
-// attributes the conflict to the holding worker (a zero TID is the bulk-load
-// stamp — no holder).
+// holderOf names the worker whose TID the shadow word carries, -1 when it
+// carries none (a zero TID is the bulk-load stamp).
+func (e *Engine) holderOf(word uint64) int {
+	if h := cc.HolderTID(e.cfg.CC, word); h != 0 {
+		return cc.TIDWorker(h)
+	}
+	return -1
+}
+
+// noteConflict reports one CC conflict. word is the shadow word observed at
+// the failure site; the writer TID it encodes attributes the conflict to the
+// holding worker.
 func (tx *Txn) noteConflict(t *Table, key, slot, word uint64, kind obs.ConflictKind) {
-	if tx.cw == nil {
-		return
-	}
-	holder := -1
-	if h := cc.HolderTID(tx.e.cfg.CC, word); h != 0 {
-		holder = cc.TIDWorker(h)
-	}
-	tx.cw.Conflict(int(t.id), key, slot, kind, holder, 0, tx.clk.Nanos())
+	tx.pr.Conflict(int(t.id), key, slot, kind, tx.e.holderOf(word), tx.clk.Nanos())
 }
 
 // ccConflict is noteConflict returning ErrConflict, for failure-site returns.

@@ -19,7 +19,7 @@ const contendHotKey = 3
 
 // newContendEngine builds a preloaded kv engine with the contention
 // observatory armed: 256 keys inserted in free-running mode, clocks and
-// counters reset, then SetContend while quiescent.
+// counters reset, then armed while quiescent.
 func newContendEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
 	e := newKVEngine(t, cfg)
@@ -34,7 +34,7 @@ func newContendEngine(t *testing.T, cfg Config) *Engine {
 	}
 	e.ResetClocks()
 	e.ResetCounters()
-	e.SetContend(e.NewObservatory())
+	e.Arm(nil, e.NewObservatory())
 	return e
 }
 
@@ -126,7 +126,7 @@ func TestContendPlantedHotKeyAllCC(t *testing.T) {
 				}
 			}
 			checkHotKeyReport(t, e.Contend().Report())
-			e.SetContend(nil)
+			e.Arm(nil, nil)
 		})
 	}
 }
@@ -160,7 +160,7 @@ func contendGroupReport(t *testing.T, algo cc.Algo, procs int) ([]byte, *obs.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetContend(nil)
+	e.Arm(nil, nil)
 	return b, rep
 }
 
@@ -183,8 +183,9 @@ func TestContendGroupModeDeterministicAllCC(t *testing.T) {
 }
 
 // TestContendDisarmedOverhead gates the nil-pointer degradation cost: an
-// engine that was armed and then disarmed must run within 2% of one that
-// was never armed. Host-time measurement, so it interleaves min-of-N rounds
+// engine whose tracer and observatory were both armed and then disarmed must
+// run within 2% of one that was never armed. Host-time measurement, so it
+// interleaves min-of-N rounds
 // (min damps scheduler noise) and retries before failing.
 func TestContendDisarmedOverhead(t *testing.T) {
 	if testing.Short() {
@@ -202,8 +203,8 @@ func TestContendDisarmedOverhead(t *testing.T) {
 			}
 		}
 		if arm {
-			e.SetContend(e.NewObservatory())
-			e.SetContend(nil) // the disarmed state under test
+			e.Arm(obs.NewTracer(e.Config().Threads, obs.TraceOptions{}), e.NewObservatory())
+			e.Arm(nil, nil) // the disarmed state under test
 		}
 		return e
 	}
@@ -242,5 +243,5 @@ func TestContendDisarmedOverhead(t *testing.T) {
 			worst = ratio
 		}
 	}
-	t.Errorf("disarmed observatory costs %.1f%% over never-armed (gate: 2%%)", (worst-1)*100)
+	t.Errorf("disarmed instrumentation costs %.1f%% over never-armed (gate: 2%%)", (worst-1)*100)
 }

@@ -346,7 +346,7 @@ func (tx *Txn) submit() error {
 // worker) order. See the package comment at the top of this file.
 func (e *Engine) detReplay(atts []*sim.Attempt) {
 	d := e.det
-	e.contendObs.BarrierTick()
+	e.observatory.BarrierTick()
 	for k := range d.wrote {
 		delete(d.wrote, k)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"falcon/internal/alloc"
 	"falcon/internal/cc"
@@ -11,7 +10,6 @@ import (
 	"falcon/internal/index"
 	"falcon/internal/layout"
 	"falcon/internal/obs"
-	"falcon/internal/obs/contend"
 	"falcon/internal/pmem"
 	"falcon/internal/sim"
 	"falcon/internal/version"
@@ -63,31 +61,20 @@ type Engine struct {
 	clocks  []*sim.Clock
 	scratch []workerScratch
 
-	commits atomic.Uint64
-	aborts  atomic.Uint64
-
-	// phases holds the per-worker commit-path phase accumulators (same
-	// single-owner contract as clocks); abortReasons is the cross-worker
-	// abort taxonomy; reg is the unified stats registry over all of it.
-	phases       []obs.PhaseSet
-	abortReasons obs.AbortCounts
-	reg          *obs.Registry
+	// probes holds one probe per worker (same single-owner contract as
+	// clocks) — phase accounting, commit / abort / abort-reason counts, and
+	// the seam every instrumented site reports to — and, last, the one
+	// Recover ran under, which ResetCounters leaves alone; reg is the unified
+	// stats registry over all of it.
+	probes []obs.Probe
+	reg    *obs.Registry
 	// tstats holds per-worker × per-table activity counters (single-owner
 	// rows, summed by the "tables" collector at snapshot time).
 	tstats [][]paddedTableStats
-	// tracer/tracerW arm transaction-level trace capture (SetTracer). Both
-	// are nil in the common unarmed case, so the commit path pays only
-	// nil pointer tests.
-	tracer  *obs.Tracer
-	tracerW []*obs.WorkerTracer
-	// contendObs/contendW arm the contention & flush-amplification
-	// observatory (SetContend). Both are nil in the common unarmed case, so
-	// the instrumented sites pay only nil pointer tests.
-	contendObs *contend.Observatory
-	contendW   []*contend.Worker
-	// recPhases holds the recovery-path phase accounting when this engine
-	// was produced by Recover (nil for freshly created engines).
-	recPhases *obs.PhaseSet
+	// tracer and observatory are what Arm last routed the probes to (nil
+	// while disarmed).
+	tracer      *obs.Tracer
+	observatory *obs.Observatory
 	// validateHits makes index lookups verify the tuple's key column and
 	// treat mismatches as misses. Recover enables it for NVM-index engines
 	// restarted under ADR: index mutations travel through the volatile
@@ -173,6 +160,7 @@ func New(sys *pmem.System, cfg Config, specs []TableSpec) (*Engine, error) {
 		byName: make(map[string]*Table, len(specs)),
 		active: cc.NewActiveSet(cfg.Threads),
 		resv:   newReservations(sys.Cost()),
+		probes: make([]obs.Probe, cfg.Threads+1),
 	}
 	var err error
 	e.arena, err = NewEngineArena(sys)
@@ -202,7 +190,7 @@ func New(sys *pmem.System, cfg Config, specs []TableSpec) (*Engine, error) {
 	e.nvm.BulkWrite(e.epochBase, zero[:])
 	e.windows = make([]*wal.Window, cfg.Threads)
 	for t := 0; t < cfg.Threads; t++ {
-		e.windows[t] = wal.NewWindow(e.nvm, e.windowBase+uint64(t)*winBytes, cfg.Window)
+		e.windows[t] = wal.NewWindow(e.nvm, e.windowBase+uint64(t)*winBytes, cfg.Window).Attach(&e.probes[t])
 		e.nvm.BulkWrite(e.markerBase+64*uint64(t), zero[:])
 	}
 	e.initGroupCommit()
@@ -246,7 +234,6 @@ func (e *Engine) initWorkers() {
 	e.clocks = make([]*sim.Clock, e.cfg.Threads)
 	e.hot = make([]*hotSet, e.cfg.Threads)
 	e.scratch = make([]workerScratch, e.cfg.Threads)
-	e.phases = make([]obs.PhaseSet, e.cfg.Threads)
 	e.tstats = make([][]paddedTableStats, e.cfg.Threads)
 	for i := range e.clocks {
 		// Worker clocks carry the worker id as a shard hint so the pmem
@@ -264,14 +251,8 @@ func (e *Engine) initWorkers() {
 func (e *Engine) initObs() {
 	e.reg = obs.NewRegistry()
 	e.reg.Register("engine", func(s *obs.Snapshot) {
-		s.Commits += e.commits.Load()
-		s.Aborts += e.aborts.Load()
-		for i := range e.phases {
-			e.phases[i].AddTo(&s.PhaseNanos)
-		}
-		reasons := e.abortReasons.Snapshot()
-		for i, n := range reasons {
-			s.AbortCounts[i] += n
+		for i := range e.probes {
+			e.probes[i].AddTo(s)
 		}
 	})
 	e.reg.Register("wal", func(s *obs.Snapshot) {
@@ -292,14 +273,9 @@ func (e *Engine) initObs() {
 	e.reg.Register("pmem", func(s *obs.Snapshot) {
 		s.Mem = e.sys.Dev.Stats().Snapshot()
 	})
-	e.reg.Register("recovery", func(s *obs.Snapshot) {
-		if e.recPhases != nil {
-			e.recPhases.AddTo(&s.PhaseNanos)
-		}
-	})
 	e.reg.Register("contend", func(s *obs.Snapshot) {
-		if e.contendObs != nil {
-			s.Contend = e.contendObs.Report()
+		if e.observatory != nil {
+			s.Contend = e.observatory.Report()
 		}
 	})
 	e.reg.Register("tables", func(s *obs.Snapshot) {
@@ -343,41 +319,6 @@ func (e *Engine) addTable(t *Table) {
 		e.tstats[w] = append(e.tstats[w], paddedTableStats{})
 	}
 }
-
-// SetTracer arms transaction-level trace capture on the engine: worker w's
-// trace events route to tr.Worker(w), the WAL windows report slot claims,
-// and the pmem system reports XPBuffer evictions. Pass nil to disarm. Must
-// be called while no transactions are in flight (between benchmark phases) —
-// the same quiescence contract as ResetCounters.
-func (e *Engine) SetTracer(tr *obs.Tracer) {
-	e.tracer = tr
-	if tr == nil {
-		e.tracerW = nil
-		for _, w := range e.windows {
-			w.SetTrace(nil)
-		}
-		for _, cw := range e.contendW {
-			cw.SetTracer(nil)
-		}
-		e.sys.SetTrace(nil)
-		return
-	}
-	e.tracerW = make([]*obs.WorkerTracer, e.cfg.Threads)
-	for i := range e.tracerW {
-		e.tracerW[i] = tr.Worker(i)
-	}
-	for i, w := range e.windows {
-		w.SetTrace(tr.Worker(i))
-		// The observatory's exemplar capture rides on the worker tracers.
-		if e.contendW != nil {
-			e.contendW[i].SetTracer(e.tracerW[i])
-		}
-	}
-	e.sys.SetTrace(tr.PmemTrace)
-}
-
-// Tracer returns the armed tracer, or nil.
-func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // LogWindowRange returns the NVM address range [base, base+size) holding all
 // threads' log windows — the region fault plans target for corruption
@@ -541,10 +482,18 @@ func (e *Engine) ResetClocks() {
 }
 
 // Commits returns the number of committed transactions.
-func (e *Engine) Commits() uint64 { return e.commits.Load() }
+func (e *Engine) Commits() uint64 { return e.outcomes().Commits }
 
 // Aborts returns the number of aborted transaction attempts.
-func (e *Engine) Aborts() uint64 { return e.aborts.Load() }
+func (e *Engine) Aborts() uint64 { return e.outcomes().Aborts }
+
+// outcomes sums the probes' counts, which may be read while workers run.
+func (e *Engine) outcomes() (s obs.Snapshot) {
+	for i := range e.probes {
+		e.probes[i].AddCounts(&s)
+	}
+	return s
+}
 
 // ResetCounters zeroes every engine-owned observability counter: commits,
 // aborts, the abort-reason taxonomy, the per-worker phase accumulators, the
@@ -560,11 +509,8 @@ func (e *Engine) Aborts() uint64 { return e.aborts.Load() }
 // point-in-time copies via pmem.Snapshot.Sub (see bench.Run and
 // obs.Snapshot.Sub).
 func (e *Engine) ResetCounters() {
-	e.commits.Store(0)
-	e.aborts.Store(0)
-	e.abortReasons.Reset()
-	for i := range e.phases {
-		e.phases[i].Reset()
+	for i := range e.probes[:e.cfg.Threads] {
+		e.probes[i].Reset()
 	}
 	for _, w := range e.windows {
 		w.ResetStats()
@@ -592,7 +538,7 @@ func (e *Engine) ObsSnapshot() obs.Snapshot { return e.reg.Snapshot() }
 
 // AbortReasons returns the per-reason abort counters; they sum to Aborts().
 func (e *Engine) AbortReasons() [obs.NumAbortReasons]uint64 {
-	return e.abortReasons.Snapshot()
+	return e.outcomes().AbortCounts
 }
 
 // MinActive returns the oldest running TID (MaxUint64 when idle); exported

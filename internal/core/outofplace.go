@@ -64,7 +64,7 @@ func (tx *Txn) commitOutOfPlace() error {
 	}
 
 	// Phase 1: materialize new versions / durable delete records.
-	tx.pt.To(obs.PhaseHeapWrite)
+	tx.pr.To(obs.PhaseHeapWrite)
 	for gi := range groups {
 		g := &groups[gi]
 		size := g.t.schema.TupleSize()
@@ -91,7 +91,7 @@ func (tx *Txn) commitOutOfPlace() error {
 		}
 		for _, w := range g.ops {
 			copy(scratch[w.off:w.off+w.n], w.data)
-			tx.cw.LogicalBytes(uint64(g.t.id), uint64(w.n))
+			tx.pr.LogicalBytes(uint64(g.t.id), uint64(w.n))
 		}
 		if g.t.secondary != nil {
 			g.newSec = g.t.schema.GetUint64(scratch, g.t.secondaryCol)
@@ -120,19 +120,19 @@ func (tx *Txn) commitOutOfPlace() error {
 		ins := &tx.inserts[i]
 		size := ins.t.schema.TupleSize()
 		tx.tstat(ins.t).Writes++
-		tx.cw.LogicalBytes(uint64(ins.t.id), uint64(size))
+		tx.pr.LogicalBytes(uint64(ins.t.id), uint64(size))
 		tx.publishTuple(ins.t, ins.slot, ins.data)
 		tx.persist(ins.t, ins.slot, 0, size)
 	}
 
 	// Phase 2: the commit marker — the out-of-place engines' durable point,
 	// accounted as log work (it plays the commit record's role).
-	tx.pt.To(obs.PhaseLogAppend)
+	tx.pr.To(obs.PhaseLogAppend)
 	e.nvm.SFence(tx.clk)
 	tx.writeMarker()
 
 	// Phase 3: index repointing, version chains, invalidation.
-	tx.pt.To(obs.PhaseIndexUpdate)
+	tx.pr.To(obs.PhaseIndexUpdate)
 	for gi := range groups {
 		g := &groups[gi]
 		if g.del {
@@ -141,18 +141,18 @@ func (tx *Txn) commitOutOfPlace() error {
 				g.t.secondary.Delete(tx.clk, g.oldSec)
 			}
 			e.tcInvalidate(tx.clk, g.t.id, g.key)
-			tx.pt.To(obs.PhaseHeapWrite)
+			tx.pr.To(obs.PhaseHeapWrite)
 			g.t.heap.Link(tx.clk, g.oldSlot, e.gen.Next(tx.worker))
-			tx.pt.To(obs.PhaseIndexUpdate)
+			tx.pr.To(obs.PhaseIndexUpdate)
 			continue
 		}
 		lock, _ := g.t.heap.Meta(g.oldSlot)
 		beginTS := e.wtsOf(lock.Load())
 		tx.stampWord(g.t, g.newSlot)
 		if g.t.versions != nil {
-			tx.pt.To(obs.PhaseHeapWrite)
+			tx.pr.To(obs.PhaseHeapWrite)
 			g.t.versions.PublishRef(tx.clk, tx.worker, g.newSlot, beginTS, tx.tid, g.oldSlot)
-			tx.pt.To(obs.PhaseIndexUpdate)
+			tx.pr.To(obs.PhaseIndexUpdate)
 			tx.tstat(g.t).Versions++
 		}
 		if g.t.secondary != nil {
@@ -171,9 +171,9 @@ func (tx *Txn) commitOutOfPlace() error {
 			}
 		}
 		g.t.primary.Update(tx.clk, g.key, g.newSlot)
-		tx.pt.To(obs.PhaseHeapWrite)
+		tx.pr.To(obs.PhaseHeapWrite)
 		g.t.heap.Retire(tx.clk, g.oldSlot, tx.tid, e.gen.Next(tx.worker), true)
-		tx.pt.To(obs.PhaseIndexUpdate)
+		tx.pr.To(obs.PhaseIndexUpdate)
 	}
 	for i := range tx.inserts {
 		ins := &tx.inserts[i]

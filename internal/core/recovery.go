@@ -68,12 +68,12 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 	rep := &RecoveryReport{}
 
 	// Recovery reports its virtual time through the same phase machinery as
-	// the commit path; the set is registered under "recovery" by initObs so
-	// `falcon recovery -stats` shows the restart breakdown.
-	ps := &obs.PhaseSet{}
-	var pt obs.PhaseTimer
-	pt.Start(ps, clk)
-	pt.To(obs.PhaseRecCatalog)
+	// the commit path: a probe of its own, the engine's last, so `falcon
+	// recovery -stats` shows the restart breakdown.
+	probes := make([]obs.Probe, cfg.Threads+1)
+	pr := &probes[cfg.Threads]
+	pr.Start(clk)
+	pr.To(obs.PhaseRecCatalog)
 
 	img, err := readCatalog(sys.Space, clk)
 	if err != nil {
@@ -93,6 +93,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 		byName: make(map[string]*Table, len(img.tables)),
 		active: cc.NewActiveSet(cfg.Threads),
 		resv:   newReservations(sys.Cost()),
+		probes: probes,
 	}
 	e.arena, err = alloc.OpenArena(sys.Space, clk, 0)
 	if err != nil {
@@ -144,7 +145,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 
 	// Index recovery step 1: NVM indexes reattach structurally ("instant
 	// recovery"); DRAM indexes must be recreated and are filled below.
-	pt.To(obs.PhaseRecIndex)
+	pr.To(obs.PhaseRecIndex)
 	mark := clk.Nanos()
 	for _, t := range e.tables {
 		if cfg.Index == IndexNVM {
@@ -179,7 +180,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 		// NVM-index fixups; for DRAM indexes skip fixups and rebuild after.
 		rep.IndexNanos = clk.Nanos() - mark
 
-		pt.To(obs.PhaseRecReplay)
+		pr.To(obs.PhaseRecReplay)
 		mark = clk.Nanos()
 		// Published-record gate: under persistent cache the publish point is
 		// physically durable, so every published record replays; under ADR
@@ -196,7 +197,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 		rep.ReplayNanos = clk.Nanos() - mark
 
 		if cfg.Index == IndexDRAM {
-			pt.To(obs.PhaseRecHeapScan)
+			pr.To(obs.PhaseRecHeapScan)
 			mark = clk.Nanos()
 			e.rebuildDRAMIndexes(clk, rep)
 			rep.IndexNanos += clk.Nanos() - mark
@@ -207,7 +208,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 		// deletes, and (re)build the index over the newest committed
 		// version of every key — one full heap scan, proportional to heap
 		// size (§6.5: ZenS's 9.4 s vs Falcon's milliseconds).
-		pt.To(obs.PhaseRecHeapScan)
+		pr.To(obs.PhaseRecHeapScan)
 		m, err2 := e.recoverOutOfPlace(clk, rep)
 		if err2 != nil {
 			return nil, nil, err2
@@ -217,7 +218,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 	}
 
 	// Restore the TID clock past everything ever issued.
-	pt.To(obs.PhaseRecCatalog) // epoch bookkeeping: TID clock, fresh windows
+	pr.To(obs.PhaseRecCatalog) // epoch bookkeeping: TID clock, fresh windows
 	winBytes := wal.BytesNeeded(e.cfg.Window)
 	for t := 0; t < cfg.Threads; t++ {
 		if w := wal.MaxTID(e.nvm, clk, e.windowBase+uint64(t)*winBytes, e.cfg.Window); w > maxTID {
@@ -232,7 +233,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 	// Fresh windows for the new epoch.
 	e.windows = make([]*wal.Window, cfg.Threads)
 	for t := 0; t < cfg.Threads; t++ {
-		e.windows[t] = wal.OpenWindow(e.nvm, e.windowBase+uint64(t)*winBytes, e.cfg.Window)
+		e.windows[t] = wal.OpenWindow(e.nvm, e.windowBase+uint64(t)*winBytes, e.cfg.Window).Attach(&e.probes[t])
 		e.windows[t].Reset(clk)
 	}
 	// Virtual clocks restart at zero, so durability epochs restart at 1; a
@@ -242,8 +243,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 	e.nvm.SFence(clk)
 	e.initGroupCommit()
 
-	pt.Finish()
-	e.recPhases = ps
+	pr.Finish()
 	rep.TotalNanos = clk.Nanos()
 	rep.Wall = time.Since(start)
 	return e, rep, nil

@@ -24,7 +24,7 @@ func TestEngineTracingProducesEvents(t *testing.T) {
 	}
 
 	tr := obs.NewTracer(e.Config().Threads, obs.TraceOptions{Sample: 1})
-	e.SetTracer(tr)
+	e.Arm(tr, nil)
 	var v [8]byte
 	for k := uint64(1); k <= 50; k++ {
 		if err := e.Run(0, func(tx *Txn) error {
@@ -42,7 +42,7 @@ func TestEngineTracingProducesEvents(t *testing.T) {
 	if !errors.Is(err, ErrRollback) {
 		t.Fatalf("rollback txn returned %v", err)
 	}
-	e.SetTracer(nil)
+	e.Arm(nil, nil)
 
 	d := tr.Dump()
 	var kinds [obs.NumEventKinds]int

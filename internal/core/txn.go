@@ -8,7 +8,6 @@ import (
 	"falcon/internal/cc"
 	"falcon/internal/heap"
 	"falcon/internal/obs"
-	"falcon/internal/obs/contend"
 	"falcon/internal/sim"
 	"falcon/internal/wal"
 )
@@ -48,18 +47,12 @@ type Txn struct {
 
 	log *wal.TxnLog // in-place engines: the write set lives in the window
 
-	// pt attributes this transaction's virtual time to commit-path phases;
-	// cause records the abort reason determined at the failure site (see
-	// setAbortCause), consumed by Abort.
-	pt       obs.PhaseTimer
+	// pr is this worker's probe: phase switches, conflicts and the outcome
+	// are reported to it, once each. cause records the abort reason
+	// determined at the failure site (see setAbortCause), consumed by Abort.
+	pr       *obs.Probe
 	cause    obs.AbortReason
 	causeSet bool
-	// tr is this worker's trace sink while the engine's tracer is armed
-	// (nil otherwise — the instrumented sites pay one pointer test).
-	tr *obs.WorkerTracer
-	// cw is this worker's contention-observatory shard while armed (nil
-	// otherwise — same one-pointer-test discipline as tr).
-	cw *contend.Worker
 	// dt is the deterministic group-mode state (nil in free-running mode —
 	// the instrumented sites pay one pointer test). See det.go.
 	dt *detTxn
@@ -181,33 +174,25 @@ func (e *Engine) begin(worker int, ro bool) *Txn {
 		tid = e.gen.Next(worker)
 	}
 	e.active.Set(worker, tid)
-	tx := &Txn{e: e, worker: worker, tid: tid, clk: clk, ro: ro}
+	tx := &Txn{e: e, worker: worker, tid: tid, clk: clk, ro: ro, pr: &e.probes[worker]}
 	if e.det != nil {
 		tx.dt = &detTxn{ov: make(map[detSlot]*ovEntry, 8)}
 	}
-	// Start the phase timer before charging the begin overhead so the phases
+	// Open the probe before charging the begin overhead so the phases
 	// partition every transactional nanosecond (the overhead lands in exec).
-	tx.pt.Start(&e.phases[worker], clk)
-	if e.tracerW != nil {
-		tx.tr = e.tracerW[worker]
-		tx.tr.TxnBegin(tid, clk.Nanos())
-		tx.pt.AttachTrace(tx.tr)
-	}
-	if e.contendW != nil {
-		tx.cw = e.contendW[worker]
-	}
+	tx.pr.Begin(tid, clk)
 	clk.Advance(e.sys.Cost().TxnOverhead)
 	if e.cfg.Update == InPlace && !ro {
 		if e.board != nil {
 			// Group-commit backpressure: the next slot's record may belong
 			// to an epoch that has not reached its durable point; wait out
 			// the bounded epoch timeout before overwriting it.
-			tx.pt.To(obs.PhaseGroupWait)
+			tx.pr.To(obs.PhaseGroupWait)
 			e.windows[worker].GroupWait(clk)
 		}
-		tx.pt.To(obs.PhaseLogAppend)
+		tx.pr.To(obs.PhaseLogAppend)
 		tx.log = e.windows[worker].Begin(clk, tid)
-		tx.pt.To(obs.PhaseExec)
+		tx.pr.To(obs.PhaseExec)
 	}
 	return tx
 }
@@ -271,7 +256,7 @@ func (tx *Txn) read(t *Table, key uint64, off, n int, dst []byte) error {
 	}
 	tx.clk.Advance(tx.e.sys.Cost().OpOverhead)
 	tx.tstat(t).Reads++
-	tx.cw.Touch(int(t.id), key)
+	tx.pr.Touch(int(t.id), key)
 
 	// Read-your-own-insert.
 	if ins := tx.findInsert(t, key); ins != nil {
@@ -436,34 +421,18 @@ func (tx *Txn) readPayload(t *Table, key uint64, slot uint64, off, n int, dst []
 // finish (its chain only covers older intervals), so the loop spins briefly
 // in that case — writers hold tuples only across the short apply phase.
 func (tx *Txn) snapshotReadSlot(t *Table, key, slot uint64, off, n int, dst []byte) error {
-	if tx.tr == nil && tx.cw == nil {
-		return tx.snapshotReadSlotSpin(t, slot, off, n, dst, nil)
-	}
-	// Traced or observed: if the read had to spin behind a mid-apply writer,
-	// record the stall as a lock-wait span / spin-wait conflict (start
-	// approximates the first probe).
-	var spins uint64
 	start := tx.clk.Nanos()
-	err := tx.snapshotReadSlotSpin(t, slot, off, n, dst, &spins)
+	spins, err := tx.snapshotReadSlotSpin(t, slot, off, n, dst)
 	if spins > 0 {
-		now := tx.clk.Nanos()
-		if tx.tr != nil {
-			tx.tr.Span(obs.EvLockWait, start, now, slot, spins)
-		}
-		if tx.cw != nil {
-			// The word now carries the writer we waited behind.
-			lock, _ := t.heap.Meta(slot)
-			holder := -1
-			if h := cc.HolderTID(tx.e.cfg.CC, lock.Load()); h != 0 {
-				holder = cc.TIDWorker(h)
-			}
-			tx.cw.Conflict(int(t.id), key, slot, obs.ConflictSpinWait, holder, now-start, now)
-		}
+		// The read spun behind a mid-apply writer (start approximates the
+		// first probe); the word now carries the writer it waited behind.
+		lock, _ := t.heap.Meta(slot)
+		tx.pr.SpinWait(int(t.id), key, slot, tx.e.holderOf(lock.Load()), start, tx.clk.Nanos(), spins)
 	}
 	return err
 }
 
-func (tx *Txn) snapshotReadSlotSpin(t *Table, slot uint64, off, n int, dst []byte, spins *uint64) error {
+func (tx *Txn) snapshotReadSlotSpin(t *Table, slot uint64, off, n int, dst []byte) (spins uint64, err error) {
 	lock, _ := t.heap.Meta(slot)
 	for {
 		word := lock.Load()
@@ -473,10 +442,10 @@ func (tx *Txn) snapshotReadSlotSpin(t *Table, slot uint64, off, n int, dst []byt
 			if lock.Load() == word {
 				if flags&heap.FlagDeleted != 0 {
 					// Deleted at or before our snapshot.
-					return ErrNotFound
+					return spins, ErrNotFound
 				}
 				if flags&heap.FlagInvalidated == 0 {
-					return nil
+					return spins, nil
 				}
 				// Superseded out-of-place version: consult the chain.
 			} else {
@@ -489,7 +458,7 @@ func (tx *Txn) snapshotReadSlotSpin(t *Table, slot uint64, off, n int, dst []byt
 			} else {
 				copy(dst[:n], v.Data[off:off+n])
 			}
-			return nil
+			return spins, nil
 		}
 		// No version for us in the chain. What that means can be told only
 		// from the word the chain was read under: a writer that was mid-apply
@@ -501,21 +470,19 @@ func (tx *Txn) snapshotReadSlotSpin(t *Table, slot uint64, off, n int, dst []byt
 			if flags&heap.FlagInvalidated != 0 {
 				// Stale out-of-place version whose chain migrated to its
 				// successor; re-resolve through the index.
-				return ErrConflict
+				return spins, ErrConflict
 			}
 			if flags&heap.FlagDeleted != 0 {
-				return ErrNotFound
+				return spins, ErrNotFound
 			}
 			if tx.e.wtsOf(word) > tx.tid {
 				// Genuinely created after our snapshot.
-				return ErrNotFound
+				return spins, ErrNotFound
 			}
 		}
 		// A writer newer than every chained version but older than our
 		// snapshot is mid-apply; wait for it.
-		if spins != nil {
-			*spins++
-		}
+		spins++
 		runtime.Gosched()
 	}
 }
@@ -533,7 +500,7 @@ func (tx *Txn) Update(t *Table, key uint64, off int, data []byte) error {
 		return ErrReadOnly
 	}
 
-	tx.cw.Touch(int(t.id), key)
+	tx.pr.Touch(int(t.id), key)
 	if ins := tx.findInsert(t, key); ins != nil {
 		return tx.updatePendingInsert(ins, off, data)
 	}
@@ -562,7 +529,7 @@ func (tx *Txn) Delete(t *Table, key uint64) error {
 	if tx.ro {
 		return ErrReadOnly
 	}
-	tx.cw.Touch(int(t.id), key)
+	tx.pr.Touch(int(t.id), key)
 	slot, ok := tx.resolve(t, key)
 	if !ok {
 		return ErrNotFound
@@ -588,7 +555,7 @@ func (tx *Txn) Insert(t *Table, key uint64, payload []byte) error {
 	if tx.ro {
 		return ErrReadOnly
 	}
-	tx.cw.Touch(int(t.id), key)
+	tx.pr.Touch(int(t.id), key)
 	if tx.findInsert(t, key) != nil {
 		return ErrDuplicateKey
 	}
@@ -627,9 +594,9 @@ func (tx *Txn) Insert(t *Table, key uint64, payload []byte) error {
 // writeIntent acquires the algorithm-specific right to write slot,
 // attributing the acquisition to the CC phase.
 func (tx *Txn) writeIntent(t *Table, key, slot uint64) error {
-	prev := tx.pt.To(obs.PhaseCC)
+	prev := tx.pr.To(obs.PhaseCC)
 	err := tx.writeIntentCC(t, key, slot)
-	tx.pt.To(prev)
+	tx.pr.To(prev)
 	return err
 }
 
@@ -723,23 +690,23 @@ func (tx *Txn) updatePendingInsert(ins *insertOp, off int, data []byte) error {
 // returning to the caller's phase.
 
 func (tx *Txn) logAppendUpdate(t *Table, slot, key uint64, off int, data []byte) int {
-	prev := tx.pt.To(obs.PhaseLogAppend)
+	prev := tx.pr.To(obs.PhaseLogAppend)
 	pos := tx.log.AppendUpdate(tx.clk, t.id, slot, key, off, data)
-	tx.pt.To(prev)
+	tx.pr.To(prev)
 	return pos
 }
 
 func (tx *Txn) logAppendInsert(t *Table, slot, key uint64, payload []byte) int {
-	prev := tx.pt.To(obs.PhaseLogAppend)
+	prev := tx.pr.To(obs.PhaseLogAppend)
 	pos := tx.log.AppendInsert(tx.clk, t.id, slot, key, payload[:t.schema.TupleSize()])
-	tx.pt.To(prev)
+	tx.pr.To(prev)
 	return pos
 }
 
 func (tx *Txn) logAppendDelete(t *Table, slot, key uint64) int {
-	prev := tx.pt.To(obs.PhaseLogAppend)
+	prev := tx.pr.To(obs.PhaseLogAppend)
 	pos := tx.log.AppendDelete(tx.clk, t.id, slot, key)
-	tx.pt.To(prev)
+	tx.pr.To(prev)
 	return pos
 }
 

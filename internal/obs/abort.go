@@ -1,7 +1,5 @@
 package obs
 
-import "sync/atomic"
-
 // AbortReason classifies why a transaction attempt aborted. Every abort is
 // attributed to exactly one reason, so the per-reason counters sum to the
 // engine's total abort count.
@@ -45,43 +43,4 @@ func (r AbortReason) String() string {
 		return AbortReasonNames[r]
 	}
 	return "unknown"
-}
-
-// AbortCounts tallies aborts by reason. Unlike the single-owner phase
-// accumulators, aborts from all workers land here, so the counters are
-// atomic and safe to read at any time.
-type AbortCounts struct {
-	counts [NumAbortReasons]atomic.Uint64
-}
-
-// Inc records one abort for reason r (out-of-range reasons count as Other).
-func (a *AbortCounts) Inc(r AbortReason) {
-	if int(r) >= NumAbortReasons {
-		r = AbortOther
-	}
-	a.counts[r].Add(1)
-}
-
-// Snapshot copies the per-reason counters.
-func (a *AbortCounts) Snapshot() (out [NumAbortReasons]uint64) {
-	for i := range a.counts {
-		out[i] = a.counts[i].Load()
-	}
-	return out
-}
-
-// Total returns the sum over all reasons.
-func (a *AbortCounts) Total() uint64 {
-	var sum uint64
-	for i := range a.counts {
-		sum += a.counts[i].Load()
-	}
-	return sum
-}
-
-// Reset zeroes all reason counters.
-func (a *AbortCounts) Reset() {
-	for i := range a.counts {
-		a.counts[i].Store(0)
-	}
 }

@@ -1,20 +1,9 @@
-// Package contend is the contention & flush-amplification observatory: a
-// sharded, allocation-free event layer the concurrency-control paths, the
-// WAL, and the simulated memory system report into while armed.
-//
-// Like every accumulator in this codebase the recorder follows the
-// single-owner discipline: one Worker per worker goroutine, written only by
-// its owner, merged into a canonical report while the workers are quiescent.
-// In deterministic group mode every recorded quantity derives from
-// virtual-time state, so the merged report is byte-identical across host
-// schedules and GOMAXPROCS settings.
-package contend
+package obs
 
 import (
 	"math/bits"
 	"sort"
 
-	"falcon/internal/obs"
 	"falcon/internal/pmem"
 )
 
@@ -30,8 +19,8 @@ const (
 	heatMask = 1<<heatBits - 1
 )
 
-// Config describes the engine the observatory attaches to.
-type Config struct {
+// ObservatoryConfig describes the engine an observatory attaches to.
+type ObservatoryConfig struct {
 	// Workers is the worker-goroutine count (one recorder shard each).
 	Workers int
 	// Algo names the CC algorithm, repeated on every attribution row.
@@ -48,28 +37,32 @@ type rangeEntry struct {
 	cell   int
 }
 
-// Observatory owns the per-worker recorders and the address-range map that
-// attributes flush traffic to tables. Construction and AddRange happen
-// before arming; after that the struct is immutable except through the
-// single-owner Worker shards and the barrier-serialized round counter.
+// Observatory is the contention & flush-amplification recorder: one shard
+// per worker, written only by that worker's Probe and merged into a canonical
+// report while the workers are quiescent, plus the address-range map that
+// attributes flush traffic to tables. In deterministic group mode every
+// recorded quantity derives from virtual-time state, so the merged report is
+// byte-identical across host schedules and GOMAXPROCS settings. Construction
+// and AddRange happen before arming; after that the struct is immutable except
+// through the shards and the barrier-serialized round counter.
 type Observatory struct {
-	cfg     Config
+	cfg     ObservatoryConfig
 	ranges  []rangeEntry
 	cells   []string // flush-amp cell names, in registration order
-	workers []Worker
+	workers []contendShard
 	// rounds counts deterministic group-scheduler replay barriers. The
 	// barrier body is mutually exclusive and ordered (the same contract that
 	// lets applyWriteSet run there), so a plain counter suffices.
 	rounds uint64
 }
 
-// New builds an observatory for cfg. Worker counts below 1 are clamped so
-// anonymous (setup/recovery) clocks always have a shard to land on.
-func New(cfg Config) *Observatory {
+// NewObservatory builds an observatory for cfg; a worker count below 1 is
+// taken as 1.
+func NewObservatory(cfg ObservatoryConfig) *Observatory {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	o := &Observatory{cfg: cfg, workers: make([]Worker, cfg.Workers)}
+	o := &Observatory{cfg: cfg, workers: make([]contendShard, cfg.Workers)}
 	for i := range o.workers {
 		w := &o.workers[i]
 		w.o = o
@@ -77,8 +70,8 @@ func New(cfg Config) *Observatory {
 		w.conflicts = make([][]uint64, len(cfg.Tables))
 		w.waits = make([][]uint64, len(cfg.Tables))
 		for t := range cfg.Tables {
-			w.conflicts[t] = make([]uint64, obs.NumPopBuckets*obs.NumConflictKinds)
-			w.waits[t] = make([]uint64, obs.NumPopBuckets*obs.NumConflictKinds)
+			w.conflicts[t] = make([]uint64, NumPopBuckets*NumConflictKinds)
+			w.waits[t] = make([]uint64, NumPopBuckets*NumConflictKinds)
 		}
 		w.pop = make([]uint32, 1<<popSketchBits)
 		w.lockHeat = make([]uint64, 1<<heatBits)
@@ -109,15 +102,15 @@ func (o *Observatory) AddRange(name string, lo, hi uint64) {
 		cell = len(o.cells)
 		o.cells = append(o.cells, name)
 		for i := range o.workers {
-			o.workers[i].flush = append(o.workers[i].flush, [5]uint64{})
+			o.workers[i].writebacks = append(o.workers[i].writebacks, [5]uint64{})
 		}
 	}
 	o.ranges = append(o.ranges, rangeEntry{lo: lo, hi: hi, cell: cell})
 }
 
-// Worker returns shard i's recorder (nil when out of range, mirroring
-// Tracer.Worker so callers arm exactly the workers they have).
-func (o *Observatory) Worker(i int) *Worker {
+// shard returns worker i's shard (nil when o is, or i is out of range,
+// mirroring Tracer.Worker).
+func (o *Observatory) shard(i int) *contendShard {
 	if o == nil || i < 0 || i >= len(o.workers) {
 		return nil
 	}
@@ -129,29 +122,6 @@ func (o *Observatory) Worker(i int) *Worker {
 func (o *Observatory) BarrierTick() {
 	if o != nil {
 		o.rounds++
-	}
-}
-
-// PmemContend matches pmem.ContendFn: it routes the flush event to the
-// causing clock's shard, attributes the address to a registered range, and
-// feeds the flush heat ring and the XPBuffer set-contention counters.
-func (o *Observatory) PmemContend(shard uint64, kind pmem.ContendKind, addr uint64) {
-	if o == nil {
-		return
-	}
-	if shard >= uint64(len(o.workers)) {
-		shard = 0
-	}
-	w := &o.workers[shard]
-	for _, r := range o.ranges {
-		if addr >= r.lo && addr < r.hi {
-			w.flush[r.cell][kind]++
-			break
-		}
-	}
-	w.flushHeat[mixAddr(addr/pmem.LineSize)&heatMask]++
-	if (kind == pmem.ContendXPEvictFull || kind == pmem.ContendXPEvictPartial) && len(w.bankEv) > 0 {
-		w.bankEv[(addr/pmem.BlockSize)%uint64(len(w.bankEv))]++
 	}
 }
 
@@ -167,17 +137,15 @@ type waitEdge struct {
 // exEntry is the slowest-transaction exemplar for one attribution bucket.
 type exEntry struct {
 	dur uint64
-	ex  obs.Exemplar
+	ex  Exemplar
 }
 
-// Worker is one shard of the observatory. All methods are nil-receiver safe
-// and allocation-free on the counting paths; only exemplar admission (rare,
-// tracer-armed only) copies span stacks.
-type Worker struct {
+// contendShard is one worker's shard of the observatory. The counting paths
+// allocate nothing; only exemplar admission (rare, tracer-armed only) copies
+// span stacks.
+type contendShard struct {
 	o  *Observatory
 	id int
-	// tr, when set, provides mid-transaction exemplar capture.
-	tr *obs.WorkerTracer
 	// conflicts/waits are dense counters indexed [table][pop*K+kind].
 	conflicts [][]uint64
 	waits     [][]uint64
@@ -187,10 +155,10 @@ type Worker struct {
 	lockHeat, verHeat, flushHeat []uint64
 	// edges[h] accumulates conflicts this worker suffered against holder h.
 	edges []waitEdge
-	// flush[cell][pmem.ContendKind] counts attributed writeback events;
+	// writebacks[cell][pmem.FlushKind] counts attributed writeback events;
 	// logical[table] counts committed write-set payload bytes.
-	flush   [][5]uint64
-	logical []uint64
+	writebacks [][5]uint64
+	logical    []uint64
 	// bankEv[bank] counts XPBuffer evictions per bank.
 	bankEv        []uint64
 	walFlushLines uint64
@@ -199,13 +167,6 @@ type Worker struct {
 	ex map[uint32]*exEntry
 	// pad keeps adjacent workers' hot state off one cache line.
 	_ [4]uint64
-}
-
-// SetTracer attaches the worker's tracer for exemplar capture (nil detaches).
-func (w *Worker) SetTracer(tr *obs.WorkerTracer) {
-	if w != nil {
-		w.tr = tr
-	}
 }
 
 // mix is a splitmix64-style finalizer over (table, key) — the deterministic
@@ -222,11 +183,8 @@ func mix(table int, k uint64) uint64 {
 
 func mixAddr(a uint64) uint64 { return mix(0, a) }
 
-// Touch feeds the popularity sketch: one access to key in table.
-func (w *Worker) Touch(table int, key uint64) {
-	if w == nil {
-		return
-	}
+// touch feeds the popularity sketch: one access to key in table.
+func (w *contendShard) touch(table int, key uint64) {
 	s := &w.pop[mix(table, key)&popMask]
 	if *s != ^uint32(0) {
 		*s++
@@ -235,29 +193,31 @@ func (w *Worker) Touch(table int, key uint64) {
 
 // popBucket returns the log2 popularity bucket of key: 0 = never touched by
 // this worker, i = touched [2^(i-1), 2^i) times.
-func (w *Worker) popBucket(table int, key uint64) int {
+func (w *contendShard) popBucket(table int, key uint64) int {
 	b := bits.Len32(w.pop[mix(table, key)&popMask])
-	if b >= obs.NumPopBuckets {
-		b = obs.NumPopBuckets - 1
+	if b >= NumPopBuckets {
+		b = NumPopBuckets - 1
 	}
 	return b
 }
 
-// Conflict records one contention event: kind against (table, key) at heap
+// conflict records one contention event: kind against (table, key) at heap
 // slot, attributed to the holder worker (-1 when unknown), with waitNanos of
-// virtual stall (0 for pure abort-and-retry kinds) at virtual time now.
-func (w *Worker) Conflict(table int, key, slot uint64, kind obs.ConflictKind, holder int, waitNanos, now uint64) {
-	if w == nil || table < 0 || table >= len(w.conflicts) {
+// virtual stall (0 for pure abort-and-retry kinds) at virtual time now. tr,
+// when armed, supplies the open transaction's span stack for the bucket's
+// slowest exemplar.
+func (w *contendShard) conflict(tr *WorkerTracer, table int, key, slot uint64, kind ConflictKind, holder int, waitNanos, now uint64) {
+	if table < 0 || table >= len(w.conflicts) {
 		return
 	}
 	pop := w.popBucket(table, key)
-	idx := pop*obs.NumConflictKinds + int(kind)
+	idx := pop*NumConflictKinds + int(kind)
 	w.conflicts[table][idx]++
 	w.waits[table][idx] += waitNanos
 
 	h := mix(table, key) & heatMask
 	switch kind {
-	case obs.ConflictLockFail, obs.ConflictUpgrade, obs.ConflictSpinWait:
+	case ConflictLockFail, ConflictUpgrade, ConflictSpinWait:
 		w.lockHeat[h]++
 	default:
 		w.verHeat[h]++
@@ -270,40 +230,33 @@ func (w *Worker) Conflict(table int, key, slot uint64, kind obs.ConflictKind, ho
 		e.slot = slot
 	}
 
-	if w.tr != nil {
-		if el := w.tr.TxnElapsed(now); el > 0 {
+	if tr != nil {
+		if el := tr.TxnElapsed(now); el > 0 {
 			k := uint32(table)<<16 | uint32(pop)<<8 | uint32(kind)
 			ent := w.ex[k]
 			if ent == nil {
 				ent = &exEntry{}
 				w.ex[k] = ent
 			}
-			if el > ent.dur && w.tr.CaptureCurrent(&ent.ex, now, kind.String()) {
+			if el > ent.dur && tr.CaptureCurrent(&ent.ex, now, kind.String()) {
 				ent.dur = el
 			}
 		}
 	}
 }
 
-// LogicalBytes records n committed write-set payload bytes against table —
-// the denominator of the flush-amplification ratio.
-func (w *Worker) LogicalBytes(table uint64, n uint64) {
-	if w != nil && table < uint64(len(w.logical)) {
-		w.logical[table] += n
+// flush attributes one write-back at addr to its registered range and feeds
+// the flush heat ring and the XPBuffer set-contention counters.
+func (w *contendShard) flush(kind pmem.FlushKind, addr uint64) {
+	for _, r := range w.o.ranges {
+		if addr >= r.lo && addr < r.hi {
+			w.writebacks[r.cell][kind]++
+			break
+		}
 	}
-}
-
-// WALFlushLines implements wal.ContendSink.
-func (w *Worker) WALFlushLines(lines uint64) {
-	if w != nil {
-		w.walFlushLines += lines
-	}
-}
-
-// WALGroupWaitNanos implements wal.ContendSink.
-func (w *Worker) WALGroupWaitNanos(nanos uint64) {
-	if w != nil {
-		w.walGroupWait += nanos
+	w.flushHeat[mixAddr(addr/pmem.LineSize)&heatMask]++
+	if kind >= pmem.FlushXPFull && len(w.bankEv) > 0 {
+		w.bankEv[(addr/pmem.BlockSize)%uint64(len(w.bankEv))]++
 	}
 }
 
@@ -311,14 +264,14 @@ func (w *Worker) WALGroupWaitNanos(nanos uint64) {
 // must run while the workers are quiescent. The merge order is fixed
 // (workers ascending, tables/buckets/kinds ascending, rows re-sorted by
 // conflict count), so identical shard contents produce identical reports.
-func (o *Observatory) Report() *obs.ContentionStats {
+func (o *Observatory) Report() *ContentionStats {
 	if o == nil {
 		return nil
 	}
-	c := &obs.ContentionStats{Algo: o.cfg.Algo}
+	c := &ContentionStats{Algo: o.cfg.Algo}
 
 	// Conflict attribution, densely merged then filtered to non-zero rows.
-	cells := obs.NumPopBuckets * obs.NumConflictKinds
+	cells := NumPopBuckets * NumConflictKinds
 	for t, name := range o.cfg.Tables {
 		for idx := 0; idx < cells; idx++ {
 			var n, wait uint64
@@ -329,9 +282,9 @@ func (o *Observatory) Report() *obs.ContentionStats {
 			if n == 0 && wait == 0 {
 				continue
 			}
-			pop := idx / obs.NumConflictKinds
-			kind := obs.ConflictKind(idx % obs.NumConflictKinds)
-			row := obs.AttributionRow{
+			pop := idx / NumConflictKinds
+			kind := ConflictKind(idx % NumConflictKinds)
+			row := AttributionRow{
 				Table: name, PopBucket: pop, Algo: o.cfg.Algo,
 				Kind: kind.String(), Conflicts: n, WaitNanos: wait,
 			}
@@ -345,7 +298,7 @@ func (o *Observatory) Report() *obs.ContentionStats {
 			}
 			if best != nil {
 				ex := best.ex
-				ex.Events = append([]obs.Event(nil), best.ex.Events...)
+				ex.Events = append([]Event(nil), best.ex.Events...)
 				row.Exemplar = &ex
 			}
 			c.Attribution = append(c.Attribution, row)
@@ -366,7 +319,7 @@ func (o *Observatory) Report() *obs.ContentionStats {
 	})
 
 	// Heat rings.
-	heat := &obs.HeatDump{
+	heat := &HeatDump{
 		Buckets: 1 << heatBits,
 		Lock:    make([]uint64, 1<<heatBits),
 		Version: make([]uint64, 1<<heatBits),
@@ -388,11 +341,11 @@ func (o *Observatory) Report() *obs.ContentionStats {
 
 	// Flush amplification: join attributed writeback cells with per-table
 	// logical bytes by name.
-	amp := map[string]*obs.FlushAmpRow{}
-	rowFor := func(name string) *obs.FlushAmpRow {
+	amp := map[string]*FlushAmpRow{}
+	rowFor := func(name string) *FlushAmpRow {
 		r := amp[name]
 		if r == nil {
-			r = &obs.FlushAmpRow{Table: name}
+			r = &FlushAmpRow{Table: name}
 			amp[name] = r
 		}
 		return r
@@ -400,12 +353,12 @@ func (o *Observatory) Report() *obs.ContentionStats {
 	for ci, name := range o.cells {
 		r := rowFor(name)
 		for i := range o.workers {
-			f := &o.workers[i].flush[ci]
-			r.ClwbLines += f[pmem.ContendClwbLine]
-			r.TrainLines += f[pmem.ContendTrainLine]
-			r.EvictLines += f[pmem.ContendEvictLine]
-			r.XPFullEvicts += f[pmem.ContendXPEvictFull]
-			r.XPPartialEvicts += f[pmem.ContendXPEvictPartial]
+			f := &o.workers[i].writebacks[ci]
+			r.ClwbLines += f[pmem.FlushClwb]
+			r.TrainLines += f[pmem.FlushTrain]
+			r.EvictLines += f[pmem.FlushEvict]
+			r.XPFullEvicts += f[pmem.FlushXPFull]
+			r.XPPartialEvicts += f[pmem.FlushXPPartial]
 		}
 	}
 	for t, name := range o.cfg.Tables {
@@ -446,7 +399,7 @@ func (o *Observatory) Report() *obs.ContentionStats {
 		}
 		if total > 0 {
 			c.BankEvictions = banks
-			var h obs.Histogram
+			var h Histogram
 			for _, n := range banks {
 				h.Observe(n)
 			}
@@ -455,7 +408,7 @@ func (o *Observatory) Report() *obs.ContentionStats {
 	}
 
 	// Wait-for graph.
-	wf := &obs.WaitForDump{Workers: len(o.workers), Rounds: o.rounds}
+	wf := &WaitForDump{Workers: len(o.workers), Rounds: o.rounds}
 	in := make([]uint64, len(o.workers))
 	out := make([]uint64, len(o.workers))
 	for i := range o.workers {
@@ -469,7 +422,7 @@ func (o *Observatory) Report() *obs.ContentionStats {
 			if int(e.table) < len(o.cfg.Tables) {
 				table = o.cfg.Tables[e.table]
 			}
-			wf.Edges = append(wf.Edges, obs.WaitForEdge{
+			wf.Edges = append(wf.Edges, WaitForEdge{
 				Waiter: i, Holder: h, Count: e.count, Table: table, Slot: e.slot,
 			})
 			out[i] += e.count
@@ -477,12 +430,12 @@ func (o *Observatory) Report() *obs.ContentionStats {
 		}
 	}
 	if len(wf.Edges) > 0 {
-		wf.Cycles = obs.DetectCycles(len(o.workers), wf.Edges)
+		wf.Cycles = DetectCycles(len(o.workers), wf.Edges)
 		for i := range o.workers {
 			if in[i] == 0 && out[i] == 0 {
 				continue
 			}
-			wf.Hot = append(wf.Hot, obs.WaitForVertex{Worker: i, In: in[i], Out: out[i]})
+			wf.Hot = append(wf.Hot, WaitForVertex{Worker: i, In: in[i], Out: out[i]})
 		}
 		sort.SliceStable(wf.Hot, func(i, j int) bool { return wf.Hot[i].In > wf.Hot[j].In })
 	}

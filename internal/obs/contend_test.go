@@ -1,4 +1,4 @@
-package contend
+package obs
 
 import (
 	"encoding/json"
@@ -6,12 +6,11 @@ import (
 	"sync"
 	"testing"
 
-	"falcon/internal/obs"
 	"falcon/internal/pmem"
 )
 
-func testConfig(workers int) Config {
-	return Config{
+func testConfig(workers int) ObservatoryConfig {
+	return ObservatoryConfig{
 		Workers: workers,
 		Algo:    "2PL",
 		Tables:  []string{"kv", "aux"},
@@ -19,11 +18,20 @@ func testConfig(workers int) Config {
 	}
 }
 
-// drive replays worker w's deterministic event stream into its recorder.
-// The same function serves the concurrent hammer and the serial replay, so
-// any divergence between the two reports is a merge bug, not a stream bug.
-func drive(o *Observatory, w, events int) {
-	rec := o.Worker(w)
+// armedProbes returns one probe per shard of o, armed on it alone — the
+// only way events reach a shard.
+func armedProbes(o *Observatory) []Probe {
+	ps := make([]Probe, len(o.workers))
+	for w := range ps {
+		ps[w].Arm(nil, o, w)
+	}
+	return ps
+}
+
+// drive replays worker w's deterministic event stream into its probe. The
+// same function serves the concurrent hammer and the serial replay, so any
+// divergence between the two reports is a merge bug, not a stream bug.
+func drive(rec *Probe, w, events int) {
 	state := uint64(w)*0x9E3779B97F4A7C15 + 1
 	rng := func() uint64 {
 		state ^= state << 13
@@ -37,19 +45,20 @@ func drive(o *Observatory, w, events int) {
 		rec.Touch(table, key)
 		switch rng() % 5 {
 		case 0:
-			rec.Conflict(table, key, key, obs.ConflictLockFail, int(rng()%4), 0, uint64(i))
+			rec.Conflict(table, key, key, ConflictLockFail, int(rng()%4), uint64(i))
 		case 1:
-			rec.Conflict(table, key, key, obs.ConflictTSOrder, -1, 0, uint64(i))
+			rec.Conflict(table, key, key, ConflictTSOrder, -1, uint64(i))
 		case 2:
-			rec.Conflict(table, key, key, obs.ConflictSpinWait, int(rng()%4), rng()%1000, uint64(i))
+			holder, wait := int(rng()%4), rng()%1000
+			rec.SpinWait(table, key, key, holder, uint64(i), uint64(i)+wait, 1)
 		case 3:
-			o.PmemContend(uint64(w), pmem.ContendKind(rng()%5), rng()%(1<<20))
+			rec.Flush(pmem.FlushKind(rng()%5), rng()%(1<<20), 0, 0)
 		case 4:
 			rec.LogicalBytes(uint64(table), rng()%256)
 		}
 	}
-	rec.WALFlushLines(uint64(w) + 1)
-	rec.WALGroupWaitNanos(uint64(w) * 100)
+	rec.FlushTrain(0, 0, uint64(w)+1)
+	rec.GroupWait(uint64(w) * 100)
 }
 
 // TestConcurrentMergeEqualsSerialReplay hammers the sharded recorders from
@@ -63,24 +72,26 @@ func TestConcurrentMergeEqualsSerialReplay(t *testing.T) {
 	}
 	const events = 20000
 
-	conc := New(testConfig(workers))
+	conc := NewObservatory(testConfig(workers))
 	conc.AddRange("kv", 0, 1<<19)
 	conc.AddRange("aux", 1<<19, 1<<20)
+	probes := armedProbes(conc)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			drive(conc, w, events)
+			drive(&probes[w], w, events)
 		}(w)
 	}
 	wg.Wait()
 
-	serial := New(testConfig(workers))
+	serial := NewObservatory(testConfig(workers))
 	serial.AddRange("kv", 0, 1<<19)
 	serial.AddRange("aux", 1<<19, 1<<20)
+	probes = armedProbes(serial)
 	for w := 0; w < workers; w++ {
-		drive(serial, w, events)
+		drive(&probes[w], w, events)
 	}
 
 	got, err := json.Marshal(conc.Report())
@@ -102,11 +113,12 @@ func TestConcurrentMergeEqualsSerialReplay(t *testing.T) {
 // TestPopularityBuckets checks the log2 bucketing: a key touched 2^k times
 // lands in bucket k+1 and an untouched key in bucket 0.
 func TestPopularityBuckets(t *testing.T) {
-	o := New(testConfig(1))
-	w := o.Worker(0)
+	o := NewObservatory(testConfig(1))
+	p := &armedProbes(o)[0]
 	for i := 0; i < 8; i++ { // 8 = 2^3 touches → bits.Len32(8) = 4
-		w.Touch(0, 42)
+		p.Touch(0, 42)
 	}
+	w := o.shard(0)
 	if got := w.popBucket(0, 42); got != 4 {
 		t.Fatalf("popBucket(touched 8×) = %d, want 4", got)
 	}
@@ -118,19 +130,20 @@ func TestPopularityBuckets(t *testing.T) {
 // TestReportShape checks the merged report carries every section a driven
 // observatory should produce, with attribution rows sorted by count.
 func TestReportShape(t *testing.T) {
-	o := New(testConfig(2))
+	o := NewObservatory(testConfig(2))
 	o.AddRange("kv", 0, 1<<16)
-	w0, w1 := o.Worker(0), o.Worker(1)
+	probes := armedProbes(o)
+	w0, w1 := &probes[0], &probes[1]
 
 	for i := 0; i < 10; i++ {
 		w0.Touch(0, 7)
 	}
 	for i := 0; i < 10; i++ {
-		w0.Conflict(0, 7, 7, obs.ConflictLockFail, 1, 0, uint64(i))
+		w0.Conflict(0, 7, 7, ConflictLockFail, 1, uint64(i))
 	}
-	w1.Conflict(1, 3, 3, obs.ConflictValidation, 0, 0, 1)
-	o.PmemContend(0, pmem.ContendClwbLine, 128)
-	o.PmemContend(1, pmem.ContendXPEvictFull, 512)
+	w1.Conflict(1, 3, 3, ConflictValidation, 0, 1)
+	w0.Flush(pmem.FlushClwb, 128, 0, 0)
+	w1.Flush(pmem.FlushXPFull, 512, 0, 0)
 	w0.LogicalBytes(0, 100)
 	o.BarrierTick()
 	o.BarrierTick()

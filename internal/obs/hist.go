@@ -15,7 +15,7 @@ const histBuckets = 65
 // within-bucket linear interpolation, clamped to the observed min/max so a
 // single-sample histogram reports that sample exactly.
 //
-// Like PhaseSet it is single-owner while being written; Merge and the
+// Like a Probe it is single-owner while being written; Merge and the
 // quantile queries are for after the workers have stopped.
 type Histogram struct {
 	counts   [histBuckets]uint64

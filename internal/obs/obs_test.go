@@ -6,122 +6,195 @@ import (
 	"sync"
 	"testing"
 
+	"falcon/internal/pmem"
 	"falcon/internal/sim"
 )
 
-func TestPhaseTimerPartitionsClock(t *testing.T) {
-	var ps PhaseSet
+func TestProbePartitionsClock(t *testing.T) {
 	clk := sim.NewClock()
-	var pt PhaseTimer
+	var pr Probe
 
-	pt.Start(&ps, clk)
+	pr.Begin(1, clk)
 	clk.Advance(100) // exec
-	prev := pt.To(PhaseCC)
-	clk.Advance(30) // cc
-	pt.To(prev)
-	clk.Advance(20) // exec again
-	pt.To(PhaseLogAppend)
-	clk.Advance(50)
-	pt.To(PhaseFlush)
-	clk.Advance(7)
-	pt.Finish()
-
-	want := map[Phase]uint64{PhaseExec: 120, PhaseCC: 30, PhaseLogAppend: 50, PhaseFlush: 7}
-	var sum uint64
-	for p := Phase(0); int(p) < NumPhases; p++ {
-		if got := ps.Nanos(p); got != want[p] {
-			t.Errorf("phase %s = %d, want %d", p, got, want[p])
-		}
-		sum += ps.Nanos(p)
+	prev := pr.To(PhaseCC)
+	if prev != PhaseExec {
+		t.Errorf("To returned %s, want the phase that was current (exec)", prev)
 	}
-	if sum != clk.Nanos() {
-		t.Errorf("phase sum %d != clock %d — phases must partition the clock", sum, clk.Nanos())
+	clk.Advance(30) // cc
+	if back := pr.To(prev); back != PhaseCC {
+		t.Errorf("To returned %s, want cc", back)
+	}
+	clk.Advance(20) // exec again
+	pr.To(PhaseLogAppend)
+	clk.Advance(50)
+	pr.To(PhaseFlush)
+	clk.Advance(7)
+	pr.End(true, 0)
+
+	var s Snapshot
+	pr.AddTo(&s)
+	want := map[Phase]uint64{PhaseExec: 120, PhaseCC: 30, PhaseLogAppend: 50, PhaseFlush: 7}
+	for p, got := range s.PhaseNanos {
+		if got != want[Phase(p)] {
+			t.Errorf("phase %s = %d, want %d", Phase(p), got, want[Phase(p)])
+		}
+	}
+	if s.TotalPhaseNanos() != clk.Nanos() {
+		t.Errorf("phase sum %d != clock %d — phases must partition the clock", s.TotalPhaseNanos(), clk.Nanos())
+	}
+	// Closed: what the clock does now is nobody's transaction.
+	clk.Advance(1000)
+	pr.To(PhaseCC)
+	pr.End(true, 0)
+	var again Snapshot
+	pr.AddTo(&again)
+	if again.PhaseNanos != s.PhaseNanos || again.Commits != 1 {
+		t.Errorf("a closed probe accounted time or a second outcome: %v, %d commits", again.PhaseNanos, again.Commits)
 	}
 }
 
-func TestPhaseTimerNilSetIsInert(t *testing.T) {
+func TestProbeNeverStartedIsInert(t *testing.T) {
 	clk := sim.NewClock()
-	var pt PhaseTimer
-	// Never started: every method must be a safe no-op.
-	pt.To(PhaseCC)
-	pt.Finish()
+	var pr Probe
+	if got := pr.To(PhaseCC); got != PhaseCC {
+		t.Errorf("To on a probe with nothing open returned %s, want its argument", got)
+	}
+	pr.Finish()
+	pr.End(false, AbortValidation)
 	clk.Advance(10)
-	pt.To(PhaseFlush)
+	pr.To(PhaseFlush)
+	var s Snapshot
+	pr.AddTo(&s)
+	if s.TotalPhaseNanos() != 0 || s.Commits != 0 || s.Aborts != 0 {
+		t.Errorf("a probe never started recorded %+v", s)
+	}
 }
 
 func TestPhaseSetReset(t *testing.T) {
-	var ps PhaseSet
 	clk := sim.NewClock()
-	var pt PhaseTimer
-	pt.Start(&ps, clk)
+	var pr Probe
+	pr.Start(clk)
 	clk.Advance(42)
-	pt.Finish()
-	ps.Reset()
-	for p := 0; p < NumPhases; p++ {
-		if ps.Nanos(Phase(p)) != 0 {
-			t.Fatalf("phase %d not reset", p)
-		}
+	pr.Finish()
+	var s Snapshot
+	pr.AddTo(&s)
+	if s.PhaseNanos[PhaseExec] != 42 {
+		t.Fatalf("Start…Finish accounted %v, want 42 ns of exec", s.PhaseNanos)
+	}
+	pr.Reset()
+	s = Snapshot{}
+	pr.AddTo(&s)
+	if s.TotalPhaseNanos() != 0 {
+		t.Fatalf("phase nanoseconds not reset: %v", s.PhaseNanos)
 	}
 }
 
+// TestAbortCountsConcurrent drives four probes from four goroutines, as an
+// engine's workers do, while a reader sums them live: the outcome counts are
+// the one part of a probe that may be read while its worker runs.
 func TestAbortCountsConcurrent(t *testing.T) {
-	var a AbortCounts
+	probes := make([]Probe, 4)
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			var live Snapshot
+			for i := range probes {
+				probes[i].AddCounts(&live)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := range probes {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			clk := sim.NewWorkerClock(g)
 			for i := 0; i < 1000; i++ {
-				a.Inc(AbortReason(g % NumAbortReasons))
+				probes[g].Begin(uint64(i), clk)
+				clk.Advance(1)
+				probes[g].End(i%4 == 0, AbortReason(g))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if a.Total() != 4000 {
-		t.Fatalf("total = %d, want 4000", a.Total())
+	close(done)
+	reader.Wait()
+
+	var s Snapshot
+	for i := range probes {
+		probes[i].AddTo(&s)
 	}
-	snap := a.Snapshot()
+	if s.Commits != 1000 || s.Aborts != 3000 || s.TotalPhaseNanos() != 4000 {
+		t.Fatalf("commits %d aborts %d phase nanos %d, want 1000 / 3000 / 4000", s.Commits, s.Aborts, s.TotalPhaseNanos())
+	}
 	var sum uint64
-	for _, n := range snap {
+	for r, n := range s.AbortCounts {
+		if r < 4 && n != 750 {
+			t.Errorf("reason %s = %d, want 750", AbortReason(r), n)
+		}
 		sum += n
 	}
-	if sum != a.Total() {
-		t.Errorf("snapshot sum %d != total %d", sum, a.Total())
+	if sum != s.Aborts {
+		t.Errorf("reasons sum to %d, aborts %d", sum, s.Aborts)
 	}
-	a.Inc(AbortReason(250)) // out of range folds into Other
-	if a.Snapshot()[AbortOther] == 0 {
+
+	pr := &probes[0]
+	pr.Begin(1, sim.NewClock())
+	pr.End(false, AbortReason(250)) // out of range folds into Other
+	s = Snapshot{}
+	pr.AddTo(&s)
+	if s.AbortCounts[AbortOther] != 1 {
 		t.Error("out-of-range reason must count as other")
 	}
-	a.Reset()
-	if a.Total() != 0 {
-		t.Error("reset must zero all reasons")
+	pr.Reset()
+	s = Snapshot{}
+	pr.AddTo(&s)
+	if s.Commits != 0 || s.Aborts != 0 || s.AbortCounts != [NumAbortReasons]uint64{} || s.TotalPhaseNanos() != 0 {
+		t.Errorf("reset left %+v", s)
 	}
+}
+
+// TestNilProbeIsInert: a window built outside an engine and a memory system
+// nobody armed report to a nil probe.
+func TestNilProbeIsInert(t *testing.T) {
+	var pr *Probe
+	pr.WALClaim(1, 2, true)
+	pr.FlushTrain(1, 2, 3)
+	pr.GroupWait(4)
+	pr.EpochSeal(1, 2, 3, 4)
+	pr.Flush(pmem.FlushXPFull, 0x100, 1, 2)
 }
 
 func TestRegistrySnapshotAndDiff(t *testing.T) {
 	r := NewRegistry()
-	var ps PhaseSet
-	var ac AbortCounts
-	commits := uint64(0)
-	r.Register("engine", func(s *Snapshot) {
-		s.Commits = commits
-		s.Aborts = ac.Total()
-		ps.AddTo(&s.PhaseNanos)
-		s.AbortCounts = ac.Snapshot()
-	})
+	var pr Probe
+	r.Register("engine", pr.AddTo)
 	r.Register("wal", func(s *Snapshot) {
 		s.WAL.Add(WALStats{Begins: 5, Commits: 4, Aborts: 1, BytesLogged: 400, MaxRecordBytes: 200, SlotBytes: 4096})
 	})
 
 	clk := sim.NewClock()
-	var pt PhaseTimer
-	pt.Start(&ps, clk)
+	txn := func(nanos uint64, committed bool, cause AbortReason) {
+		pr.Begin(1, clk)
+		clk.Advance(nanos)
+		pr.End(committed, cause)
+	}
+	pr.Begin(1, clk)
 	clk.Advance(10)
-	pt.To(PhaseCC)
+	pr.To(PhaseCC)
 	clk.Advance(5)
-	pt.Finish()
-	commits = 3
-	ac.Inc(AbortLockConflict)
+	pr.End(true, 0)
+	txn(0, true, 0)
+	txn(0, true, 0)
+	txn(0, false, AbortLockConflict)
 
 	s0 := r.Snapshot()
 	if s0.Commits != 3 || s0.Aborts != 1 || s0.TotalPhaseNanos() != 15 {
@@ -132,8 +205,10 @@ func TestRegistrySnapshotAndDiff(t *testing.T) {
 	}
 
 	// More activity, then diff.
-	commits = 10
-	ac.Inc(AbortValidation)
+	for i := 0; i < 7; i++ {
+		txn(0, true, 0)
+	}
+	txn(0, false, AbortValidation)
 	diff := r.Snapshot().Sub(s0)
 	if diff.Commits != 7 || diff.Aborts != 1 {
 		t.Errorf("diff commits/aborts = %d/%d, want 7/1", diff.Commits, diff.Aborts)

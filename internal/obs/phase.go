@@ -9,12 +9,10 @@
 // instrument that makes those breakdowns observable without ad-hoc test code.
 //
 // Everything here follows the ownership rules of package sim: per-worker
-// accumulators (PhaseSet, WALStats, HotSetStats) are written by exactly one
-// worker goroutine and may be read by others only after the workers have
-// stopped. Cross-worker counters (AbortCounts) are atomic.
+// accumulators (Probe, WALStats, HotSetStats) are written by exactly one
+// worker goroutine and, a probe's outcome counts apart, may be read by others
+// only after the workers have stopped.
 package obs
-
-import "falcon/internal/sim"
 
 // Phase identifies one segment of a transaction's virtual-time budget. The
 // phases partition a transaction completely: every virtual nanosecond a
@@ -83,88 +81,4 @@ func (p Phase) String() string {
 		return PhaseNames[p]
 	}
 	return "unknown"
-}
-
-// PhaseSet accumulates virtual nanoseconds per phase for one worker. Like
-// sim.Clock it is single-owner: only the owning worker updates it, and other
-// goroutines may read it only once the worker has stopped. The padding keeps
-// adjacent workers' sets off one cache line.
-type PhaseSet struct {
-	nanos [NumPhases]uint64
-	_     [1]uint64
-}
-
-// Nanos returns the accumulated virtual nanoseconds for phase p.
-func (s *PhaseSet) Nanos(p Phase) uint64 { return s.nanos[p] }
-
-// Reset zeroes the accumulator (between benchmark phases).
-func (s *PhaseSet) Reset() { s.nanos = [NumPhases]uint64{} }
-
-// AddTo sums this set into dst (snapshot aggregation across workers).
-func (s *PhaseSet) AddTo(dst *[NumPhases]uint64) {
-	for i, n := range s.nanos {
-		dst[i] += n
-	}
-}
-
-// PhaseTimer attributes a worker clock's advances to phases. It is a plain
-// value (zero allocations) wrapped around the existing sim.Clock: switching
-// phases costs two clock reads and one add. A timer with a nil PhaseSet is
-// inert — every method is a cheap no-op — so uninstrumented runs pay near
-// nothing.
-//
-// Usage is a flat state machine, not nested scopes: Start opens accounting
-// in PhaseExec, To(p) closes the current segment and opens the next, and
-// Finish closes the last segment. Call sites that may run under several
-// phases restore the previous phase with the value To returns.
-type PhaseTimer struct {
-	ps   *PhaseSet
-	clk  *sim.Clock
-	tr   *WorkerTracer
-	cur  Phase
-	mark uint64
-}
-
-// Start binds the timer to a worker's PhaseSet and clock and opens
-// accounting in PhaseExec. Any attached tracer is cleared; AttachTrace must
-// follow Start when span capture is wanted.
-func (t *PhaseTimer) Start(ps *PhaseSet, clk *sim.Clock) {
-	t.ps, t.clk, t.tr, t.cur, t.mark = ps, clk, nil, PhaseExec, clk.Nanos()
-}
-
-// AttachTrace routes every closed phase segment to tr as an EvPhase span.
-// The timer already knows each segment's boundaries, so attaching here
-// instruments all phases with no extra call sites. A nil tr (the common,
-// unarmed case) costs one pointer test per transition.
-func (t *PhaseTimer) AttachTrace(tr *WorkerTracer) { t.tr = tr }
-
-// To closes the current segment (attributing its virtual time to the current
-// phase), opens a segment in p, and returns the phase that was current —
-// so callers can restore it.
-func (t *PhaseTimer) To(p Phase) Phase {
-	if t.ps == nil {
-		return p
-	}
-	now := t.clk.Nanos()
-	t.ps.nanos[t.cur] += now - t.mark
-	if t.tr != nil {
-		t.tr.PhaseSeg(t.cur, t.mark, now)
-	}
-	prev := t.cur
-	t.cur, t.mark = p, now
-	return prev
-}
-
-// Finish closes the last segment and detaches the timer.
-func (t *PhaseTimer) Finish() {
-	if t.ps == nil {
-		return
-	}
-	now := t.clk.Nanos()
-	t.ps.nanos[t.cur] += now - t.mark
-	if t.tr != nil {
-		t.tr.PhaseSeg(t.cur, t.mark, now)
-		t.tr = nil
-	}
-	t.ps = nil
 }

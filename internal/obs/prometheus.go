@@ -62,6 +62,8 @@ func promSnapshot(p *promWriter, s Snapshot) {
 	p.counter("falcon_wal_aborts_total", "Discarded log records.", nil, s.WAL.Aborts)
 	p.counter("falcon_wal_bytes_logged_total", "Record payload bytes appended.", nil, s.WAL.BytesLogged)
 	p.counter("falcon_wal_overflows_total", "Records spilled to the overflow region.", nil, s.WAL.Overflows)
+	p.counter("falcon_wal_overflow_bytes_total", "Record bytes spilled to the overflow region.", nil, s.WAL.OverflowBytes)
+	p.counter("falcon_wal_full_rejects_total", "Appends refused with the overflow region exhausted.", nil, s.WAL.FullRejects)
 	p.gauge("falcon_wal_slot_bytes", "Configured per-slot log capacity.", nil, s.WAL.SlotBytes)
 	p.gauge("falcon_wal_max_record_bytes", "Largest single log record.", nil, s.WAL.MaxRecordBytes)
 
@@ -88,19 +90,27 @@ func promSnapshot(p *promWriter, s Snapshot) {
 	p.counter("falcon_pmem_media_writes_total", "256B media block writes.", nil, s.Mem.MediaWrites)
 	p.counter("falcon_pmem_full_block_writes_total", "Media writes with a fully buffered block.", nil, s.Mem.FullBlockWrites)
 	p.counter("falcon_pmem_partial_block_writes_total", "Read-modify-write media writes.", nil, s.Mem.PartialBlockWrites)
+	p.counter("falcon_pmem_xpbuffer_merges_total", "Line write-backs merged into a buffered block.", nil, s.Mem.XPBufferMerges)
+	p.counter("falcon_pmem_xpbuffer_hits_total", "Load misses served by the XPBuffer.", nil, s.Mem.XPBufferHits)
 	p.counter("falcon_pmem_cache_hits_total", "Persistent-cache line hits.", nil, s.Mem.CacheHits)
 	p.counter("falcon_pmem_cache_misses_total", "Persistent-cache line misses.", nil, s.Mem.CacheMisses)
 	p.counter("falcon_pmem_dirty_evictions_total", "Dirty lines written back by replacement.", nil, s.Mem.DirtyEvictions)
+	p.counter("falcon_pmem_clean_evictions_total", "Clean lines dropped by replacement.", nil, s.Mem.CleanEvictions)
 	p.counter("falcon_pmem_clwb_writebacks_total", "Dirty lines written back by explicit CLWB.", nil, s.Mem.ClwbWritebacks)
 	p.counter("falcon_pmem_flush_trains_total", "Hinted multi-line flush trains.", nil, s.Mem.FlushTrains)
 	p.counter("falcon_pmem_flush_train_lines_total", "Lines covered by flush trains.", nil, s.Mem.FlushTrainLines)
 	p.counter("falcon_pmem_bytes_stored_total", "Application bytes stored.", nil, s.Mem.BytesStored)
 	p.counter("falcon_pmem_bytes_to_media_total", "Bytes physically written to media.", nil, s.Mem.BytesToMedia)
+	p.counter("falcon_pmem_crash_flushed_lines_total", "Dirty lines persisted by the eADR crash flush.", nil, s.Mem.CrashFlushedLines)
+	p.counter("falcon_pmem_crash_dropped_lines_total", "Dirty lines discarded by an ADR crash.", nil, s.Mem.CrashDroppedLines)
 
 	if s.Epochs.Records > 0 || s.Epochs.Sealed > 0 {
 		p.counter("falcon_epochs_sealed_total", "Sealed group-commit durability epochs.", nil, s.Epochs.Sealed)
 		p.counter("falcon_epochs_records_total", "Transactions published into epochs.", nil, s.Epochs.Records)
+		p.gauge("falcon_epochs_pending", "Durability epochs still open.", nil, s.Epochs.Pending)
+		p.counter("falcon_epochs_train_spans_total", "Contiguous spans epoch seals coalesced into flush trains.", nil, s.Epochs.TrainSpans)
 		p.counter("falcon_epochs_forced_seals_total", "Slot-reclaim waits that sealed an epoch early.", nil, s.Epochs.ForcedSeals)
+		p.counter("falcon_epochs_forced_wait_nanos_total", "Virtual nanoseconds stalled in slot-reclaim waits.", nil, s.Epochs.ForcedWaitNanos)
 		p.histogram("falcon_epoch_size_records", "Records per sealed durability epoch.", nil, s.Epochs.EpochSize)
 		p.histogram("falcon_epoch_durable_lag_nanos", "Publish-to-seal virtual nanoseconds per record.", nil, s.Epochs.DurableLag)
 	}
@@ -131,7 +141,7 @@ func promSnapshot(p *promWriter, s Snapshot) {
 		}
 		p.gauge("falcon_server_queue_depth", "Admission queue occupancy.", nil, sv.QueueDepth)
 		p.gauge("falcon_server_queue_cap", "Admission queue bound.", nil, sv.QueueCap)
-		p.gauge("falcon_server_workers", "Worker pool size.", nil, sv.Workers)
+		p.gauge("falcon_server_workers", "Engine-worker slots requests run on.", nil, sv.Workers)
 		p.gauge("falcon_server_est_service_nanos", "EWMA service-time estimate driving deadline-aware rejection.", nil, sv.EstServiceNanos)
 		draining := uint64(0)
 		if sv.Draining {

@@ -1,9 +1,14 @@
 package obs
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"falcon/internal/pmem"
 )
 
 // promTestSnapshot builds a snapshot exercising every family the writer
@@ -346,5 +351,61 @@ func TestDetectCycles(t *testing.T) {
 	}
 	if got := DetectCycles(4, edges[2:3]); len(got) != 0 {
 		t.Fatalf("acyclic graph reported cycles: %v", got)
+	}
+}
+
+// TestPrometheusCoversSnapshotCounters walks the snapshot's counter structs
+// by reflection: every uint64 field of WAL, Hot, Mem, Epochs, a table and an
+// endpoint must, set to a value nothing else holds, show up as a sample — a
+// counter the ledger tracks cannot be missing from a scrape. Histograms are
+// the grammar test's business; the exemption list is what is left out on
+// purpose.
+func TestPrometheusCoversSnapshotCounters(t *testing.T) {
+	exempt := map[string]string{
+		"Server.Endpoints[*].Retried": "maintained by clients; nothing on the server writes it",
+	}
+	// install puts one counter struct where it belongs in an empty snapshot.
+	install := func(v any) Snapshot {
+		var s Snapshot
+		switch v := v.(type) {
+		case WALStats:
+			s.WAL = v
+		case HotSetStats:
+			s.Hot = v
+		case pmem.Snapshot:
+			s.Mem = v
+		case EpochStats:
+			if v.Records == 0 {
+				v.Records = 1 // the epoch families render only once group commit ran
+			}
+			s.Epochs = v
+		case TableStats:
+			s.Tables = map[string]TableStats{"t": v}
+		case EndpointStats:
+			s.Server = &ServerStats{Endpoints: map[string]EndpointStats{"/e": v}}
+		}
+		return s
+	}
+	const distinctive = 7654321
+	for path, zero := range map[string]any{
+		"WAL": WALStats{}, "Hot": HotSetStats{}, "Mem": pmem.Snapshot{}, "Epochs": EpochStats{},
+		"Tables[*]": TableStats{}, "Server.Endpoints[*]": EndpointStats{},
+	} {
+		typ := reflect.TypeOf(zero)
+		for i := 0; i < typ.NumField(); i++ {
+			name := path + "." + typ.Field(i).Name
+			if typ.Field(i).Type.Kind() != reflect.Uint64 || exempt[name] != "" {
+				continue
+			}
+			v := reflect.New(typ).Elem()
+			v.Field(i).SetUint(distinctive)
+			var buf bytes.Buffer
+			if err := WritePrometheus(&buf, install(v.Interface()), nil); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), fmt.Sprintf(" %d\n", distinctive)) {
+				t.Errorf("Snapshot.%s has no Prometheus sample", name)
+			}
+		}
 	}
 }

@@ -82,7 +82,8 @@ type ServerStats struct {
 	// Endpoints maps endpoint name (e.g. "/v1/txn") to its counters.
 	Endpoints map[string]EndpointStats `json:",omitempty"`
 	// QueueDepth / QueueCap are the admission queue's occupancy and bound at
-	// snapshot time (gauges). Workers is the pool size.
+	// snapshot time (gauges). Workers is the number of engine-worker slots
+	// requests run on.
 	QueueDepth uint64
 	QueueCap   uint64
 	Workers    uint64

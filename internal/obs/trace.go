@@ -10,7 +10,7 @@ const (
 	// EvTxn spans a whole transaction attempt, Begin to commit/abort. The
 	// Abort field distinguishes outcomes; Arg is the attempt's TID.
 	EvTxn EventKind = iota
-	// EvPhase spans one PhaseTimer segment; the Phase field names it.
+	// EvPhase spans one Probe segment; the Phase field names it.
 	EvPhase
 	// EvLockWait spans a read stalled behind a concurrent writer's mid-apply
 	// window (the snapshot-read spin). Arg is the heap slot.
@@ -121,7 +121,7 @@ func (o TraceOptions) withDefaults() TraceOptions {
 }
 
 // Tracer owns one WorkerTracer per worker. Like every other per-worker
-// accumulator in this codebase (sim.Clock, PhaseSet, wal.Window) each
+// accumulator in this codebase (sim.Clock, Probe, wal.Window) each
 // WorkerTracer is single-writer: only the owning worker goroutine records
 // into it, and Dump may run only when the workers are quiescent. The Tracer
 // itself is immutable after construction, so handing out Worker pointers is
@@ -161,25 +161,6 @@ func (t *Tracer) Worker(w int) *WorkerTracer {
 		return nil
 	}
 	return &t.workers[w]
-}
-
-// PmemTrace adapts the tracer to pmem's dependency-free hook signature
-// (pmem cannot import obs). The shard id of the clock that caused the
-// eviction doubles as the worker id — the same routing the sharded pmem
-// counters use — so the single-writer rule holds: shard s events are only
-// produced while worker s's goroutine runs. Anonymous clocks (setup, crash
-// flushes) land on worker 0, which only records while the workers are
-// stopped.
-func (t *Tracer) PmemTrace(shard uint64, start, end uint64, full bool, blockAddr uint64) {
-	if t == nil || shard >= uint64(len(t.workers)) {
-		return
-	}
-	var arg uint64
-	if full {
-		arg = 1
-	}
-	w := &t.workers[shard]
-	w.Span(EvXPEvict, start, end, arg, blockAddr)
 }
 
 // WorkerTracer records one worker's events. All methods are nil-receiver
@@ -279,8 +260,8 @@ func (w *WorkerTracer) Instant(kind EventKind, at, arg, arg2 uint64) {
 	w.Span(kind, at, at, arg, arg2)
 }
 
-// PhaseSeg records one closed PhaseTimer segment (called from PhaseTimer.To
-// and Finish when a trace is attached). Zero-length segments are dropped.
+// PhaseSeg records one closed Probe segment. Zero-length segments are
+// dropped.
 func (w *WorkerTracer) PhaseSeg(p Phase, start, end uint64) {
 	if w == nil || start == end {
 		return
@@ -416,7 +397,7 @@ type TraceDump struct {
 
 // Dump assembles the trace. It must only be called while the traced workers
 // are quiescent (between benchmark phases, or after Wait) — the same
-// contract as reading sim.Clock or PhaseSet.
+// contract as reading sim.Clock or a Probe's phase nanoseconds.
 func (t *Tracer) Dump() *TraceDump {
 	if t == nil {
 		return nil

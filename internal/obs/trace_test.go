@@ -137,7 +137,6 @@ func TestTracerNilSafety(t *testing.T) {
 	if tr.Dump() != nil {
 		t.Fatal("nil tracer must dump nil")
 	}
-	tr.PmemTrace(0, 0, 1, true, 0)
 	// Out-of-range workers are nil too (engines arm only their own threads).
 	if NewTracer(2, TraceOptions{}).Worker(5) != nil {
 		t.Fatal("out-of-range worker must be nil")
@@ -161,7 +160,7 @@ func buildGoldenDump() *TraceDump {
 	w0.TxnEnd(330, int(AbortValidation))
 	w1 := tr.Worker(1)
 	w1.Span(EvXPEvict, 400, 470, 1, 0x1000)
-	tr.PmemTrace(1, 480, 500, false, 0x2000)
+	w1.Span(EvXPEvict, 480, 500, 0, 0x2000)
 	return tr.Dump()
 }
 

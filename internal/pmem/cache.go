@@ -55,10 +55,10 @@ type Cache struct {
 	// harnesses only; see FaultPlan). Nil on every production path, so the
 	// hot loops pay a single predictable branch.
 	faults *FaultPlan
-	// contend, when non-nil, receives every dirty-line writeback for
-	// flush-traffic attribution (see ContendFn). Writebacks are off the
-	// hit path, so the disarmed cost is one pointer test per writeback.
-	contend ContendFn
+	// hook, when non-nil, receives every dirty-line writeback (see FlushFn).
+	// Writebacks are off the hit path, so the disarmed cost is one pointer
+	// test per writeback.
+	hook FlushFn
 }
 
 // Word offsets inside a set block. Every access writes the lock and the
@@ -292,8 +292,8 @@ func (c *Cache) missLocked(clk *sim.Clock, sh *StatShard, si, lineAddr uint64, f
 			clk.Advance(c.cost.LineWriteback)
 			c.lower.writeBackLine(clk, victim&^tagValid, c.line(si, w))
 			sh.DirtyEvictions.Add(1)
-			if c.contend != nil {
-				c.contend(clk.ShardID(), ContendEvictLine, victim&^tagValid)
+			if c.hook != nil {
+				c.hook(clk.ShardID(), FlushEvict, victim&^tagValid, clk.Nanos(), clk.Nanos())
 			}
 		} else {
 			sh.CleanEvictions.Add(1)
@@ -335,19 +335,19 @@ func (c *Cache) CLWB(clk *sim.Clock, addr uint64, n int) {
 	la, end := lineFloor(addr), addr+uint64(n)
 	c.touch(la, end)
 	for ; la < end; la += LineSize {
-		c.flushLine(clk, sh, la, c.cost.ClwbIssue, ContendClwbLine)
+		c.flushLine(clk, sh, la, c.cost.ClwbIssue, FlushClwb)
 	}
 }
 
 // flushLine is one line of a CLWB or of a flush train: a FaultFlush point,
 // the issue cost, and the write-back if the line is resident and dirty.
-func (c *Cache) flushLine(clk *sim.Clock, sh *StatShard, la, issue uint64, kind ContendKind) {
+func (c *Cache) flushLine(clk *sim.Clock, sh *StatShard, la, issue uint64, kind FlushKind) {
 	if c.faults != nil {
 		c.faults.note(FaultFlush)
 		c.faults.check()
 	}
 	clk.Advance(issue)
-	if kind == ContendTrainLine {
+	if kind == FlushTrain {
 		sh.FlushTrainLines.Add(1)
 	}
 	si := c.setFor(la)
@@ -358,8 +358,8 @@ func (c *Cache) flushLine(clk *sim.Clock, sh *StatShard, la, issue uint64, kind 
 		c.lower.writeBackLine(clk, la, c.line(si, w))
 		lru[w] &^= lruDirty
 		sh.ClwbWritebacks.Add(1)
-		if c.contend != nil {
-			c.contend(clk.ShardID(), kind, la)
+		if c.hook != nil {
+			c.hook(clk.ShardID(), kind, la, clk.Nanos(), clk.Nanos())
 		}
 	}
 	unlockWord(&blk[setLock])
@@ -404,7 +404,7 @@ func (c *Cache) CLWBTrain(clk *sim.Clock, spans []Span) {
 		c.touch(la, end)
 		issue := c.cost.ClwbIssue
 		for ; la < end; la += LineSize {
-			c.flushLine(clk, sh, la, issue, ContendTrainLine)
+			c.flushLine(clk, sh, la, issue, FlushTrain)
 			issue = c.cost.ClwbTrainNext
 		}
 	}

@@ -57,11 +57,9 @@ func (s *System) EnterGroup(workers int) {
 	caches := make([]*Cache, workers)
 	for w := range caches {
 		xpb := NewXPBuffer(s.Dev, s.cfg.XPBufferBytes/workers, banks, s.cfg.Cost, true)
-		xpb.trace = s.XPB.trace
-		xpb.contend = s.XPB.contend
 		c := newCache(xpb, &s.Dev.stats, s.cfg.Mode, s.cfg.CacheBytes/workers,
 			s.cfg.CacheWays, s.Dev.Size(), s.cfg.Cost, true)
-		c.contend = s.Cache.contend
+		c.setHook(s.Cache.hook)
 		caches[w] = c
 	}
 	s.Space.det = &detPartition{caches: caches}

@@ -49,14 +49,19 @@ func goldenRun(t *testing.T, ways int, mode Mode, group bool) string {
 			hooks = (hooks ^ v) * 1099511628211
 		}
 	}
-	sys.SetTrace(func(shard, start, end uint64, full bool, blockAddr uint64) {
-		f := uint64(0)
-		if full {
-			f = 1
+	// The digests were recorded when an eviction was reported twice, to a
+	// trace hook (tag 1: its window and whether the block was full) and then
+	// to an attribution hook (tag 2: every write-back's kind and address).
+	sys.SetHook(func(shard uint64, kind FlushKind, addr, start, end uint64) {
+		if kind >= FlushXPFull {
+			f := uint64(0)
+			if kind == FlushXPFull {
+				f = 1
+			}
+			mix(1, shard, start, end, f, addr)
 		}
-		mix(1, shard, start, end, f, blockAddr)
+		mix(2, shard, uint64(kind), addr)
 	})
-	sys.SetContend(func(shard uint64, kind ContendKind, addr uint64) { mix(2, shard, uint64(kind), addr) })
 	if group {
 		sys.EnterGroup(2) // worker 2 wraps onto partition 0
 		dram.EnterGroup(2, 4<<10, ways, sys.Cost())

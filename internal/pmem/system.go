@@ -88,35 +88,25 @@ func (s *System) SetFaults(p *FaultPlan) {
 // Faults returns the armed plan, or nil.
 func (s *System) Faults() *FaultPlan { return s.faults }
 
-// SetTrace arms an XPBuffer-eviction trace hook (see TraceFn). Pass nil to
-// disarm. Like SetFaults, arming must happen while workers are quiescent.
-// Live deterministic-group partitions (System.EnterGroup) pick up the hook
-// too, so arming after group entry behaves the same as arming before.
-func (s *System) SetTrace(fn TraceFn) {
-	s.XPB.trace = fn
+// SetHook arms the write-back hook (see FlushFn) on the cache, the XPBuffer
+// and any live deterministic-group partitions, so arming after group entry
+// behaves the same as arming before. Pass nil to disarm: a disarmed system
+// pays one pointer test per write-back. Like SetFaults, it must be called
+// while workers are quiescent.
+func (s *System) SetHook(fn FlushFn) {
+	s.Cache.setHook(fn)
 	if det := s.Space.det; det != nil {
 		for _, c := range det.caches {
-			if xpb, ok := c.lower.(*XPBuffer); ok {
-				xpb.trace = fn
-			}
+			c.setHook(fn)
 		}
 	}
 }
 
-// SetContend arms a flush-traffic attribution hook (see ContendFn) on the
-// cache and the XPBuffer — and, like SetTrace, on any live deterministic
-// group partitions. Pass nil to disarm; arming must happen while workers are
-// quiescent.
-func (s *System) SetContend(fn ContendFn) {
-	s.Cache.contend = fn
-	s.XPB.contend = fn
-	if det := s.Space.det; det != nil {
-		for _, c := range det.caches {
-			c.contend = fn
-			if xpb, ok := c.lower.(*XPBuffer); ok {
-				xpb.contend = fn
-			}
-		}
+// setHook arms fn on the cache and on the XPBuffer beneath it.
+func (c *Cache) setHook(fn FlushFn) {
+	c.hook = fn
+	if xpb, ok := c.lower.(*XPBuffer); ok {
+		xpb.hook = fn
 	}
 }
 

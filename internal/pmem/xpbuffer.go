@@ -6,15 +6,6 @@ import (
 	"falcon/internal/sim"
 )
 
-// TraceFn receives one XPBuffer eviction for trace capture: the causing
-// clock's shard id (= worker id, the same routing the sharded counters use),
-// the eviction's virtual-time window, whether the victim block was full
-// (single media write) or partial (read-modify-write), and the block
-// address. pmem sits below obs in the import graph, so the hook is a plain
-// function type; obs.Tracer.PmemTrace matches it. Implementations must be
-// worker-local on shard (the hook runs on the goroutine owning the clock).
-type TraceFn func(shard uint64, start, end uint64, full bool, blockAddr uint64)
-
 // XPBuffer models the write-combining buffer inside an Optane NVM module
 // (paper §3.2, Figure 2). Incoming 64 B cache-line write-backs are staged in
 // 256 B block slots. If neighbouring lines of the same block arrive while the
@@ -33,12 +24,9 @@ type XPBuffer struct {
 	// FaultPlan). The buffer only notes events — it always runs under a bank
 	// lock, so the panic fires later at a lock-free point in the cache.
 	faults *FaultPlan
-	// trace, when non-nil, receives every slot eviction (see TraceFn). The
+	// hook, when non-nil, receives every slot eviction (see FlushFn). The
 	// unarmed fast path pays one pointer test per eviction.
-	trace TraceFn
-	// contend, when non-nil, receives every slot eviction for flush-traffic
-	// attribution (see ContendFn). Same one-pointer-test discipline as trace.
-	contend ContendFn
+	hook FlushFn
 	// dataless marks a timing-only buffer (deterministic group mode): slot
 	// occupancy, merge accounting and media-cost charging run as usual, but
 	// no payload bytes are staged and — critically — evictions never write
@@ -287,17 +275,12 @@ func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, 
 	sh.MediaWrites.Add(1)
 	sh.BytesToMedia.Add(BlockSize)
 	clk.Advance(b.cost.MediaWriteBlock)
-	if b.trace != nil {
-		// The hook appends to a worker-local buffer (no locks), so calling
-		// it under the bank spinlock is safe.
-		b.trace(clk.ShardID(), evStart, clk.Nanos(), full, s.blockAddr)
-	}
-	if b.contend != nil {
-		kind := ContendXPEvictFull
+	if b.hook != nil {
+		kind := FlushXPFull
 		if !full {
-			kind = ContendXPEvictPartial
+			kind = FlushXPPartial
 		}
-		b.contend(clk.ShardID(), kind, s.blockAddr)
+		b.hook(clk.ShardID(), kind, s.blockAddr, evStart, clk.Nanos())
 	}
 
 	bank.release(si)

@@ -206,20 +206,20 @@ func (b *EpochBoard) pendingFor(id uint64) *pendingEpoch {
 // sealExpired seals, in ascending id order, every open epoch whose boundary
 // lies behind the caller's virtual time — the lazy leader step run by each
 // publisher after it enlists.
-func (b *EpochBoard) sealExpired(clk *sim.Clock, tr *obs.WorkerTracer) {
+func (b *EpochBoard) sealExpired(clk *sim.Clock, pr *obs.Probe) {
 	if len(b.pending) == 0 { // unsynchronized peek: publishers race to help, the lock below decides
 		return
 	}
 	b.mu.Lock()
-	b.sealUpToLocked(clk, tr, b.epochOf(clk.Nanos())-1)
+	b.sealUpToLocked(clk, pr, b.epochOf(clk.Nanos())-1)
 	b.mu.Unlock()
 }
 
 // SealAll drains every open epoch (clean shutdown, quiesce points, the end
 // of a measured benchmark phase).
-func (b *EpochBoard) SealAll(clk *sim.Clock, tr *obs.WorkerTracer) {
+func (b *EpochBoard) SealAll(clk *sim.Clock, pr *obs.Probe) {
 	b.mu.Lock()
-	b.sealUpToLocked(clk, tr, ^uint64(0))
+	b.sealUpToLocked(clk, pr, ^uint64(0))
 	b.mu.Unlock()
 }
 
@@ -234,7 +234,7 @@ func (b *EpochBoard) SealAll(clk *sim.Clock, tr *obs.WorkerTracer) {
 // timeout — and its own commit tail, then past the boundary, seals the epoch
 // in canonical order (sealExpired). Returns the virtual nanoseconds the
 // reclaim cost; the caller attributes them to the group-wait phase.
-func (b *EpochBoard) reclaimWait(clk *sim.Clock, tr *obs.WorkerTracer, id uint64) uint64 {
+func (b *EpochBoard) reclaimWait(clk *sim.Clock, pr *obs.Probe, id uint64) uint64 {
 	b.mu.Lock()
 	if id <= b.marker {
 		b.mu.Unlock()
@@ -247,7 +247,7 @@ func (b *EpochBoard) reclaimWait(clk *sim.Clock, tr *obs.WorkerTracer, id uint64
 			clk.Advance(bound - start)
 		}
 	} else {
-		b.sealUpToLocked(clk, tr, id)
+		b.sealUpToLocked(clk, pr, id)
 	}
 	waited := clk.Nanos() - start
 	b.forcedWaitNanos += waited
@@ -257,10 +257,10 @@ func (b *EpochBoard) reclaimWait(clk *sim.Clock, tr *obs.WorkerTracer, id uint64
 
 // sealUpToLocked seals every open epoch with id <= upTo, ascending. Caller
 // holds b.mu.
-func (b *EpochBoard) sealUpToLocked(clk *sim.Clock, tr *obs.WorkerTracer, upTo uint64) {
+func (b *EpochBoard) sealUpToLocked(clk *sim.Clock, pr *obs.Probe, upTo uint64) {
 	n := 0
 	for n < len(b.pending) && b.pending[n].id <= upTo {
-		b.sealOneLocked(clk, tr, b.pending[n])
+		b.sealOneLocked(clk, pr, b.pending[n])
 		n++
 	}
 	if n > 0 {
@@ -273,7 +273,7 @@ func (b *EpochBoard) sealUpToLocked(clk *sim.Clock, tr *obs.WorkerTracer, upTo u
 // fence. Once the marker covers the epoch, every record needed to replay it
 // is durable; the data trains that follow are then recoverable even when the
 // crash interrupts them mid-train.
-func (b *EpochBoard) sealOneLocked(clk *sim.Clock, tr *obs.WorkerTracer, p *pendingEpoch) {
+func (b *EpochBoard) sealOneLocked(clk *sim.Clock, pr *obs.Probe, p *pendingEpoch) {
 	startV := clk.Nanos()
 	if len(p.recSpans) > 0 {
 		b.space.CLWBTrain(clk, p.recSpans)
@@ -301,9 +301,7 @@ func (b *EpochBoard) sealOneLocked(clk *sim.Clock, tr *obs.WorkerTracer, p *pend
 			b.lagHist.Observe(0)
 		}
 	}
-	if tr != nil {
-		tr.Span(obs.EvEpochSeal, startV, sealV, p.id, uint64(len(p.pubV)))
-	}
+	pr.EpochSeal(startV, sealV, p.id, uint64(len(p.pubV)))
 }
 
 // Marker returns the highest sealed epoch id (the volatile mirror of the

@@ -116,14 +116,10 @@ type Window struct {
 	// like the window itself: only the owning thread updates it, and
 	// snapshots are taken while workers are quiescent.
 	stats obs.WALStats
-	// tr, when armed, receives slot-claim and flush-train trace events.
-	// Owned by the same worker goroutine as the window (single-writer); nil
-	// when tracing is off, so the fast path pays one pointer test.
-	tr *obs.WorkerTracer
-	// contend, when armed, receives flush-line and group-wait attribution
-	// events (see ContendSink). Same single-owner, one-pointer-test
-	// discipline as tr.
-	contend ContendSink
+	// pr is the owning worker's probe: slot claims, record drains, group
+	// waits and epoch seals are reported to it. A window built outside an
+	// engine has none; a nil probe is inert.
+	pr *obs.Probe
 	// scratch is the window's reusable header buffer. Headers must be
 	// written and parsed as multi-word images (one simulated store or load),
 	// so the word-at-a-time Space helpers do not apply; a stack buffer
@@ -161,30 +157,17 @@ func (w *Window) GroupWait(clk *sim.Clock) uint64 {
 	if id == 0 {
 		return 0
 	}
-	n := w.board.reclaimWait(clk, w.tr, id)
-	if n > 0 && w.contend != nil {
-		w.contend.WALGroupWaitNanos(n)
-	}
+	n := w.board.reclaimWait(clk, w.pr, id)
+	w.pr.GroupWait(n)
 	return n
 }
 
-// ContendSink receives the window's flush-traffic contributions for the
-// contention observatory: lines the per-commit drain path issued clwb for,
-// and virtual nanoseconds stalled on group-commit slot reclaim. Implemented
-// by the observatory's per-worker recorder; like the window itself it is
-// single-owner, so implementations need no synchronisation.
-type ContendSink interface {
-	WALFlushLines(lines uint64)
-	WALGroupWaitNanos(nanos uint64)
+// Attach hands the window its owning worker's probe and returns the window.
+// Must be called while the worker is quiescent.
+func (w *Window) Attach(pr *obs.Probe) *Window {
+	w.pr = pr
+	return w
 }
-
-// SetTrace arms (or with nil, disarms) trace-event capture on the window.
-// Must be called while the owning worker is quiescent.
-func (w *Window) SetTrace(tr *obs.WorkerTracer) { w.tr = tr }
-
-// SetContend arms (or with nil, disarms) flush-traffic attribution on the
-// window. Must be called while the owning worker is quiescent.
-func (w *Window) SetContend(sink ContendSink) { w.contend = sink }
 
 // Stats returns a copy of the window's accumulated gauges, with the slot
 // capacity filled in as the occupancy denominator.
@@ -236,13 +219,7 @@ func (w *Window) Begin(clk *sim.Clock, tid uint64) *TxnLog {
 	if wrapped {
 		w.stats.Wraps++ // reclaiming a previously used slot: the window cycled
 	}
-	if w.tr != nil {
-		var wr uint64
-		if wrapped {
-			wr = 1
-		}
-		w.tr.Instant(obs.EvWALClaim, clk.Nanos(), uint64(i), wr)
-	}
+	w.pr.WALClaim(clk.Nanos(), uint64(i), wrapped)
 	if w.slotEpoch != nil {
 		w.slotEpoch[i] = 0 // the previous record's epoch was sealed by GroupWait
 	}
@@ -434,12 +411,7 @@ func (l *TxnLog) drainPending(clk *sim.Clock) {
 		lines += uint64(sp.Lines())
 	}
 	l.w.space.SFence(clk)
-	if l.w.tr != nil {
-		l.w.tr.Span(obs.EvFlushTrain, flushStart, clk.Nanos(), lines, 0)
-	}
-	if l.w.contend != nil {
-		l.w.contend.WALFlushLines(lines)
-	}
+	l.w.pr.FlushTrain(flushStart, clk.Nanos(), lines)
 }
 
 // Commit publishes the record — op counts, then the COMMITTED state — and
@@ -483,7 +455,7 @@ func (l *TxnLog) EnlistData(clk *sim.Clock, epoch uint64, spans []pmem.Span) {
 // followers. Publishers call it once per commit, after EnlistData.
 func (w *Window) SealExpired(clk *sim.Clock) {
 	if w.board != nil {
-		w.board.sealExpired(clk, w.tr)
+		w.board.sealExpired(clk, w.pr)
 	}
 }
 
