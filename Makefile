@@ -67,6 +67,7 @@ tpcc-mv-smoke:
 # that every `go test` run replays (same lane CI runs).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzBTreeOps -fuzztime 10s ./internal/index
+	go test -run '^$$' -fuzz FuzzHashOps -fuzztime 10s ./internal/index
 	go test -run '^$$' -fuzz FuzzXPIndex -fuzztime 10s ./internal/pmem
 	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/server
 

@@ -29,7 +29,9 @@ func falcon(args ...string) (code int, stdout, stderr string) {
 // TestGoldenStdout replays the invocations whose stdout was recorded from the
 // nine pre-fold binaries (testdata/*.stdout, and the sha256 of the sweep's
 // -json file): `falcon X <flags>` must print byte for byte what `falcon-X
-// <flags>` printed.
+// <flags>` printed. A change that moves virtual time on purpose re-records
+// them with the command lines below (`falcon X <flags> > testdata/<name>.stdout`,
+// `sha256sum` of the -json file) and says per file what moved.
 func TestGoldenStdout(t *testing.T) {
 	const small = "-threads 1 -items 200 -customers 30 -txns 40 -warmup 10 -cc OCC -stats"
 	for _, tc := range []struct {

@@ -10,10 +10,10 @@ import (
 )
 
 const (
-	hashMagic = 0xFA1C0DA5_00000001
+	hashMagic = 0xFA1C0DA5_00000002 // 2: fingerprinted buckets
 
 	bucketBytes   = pmem.BlockSize // one NVM media block per bucket
-	bucketEntries = 15             // 8 B header + 15 × 16 B entries = 248 B
+	bucketEntries = 15             // 16 B header + 15 × 16 B entries = 256 B
 	maxProbe      = 16             // linear-probe window in buckets
 
 	// stripeShift groups buckets into lock stripes of 2^stripeShift; a probe
@@ -24,7 +24,9 @@ const (
 // HashIndex is a bucketized linear-probing hash table over a Space. Each
 // bucket is one 256 B block holding up to 15 entries; inserts that overflow
 // a bucket probe forward and set the origin's overflow marker so lookups
-// know to keep probing.
+// know to keep probing. As in Dash, a bucket's first cache line carries a
+// one-byte fingerprint per entry, so a probe reads that line and then only
+// the entries whose fingerprint matches, not the block.
 type HashIndex struct {
 	space    pmem.Space
 	base     uint64
@@ -61,11 +63,9 @@ func NewHash(space pmem.Space, base uint64, capacity uint64) (*HashIndex, error)
 	binary.LittleEndian.PutUint64(hdr[0:], hashMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], nb)
 	space.BulkWrite(base, hdr[:])
-	// Buckets start zeroed (count 0): the device/DRAM space is zero-filled,
-	// but the region may be reused, so clear headers explicitly.
-	for i := uint64(0); i < nb; i++ {
-		space.BulkWriteU64(h.bucketOff(i), 0)
-	}
+	// Buckets start zeroed (count 0): both kinds of space are zero-filled and
+	// neither allocator that places an index (alloc.Arena, Engine.dramAlloc)
+	// hands a region out twice, so there is nothing to clear.
 	h.locks = make([]sync.RWMutex, nb>>stripeShift+1)
 	return h, nil
 }
@@ -133,7 +133,18 @@ func (h *HashIndex) unlockSpan(lo, hi uint64, write bool) {
 	}
 }
 
-// bucket image helpers: a bucket is read and written as one 256 B block.
+// A bucket image: line 0 is the header (count and overflow marker in byte 0,
+// one fingerprint per entry in bytes 1–15) and entries 0–2; entries 3–14 fill
+// the other three lines. DESIGN.md §3 "Hash bucket" has the byte map and the
+// crash argument behind the store orders below.
+const (
+	headBytes   = 16
+	entryBytes  = 16
+	lineEntries = (pmem.LineSize - headBytes) / entryBytes // entries that share the header's line
+
+	countMask   = 0x0f
+	overflowBit = 0x80
+)
 
 type bucketBuf [bucketBytes]byte
 
@@ -143,147 +154,201 @@ type bucketBuf [bucketBytes]byte
 // pooling turns a 256 B allocation per index operation into a pool hit.
 var bucketBufs = sync.Pool{New: func() any { return new(bucketBuf) }}
 
-func (b *bucketBuf) count() int     { return int(binary.LittleEndian.Uint16(b[0:2])) }
-func (b *bucketBuf) setCount(n int) { binary.LittleEndian.PutUint16(b[0:2], uint16(n)) }
-func (b *bucketBuf) overflow() bool { return b[2] != 0 }
-func (b *bucketBuf) setOverflow(v bool) {
-	if v {
-		b[2] = 1
-	} else {
-		b[2] = 0
+func entryOff(i int) int { return headBytes + entryBytes*i }
+
+// fingerprint is the top byte of the key's hash: the low bits pick the
+// bucket, so the keys of one bucket still spread over all 256 values.
+func fingerprint(hash uint64) byte { return byte(hash >> 56) }
+
+func (b *bucketBuf) count() int     { return int(b[0] & countMask) }
+func (b *bucketBuf) overflow() bool { return b[0]&overflowBit != 0 }
+
+// endsChain reports whether no key that hashed here can live further on:
+// the bucket has room and no insert ever had to pass it.
+func (b *bucketBuf) endsChain() bool { return b.count() < bucketEntries && !b.overflow() }
+
+func (b *bucketBuf) key(i int) uint64 { return binary.LittleEndian.Uint64(b[entryOff(i):]) }
+func (b *bucketBuf) val(i int) uint64 { return binary.LittleEndian.Uint64(b[entryOff(i)+8:]) }
+func (b *bucketBuf) set(i int, k, v uint64) {
+	binary.LittleEndian.PutUint64(b[entryOff(i):], k)
+	binary.LittleEndian.PutUint64(b[entryOff(i)+8:], v)
+}
+
+// readEntry loads entry i of bucket bi into its place in buf. Entries below
+// lineEntries came with line 0.
+func (h *HashIndex) readEntry(clk *sim.Clock, buf *bucketBuf, bi uint64, i int) {
+	if i >= lineEntries {
+		o := entryOff(i)
+		h.space.Read(clk, h.bucketOff(bi)+uint64(o), buf[o:o+entryBytes])
 	}
 }
-func (b *bucketBuf) key(i int) uint64 { return binary.LittleEndian.Uint64(b[8+16*i:]) }
-func (b *bucketBuf) val(i int) uint64 { return binary.LittleEndian.Uint64(b[16+16*i:]) }
-func (b *bucketBuf) set(i int, k, v uint64) {
-	binary.LittleEndian.PutUint64(b[8+16*i:], k)
-	binary.LittleEndian.PutUint64(b[16+16*i:], v)
+
+// writeEntry and writeHead store entry i and the header of bucket bi from buf.
+func (h *HashIndex) writeEntry(clk *sim.Clock, buf *bucketBuf, bi uint64, i int) {
+	o := entryOff(i)
+	h.space.Write(clk, h.bucketOff(bi)+uint64(o), buf[o:o+entryBytes])
+}
+
+func (h *HashIndex) writeHead(clk *sim.Clock, buf *bucketBuf, bi uint64) {
+	h.space.Write(clk, h.bucketOff(bi), buf[:headBytes])
+}
+
+// probe is the only read path into a bucket: it loads line 0 of bucket bi
+// into buf and returns match from slot 0. Afterwards buf holds the header,
+// entries 0–2 and the entries match compared; the rest of buf is stale.
+func (h *HashIndex) probe(clk *sim.Clock, buf *bucketBuf, bi, key uint64, fp byte) int {
+	h.space.Read(clk, h.bucketOff(bi), buf[:pmem.LineSize])
+	return h.match(clk, buf, bi, key, fp, 0)
+}
+
+// match returns the first slot at or after from that holds key, or -1,
+// loading only the entries whose fingerprint is fp.
+func (h *HashIndex) match(clk *sim.Clock, buf *bucketBuf, bi, key uint64, fp byte, from int) int {
+	for i, n := from, buf.count(); i < n; i++ {
+		if buf[1+i] != fp {
+			continue
+		}
+		h.readEntry(clk, buf, bi, i)
+		if buf.key(i) == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// find walks the probe window of key, whose hash is hash, and returns the
+// bucket and slot holding it, with buf as probe left it for that bucket.
+func (h *HashIndex) find(clk *sim.Clock, buf *bucketBuf, hash, key uint64) (bi uint64, slot int) {
+	for p := uint64(0); p < maxProbe; p++ {
+		bi = (hash + p) & (h.nbuckets - 1)
+		if slot = h.probe(clk, buf, bi, key, fingerprint(hash)); slot >= 0 || buf.endsChain() {
+			return bi, slot
+		}
+	}
+	return 0, -1
 }
 
 // Get returns the value for key.
 func (h *HashIndex) Get(clk *sim.Clock, key uint64) (uint64, bool) {
-	start := hash64(key) & (h.nbuckets - 1)
-	lo, hi := h.lockSpan(start, false)
+	hash := hash64(key)
+	lo, hi := h.lockSpan(hash&(h.nbuckets-1), false)
 	defer h.unlockSpan(lo, hi, false)
 
 	buf := bucketBufs.Get().(*bucketBuf)
 	defer bucketBufs.Put(buf)
-	for p := uint64(0); p < maxProbe; p++ {
-		bi := (start + p) & (h.nbuckets - 1)
-		h.space.Read(clk, h.bucketOff(bi), buf[:])
-		n := buf.count()
-		for i := 0; i < n; i++ {
-			if buf.key(i) == key {
-				return buf.val(i), true
-			}
-		}
-		if n < bucketEntries && !buf.overflow() {
-			return 0, false
-		}
+	_, i := h.find(clk, buf, hash, key)
+	if i < 0 {
+		return 0, false
 	}
-	return 0, false
+	return buf.val(i), true
 }
 
-// Insert adds key→val.
+// Insert adds key→val. One pass over the probe window checks for a duplicate
+// and remembers where the key will go — the first bucket with room — and the
+// full buckets before it that do not yet carry the overflow marker.
 func (h *HashIndex) Insert(clk *sim.Clock, key, val uint64) error {
-	start := hash64(key) & (h.nbuckets - 1)
+	hash := hash64(key)
+	start := hash & (h.nbuckets - 1)
 	lo, hi := h.lockSpan(start, true)
 	defer h.unlockSpan(lo, hi, true)
 
 	buf := bucketBufs.Get().(*bucketBuf)
 	defer bucketBufs.Put(buf)
-	// First pass: duplicate check across the probe window.
-	for p := uint64(0); p < maxProbe; p++ {
-		bi := (start + p) & (h.nbuckets - 1)
-		h.space.Read(clk, h.bucketOff(bi), buf[:])
-		n := buf.count()
-		for i := 0; i < n; i++ {
-			if buf.key(i) == key {
-				return ErrDuplicate
+	place := -1              // window position of the bucket with room
+	var head [headBytes]byte // its header; a local never handed to the Space
+	var mark uint16          // window positions to mark; maxProbe bits
+	for p := 0; p < maxProbe; p++ {
+		bi := (start + uint64(p)) & (h.nbuckets - 1)
+		if h.probe(clk, buf, bi, key, fingerprint(hash)) >= 0 {
+			return ErrDuplicate
+		}
+		if place < 0 {
+			if buf.count() < bucketEntries {
+				place = p
+				copy(head[:], buf[:headBytes])
+			} else if !buf.overflow() {
+				mark |= 1 << p
 			}
 		}
-		if n < bucketEntries && !buf.overflow() {
+		if buf.endsChain() {
 			break
 		}
 	}
-	// Second pass: place in the first bucket with room, marking overflow on
-	// the full buckets we skip.
-	for p := uint64(0); p < maxProbe; p++ {
-		bi := (start + p) & (h.nbuckets - 1)
-		h.space.Read(clk, h.bucketOff(bi), buf[:])
-		n := buf.count()
-		if n == bucketEntries {
-			if !buf.overflow() {
-				buf.setOverflow(true)
-				h.space.Write(clk, h.bucketOff(bi), buf[:8])
-			}
-			continue
-		}
-		buf.set(n, key, val)
-		buf.setCount(n + 1)
-		// Persist entry then header; both are within one block, usually one
-		// or two cache lines.
-		h.space.Write(clk, h.bucketOff(bi)+uint64(8+16*n), buf[8+16*n:8+16*n+16])
-		h.space.Write(clk, h.bucketOff(bi), buf[:8])
-		return nil
-	}
-	return ErrFull
-}
-
-// findMut locates key for mutation, returning bucket index and entry slot.
-func (h *HashIndex) findMut(clk *sim.Clock, buf *bucketBuf, start, key uint64) (uint64, int, bool) {
-	for p := uint64(0); p < maxProbe; p++ {
-		bi := (start + p) & (h.nbuckets - 1)
-		h.space.Read(clk, h.bucketOff(bi), buf[:])
-		n := buf.count()
-		for i := 0; i < n; i++ {
-			if buf.key(i) == key {
-				return bi, i, true
-			}
-		}
-		if n < bucketEntries && !buf.overflow() {
-			return 0, 0, false
+	// A full bucket's count cannot change under the window's lock, so its
+	// marker is a store of byte 0 alone.
+	buf[0] = bucketEntries | overflowBit
+	for p := uint64(0); mark != 0; p, mark = p+1, mark>>1 {
+		if mark&1 != 0 {
+			h.space.Write(clk, h.bucketOff((start+p)&(h.nbuckets-1)), buf[:1])
 		}
 	}
-	return 0, 0, false
+	if place < 0 {
+		return ErrFull
+	}
+	// Entry, then the header: the count and the fingerprint arrive in one
+	// store within one line, so an entry past the count stays invisible and a
+	// fingerprint never shows without its count.
+	bi := (start + uint64(place)) & (h.nbuckets - 1)
+	n := int(head[0] & countMask)
+	copy(buf[:headBytes], head[:])
+	buf[0]++
+	buf[1+n] = fingerprint(hash)
+	buf.set(n, key, val)
+	h.writeEntry(clk, buf, bi, n)
+	h.writeHead(clk, buf, bi)
+	return nil
 }
 
-// Update repoints an existing key at a new value (out-of-place engines).
+// Update repoints an existing key at a new value (out-of-place engines): one
+// store of the entry, the header does not change. A crash inside Delete can
+// leave a key twice in its bucket, under one fingerprint; both copies take
+// the value, so whichever a later delete moves in front still holds it.
 func (h *HashIndex) Update(clk *sim.Clock, key, val uint64) bool {
-	start := hash64(key) & (h.nbuckets - 1)
-	lo, hi := h.lockSpan(start, true)
+	hash := hash64(key)
+	lo, hi := h.lockSpan(hash&(h.nbuckets-1), true)
 	defer h.unlockSpan(lo, hi, true)
 
 	buf := bucketBufs.Get().(*bucketBuf)
 	defer bucketBufs.Put(buf)
-	bi, i, ok := h.findMut(clk, buf, start, key)
-	if !ok {
+	bi, i := h.find(clk, buf, hash, key)
+	if i < 0 {
 		return false
 	}
-	buf.set(i, key, val)
-	h.space.Write(clk, h.bucketOff(bi)+uint64(8+16*i), buf[8+16*i:8+16*i+16])
+	for ; i >= 0; i = h.match(clk, buf, bi, key, fingerprint(hash), i+1) {
+		buf.set(i, key, val)
+		h.writeEntry(clk, buf, bi, i)
+	}
 	return true
 }
 
-// Delete removes key by swapping the last entry into its hole.
+// Delete removes key by swapping the last entry into its hole: the moved
+// entry, then the header with the moved fingerprint and the smaller count.
+// Between the two stores the moved key is present twice, and the hole still
+// carries the deleted key's fingerprint over the moved entry, which costs a
+// lookup one compare that fails. A crash there leaves the two copies, so
+// Delete goes on until the bucket holds none.
 func (h *HashIndex) Delete(clk *sim.Clock, key uint64) bool {
-	start := hash64(key) & (h.nbuckets - 1)
-	lo, hi := h.lockSpan(start, true)
+	hash := hash64(key)
+	lo, hi := h.lockSpan(hash&(h.nbuckets-1), true)
 	defer h.unlockSpan(lo, hi, true)
 
 	buf := bucketBufs.Get().(*bucketBuf)
 	defer bucketBufs.Put(buf)
-	bi, i, ok := h.findMut(clk, buf, start, key)
-	if !ok {
+	bi, i := h.find(clk, buf, hash, key)
+	if i < 0 {
 		return false
 	}
-	n := buf.count()
-	if i != n-1 {
-		buf.set(i, buf.key(n-1), buf.val(n-1))
-		h.space.Write(clk, h.bucketOff(bi)+uint64(8+16*i), buf[8+16*i:8+16*i+16])
+	for ; i >= 0; i = h.match(clk, buf, bi, key, fingerprint(hash), i) {
+		last := buf.count() - 1
+		if i != last {
+			h.readEntry(clk, buf, bi, last)
+			buf.set(i, buf.key(last), buf.val(last))
+			h.writeEntry(clk, buf, bi, i)
+			buf[1+i] = buf[1+last]
+		}
+		buf[0]--
+		h.writeHead(clk, buf, bi)
 	}
-	buf.setCount(n - 1)
-	h.space.Write(clk, h.bucketOff(bi), buf[:8])
 	return true
 }
 

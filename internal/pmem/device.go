@@ -121,6 +121,9 @@ func (d *Device) RawRead(off uint64, dst []byte) {
 // RawWrite stores bytes directly to the media, bypassing the cache and the
 // XPBuffer and charging no virtual time. It is used for bulk-loading initial
 // database contents, which the paper also performs before measurement.
+// Zeros written to a chunk that was never written leave it unallocated: it
+// already reads as zero, and formatting a region by clearing it must not
+// cost the host its size.
 func (d *Device) RawWrite(off uint64, src []byte) {
 	d.checkRange(off, len(src))
 	for len(src) > 0 {
@@ -129,10 +132,25 @@ func (d *Device) RawWrite(off uint64, src []byte) {
 		if n > uint64(len(src)) {
 			n = uint64(len(src))
 		}
-		copy(d.ensureChunk(off)[co:co+n], src[:n])
+		ch := d.chunkFor(off)
+		if ch == nil && !allZero(src[:n]) {
+			ch = d.ensureChunk(off)
+		}
+		if ch != nil {
+			copy(ch[co:co+n], src[:n])
+		}
 		off += n
 		src = src[n:]
 	}
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (d *Device) checkRange(off uint64, n int) {
