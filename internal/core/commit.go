@@ -331,6 +331,12 @@ func (tx *Txn) publishVersions() {
 		if _, first := ws.touch(w.t, w.slot); !first {
 			continue
 		}
+		if ins := tx.findInsert(w.t, w.key); ins != nil && ins.slot == w.slot {
+			// An update folded into this transaction's own insert: the slot has
+			// no committed image, and a version made of its previous occupant's
+			// bytes would answer an older snapshot that must see no row.
+			continue
+		}
 		lock, _ := w.t.heap.Meta(w.slot)
 		beginTS := tx.e.wtsOf(lock.Load())
 		scratch := tx.e.scratchFor(tx.worker, w.t.schema.TupleSize())
@@ -432,11 +438,22 @@ func (tx *Txn) Abort() {
 		tx.log.Abort(tx.clk)
 	}
 	tx.releaseLocks(false)
+	// The pre-allocated slots were never published; recycle them at once. A
+	// recycled slot must not go back with an older durable timestamp than it
+	// came with: log replay skips a record older than the slot's timestamp, and
+	// a zero would let every record that names the slot and is still in a
+	// window replay (the insert of the row that lived there, then its delete,
+	// which takes the key's index entry with it wherever it points by now). An
+	// out-of-place engine replays nothing and reads a deleted slot's timestamp
+	// against the commit marker, so there it stays zero: committed.
+	var retireTS uint64
+	if tx.e.cfg.Update == InPlace {
+		retireTS = tx.tid
+	}
 	for i := range tx.inserts {
 		ins := &tx.inserts[i]
 		tx.releaseKey(ins.t, ins.key)
-		// The pre-allocated slot was never published; recycle it at once.
-		ins.t.heap.Retire(tx.clk, ins.slot, 0, 0, false)
+		ins.t.heap.Retire(tx.clk, ins.slot, retireTS, 0, false)
 	}
 	tx.clk.Advance(tx.e.sys.Cost().AbortOverhead)
 	// A bare Abort with no recorded failure is a voluntary rollback.
@@ -452,7 +469,7 @@ func (tx *Txn) finish(committed bool) {
 	// recycling threads).
 	if tx.e.cfg.CC.MultiVersion() && committed {
 		tx.pr.To(obs.PhaseHeapWrite)
-		min := tx.e.active.Min()
+		min := tx.e.minActive()
 		for _, t := range tx.e.tables {
 			if t.versions != nil {
 				t.versions.MaybeGC(tx.clk, tx.worker, min)

@@ -32,9 +32,15 @@ import (
 //     release, the same function free-running workers call — runs inside the
 //     round barrier, serially, in canonical order (detReplay).
 //   - The barrier revalidates each attempt against what earlier-ordered
-//     winners of the same round committed, using virtual-time windows: a read
-//     at virtual time v conflicts with an earlier winner's write to the same
-//     slot committed at time c iff v > c (the read should have seen it); a
+//     winners of the same round committed, using virtual-time windows. Every
+//     read that went through concurrency control is recorded with its virtual
+//     time — ReadForUpdate's and a read under the attempt's own write lock
+//     included. Under the lock-based algorithms a read at virtual time v
+//     conflicts with an earlier winner's write to the same slot committed at
+//     time c iff v > c (the read should have seen it). Under the OCC family it
+//     conflicts whatever the two times are: the read saw the round-frozen
+//     version, the attempt validates after the winner by construction, and an
+//     optimistic read holds only if its version is still current then. A
 //     write intent taken at v conflicts iff v < lastC (concurrent writers,
 //     no-wait) or the slot changed structurally (delete / out-of-place
 //     supersede); an insert conflicts on a duplicate key; a scan conflicts
@@ -400,7 +406,8 @@ func (e *Engine) detReplay(atts []*sim.Attempt) {
 // round committed (virtual-time window rules; see the file comment).
 func (d *detState) validate(tx *Txn) (obs.AbortReason, bool) {
 	reason := obs.AbortLockConflict
-	if tx.e.cfg.CC.Base() == cc.OCC {
+	occ := tx.e.cfg.CC.Base() == cc.OCC
+	if occ {
 		reason = obs.AbortValidation
 	}
 	if tx.dt.scanVts != nil {
@@ -416,7 +423,7 @@ func (d *detState) validate(tx *Txn) (obs.AbortReason, bool) {
 	}
 	for i := range tx.reads {
 		r := &tx.reads[i]
-		if w, ok := d.wrote[detSlot{r.t.id, r.slot}]; ok && r.vt > w.firstC {
+		if w, ok := d.wrote[detSlot{r.t.id, r.slot}]; ok && (occ || r.vt > w.firstC) {
 			tx.noteConflict(r.t, r.key, r.slot, 0, obs.ConflictDetBarrier)
 			return reason, false
 		}
@@ -478,7 +485,10 @@ func (d *detState) noteCommitted(tx *Txn) {
 }
 
 // detMergeReadTS applies the transaction's overlay read-timestamp advances to
-// the live words (TO-family only: the other algorithms never read them).
+// the live words (TO-family only: the other algorithms never read them). It
+// merges what the overlay holds, not the TID: a read under the attempt's own
+// write lock is recorded for the barrier but advances no read timestamp, here
+// as in free-running mode.
 func (tx *Txn) detMergeReadTS() {
 	if tx.e.cfg.CC.Base() != cc.TO {
 		return
@@ -486,6 +496,6 @@ func (tx *Txn) detMergeReadTS() {
 	for i := range tx.reads {
 		r := &tx.reads[i]
 		_, rts := r.t.heap.Meta(r.slot)
-		cc.MaxTS(rts, tx.tid)
+		cc.MaxTS(rts, tx.dt.ov[detSlot{r.t.id, r.slot}].readTS.Load())
 	}
 }

@@ -20,17 +20,21 @@ func (tx *Txn) ReadFieldForUpdate(t *Table, key uint64, col int, dst []byte) err
 }
 
 func (tx *Txn) readForUpdate(t *Table, key uint64, off, n int, dst []byte) error {
+	if err := tx.checkCancel(); err != nil {
+		return err
+	}
 	tx.clk.Advance(tx.e.sys.Cost().OpOverhead)
 	if tx.ro {
 		return ErrReadOnly
 	}
+	tx.tstat(t).Reads++
 	tx.pr.Touch(int(t.id), key)
 	if ins := tx.findInsert(t, key); ins != nil {
 		tx.copyPending(ins.t, ins.data, ins.logPos, off, n, dst)
 		tx.overlayOwnWrites(t, ins.slot, off, n, dst)
 		return nil
 	}
-	slot, ok := t.primary.Get(tx.clk, key)
+	slot, ok := tx.resolve(t, key)
 	if !ok {
 		return ErrNotFound
 	}
@@ -52,8 +56,11 @@ func (tx *Txn) readForUpdate(t *Table, key uint64, off, n int, dst []byte) error
 			if err := flagsErr(flags); err != nil {
 				return err
 			}
-			tx.reads = append(tx.reads, readRef{t: t, slot: slot, key: key, word: word})
+			tx.reads = append(tx.reads, readRef{t: t, slot: slot, key: key, word: word, vt: tx.clk.Nanos()})
 		} else {
+			if tx.ownDelete(t, slot) {
+				return ErrNotFound
+			}
 			tx.readPayload(t, key, slot, off, n, dst)
 		}
 		tx.writesMark(t, key, slot)
@@ -69,6 +76,7 @@ func (tx *Txn) readForUpdate(t *Table, key uint64, off, n int, dst []byte) error
 		return err
 	}
 	tx.readPayload(t, key, slot, off, n, dst)
+	tx.detRecordRead(t, slot, key)
 	tx.overlayOwnWrites(t, slot, off, n, dst)
 	return nil
 }

@@ -307,7 +307,16 @@ func (tx *Txn) readResolved(t *Table, key, slot uint64, off, n int, dst []byte) 
 	// Read-your-own-write: the slot is already locked by us; read the base
 	// tuple and overlay pending ops.
 	if tx.ownsWrite(t, slot) {
+		if tx.ownDelete(t, slot) {
+			return ErrNotFound
+		}
 		tx.readPayload(t, key, slot, off, n, dst)
+		if tx.e.cfg.CC.Base() != cc.OCC {
+			// A read under our own write lock is still a read the round
+			// barrier must see (an OCC intent holds no lock and has observed
+			// no word to validate).
+			tx.detRecordRead(t, slot, key)
+		}
 		tx.overlayOwnWrites(t, slot, off, n, dst)
 		return nil
 	}
@@ -519,7 +528,13 @@ func (tx *Txn) UpdateField(t *Table, key uint64, col int, data []byte) error {
 	return tx.Update(t, key, t.schema.Offset(col), data)
 }
 
-// Delete removes the tuple for key at commit.
+// Delete removes the tuple for key at commit. From here on the transaction
+// sees the row gone: Read, ReadForUpdate, Update and a second Delete of the key
+// return ErrNotFound and a scan skips it. Two cases are pinned as they are, not
+// as they should be: Delete of a key this transaction inserted returns
+// ErrNotFound (the pending insert is not in the index, and stays in the write
+// set), and Insert of a key this transaction deleted returns ErrDuplicateKey
+// (the index entry goes at commit).
 func (tx *Txn) Delete(t *Table, key uint64) error {
 	if err := tx.checkCancel(); err != nil {
 		return err
@@ -602,6 +617,9 @@ func (tx *Txn) writeIntent(t *Table, key, slot uint64) error {
 
 func (tx *Txn) writeIntentCC(t *Table, key, slot uint64) error {
 	if tx.ownsWrite(t, slot) {
+		if tx.ownDelete(t, slot) {
+			return ErrNotFound // the transaction sees its own delete
+		}
 		return nil
 	}
 	lock, readTS := tx.metaFor(t, slot)
@@ -720,6 +738,18 @@ func (tx *Txn) findInsert(t *Table, key uint64) *insertOp {
 		}
 	}
 	return nil
+}
+
+// ownDelete reports whether the transaction has buffered a delete of slot: its
+// later operations on the key see the row gone.
+func (tx *Txn) ownDelete(t *Table, slot uint64) bool {
+	for i := range tx.writes {
+		w := &tx.writes[i]
+		if w.t == t && w.slot == slot && w.kind == wal.OpDelete {
+			return true
+		}
+	}
+	return false
 }
 
 func (tx *Txn) ownsWrite(t *Table, slot uint64) bool {

@@ -182,8 +182,6 @@ func TestMixedWorkloadAllCCAlgorithms(t *testing.T) {
 }
 
 func TestDistrictOrderConsistency(t *testing.T) {
-	// Invariant (TPC-C consistency condition 1-3 simplified): for each
-	// district, d_next_o_id - 1 equals the maximum order id present.
 	cfg := tinyConfig()
 	e, d := newLoadedEngine(t, core.FalconConfig(), cfg)
 	for i := 0; i < 60; i++ {
@@ -191,27 +189,107 @@ func TestDistrictOrderConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ds := e.Table(TDistrict).Schema()
+	checkConsistency(t, e, cfg)
+}
+
+// checkConsistency checks TPC-C's consistency conditions 1 and 2 (spec 3.3.2)
+// on a quiescent engine: a warehouse's W_YTD is the sum of its districts'
+// D_YTD (Payment adds the same amount to both, so a lost update on either row
+// opens a gap), and for each district the order D_NEXT_O_ID - 1 exists and
+// the order D_NEXT_O_ID does not (NewOrder bumps the counter and inserts the
+// order in one transaction).
+func checkConsistency(t *testing.T, e *core.Engine, cfg Config) {
+	t.Helper()
+	read := func(tbl *core.Table, key uint64, buf []byte) error {
+		return e.RunRO(0, func(tx *core.Txn) error { return tx.Read(tbl, key, buf) })
+	}
+	wt, dt, ot := e.Table(TWarehouse), e.Table(TDistrict), e.Table(TOrder)
+	ws, ds := wt.Schema(), dt.Schema()
+	wbuf := make([]byte, ws.TupleSize())
 	dbuf := make([]byte, ds.TupleSize())
+	obuf := make([]byte, ot.Schema().TupleSize())
 	for w := 1; w <= cfg.Warehouses; w++ {
+		if err := read(wt, wKey(w), wbuf); err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
 		for did := 1; did <= Districts; did++ {
-			if err := e.RunRO(0, func(tx *core.Txn) error {
-				return tx.Read(e.Table(TDistrict), dKey(w, did), dbuf)
-			}); err != nil {
+			if err := read(dt, dKey(w, did), dbuf); err != nil {
 				t.Fatal(err)
 			}
+			sum += ds.GetInt64(dbuf, DYtd)
 			next := int(ds.GetInt64(dbuf, DNextOID))
-			// The order with id next-1 must exist; next must not.
-			obuf := make([]byte, e.Table(TOrder).Schema().TupleSize())
-			if err := e.RunRO(0, func(tx *core.Txn) error {
-				return tx.Read(e.Table(TOrder), oKey(w, did, next-1), obuf)
-			}); err != nil {
-				t.Fatalf("w%d d%d: order %d (next_o_id-1) missing: %v", w, did, next-1, err)
+			if err := read(ot, oKey(w, did, next-1), obuf); err != nil {
+				t.Errorf("w%d d%d: order %d (next_o_id-1) missing: %v", w, did, next-1, err)
 			}
-			if err := e.RunRO(0, func(tx *core.Txn) error {
-				return tx.Read(e.Table(TOrder), oKey(w, did, next), obuf)
-			}); err == nil {
-				t.Fatalf("w%d d%d: order %d (next_o_id) already exists", w, did, next)
+			if err := read(ot, oKey(w, did, next), obuf); err == nil {
+				t.Errorf("w%d d%d: order %d (next_o_id) already exists", w, did, next)
+			}
+		}
+		if ytd := ws.GetInt64(wbuf, WYtd); ytd != sum {
+			t.Errorf("w%d: W_YTD %d - sum(D_YTD) %d = %d", w, ytd, sum, ytd-sum)
+		}
+	}
+}
+
+// TestConsistencyAfterMix runs the mix on four workers, free-running and
+// through the group scheduler, under every CC algorithm, on an in-place and an
+// out-of-place engine, and then checks conditions 1 and 2. It is group mode's
+// only serializability check: the crash oracle never runs a writer during
+// group-mode execution and never calls ReadForUpdate. Before the access set
+// (DESIGN.md section 3) ReadForUpdate's read never reached the round barrier and
+// every group-mode cell failed: W_YTD gaps in the tens of millions under 2PL,
+// TO and OCC, "StockLevel: core: key not found" under the multi-version three.
+func TestConsistencyAfterMix(t *testing.T) {
+	calls, cfg := 600, Config{Warehouses: 2, Items: 2000, CustomersPerDistrict: 120}
+	if testing.Short() {
+		calls, cfg = 100, tinyConfig() // the race lane: most of a cell is its load
+	}
+	for _, ecfg := range []core.Config{core.FalconConfig(), core.OutpConfig()} {
+		for _, algo := range cc.All {
+			for _, group := range []bool{false, true} {
+				mode := "free"
+				if group {
+					mode = "group"
+				}
+				t.Run(ecfg.Name+"/"+algo.String()+"/"+mode, func(t *testing.T) {
+					ecfg.CC = algo
+					e, d := newLoadedEngine(t, ecfg, cfg)
+					calls := calls
+					if group && algo.Base() == cc.TO {
+						// Group-mode TIDs are virtual times, so a worker whose
+						// clock lags draws TIDs older than the rows the leaders
+						// wrote and closes the gap one abort's cost per retry:
+						// minutes of host time at 600 calls on Outp (ROADMAP).
+						calls /= 3
+					}
+					if group {
+						e.EnterGroup()
+						e.Group().Begin(4)
+					}
+					var wg sync.WaitGroup
+					errs := make([]error, 4)
+					for w := 0; w < 4; w++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							if group {
+								defer e.Group().Leave()
+							}
+							for i := 0; i < calls && errs[w] == nil; i++ {
+								errs[w] = d.Next(w)
+							}
+						}()
+					}
+					wg.Wait()
+					e.LeaveGroup()
+					for w, err := range errs {
+						if err != nil {
+							t.Fatalf("worker %d: %v", w, err)
+						}
+					}
+					checkConsistency(t, e, cfg)
+				})
 			}
 		}
 	}
