@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 
 	"falcon/internal/cc"
 	"falcon/internal/index"
@@ -40,12 +38,13 @@ func (tx *Txn) Commit() error {
 
 // hasWrites reports whether there is a write set to commit (a read-only
 // transaction cannot buffer one).
-func (tx *Txn) hasWrites() bool { return len(tx.writes)+len(tx.inserts) > 0 }
+func (tx *Txn) hasWrites() bool { return len(tx.ops) > 0 }
 
 // validate is the worker-side head of a read-write commit: the redo record
 // must have fitted its window, and under OCC the read set must still hold. It
-// touches only what the worker owns (in group mode the CC words are the
-// private overlay; the barrier re-checks against the round's earlier winners).
+// touches only what the worker owns (in group mode the CC words are the access
+// set's private copies; the barrier re-checks against the round's earlier
+// winners).
 func (tx *Txn) validate() error {
 	if !tx.hasWrites() {
 		return nil
@@ -113,7 +112,7 @@ func (tx *Txn) commitInPlace() {
 		tx.log.Commit(tx.clk) // Algorithm 1 line 2: the durable point
 	}
 	tx.pr.To(obs.PhaseHeapWrite)
-	apply := tx.applyWriteSet()
+	tx.applyWriteSet()
 	if !deferred {
 		e.nvm.SFence(tx.clk) // Algorithm 1 line 7
 	}
@@ -122,8 +121,8 @@ func (tx *Txn) commitInPlace() {
 	ws := &e.scratch[tx.worker]
 	ws.spans, ws.flushed, ws.elided = ws.spans[:0], 0, 0
 	flushStart := tx.clk.Nanos()
-	for _, a := range apply {
-		tx.persist(a.extent())
+	for i := range tx.ops {
+		tx.persist(tx.ops[i].extent())
 	}
 	if deferred {
 		tx.log.EnlistData(tx.clk, epoch, ws.spans)
@@ -175,76 +174,34 @@ func (tx *Txn) persist(t *Table, slot uint64, off, n int) {
 	ws.flushed++
 }
 
-// applyWriteSet applies the write set to the tuple heap in log order (so
-// later ops override earlier ones) and stamps durable writer timestamps,
-// one per touched slot, in first-touch order (a map would iterate in random
-// order, making the WriteTS sequence — and with it the simulated cache
-// state — differ between identical runs).
-func (tx *Txn) applyWriteSet() []applyEntry {
-	apply := tx.applyOrder()
-	ws := &tx.e.scratch[tx.worker]
-	ws.slots = ws.slots[:0]
-	for _, a := range apply {
-		if a.ins != nil {
-			tx.applyInsert(a.ins)
-			ws.touch(a.ins.t, a.ins.slot)
-			tx.tstat(a.ins.t).Writes++
-			tx.pr.LogicalBytes(uint64(a.ins.t.id), uint64(a.ins.t.schema.TupleSize()))
-			continue
-		}
-		w := a.w
-		switch w.kind {
+// applyWriteSet applies the op list to the tuple heap in the order it was
+// issued — log order, so later ops override earlier ones — and then stamps one
+// durable writer timestamp per slot that took payload bytes, in the order the
+// slots were first applied to. That is not the order their locks were taken in
+// (ReadForUpdate(A), ReadForUpdate(B), Update(B), Update(A) stamps B first),
+// and it must not become it: the order decides which header line the simulated
+// cache sees first, so every virtual-time golden hangs on it
+// (TestWriteTSInFirstApplyOrder, TestVirtualGolden).
+func (tx *Txn) applyWriteSet() {
+	for i := range tx.ops {
+		op := &tx.ops[i]
+		switch op.kind {
+		case wal.OpInsert:
+			tx.applyInsert(op)
 		case wal.OpUpdate:
-			op, _ := tx.log.ReadOp(tx.clk, w.logPos)
-			w.t.heap.WriteRange(tx.clk, w.slot, w.off, op.Data)
-			ws.touch(w.t, w.slot)
-			tx.pr.LogicalBytes(uint64(w.t.id), uint64(w.n))
+			rec, _ := tx.log.ReadOp(tx.clk, op.logPos)
+			op.t.heap.WriteRange(tx.clk, op.slot, op.off, rec.Data)
 		case wal.OpDelete:
-			tx.applyDelete(w)
+			tx.applyDelete(op)
 		}
-		tx.tstat(w.t).Writes++
+		tx.pr.LogicalBytes(uint64(op.t.id), uint64(op.n)) // a delete's n is 0
+		tx.tstat(op.t).Writes++
 	}
-	for _, s := range ws.slots {
-		s.t.heap.WriteTS(tx.clk, s.slot, tx.tid)
+	for i := range tx.ops {
+		if op := &tx.ops[i]; op.kind != wal.OpDelete && tx.firstOn(i, true) {
+			op.t.heap.WriteTS(tx.clk, op.slot, tx.tid)
+		}
 	}
-	return apply
-}
-
-type applyEntry struct {
-	pos int
-	w   *writeOp
-	ins *insertOp
-}
-
-// extent is the tuple range the entry dirtied: the whole payload for an
-// insert, the written bytes for an update, the header alone for a delete.
-func (a applyEntry) extent() (t *Table, slot uint64, off, n int) {
-	switch {
-	case a.ins != nil:
-		return a.ins.t, a.ins.slot, 0, a.ins.t.schema.TupleSize()
-	case a.w.kind == wal.OpUpdate:
-		return a.w.t, a.w.slot, a.w.off, a.w.n
-	default:
-		return a.w.t, a.w.slot, 0, 0
-	}
-}
-
-// applyOrder returns the write set in log order, in the worker's buffer: the
-// result is good until the worker's next commit.
-func (tx *Txn) applyOrder() []applyEntry {
-	ws := &tx.e.scratch[tx.worker]
-	out := ws.apply[:0]
-	for i := range tx.writes {
-		out = append(out, applyEntry{pos: tx.writes[i].logPos, w: &tx.writes[i]})
-	}
-	for i := range tx.inserts {
-		out = append(out, applyEntry{pos: tx.inserts[i].logPos, ins: &tx.inserts[i]})
-	}
-	// logPos is unique, so every sort gives the same order; this one needs no
-	// reflect swapper for its few, nearly sorted entries.
-	slices.SortFunc(out, func(a, b applyEntry) int { return cmp.Compare(a.pos, b.pos) })
-	ws.apply = out
-	return out
 }
 
 // publishTuple fills a slot no reader can reach yet. Publish order: payload,
@@ -267,7 +224,7 @@ func (tx *Txn) stampWord(t *Table, slot uint64) {
 	lock.Store(tx.e.wordOf(tx.tid))
 }
 
-func (tx *Txn) applyInsert(ins *insertOp) {
+func (tx *Txn) applyInsert(ins *txnOp) {
 	t := ins.t
 	op, _ := tx.log.ReadOp(tx.clk, ins.logPos)
 	payload := op.Data
@@ -301,7 +258,7 @@ func (t *Table) indexInsert(clk *sim.Clock, idx index.Index, key, slot uint64) {
 	}
 }
 
-func (tx *Txn) applyDelete(w *writeOp) {
+func (tx *Txn) applyDelete(w *txnOp) {
 	t := w.t
 	// The durable timestamp is the deleting TID (replay guard); the reclaim
 	// horizon is a fresh TID so in-flight readers that resolved this slot
@@ -324,17 +281,13 @@ func (tx *Txn) publishVersions() {
 	}
 	prev := tx.pr.To(obs.PhaseHeapWrite)
 	defer tx.pr.To(prev)
-	ws := &tx.e.scratch[tx.worker]
-	ws.slots = ws.slots[:0]
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		if _, first := ws.touch(w.t, w.slot); !first {
-			continue
-		}
-		if ins := tx.findInsert(w.t, w.key); ins != nil && ins.slot == w.slot {
-			// An update folded into this transaction's own insert: the slot has
-			// no committed image, and a version made of its previous occupant's
-			// bytes would answer an older snapshot that must see no row.
+	for i := range tx.ops {
+		w := &tx.ops[i]
+		// One version per written slot, and none for a slot this transaction
+		// inserted (its insert is the slot's first op): that slot has no
+		// committed image, and a version made of its previous occupant's bytes
+		// would answer an older snapshot that must see no row.
+		if w.kind == wal.OpInsert || !tx.firstOn(i, false) {
 			continue
 		}
 		lock, _ := w.t.heap.Meta(w.slot)
@@ -347,84 +300,80 @@ func (tx *Txn) publishVersions() {
 }
 
 // occValidate locks the write set and checks that every read version is
-// unchanged (Silo-style; no-wait on conflicts).
+// unchanged (Silo-style; no-wait on conflicts). The locks land in the access
+// set like any other, so the common release and abort paths apply.
 func (tx *Txn) occValidate() bool {
-	// Lock every written slot (validation locks are recorded as lockRefs so
-	// the common release/abort paths apply).
-	for i := range tx.occIntents {
-		m := &tx.occIntents[i]
-		lock, _ := tx.metaFor(m.t, m.slot)
+	for i := range tx.acc {
+		a := &tx.acc[i]
+		if a.mode&accIntent == 0 {
+			continue
+		}
+		lock, _ := tx.words(a)
 		pre, ok := cc.TryLockTO(lock)
 		if !ok {
-			tx.noteConflict(m.t, m.key, m.slot, lock.Load(), obs.ConflictValidation)
+			tx.noteConflict(a.t, a.key, a.slot, lock.Load(), obs.ConflictValidation)
 			return false
 		}
-		tx.locks = append(tx.locks, lockRef{t: m.t, slot: m.slot, key: m.key, pre: pre, vt: tx.clk.Nanos()})
-		if liveErr(m.t, tx.clk, m.slot) != nil {
+		a.noteLocked(pre, tx.clk.Nanos())
+		if liveErr(a.t, tx.clk, a.slot) != nil {
 			// Superseded or deleted while we ran.
-			tx.noteConflict(m.t, m.key, m.slot, pre, obs.ConflictValidation)
+			tx.noteConflict(a.t, a.key, a.slot, pre, obs.ConflictValidation)
 			return false
 		}
 	}
-	for i := range tx.reads {
-		r := &tx.reads[i]
-		lock, _ := tx.metaFor(r.t, r.slot)
+	for i := range tx.acc {
+		a := &tx.acc[i]
+		if a.mode&accRead == 0 {
+			continue
+		}
+		lock, _ := tx.words(a)
 		cur := lock.Load()
-		if cur == r.word {
+		if cur == a.word {
 			continue
 		}
 		// Changed: acceptable only if the lock is ours and the version
 		// matches what we read.
-		if cc.Locked(cur) && cc.WTSTO(cur) == cc.WTSTO(r.word) && tx.selfLocked(r.t, r.slot) {
+		if cc.Locked(cur) && cc.WTSTO(cur) == cc.WTSTO(a.word) && a.mode&accExcl != 0 {
 			continue
 		}
-		tx.noteConflict(r.t, r.key, r.slot, cur, obs.ConflictValidation)
+		tx.noteConflict(a.t, a.key, a.slot, cur, obs.ConflictValidation)
 		return false
 	}
 	return true
 }
 
-func (tx *Txn) selfLocked(t *Table, slot uint64) bool {
-	for i := range tx.locks {
-		l := &tx.locks[i]
-		if l.t == t && l.slot == slot && !l.shared {
-			return true
-		}
-	}
-	return false
-}
-
 // releaseLocks drops every lock the transaction holds. A committed write
 // installs the new writer TID; everything else — shared locks, and exclusive
 // ones on the read-only, empty and abort paths — leaves the writer timestamp
-// as it was. Locks live where they were taken (metaFor: the private overlay in
-// group mode, which dies with the transaction), but the new writer timestamp
+// as it was. Locks live where they were taken (words: the entry's private copy
+// in group mode, which dies with the attempt), but the new writer timestamp
 // must land on the LIVE word so that later transactions observe the commit; in
 // group mode that word was never locked and the store is all there is to do.
 func (tx *Txn) releaseLocks(committed bool) {
 	twoPL := tx.e.cfg.CC.Base() == cc.TwoPL
-	for i := range tx.locks {
-		l := &tx.locks[i]
-		if committed && !l.shared {
-			live, _ := l.t.heap.Meta(l.slot)
+	for i := range tx.acc {
+		a := &tx.acc[i]
+		switch {
+		case a.mode&accExcl != 0 && committed:
+			live, _ := a.t.heap.Meta(a.slot)
 			if twoPL {
 				cc.WriteUnlock2PL(live, tx.tid)
 			} else {
 				cc.UnlockTO(live, tx.tid)
 			}
-			continue
-		}
-		lock, _ := tx.metaFor(l.t, l.slot)
-		switch {
-		case l.shared:
+		case a.mode&accExcl != 0:
+			lock, _ := tx.words(a)
+			if twoPL {
+				cc.WriteUnlock2PLKeepTS(lock)
+			} else {
+				cc.UnlockTOKeep(lock, a.pre)
+			}
+		case a.mode&accShared != 0:
+			lock, _ := tx.words(a)
 			cc.ReadUnlock2PL(lock)
-		case twoPL:
-			cc.WriteUnlock2PLKeepTS(lock)
-		default:
-			cc.UnlockTOKeep(lock, l.pre)
 		}
+		a.mode &^= accExcl | accShared
 	}
-	tx.locks = tx.locks[:0]
 }
 
 // Abort rolls back: locks release with their prior versions, reserved keys
@@ -450,10 +399,11 @@ func (tx *Txn) Abort() {
 	if tx.e.cfg.Update == InPlace {
 		retireTS = tx.tid
 	}
-	for i := range tx.inserts {
-		ins := &tx.inserts[i]
-		tx.releaseKey(ins.t, ins.key)
-		ins.t.heap.Retire(tx.clk, ins.slot, retireTS, 0, false)
+	for i := range tx.ops {
+		if ins := &tx.ops[i]; ins.kind == wal.OpInsert {
+			tx.releaseKey(ins.t, ins.key)
+			ins.t.heap.Retire(tx.clk, ins.slot, retireTS, 0, false)
+		}
 	}
 	tx.clk.Advance(tx.e.sys.Cost().AbortOverhead)
 	// A bare Abort with no recorded failure is a voluntary rollback.
@@ -464,6 +414,8 @@ func (tx *Txn) Abort() {
 }
 
 func (tx *Txn) finish(committed bool) {
+	ws := &tx.e.scratch[tx.worker]
+	ws.acc, ws.ops = tx.acc, tx.ops // the next attempt starts from their capacity
 	tx.e.active.Clear(tx.worker)
 	// Version-heap GC piggybacks on worker threads (§5.4: no dedicated
 	// recycling threads).
@@ -600,11 +552,9 @@ func (tx *Txn) scanIndex(t *Table, idx index.Index, from uint64, limit int, fn f
 
 // readSlot performs the CC read of an already-resolved slot (scan path).
 func (tx *Txn) readSlot(t *Table, key, slot uint64, dst []byte) error {
-	if err := tx.checkCancel(); err != nil {
+	if err := tx.enter(t, key, false); err != nil {
 		return err
 	}
-	tx.clk.Advance(tx.e.sys.Cost().OpOverhead)
 	tx.tstat(t).Reads++
-	tx.pr.Touch(int(t.id), key)
 	return tx.readResolved(t, key, slot, 0, t.schema.TupleSize(), dst)
 }

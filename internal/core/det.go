@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"falcon/internal/cc"
 	"falcon/internal/obs"
 	"falcon/internal/sim"
@@ -23,11 +21,11 @@ import (
 //     is therefore (virtual time, worker id) order.
 //   - During a round, every access a transaction makes against shared state is
 //     a pure read of round-frozen state. CC lock/read-timestamp words are
-//     copied on first touch into a private overlay (Txn.metaFor); all six CC
-//     algorithms run unchanged against the overlay. Live words are never
-//     mutated mid-round.
+//     copied on first touch into the slot's entry in the attempt's access set
+//     (Txn.access, Txn.words); all six CC algorithms run unchanged against the
+//     copies. Live words are never mutated mid-round.
 //   - The commit is split where Commit itself splits it: validate (log-capacity
-//     check, OCC validation over the overlay) runs worker-side; commitTail —
+//     check, OCC validation over the copies) runs worker-side; commitTail —
 //     version publish, log commit, heap apply, index updates, flushes, lock
 //     release, the same function free-running workers call — runs inside the
 //     round barrier, serially, in canonical order (detReplay).
@@ -102,16 +100,9 @@ type detState struct {
 	tmods   map[uint8]uint64 // table id -> earliest structural-change vtime
 }
 
-// ovEntry is a private copy of one slot's CC metadata (lock word + read
-// timestamp), initialized from the round-frozen live words on first touch.
-type ovEntry struct {
-	lock   atomic.Uint64
-	readTS atomic.Uint64
-}
-
-// detTxn is the per-transaction group-mode state.
+// detTxn is the per-transaction group-mode state. The attempt's private copies
+// of the CC words it touched are in its access set, not here.
 type detTxn struct {
-	ov      map[detSlot]*ovEntry
 	scanVts map[uint8]uint64 // table id -> latest scan vtime (phantom check)
 	// submitted marks that this transaction already occupied a round (its
 	// attempt reached the barrier), so a retry must not submit a second
@@ -218,37 +209,6 @@ func (e *Engine) minActive() uint64 {
 		return d.min
 	}
 	return e.active.Min()
-}
-
-// metaFor returns the CC metadata words for a slot: the live heap words in
-// free-running mode, the transaction-private overlay in group mode. Overlay
-// entries copy the round-frozen live words on first touch; the overlay is
-// discarded with the transaction, and the commit tail writes final words back
-// to the live slots (releaseLocks).
-func (tx *Txn) metaFor(t *Table, slot uint64) (lock, readTS *atomic.Uint64) {
-	dt := tx.dt
-	if dt == nil {
-		return t.heap.Meta(slot)
-	}
-	k := detSlot{t.id, slot}
-	ov := dt.ov[k]
-	if ov == nil {
-		ll, lr := t.heap.Meta(slot)
-		ov = &ovEntry{}
-		ov.lock.Store(ll.Load())
-		ov.readTS.Store(lr.Load())
-		dt.ov[k] = ov
-	}
-	return &ov.lock, &ov.readTS
-}
-
-// detRecordRead records a non-OCC read for barrier validation (OCC reads are
-// already recorded, with their vtime, for its own validation).
-func (tx *Txn) detRecordRead(t *Table, slot, key uint64) {
-	if tx.dt == nil {
-		return
-	}
-	tx.reads = append(tx.reads, readRef{t: t, slot: slot, key: key, vt: tx.clk.Nanos()})
 }
 
 // detRecordScan records a table scan's completion vtime (phantom check).
@@ -403,7 +363,10 @@ func (e *Engine) detReplay(atts []*sim.Attempt) {
 }
 
 // validate checks one attempt against what earlier-ordered winners of this
-// round committed (virtual-time window rules; see the file comment).
+// round committed (virtual-time window rules; see the file comment). It reports
+// the first conflict it finds, and which one that is is pinned
+// (cmd/falcon/testdata/sweep_fig11_stats_contend.stdout): scans, then reads,
+// then write locks, then inserts, each in the order the attempt made them.
 func (d *detState) validate(tx *Txn) (obs.AbortReason, bool) {
 	reason := obs.AbortLockConflict
 	occ := tx.e.cfg.CC.Base() == cc.OCC
@@ -421,25 +384,33 @@ func (d *detState) validate(tx *Txn) (obs.AbortReason, bool) {
 			}
 		}
 	}
-	for i := range tx.reads {
-		r := &tx.reads[i]
-		if w, ok := d.wrote[detSlot{r.t.id, r.slot}]; ok && (occ || r.vt > w.firstC) {
-			tx.noteConflict(r.t, r.key, r.slot, 0, obs.ConflictDetBarrier)
-			return reason, false
-		}
+	conflict := func(a *access) (obs.AbortReason, bool) {
+		tx.noteConflict(a.t, a.key, a.slot, 0, obs.ConflictDetBarrier)
+		return reason, false
 	}
-	for i := range tx.locks {
-		l := &tx.locks[i]
-		if l.shared {
+	for i := range tx.acc {
+		a := &tx.acc[i]
+		if a.mode&accRead == 0 {
 			continue
 		}
-		if w, ok := d.wrote[detSlot{l.t.id, l.slot}]; ok && (w.structural || l.vt < w.lastC) {
-			tx.noteConflict(l.t, l.key, l.slot, 0, obs.ConflictDetBarrier)
-			return reason, false
+		if w, ok := d.wrote[detSlot{a.t.id, a.slot}]; ok && (occ || a.vt > w.firstC) {
+			return conflict(a)
 		}
 	}
-	for i := range tx.inserts {
-		ins := &tx.inserts[i]
+	for i := range tx.acc {
+		a := &tx.acc[i]
+		if a.mode&accExcl == 0 {
+			continue
+		}
+		if w, ok := d.wrote[detSlot{a.t.id, a.slot}]; ok && (w.structural || a.lockVt < w.lastC) {
+			return conflict(a)
+		}
+	}
+	for i := range tx.ops {
+		ins := &tx.ops[i]
+		if ins.kind != wal.OpInsert {
+			continue
+		}
 		if _, dup := d.insKeys[detKey{ins.t.id, ins.key}]; dup {
 			tx.noteConflict(ins.t, ins.key, ins.slot, 0, obs.ConflictDetBarrier)
 			return reason, false
@@ -452,8 +423,18 @@ func (d *detState) validate(tx *Txn) (obs.AbortReason, bool) {
 func (d *detState) noteCommitted(tx *Txn) {
 	cvt := tx.clk.Nanos()
 	outp := tx.e.cfg.Update == OutOfPlace
-	for i := range tx.writes {
-		w := &tx.writes[i]
+	structural := func(t *Table) {
+		if f, ok := d.tmods[t.id]; !ok || cvt < f {
+			d.tmods[t.id] = cvt
+		}
+	}
+	for i := range tx.ops {
+		w := &tx.ops[i]
+		if w.kind == wal.OpInsert {
+			d.insKeys[detKey{w.t.id, w.key}] = struct{}{}
+			structural(w.t)
+			continue
+		}
 		k := detSlot{w.t.id, w.slot}
 		win := d.wrote[k]
 		if win == nil {
@@ -470,32 +451,25 @@ func (d *detState) noteCommitted(tx *Txn) {
 			win.structural = true
 		}
 		if w.kind == wal.OpDelete {
-			if f, ok := d.tmods[w.t.id]; !ok || cvt < f {
-				d.tmods[w.t.id] = cvt
-			}
-		}
-	}
-	for i := range tx.inserts {
-		ins := &tx.inserts[i]
-		d.insKeys[detKey{ins.t.id, ins.key}] = struct{}{}
-		if f, ok := d.tmods[ins.t.id]; !ok || cvt < f {
-			d.tmods[ins.t.id] = cvt
+			structural(w.t)
 		}
 	}
 }
 
-// detMergeReadTS applies the transaction's overlay read-timestamp advances to
-// the live words (TO-family only: the other algorithms never read them). It
-// merges what the overlay holds, not the TID: a read under the attempt's own
-// write lock is recorded for the barrier but advances no read timestamp, here
-// as in free-running mode.
+// detMergeReadTS applies the read-timestamp advances the attempt made on its
+// private copies to the live words (TO-family only: the other algorithms never
+// read them). It merges what each copy holds, not the TID: a read under the
+// attempt's own write lock is recorded for the barrier but advances no read
+// timestamp, here as in free-running mode.
 func (tx *Txn) detMergeReadTS() {
 	if tx.e.cfg.CC.Base() != cc.TO {
 		return
 	}
-	for i := range tx.reads {
-		r := &tx.reads[i]
-		_, rts := r.t.heap.Meta(r.slot)
-		cc.MaxTS(rts, tx.dt.ov[detSlot{r.t.id, r.slot}].readTS.Load())
+	for i := range tx.acc {
+		a := &tx.acc[i]
+		if a.mode&accRead != 0 {
+			_, rts := a.t.heap.Meta(a.slot)
+			cc.MaxTS(rts, a.readTS.Load())
+		}
 	}
 }

@@ -86,36 +86,17 @@ type Engine struct {
 
 // workerScratch holds a worker's reusable buffers, padded against false
 // sharing: buf for point operations, scan for the scan in progress (scanIndex
-// takes it for the length of the scan), and for the commit in progress apply
-// (applyOrder), slots (touch) and what persist has deferred and counted.
+// takes it for the length of the scan), acc and ops for the open attempt's
+// access set and op list (begin takes them, finish hands them back), and for
+// the commit in progress what persist has deferred and counted.
 type workerScratch struct {
 	buf             []byte
 	scan            []byte
-	apply           []applyEntry
-	slots           []slotRef
+	acc             []access
+	ops             []txnOp
 	spans           []pmem.Span
 	flushed, elided uint64
 	_               [7]uint64
-}
-
-// slotRef names one heap slot of a write set.
-type slotRef struct {
-	t    *Table
-	slot uint64
-}
-
-// touch is the write set's (table, slot) grouping: it returns the position of
-// the slot in ws.slots, appending it on first touch, so callers see each slot
-// once and in first-touch order (deterministic, unlike a map's). Write sets
-// are small; the scan is linear.
-func (ws *workerScratch) touch(t *Table, slot uint64) (i int, first bool) {
-	for j, s := range ws.slots {
-		if s.t == t && s.slot == slot {
-			return j, false
-		}
-	}
-	ws.slots = append(ws.slots, slotRef{t, slot})
-	return len(ws.slots) - 1, true
 }
 
 // Table is one relation: a tuple heap plus its indexes and (for MVCC) the

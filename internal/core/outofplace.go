@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"falcon/internal/heap"
 	"falcon/internal/obs"
@@ -17,7 +18,7 @@ type outpGroup struct {
 	oldSlot, newSlot uint64
 	key              uint64
 	del              bool
-	ops              []*writeOp
+	ops              []*txnOp
 	// oldSec/newSec track the secondary key across the version move; a delete
 	// carries the key captured at buffering time in oldSec.
 	oldSec, newSec uint64
@@ -45,14 +46,17 @@ type outpGroup struct {
 func (tx *Txn) commitOutOfPlace() error {
 	e := tx.e
 
-	// One new version per logical tuple.
-	ws := &e.scratch[tx.worker]
-	ws.slots = ws.slots[:0]
-	groups := make([]outpGroup, 0, len(tx.writes))
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		gi, first := ws.touch(w.t, w.slot)
-		if first {
+	// One new version per logical tuple, in the order the tuples were first
+	// written.
+	groups := make([]outpGroup, 0, len(tx.ops))
+	for i := range tx.ops {
+		w := &tx.ops[i]
+		if w.kind == wal.OpInsert {
+			continue
+		}
+		gi := slices.IndexFunc(groups, func(g outpGroup) bool { return g.oldSlot == w.slot && g.t == w.t })
+		if gi < 0 {
+			gi = len(groups)
 			groups = append(groups, outpGroup{t: w.t, oldSlot: w.slot, key: w.key})
 		}
 		g := &groups[gi]
@@ -116,13 +120,15 @@ func (tx *Txn) commitOutOfPlace() error {
 		e.tcPut(tx.clk, tx.worker, g.t.id, g.key, scratch)
 	}
 	// Inserts: fresh slots, same durability rules.
-	for i := range tx.inserts {
-		ins := &tx.inserts[i]
-		size := ins.t.schema.TupleSize()
+	for i := range tx.ops {
+		ins := &tx.ops[i]
+		if ins.kind != wal.OpInsert {
+			continue
+		}
 		tx.tstat(ins.t).Writes++
-		tx.pr.LogicalBytes(uint64(ins.t.id), uint64(size))
+		tx.pr.LogicalBytes(uint64(ins.t.id), uint64(ins.n))
 		tx.publishTuple(ins.t, ins.slot, ins.data)
-		tx.persist(ins.t, ins.slot, 0, size)
+		tx.persist(ins.extent())
 	}
 
 	// Phase 2: the commit marker — the out-of-place engines' durable point,
@@ -175,8 +181,11 @@ func (tx *Txn) commitOutOfPlace() error {
 		g.t.heap.Retire(tx.clk, g.oldSlot, tx.tid, e.gen.Next(tx.worker), true)
 		tx.pr.To(obs.PhaseIndexUpdate)
 	}
-	for i := range tx.inserts {
-		ins := &tx.inserts[i]
+	for i := range tx.ops {
+		ins := &tx.ops[i]
+		if ins.kind != wal.OpInsert {
+			continue
+		}
 		tx.stampWord(ins.t, ins.slot)
 		if ins.t.secondary != nil { // before the primary, as above
 			ins.t.indexInsert(tx.clk, ins.t.secondary, ins.t.schema.GetUint64(ins.data, ins.t.secondaryCol), ins.slot)

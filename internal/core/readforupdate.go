@@ -1,9 +1,6 @@
 package core
 
-import (
-	"falcon/internal/cc"
-	"falcon/internal/obs"
-)
+import "falcon/internal/cc"
 
 // ReadForUpdate reads the tuple for key while acquiring write intent
 // up-front (select-for-update). Read-modify-write code should prefer this
@@ -19,64 +16,36 @@ func (tx *Txn) ReadFieldForUpdate(t *Table, key uint64, col int, dst []byte) err
 	return tx.readForUpdate(t, key, t.schema.Offset(col), t.schema.Column(col).Size, dst)
 }
 
+// readForUpdate is "take the write intent, then read" through the same way in
+// as every other operation. What is its own is one ordering: under OCC the read
+// comes first, so that the version it saw is recorded for validation before the
+// intent makes the slot the attempt's own (an owned slot is read without
+// concurrency control). The lock-based algorithms read under the lock they just
+// took, after a second look at the slot's flags.
 func (tx *Txn) readForUpdate(t *Table, key uint64, off, n int, dst []byte) error {
-	if err := tx.checkCancel(); err != nil {
+	if err := tx.enter(t, key, true); err != nil {
 		return err
 	}
-	tx.clk.Advance(tx.e.sys.Cost().OpOverhead)
-	if tx.ro {
-		return ErrReadOnly
-	}
 	tx.tstat(t).Reads++
-	tx.pr.Touch(int(t.id), key)
 	if ins := tx.findInsert(t, key); ins != nil {
-		tx.copyPending(ins.t, ins.data, ins.logPos, off, n, dst)
-		tx.overlayOwnWrites(t, ins.slot, off, n, dst)
+		tx.readPending(ins, off, n, dst)
 		return nil
 	}
 	slot, ok := tx.resolve(t, key)
 	if !ok {
 		return ErrNotFound
 	}
-
 	if tx.e.cfg.CC.Base() == cc.OCC {
-		// OCC defers locking; the read must still be validated, so record
-		// it like an ordinary read, then mark the write intent.
-		lock, _ := t.heap.Meta(slot)
-		if !tx.ownsWrite(t, slot) {
-			word := lock.Load()
-			if cc.Locked(word) {
-				return tx.ccConflict(t, key, slot, word, obs.ConflictLockFail)
-			}
-			flags := t.heap.ReadFlags(tx.clk, slot)
-			tx.readPayload(t, key, slot, off, n, dst)
-			if lock.Load() != word {
-				return tx.ccConflict(t, key, slot, lock.Load(), obs.ConflictTornRead)
-			}
-			if err := flagsErr(flags); err != nil {
-				return err
-			}
-			tx.reads = append(tx.reads, readRef{t: t, slot: slot, key: key, word: word, vt: tx.clk.Nanos()})
-		} else {
-			if tx.ownDelete(t, slot) {
-				return ErrNotFound
-			}
-			tx.readPayload(t, key, slot, off, n, dst)
+		if err := tx.readResolved(t, key, slot, off, n, dst); err != nil {
+			return err
 		}
-		tx.writesMark(t, key, slot)
-		tx.overlayOwnWrites(t, slot, off, n, dst)
-		return nil
+		return tx.writeIntent(t, key, slot)
 	}
-
-	// 2PL / TO: take the write lock first, then read under it.
 	if err := tx.writeIntent(t, key, slot); err != nil {
 		return err
 	}
 	if err := liveErr(t, tx.clk, slot); err != nil {
 		return err
 	}
-	tx.readPayload(t, key, slot, off, n, dst)
-	tx.detRecordRead(t, slot, key)
-	tx.overlayOwnWrites(t, slot, off, n, dst)
-	return nil
+	return tx.readResolved(t, key, slot, off, n, dst)
 }

@@ -62,11 +62,11 @@ type Txn struct {
 	// pays one pointer test).
 	cancel func() bool
 
-	writes     []writeOp
-	inserts    []insertOp
-	reads      []readRef
-	locks      []lockRef
-	occIntents []lockRef // OCC write intents awaiting validation-time locks
+	// acc is the access set and ops the op list (access.go): everything the
+	// attempt knows about the tuples it touched. Both are taken from the
+	// worker's scratch at begin and handed back, with their capacity, at finish.
+	acc []access
+	ops []txnOp
 }
 
 // setAbortCause records why this transaction is about to abort. Later calls
@@ -100,53 +100,6 @@ func (tx *Txn) classifyAbort(err error) {
 	}
 }
 
-// writeOp is one buffered update or delete.
-type writeOp struct {
-	t    *Table
-	kind uint8 // wal.OpUpdate or wal.OpDelete
-	slot uint64
-	key  uint64
-	off  int
-	n    int
-	// logPos locates the op in the log window (in-place engines).
-	logPos int
-	// data holds the post-image for out-of-place engines (DRAM buffered).
-	data []byte
-	// secKey caches the secondary key captured at buffering time (deletes).
-	secKey uint64
-}
-
-// insertOp is one buffered insert; the slot is pre-allocated and private to
-// the transaction until commit publishes it in the index.
-type insertOp struct {
-	t      *Table
-	slot   uint64
-	key    uint64
-	logPos int
-	data   []byte // out-of-place engines
-}
-
-// readRef records an OCC read for validation; group mode records every CC
-// algorithm's reads here, stamped with their virtual time, for the round
-// barrier's conflict windows.
-type readRef struct {
-	t    *Table
-	slot uint64
-	key  uint64 // primary key (contention attribution)
-	word uint64
-	vt   uint64 // read vtime (group-mode barrier validation)
-}
-
-// lockRef records a held lock for release at commit/abort.
-type lockRef struct {
-	t      *Table
-	slot   uint64
-	key    uint64 // primary key (contention attribution)
-	shared bool   // 2PL read lock
-	pre    uint64 // pre-lock word (TO/OCC restore on abort)
-	vt     uint64 // acquisition vtime (group-mode barrier validation)
-}
-
 // Begin starts a read-write transaction on worker's thread.
 func (e *Engine) Begin(worker int) *Txn {
 	return e.begin(worker, false)
@@ -175,8 +128,11 @@ func (e *Engine) begin(worker int, ro bool) *Txn {
 	}
 	e.active.Set(worker, tid)
 	tx := &Txn{e: e, worker: worker, tid: tid, clk: clk, ro: ro, pr: &e.probes[worker]}
+	ws := &e.scratch[worker]
+	tx.acc, tx.ops = ws.acc[:0], ws.ops[:0]
+	ws.acc, ws.ops = nil, nil // taken while the attempt is open, like the scan buffer
 	if e.det != nil {
-		tx.dt = &detTxn{ov: make(map[detSlot]*ovEntry, 8)}
+		tx.dt = &detTxn{}
 	}
 	// Open the probe before charging the begin overhead so the phases
 	// partition every transactional nanosecond (the overhead lands in exec).
@@ -250,18 +206,27 @@ func (tx *Txn) checkCancel() error {
 	return nil
 }
 
-func (tx *Txn) read(t *Table, key uint64, off, n int, dst []byte) error {
+// enter is the head of every operation: the cancel poll, the op's fixed cost,
+// the read-only check for a write, the popularity count.
+func (tx *Txn) enter(t *Table, key uint64, write bool) error {
 	if err := tx.checkCancel(); err != nil {
 		return err
 	}
 	tx.clk.Advance(tx.e.sys.Cost().OpOverhead)
-	tx.tstat(t).Reads++
+	if write && tx.ro {
+		return ErrReadOnly
+	}
 	tx.pr.Touch(int(t.id), key)
+	return nil
+}
 
-	// Read-your-own-insert.
+func (tx *Txn) read(t *Table, key uint64, off, n int, dst []byte) error {
+	if err := tx.enter(t, key, false); err != nil {
+		return err
+	}
+	tx.tstat(t).Reads++
 	if ins := tx.findInsert(t, key); ins != nil {
-		tx.copyPending(ins.t, ins.data, ins.logPos, off, n, dst)
-		tx.overlayOwnWrites(t, ins.slot, off, n, dst)
+		tx.readPending(ins, off, n, dst)
 		return nil
 	}
 	slot, ok := tx.resolve(t, key)
@@ -296,45 +261,46 @@ func (tx *Txn) resolve(t *Table, key uint64) (uint64, bool) {
 }
 
 // readResolved is the concurrency-controlled read of an already-resolved
-// heap slot, shared by point reads and scans.
+// heap slot, shared by point reads, ReadForUpdate and scans.
 func (tx *Txn) readResolved(t *Table, key, slot uint64, off, n int, dst []byte) error {
 	if tx.snapshotRead() {
 		return tx.snapshotReadSlot(t, key, slot, off, n, dst)
 	}
 
-	lock, _ := tx.metaFor(t, slot)
+	a := tx.access(t, slot, key)
 
-	// Read-your-own-write: the slot is already locked by us; read the base
-	// tuple and overlay pending ops.
-	if tx.ownsWrite(t, slot) {
-		if tx.ownDelete(t, slot) {
+	// Read-your-own-write: the slot is ours to write; read the base tuple and
+	// overlay pending ops.
+	if a.owned() {
+		if a.mode&accDeleted != 0 {
 			return ErrNotFound
 		}
 		tx.readPayload(t, key, slot, off, n, dst)
-		if tx.e.cfg.CC.Base() != cc.OCC {
+		if a.mode&accExcl != 0 {
 			// A read under our own write lock is still a read the round
 			// barrier must see (an OCC intent holds no lock and has observed
 			// no word to validate).
-			tx.detRecordRead(t, slot, key)
+			a.noteRead(tx.clk.Nanos())
 		}
 		tx.overlayOwnWrites(t, slot, off, n, dst)
 		return nil
 	}
 
+	lock, readTS := tx.words(a)
 	switch tx.e.cfg.CC.Base() {
 	case cc.TwoPL:
-		if !tx.holdsShared(t, slot) {
+		if a.mode&accShared == 0 {
 			if !cc.TryReadLock2PL(lock) {
 				return tx.ccConflict(t, key, slot, lock.Load(), obs.ConflictLockFail)
 			}
-			tx.locks = append(tx.locks, lockRef{t: t, slot: slot, key: key, shared: true, vt: tx.clk.Nanos()})
+			a.mode |= accShared
 		}
 		// The lock makes the flags stable.
 		if err := liveErr(t, tx.clk, slot); err != nil {
 			return err
 		}
 		tx.readPayload(t, key, slot, off, n, dst)
-		tx.detRecordRead(t, slot, key)
+		a.noteRead(tx.clk.Nanos())
 		return nil
 
 	case cc.TO:
@@ -346,7 +312,6 @@ func (tx *Txn) readResolved(t *Table, key, slot uint64, off, n int, dst []byte) 
 			return tx.ccConflict(t, key, slot, word, obs.ConflictTSOrder)
 		}
 		flags := t.heap.ReadFlags(tx.clk, slot)
-		_, readTS := tx.metaFor(t, slot)
 		cc.MaxTS(readTS, tx.tid)
 		tx.readPayload(t, key, slot, off, n, dst)
 		if lock.Load() != word {
@@ -356,7 +321,7 @@ func (tx *Txn) readResolved(t *Table, key, slot uint64, off, n int, dst []byte) 
 		if err := flagsErr(flags); err != nil {
 			return err
 		}
-		tx.detRecordRead(t, slot, key)
+		a.noteRead(tx.clk.Nanos())
 		return nil
 
 	default: // OCC
@@ -372,7 +337,10 @@ func (tx *Txn) readResolved(t *Table, key, slot uint64, off, n int, dst []byte) 
 		if err := flagsErr(flags); err != nil {
 			return err
 		}
-		tx.reads = append(tx.reads, readRef{t: t, slot: slot, key: key, word: word, vt: tx.clk.Nanos()})
+		if a.mode&accRead == 0 {
+			a.word = word // the first word observed is the one validated
+		}
+		a.noteRead(tx.clk.Nanos())
 		return nil
 	}
 }
@@ -500,16 +468,9 @@ func (tx *Txn) snapshotReadSlotSpin(t *Table, slot uint64, off, n int, dst []byt
 
 // Update overwrites payload bytes [off, off+len(data)) of the tuple for key.
 func (tx *Txn) Update(t *Table, key uint64, off int, data []byte) error {
-	if err := tx.checkCancel(); err != nil {
+	if err := tx.enter(t, key, true); err != nil {
 		return err
 	}
-	cost := tx.e.sys.Cost()
-	tx.clk.Advance(cost.OpOverhead)
-	if tx.ro {
-		return ErrReadOnly
-	}
-
-	tx.pr.Touch(int(t.id), key)
 	if ins := tx.findInsert(t, key); ins != nil {
 		return tx.updatePendingInsert(ins, off, data)
 	}
@@ -520,7 +481,7 @@ func (tx *Txn) Update(t *Table, key uint64, off int, data []byte) error {
 	if err := tx.writeIntent(t, key, slot); err != nil {
 		return err
 	}
-	return tx.bufferWrite(t, wal.OpUpdate, slot, key, off, data, 0)
+	return tx.bufferOp(txnOp{t: t, kind: wal.OpUpdate, slot: slot, key: key, off: off, n: len(data)}, data)
 }
 
 // UpdateField overwrites one column.
@@ -536,15 +497,9 @@ func (tx *Txn) UpdateField(t *Table, key uint64, col int, data []byte) error {
 // set), and Insert of a key this transaction deleted returns ErrDuplicateKey
 // (the index entry goes at commit).
 func (tx *Txn) Delete(t *Table, key uint64) error {
-	if err := tx.checkCancel(); err != nil {
+	if err := tx.enter(t, key, true); err != nil {
 		return err
 	}
-	cost := tx.e.sys.Cost()
-	tx.clk.Advance(cost.OpOverhead)
-	if tx.ro {
-		return ErrReadOnly
-	}
-	tx.pr.Touch(int(t.id), key)
 	slot, ok := tx.resolve(t, key)
 	if !ok {
 		return ErrNotFound
@@ -552,25 +507,23 @@ func (tx *Txn) Delete(t *Table, key uint64) error {
 	if err := tx.writeIntent(t, key, slot); err != nil {
 		return err
 	}
-	var secKey uint64
+	op := txnOp{t: t, kind: wal.OpDelete, slot: slot, key: key}
 	if t.secondary != nil {
-		secKey = t.heap.ReadRangeU64(tx.clk, slot, t.schema.Offset(t.secondaryCol))
+		op.secKey = t.heap.ReadRangeU64(tx.clk, slot, t.schema.Offset(t.secondaryCol))
 	}
-	return tx.bufferWrite(t, wal.OpDelete, slot, key, 0, nil, secKey)
+	if err := tx.bufferOp(op, nil); err != nil {
+		return err
+	}
+	tx.find(t, slot).mode |= accDeleted
+	return nil
 }
 
 // Insert adds a tuple with the given payload (len = tuple size). The key
 // must equal the payload's key column; the slot becomes visible at commit.
 func (tx *Txn) Insert(t *Table, key uint64, payload []byte) error {
-	if err := tx.checkCancel(); err != nil {
+	if err := tx.enter(t, key, true); err != nil {
 		return err
 	}
-	cost := tx.e.sys.Cost()
-	tx.clk.Advance(cost.OpOverhead)
-	if tx.ro {
-		return ErrReadOnly
-	}
-	tx.pr.Touch(int(t.id), key)
 	if tx.findInsert(t, key) != nil {
 		return ErrDuplicateKey
 	}
@@ -590,19 +543,12 @@ func (tx *Txn) Insert(t *Table, key uint64, payload []byte) error {
 		}
 		return fmt.Errorf("%w: %s (insert)", ErrTableFull, t.name)
 	}
-	ins := insertOp{t: t, slot: slot, key: key}
-	if tx.e.cfg.Update == InPlace {
-		pos := tx.logAppendInsert(t, slot, key, payload)
-		if pos < 0 {
-			tx.releaseKey(t, key)
-			return ErrTxnTooLarge
-		}
-		ins.logPos = pos
-	} else {
-		ins.data = append([]byte(nil), payload[:t.schema.TupleSize()]...)
-		chargeDRAMCopy(tx.clk, cost, len(ins.data))
+	size := t.schema.TupleSize()
+	op := txnOp{t: t, kind: wal.OpInsert, slot: slot, key: key, n: size}
+	if err := tx.bufferOp(op, payload[:size]); err != nil {
+		tx.releaseKey(t, key)
+		return err
 	}
-	tx.inserts = append(tx.inserts, ins)
 	return nil
 }
 
@@ -616,27 +562,24 @@ func (tx *Txn) writeIntent(t *Table, key, slot uint64) error {
 }
 
 func (tx *Txn) writeIntentCC(t *Table, key, slot uint64) error {
-	if tx.ownsWrite(t, slot) {
-		if tx.ownDelete(t, slot) {
+	a := tx.access(t, slot, key)
+	if a.owned() {
+		if a.mode&accDeleted != 0 {
 			return ErrNotFound // the transaction sees its own delete
 		}
 		return nil
 	}
-	lock, readTS := tx.metaFor(t, slot)
+	lock, readTS := tx.words(a)
 	switch tx.e.cfg.CC.Base() {
 	case cc.TwoPL:
-		if tx.holdsShared(t, slot) {
+		if a.mode&accShared != 0 {
 			if !cc.TryUpgrade2PL(lock) {
 				return tx.ccConflict(t, key, slot, lock.Load(), obs.ConflictUpgrade)
 			}
-			tx.dropShared(t, slot)
-			tx.locks = append(tx.locks, lockRef{t: t, slot: slot, key: key, vt: tx.clk.Nanos()})
-			return tx.liveIntent(t, slot)
-		}
-		if !cc.TryWriteLock2PL(lock) {
+		} else if !cc.TryWriteLock2PL(lock) {
 			return tx.ccConflict(t, key, slot, lock.Load(), obs.ConflictLockFail)
 		}
-		tx.locks = append(tx.locks, lockRef{t: t, slot: slot, key: key, vt: tx.clk.Nanos()})
+		a.noteLocked(0, tx.clk.Nanos())
 		return tx.liveIntent(t, slot)
 
 	case cc.TO:
@@ -648,42 +591,42 @@ func (tx *Txn) writeIntentCC(t *Table, key, slot uint64) error {
 			cc.UnlockTOKeep(lock, pre)
 			return tx.ccConflict(t, key, slot, pre, obs.ConflictTSOrder)
 		}
-		tx.locks = append(tx.locks, lockRef{t: t, slot: slot, key: key, pre: pre, vt: tx.clk.Nanos()})
+		a.noteLocked(pre, tx.clk.Nanos())
 		return tx.liveIntent(t, slot)
 
 	default: // OCC defers locking to validation
-		tx.writesMark(t, key, slot)
+		a.mode |= accIntent
 		return nil
 	}
 }
 
-// bufferWrite records the op in the write set (the log window for in-place
-// engines, DRAM for out-of-place).
-func (tx *Txn) bufferWrite(t *Table, kind uint8, slot, key uint64, off int, data []byte, secKey uint64) error {
-	op := writeOp{t: t, kind: kind, slot: slot, key: key, off: off, n: len(data), secKey: secKey}
+// bufferOp appends op, carrying data (an update's bytes, an insert's payload),
+// to the write set: the log window for in-place engines, DRAM for out-of-place.
+func (tx *Txn) bufferOp(op txnOp, data []byte) error {
 	if tx.e.cfg.Update == InPlace {
-		var pos int
-		if kind == wal.OpDelete {
-			pos = tx.logAppendDelete(t, slot, key)
-		} else {
-			pos = tx.logAppendUpdate(t, slot, key, off, data)
+		prev := tx.pr.To(obs.PhaseLogAppend)
+		switch op.kind {
+		case wal.OpUpdate:
+			op.logPos = tx.log.AppendUpdate(tx.clk, op.t.id, op.slot, op.key, op.off, data)
+		case wal.OpInsert:
+			op.logPos = tx.log.AppendInsert(tx.clk, op.t.id, op.slot, op.key, data)
+		default:
+			op.logPos = tx.log.AppendDelete(tx.clk, op.t.id, op.slot, op.key)
 		}
-		if pos < 0 {
+		tx.pr.To(prev)
+		if op.logPos < 0 {
 			return ErrTxnTooLarge
 		}
-		op.logPos = pos
-	} else {
-		if kind != wal.OpDelete {
-			op.data = append([]byte(nil), data...)
-			chargeDRAMCopy(tx.clk, tx.e.sys.Cost(), len(data))
-		}
+	} else if op.kind != wal.OpDelete {
+		op.data = append([]byte(nil), data...)
+		chargeDRAMCopy(tx.clk, tx.e.sys.Cost(), len(data))
 	}
-	tx.writes = append(tx.writes, op)
+	tx.ops = append(tx.ops, op)
 	return nil
 }
 
 // updatePendingInsert folds an update into a not-yet-committed insert.
-func (tx *Txn) updatePendingInsert(ins *insertOp, off int, data []byte) error {
+func (tx *Txn) updatePendingInsert(ins *txnOp, off int, data []byte) error {
 	if tx.e.cfg.Update == OutOfPlace {
 		copy(ins.data[off:off+len(data)], data)
 		chargeDRAMCopy(tx.clk, tx.e.sys.Cost(), len(data))
@@ -691,130 +634,15 @@ func (tx *Txn) updatePendingInsert(ins *insertOp, off int, data []byte) error {
 	}
 	// In-place: append a follow-up update op on the same slot; replay order
 	// preserves the final image.
-	pos := tx.logAppendUpdate(ins.t, ins.slot, ins.key, off, data)
-	if pos < 0 {
-		return ErrTxnTooLarge
-	}
-	tx.writes = append(tx.writes, writeOp{
-		t: ins.t, kind: wal.OpUpdate, slot: ins.slot, key: ins.key,
-		off: off, n: len(data), logPos: pos,
-	})
-	return nil
-}
-
-// ---- log append helpers (in-place) ----
-//
-// Each helper attributes its window writes to the log-append phase before
-// returning to the caller's phase.
-
-func (tx *Txn) logAppendUpdate(t *Table, slot, key uint64, off int, data []byte) int {
-	prev := tx.pr.To(obs.PhaseLogAppend)
-	pos := tx.log.AppendUpdate(tx.clk, t.id, slot, key, off, data)
-	tx.pr.To(prev)
-	return pos
-}
-
-func (tx *Txn) logAppendInsert(t *Table, slot, key uint64, payload []byte) int {
-	prev := tx.pr.To(obs.PhaseLogAppend)
-	pos := tx.log.AppendInsert(tx.clk, t.id, slot, key, payload[:t.schema.TupleSize()])
-	tx.pr.To(prev)
-	return pos
-}
-
-func (tx *Txn) logAppendDelete(t *Table, slot, key uint64) int {
-	prev := tx.pr.To(obs.PhaseLogAppend)
-	pos := tx.log.AppendDelete(tx.clk, t.id, slot, key)
-	tx.pr.To(prev)
-	return pos
-}
-
-// ---- own-write bookkeeping ----
-
-func (tx *Txn) findInsert(t *Table, key uint64) *insertOp {
-	for i := range tx.inserts {
-		ins := &tx.inserts[i]
-		if ins.t == t && ins.key == key {
-			return ins
-		}
-	}
-	return nil
-}
-
-// ownDelete reports whether the transaction has buffered a delete of slot: its
-// later operations on the key see the row gone.
-func (tx *Txn) ownDelete(t *Table, slot uint64) bool {
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		if w.t == t && w.slot == slot && w.kind == wal.OpDelete {
-			return true
-		}
-	}
-	return false
-}
-
-func (tx *Txn) ownsWrite(t *Table, slot uint64) bool {
-	for i := range tx.locks {
-		l := &tx.locks[i]
-		if l.t == t && l.slot == slot && !l.shared {
-			return true
-		}
-	}
-	// OCC has no exec-time locks; check the write set.
-	if tx.e.cfg.CC.Base() == cc.OCC {
-		for i := range tx.writes {
-			w := &tx.writes[i]
-			if w.t == t && w.slot == slot {
-				return true
-			}
-		}
-		return tx.occMarked(t, slot)
-	}
-	return false
-}
-
-func (tx *Txn) holdsShared(t *Table, slot uint64) bool {
-	for i := range tx.locks {
-		l := &tx.locks[i]
-		if l.t == t && l.slot == slot && l.shared {
-			return true
-		}
-	}
-	return false
-}
-
-func (tx *Txn) dropShared(t *Table, slot uint64) {
-	for i := range tx.locks {
-		l := &tx.locks[i]
-		if l.t == t && l.slot == slot && l.shared {
-			tx.locks = append(tx.locks[:i], tx.locks[i+1:]...)
-			return
-		}
-	}
-}
-
-// occMarks tracks write intents under OCC before any op is buffered.
-func (tx *Txn) writesMark(t *Table, key, slot uint64) {
-	if !tx.occMarked(t, slot) {
-		tx.occIntents = append(tx.occIntents, lockRef{t: t, slot: slot, key: key})
-	}
-}
-
-func (tx *Txn) occMarked(t *Table, slot uint64) bool {
-	for i := range tx.occIntents {
-		m := &tx.occIntents[i]
-		if m.t == t && m.slot == slot {
-			return true
-		}
-	}
-	return false
+	return tx.bufferOp(txnOp{t: ins.t, kind: wal.OpUpdate, slot: ins.slot, key: ins.key, off: off, n: len(data)}, data)
 }
 
 // overlayOwnWrites patches dst (payload range [off, off+n)) with this
-// transaction's buffered updates to slot.
+// transaction's buffered updates to slot, in the order they were issued.
 func (tx *Txn) overlayOwnWrites(t *Table, slot uint64, off, n int, dst []byte) {
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		if w.t != t || w.slot != slot || w.kind != wal.OpUpdate {
+	for i := range tx.ops {
+		w := &tx.ops[i]
+		if w.kind != wal.OpUpdate || w.slot != slot || w.t != t {
 			continue
 		}
 		lo, hi := w.off, w.off+w.n
@@ -838,14 +666,16 @@ func (tx *Txn) overlayOwnWrites(t *Table, slot uint64, off, n int, dst []byte) {
 	}
 }
 
-// copyPending reads range [off, off+n) of a pending insert's payload.
-func (tx *Txn) copyPending(t *Table, data []byte, logPos int, off, n int, dst []byte) {
-	if tx.e.cfg.Update == OutOfPlace {
-		copy(dst[:n], data[off:off+n])
-		return
+// readPending reads range [off, off+n) of the transaction's own pending insert:
+// its payload, then the updates folded into it since.
+func (tx *Txn) readPending(ins *txnOp, off, n int, dst []byte) {
+	data := ins.data
+	if tx.e.cfg.Update == InPlace {
+		op, _ := tx.log.ReadOp(tx.clk, ins.logPos)
+		data = op.Data
 	}
-	op, _ := tx.log.ReadOp(tx.clk, logPos)
-	copy(dst[:n], op.Data[off:off+n])
+	copy(dst[:n], data[off:off+n])
+	tx.overlayOwnWrites(ins.t, ins.slot, off, n, dst)
 }
 
 func chargeDRAMCopy(clk *sim.Clock, cost sim.CostModel, n int) {
