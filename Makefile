@@ -1,12 +1,22 @@
 # Convenience targets; everything also works with plain go commands.
 
-.PHONY: build test race race-par bench bench-quick bench-smoke sweep phase-tables trace-check contend-smoke soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke old-spellings
+.PHONY: build test lines race race-par bench bench-quick bench-smoke sweep phase-tables trace-check contend-smoke soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke old-spellings
 
 build:
 	go build ./...
 
 test:
 	go test ./...
+
+# ROADMAP aim 2's measure, per package and for the root module: non-test .go
+# lines, comments and blanks included (benchmark/ is a module of its own and is
+# not counted). CI prints it after Build, so a PR that says "net negative in
+# core" is read, not asserted.
+lines:
+	@for d in $$(find cmd internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '%7d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%7d  root module\n' $$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
 
 # The race lane, here and in CI (ci.yml runs this target, so there is one
 # package list): -short trims property-check sample counts.

@@ -124,8 +124,9 @@ type txnOp struct {
 	kind uint8 // wal.OpInsert, wal.OpUpdate or wal.OpDelete
 	slot uint64
 	key  uint64
-	// off and n are the payload range an update writes (an insert: the whole
-	// tuple; a delete: none).
+	// off and n are the payload range the op dirties: the written bytes for an
+	// update, the whole tuple for an insert, none (the header alone) for a
+	// delete.
 	off, n int
 	// logPos locates the op in the log window (in-place engines); data holds
 	// the update's bytes or the insert's payload for out-of-place engines,
@@ -134,12 +135,6 @@ type txnOp struct {
 	data   []byte
 	// secKey is the secondary key captured when a delete was buffered.
 	secKey uint64
-}
-
-// extent is the tuple range the op dirties: the whole payload for an insert,
-// the written bytes for an update, the header alone for a delete.
-func (op *txnOp) extent() (t *Table, slot uint64, off, n int) {
-	return op.t, op.slot, op.off, op.n
 }
 
 // findInsert returns the transaction's own pending insert of key. The pointer
@@ -153,14 +148,14 @@ func (tx *Txn) findInsert(t *Table, key uint64) *txnOp {
 	return nil
 }
 
-// firstOn reports whether ops[i] is the first op on its slot, deletes aside
-// when stamps is set: the commit publishes one old version per written slot and
-// stamps one writer timestamp per slot it stored payload bytes to (a delete
-// stamps its own, in Retire).
-func (tx *Txn) firstOn(i int, stamps bool) bool {
+// firstOn reports whether ops[i] is the first op on its slot: the commit
+// publishes one old version and stamps one writer timestamp per written slot,
+// however many ops wrote it. (A delete is always the last op on its slot — the
+// transaction sees the row gone afterwards — so it is never in the way.)
+func (tx *Txn) firstOn(i int) bool {
 	op := &tx.ops[i]
 	for j := range tx.ops[:i] {
-		if p := &tx.ops[j]; p.slot == op.slot && p.t == op.t && !(stamps && p.kind == wal.OpDelete) {
+		if p := &tx.ops[j]; p.slot == op.slot && p.t == op.t {
 			return false
 		}
 	}

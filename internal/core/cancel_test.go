@@ -36,8 +36,7 @@ func TestRunCancelablePreAttempt(t *testing.T) {
 
 // TestRunCancelableMidTxn: cancellation raised between operations aborts the
 // attempt, rolls back its writes, and counts under the canceled abort reason.
-// Every operation entry point polls the hook; ReadForUpdate did not until it
-// took the same way in as the others.
+// Every operation entry point polls the hook.
 func TestRunCancelableMidTxn(t *testing.T) {
 	buf := make([]byte, 64)
 	for name, second := range map[string]func(tx *Txn, kv *Table) error{

@@ -122,7 +122,8 @@ func (tx *Txn) commitInPlace() {
 	ws.spans, ws.flushed, ws.elided = ws.spans[:0], 0, 0
 	flushStart := tx.clk.Nanos()
 	for i := range tx.ops {
-		tx.persist(tx.ops[i].extent())
+		op := &tx.ops[i]
+		tx.persist(op.t, op.slot, op.off, op.n)
 	}
 	if deferred {
 		tx.log.EnlistData(tx.clk, epoch, ws.spans)
@@ -198,7 +199,7 @@ func (tx *Txn) applyWriteSet() {
 		tx.tstat(op.t).Writes++
 	}
 	for i := range tx.ops {
-		if op := &tx.ops[i]; op.kind != wal.OpDelete && tx.firstOn(i, true) {
+		if op := &tx.ops[i]; op.kind != wal.OpDelete && tx.firstOn(i) {
 			op.t.heap.WriteTS(tx.clk, op.slot, tx.tid)
 		}
 	}
@@ -287,7 +288,7 @@ func (tx *Txn) publishVersions() {
 		// inserted (its insert is the slot's first op): that slot has no
 		// committed image, and a version made of its previous occupant's bytes
 		// would answer an older snapshot that must see no row.
-		if w.kind == wal.OpInsert || !tx.firstOn(i, false) {
+		if w.kind == wal.OpInsert || !tx.firstOn(i) {
 			continue
 		}
 		lock, _ := w.t.heap.Meta(w.slot)

@@ -128,7 +128,7 @@ func (tx *Txn) commitOutOfPlace() error {
 		tx.tstat(ins.t).Writes++
 		tx.pr.LogicalBytes(uint64(ins.t.id), uint64(ins.n))
 		tx.publishTuple(ins.t, ins.slot, ins.data)
-		tx.persist(ins.extent())
+		tx.persist(ins.t, ins.slot, 0, ins.n)
 	}
 
 	// Phase 2: the commit marker — the out-of-place engines' durable point,

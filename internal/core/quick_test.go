@@ -571,8 +571,7 @@ func TestTxnAllocs(t *testing.T) {
 
 // The ceilings of TestTxnAllocs. An update allocates its Txn, the window's log
 // handle (wal.Window.Begin) and the op the apply reads back from the record
-// (wal's ReadOp); a read its Txn alone. With tx.reads, tx.locks and tx.writes
-// grown per attempt it was 5 and 2.
+// (wal's ReadOp); a read its Txn alone.
 const (
 	txnAllocsUpdate = 3
 	txnAllocsRead   = 1

@@ -197,20 +197,12 @@ func (tx *Txn) tstat(t *Table) *obs.TableStats {
 	return &tx.e.tstats[tx.worker][t.id].TableStats
 }
 
-// checkCancel polls the cancellation hook; every operation entry point calls
-// it so an expired deadline surfaces within one op, not one transaction.
-func (tx *Txn) checkCancel() error {
+// enter is the head of every operation: the cancel poll (so an expired deadline
+// surfaces within one op, not one transaction), the op's fixed cost, the
+// read-only check for a write, the popularity count.
+func (tx *Txn) enter(t *Table, key uint64, write bool) error {
 	if tx.cancel != nil && tx.cancel() {
 		return ErrCanceled
-	}
-	return nil
-}
-
-// enter is the head of every operation: the cancel poll, the op's fixed cost,
-// the read-only check for a write, the popularity count.
-func (tx *Txn) enter(t *Table, key uint64, write bool) error {
-	if err := tx.checkCancel(); err != nil {
-		return err
 	}
 	tx.clk.Advance(tx.e.sys.Cost().OpOverhead)
 	if write && tx.ro {

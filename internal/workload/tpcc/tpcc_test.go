@@ -236,10 +236,11 @@ func checkConsistency(t *testing.T, e *core.Engine, cfg Config) {
 // through the group scheduler, under every CC algorithm, on an in-place and an
 // out-of-place engine, and then checks conditions 1 and 2. It is group mode's
 // only serializability check: the crash oracle never runs a writer during
-// group-mode execution and never calls ReadForUpdate. Before the access set
-// (DESIGN.md section 3) ReadForUpdate's read never reached the round barrier and
-// every group-mode cell failed: W_YTD gaps in the tens of millions under 2PL,
-// TO and OCC, "StockLevel: core: key not found" under the multi-version three.
+// group-mode execution and never calls ReadForUpdate. A read the round barrier
+// does not hear of shows here as a W_YTD gap in the millions (Payment's
+// read-modify-write of the warehouse and district rows); version GC at a
+// horizon above a lagging worker's next TID as "StockLevel: core: key not
+// found".
 func TestConsistencyAfterMix(t *testing.T) {
 	calls, cfg := 600, Config{Warehouses: 2, Items: 2000, CustomersPerDistrict: 120}
 	if testing.Short() {
