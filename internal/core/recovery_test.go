@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"falcon/internal/index"
+	"falcon/internal/layout"
 	"falcon/internal/pmem"
+	"falcon/internal/sim"
+	"falcon/internal/wal"
 )
 
 // runAndCrash creates an engine, applies ops, optionally leaves an open
@@ -307,6 +312,138 @@ func TestRecoveryDoubleCrash(t *testing.T) {
 		if got := s.GetInt64(buf, 1); got != int64(k) {
 			t.Fatalf("key %d = %d", k, got)
 		}
+	}
+}
+
+// TestCrashInsideACommitTwice crashes at every store of one transaction that
+// deletes row 2 and inserts row 9 (a table with a secondary index), recovers,
+// crashes again before anything else commits and recovers again. Both
+// recoveries must agree with the durable commit point — the record in the log
+// window, or the writer's marker — in the rows and in both indexes: committed,
+// row 2 is gone from the heap and from every index (so its key can be inserted
+// again) and row 9 is there; not committed, the reverse. Three bugs failed it:
+// in-place replay left the index entries of a delete whose retire had landed;
+// an out-of-place delete record stored the TID and the flag apart, and torn
+// between them read as an uncommitted new version that recovery rolled back;
+// and rolling back an uncommitted delete left the deleter's TID on the
+// version, so the second recovery rolled it back.
+func TestCrashInsideACommitTwice(t *testing.T) {
+	schema := layout.NewSchema(
+		layout.Column{Name: "k", Kind: layout.Uint64},
+		layout.Column{Name: "sec", Kind: layout.Uint64},
+		layout.Column{Name: "pad", Kind: layout.Bytes, Size: 112},
+	)
+	row := func(k uint64) []byte {
+		buf := make([]byte, schema.TupleSize())
+		schema.PutUint64(buf, 0, k)
+		schema.PutUint64(buf, 1, 100+k)
+		schema.PutBytes(buf, 2, bytes.Repeat([]byte{byte(k)}, 112))
+		return buf
+	}
+	type cell struct {
+		cfg  Config
+		mode pmem.Mode
+	}
+	for _, c := range []cell{{FalconConfig(), pmem.EADR}, {OutpConfig(), pmem.EADR}, {ZenSConfig(), pmem.EADR},
+		{InpConfig(), pmem.ADR}, {OutpConfig(), pmem.ADR}} {
+		cfg := c.cfg
+		cfg.Threads, cfg.DRAMBytes, cfg.TupleCacheBytes = 2, 4<<20, min(cfg.TupleCacheBytes, 1<<20)
+		t.Run(cfg.Name+"/"+map[pmem.Mode]string{pmem.EADR: "eadr", pmem.ADR: "adr"}[c.mode], func(t *testing.T) {
+			// run builds and loads an engine, then runs the transaction under
+			// plan and returns the engine and the transaction's TID.
+			run := func(plan *pmem.FaultPlan) (e *Engine, tid uint64) {
+				sys := pmem.NewSystem(pmem.Config{DeviceBytes: 16 << 20, Mode: c.mode})
+				e, err := New(sys, cfg, []TableSpec{{Name: "kv", Schema: schema, Capacity: 64, KeyCol: 0, SecondaryCol: 1, IndexKind: index.Hash}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				kv := e.Table("kv")
+				for k := uint64(1); k <= 4; k++ {
+					if err := e.Run(int(k)%2, func(tx *Txn) error { return tx.Insert(kv, k, row(k)) }); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e.Sync(sim.NewClock())
+				sys.SetFaults(plan)
+				defer func() {
+					if r := recover(); r != nil && !pmem.IsInjectedCrash(r) {
+						panic(r)
+					}
+				}()
+				if err := e.Run(1, func(tx *Txn) error {
+					tid = tx.TID()
+					if err := tx.Delete(kv, 2); err != nil {
+						return err
+					}
+					return tx.Insert(kv, 9, row(9))
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return e, tid
+			}
+			// committed reads the crashed image's commit point for worker 1.
+			committed := func(e *Engine, sys *pmem.System, tid uint64) bool {
+				clk := sim.NewClock()
+				if cfg.Update == OutOfPlace {
+					return sys.Space.ReadU64(clk, e.markerBase+64) >= tid
+				}
+				winBytes := wal.BytesNeeded(e.cfg.Window)
+				recs, _ := wal.ReadRecords(sys.Space, clk, e.windowBase+winBytes, e.cfg.Window)
+				return slices.ContainsFunc(recs, func(r wal.Record) bool { return r.TID == tid })
+			}
+			check := func(e *Engine, round string, n uint64, done bool) {
+				t.Helper()
+				kv := e.Table("kv")
+				clk := sim.NewClock()
+				buf := make([]byte, schema.TupleSize())
+				for k := uint64(1); k <= 9; k++ {
+					want := k <= 4 && (k != 2 || !done) || k == 9 && done
+					err := e.RunRO(0, func(tx *Txn) error { return tx.Read(kv, k, buf) })
+					switch {
+					case want && (err != nil || !bytes.Equal(buf, row(k))):
+						t.Fatalf("store %d, %s recovery (committed %v): row %d lost: %v", n, round, done, k, err)
+					case !want && !errors.Is(err, ErrNotFound):
+						t.Fatalf("store %d, %s recovery (committed %v): row %d resurfaced: %v", n, round, done, k, err)
+					}
+					_, pri := kv.primary.Get(clk, k)
+					_, sec := kv.secondary.Get(clk, 100+k)
+					if pri != want || sec != want {
+						t.Fatalf("store %d, %s recovery (committed %v): row %d indexed %v/%v, want %v", n, round, done, k, pri, sec, want)
+					}
+				}
+			}
+			count := &pmem.FaultPlan{}
+			run(count)
+			stores := count.Counts()[pmem.FaultStore]
+			var sawCommitted, sawNot int
+			for n := uint64(1); n <= stores; n++ {
+				e, tid := run(&pmem.FaultPlan{Event: pmem.FaultStore, N: n})
+				sys := e.System().Crash()
+				done := committed(e, sys, tid)
+				e2, _, err := Recover(sys, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(e2, "first", n, done)
+				e3, _, err := Recover(e2.System().Crash(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(e3, "second", n, done)
+				kv := e3.Table("kv")
+				if err := e3.Run(0, func(tx *Txn) error { return tx.Insert(kv, 2, row(2)) }); done != (err == nil) {
+					t.Fatalf("store %d: re-insert of row 2 after the second recovery: %v (committed %v)", n, err, done)
+				}
+				if done {
+					sawCommitted++
+				} else {
+					sawNot++
+				}
+			}
+			if sawCommitted == 0 || sawNot == 0 {
+				t.Fatalf("%d crash points: %d after the commit point, %d before", stores, sawCommitted, sawNot)
+			}
+		})
 	}
 }
 

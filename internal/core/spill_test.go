@@ -91,6 +91,32 @@ func TestTxnTooLargeSurfaced(t *testing.T) {
 	}
 }
 
+// TestFailedInsertFreesItsSlot: an insert whose redo does not fit the log has
+// already allocated its slot; the failure hands it back, so the thread's free
+// list is one longer once the transaction aborts.
+func TestFailedInsertFreesItsSlot(t *testing.T) {
+	cfg := FalconConfig()
+	cfg.Threads = 1
+	cfg.Window.SlotBytes = 1024
+	cfg.Window.OverflowBytes = 2048
+	e, err := New(pmem.NewSystem(pmem.Config{DeviceBytes: 64 << 20}), cfg, []TableSpec{{
+		Name: "big", Schema: bigSchema(), Capacity: 64, KeyCol: 0, IndexKind: index.Hash,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := e.Table("big")
+	before, _ := tbl.Heap().FreeStats()
+	tx := e.Begin(0)
+	if err := tx.Insert(tbl, 1, make([]byte, tbl.Schema().TupleSize())); !errors.Is(err, ErrTxnTooLarge) {
+		t.Fatalf("err = %v, want ErrTxnTooLarge", err)
+	}
+	tx.Abort()
+	if after, _ := tbl.Heap().FreeStats(); after[0] != before[0]+1 {
+		t.Fatalf("free list %d -> %d slots: the failed insert's slot leaked", before[0], after[0])
+	}
+}
+
 // TestVersionGCRespectsSnapshots: an open snapshot pins old versions; once
 // it commits, worker-driven GC reclaims them (§5.4).
 func TestVersionGCRespectsSnapshots(t *testing.T) {

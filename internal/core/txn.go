@@ -539,9 +539,26 @@ func (tx *Txn) Insert(t *Table, key uint64, payload []byte) error {
 	op := txnOp{t: t, kind: wal.OpInsert, slot: slot, key: key, n: size}
 	if err := tx.bufferOp(op, payload[:size]); err != nil {
 		tx.releaseKey(t, key)
+		tx.freeInsertSlot(t, slot)
 		return err
 	}
 	return nil
+}
+
+// freeInsertSlot recycles a slot an insert allocated and never published. It
+// must not go back with an older durable timestamp than it came with: log
+// replay skips a record older than the slot's timestamp, and a zero would let
+// every record that names the slot and is still in a window replay (the insert
+// of the row that lived there, then its delete, which takes the key's index
+// entry with it wherever it points by now). An out-of-place engine replays
+// nothing and reads a deleted slot's timestamp against the commit marker, so
+// there it stays zero: committed.
+func (tx *Txn) freeInsertSlot(t *Table, slot uint64) {
+	var retireTS uint64
+	if tx.e.cfg.Update == InPlace {
+		retireTS = tx.tid
+	}
+	t.heap.Retire(tx.clk, slot, retireTS, 0, false)
 }
 
 // writeIntent acquires the algorithm-specific right to write slot,

@@ -1,8 +1,11 @@
 package crashtest
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"falcon/internal/pmem"
 )
 
 // strictCells returns the matrix cells whose configuration promises strict
@@ -21,16 +24,17 @@ func strictCells() []Cell {
 // crash mid-request, recover, retry under the original idempotency key — the
 // retry must observe the original attempt's outcome (replay with identical
 // digest if it committed, fresh exactly-once execution if not), and the final
-// state of every touched row must match the golden model exactly. Runs at
-// least 200 crash seeds across the strict matrix cells.
+// state of every touched row must match the golden model exactly. Runs 400
+// crash seeds per strict matrix cell.
 func TestServerExactlyOnceAcrossCrashes(t *testing.T) {
 	cells := strictCells()
 	if len(cells) == 0 {
 		t.Fatal("no strict cells in the matrix")
 	}
-	// >= 200 seeds total in full mode (the acceptance bar); a light sweep
-	// under -short.
-	perCell := (200 + len(cells) - 1) / len(cells)
+	// 400 seeds per cell in full mode: at 13 (200 spread over the cells) the
+	// sweep passed over the two recovery bugs TestServerExactlyOnceRepros
+	// pins; a light sweep under -short.
+	perCell := 400
 	if testing.Short() {
 		perCell = 2
 	}
@@ -62,6 +66,49 @@ func TestServerExactlyOnceAcrossCrashes(t *testing.T) {
 			t.Errorf("no seed re-executed an uncommitted request after its crash (%d crashes)", totalCrashes.Load())
 		}
 	})
+}
+
+// TestServerExactlyOnceRepros replays, one seed each, the crashes that broke
+// exactly-once before the fixes they name; every one of them failed then.
+//
+//   - "delete replay": an in-place delete retires its slot, then deletes the
+//     index entries. Replay took a slot stamped with the record's TID and the
+//     deleted flag for a delete that had fully applied, so a crash between the
+//     two left the entry: the deleted row read back ("kv/47 resurfaced").
+//   - "torn delete record": an out-of-place delete stored the deleter's TID,
+//     then the deleted flag. A crash between them left a live version with an
+//     uncommitted TID, which recovery rolled back: a committed row was lost,
+//     and the retried request saw a different state than the model.
+func TestServerExactlyOnceRepros(t *testing.T) {
+	for _, r := range []struct {
+		cell string
+		seed uint64
+		bug  string
+	}{
+		{"Falcon (All Flush)+GC", 38, "delete replay"},
+		{"Falcon (All Flush)+GC", 141, "delete replay"},
+		{"Outp", 110, "torn delete record"},
+		{"ZenS", 117, "torn delete record"},
+		{"ZenS", 273, "torn delete record"},
+		{"ZenS", 305, "torn delete record"},
+		{"ZenS (No Flush)", 117, "torn delete record"},
+		{"ZenS (No Flush)", 136, "torn delete record"},
+		{"ZenS (No Flush)", 273, "torn delete record"},
+		{"ZenS (No Flush)", 305, "torn delete record"},
+		{"ZenS (No Flush)", 347, "torn delete record"},
+	} {
+		cell := matrixCell(t, r.cell, pmem.EADR)
+		t.Run(fmt.Sprintf("%s/seed%d", cell, r.seed), func(t *testing.T) {
+			t.Parallel()
+			res := RunServerCell(cell, Options{FirstSeed: r.seed, Seeds: 1})
+			if res.Crashes != 1 {
+				t.Errorf("the crash did not fire mid-request")
+			}
+			for _, v := range res.Violations {
+				t.Errorf("%s: %s", r.bug, v.Detail)
+			}
+		})
+	}
 }
 
 // TestServerCellRejectsRelaxedConfigs: the exactly-once oracle refuses cells

@@ -36,6 +36,9 @@ type Space interface {
 	// WriteU64 stores a little-endian uint64 at off (same single simulated
 	// store as an 8-byte Write).
 	WriteU64(clk *sim.Clock, off uint64, v uint64)
+	// WriteU64Pair stores a then b at off as one 16-byte simulated store,
+	// scratch-free like WriteU64 (a heap slot's timestamp and flags).
+	WriteU64Pair(clk *sim.Clock, off uint64, a, b uint64)
 	// BulkWrite installs bytes without simulation cost; for initial loads
 	// only. It must not touch ranges already accessed through the cache —
 	// resident lines would go stale.
@@ -117,6 +120,13 @@ func (s *NVMSpace) WriteU64(clk *sim.Clock, off uint64, v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	s.Write(clk, off, b[:])
+}
+
+func (s *NVMSpace) WriteU64Pair(clk *sim.Clock, off uint64, a, b uint64) {
+	var w [16]byte
+	binary.LittleEndian.PutUint64(w[:], a)
+	binary.LittleEndian.PutUint64(w[8:], b)
+	s.Write(clk, off, w[:])
 }
 
 func (s *NVMSpace) BulkWrite(off uint64, src []byte) { s.dev.RawWrite(off, src) }
@@ -213,6 +223,13 @@ func (s *DRAMSpace) WriteU64(clk *sim.Clock, off uint64, v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	s.Write(clk, off, b[:])
+}
+
+func (s *DRAMSpace) WriteU64Pair(clk *sim.Clock, off uint64, a, b uint64) {
+	var w [16]byte
+	binary.LittleEndian.PutUint64(w[:], a)
+	binary.LittleEndian.PutUint64(w[8:], b)
+	s.Write(clk, off, w[:])
 }
 
 func (s *DRAMSpace) CLWB(clk *sim.Clock, off uint64, n int) {}
