@@ -86,17 +86,19 @@ type Engine struct {
 
 // workerScratch holds a worker's reusable buffers, padded against false
 // sharing: buf for point operations, scan for the scan in progress (scanIndex
-// takes it for the length of the scan), acc and ops for the open attempt's
-// access set and op list (begin takes them, finish hands them back), and for
-// the commit in progress what persist has deferred and counted.
+// takes it for the length of the scan), img for the line image of a tuple
+// being published (heap.Publish), acc and ops for the open attempt's access
+// set and op list (begin takes them, finish hands them back), and for the
+// commit in progress what persist has deferred and counted.
 type workerScratch struct {
 	buf             []byte
 	scan            []byte
+	img             []byte
 	acc             []access
 	ops             []txnOp
 	spans           []pmem.Span
 	flushed, elided uint64
-	_               [7]uint64
+	_               [4]uint64
 }
 
 // Table is one relation: a tuple heap plus its indexes and (for MVCC) the

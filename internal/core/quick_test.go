@@ -554,27 +554,34 @@ func TestTxnAllocs(t *testing.T) {
 	if err := e.Run(0, func(tx *Txn) error { return tx.Insert(kv, 1, encodeKV(s, 1, 1)) }); err != nil {
 		t.Fatal(err)
 	}
-	val, buf := i64le(5), make([]byte, s.TupleSize())
+	val, buf, row := i64le(5), make([]byte, s.TupleSize()), encodeKV(s, 2, 2)
 	for _, c := range []struct {
 		name string
 		max  float64
 		fn   func()
 	}{
-		{"update", txnAllocsUpdate, func() { _ = e.Run(0, func(tx *Txn) error { return tx.UpdateField(kv, 1, 1, val) }) }},
-		{"read", txnAllocsRead, func() { _ = e.RunRO(0, func(tx *Txn) error { return tx.Read(kv, 1, buf) }) }},
+		{"one-op update", txnAllocsUpdate, func() { _ = e.Run(0, func(tx *Txn) error { return tx.UpdateField(kv, 1, 1, val) }) }},
+		{"one-op read", txnAllocsRead, func() { _ = e.RunRO(0, func(tx *Txn) error { return tx.Read(kv, 1, buf) }) }},
+		{"an insert, then a delete", txnAllocsInsertDelete, func() {
+			_ = e.Run(0, func(tx *Txn) error { return tx.Insert(kv, 2, row) })
+			_ = e.Run(0, func(tx *Txn) error { return tx.Delete(kv, 2) })
+		}},
 	} {
 		if got := testing.AllocsPerRun(200, c.fn); got > c.max {
-			t.Errorf("one-op %s: %.1f allocations per transaction, want at most %.0f", c.name, got, c.max)
+			t.Errorf("%s: %.1f allocations, want at most %.0f", c.name, got, c.max)
 		}
 	}
 }
 
 // The ceilings of TestTxnAllocs. An update allocates its Txn, the window's log
 // handle (wal.Window.Begin) and the op the apply reads back from the record
-// (wal's ReadOp); a read its Txn alone.
+// (wal's ReadOp); a read its Txn alone; an insert and a delete three each, none
+// of them for the line image the insert publishes or the header the delete
+// stores (heap.Publish, heap.MarkDeleted).
 const (
-	txnAllocsUpdate = 3
-	txnAllocsRead   = 1
+	txnAllocsUpdate       = 3
+	txnAllocsRead         = 1
+	txnAllocsInsertDelete = 6
 )
 
 // TestAbortedInsertKeepsReplayGuard: an insert that takes a recycled slot and

@@ -79,10 +79,11 @@ func TestHeapRetireAndRecycle(t *testing.T) {
 	h, _ := newTestHeap(t, Config{SlotSize: 64, NSlots: 8, NThreads: 1})
 	clk := sim.NewClock()
 	s1, _ := h.Alloc(clk, 0, 0)
-	h.SetOccupied(clk, s1)
+	var img []byte
+	h.Publish(clk, s1, 1, make([]byte, 64), &img)
 	h.Retire(clk, s1, 100, 100, false)
 
-	if h.IsLive(clk, s1) {
+	if h.ReadFlags(clk, s1)&FlagDeleted == 0 {
 		t.Fatal("retired slot still live")
 	}
 	// minActive 50 < deletion ts 100: a running txn might still read it.
@@ -120,10 +121,9 @@ func TestHeapSurvivesCrash(t *testing.T) {
 	}
 	clk := sim.NewClock()
 	slot, _ := h.Alloc(clk, 1, 0)
-	h.SetOccupied(clk, slot)
 	payload := bytes.Repeat([]byte{7}, 96)
-	h.WritePayload(clk, slot, payload)
-	h.WriteTS(clk, slot, 42)
+	var img []byte
+	h.Publish(clk, slot, 42, payload, &img)
 
 	sys2 := sys.Crash() // eADR: dirty lines persist
 	h2, err := Open(sys2.Space, clk, 4096)
@@ -156,11 +156,10 @@ func TestHeapScanVisitsLiveTuples(t *testing.T) {
 	h, _ := newTestHeap(t, Config{SlotSize: 64, NSlots: 16, NThreads: 2})
 	clk := sim.NewClock()
 	want := map[uint64]byte{}
+	var img []byte
 	for i := 0; i < 3; i++ {
 		slot, _ := h.Alloc(clk, 0, 0)
-		h.SetOccupied(clk, slot)
-		h.WriteTS(clk, slot, uint64(i+1))
-		h.WritePayload(clk, slot, bytes.Repeat([]byte{byte(i + 1)}, 64))
+		h.Publish(clk, slot, uint64(i+1), bytes.Repeat([]byte{byte(i + 1)}, 64), &img)
 		want[slot] = byte(i + 1)
 	}
 	got := map[uint64]byte{}
@@ -180,11 +179,16 @@ func TestHeapScanVisitsLiveTuples(t *testing.T) {
 func TestHeapScanChargesTraffic(t *testing.T) {
 	h, sys := newTestHeap(t, Config{SlotSize: 1024, NSlots: 256, NThreads: 1})
 	clk := sim.NewClock()
+	var img []byte
 	for i := 0; i < 256; i++ {
 		slot, _ := h.Alloc(clk, 0, 0)
-		h.SetOccupied(clk, slot)
+		h.Publish(clk, slot, 1, make([]byte, 1024), &img)
 	}
-	sys.Cache.FlushAll(clk)
+	// Recovery scans a cold cache: the published slots are all resident here.
+	h, err := Open(sys.Crash().Space, clk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := clk.Nanos()
 	h.Scan(clk, func(uint64, uint64, uint8, []byte) {})
 	if clk.Nanos()-before < 256*100 {

@@ -70,12 +70,13 @@ func TestQuickFreeListSurvivesCrash(t *testing.T) {
 		h, _ := New(sys.Space, 0, Config{SlotSize: 64, NSlots: 32, NThreads: 1})
 		clk := sim.NewClock()
 		var freed []uint64
+		var img []byte
 		for i := 0; i < 16; i++ {
 			slot, err := h.Alloc(clk, 0, 0)
 			if err != nil {
 				break
 			}
-			h.SetOccupied(clk, slot)
+			h.Publish(clk, slot, uint64(i+1), make([]byte, 64), &img)
 			if rng.Intn(2) == 0 {
 				h.Retire(clk, slot, uint64(i+1), uint64(i+1), false)
 				freed = append(freed, slot)
