@@ -4,7 +4,63 @@ import (
 	"bytes"
 	"os"
 	"testing"
+
+	"falcon/internal/obs"
 )
+
+// TestSweepCellObsGolden holds two cells of `falcon sweep -threads 2 -txns 40
+// -warmup 10 -records 2000 -parworkers` to testdata byte for byte: what -prom
+// writes for the cell, and its Snapshot.JSON. Falcon's TPC-C cell runs with
+// -contend, Falcon+GC's YCSB-A Zipfian cell with -groupcommit, so between them
+// they carry tables, the observatory, epochs and their histograms. Both run
+// through the group scheduler, so nothing in them depends on the host. -update
+// rewrites them, for a change that means to move them and says why.
+func TestSweepCellObsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name, cell string
+		flags      CommonFlags
+	}{
+		{"contend", "Falcon/TPC-C/2", CommonFlags{ParWorkers: true, Contend: true}},
+		{"groupcommit", "Falcon+GC/YCSB-A Zipfian/2", CommonFlags{ParWorkers: true, Group: GroupFlag{Enable: true}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := Scale{Threads: []int{2}, Txns: 40, Warmup: 10, Records: 2000, TPCC: DefaultTPCC, Flags: &tc.flags}
+			c, err := Fig11(s).Cell(tc.cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prom bytes.Buffer
+			if err := obs.WritePrometheusCells(&prom, []obs.NamedSnapshot{{Label: c.Label, Snap: res.Obs}}); err != nil {
+				t.Fatal(err)
+			}
+			js, err := res.Obs.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for path, got := range map[string][]byte{
+				"testdata/sweep_cell_" + tc.name + ".prom": prom.Bytes(),
+				"testdata/sweep_cell_" + tc.name + ".json": append(js, '\n'),
+			} {
+				if *updateGolden {
+					if err := os.WriteFile(path, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s moved (-update rewrites it; git diff shows what)", path)
+				}
+			}
+		})
+	}
+}
 
 // TestRecoveryStudyGolden renders the recovery study at records {2000, 5000}
 // with one worker and holds it to testdata/recovery_study.golden, first

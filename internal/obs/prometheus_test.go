@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
 	"regexp"
 	"strings"
@@ -10,6 +12,32 @@ import (
 
 	"falcon/internal/pmem"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this binary")
+
+// TestPrometheusGolden holds the exposition of promTestSnapshot, which carries
+// every family, to testdata/all_families.golden byte for byte: a family
+// renamed, reordered, retyped or reworded shows here. -update rewrites it, for
+// a change that means to and says why.
+func TestPrometheusGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := WritePrometheus(&got, promTestSnapshot(), nil); err != nil {
+		t.Fatal(err)
+	}
+	const path = "testdata/all_families.golden"
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("exposition differs from %s:\n%s", path, got.String())
+	}
+}
 
 // promTestSnapshot builds a snapshot exercising every family the writer
 // emits: counters, gauges, per-table labels, epoch histograms, and the
