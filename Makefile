@@ -114,17 +114,21 @@ trace-check:
 
 # The contention observatory and the probe that feeds it under the race
 # detector (planted hot key, group-mode determinism, one event to each
-# consumer once, the exposition), then a -contend -prom run that must leave a
+# consumer once, the exposition and its goldens, what Engine.ObsSnapshot and
+# Server.Snapshot carry), then a -contend -prom run that must leave a
 # non-empty scrape file (same lane CI runs).
 contend-smoke:
-	go test -race -short -run 'TestContend|TestConcurrentMerge|TestReportShape|TestProbe|TestAbortCounts|TestNilProbe|TestEveryEvent|TestWritePrometheus|TestPrometheus|TestSchema|TestStreamLine|TestObsSnapshot' ./internal/core ./internal/obs ./internal/bench
+	go test -race -short -run 'TestContend|TestConcurrentMerge|TestReportShape|TestProbe|TestAbortCounts|TestNilProbe|TestEveryEvent|TestWritePrometheus|TestPrometheus|TestNanosFamiliesNameTheirClock|TestSchema|TestStreamLine|TestObsSnapshot|TestSnapshotCarriesServer|TestSweepCellObsGolden' ./internal/core ./internal/obs ./internal/bench ./internal/server
 	go run ./cmd/falcon ycsb -threads 2 -records 2000 -txns 50 -warmup 10 -workloads A -contend -prom /tmp/falcon-metrics.prom
 	test -s /tmp/falcon-metrics.prom
 
-# The nine per-tool binaries were folded into `falcon <subcommand>`; fail when
-# a removed spelling comes back (same lane CI runs). CHANGES.md, ROADMAP.md,
-# benchmark/ and EXPERIMENTS.md's dated sections are history and exempt. The
-# [-] keeps this recipe from matching itself.
+# The nine per-tool binaries were folded into `falcon <subcommand>`, and the
+# named-collector stats registry into Engine.ObsSnapshot and Server.Snapshot;
+# fail when a removed spelling comes back (same lane CI runs). CHANGES.md,
+# ROADMAP.md, benchmark/ and EXPERIMENTS.md's dated sections are history and
+# exempt. The [-] and the [R]s keep this recipe from matching itself.
 old-spellings:
 	! grep -rnE 'cmd/falcon[-]|falcon[-](micro|tpcc|ycsb|sweep|recovery|hostbench|serve|loadgen|tracecheck)\b' \
+		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+	! grep -rnE 'New[R]egistry|Stats[R]egistry|\.Obs\(\)\.[R]egister' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go

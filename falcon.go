@@ -59,9 +59,6 @@ type (
 	CostModel = sim.CostModel
 	// CCAlgo selects a concurrency-control algorithm.
 	CCAlgo = cc.Algo
-	// StatsRegistry is the engine's unified observability registry
-	// (Engine.Obs); tools may register extra collectors on it.
-	StatsRegistry = obs.Registry
 	// StatsSnapshot is one observability snapshot — commit-path phase nanos,
 	// abort taxonomy, WAL/hot-set gauges, pmem hardware counters — with
 	// Text/JSON renderers and Sub for warmup exclusion (Engine.ObsSnapshot).

@@ -219,7 +219,7 @@ func Run(e *core.Engine, workload string, opts Options, fn TxnFunc) (*Result, er
 
 	if opts.EpochTxns > 0 && opts.OnEpoch != nil {
 		// Epoch streaming: run the measured phase in chunks; between chunks
-		// the workers have joined, so the registry snapshot is coherent.
+		// the workers have joined, so the engine snapshot is coherent.
 		for done, epoch := 0, 1; done < opts.TxnsPerWorker; epoch++ {
 			chunk := opts.EpochTxns
 			if done+chunk > opts.TxnsPerWorker {

@@ -202,10 +202,7 @@ func Fig3(s Scale) *Figure {
 func storeLoop(writes, size int, region uint64, clwb bool, topt *obs.TraceOptions) *Result {
 	sys := pmem.NewSystem(pmem.Config{Mode: pmem.EADR, DeviceBytes: region})
 	clk := sim.NewClock()
-	reg := obs.NewRegistry()
 	var pr obs.Probe
-	reg.Register("store", pr.AddTo)
-	reg.Register("pmem", func(s *obs.Snapshot) { s.Mem = sys.Dev.Stats().Snapshot() })
 	buf := make([]byte, size)
 	for i := range buf {
 		buf[i] = byte(i)
@@ -239,7 +236,10 @@ func storeLoop(writes, size int, region uint64, clwb bool, topt *obs.TraceOption
 	pr.To(obs.PhaseFlush)
 	sys.Cache.FlushAll(clk)
 	pr.Finish()
-	return &Result{Workers: 1, VirtualNanos: clk.Nanos(), Obs: reg.Snapshot(), Trace: tr.Dump()}
+	res := &Result{Workers: 1, VirtualNanos: clk.Nanos(), Trace: tr.Dump()}
+	pr.AddTo(&res.Obs)
+	res.Obs.Mem = sys.Dev.Stats().Snapshot()
+	return res
 }
 
 // tpccGrid is the shape Figures 7 and 8 share: every engine under each

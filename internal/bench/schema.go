@@ -1,7 +1,7 @@
 package bench
 
 // Schema identifiers stamped on the tools' JSON artifacts (alongside
-// obs.SnapshotSchema for registry snapshots), so offline consumers can detect
+// obs.SnapshotSchema for obs snapshots), so offline consumers can detect
 // layout drift instead of silently misreading renamed fields. The formats
 // only grow; a version bump signals a rename or semantic change, not an
 // addition.

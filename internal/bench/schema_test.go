@@ -69,7 +69,7 @@ func TestStreamLineSchemaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestObsSnapshotJSONSchema checks that the registry snapshot's JSON
+// TestObsSnapshotJSONSchema checks that the obs snapshot's JSON
 // rendering carries its own schema stamp.
 func TestObsSnapshotJSONSchema(t *testing.T) {
 	var snap obs.Snapshot

@@ -51,7 +51,7 @@ type EpochLine struct {
 	VirtualNanos uint64            `json:"virtual_nanos,omitempty"`
 }
 
-// EpochSnapshotLine converts a registry snapshot into a stream line.
+// EpochSnapshotLine converts an obs snapshot into a stream line.
 // Zero-valued phases are omitted to keep the lines compact.
 func EpochSnapshotLine(cell string, epoch int, snap obs.Snapshot) EpochLine {
 	phases := make(map[string]uint64, obs.NumPhases)

@@ -64,12 +64,10 @@ type Engine struct {
 	// probes holds one probe per worker (same single-owner contract as
 	// clocks) — phase accounting, commit / abort / abort-reason counts, and
 	// the seam every instrumented site reports to — and, last, the one
-	// Recover ran under, which ResetCounters leaves alone; reg is the unified
-	// stats registry over all of it.
+	// Recover ran under, which ResetCounters leaves alone.
 	probes []obs.Probe
-	reg    *obs.Registry
 	// tstats holds per-worker × per-table activity counters (single-owner
-	// rows, summed by the "tables" collector at snapshot time).
+	// rows, summed by ObsSnapshot).
 	tstats [][]paddedTableStats
 	// tracer and observatory are what Arm last routed the probes to (nil
 	// while disarmed).
@@ -224,63 +222,6 @@ func (e *Engine) initWorkers() {
 		e.clocks[i] = sim.NewWorkerClock(i)
 		e.hot[i] = newHotSet(e.cfg.HotTupleCap, e.sys.Cost())
 	}
-	e.initObs()
-}
-
-// initObs wires the unified stats registry. Collectors read the engine's
-// live structures at snapshot time, so registration order and later window
-// creation don't matter. Single-owner sources (phase sets, windows, hot
-// sets) are coherent only while workers are quiescent — see obs.Registry.
-func (e *Engine) initObs() {
-	e.reg = obs.NewRegistry()
-	e.reg.Register("engine", func(s *obs.Snapshot) {
-		for i := range e.probes {
-			e.probes[i].AddTo(s)
-		}
-	})
-	e.reg.Register("wal", func(s *obs.Snapshot) {
-		for _, w := range e.windows {
-			s.WAL.Add(w.Stats())
-		}
-	})
-	e.reg.Register("group-commit", func(s *obs.Snapshot) {
-		if e.board != nil {
-			s.Epochs.Add(e.board.Stats())
-		}
-	})
-	e.reg.Register("hot-set", func(s *obs.Snapshot) {
-		for _, h := range e.hot {
-			s.Hot.Add(h.stats)
-		}
-	})
-	e.reg.Register("pmem", func(s *obs.Snapshot) {
-		s.Mem = e.sys.Dev.Stats().Snapshot()
-	})
-	e.reg.Register("contend", func(s *obs.Snapshot) {
-		if e.observatory != nil {
-			s.Contend = e.observatory.Report()
-		}
-	})
-	e.reg.Register("tables", func(s *obs.Snapshot) {
-		if len(e.tables) == 0 {
-			return
-		}
-		if s.Tables == nil {
-			s.Tables = make(map[string]obs.TableStats, len(e.tables))
-		}
-		for _, t := range e.tables {
-			agg := s.Tables[t.name]
-			for w := range e.tstats {
-				agg.Add(e.tstats[w][t.id].TableStats)
-			}
-			for _, idx := range []index.Index{t.primary, t.secondary} {
-				if r, ok := idx.(interface{ Restarts() uint64 }); ok {
-					agg.IndexRestarts += r.Restarts()
-				}
-			}
-			s.Tables[t.name] = agg
-		}
-	})
 }
 
 // paddedTableStats keeps one worker's counters for one table on a cache
@@ -511,13 +452,45 @@ func (e *Engine) ResetCounters() {
 	}
 }
 
-// Obs returns the engine's unified stats registry.
-func (e *Engine) Obs() *obs.Registry { return e.reg }
-
-// ObsSnapshot assembles one observability snapshot (engine counters, phase
-// accounting, abort taxonomy, WAL/hot-set gauges, pmem hardware counters).
-// Workers must be quiescent.
-func (e *Engine) ObsSnapshot() obs.Snapshot { return e.reg.Snapshot() }
+// ObsSnapshot assembles one observability snapshot: the probes' counts and
+// phase time, the log windows, the group-commit board, the hot sets, the pmem
+// device, the observatory while armed, and the per-table rows. The
+// single-owner sources (probes' phase time, windows, hot sets, table rows) are
+// coherent only while workers are quiescent — the same contract as reading
+// sim.Clock values.
+func (e *Engine) ObsSnapshot() obs.Snapshot {
+	var s obs.Snapshot
+	for i := range e.probes {
+		e.probes[i].AddTo(&s)
+	}
+	for _, w := range e.windows {
+		s.WAL.Add(w.Stats())
+	}
+	if e.board != nil {
+		s.Epochs.Add(e.board.Stats())
+	}
+	for _, h := range e.hot {
+		s.Hot.Add(h.stats)
+	}
+	s.Mem = e.sys.Dev.Stats().Snapshot()
+	s.Contend = e.observatory.Report()
+	if len(e.tables) > 0 {
+		s.Tables = make(map[string]obs.TableStats, len(e.tables))
+	}
+	for _, t := range e.tables {
+		var agg obs.TableStats
+		for w := range e.tstats {
+			agg.Add(e.tstats[w][t.id].TableStats)
+		}
+		for _, idx := range []index.Index{t.primary, t.secondary} {
+			if r, ok := idx.(interface{ Restarts() uint64 }); ok {
+				agg.IndexRestarts += r.Restarts()
+			}
+		}
+		s.Tables[t.name] = agg
+	}
+	return s
+}
 
 // AbortReasons returns the per-reason abort counters; they sum to Aborts().
 func (e *Engine) AbortReasons() [obs.NumAbortReasons]uint64 {

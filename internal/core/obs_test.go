@@ -329,3 +329,57 @@ func TestWarmupExcludedViaSnapshotDiff(t *testing.T) {
 		t.Fatal("pmem diff exceeds absolute counters")
 	}
 }
+
+// TestObsSnapshotCarriesEverySource: ObsSnapshot fills every part of the
+// snapshot the engine owns — the probes' counts and phase time, the log
+// windows, the epoch board under group commit, the hot sets, the pmem device,
+// the per-table rows, and the observatory's report while it is armed — and
+// leaves Server to Server.Snapshot. A diff of two takes away the first.
+func TestObsSnapshotCarriesEverySource(t *testing.T) {
+	cfg := FalconConfig()
+	cfg.GroupCommit = true
+	e := newKVEngine(t, cfg)
+	tbl := e.Table("kv")
+	s := tbl.Schema()
+	for k := uint64(0); k < 50; k++ {
+		if err := e.Run(0, func(tx *Txn) error { return tx.Insert(tbl, k, encodeKV(s, k, 0)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := e.ObsSnapshot()
+	e.Arm(nil, e.NewObservatory())
+	var v [8]byte
+	for k := uint64(0); k < 20; k++ {
+		if err := e.Run(0, func(tx *Txn) error { return tx.UpdateField(tbl, k%5, 1, v[:]) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := e.ObsSnapshot()
+	e.Arm(nil, nil)
+
+	switch {
+	case snap.Commits != 70 || snap.TotalPhaseNanos() == 0:
+		t.Errorf("probes: %d commits, %d phase ns", snap.Commits, snap.TotalPhaseNanos())
+	case snap.WAL.Commits == 0 || snap.WAL.SlotBytes == 0:
+		t.Errorf("log windows: %+v", snap.WAL)
+	case snap.Epochs.Records == 0:
+		t.Errorf("epoch board: %+v", snap.Epochs)
+	case snap.Hot.Hits == 0:
+		t.Errorf("hot sets: %+v", snap.Hot)
+	case snap.Mem.CacheHits == 0:
+		t.Errorf("pmem: %+v", snap.Mem)
+	case snap.Tables["kv"].Writes != 70:
+		t.Errorf("tables: %+v", snap.Tables)
+	case snap.Contend == nil || len(snap.Contend.FlushAmp) == 0:
+		t.Errorf("armed observatory: %+v", snap.Contend)
+	case snap.Server != nil:
+		t.Errorf("the engine filled Server: %+v", snap.Server)
+	}
+	if e.ObsSnapshot().Contend != nil {
+		t.Error("a disarmed engine still reports the observatory")
+	}
+	diff := snap.Sub(base)
+	if diff.Commits != 20 || diff.Tables["kv"].Writes != 20 || diff.WAL.SlotBytes != snap.WAL.SlotBytes {
+		t.Errorf("diff: %d commits, %d kv writes, slot %d B", diff.Commits, diff.Tables["kv"].Writes, diff.WAL.SlotBytes)
+	}
+}

@@ -548,6 +548,9 @@ func TestNoVersionOfAnUncommittedSlot(t *testing.T) {
 // Engine.Run. The attempt's access set and op list keep their capacity in the
 // worker's scratch, so a steady-state attempt grows neither.
 func TestTxnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool (the hash index's bucket buffers) drop what it is given")
+	}
 	e := newKVEngine(t, FalconConfig())
 	kv := e.Table("kv")
 	s := kv.Schema()

@@ -85,7 +85,7 @@ func TestEngineTracingProducesEvents(t *testing.T) {
 }
 
 // TestEngineTableCounters checks the per-table heap/index counters flow from
-// transaction paths into the registry snapshot, keyed by table name.
+// transaction paths into the engine snapshot, keyed by table name.
 func TestEngineTableCounters(t *testing.T) {
 	e := newKVEngine(t, FalconConfig())
 	tbl := e.Table("kv")

@@ -173,55 +173,6 @@ func TestNilProbeIsInert(t *testing.T) {
 	pr.Flush(pmem.FlushXPFull, 0x100, 1, 2)
 }
 
-func TestRegistrySnapshotAndDiff(t *testing.T) {
-	r := NewRegistry()
-	var pr Probe
-	r.Register("engine", pr.AddTo)
-	r.Register("wal", func(s *Snapshot) {
-		s.WAL.Add(WALStats{Begins: 5, Commits: 4, Aborts: 1, BytesLogged: 400, MaxRecordBytes: 200, SlotBytes: 4096})
-	})
-
-	clk := sim.NewClock()
-	txn := func(nanos uint64, committed bool, cause AbortReason) {
-		pr.Begin(1, clk)
-		clk.Advance(nanos)
-		pr.End(committed, cause)
-	}
-	pr.Begin(1, clk)
-	clk.Advance(10)
-	pr.To(PhaseCC)
-	clk.Advance(5)
-	pr.End(true, 0)
-	txn(0, true, 0)
-	txn(0, true, 0)
-	txn(0, false, AbortLockConflict)
-
-	s0 := r.Snapshot()
-	if s0.Commits != 3 || s0.Aborts != 1 || s0.TotalPhaseNanos() != 15 {
-		t.Fatalf("snapshot: %+v", s0)
-	}
-	if s0.WAL.MeanRecordBytes() != 100 {
-		t.Errorf("mean record = %d, want 100", s0.WAL.MeanRecordBytes())
-	}
-
-	// More activity, then diff.
-	for i := 0; i < 7; i++ {
-		txn(0, true, 0)
-	}
-	txn(0, false, AbortValidation)
-	diff := r.Snapshot().Sub(s0)
-	if diff.Commits != 7 || diff.Aborts != 1 {
-		t.Errorf("diff commits/aborts = %d/%d, want 7/1", diff.Commits, diff.Aborts)
-	}
-	if diff.AbortCounts[AbortValidation] != 1 || diff.AbortCounts[AbortLockConflict] != 0 {
-		t.Errorf("diff abort counts = %v", diff.AbortCounts)
-	}
-
-	if got := r.Sources(); len(got) != 2 || got[0] != "engine" || got[1] != "wal" {
-		t.Errorf("sources = %v", got)
-	}
-}
-
 func TestSnapshotRenderers(t *testing.T) {
 	var s Snapshot
 	s.Commits = 7

@@ -1,7 +1,7 @@
 // Package obs is the engine-wide observability layer: commit-path phase
 // accounting in virtual nanoseconds, an abort-reason taxonomy, log2-bucketed
-// latency histograms, and a unified registry that snapshots everything
-// (including the pmem hardware counters) into one diffable struct.
+// latency histograms, and one diffable snapshot of everything (including the
+// pmem hardware counters) whose counters are declared once, in metric tables.
 //
 // The paper's argument is an accounting argument — where commit-path
 // nanoseconds go (log append vs. data flush) and where media writes come from
@@ -51,7 +51,7 @@ const (
 	PhaseGroupWait
 
 	// The remaining phases partition recovery (core.Recover) rather than a
-	// transaction: restart-path virtual time reported from the same registry
+	// transaction: restart-path virtual time reported through the same probe
 	// as the commit path, so `falcon recovery -stats` shows both.
 
 	// PhaseRecCatalog is reading the durable catalog and reattaching table

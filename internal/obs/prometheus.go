@@ -3,9 +3,158 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
+	"unsafe"
+
+	"falcon/internal/pmem"
 )
+
+// metricKind says how a row's value combines in Add, diffs in Sub and is typed
+// in the exposition.
+type metricKind uint8
+
+const (
+	counter   metricKind = iota // Add sums, Sub diffs
+	maxGauge                    // Add keeps the larger, Sub passes it through
+	lastGauge                   // Add keeps the last non-zero, Sub passes it through
+	histogram                   // Add merges bucket-wise, Sub passes it through
+)
+
+// metric is one row of a stats struct's table: the Prometheus family it
+// renders as, the field it reads and how that combines, and a fixed label for
+// a family that splits fields by one (falcon_server_shed_total by reason).
+// Each struct's rows are in exposition order, and its Add, its Sub and its
+// part of the exposition are walks over them (addRows, subRows, promRows), so
+// a counter is declared once, in its row.
+type metric[T any] struct {
+	name, help string
+	field
+	label [2]string
+}
+
+// field is where a row's value sits in its struct, an offset taken once from
+// the row's accessor, and how it combines. The walks use the offset rather
+// than call the accessor: the compiler cannot see what a func value does with
+// the pointer it is handed, so every value passed to Add or Sub would move to
+// the heap, a dozen allocations per engine snapshot.
+type field struct {
+	kind metricKind
+	off  uintptr
+}
+
+func row[T any](kind metricKind, name, help string, u func(*T) *uint64) metric[T] {
+	return metric[T]{name: name, help: help, field: field{kind, offset(u)}}
+}
+
+func hist[T any](name, help string, h func(*T) *HistogramDump) metric[T] {
+	return metric[T]{name: name, help: help, field: field{histogram, offset(h)}}
+}
+
+func offset[T, F any](at func(*T) *F) uintptr {
+	var v T
+	return uintptr(unsafe.Pointer(at(&v))) - uintptr(unsafe.Pointer(&v))
+}
+
+func (m metric[T]) with(name, value string) metric[T] {
+	m.label = [2]string{name, value}
+	return m
+}
+
+func (f field) u(v unsafe.Pointer) *uint64 { return (*uint64)(unsafe.Add(v, f.off)) }
+
+func (f field) h(v unsafe.Pointer) *HistogramDump { return (*HistogramDump)(unsafe.Add(v, f.off)) }
+
+func (f field) add(s, o unsafe.Pointer) {
+	if f.kind == histogram {
+		*f.h(s) = f.h(s).Merge(*f.h(o))
+		return
+	}
+	v, w := f.u(s), *f.u(o)
+	switch {
+	case f.kind == counter:
+		*v += w
+	case f.kind == maxGauge && w > *v, f.kind == lastGauge && w != 0:
+		*v = w
+	}
+}
+
+// addRows folds o into s. The work is in field.add, which is not generic: the
+// compiler knows nothing of where a generic function called from another
+// package puts its pointers, so o would again move to the heap.
+func addRows[T any](rows []metric[T], s, o *T) {
+	for i := range rows {
+		rows[i].add(unsafe.Pointer(s), unsafe.Pointer(o))
+	}
+}
+
+// subRows returns the window s - o: counters diff, gauges and histograms pass
+// through from s.
+func subRows[T any](rows []metric[T], s, o T) T {
+	for i := range rows {
+		if rows[i].kind == counter {
+			*rows[i].u(unsafe.Pointer(&s)) -= *rows[i].u(unsafe.Pointer(&o))
+		}
+	}
+	return s
+}
+
+// subEach diffs two maps of T key-wise; a key o lacks diffs against zero.
+func subEach[T any](rows []metric[T], s, o map[string]T) map[string]T {
+	if s == nil {
+		return nil
+	}
+	out := make(map[string]T, len(s))
+	for k, v := range s {
+		out[k] = subRows(rows, v, o[k])
+	}
+	return out
+}
+
+// promRows renders v's rows; labels (nil for none) say which v it is, e.g.
+// its table. A histogram renders once it holds a sample.
+func promRows[T any](p *promWriter, rows []metric[T], v *T, labels map[string]string) {
+	for _, r := range rows {
+		l := labels
+		if r.label[0] != "" {
+			l = map[string]string{r.label[0]: r.label[1]}
+			maps.Copy(l, labels)
+		}
+		switch r.kind {
+		case histogram:
+			if d := *r.h(unsafe.Pointer(v)); d.Count > 0 {
+				p.histogram(r.name, r.help, l, d)
+			}
+		case counter:
+			p.counter(r.name, r.help, l, *r.u(unsafe.Pointer(v)))
+		default:
+			p.gauge(r.name, r.help, l, *r.u(unsafe.Pointer(v)))
+		}
+	}
+}
+
+// memMetrics is the pmem device's table. pmem keeps its own Sub beside its
+// sharded counters; this table renders them.
+var memMetrics = []metric[pmem.Snapshot]{
+	row(counter, "falcon_pmem_media_reads_total", "256B media block reads.", func(m *pmem.Snapshot) *uint64 { return &m.MediaReads }),
+	row(counter, "falcon_pmem_media_writes_total", "256B media block writes.", func(m *pmem.Snapshot) *uint64 { return &m.MediaWrites }),
+	row(counter, "falcon_pmem_full_block_writes_total", "Media writes with a fully buffered block.", func(m *pmem.Snapshot) *uint64 { return &m.FullBlockWrites }),
+	row(counter, "falcon_pmem_partial_block_writes_total", "Read-modify-write media writes.", func(m *pmem.Snapshot) *uint64 { return &m.PartialBlockWrites }),
+	row(counter, "falcon_pmem_xpbuffer_merges_total", "Line write-backs merged into a buffered block.", func(m *pmem.Snapshot) *uint64 { return &m.XPBufferMerges }),
+	row(counter, "falcon_pmem_xpbuffer_hits_total", "Load misses served by the XPBuffer.", func(m *pmem.Snapshot) *uint64 { return &m.XPBufferHits }),
+	row(counter, "falcon_pmem_cache_hits_total", "Persistent-cache line hits.", func(m *pmem.Snapshot) *uint64 { return &m.CacheHits }),
+	row(counter, "falcon_pmem_cache_misses_total", "Persistent-cache line misses.", func(m *pmem.Snapshot) *uint64 { return &m.CacheMisses }),
+	row(counter, "falcon_pmem_dirty_evictions_total", "Dirty lines written back by replacement.", func(m *pmem.Snapshot) *uint64 { return &m.DirtyEvictions }),
+	row(counter, "falcon_pmem_clean_evictions_total", "Clean lines dropped by replacement.", func(m *pmem.Snapshot) *uint64 { return &m.CleanEvictions }),
+	row(counter, "falcon_pmem_clwb_writebacks_total", "Dirty lines written back by explicit CLWB.", func(m *pmem.Snapshot) *uint64 { return &m.ClwbWritebacks }),
+	row(counter, "falcon_pmem_flush_trains_total", "Hinted multi-line flush trains.", func(m *pmem.Snapshot) *uint64 { return &m.FlushTrains }),
+	row(counter, "falcon_pmem_flush_train_lines_total", "Lines covered by flush trains.", func(m *pmem.Snapshot) *uint64 { return &m.FlushTrainLines }),
+	row(counter, "falcon_pmem_bytes_stored_total", "Application bytes stored.", func(m *pmem.Snapshot) *uint64 { return &m.BytesStored }),
+	row(counter, "falcon_pmem_bytes_to_media_total", "Bytes physically written to media.", func(m *pmem.Snapshot) *uint64 { return &m.BytesToMedia }),
+	row(counter, "falcon_pmem_crash_flushed_lines_total", "Dirty lines persisted by the eADR crash flush.", func(m *pmem.Snapshot) *uint64 { return &m.CrashFlushedLines }),
+	row(counter, "falcon_pmem_crash_dropped_lines_total", "Dirty lines discarded by an ADR crash.", func(m *pmem.Snapshot) *uint64 { return &m.CrashDroppedLines }),
+}
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4, the subset OpenMetrics accepts): counters get a
@@ -55,94 +204,23 @@ func promSnapshot(p *promWriter, s Snapshot) {
 		p.counter("falcon_phase_nanos_total", "Virtual nanoseconds per commit-path phase.",
 			map[string]string{"phase": PhaseNames[i]}, n)
 	}
-
-	p.counter("falcon_wal_begins_total", "Claimed log-window transaction slots.", nil, s.WAL.Begins)
-	p.counter("falcon_wal_wraps_total", "Slot claims that reused an occupied slot.", nil, s.WAL.Wraps)
-	p.counter("falcon_wal_commits_total", "Published log records.", nil, s.WAL.Commits)
-	p.counter("falcon_wal_aborts_total", "Discarded log records.", nil, s.WAL.Aborts)
-	p.counter("falcon_wal_bytes_logged_total", "Record payload bytes appended.", nil, s.WAL.BytesLogged)
-	p.counter("falcon_wal_overflows_total", "Records spilled to the overflow region.", nil, s.WAL.Overflows)
-	p.counter("falcon_wal_overflow_bytes_total", "Record bytes spilled to the overflow region.", nil, s.WAL.OverflowBytes)
-	p.counter("falcon_wal_full_rejects_total", "Appends refused with the overflow region exhausted.", nil, s.WAL.FullRejects)
-	p.gauge("falcon_wal_slot_bytes", "Configured per-slot log capacity.", nil, s.WAL.SlotBytes)
-	p.gauge("falcon_wal_max_record_bytes", "Largest single log record.", nil, s.WAL.MaxRecordBytes)
-
-	p.counter("falcon_hot_set_hits_total", "Selective-flush elisions (hot-set hits).", nil, s.Hot.Hits)
-	p.counter("falcon_hot_set_misses_total", "Hot-set misses (tuples flushed).", nil, s.Hot.Misses)
-	p.counter("falcon_hot_set_evictions_total", "Hot-set LRU evictions.", nil, s.Hot.Evictions)
-
-	names := make([]string, 0, len(s.Tables))
-	for name := range s.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	promRows(p, walMetrics, &s.WAL, nil)
+	promRows(p, hotSetMetrics, &s.Hot, nil)
+	for _, name := range sortedKeys(s.Tables) {
 		t := s.Tables[name]
-		l := map[string]string{"table": name}
-		p.counter("falcon_table_reads_total", "Tuple read attempts per table.", l, t.Reads)
-		p.counter("falcon_table_writes_total", "Write-set entries applied per table.", l, t.Writes)
-		p.counter("falcon_table_versions_total", "Versions installed per table.", l, t.Versions)
-		p.counter("falcon_table_index_probes_total", "Index lookups per table.", l, t.IndexProbes)
-		p.counter("falcon_table_index_restarts_total", "B-tree reads made again because a writer stored under them.", l, t.IndexRestarts)
+		promRows(p, tableMetrics, &t, map[string]string{"table": name})
 	}
-
-	p.counter("falcon_pmem_media_reads_total", "256B media block reads.", nil, s.Mem.MediaReads)
-	p.counter("falcon_pmem_media_writes_total", "256B media block writes.", nil, s.Mem.MediaWrites)
-	p.counter("falcon_pmem_full_block_writes_total", "Media writes with a fully buffered block.", nil, s.Mem.FullBlockWrites)
-	p.counter("falcon_pmem_partial_block_writes_total", "Read-modify-write media writes.", nil, s.Mem.PartialBlockWrites)
-	p.counter("falcon_pmem_xpbuffer_merges_total", "Line write-backs merged into a buffered block.", nil, s.Mem.XPBufferMerges)
-	p.counter("falcon_pmem_xpbuffer_hits_total", "Load misses served by the XPBuffer.", nil, s.Mem.XPBufferHits)
-	p.counter("falcon_pmem_cache_hits_total", "Persistent-cache line hits.", nil, s.Mem.CacheHits)
-	p.counter("falcon_pmem_cache_misses_total", "Persistent-cache line misses.", nil, s.Mem.CacheMisses)
-	p.counter("falcon_pmem_dirty_evictions_total", "Dirty lines written back by replacement.", nil, s.Mem.DirtyEvictions)
-	p.counter("falcon_pmem_clean_evictions_total", "Clean lines dropped by replacement.", nil, s.Mem.CleanEvictions)
-	p.counter("falcon_pmem_clwb_writebacks_total", "Dirty lines written back by explicit CLWB.", nil, s.Mem.ClwbWritebacks)
-	p.counter("falcon_pmem_flush_trains_total", "Hinted multi-line flush trains.", nil, s.Mem.FlushTrains)
-	p.counter("falcon_pmem_flush_train_lines_total", "Lines covered by flush trains.", nil, s.Mem.FlushTrainLines)
-	p.counter("falcon_pmem_bytes_stored_total", "Application bytes stored.", nil, s.Mem.BytesStored)
-	p.counter("falcon_pmem_bytes_to_media_total", "Bytes physically written to media.", nil, s.Mem.BytesToMedia)
-	p.counter("falcon_pmem_crash_flushed_lines_total", "Dirty lines persisted by the eADR crash flush.", nil, s.Mem.CrashFlushedLines)
-	p.counter("falcon_pmem_crash_dropped_lines_total", "Dirty lines discarded by an ADR crash.", nil, s.Mem.CrashDroppedLines)
-
+	promRows(p, memMetrics, &s.Mem, nil)
 	if s.Epochs.Records > 0 || s.Epochs.Sealed > 0 {
-		p.counter("falcon_epochs_sealed_total", "Sealed group-commit durability epochs.", nil, s.Epochs.Sealed)
-		p.counter("falcon_epochs_records_total", "Transactions published into epochs.", nil, s.Epochs.Records)
-		p.gauge("falcon_epochs_pending", "Durability epochs still open.", nil, s.Epochs.Pending)
-		p.counter("falcon_epochs_train_spans_total", "Contiguous spans epoch seals coalesced into flush trains.", nil, s.Epochs.TrainSpans)
-		p.counter("falcon_epochs_forced_seals_total", "Slot-reclaim waits that sealed an epoch early.", nil, s.Epochs.ForcedSeals)
-		p.counter("falcon_epochs_forced_wait_nanos_total", "Virtual nanoseconds stalled in slot-reclaim waits.", nil, s.Epochs.ForcedWaitNanos)
-		p.histogram("falcon_epoch_size_records", "Records per sealed durability epoch.", nil, s.Epochs.EpochSize)
-		p.histogram("falcon_epoch_durable_lag_nanos", "Publish-to-seal virtual nanoseconds per record.", nil, s.Epochs.DurableLag)
+		promRows(p, epochMetrics, &s.Epochs, nil)
 	}
 
 	if sv := s.Server; sv != nil {
-		eps := make([]string, 0, len(sv.Endpoints))
-		for name := range sv.Endpoints {
-			eps = append(eps, name)
-		}
-		sort.Strings(eps)
-		for _, name := range eps {
+		for _, name := range sortedKeys(sv.Endpoints) {
 			ep := sv.Endpoints[name]
-			l := map[string]string{"endpoint": name}
-			p.counter("falcon_server_requests_total", "Requests that reached the endpoint (accepted or shed).", l, ep.Requests)
-			p.counter("falcon_server_ok_total", "Requests answered successfully.", l, ep.OK)
-			p.counter("falcon_server_errors_total", "Requests failed with an engine or protocol error.", l, ep.Errors)
-			p.counter("falcon_server_shed_total", "Admission rejections by cause.",
-				map[string]string{"endpoint": name, "reason": "queue"}, ep.ShedQueue)
-			p.counter("falcon_server_shed_total", "Admission rejections by cause.",
-				map[string]string{"endpoint": name, "reason": "deadline"}, ep.ShedDeadline)
-			p.counter("falcon_server_shed_total", "Admission rejections by cause.",
-				map[string]string{"endpoint": name, "reason": "draining"}, ep.ShedDraining)
-			p.counter("falcon_server_expired_total", "Admitted requests whose deadline passed before completion.", l, ep.Expired)
-			p.counter("falcon_server_replayed_total", "Retries answered from the idempotency table.", l, ep.Replayed)
-			if ep.Latency.Count > 0 {
-				p.histogram("falcon_server_latency_nanos", "Accepted-request service time in host nanoseconds.", l, ep.Latency)
-			}
+			promRows(p, endpointMetrics, &ep, map[string]string{"endpoint": name})
 		}
-		p.gauge("falcon_server_queue_depth", "Admission queue occupancy.", nil, sv.QueueDepth)
-		p.gauge("falcon_server_queue_cap", "Admission queue bound.", nil, sv.QueueCap)
-		p.gauge("falcon_server_workers", "Engine-worker slots requests run on.", nil, sv.Workers)
-		p.gauge("falcon_server_est_service_nanos", "EWMA service-time estimate driving deadline-aware rejection.", nil, sv.EstServiceNanos)
+		promRows(p, serverMetrics, sv, nil)
 		draining := uint64(0)
 		if sv.Draining {
 			draining = 1
@@ -166,10 +244,10 @@ func promSnapshot(p *promWriter, s Snapshot) {
 			p.counter("falcon_contend_clwb_lines_total", "Explicit CLWB writeback lines per table.", l, r.ClwbLines)
 			p.counter("falcon_contend_train_lines_total", "Flush-train writeback lines per table.", l, r.TrainLines)
 			p.counter("falcon_contend_evict_lines_total", "Capacity-eviction writeback lines per table.", l, r.EvictLines)
-			p.counter("falcon_contend_xp_evicts_total", "XPBuffer block evictions per table.",
-				map[string]string{"table": r.Table, "mode": "full"}, r.XPFullEvicts)
-			p.counter("falcon_contend_xp_evicts_total", "XPBuffer block evictions per table.",
-				map[string]string{"table": r.Table, "mode": "partial"}, r.XPPartialEvicts)
+			for i, n := range []uint64{r.XPFullEvicts, r.XPPartialEvicts} {
+				p.counter("falcon_contend_xp_evicts_total", "XPBuffer block evictions per table.",
+					map[string]string{"table": r.Table, "mode": [...]string{"full", "partial"}[i]}, n)
+			}
 		}
 		p.counter("falcon_contend_wal_flush_lines_total", "Log-region lines flushed by the WAL drain path.", nil, c.WALFlushLines)
 		p.counter("falcon_contend_wal_group_wait_nanos_total", "Virtual nanoseconds stalled on group-commit slot reclaim.", nil, c.WALGroupWaitNanos)
@@ -268,18 +346,23 @@ func (p *promWriter) flush() error {
 	return nil
 }
 
+// sortedKeys returns m's keys in order: output must not follow Go's map order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // formatLabels renders a label map in canonical (sorted-key) order.
 func formatLabels(labels map[string]string) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	for i, k := range keys {
+	for i, k := range sortedKeys(labels) {
 		if i > 0 {
 			b.WriteByte(',')
 		}

@@ -3,14 +3,11 @@ package obs
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"reflect"
 	"regexp"
 	"strings"
 	"testing"
-
-	"falcon/internal/pmem"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this binary")
@@ -382,58 +379,65 @@ func TestDetectCycles(t *testing.T) {
 	}
 }
 
-// TestPrometheusCoversSnapshotCounters walks the snapshot's counter structs
-// by reflection: every uint64 field of WAL, Hot, Mem, Epochs, a table and an
-// endpoint must, set to a value nothing else holds, show up as a sample — a
-// counter the ledger tracks cannot be missing from a scrape. Histograms are
-// the grammar test's business; the exemption list is what is left out on
-// purpose.
+// TestPrometheusCoversSnapshotCounters walks the metric tables: every uint64
+// field of each stats struct must be reached by exactly one row's accessor,
+// and every histogram by one histogram row. Add, Sub and the exposition all
+// walk the same rows, so a field no row reaches would be dropped by all three
+// and a field two rows reach would count twice in each.
 func TestPrometheusCoversSnapshotCounters(t *testing.T) {
-	exempt := map[string]string{
-		"Server.Endpoints[*].Retried": "maintained by clients; nothing on the server writes it",
+	covers(t, walMetrics)
+	covers(t, epochMetrics)
+	covers(t, hotSetMetrics)
+	covers(t, tableMetrics)
+	covers(t, memMetrics)
+	covers(t, endpointMetrics)
+	covers(t, serverMetrics)
+}
+
+func covers[T any](t *testing.T, rows []metric[T]) {
+	t.Helper()
+	reached := map[uintptr][]metricKind{}
+	for _, r := range rows {
+		reached[r.off] = append(reached[r.off], r.kind)
 	}
-	// install puts one counter struct where it belongs in an empty snapshot.
-	install := func(v any) Snapshot {
-		var s Snapshot
-		switch v := v.(type) {
-		case WALStats:
-			s.WAL = v
-		case HotSetStats:
-			s.Hot = v
-		case pmem.Snapshot:
-			s.Mem = v
-		case EpochStats:
-			if v.Records == 0 {
-				v.Records = 1 // the epoch families render only once group commit ran
-			}
-			s.Epochs = v
-		case TableStats:
-			s.Tables = map[string]TableStats{"t": v}
-		case EndpointStats:
-			s.Server = &ServerStats{Endpoints: map[string]EndpointStats{"/e": v}}
+	typ := reflect.TypeOf((*T)(nil)).Elem()
+	fields := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		isHist := f.Type == reflect.TypeOf(HistogramDump{})
+		if f.Type.Kind() != reflect.Uint64 && !isHist {
+			continue
 		}
-		return s
+		fields++
+		if k := reached[f.Offset]; len(k) != 1 || (k[0] == histogram) != isHist {
+			t.Errorf("%s.%s is reached by rows of kinds %v, want one row of a kind its type takes", typ.Name(), f.Name, k)
+		}
 	}
-	const distinctive = 7654321
-	for path, zero := range map[string]any{
-		"WAL": WALStats{}, "Hot": HotSetStats{}, "Mem": pmem.Snapshot{}, "Epochs": EpochStats{},
-		"Tables[*]": TableStats{}, "Server.Endpoints[*]": EndpointStats{},
-	} {
-		typ := reflect.TypeOf(zero)
-		for i := 0; i < typ.NumField(); i++ {
-			name := path + "." + typ.Field(i).Name
-			if typ.Field(i).Type.Kind() != reflect.Uint64 || exempt[name] != "" {
-				continue
-			}
-			v := reflect.New(typ).Elem()
-			v.Field(i).SetUint(distinctive)
-			var buf bytes.Buffer
-			if err := WritePrometheus(&buf, install(v.Interface()), nil); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(buf.String(), fmt.Sprintf(" %d\n", distinctive)) {
-				t.Errorf("Snapshot.%s has no Prometheus sample", name)
-			}
+	if fields != len(rows) {
+		t.Errorf("%s: %d rows for %d fields", typ.Name(), len(rows), fields)
+	}
+}
+
+// TestNanosFamiliesNameTheirClock: a family counting nanoseconds says in its
+// help which clock they are on, the simulation's (virtual) or the host's.
+func TestNanosFamiliesNameTheirClock(t *testing.T) {
+	var sb strings.Builder
+	if err := WritePrometheus(&sb, promTestSnapshot(), nil); err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		m := promHelpRe.FindStringSubmatch(line)
+		if m == nil || !strings.Contains(m[1], "nanos") {
+			continue
 		}
+		checked++
+		help := strings.ToLower(strings.TrimPrefix(line, "# HELP "+m[1]+" "))
+		if !strings.Contains(help, "virtual") && !strings.Contains(help, "host") {
+			t.Errorf("%s does not say which clock its nanoseconds are on: %q", m[1], help)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no nanosecond family in the exposition")
 	}
 }

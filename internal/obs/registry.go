@@ -3,12 +3,13 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"falcon/internal/pmem"
 )
+
+// This file holds the snapshot and its stats structs, each beside its metric
+// table (prometheus.go has the row type and the walks over it).
 
 // WALStats aggregates the per-thread log-window gauges. The fields are plain
 // uint64 because each wal.Window is single-writer (its owning worker); the
@@ -33,44 +34,30 @@ type WALStats struct {
 	Overflows     uint64
 	OverflowBytes uint64
 	FullRejects   uint64
-	// SlotBytes is the configured per-slot capacity (set by the collector;
+	// SlotBytes is the configured per-slot capacity (set by the window;
 	// gauge denominator, not a counter).
 	SlotBytes uint64
 }
 
-// Add sums o into s, field-wise (gauges take the max / last non-zero).
-func (s *WALStats) Add(o WALStats) {
-	s.Begins += o.Begins
-	s.Wraps += o.Wraps
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-	s.BytesLogged += o.BytesLogged
-	if o.MaxRecordBytes > s.MaxRecordBytes {
-		s.MaxRecordBytes = o.MaxRecordBytes
-	}
-	s.Overflows += o.Overflows
-	s.OverflowBytes += o.OverflowBytes
-	s.FullRejects += o.FullRejects
-	if o.SlotBytes != 0 {
-		s.SlotBytes = o.SlotBytes
-	}
+var walMetrics = []metric[WALStats]{
+	row(counter, "falcon_wal_begins_total", "Claimed log-window transaction slots.", func(s *WALStats) *uint64 { return &s.Begins }),
+	row(counter, "falcon_wal_wraps_total", "Slot claims that reused an occupied slot.", func(s *WALStats) *uint64 { return &s.Wraps }),
+	row(counter, "falcon_wal_commits_total", "Published log records.", func(s *WALStats) *uint64 { return &s.Commits }),
+	row(counter, "falcon_wal_aborts_total", "Discarded log records.", func(s *WALStats) *uint64 { return &s.Aborts }),
+	row(counter, "falcon_wal_bytes_logged_total", "Record payload bytes appended.", func(s *WALStats) *uint64 { return &s.BytesLogged }),
+	row(counter, "falcon_wal_overflows_total", "Records spilled to the overflow region.", func(s *WALStats) *uint64 { return &s.Overflows }),
+	row(counter, "falcon_wal_overflow_bytes_total", "Record bytes spilled to the overflow region.", func(s *WALStats) *uint64 { return &s.OverflowBytes }),
+	row(counter, "falcon_wal_full_rejects_total", "Appends refused with the overflow region exhausted.", func(s *WALStats) *uint64 { return &s.FullRejects }),
+	row(lastGauge, "falcon_wal_slot_bytes", "Configured per-slot log capacity.", func(s *WALStats) *uint64 { return &s.SlotBytes }),
+	row(maxGauge, "falcon_wal_max_record_bytes", "Largest single log record.", func(s *WALStats) *uint64 { return &s.MaxRecordBytes }),
 }
 
-// Sub returns the counter-wise difference s - o (gauges pass through).
-func (s WALStats) Sub(o WALStats) WALStats {
-	return WALStats{
-		Begins:         s.Begins - o.Begins,
-		Wraps:          s.Wraps - o.Wraps,
-		Commits:        s.Commits - o.Commits,
-		Aborts:         s.Aborts - o.Aborts,
-		BytesLogged:    s.BytesLogged - o.BytesLogged,
-		MaxRecordBytes: s.MaxRecordBytes,
-		Overflows:      s.Overflows - o.Overflows,
-		OverflowBytes:  s.OverflowBytes - o.OverflowBytes,
-		FullRejects:    s.FullRejects - o.FullRejects,
-		SlotBytes:      s.SlotBytes,
-	}
-}
+// Add folds o into s: counters sum, MaxRecordBytes keeps the larger and
+// SlotBytes the last non-zero.
+func (s *WALStats) Add(o WALStats) { addRows(walMetrics, s, &o) }
+
+// Sub returns the window s - o; the gauges pass through from s.
+func (s WALStats) Sub(o WALStats) WALStats { return subRows(walMetrics, s, o) }
 
 // MeanRecordBytes returns the average committed record size.
 func (s WALStats) MeanRecordBytes() uint64 {
@@ -107,38 +94,24 @@ type EpochStats struct {
 	DurableLag HistogramDump `json:",omitempty"`
 }
 
-// Add sums o's counters into s (histograms merge by bucket list append is
-// not meaningful; the engine contributes one board, so Add takes o's dumps
-// when s has none).
-func (s *EpochStats) Add(o EpochStats) {
-	s.Sealed += o.Sealed
-	s.Pending += o.Pending
-	s.Records += o.Records
-	s.TrainSpans += o.TrainSpans
-	s.ForcedSeals += o.ForcedSeals
-	s.ForcedWaitNanos += o.ForcedWaitNanos
-	if s.EpochSize.Count == 0 {
-		s.EpochSize = o.EpochSize
-	}
-	if s.DurableLag.Count == 0 {
-		s.DurableLag = o.DurableLag
-	}
+var epochMetrics = []metric[EpochStats]{
+	row(counter, "falcon_epochs_sealed_total", "Sealed group-commit durability epochs.", func(s *EpochStats) *uint64 { return &s.Sealed }),
+	row(counter, "falcon_epochs_records_total", "Transactions published into epochs.", func(s *EpochStats) *uint64 { return &s.Records }),
+	row(lastGauge, "falcon_epochs_pending", "Durability epochs still open.", func(s *EpochStats) *uint64 { return &s.Pending }),
+	row(counter, "falcon_epochs_train_spans_total", "Contiguous spans epoch seals coalesced into flush trains.", func(s *EpochStats) *uint64 { return &s.TrainSpans }),
+	row(counter, "falcon_epochs_forced_seals_total", "Slot-reclaim waits that sealed an epoch early.", func(s *EpochStats) *uint64 { return &s.ForcedSeals }),
+	row(counter, "falcon_epochs_forced_wait_nanos_total", "Virtual nanoseconds stalled in slot-reclaim waits.", func(s *EpochStats) *uint64 { return &s.ForcedWaitNanos }),
+	hist("falcon_epoch_size_records", "Records per sealed durability epoch.", func(s *EpochStats) *HistogramDump { return &s.EpochSize }),
+	hist("falcon_epoch_durable_lag_nanos", "Publish-to-seal virtual nanoseconds per record.", func(s *EpochStats) *HistogramDump { return &s.DurableLag }),
 }
 
-// Sub returns the counter-wise difference s - o; the histogram dumps pass
-// through from s (see the type comment).
-func (s EpochStats) Sub(o EpochStats) EpochStats {
-	return EpochStats{
-		Sealed:          s.Sealed - o.Sealed,
-		Pending:         s.Pending,
-		Records:         s.Records - o.Records,
-		TrainSpans:      s.TrainSpans - o.TrainSpans,
-		ForcedSeals:     s.ForcedSeals - o.ForcedSeals,
-		ForcedWaitNanos: s.ForcedWaitNanos - o.ForcedWaitNanos,
-		EpochSize:       s.EpochSize,
-		DurableLag:      s.DurableLag,
-	}
-}
+// Add folds o into s: counters sum, Pending keeps the last non-zero, the
+// histograms merge.
+func (s *EpochStats) Add(o EpochStats) { addRows(epochMetrics, s, &o) }
+
+// Sub returns the window s - o; Pending and the histograms pass through from s
+// (see the type comment).
+func (s EpochStats) Sub(o EpochStats) EpochStats { return subRows(epochMetrics, s, o) }
 
 // MeanEpochSize returns the average records per sealed epoch.
 func (s EpochStats) MeanEpochSize() float64 {
@@ -157,17 +130,17 @@ type HotSetStats struct {
 	Evictions uint64
 }
 
-// Add sums o into s.
-func (s *HotSetStats) Add(o HotSetStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
+var hotSetMetrics = []metric[HotSetStats]{
+	row(counter, "falcon_hot_set_hits_total", "Selective-flush elisions (hot-set hits).", func(s *HotSetStats) *uint64 { return &s.Hits }),
+	row(counter, "falcon_hot_set_misses_total", "Hot-set misses (tuples flushed).", func(s *HotSetStats) *uint64 { return &s.Misses }),
+	row(counter, "falcon_hot_set_evictions_total", "Hot-set LRU evictions.", func(s *HotSetStats) *uint64 { return &s.Evictions }),
 }
 
+// Add sums o into s.
+func (s *HotSetStats) Add(o HotSetStats) { addRows(hotSetMetrics, s, &o) }
+
 // Sub returns s - o.
-func (s HotSetStats) Sub(o HotSetStats) HotSetStats {
-	return HotSetStats{Hits: s.Hits - o.Hits, Misses: s.Misses - o.Misses, Evictions: s.Evictions - o.Evictions}
-}
+func (s HotSetStats) Sub(o HotSetStats) HotSetStats { return subRows(hotSetMetrics, s, o) }
 
 // TableStats counts per-table heap and index activity. Like the phase sets,
 // the engine keeps one accumulator per worker per table (single-writer) and
@@ -191,30 +164,25 @@ type TableStats struct {
 	IndexRestarts uint64 `json:",omitempty"`
 }
 
-// Add sums o into s.
-func (s *TableStats) Add(o TableStats) {
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.Versions += o.Versions
-	s.IndexProbes += o.IndexProbes
-	s.IndexRestarts += o.IndexRestarts
+var tableMetrics = []metric[TableStats]{
+	row(counter, "falcon_table_reads_total", "Tuple read attempts per table.", func(s *TableStats) *uint64 { return &s.Reads }),
+	row(counter, "falcon_table_writes_total", "Write-set entries applied per table.", func(s *TableStats) *uint64 { return &s.Writes }),
+	row(counter, "falcon_table_versions_total", "Versions installed per table.", func(s *TableStats) *uint64 { return &s.Versions }),
+	row(counter, "falcon_table_index_probes_total", "Index lookups per table.", func(s *TableStats) *uint64 { return &s.IndexProbes }),
+	row(counter, "falcon_table_index_restarts_total", "B-tree reads made again because a writer stored under them.", func(s *TableStats) *uint64 { return &s.IndexRestarts }),
 }
+
+// Add sums o into s.
+func (s *TableStats) Add(o TableStats) { addRows(tableMetrics, s, &o) }
 
 // Sub returns s - o.
-func (s TableStats) Sub(o TableStats) TableStats {
-	return TableStats{
-		Reads:         s.Reads - o.Reads,
-		Writes:        s.Writes - o.Writes,
-		Versions:      s.Versions - o.Versions,
-		IndexProbes:   s.IndexProbes - o.IndexProbes,
-		IndexRestarts: s.IndexRestarts - o.IndexRestarts,
-	}
-}
+func (s TableStats) Sub(o TableStats) TableStats { return subRows(tableMetrics, s, o) }
 
-// Snapshot is one observation of everything the registry knows: engine
-// counters, phase accounting, abort taxonomy, WAL and hot-set gauges, and
-// the pmem hardware counters. Snapshots are plain values; Sub diffs two of
-// them, which is how warmup activity is excluded from measurements.
+// Snapshot is one observation of an engine (Engine.ObsSnapshot) and of the
+// server in front of it (Server.Snapshot): engine counters, phase accounting,
+// abort taxonomy, WAL and hot-set gauges, and the pmem hardware counters.
+// Snapshots are plain values; Sub diffs two of them, which is how warmup
+// activity is excluded from measurements.
 type Snapshot struct {
 	Commits     uint64
 	Aborts      uint64
@@ -233,7 +201,7 @@ type Snapshot struct {
 	// report; nil unless the observatory was armed for the window.
 	Contend *ContentionStats `json:",omitempty"`
 	// Server carries the serving layer's per-endpoint counters and admission
-	// gauges; nil unless a server registered a collector on this registry.
+	// gauges; nil unless the snapshot came through Server.Snapshot.
 	Server *ServerStats `json:",omitempty"`
 }
 
@@ -251,20 +219,15 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		Hot:     s.Hot.Sub(o.Hot),
 		Mem:     s.Mem.Sub(o.Mem),
 		Epochs:  s.Epochs.Sub(o.Epochs),
+		Tables:  subEach(tableMetrics, s.Tables, o.Tables),
+		Contend: s.Contend.Sub(o.Contend),
+		Server:  s.Server.Sub(o.Server),
 	}
 	for i := range s.PhaseNanos {
 		out.PhaseNanos[i] = s.PhaseNanos[i] - o.PhaseNanos[i]
 	}
 	for i := range s.AbortCounts {
 		out.AbortCounts[i] = s.AbortCounts[i] - o.AbortCounts[i]
-	}
-	out.Contend = s.Contend.Sub(o.Contend)
-	out.Server = s.Server.Sub(o.Server)
-	if s.Tables != nil {
-		out.Tables = make(map[string]TableStats, len(s.Tables))
-		for name, ts := range s.Tables {
-			out.Tables[name] = ts.Sub(o.Tables[name])
-		}
 	}
 	return out
 }
@@ -320,13 +283,8 @@ func (s Snapshot) Text() string {
 			s.Hot.Hits, s.Hot.Misses, s.Hot.Evictions)
 	}
 	if len(s.Tables) > 0 {
-		names := make([]string, 0, len(s.Tables))
-		for name := range s.Tables {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		b.WriteString("tables    reads / writes / versions / index-probes\n")
-		for _, name := range names {
+		for _, name := range sortedKeys(s.Tables) {
 			t := s.Tables[name]
 			fmt.Fprintf(&b, "  %-14s %10d %10d %10d %10d",
 				name, t.Reads, t.Writes, t.Versions, t.IndexProbes)
@@ -384,56 +342,4 @@ func (s Snapshot) JSON() ([]byte, error) {
 		m["server"] = s.Server
 	}
 	return json.MarshalIndent(m, "", "  ")
-}
-
-// Registry is the unified stats registry: named collectors contribute their
-// slice of a Snapshot, and Snapshot() assembles them all at once. The engine
-// registers its phase sets, abort counts, WAL windows, hot sets, and the
-// pmem device; tools may register their own sources (`falcon micro` registers
-// a bare phase set over its store loop).
-type Registry struct {
-	mu         sync.Mutex
-	collectors []namedCollector
-}
-
-type namedCollector struct {
-	name string
-	fn   func(*Snapshot)
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Register adds a named collector. Collectors run in registration order, so
-// later collectors may derive from earlier contributions.
-func (r *Registry) Register(name string, fn func(*Snapshot)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.collectors = append(r.collectors, namedCollector{name, fn})
-}
-
-// Sources returns the registered collector names, sorted.
-func (r *Registry) Sources() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.collectors))
-	for i, c := range r.collectors {
-		out[i] = c.name
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Snapshot runs every collector and returns the assembled snapshot. The
-// single-owner sources (phase sets, WAL windows, hot sets) are only
-// coherent when the workers are quiescent — the same contract as reading
-// sim.Clock values.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var s Snapshot
-	for _, c := range r.collectors {
-		c.fn(&s)
-	}
-	return s
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -28,11 +27,6 @@ type EndpointStats struct {
 	// Replayed counts requests answered from the idempotency table — a
 	// retry whose original attempt had already committed.
 	Replayed uint64
-	// Retried counts requests that arrived carrying an idempotency key the
-	// server had not seen complete (first attempts and true retries both
-	// land in Requests; Retried is maintained by clients, so servers leave
-	// it zero unless the transport conveys it).
-	Retried uint64
 	// Latency is the service-time distribution of the endpoint's committed
 	// requests in host nanoseconds: from taking an engine-worker slot to the
 	// end of the transaction, any service-floor padding included. The wait
@@ -45,36 +39,26 @@ func (e EndpointStats) Shed() uint64 {
 	return e.ShedQueue + e.ShedDeadline + e.ShedDraining
 }
 
-// Add sums o into e (histograms merge bucket-wise).
-func (e *EndpointStats) Add(o EndpointStats) {
-	e.Requests += o.Requests
-	e.OK += o.OK
-	e.Errors += o.Errors
-	e.ShedQueue += o.ShedQueue
-	e.ShedDeadline += o.ShedDeadline
-	e.ShedDraining += o.ShedDraining
-	e.Expired += o.Expired
-	e.Replayed += o.Replayed
-	e.Retried += o.Retried
-	e.Latency = e.Latency.Merge(o.Latency)
+const shedFamily, shedHelp = "falcon_server_shed_total", "Admission rejections by cause."
+
+var endpointMetrics = []metric[EndpointStats]{
+	row(counter, "falcon_server_requests_total", "Requests that reached the endpoint (accepted or shed).", func(e *EndpointStats) *uint64 { return &e.Requests }),
+	row(counter, "falcon_server_ok_total", "Requests answered successfully.", func(e *EndpointStats) *uint64 { return &e.OK }),
+	row(counter, "falcon_server_errors_total", "Requests failed with an engine or protocol error.", func(e *EndpointStats) *uint64 { return &e.Errors }),
+	row(counter, shedFamily, shedHelp, func(e *EndpointStats) *uint64 { return &e.ShedQueue }).with("reason", "queue"),
+	row(counter, shedFamily, shedHelp, func(e *EndpointStats) *uint64 { return &e.ShedDeadline }).with("reason", "deadline"),
+	row(counter, shedFamily, shedHelp, func(e *EndpointStats) *uint64 { return &e.ShedDraining }).with("reason", "draining"),
+	row(counter, "falcon_server_expired_total", "Admitted requests whose deadline passed before completion.", func(e *EndpointStats) *uint64 { return &e.Expired }),
+	row(counter, "falcon_server_replayed_total", "Retries answered from the idempotency table.", func(e *EndpointStats) *uint64 { return &e.Replayed }),
+	hist("falcon_server_latency_nanos", "Accepted-request service time in host nanoseconds.", func(e *EndpointStats) *HistogramDump { return &e.Latency }),
 }
+
+// Add sums o into e; the latency histograms merge bucket-wise.
+func (e *EndpointStats) Add(o EndpointStats) { addRows(endpointMetrics, e, &o) }
 
 // Sub returns the counter-wise difference e - o; the latency dump passes
 // through from e (point-in-time export, like the epoch histograms).
-func (e EndpointStats) Sub(o EndpointStats) EndpointStats {
-	return EndpointStats{
-		Requests:     e.Requests - o.Requests,
-		OK:           e.OK - o.OK,
-		Errors:       e.Errors - o.Errors,
-		ShedQueue:    e.ShedQueue - o.ShedQueue,
-		ShedDeadline: e.ShedDeadline - o.ShedDeadline,
-		ShedDraining: e.ShedDraining - o.ShedDraining,
-		Expired:      e.Expired - o.Expired,
-		Replayed:     e.Replayed - o.Replayed,
-		Retried:      e.Retried - o.Retried,
-		Latency:      e.Latency,
-	}
-}
+func (e EndpointStats) Sub(o EndpointStats) EndpointStats { return subRows(endpointMetrics, e, o) }
 
 // ServerStats is the serving layer's contribution to a Snapshot: per-endpoint
 // outcome counters plus the admission controller's gauges.
@@ -94,6 +78,15 @@ type ServerStats struct {
 	Draining bool
 }
 
+// serverMetrics are the admission gauges; Draining, a bool, renders beside
+// them.
+var serverMetrics = []metric[ServerStats]{
+	row(lastGauge, "falcon_server_queue_depth", "Admission queue occupancy.", func(s *ServerStats) *uint64 { return &s.QueueDepth }),
+	row(lastGauge, "falcon_server_queue_cap", "Admission queue bound.", func(s *ServerStats) *uint64 { return &s.QueueCap }),
+	row(lastGauge, "falcon_server_workers", "Engine-worker slots requests run on.", func(s *ServerStats) *uint64 { return &s.Workers }),
+	row(lastGauge, "falcon_server_est_service_nanos", "EWMA service-time estimate driving deadline-aware rejection, in host nanoseconds.", func(s *ServerStats) *uint64 { return &s.EstServiceNanos }),
+}
+
 // Sub returns the endpoint-wise counter difference s - o; nil-safe on both
 // sides (nil means "serving layer absent from this snapshot"), gauges pass
 // through from s.
@@ -101,20 +94,9 @@ func (s *ServerStats) Sub(o *ServerStats) *ServerStats {
 	if s == nil || o == nil {
 		return s
 	}
-	out := &ServerStats{
-		QueueDepth:      s.QueueDepth,
-		QueueCap:        s.QueueCap,
-		Workers:         s.Workers,
-		EstServiceNanos: s.EstServiceNanos,
-		Draining:        s.Draining,
-	}
-	if s.Endpoints != nil {
-		out.Endpoints = make(map[string]EndpointStats, len(s.Endpoints))
-		for name, ep := range s.Endpoints {
-			out.Endpoints[name] = ep.Sub(o.Endpoints[name])
-		}
-	}
-	return out
+	out := subRows(serverMetrics, *s, *o)
+	out.Endpoints = subEach(endpointMetrics, s.Endpoints, o.Endpoints)
+	return &out
 }
 
 // Text renders the server block for Snapshot.Text.
@@ -122,12 +104,7 @@ func (s *ServerStats) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "server    workers %d  queue %d/%d  est-service %d ns  draining %v\n",
 		s.Workers, s.QueueDepth, s.QueueCap, s.EstServiceNanos, s.Draining)
-	names := make([]string, 0, len(s.Endpoints))
-	for name := range s.Endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(s.Endpoints) {
 		ep := s.Endpoints[name]
 		fmt.Fprintf(&b, "  %-12s req %d  ok %d  err %d  shed %d (queue %d, deadline %d, drain %d)  expired %d  replayed %d\n",
 			name, ep.Requests, ep.OK, ep.Errors, ep.Shed(),

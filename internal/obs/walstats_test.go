@@ -76,7 +76,7 @@ func TestIndexRestartsShowOnlyWhenCounted(t *testing.T) {
 	}
 }
 
-// TestSnapshotTableDiff checks that registry snapshots diff the per-table
+// TestSnapshotTableDiff checks that snapshots diff the per-table
 // map key-wise (the bench warmup-exclusion path).
 func TestSnapshotTableDiff(t *testing.T) {
 	a := Snapshot{Tables: map[string]TableStats{

@@ -144,7 +144,6 @@ func New(e *core.Engine, cfg Config) (*Server, error) {
 	for w := 0; w < cfg.Workers; w++ {
 		s.slots <- w
 	}
-	e.Obs().Register("server", s.collect)
 	return s, nil
 }
 
@@ -221,8 +220,9 @@ func (s *Server) run(ep *endpoint, st *txnState, idemKey uint64) (status int, er
 	return status, err
 }
 
-// collect is the registry collector contributing Snapshot.Server.
-func (s *Server) collect(snap *obs.Snapshot) {
+// collect reads the server's counters and admission gauges for
+// Snapshot.Server.
+func (s *Server) collect() *obs.ServerStats {
 	sv := &obs.ServerStats{
 		Endpoints:       map[string]obs.EndpointStats{},
 		QueueDepth:      uint64(max(s.adm.depth.Load(), 0)),
@@ -236,7 +236,7 @@ func (s *Server) collect(snap *obs.Snapshot) {
 			sv.Endpoints[ep.name] = st
 		}
 	}
-	snap.Server = sv
+	return sv
 }
 
 // Handler returns the HTTP mux: /v1/txn, /v1/read, /metrics, /healthz,
@@ -413,23 +413,23 @@ func writeJSON(w http.ResponseWriter, status int, v *TxnResponse) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// handleMetrics serves the Prometheus exposition. It quiesces the request
-// path (write lock on execMu) so the single-owner engine accumulators are
-// coherent — the same contract bench.Run's snapshots rely on.
+// handleMetrics serves Snapshot in the Prometheus exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.execMu.Lock()
-	snap := s.e.ObsSnapshot()
-	s.execMu.Unlock()
+	snap := s.Snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = obs.WritePrometheus(w, snap, nil)
 }
 
-// Snapshot returns a quiesced observability snapshot (the same view
-// /metrics serves).
+// Snapshot returns the view /metrics serves: the engine's snapshot, taken
+// with the request path quiesced (write lock on execMu) so the single-owner
+// engine accumulators are coherent — the same contract bench.Run's snapshots
+// rely on — plus the server's own counters, which are atomics.
 func (s *Server) Snapshot() obs.Snapshot {
 	s.execMu.Lock()
-	defer s.execMu.Unlock()
-	return s.e.ObsSnapshot()
+	snap := s.e.ObsSnapshot()
+	s.execMu.Unlock()
+	snap.Server = s.collect()
+	return snap
 }
 
 // Drain performs the graceful shutdown: raise the stop flag (no new

@@ -265,6 +265,27 @@ func TestServerDeadlineExpiry(t *testing.T) {
 
 // TestServerHealthAndMetrics: /healthz always 200; /readyz flips to 503 on
 // drain; /metrics serves the Prometheus exposition with server families.
+// TestSnapshotCarriesServer: Server.Snapshot is the engine's snapshot plus
+// the server's own counters; the engine's snapshot alone leaves Server nil.
+func TestSnapshotCarriesServer(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	if _, code := postTxn(t, ts.URL, 1, &TxnRequest{Ops: []Op{
+		{Op: "put", Table: "kv", Key: 1, Val: 1},
+	}}, nil); code != http.StatusOK {
+		t.Fatal("request failed")
+	}
+	snap := s.Snapshot()
+	if sv := snap.Server; sv == nil || sv.Workers != 2 || sv.Endpoints["/v1/txn"].OK != 1 {
+		t.Fatalf("Server.Snapshot().Server = %+v", sv)
+	}
+	if snap.Commits == 0 || snap.Tables["kv"].Writes == 0 {
+		t.Fatalf("engine part missing: %d commits, tables %+v", snap.Commits, snap.Tables)
+	}
+	if sv := s.Engine().ObsSnapshot().Server; sv != nil {
+		t.Fatalf("Engine.ObsSnapshot carries the server's counters: %+v", sv)
+	}
+}
+
 func TestServerHealthAndMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	if _, code := postTxn(t, ts.URL, 1, &TxnRequest{Ops: []Op{
