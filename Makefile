@@ -21,7 +21,7 @@ lines:
 # The race lane, here and in CI (ci.yml runs this target, so there is one
 # package list): -short trims property-check sample counts.
 race:
-	go test -race -short ./internal/obs ./internal/bench ./internal/pmem ./internal/index ./internal/core ./internal/wal
+	go test -race -short ./internal/obs ./internal/bench ./internal/pmem ./internal/index ./internal/core ./internal/wal ./internal/heap ./internal/alloc
 
 # Worker-parallel race lane: the same engine/simulation packages plus the
 # crash-consistency oracle, with GOMAXPROCS=4 so the group scheduler's round

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"strconv"
@@ -141,7 +143,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	threadList := fs.String("threads", strings.Join(defThreads, ","), "comma-separated thread counts (paper: 8..48)")
 	txns := fs.Int("txns", d.Txns, "measured transactions per worker")
 	warmup := fs.Int("warmup", d.Warmup, "warmup transactions per worker")
-	records := fs.Uint64("records", d.Records, "YCSB records")
+	records := fs.Uint64("records", d.Records, "YCSB records (Figure 11; -tuplesize sizes its own tables)")
 	tupleSize := fs.Bool("tuplesize", false, "run Figure 12 (tuple-size sweep) instead of Figure 11")
 	par := fs.Int("par", 0, "concurrent sweep cells (0 = GOMAXPROCS)")
 	cf := bench.RegisterCommonFlags(fs, true)
@@ -153,11 +155,20 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return refuse(fs, stderr, err)
 	}
+	if *tupleSize && isSet(fs, "records") {
+		return refuse(fs, stderr, errors.New("-records does not apply to -tuplesize: Figure 12 sizes each column's table itself"))
+	}
 	s.Txns, s.Warmup, s.Records, s.TPCC, s.Flags = *txns, *warmup, *records, d.TPCC, cf
 	if *tupleSize {
 		return render(stdout, stderr, bench.Fig12(s), *par, cf)
 	}
 	return render(stdout, stderr, bench.Fig11(s), *par, cf)
+}
+
+// isSet reports whether the command line gave flag name explicitly.
+func isSet(fs *flag.FlagSet, name string) (set bool) {
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 // runRecovery regenerates the §6.5 recovery study. With -faults N it instead

@@ -130,6 +130,18 @@ func TestBadInputIsRefused(t *testing.T) {
 	}
 }
 
+// TestTuplesizeRefusesRecords: Figure 12 sizes each column's table itself, so
+// an explicit -records beside -tuplesize is refused, in either order, rather
+// than ignored.
+func TestTuplesizeRefusesRecords(t *testing.T) {
+	for _, args := range []string{"sweep -tuplesize -records 5000", "sweep -records 5000 -tuplesize -threads 2"} {
+		code, stdout, stderr := falcon(strings.Fields(args)...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-records") || !strings.Contains(stderr, "usage") {
+			t.Errorf("falcon %s: exit %d, stdout %q, stderr %q; want exit 2, no stdout, -records named and a usage line", args, code, stdout, stderr)
+		}
+	}
+}
+
 // TestTraceAndTracecheck: a trace written by `ycsb -trace` validates, a
 // truncated copy does not.
 func TestTraceAndTracecheck(t *testing.T) {

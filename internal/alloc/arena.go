@@ -1,8 +1,13 @@
 // Package alloc manages the simulated NVM address space. Following the
-// paper's §5.1, storage is handed out in large pages (2 MiB) from a global
-// arena; finer-grained allocation (tuple slots, log records) is performed by
-// the owning subsystem inside its region, usually per thread to avoid
-// contention.
+// paper's §5.1, storage is handed out in large regions from a global arena;
+// finer-grained allocation (tuple slots, log records) is performed by the
+// owning subsystem inside its region, usually per thread to avoid contention.
+//
+// Every region starts on a 256 B media block (pmem.BlockSize), so a structure
+// that pads its own header to a whole block keeps its arrays on the media's
+// block grid: a slot, bucket or node whose size is a multiple of the block
+// flushes as whole blocks, never as a partial write the controller must first
+// read from the media (DESIGN.md §3 "The media block grid").
 //
 // The arena's bump pointer is persisted through the simulated cache on every
 // allocation. Under persistent cache (eADR) that store is durable the moment
@@ -19,9 +24,6 @@ import (
 	"falcon/internal/pmem"
 	"falcon/internal/sim"
 )
-
-// PageSize is the allocation granule of the global arena.
-const PageSize = 2 << 20
 
 // HeaderBytes is the space the arena reserves for its own persistent state.
 const HeaderBytes = 64
@@ -73,33 +75,17 @@ func OpenArena(space pmem.Space, clk *sim.Clock, hdrOff uint64) (*Arena, error) 
 	}, nil
 }
 
-// Alloc returns an n-byte region aligned to align (a power of two; 0 means
-// PageSize alignment for page-multiple requests, else 64).
-func (a *Arena) Alloc(clk *sim.Clock, n uint64, align uint64) (uint64, error) {
-	if align == 0 {
-		if n%PageSize == 0 {
-			align = PageSize
-		} else {
-			align = 64
-		}
-	}
-	if align&(align-1) != 0 {
-		return 0, fmt.Errorf("alloc: alignment %d is not a power of two", align)
-	}
+// Alloc returns an n-byte region that starts on a media block boundary.
+func (a *Arena) Alloc(clk *sim.Clock, n uint64) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	off := (a.next + align - 1) &^ (align - 1)
+	off := (a.next + pmem.BlockSize - 1) &^ (pmem.BlockSize - 1)
 	if off+n > a.limit {
 		return 0, fmt.Errorf("%w: need %d at %d, limit %d", ErrOutOfSpace, n, off, a.limit)
 	}
 	a.next = off + n
 	a.persistNext(clk)
 	return off, nil
-}
-
-// AllocPages returns npages contiguous pages.
-func (a *Arena) AllocPages(clk *sim.Clock, npages int) (uint64, error) {
-	return a.Alloc(clk, uint64(npages)*PageSize, PageSize)
 }
 
 // Remaining returns the bytes still available.

@@ -20,15 +20,15 @@ func TestArenaAllocSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o1, err := a.Alloc(clk, 100, 64)
+	o1, err := a.Alloc(clk, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := a.Alloc(clk, 100, 64)
+	o2, err := a.Alloc(clk, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o1 < 4096 || o2 <= o1 || o1%64 != 0 || o2%64 != 0 {
+	if o1 < 4096 || o2 <= o1 || o1%pmem.BlockSize != 0 || o2%pmem.BlockSize != 0 {
 		t.Fatalf("bad offsets %d, %d", o1, o2)
 	}
 	if o2 < o1+100 {
@@ -36,16 +36,20 @@ func TestArenaAllocSequential(t *testing.T) {
 	}
 }
 
-func TestArenaPageAlignment(t *testing.T) {
+// TestArenaBlockAlignment: every region starts on a media block, whatever the
+// size of the one before it and wherever the arena starts.
+func TestArenaBlockAlignment(t *testing.T) {
 	sys := testSpace()
 	clk := sim.NewClock()
-	a, _ := NewArena(sys.Space, 0, 4096, sys.Space.Size())
-	off, err := a.AllocPages(clk, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off%PageSize != 0 {
-		t.Fatalf("page allocation at %d not page-aligned", off)
+	a, _ := NewArena(sys.Space, 0, 4096+64, sys.Space.Size())
+	for _, n := range []uint64{1, 64, 100, 256, 320, 4096, 1} {
+		off, err := a.Alloc(clk, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off%pmem.BlockSize != 0 {
+			t.Fatalf("%d-byte region at %d is not on a %d B block", n, off, pmem.BlockSize)
+		}
 	}
 }
 
@@ -53,7 +57,7 @@ func TestArenaOutOfSpace(t *testing.T) {
 	sys := testSpace()
 	clk := sim.NewClock()
 	a, _ := NewArena(sys.Space, 0, 4096, 8192)
-	if _, err := a.Alloc(clk, 10000, 64); !errors.Is(err, ErrOutOfSpace) {
+	if _, err := a.Alloc(clk, 10000); !errors.Is(err, ErrOutOfSpace) {
 		t.Fatalf("err = %v, want ErrOutOfSpace", err)
 	}
 }
@@ -62,14 +66,14 @@ func TestArenaReopenAfterCrash(t *testing.T) {
 	sys := testSpace()
 	clk := sim.NewClock()
 	a, _ := NewArena(sys.Space, 0, 4096, sys.Space.Size())
-	o1, _ := a.Alloc(clk, 1000, 64)
+	o1, _ := a.Alloc(clk, 1000)
 
 	sys2 := sys.Crash()
 	b, err := OpenArena(sys2.Space, clk, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := b.Alloc(clk, 1000, 64)
+	o2, err := b.Alloc(clk, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +94,7 @@ func TestArenaConcurrentAllocDisjoint(t *testing.T) {
 			defer wg.Done()
 			clk := sim.NewClock()
 			for i := 0; i < per; i++ {
-				off, err := a.Alloc(clk, 256, 64)
+				off, err := a.Alloc(clk, 256)
 				if err != nil {
 					t.Error(err)
 					return

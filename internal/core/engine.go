@@ -155,15 +155,15 @@ func New(sys *pmem.System, cfg Config, specs []TableSpec) (*Engine, error) {
 	// (out-of-place engines) are allocated for every engine so the layout is
 	// uniform.
 	winBytes := wal.BytesNeeded(cfg.Window)
-	e.windowBase, err = e.arena.Alloc(clk, winBytes*uint64(cfg.Threads), 64)
+	e.windowBase, err = e.arena.Alloc(clk, winBytes*uint64(cfg.Threads))
 	if err != nil {
 		return nil, err
 	}
-	e.markerBase, err = e.arena.Alloc(clk, 64*uint64(cfg.Threads), 64)
+	e.markerBase, err = e.arena.Alloc(clk, 64*uint64(cfg.Threads))
 	if err != nil {
 		return nil, err
 	}
-	e.epochBase, err = e.arena.Alloc(clk, 64, 64)
+	e.epochBase, err = e.arena.Alloc(clk, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +297,7 @@ func (e *Engine) createTable(clk *sim.Clock, spec TableSpec) (*Table, error) {
 	}
 	hcfg := heap.Config{SlotSize: spec.Schema.TupleSize(), NSlots: e.cfg.HeapSlots(spec.Capacity), NThreads: e.cfg.Threads}
 	var err error
-	t.heapBase, err = e.arena.Alloc(clk, heap.BytesNeeded(hcfg), 64)
+	t.heapBase, err = e.arena.Alloc(clk, heap.BytesNeeded(hcfg))
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +352,7 @@ func (e *Engine) buildIndex(clk *sim.Clock, kind index.Kind, capacity uint64) (i
 		idx, err := e.newIndexOn(e.dram, off, kind, capacity)
 		return idx, off, err
 	}
-	off, err := e.arena.Alloc(clk, bytes, 64)
+	off, err := e.arena.Alloc(clk, bytes)
 	if err != nil {
 		return nil, 0, err
 	}

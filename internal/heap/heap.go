@@ -32,7 +32,7 @@ import (
 )
 
 const (
-	heapMagic = 0xFA1C04EA_90000001
+	heapMagic = 0xFA1C04EA_90000002 // 2: header padded to a media block
 
 	// header field offsets within the 64-byte global header
 	hdrMagic    = 0
@@ -141,8 +141,11 @@ func slotStride(slotSize int) uint64 {
 	return (uint64(slotSize) + slotHdrBytes + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
 }
 
+// headerBytes is the 64 B global header and one 64 B block per thread,
+// rounded up to a whole media block so that slot 0 starts on one: a slot whose
+// stride is a multiple of the block then spans whole blocks (DESIGN.md §3).
 func headerBytes(nthreads int) uint64 {
-	return 64 + 64*uint64(nthreads)
+	return (64 + 64*uint64(nthreads) + pmem.BlockSize - 1) &^ (pmem.BlockSize - 1)
 }
 
 // New formats a heap at base in space. The region [base, base+BytesNeeded)
@@ -332,35 +335,43 @@ func (h *Heap) WriteRange(clk *sim.Clock, slot uint64, off int, src []byte) {
 }
 
 // CLWBSlot issues write-back hints for the slot header and payload range
-// [off, off+n). Part of the hinted flush: the caller issues SFence first. A
-// range from the payload's start goes back in Publish's order, line 0 last,
-// so under ADR too the flag of a flushed slot never reaches the media before
-// its payload.
+// [off, off+n), each line once. Part of the hinted flush: the caller issues
+// SFence first. A range from the payload's start goes back in Publish's order,
+// line 0 last, so under ADR too the flag of a flushed slot never reaches the
+// media before its payload. Any other range belongs to a live slot whose
+// committed record replays over it: one that starts in line 0 goes back with
+// the header in one ascending pass, one past line 0 after the header line,
+// which carries the durable ts.
 func (h *Heap) CLWBSlot(clk *sim.Clock, slot uint64, off, n int) {
-	hdr, end := h.slotOff(slot), h.PayloadAddr(slot)+uint64(off+n)
-	if off > 0 {
-		// still flush the header word separately: it carries the durable ts
+	hdr, start := h.slotOff(slot), h.PayloadAddr(slot)+uint64(off)
+	end := start + uint64(n)
+	switch {
+	case start >= hdr+pmem.LineSize:
 		h.space.CLWB(clk, hdr, slotHdrBytes)
-		h.space.CLWB(clk, hdr+slotHdrBytes+uint64(off), n)
-		return
+		h.space.CLWB(clk, start, n)
+	case off > 0:
+		h.space.CLWB(clk, hdr, int(end-hdr))
+	default:
+		if end > hdr+pmem.LineSize {
+			h.space.CLWB(clk, hdr+pmem.LineSize, int(end-hdr-pmem.LineSize))
+		}
+		h.space.CLWB(clk, hdr, slotHdrBytes)
 	}
-	if end > hdr+pmem.LineSize {
-		h.space.CLWB(clk, hdr+pmem.LineSize, int(end-hdr-pmem.LineSize))
-	}
-	h.space.CLWB(clk, hdr, slotHdrBytes)
 }
 
 // FlushSpans appends the byte ranges CLWBSlot would flush for (slot, off, n)
 // without issuing the write-backs — group commit collects them into the
-// epoch seal's flush trains instead of flushing per commit. The spans ascend:
-// the seal trains the data after its epoch's marker (§8 of DESIGN.md), so a
-// crash inside a train leaves records that replay over the slot.
+// epoch seal's flush trains instead of flushing per commit. The spans ascend
+// and cover each line once: the seal trains the data after its epoch's marker
+// (§8 of DESIGN.md), so a crash inside a train leaves records that replay over
+// the slot.
 func (h *Heap) FlushSpans(slot uint64, off, n int, spans []pmem.Span) []pmem.Span {
-	start := h.slotOff(slot) // include the header lines: ts lives there
-	end := h.PayloadAddr(slot) + uint64(off+n)
-	if off > 0 {
-		start = h.PayloadAddr(slot) + uint64(off)
-		spans = append(spans, pmem.Span{Off: h.slotOff(slot), N: slotHdrBytes})
+	hdr, start := h.slotOff(slot), h.PayloadAddr(slot)+uint64(off)
+	end := start + uint64(n)
+	if start >= hdr+pmem.LineSize {
+		spans = append(spans, pmem.Span{Off: hdr, N: slotHdrBytes})
+	} else {
+		start = hdr // the range shares line 0 with the header
 	}
 	return append(spans, pmem.Span{Off: start, N: int(end - start)})
 }

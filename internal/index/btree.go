@@ -12,14 +12,14 @@ import (
 )
 
 const (
-	btreeMagic = 0xFA1C0B7E_00000001
+	btreeMagic = 0xFA1C0B7E_00000002 // 2: a one-block header
 
 	nodeBytes   = pmem.BlockSize // one NVM media block per node
 	nodeEntries = 15             // 16 B header + 15 × 16 B entries
 	maxDepth    = 24
 	readTries   = 8 // optimistic tries of a read before it takes the writers' mutex
 
-	// Byte offsets in the 64 B tree header, after the magic word.
+	// Byte offsets in the tree header, after the magic word.
 	hdrRoot     = 8
 	hdrNextFree = 16
 	hdrCap      = 24
@@ -66,7 +66,7 @@ type BTreeIndex struct {
 
 // BTreeBytes returns the persistent footprint for a capacity-key tree.
 func BTreeBytes(capacity uint64) uint64 {
-	return 64 + btreeNodes(capacity)*nodeBytes
+	return structHdrBytes + btreeNodes(capacity)*nodeBytes
 }
 
 // btreeNodes is the most nodes capacity inserts can need in any order, so a
@@ -206,9 +206,12 @@ func OpenBTree(space pmem.Space, clk *sim.Clock, base uint64) (*BTreeIndex, erro
 func (t *BTreeIndex) Kind() Kind { return BTree }
 
 // Bytes returns the persistent footprint.
-func (t *BTreeIndex) Bytes() uint64 { return 64 + t.cap*nodeBytes }
+func (t *BTreeIndex) Bytes() uint64 { return structHdrBytes + t.cap*nodeBytes }
 
-func (t *BTreeIndex) nodeOff(id uint64) uint64 { return t.base + 64 + id*nodeBytes }
+func (t *BTreeIndex) nodeOff(id uint64) uint64 { return t.base + structHdrBytes + id*nodeBytes }
+
+// NodeAddr returns the space offset of node id (diagnostics and tests).
+func (t *BTreeIndex) NodeAddr(id uint64) uint64 { return t.nodeOff(id) }
 
 func (t *BTreeIndex) loadInto(clk *sim.Clock, id uint64, n *node) *node {
 	n.id = id

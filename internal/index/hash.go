@@ -10,7 +10,7 @@ import (
 )
 
 const (
-	hashMagic = 0xFA1C0DA5_00000002 // 2: fingerprinted buckets
+	hashMagic = 0xFA1C0DA5_00000003 // 2: fingerprinted buckets; 3: a one-block header
 
 	bucketBytes   = pmem.BlockSize // one NVM media block per bucket
 	bucketEntries = 15             // 16 B header + 15 × 16 B entries = 256 B
@@ -36,7 +36,7 @@ type HashIndex struct {
 
 // HashBytes returns the persistent footprint for a capacity-key index.
 func HashBytes(capacity uint64) uint64 {
-	return 64 + hashBuckets(capacity)*bucketBytes
+	return structHdrBytes + hashBuckets(capacity)*bucketBytes
 }
 
 func hashBuckets(capacity uint64) uint64 {
@@ -87,9 +87,12 @@ func OpenHash(space pmem.Space, clk *sim.Clock, base uint64) (*HashIndex, error)
 func (h *HashIndex) Kind() Kind { return Hash }
 
 // Bytes returns the persistent footprint.
-func (h *HashIndex) Bytes() uint64 { return 64 + h.nbuckets*bucketBytes }
+func (h *HashIndex) Bytes() uint64 { return structHdrBytes + h.nbuckets*bucketBytes }
 
-func (h *HashIndex) bucketOff(i uint64) uint64 { return h.base + 64 + i*bucketBytes }
+func (h *HashIndex) bucketOff(i uint64) uint64 { return h.base + structHdrBytes + i*bucketBytes }
+
+// BucketAddr returns the space offset of bucket i (diagnostics and tests).
+func (h *HashIndex) BucketAddr(i uint64) uint64 { return h.bucketOff(i) }
 
 // lockSpan write- or read-locks the (at most two) stripes covering the probe
 // window starting at bucket b, in index order to avoid deadlock. It returns

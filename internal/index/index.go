@@ -19,8 +19,14 @@ package index
 import (
 	"errors"
 
+	"falcon/internal/pmem"
 	"falcon/internal/sim"
 )
+
+// structHdrBytes is the header of a hash table or a tree: its first line holds
+// the magic word and the geometry, and the rest pads it to a whole media
+// block, so that on a block-aligned base every bucket and node is one block.
+const structHdrBytes = pmem.BlockSize
 
 // Kind identifies an index structure.
 type Kind uint8
