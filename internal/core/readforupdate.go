@@ -23,17 +23,9 @@ func (tx *Txn) ReadFieldForUpdate(t *Table, key uint64, col int, dst []byte) err
 // concurrency control). The lock-based algorithms read under the lock they just
 // took, after a second look at the slot's flags.
 func (tx *Txn) readForUpdate(t *Table, key uint64, off, n int, dst []byte) error {
-	if err := tx.enter(t, key, true); err != nil {
+	slot, done, err := tx.readHead(t, key, true, off, n, dst)
+	if done || err != nil {
 		return err
-	}
-	tx.tstat(t).Reads++
-	if ins := tx.findInsert(t, key); ins != nil {
-		tx.readPending(ins, off, n, dst)
-		return nil
-	}
-	slot, ok := tx.resolve(t, key)
-	if !ok {
-		return ErrNotFound
 	}
 	if tx.e.cfg.CC.Base() == cc.OCC {
 		if err := tx.readResolved(t, key, slot, off, n, dst); err != nil {

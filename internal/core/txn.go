@@ -213,19 +213,29 @@ func (tx *Txn) enter(t *Table, key uint64, write bool) error {
 }
 
 func (tx *Txn) read(t *Table, key uint64, off, n int, dst []byte) error {
-	if err := tx.enter(t, key, false); err != nil {
+	slot, done, err := tx.readHead(t, key, false, off, n, dst)
+	if done || err != nil {
 		return err
+	}
+	return tx.readResolved(t, key, slot, off, n, dst)
+}
+
+// readHead is the way in read and readForUpdate share: enter, the read count,
+// then the attempt's own pending insert (read here: done) or the index.
+func (tx *Txn) readHead(t *Table, key uint64, write bool, off, n int, dst []byte) (slot uint64, done bool, err error) {
+	if err := tx.enter(t, key, write); err != nil {
+		return 0, false, err
 	}
 	tx.tstat(t).Reads++
 	if ins := tx.findInsert(t, key); ins != nil {
 		tx.readPending(ins, off, n, dst)
-		return nil
+		return 0, true, nil
 	}
 	slot, ok := tx.resolve(t, key)
 	if !ok {
-		return ErrNotFound
+		return 0, false, ErrNotFound
 	}
-	return tx.readResolved(t, key, slot, off, n, dst)
+	return slot, false, nil
 }
 
 // resolve looks key up in the primary index. When the engine distrusts its
