@@ -1,13 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"falcon/internal/cc"
 	"falcon/internal/index"
 	"falcon/internal/obs"
+	"falcon/internal/pmem"
 	"falcon/internal/sim"
 	"falcon/internal/wal"
 )
@@ -122,8 +125,9 @@ func (tx *Txn) commitInPlace() {
 	ws.spans, ws.flushed, ws.elided = ws.spans[:0], 0, 0
 	flushStart := tx.clk.Nanos()
 	for i := range tx.ops {
-		op := &tx.ops[i]
-		tx.persist(op.t, op.slot, op.off, op.n)
+		if tx.firstOn(i) {
+			tx.persistSlot(i)
+		}
 	}
 	if deferred {
 		tx.log.EnlistData(tx.clk, epoch, ws.spans)
@@ -133,15 +137,41 @@ func (tx *Txn) commitInPlace() {
 	}
 }
 
+// persistSlot writes back the slot ops[i] writes first, once for all its ops:
+// their ranges merge where they share or abut a line (a delete's empty range is
+// the header line), and ranges on disjoint lines go back under persist's one
+// decision, the header line with the first only.
+func (tx *Txn) persistSlot(i int) {
+	op := &tx.ops[i]
+	base := op.t.heap.PayloadAddr(op.slot)
+	rs := make([]pmem.Span, 0, 4)
+	for j := i; j < len(tx.ops); j++ {
+		if p := &tx.ops[j]; p.slot == op.slot && p.t == op.t {
+			rs = append(rs, pmem.Span{Off: base + uint64(p.off), N: p.n})
+		}
+	}
+	slices.SortFunc(rs, func(a, b pmem.Span) int { return cmp.Compare(a.Off, b.Off) })
+	merged := rs[:1]
+	for _, s := range rs[1:] {
+		m := &merged[len(merged)-1]
+		if last := m.Off + uint64(max(m.N, 1)) - 1; s.Off/pmem.LineSize > last/pmem.LineSize+1 {
+			merged = append(merged, s)
+		} else if end := s.Off + uint64(s.N); end > m.Off+uint64(m.N) {
+			m.N = int(end - m.Off)
+		}
+	}
+	tx.persist(op.t, op.slot, int(merged[0].Off-base), merged[0].N, merged[1:]...)
+}
+
 // persist is the one place outside recovery where tuple data is written back:
-// it takes the payload range [off, off+n) of a slot the commit has just
-// stored to (n == 0: the header alone) and owns the whole decision.
+// it takes a slot the commit has just stored to, its payload range [off, off+n)
+// (n == 0: the header alone) and spans past those lines, and owns the decision.
 //
 // Which: FlushNone relies on the persistent cache and issues nothing;
 // FlushAll writes every range back; FlushSelective (§4.4, Algorithm 1 lines
-// 8-11) skips tuples tracked hot — safe only where a redo record can
-// re-apply the skipped tuple, so an out-of-place engine, which has none,
-// treats it as FlushAll.
+// 8-11) skips tuples tracked hot, one hot-set probe per call — safe only where
+// a redo record can re-apply the skipped tuple, so an out-of-place engine,
+// which has none, treats it as FlushAll.
 //
 // When: at once with clwb, or — under group commit — as spans the caller
 // enlists on the record's epoch, where the seal batches adjacent lines into
@@ -150,7 +180,7 @@ func (tx *Txn) commitInPlace() {
 //
 // An in-place commit calls it from its flush phase; an out-of-place commit
 // from the middle of its heap-write phase, which persist leaves and restores.
-func (tx *Txn) persist(t *Table, slot uint64, off, n int) {
+func (tx *Txn) persist(t *Table, slot uint64, off, n int, more ...pmem.Span) {
 	e := tx.e
 	if e.cfg.Flush == FlushNone {
 		return
@@ -159,19 +189,18 @@ func (tx *Txn) persist(t *Table, slot uint64, off, n int) {
 	if e.cfg.Update == OutOfPlace {
 		prev := tx.pr.To(obs.PhaseFlush)
 		defer tx.pr.To(prev)
-	} else if e.cfg.Flush == FlushSelective {
-		hot := e.hot[tx.worker]
-		if hot.contains(tx.clk, t.id, slot) {
-			ws.elided++
-			return // hot tuples are never manually flushed
-		}
-		hot.add(tx.clk, t.id, slot)
+	} else if e.cfg.Flush == FlushSelective && e.hot[tx.worker].probe(tx.clk, t.id, slot) {
+		ws.elided++
+		return // hot tuples are never manually flushed
 	}
 	if e.board != nil {
-		ws.spans = t.heap.FlushSpans(slot, off, n, ws.spans)
+		ws.spans = append(t.heap.FlushSpans(slot, off, n, ws.spans), more...)
 		return
 	}
 	t.heap.CLWBSlot(tx.clk, slot, off, n)
+	for _, s := range more {
+		e.nvm.CLWB(tx.clk, s.Off, s.N)
+	}
 	ws.flushed++
 }
 

@@ -13,13 +13,10 @@ import (
 // dirty lines stay in the (persistent) cache until natural eviction —
 // which for genuinely hot tuples means almost never.
 //
-// It is single-owner (one worker thread), so it needs no locking. Recency
-// is an intrusive doubly-linked list over a fixed node array: once the set
-// reaches capacity every add evicts, and the earlier find-min-sequence map
-// scan made that O(cap) map iteration per tracked tuple — a measurable
-// slice of TPC-C host time. The list evicts the same victim the scan chose
-// (sequence order is recency order), so simulated behaviour is unchanged;
-// the virtual cost charged is still one DRAM access per operation.
+// A commit asks it once per written tuple, with one probe that answers and, on
+// a miss, inserts, for one DRAM access: the decision must cost less than the
+// flush it may save. It is single-owner (one worker thread), so it needs no
+// locking; recency is an intrusive doubly-linked list over a fixed node array.
 type hotSet struct {
 	cap   int
 	m     map[hotKey]int // key -> node index
@@ -88,9 +85,11 @@ func (h *hotSet) touchFront(i int) {
 	}
 }
 
-// contains reports whether the tuple is tracked hot, refreshing its
-// recency when present (Algorithm 1 line 9).
-func (h *hotSet) contains(clk *sim.Clock, table uint8, slot uint64) bool {
+// probe is Algorithm 1 lines 9-11 in one DRAM access: it reports whether the
+// tuple is tracked hot, refreshing its recency, and otherwise starts tracking
+// it — in the bucket the lookup just loaded — evicting the least recently used
+// entry when full.
+func (h *hotSet) probe(clk *sim.Clock, table uint8, slot uint64) (hot bool) {
 	clk.Advance(h.cost.DRAMFirstLine)
 	k := hotKey{table, slot}
 	if i, ok := h.m[k]; ok {
@@ -99,18 +98,6 @@ func (h *hotSet) contains(clk *sim.Clock, table uint8, slot uint64) bool {
 		return true
 	}
 	h.stats.Misses++
-	return false
-}
-
-// add tracks the tuple, evicting the least recently used entry when full
-// (Algorithm 1 line 11).
-func (h *hotSet) add(clk *sim.Clock, table uint8, slot uint64) {
-	clk.Advance(h.cost.DRAMFirstLine)
-	k := hotKey{table, slot}
-	if i, ok := h.m[k]; ok {
-		h.touchFront(i)
-		return
-	}
 	i := h.free
 	if i != -1 {
 		h.free = h.nodes[i].next
@@ -140,6 +127,7 @@ func (h *hotSet) add(clk *sim.Clock, table uint8, slot uint64) {
 		h.tail = i
 	}
 	h.m[k] = i
+	return false
 }
 
 // reservations provides short-lived key latches for inserts: a transaction

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,27 +13,26 @@ import (
 func TestHotSetLRUEviction(t *testing.T) {
 	h := newHotSet(3, sim.DefaultCostModel())
 	clk := sim.NewClock()
-	h.add(clk, 0, 1)
-	h.add(clk, 0, 2)
-	h.add(clk, 0, 3)
-	if !h.contains(clk, 0, 1) {
+	for s := uint64(1); s <= 3; s++ {
+		if h.probe(clk, 0, s) {
+			t.Fatalf("first probe of %d reported hot", s)
+		}
+	}
+	if !h.probe(clk, 0, 1) {
 		t.Fatal("entry 1 missing")
 	}
-	// Insert a 4th: LRU (2) must be evicted — 1 was refreshed by contains.
-	h.add(clk, 0, 4)
-	if h.contains(clk, 0, 2) {
-		t.Fatal("LRU entry 2 survived past capacity")
-	}
-	if !h.contains(clk, 0, 1) || !h.contains(clk, 0, 3) || !h.contains(clk, 0, 4) {
-		t.Fatal("wrong eviction victim")
+	// A 4th tuple evicts the LRU (2): 1 was refreshed by its probe.
+	h.probe(clk, 0, 4)
+	if got := hotOrder(h); !slices.Equal(got, []hotKey{{0, 4}, {0, 1}, {0, 3}}) {
+		t.Fatalf("LRU order after eviction = %v, want 4 1 3", got)
 	}
 }
 
 func TestHotSetDistinguishesTables(t *testing.T) {
 	h := newHotSet(8, sim.DefaultCostModel())
 	clk := sim.NewClock()
-	h.add(clk, 1, 7)
-	if h.contains(clk, 2, 7) {
+	h.probe(clk, 1, 7)
+	if h.probe(clk, 2, 7) {
 		t.Fatal("slot 7 of table 2 confused with table 1")
 	}
 }
@@ -39,10 +40,119 @@ func TestHotSetDistinguishesTables(t *testing.T) {
 func TestHotSetChargesVirtualTime(t *testing.T) {
 	h := newHotSet(4, sim.DefaultCostModel())
 	clk := sim.NewClock()
-	h.add(clk, 0, 1)
-	h.contains(clk, 0, 1)
+	h.probe(clk, 0, 1)
+	h.probe(clk, 0, 1)
 	if clk.Nanos() == 0 {
 		t.Fatal("hot-set operations must charge DRAM costs")
+	}
+}
+
+// hotOrder lists the set's keys from most to least recently used.
+func hotOrder(h *hotSet) []hotKey {
+	var keys []hotKey
+	for i := h.head; i != -1; i = h.nodes[i].next {
+		keys = append(keys, h.nodes[i].key)
+	}
+	return keys
+}
+
+// refContains and refAdd are the hot set's two calls before they became probe,
+// kept verbatim as the model probe must match: persist asked contains and, on
+// a miss, add, each charging one DRAM access.
+func refContains(h *hotSet, clk *sim.Clock, table uint8, slot uint64) bool {
+	clk.Advance(h.cost.DRAMFirstLine)
+	k := hotKey{table, slot}
+	if i, ok := h.m[k]; ok {
+		h.touchFront(i)
+		h.stats.Hits++
+		return true
+	}
+	h.stats.Misses++
+	return false
+}
+
+func refAdd(h *hotSet, clk *sim.Clock, table uint8, slot uint64) {
+	clk.Advance(h.cost.DRAMFirstLine)
+	k := hotKey{table, slot}
+	if i, ok := h.m[k]; ok {
+		h.touchFront(i)
+		return
+	}
+	i := h.free
+	if i != -1 {
+		h.free = h.nodes[i].next
+	} else {
+		i = h.tail
+		n := &h.nodes[i]
+		delete(h.m, n.key)
+		h.tail = n.prev
+		if h.tail != -1 {
+			h.nodes[h.tail].next = -1
+		} else {
+			h.head = -1
+		}
+		h.stats.Evictions++
+	}
+	n := &h.nodes[i]
+	n.key = k
+	n.prev = -1
+	n.next = h.head
+	if h.head != -1 {
+		h.nodes[h.head].prev = i
+	}
+	h.head = i
+	if h.tail == -1 {
+		h.tail = i
+	}
+	h.m[k] = i
+}
+
+// TestHotSetProbeMatchesContainsAdd drives one seeded key stream through probe
+// and through the contains-then-add pair it replaced: the same hits and misses,
+// the same eviction victims, the same final recency order, and one DRAM access
+// per probe where the pair charged two per miss.
+func TestHotSetProbeMatchesContainsAdd(t *testing.T) {
+	cost := sim.DefaultCostModel()
+	for _, capacity := range []int{1, 3, 256} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		h, ref := newHotSet(capacity, cost), newHotSet(capacity, cost)
+		clk, refClk := sim.NewClock(), sim.NewClock()
+		for n := 0; n < 100_000; n++ {
+			span := 4*capacity + 8 // half the stream revisits a hot few
+			if rng.Intn(2) == 0 {
+				span = capacity + 1
+			}
+			table, slot := uint8(rng.Intn(3)), uint64(rng.Intn(span))
+			victim, refVictim := h.nodes[max(h.tail, 0)].key, ref.nodes[max(ref.tail, 0)].key
+			ev, refEv := h.stats.Evictions, ref.stats.Evictions
+
+			before := clk.Nanos()
+			hot := h.probe(clk, table, slot)
+			if d := clk.Nanos() - before; d != cost.DRAMFirstLine {
+				t.Fatalf("cap %d call %d: probe charged %d ns, want one DRAMFirstLine (%d)", capacity, n, d, cost.DRAMFirstLine)
+			}
+			refHot := refContains(ref, refClk, table, slot)
+			if !refHot {
+				refAdd(ref, refClk, table, slot)
+			}
+
+			if hot != refHot {
+				t.Fatalf("cap %d call %d (%d,%d): probe hot=%v, contains=%v", capacity, n, table, slot, hot, refHot)
+			}
+			evicted, refEvicted := h.stats.Evictions != ev, ref.stats.Evictions != refEv
+			if evicted != refEvicted || evicted && victim != refVictim {
+				t.Fatalf("cap %d call %d: eviction %v of %v, reference %v of %v", capacity, n, evicted, victim, refEvicted, refVictim)
+			}
+		}
+		if got, want := hotOrder(h), hotOrder(ref); !slices.Equal(got, want) {
+			t.Fatalf("cap %d: final LRU order differs:\n probe %v\n   ref %v", capacity, got, want)
+		}
+		if h.stats != ref.stats {
+			t.Fatalf("cap %d: stats %+v, reference %+v", capacity, h.stats, ref.stats)
+		}
+		if h.stats.Hits == 0 || h.stats.Evictions == 0 {
+			t.Fatalf("cap %d: stream exercised no hits or no evictions: %+v", capacity, h.stats)
+		}
 	}
 }
 

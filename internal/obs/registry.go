@@ -122,8 +122,9 @@ func (s EpochStats) MeanEpochSize() float64 {
 }
 
 // HotSetStats aggregates the per-worker hot-tuple LRU counters (selective
-// data flush, §4.4). Hits are flushes elided; misses become adds, which may
-// evict.
+// data flush, §4.4). A commit probes once per written tuple: a hit is a
+// write-back elided, a miss a tuple written back and tracked from then on,
+// which may evict.
 type HotSetStats struct {
 	Hits      uint64
 	Misses    uint64
@@ -131,8 +132,8 @@ type HotSetStats struct {
 }
 
 var hotSetMetrics = []metric[HotSetStats]{
-	row(counter, "falcon_hot_set_hits_total", "Selective-flush elisions (hot-set hits).", func(s *HotSetStats) *uint64 { return &s.Hits }),
-	row(counter, "falcon_hot_set_misses_total", "Hot-set misses (tuples flushed).", func(s *HotSetStats) *uint64 { return &s.Misses }),
+	row(counter, "falcon_hot_set_hits_total", "Selective-flush elisions: written tuples found hot (one probe per written tuple).", func(s *HotSetStats) *uint64 { return &s.Hits }),
+	row(counter, "falcon_hot_set_misses_total", "Hot-set misses: written tuples flushed and tracked (one probe per written tuple).", func(s *HotSetStats) *uint64 { return &s.Misses }),
 	row(counter, "falcon_hot_set_evictions_total", "Hot-set LRU evictions.", func(s *HotSetStats) *uint64 { return &s.Evictions }),
 }
 
