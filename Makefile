@@ -19,9 +19,10 @@ lines:
 	@printf '%7d  root module\n' $$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
 
 # The race lane, here and in CI (ci.yml runs this target, so there is one
-# package list): -short trims property-check sample counts.
+# package list): -short trims property-check sample counts. sim holds the group
+# scheduler's round barrier, which no other lane runs under the detector.
 race:
-	go test -race -short ./internal/obs ./internal/bench ./internal/pmem ./internal/index ./internal/core ./internal/wal ./internal/heap ./internal/alloc
+	go test -race -short ./internal/obs ./internal/bench ./internal/pmem ./internal/index ./internal/core ./internal/wal ./internal/heap ./internal/alloc ./internal/sim ./internal/cc ./internal/version ./internal/workload/ycsb
 
 # Worker-parallel race lane: the same engine/simulation packages plus the
 # crash-consistency oracle, with GOMAXPROCS=4 so the group scheduler's round
