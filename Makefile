@@ -123,13 +123,17 @@ contend-smoke:
 	go run ./cmd/falcon ycsb -threads 2 -records 2000 -txns 50 -warmup 10 -workloads A -contend -prom /tmp/falcon-metrics.prom
 	test -s /tmp/falcon-metrics.prom
 
-# The nine per-tool binaries were folded into `falcon <subcommand>`, and the
-# named-collector stats registry into Engine.ObsSnapshot and Server.Snapshot;
-# fail when a removed spelling comes back (same lane CI runs). CHANGES.md,
-# ROADMAP.md, benchmark/ and EXPERIMENTS.md's dated sections are history and
-# exempt. The [-] and the [R]s keep this recipe from matching itself.
+# The nine per-tool binaries were folded into `falcon <subcommand>`, the
+# named-collector stats registry into Engine.ObsSnapshot and Server.Snapshot,
+# the two memory spaces into pmem.MemSpace, and the epoch-length and version-
+# headroom knobs into constants; fail when a removed spelling comes back (same
+# lane CI runs). CHANGES.md, ROADMAP.md, benchmark/ and EXPERIMENTS.md's dated
+# sections are history and exempt. The [-], the [R]s and the like keep this
+# recipe from matching itself.
 old-spellings:
 	! grep -rnE 'cmd/falcon[-]|falcon[-](micro|tpcc|ycsb|sweep|recovery|hostbench|serve|loadgen|tracecheck)\b' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
 	! grep -rnE 'New[R]egistry|Stats[R]egistry|\.Obs\(\)\.[R]egister' \
+		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+	! grep -rnE '\b(New)?(N[V]M|D[R]AM)Space(Cache)?\b|dram[T]imingBackend|Group[E]pochNanos|Version[H]eadroom|-[e]pochns' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go

@@ -114,8 +114,8 @@ func (a *Arena) persistNext(clk *sim.Clock) {
 }
 
 // cachePersistent reports whether stores to the space are durable without
-// explicit flushes (eADR-backed NVM space).
+// explicit flushes: an NVM space under eADR (a DRAM space's cache is ADR).
 func cachePersistent(s pmem.Space) bool {
-	n, ok := s.(*pmem.NVMSpace)
-	return ok && n.Cache().Mode() == pmem.EADR
+	m, ok := s.(*pmem.MemSpace)
+	return ok && m.Cache().Mode() == pmem.EADR
 }

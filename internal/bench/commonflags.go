@@ -9,27 +9,22 @@ import (
 
 	"falcon/internal/core"
 	"falcon/internal/obs"
-	"falcon/internal/wal"
 )
 
-// GroupFlag is the -groupcommit / -epochns wiring: Register installs the
-// flags, Apply rewrites an engine config to commit through leader-based group
-// commit (durability epochs with coalesced flush trains). Out-of-place
-// engines have no redo log to coalesce and are left untouched
+// GroupFlag is the -groupcommit wiring: Register installs the flag, Apply
+// rewrites an engine config to commit through leader-based group commit
+// (durability epochs of wal.DefaultEpochNanos with coalesced flush trains).
+// Out-of-place engines have no redo log to coalesce and are left untouched
 // (core.Config.withDefaults clears the knob for them anyway).
 type GroupFlag struct {
 	// Enable is set by -groupcommit.
 	Enable bool
-	// EpochNs is set by -epochns; 0 selects wal.DefaultEpochNanos.
-	EpochNs uint64
 }
 
-// Register installs -groupcommit and -epochns on fs.
+// Register installs -groupcommit on fs.
 func (f *GroupFlag) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Enable, "groupcommit", false,
 		"commit in-place engines through leader-based group commit: transactions ack at the publish point and a lazy epoch leader seals durability epochs with coalesced flush trains")
-	fs.Uint64Var(&f.EpochNs, "epochns", 0,
-		fmt.Sprintf("with -groupcommit: durability epoch length in virtual nanoseconds, the bound on group-commit stalls (0 = default %d)", wal.DefaultEpochNanos))
 }
 
 // Apply returns cfg rewritten per the flags. In-place engines gain a "+GC"
@@ -39,7 +34,6 @@ func (f *GroupFlag) Apply(cfg core.Config) core.Config {
 		return cfg
 	}
 	cfg.GroupCommit = true
-	cfg.GroupEpochNanos = f.EpochNs
 	if cfg.Update == core.InPlace {
 		cfg.Name += "+GC"
 	}
@@ -49,7 +43,7 @@ func (f *GroupFlag) Apply(cfg core.Config) core.Config {
 // CommonFlags is everything a figure command's flags decide about how its
 // cells run and where their results go besides the table on stdout: trace
 // capture (-trace, -trace-sample, -trace-autopsy), leader-based group commit
-// (-groupcommit, -epochns), per-cell observability snapshots (-stats), the
+// (-groupcommit), per-cell observability snapshots (-stats), the
 // contention & flush-amplification observatory (-contend), Prometheus text
 // exposition (-prom), and the sweep's scheduler and export knobs. A Scale
 // carries it to the one cell constructor; Render feeds the exports.
@@ -89,7 +83,7 @@ type CommonFlags struct {
 
 // RegisterCommonFlags installs the shared figure-command flags on fs and
 // returns their holder. engine additionally installs the knobs that only make
-// sense against a transactional engine (-groupcommit, -epochns, -contend);
+// sense against a transactional engine (-groupcommit, -contend);
 // the Figure-3 micro-benchmark, which drives the pmem layer bare, leaves it
 // off.
 func RegisterCommonFlags(fs *flag.FlagSet, engine bool) *CommonFlags {

@@ -197,11 +197,12 @@ func (tx *Txn) persist(t *Table, slot uint64, off, n int, more ...pmem.Span) {
 		ws.spans = append(t.heap.FlushSpans(slot, off, n, ws.spans), more...)
 		return
 	}
-	t.heap.CLWBSlot(tx.clk, slot, off, n)
+	lines := t.heap.CLWBSlot(tx.clk, slot, off, n)
 	for _, s := range more {
 		e.nvm.CLWB(tx.clk, s.Off, s.N)
+		lines += s.Lines()
 	}
-	ws.flushed++
+	ws.flushed += uint64(lines)
 }
 
 // applyWriteSet applies the op list to the tuple heap in the order it was

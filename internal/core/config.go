@@ -133,19 +133,16 @@ type Config struct {
 	// to the epoch seal's coalesced flush trains (ignored for OutOfPlace,
 	// whose commit marker is its own durable point).
 	GroupCommit bool
-	// GroupEpochNanos is the durability-epoch length in virtual nanoseconds
-	// (0 selects wal.DefaultEpochNanos). It bounds the group-commit timeout:
-	// a singleton commit waits at most one epoch before its seal.
-	GroupEpochNanos uint64
 	// Window configures the per-thread log window (Slots is derived from
 	// Log when zero).
 	Window wal.Config
 	// DRAMBytes sizes the volatile space used for DRAM indexes.
 	DRAMBytes uint64
-	// VersionHeadroom multiplies out-of-place heap capacity to leave room
-	// for not-yet-recycled versions (default 4).
-	VersionHeadroom int
 }
+
+// versionHeadroom multiplies out-of-place heap capacity to leave room for
+// not-yet-recycled versions.
+const versionHeadroom = 4
 
 func (c Config) withDefaults() Config {
 	if c.Threads == 0 {
@@ -174,9 +171,6 @@ func (c Config) withDefaults() Config {
 	if c.DRAMBytes == 0 {
 		c.DRAMBytes = 512 << 20
 	}
-	if c.VersionHeadroom == 0 {
-		c.VersionHeadroom = 4
-	}
 	return c
 }
 
@@ -197,7 +191,7 @@ func (c Config) HeapSlots(capacity uint64) uint64 {
 	// Hot tiny tables (TPC-C warehouse/district) churn versions far faster
 	// than proportional headroom suggests; guarantee a working set of stale
 	// versions per thread.
-	return max(capacity*uint64(c.VersionHeadroom), uint64(c.Threads)*128)
+	return max(capacity*versionHeadroom, uint64(c.Threads)*128)
 }
 
 // IndexKeys is the key count an index of a table of the given capacity is
@@ -302,7 +296,7 @@ type TableSpec struct {
 	// Schema is the fixed-width tuple layout.
 	Schema *layout.Schema
 	// Capacity is the maximum number of live tuples. Out-of-place engines
-	// additionally reserve VersionHeadroom× slots for stale versions.
+	// reserve four times as many slots, for stale versions (HeapSlots).
 	Capacity uint64
 	// KeyCol is the schema column (Uint64) holding the primary index key;
 	// recovery uses it to rebuild DRAM indexes from payloads.

@@ -132,9 +132,9 @@ func (e *Engine) EnterGroup() {
 	d.base = e.gen.Seq() + 1
 	d.min = d.base << 8
 	d.group = sim.NewGroup(e.detReplay)
-	e.sys.EnterGroup(n)
+	e.sys.Space.EnterGroup(n)
 	if e.dram != nil {
-		e.dram.EnterGroup(n, 2<<20, 16, e.sys.Cost())
+		e.dram.EnterGroup(n)
 	}
 	if e.board != nil {
 		// Worker-side epoch sealing would mutate the board outside the round
@@ -168,7 +168,7 @@ func (e *Engine) LeaveGroup() {
 		}
 	}
 	e.gen.Restore(maxSeq<<8 | 0xFF)
-	e.sys.LeaveGroup()
+	e.sys.Space.LeaveGroup()
 	if e.dram != nil {
 		e.dram.LeaveGroup()
 	}

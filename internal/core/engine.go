@@ -32,7 +32,7 @@ type Engine struct {
 	nvm   pmem.Space
 	arena *alloc.Arena
 
-	dram     *pmem.DRAMSpace
+	dram     *pmem.MemSpace
 	dramNext uint64 // bump allocator over dram
 
 	tables []*Table
@@ -87,7 +87,8 @@ type Engine struct {
 // takes it for the length of the scan), img for the line image of a tuple
 // being published (heap.Publish), acc and ops for the open attempt's access
 // set and op list (begin takes them, finish hands them back), and for the
-// commit in progress what persist has deferred and counted.
+// commit in progress what persist has deferred and counted: lines written
+// back, tuples the hot set elided.
 type workerScratch struct {
 	buf             []byte
 	scan            []byte
@@ -195,7 +196,7 @@ func (e *Engine) initGroupCommit() {
 	if !e.cfg.GroupCommit {
 		return
 	}
-	e.board = wal.NewEpochBoard(e.nvm, e.epochBase, e.cfg.GroupEpochNanos)
+	e.board = wal.NewEpochBoard(e.nvm, e.epochBase, wal.DefaultEpochNanos)
 	for _, w := range e.windows {
 		w.SetBoard(e.board)
 	}
@@ -265,7 +266,7 @@ func (e *Engine) scratchFor(worker, n int) []byte {
 // first use.
 func (e *Engine) dramAlloc(n uint64) (uint64, error) {
 	if e.dram == nil {
-		e.dram = pmem.NewDRAMSpace(e.cfg.DRAMBytes, e.sys.Cost())
+		e.dram = pmem.NewDRAM(e.cfg.DRAMBytes, e.sys.Cost())
 	}
 	off := (e.dramNext + 63) &^ 63
 	if off+n > e.dram.Size() {

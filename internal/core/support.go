@@ -192,10 +192,10 @@ func (r *reservations) release(clk *sim.Clock, table uint8, key uint64) {
 // (table, primary key), so they stay valid across out-of-place relocations;
 // committed updates refresh the entry.
 //
-// Payloads live in a DRAMSpace so hits charge realistic DRAM/cache costs.
+// Payloads live in a DRAM space so hits charge realistic DRAM/cache costs.
 // Eviction is per-shard CLOCK.
 type tupleCache struct {
-	space     *pmem.DRAMSpace
+	space     *pmem.MemSpace
 	slotBytes int
 	perShard  int
 	shards    [64]tcShard
@@ -220,7 +220,7 @@ func newTupleCache(totalBytes, slotBytes int, cost sim.CostModel) *tupleCache {
 		perShard = 4
 	}
 	c := &tupleCache{
-		space:     pmem.NewDRAMSpace(uint64(64*perShard*slotBytes), cost),
+		space:     pmem.NewDRAM(uint64(64*perShard*slotBytes), cost),
 		slotBytes: slotBytes,
 		perShard:  perShard,
 		cost:      cost,

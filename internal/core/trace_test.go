@@ -4,7 +4,10 @@ import (
 	"errors"
 	"testing"
 
+	"falcon/internal/index"
+	"falcon/internal/layout"
 	"falcon/internal/obs"
+	"falcon/internal/pmem"
 )
 
 // TestEngineTracingProducesEvents drives a traced engine through commits and
@@ -125,5 +128,45 @@ func TestEngineTableCounters(t *testing.T) {
 	e.ResetCounters()
 	if ts := e.ObsSnapshot().Tables["kv"]; ts != (obs.TableStats{}) {
 		t.Fatalf("table counters survived ResetCounters: %+v", ts)
+	}
+}
+
+// TestDataFlushCountsLines: the flush-train span of a commit's data write-back
+// carries the cache lines it hinted, not the tuples it wrote back — an update
+// of a whole 1 KB tuple (16 B header and 1008 B payload) is the slot's 16
+// lines.
+func TestDataFlushCountsLines(t *testing.T) {
+	cfg := FalconAllFlushConfig()
+	cfg.Threads = 1
+	s := layout.NewSchema(
+		layout.Column{Name: "k", Kind: layout.Uint64},
+		layout.Column{Name: "v", Kind: layout.Bytes, Size: 1000},
+	)
+	e, err := New(pmem.NewSystem(pmem.Config{DeviceBytes: 64 << 20}), cfg,
+		[]TableSpec{{Name: "t", Schema: s, Capacity: 8, IndexKind: index.Hash}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := e.Table("t")
+	row := make([]byte, s.TupleSize())
+	s.PutUint64(row, 0, 1)
+	if err := e.Run(0, func(tx *Txn) error { return tx.Insert(tb, 1, row) }); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(1, obs.TraceOptions{Sample: 1})
+	e.Arm(tr, nil)
+	row[8] = 1
+	if err := e.Run(0, func(tx *Txn) error { return tx.Update(tb, 1, 0, row) }); err != nil {
+		t.Fatal(err)
+	}
+	e.Arm(nil, nil)
+	var trains []obs.Event
+	for _, ev := range tr.Dump().Events {
+		if ev.Kind == obs.EvFlushTrain {
+			trains = append(trains, ev)
+		}
+	}
+	if len(trains) != 1 || trains[0].Arg != 16 || trains[0].Arg2 != 0 {
+		t.Fatalf("flush-train spans %+v, want one with Arg 16 (lines) and Arg2 0 (elided)", trains)
 	}
 }

@@ -58,8 +58,9 @@ func (r *clwbRecorder) CLWB(clk *sim.Clock, off uint64, n int) {
 }
 
 // TestFlushLineBudget: CLWBSlot writes back each line of the slot header and
-// of the payload range once, and FlushSpans names each of those lines once —
-// including a range that starts in line 0, beside the header.
+// of the payload range once and returns their count, and FlushSpans names each
+// of those lines once — including a range that starts in line 0, beside the
+// header.
 func TestFlushLineBudget(t *testing.T) {
 	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 1 << 20})
 	rec := &clwbRecorder{Space: sys.Space}
@@ -78,9 +79,12 @@ func TestFlushLineBudget(t *testing.T) {
 			want[la] = 1
 		}
 		rec.lines = map[uint64]int{}
-		h.CLWBSlot(nil, slot, r.off, r.n)
+		n := h.CLWBSlot(nil, slot, r.off, r.n)
 		if got := fmt.Sprint(rec.lines); got != fmt.Sprint(want) {
 			t.Errorf("CLWBSlot(off %d, n %d) wrote back lines %s; want %s", r.off, r.n, got, fmt.Sprint(want))
+		}
+		if n != len(want) {
+			t.Errorf("CLWBSlot(off %d, n %d) returned %d lines, want %d", r.off, r.n, n, len(want))
 		}
 		named := map[uint64]int{}
 		for _, sp := range h.FlushSpans(slot, r.off, r.n, nil) {

@@ -341,14 +341,15 @@ func (h *Heap) WriteRange(clk *sim.Clock, slot uint64, off int, src []byte) {
 // media before its payload. Any other range belongs to a live slot whose
 // committed record replays over it: one that starts in line 0 goes back with
 // the header in one ascending pass, one past line 0 after the header line,
-// which carries the durable ts.
-func (h *Heap) CLWBSlot(clk *sim.Clock, slot uint64, off, n int) {
+// which carries the durable ts. It returns the number of lines hinted.
+func (h *Heap) CLWBSlot(clk *sim.Clock, slot uint64, off, n int) (lines int) {
 	hdr, start := h.slotOff(slot), h.PayloadAddr(slot)+uint64(off)
 	end := start + uint64(n)
 	switch {
 	case start >= hdr+pmem.LineSize:
 		h.space.CLWB(clk, hdr, slotHdrBytes)
 		h.space.CLWB(clk, start, n)
+		return 1 + pmem.Span{Off: start, N: n}.Lines()
 	case off > 0:
 		h.space.CLWB(clk, hdr, int(end-hdr))
 	default:
@@ -357,6 +358,7 @@ func (h *Heap) CLWBSlot(clk *sim.Clock, slot uint64, off, n int) {
 		}
 		h.space.CLWB(clk, hdr, slotHdrBytes)
 	}
+	return pmem.Span{Off: hdr, N: int(end - hdr)}.Lines()
 }
 
 // FlushSpans appends the byte ranges CLWBSlot would flush for (slot, off, n)

@@ -173,8 +173,8 @@ func (p *Probe) LogicalBytes(table, n uint64) {
 	}
 }
 
-// DataFlush is one commit's pass over its touched tuples: lines written back
-// with clwb and flushes the hot set elided.
+// DataFlush is one commit's pass over its touched tuples: the cache lines
+// written back with clwb and the tuple write-backs the hot set elided.
 func (p *Probe) DataFlush(start, end, lines, elided uint64) {
 	if lines+elided > 0 {
 		p.tr.Span(EvFlushTrain, start, end, lines, elided)

@@ -8,8 +8,8 @@ import (
 )
 
 // backend is the memory level beneath a Cache: the XPBuffer+media stack for
-// NVM, or a flat DRAM array for volatile spaces. Write-backs and fills charge
-// the backend's own latencies.
+// NVM, or the dram level for volatile spaces. Write-backs and fills charge the
+// backend's own latencies.
 type backend interface {
 	// writeBackLine accepts one dirty 64 B line written back from the cache.
 	writeBackLine(clk *sim.Clock, lineAddr uint64, data *[LineSize]byte)
@@ -45,7 +45,7 @@ type Cache struct {
 	// run as usual, but line payloads are never copied in or out.
 	// Deterministic worker-parallel mode uses one dataless cache per worker
 	// for timing while the device holds the authoritative bytes (see
-	// System.EnterGroup) — payload copies here would both waste host work
+	// MemSpace.EnterGroup) — payload copies here would both waste host work
 	// and race with other workers' direct device access.
 	data  [][LineSize]byte
 	lower backend

@@ -20,8 +20,8 @@ func TestGroupModeDataAuthority(t *testing.T) {
 	pre := []byte("written-before-group-entry......")
 	sys.Space.Write(clk, 128, pre)
 
-	sys.EnterGroup(4)
-	if !sys.InGroup() {
+	sys.Space.EnterGroup(4)
+	if !sys.Space.InGroup() {
 		t.Fatal("InGroup() = false after EnterGroup")
 	}
 	got := make([]byte, len(pre))
@@ -41,7 +41,7 @@ func TestGroupModeDataAuthority(t *testing.T) {
 		t.Fatal("group-mode write charged no virtual time")
 	}
 
-	sys.LeaveGroup()
+	sys.Space.LeaveGroup()
 	sys.Space.Read(clk, 4096, got)
 	if !bytes.Equal(got, in) {
 		t.Fatalf("post-group read = %q, want %q", got, in)
@@ -61,7 +61,7 @@ func TestGroupModeTimingDeterminism(t *testing.T) {
 	const workers = 4
 	run := func() []uint64 {
 		sys := NewSystem(Config{DeviceBytes: 8 << 20})
-		sys.EnterGroup(workers)
+		sys.Space.EnterGroup(workers)
 		clks := make([]*sim.Clock, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -101,12 +101,12 @@ func TestGroupModeTimingDeterminism(t *testing.T) {
 // with per-worker timing caches.
 func TestGroupModeDRAM(t *testing.T) {
 	cost := sim.DefaultCostModel()
-	s := NewDRAMSpace(1<<20, cost)
+	s := NewDRAM(1<<20, cost)
 	clk := sim.NewClock()
 	pre := []byte("dram-pre-group..")
 	s.Write(clk, 64, pre)
 
-	s.EnterGroup(2, 1<<20, 8, cost)
+	s.EnterGroup(2)
 	got := make([]byte, len(pre))
 	s.Read(clk, 64, got)
 	if !bytes.Equal(got, pre) {

@@ -19,7 +19,8 @@ type deviceChunk [deviceChunkBytes]byte
 // BlockSize granularity, allocated sparsely in chunks. The array holds the
 // durable image — what survives a crash (after the persistence-domain
 // flushes defined by the Mode). Unwritten bytes read as zero, exactly as a
-// flat zeroed array would.
+// flat zeroed array would. A DRAM space keeps its bytes in a Device of its
+// own, which nothing reads after a crash.
 //
 // Chunk slots are installed with a CAS because XPBuffer banks lock per
 // block, and blocks from different banks share a chunk; byte ranges inside

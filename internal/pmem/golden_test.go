@@ -40,7 +40,7 @@ func goldenRun(t *testing.T, ways int, mode Mode, group bool) string {
 	const nvmSize, dramSize, hot = 256 << 10, 64 << 10, 6 << 10
 	sys := NewSystem(Config{Mode: mode, DeviceBytes: nvmSize, CacheBytes: 8 << 10, CacheWays: ways,
 		XPBufferBytes: 2 << 10, XPBanks: 2})
-	dram := NewDRAMSpaceCache(dramSize, sys.Cost(), 4<<10, ways)
+	dram := newDRAM(dramSize, sys.Cost(), 4<<10, ways)
 	plan := &FaultPlan{} // N == 0: counts events, never fires
 	sys.SetFaults(plan)
 	hooks := uint64(14695981039346656037)
@@ -63,8 +63,8 @@ func goldenRun(t *testing.T, ways int, mode Mode, group bool) string {
 		mix(2, shard, uint64(kind), addr)
 	})
 	if group {
-		sys.EnterGroup(2) // worker 2 wraps onto partition 0
-		dram.EnterGroup(2, 4<<10, ways, sys.Cost())
+		sys.Space.EnterGroup(2) // worker 2 wraps onto partition 0
+		dram.EnterGroup(2)
 	}
 
 	clks := []*sim.Clock{sim.NewWorkerClock(0), sim.NewWorkerClock(1), sim.NewWorkerClock(2)}

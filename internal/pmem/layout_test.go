@@ -62,7 +62,7 @@ func TestBoundsCheckDoesNotWrap(t *testing.T) {
 	clk := sim.NewClock()
 	buf := make([]byte, 16)
 	sys := testSystem(EADR)
-	dram := NewDRAMSpace(1<<20, sim.DefaultCostModel())
+	dram := NewDRAM(1<<20, sim.DefaultCostModel())
 	for name, sp := range map[string]Space{"nvm": sys.Space, "dram": dram} {
 		mustPanic(name+" write", "beyond space bounds", func() { sp.Write(clk, addr, buf) })
 		mustPanic(name+" read", "beyond space bounds", func() { sp.Read(clk, addr, buf) })
@@ -71,7 +71,7 @@ func TestBoundsCheckDoesNotWrap(t *testing.T) {
 	mustPanic("train", "beyond space bounds", func() { sys.Space.CLWBTrain(clk, []Span{{Off: addr, N: 16}}) })
 	mustPanic("raw read", "beyond device size", func() { sys.Dev.RawRead(addr, buf) })
 	mustPanic("raw write", "beyond device size", func() { sys.Dev.RawWrite(addr, buf) })
-	sys.EnterGroup(2) // dataless timing caches: the wrapped access used to be charged silently
+	sys.Space.EnterGroup(2) // dataless timing caches: the wrapped access used to be charged silently
 	mustPanic("group write", "beyond space bounds", func() { sys.Space.Write(clk, addr, buf) })
 	if clk.Nanos() != 0 {
 		t.Errorf("out-of-range accesses charged %d virtual ns", clk.Nanos())

@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"falcon/internal/sim"
@@ -209,7 +210,7 @@ func TestXPBufferServesLoadsFromBufferedLines(t *testing.T) {
 
 func TestDRAMSpaceRoundTripAndVolatility(t *testing.T) {
 	cost := sim.DefaultCostModel()
-	d := NewDRAMSpace(1<<20, cost)
+	d := NewDRAM(1<<20, cost)
 	clk := sim.NewClock()
 	src := []byte("volatile")
 	d.Write(clk, 10, src)
@@ -218,11 +219,30 @@ func TestDRAMSpaceRoundTripAndVolatility(t *testing.T) {
 	if !bytes.Equal(src, dst) {
 		t.Fatal("DRAM round trip failed")
 	}
-	if d.Persistent() {
-		t.Fatal("DRAMSpace must not report persistent")
+	if d.Cache().Mode() != ADR {
+		t.Fatal("a DRAM space's cache must be outside the persistence domain")
 	}
 	if clk.Nanos() == 0 {
 		t.Fatal("DRAM accesses must charge virtual time")
+	}
+}
+
+// TestDRAMSpaceIsSparse: a DRAM space keeps its bytes in a sparse Device, so
+// building a 1 GiB one and writing a line costs the host its cache, not its
+// size, and Size stays the size asked for although the device rounds up.
+func TestDRAMSpaceIsSparse(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := NewDRAM(1<<30, sim.DefaultCostModel())
+	d.Write(sim.NewClock(), 12345<<6, bytes.Repeat([]byte{7}, LineSize))
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 4<<20 {
+		t.Errorf("a 1 GiB DRAM space with one line written raised HeapAlloc by %d B, want < 4 MiB", grew)
+	}
+	runtime.KeepAlive(d)
+	if got := NewDRAM(1000, sim.DefaultCostModel()).Size(); got != 1000 {
+		t.Errorf("NewDRAM(1000).Size() = %d, want 1000", got)
 	}
 }
 

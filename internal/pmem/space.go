@@ -7,9 +7,8 @@ import (
 )
 
 // Space is the memory abstraction the database engine is written against.
-// The same engine code runs over a simulated-NVM space (charged through the
-// cache/XPBuffer/media hierarchy) or a DRAM space (charged through a cache
-// over DRAM latencies), which is how the paper's NVM-index vs DRAM-index
+// The same engine code runs over simulated NVM or simulated DRAM (both a
+// MemSpace, see there), which is how the paper's NVM-index vs DRAM-index
 // configurations are expressed.
 type Space interface {
 	// Read copies len(dst) bytes at off into dst.
@@ -17,14 +16,14 @@ type Space interface {
 	// Write stores src at off.
 	Write(clk *sim.Clock, off uint64, src []byte)
 	// CLWB hints write-back of the cache lines covering [off, off+n).
-	// It is a no-op on non-persistent spaces.
+	// It is a no-op on DRAM.
 	CLWB(clk *sim.Clock, off uint64, n int)
 	// CLWBTrain hints write-back of the lines covering each span as one
 	// coalesced multi-line flush train: the first line of a span pays the
 	// full clwb issue cost, each further adjacent line a reduced train cost.
-	// It is a no-op on non-persistent spaces.
+	// It is a no-op on DRAM.
 	CLWBTrain(clk *sim.Clock, spans []Span)
-	// SFence orders preceding stores.
+	// SFence orders preceding stores. It is a no-op on DRAM.
 	SFence(clk *sim.Clock)
 	// ReadU64 reads the little-endian uint64 at off — Read with an 8-byte
 	// buffer. It is on the interface so the scratch word lives inside the
@@ -48,199 +47,155 @@ type Space interface {
 	BulkWriteU64(off uint64, v uint64)
 	// Size returns the capacity in bytes.
 	Size() uint64
-	// Persistent reports whether data written here survives a crash
-	// (possibly requiring flushes, depending on the cache mode).
-	Persistent() bool
 }
 
-// NVMSpace is a Space backed by the simulated persistent-memory hierarchy.
-type NVMSpace struct {
+// MemSpace is the one Space: a simulated cache over a Device that holds the
+// bytes. The two memories differ only in what they are built with:
+//
+//   - NVM (System.Space): the cache in the system's Mode over the XPBuffer
+//     and the media, with CLWB, CLWBTrain and SFence reaching the cache.
+//   - DRAM (NewDRAM): an ADR cache over the dram level, which charges DRAM
+//     latencies and keeps the bytes in a sparse Device of its own; flushes
+//     and fences are ignored, and nothing survives a crash (the engine
+//     rebuilds DRAM structures during recovery).
+//
+// Concrete types all the way down — the cache, the device — keep ReadU64's
+// scratch word on the stack.
+type MemSpace struct {
 	cache *Cache
 	dev   *Device
-	// det, when non-nil, routes accesses through per-worker dataless timing
-	// caches with the device as the byte authority (deterministic group
-	// mode; see det.go). Nil on the normal path — one predictable branch.
-	det *detPartition
+	// flush lets CLWB, CLWBTrain and SFence reach the cache (NVM only).
+	flush bool
+	// split builds one of n equal caches over the level beneath this one;
+	// split(1, false) is the shared cache, split(n, true) a group-mode
+	// partition (det.go), so the geometry is stated once, by the
+	// constructor that made the space.
+	split func(n int, dataless bool) *Cache
+	// parts, when non-nil, are the group-mode partitions: per-worker
+	// dataless timing caches with the device as the byte authority. Nil on
+	// the normal path — one predictable branch.
+	parts []*Cache
 }
 
-// NewNVMSpace wraps a cache+device pair as a Space.
-func NewNVMSpace(cache *Cache, dev *Device) *NVMSpace {
-	return &NVMSpace{cache: cache, dev: dev}
+func newSpace(dev *Device, flush bool, split func(n int, dataless bool) *Cache) *MemSpace {
+	return &MemSpace{cache: split(1, false), dev: dev, flush: flush, split: split}
 }
 
-func (s *NVMSpace) Read(clk *sim.Clock, off uint64, dst []byte) {
-	if s.det != nil {
-		s.det.cacheFor(clk).Load(clk, off, dst) // timing only (dataless)
-		s.dev.RawRead(off, dst)
-		return
+// NewDRAM allocates a volatile space of size bytes behind a 2 MiB 16-way
+// cache. No byte of it is allocated on the host until written back.
+func NewDRAM(size uint64, cost sim.CostModel) *MemSpace {
+	return newDRAM(size, cost, 2<<20, 16)
+}
+
+// newDRAM is NewDRAM with an explicit cache size and associativity.
+func newDRAM(size uint64, cost sim.CostModel, cacheBytes, ways int) *MemSpace {
+	lvl := &dram{dev: NewDevice(size), cost: cost}
+	return newSpace(lvl.dev, false, func(n int, dataless bool) *Cache {
+		// The cache limit is size itself: NewDevice rounds up to a block.
+		return newCache(lvl, &lvl.dev.stats, ADR, cacheBytes/n, ways, size, cost, dataless)
+	})
+}
+
+// dram is the level beneath a DRAM space's cache. It copies a line only
+// when handed one, so the dataless group-mode partitions share it.
+type dram struct {
+	dev  *Device
+	cost sim.CostModel
+}
+
+func (d *dram) writeBackLine(clk *sim.Clock, lineAddr uint64, data *[LineSize]byte) {
+	clk.Advance(d.cost.DRAMNextLine) // write-backs are posted: the streaming cost only
+	if data != nil {
+		d.dev.RawWrite(lineAddr, data[:])
 	}
-	s.cache.Load(clk, off, dst)
 }
 
-func (s *NVMSpace) Write(clk *sim.Clock, off uint64, src []byte) {
-	if s.det != nil {
-		s.det.cacheFor(clk).Store(clk, off, src) // timing only (dataless)
-		s.dev.RawWrite(off, src)
-		return
+func (d *dram) fillLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte) {
+	clk.Advance(d.cost.DRAMFirstLine)
+	if dst != nil {
+		d.dev.readLineInto(lineAddr, dst)
 	}
-	s.cache.Store(clk, off, src)
 }
 
-func (s *NVMSpace) CLWB(clk *sim.Clock, off uint64, n int) {
-	if s.det != nil {
-		s.det.cacheFor(clk).CLWB(clk, off, n)
-		return
+func (d *dram) drain(*sim.Clock) {}
+
+// cacheFor is the cache clk's accesses go through: in group mode the
+// partition of the clock's shard id (the routing the sharded stats use;
+// anonymous clocks — setup, recovery — share partition 0), else the shared
+// cache.
+func (s *MemSpace) cacheFor(clk *sim.Clock) *Cache {
+	if s.parts == nil {
+		return s.cache
 	}
-	s.cache.CLWB(clk, off, n)
-}
-
-func (s *NVMSpace) CLWBTrain(clk *sim.Clock, spans []Span) {
-	if s.det != nil {
-		s.det.cacheFor(clk).CLWBTrain(clk, spans)
-		return
+	w := clk.ShardID()
+	if w >= uint64(len(s.parts)) {
+		w = 0
 	}
-	s.cache.CLWBTrain(clk, spans)
+	return s.parts[w]
 }
 
-func (s *NVMSpace) SFence(clk *sim.Clock) {
-	if s.det != nil {
-		s.det.cacheFor(clk).SFence(clk)
-		return
+func (s *MemSpace) Read(clk *sim.Clock, off uint64, dst []byte) {
+	s.cacheFor(clk).Load(clk, off, dst)
+	if s.parts != nil {
+		s.dev.RawRead(off, dst) // the partition only charged the time
 	}
-	s.cache.SFence(clk)
 }
 
-func (s *NVMSpace) ReadU64(clk *sim.Clock, off uint64) uint64 {
+func (s *MemSpace) Write(clk *sim.Clock, off uint64, src []byte) {
+	s.cacheFor(clk).Store(clk, off, src)
+	if s.parts != nil {
+		s.dev.RawWrite(off, src) // the partition only charged the time
+	}
+}
+
+func (s *MemSpace) CLWB(clk *sim.Clock, off uint64, n int) {
+	if s.flush {
+		s.cacheFor(clk).CLWB(clk, off, n)
+	}
+}
+
+func (s *MemSpace) CLWBTrain(clk *sim.Clock, spans []Span) {
+	if s.flush {
+		s.cacheFor(clk).CLWBTrain(clk, spans)
+	}
+}
+
+func (s *MemSpace) SFence(clk *sim.Clock) {
+	if s.flush {
+		s.cacheFor(clk).SFence(clk)
+	}
+}
+
+func (s *MemSpace) ReadU64(clk *sim.Clock, off uint64) uint64 {
 	var b [8]byte
 	s.Read(clk, off, b[:])
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-func (s *NVMSpace) WriteU64(clk *sim.Clock, off uint64, v uint64) {
+func (s *MemSpace) WriteU64(clk *sim.Clock, off uint64, v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	s.Write(clk, off, b[:])
 }
 
-func (s *NVMSpace) WriteU64Pair(clk *sim.Clock, off uint64, a, b uint64) {
+func (s *MemSpace) WriteU64Pair(clk *sim.Clock, off uint64, a, b uint64) {
 	var w [16]byte
 	binary.LittleEndian.PutUint64(w[:], a)
 	binary.LittleEndian.PutUint64(w[8:], b)
 	s.Write(clk, off, w[:])
 }
 
-func (s *NVMSpace) BulkWrite(off uint64, src []byte) { s.dev.RawWrite(off, src) }
+func (s *MemSpace) BulkWrite(off uint64, src []byte) { s.dev.RawWrite(off, src) }
 
-func (s *NVMSpace) BulkWriteU64(off uint64, v uint64) {
+func (s *MemSpace) BulkWriteU64(off uint64, v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	s.dev.RawWrite(off, b[:])
 }
-func (s *NVMSpace) Size() uint64     { return s.dev.Size() }
-func (s *NVMSpace) Persistent() bool { return true }
 
-// Device exposes the backing device (stats, raw post-crash inspection).
-func (s *NVMSpace) Device() *Device { return s.dev }
+// Size is the size the space was built with (the cache's bound).
+func (s *MemSpace) Size() uint64 { return s.cache.limit }
 
-// Cache exposes the simulated CPU cache.
-func (s *NVMSpace) Cache() *Cache { return s.cache }
-
-// dramBackend is the memory level beneath a DRAM space's cache: a flat
-// volatile array with DRAM fill/write-back latencies.
-type dramBackend struct {
-	data []byte
-	cost sim.CostModel
-}
-
-func (d *dramBackend) writeBackLine(clk *sim.Clock, lineAddr uint64, data *[LineSize]byte) {
-	// DRAM write-backs are posted; charge the streaming cost only.
-	clk.Advance(d.cost.DRAMNextLine)
-	copy(d.data[lineAddr:lineAddr+LineSize], data[:])
-}
-
-func (d *dramBackend) fillLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte) {
-	clk.Advance(d.cost.DRAMFirstLine)
-	copy(dst[:], d.data[lineAddr:lineAddr+LineSize])
-}
-
-func (d *dramBackend) drain(clk *sim.Clock) {}
-
-// DRAMSpace is a Space backed by volatile memory behind its own simulated
-// cache partition: hot structures (index upper levels, tuple-cache entries)
-// cost cache hits, cold ones cost DRAM latency — matching how the paper's
-// DRAM-resident indexes actually behave. Contents do not survive Crash; the
-// engine recreates DRAM structures during recovery.
-type DRAMSpace struct {
-	back  *dramBackend
-	cache *Cache
-	// det, when non-nil, is the deterministic group-mode partition (see
-	// det.go): per-worker dataless timing caches over the flat array.
-	det *detPartition
-}
-
-// NewDRAMSpace allocates a volatile space of the given size with a default
-// cache partition.
-func NewDRAMSpace(size uint64, cost sim.CostModel) *DRAMSpace {
-	return NewDRAMSpaceCache(size, cost, 2<<20, 16)
-}
-
-// NewDRAMSpaceCache allocates a volatile space with an explicit cache
-// partition size and associativity.
-func NewDRAMSpaceCache(size uint64, cost sim.CostModel, cacheBytes, ways int) *DRAMSpace {
-	back := &dramBackend{data: make([]byte, size), cost: cost}
-	stats := &Stats{} // DRAM spaces keep private counters; media stats stay NVM-only
-	return &DRAMSpace{
-		back:  back,
-		cache: newCache(back, stats, ADR, cacheBytes, ways, size, cost, false),
-	}
-}
-
-func (s *DRAMSpace) Read(clk *sim.Clock, off uint64, dst []byte) {
-	if s.det != nil {
-		s.det.cacheFor(clk).Load(clk, off, dst) // timing only (dataless)
-		copy(dst, s.back.data[off:off+uint64(len(dst))])
-		return
-	}
-	s.cache.Load(clk, off, dst)
-}
-
-func (s *DRAMSpace) Write(clk *sim.Clock, off uint64, src []byte) {
-	if s.det != nil {
-		s.det.cacheFor(clk).Store(clk, off, src) // timing only (dataless)
-		copy(s.back.data[off:off+uint64(len(src))], src)
-		return
-	}
-	s.cache.Store(clk, off, src)
-}
-
-func (s *DRAMSpace) ReadU64(clk *sim.Clock, off uint64) uint64 {
-	var b [8]byte
-	s.Read(clk, off, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (s *DRAMSpace) WriteU64(clk *sim.Clock, off uint64, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	s.Write(clk, off, b[:])
-}
-
-func (s *DRAMSpace) WriteU64Pair(clk *sim.Clock, off uint64, a, b uint64) {
-	var w [16]byte
-	binary.LittleEndian.PutUint64(w[:], a)
-	binary.LittleEndian.PutUint64(w[8:], b)
-	s.Write(clk, off, w[:])
-}
-
-func (s *DRAMSpace) CLWB(clk *sim.Clock, off uint64, n int) {}
-func (s *DRAMSpace) CLWBTrain(clk *sim.Clock, spans []Span) {}
-func (s *DRAMSpace) SFence(clk *sim.Clock)                  {}
-func (s *DRAMSpace) BulkWrite(off uint64, src []byte) {
-	copy(s.back.data[off:off+uint64(len(src))], src)
-}
-
-func (s *DRAMSpace) BulkWriteU64(off uint64, v uint64) {
-	binary.LittleEndian.PutUint64(s.back.data[off:off+8], v)
-}
-func (s *DRAMSpace) Size() uint64     { return uint64(len(s.back.data)) }
-func (s *DRAMSpace) Persistent() bool { return false }
+// Cache exposes the shared simulated cache; its Mode tells an eADR NVM
+// space, whose stores are durable without flushes, from the rest.
+func (s *MemSpace) Cache() *Cache { return s.cache }

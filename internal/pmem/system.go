@@ -53,7 +53,7 @@ type System struct {
 	Dev    *Device
 	XPB    *XPBuffer
 	Cache  *Cache
-	Space  *NVMSpace
+	Space  *MemSpace
 	faults *FaultPlan
 }
 
@@ -65,9 +65,11 @@ func NewSystem(cfg Config) *System {
 }
 
 func newSystemOn(cfg Config, dev *Device) *System {
-	xpb := NewXPBuffer(dev, cfg.XPBufferBytes, cfg.XPBanks, cfg.Cost, false)
-	cache := newCache(xpb, &dev.stats, cfg.Mode, cfg.CacheBytes, cfg.CacheWays, dev.Size(), cfg.Cost, false)
-	return &System{cfg: cfg, Dev: dev, XPB: xpb, Cache: cache, Space: NewNVMSpace(cache, dev)}
+	sp := newSpace(dev, true, func(n int, dataless bool) *Cache {
+		xpb := NewXPBuffer(dev, cfg.XPBufferBytes/n, max(cfg.XPBanks/n, 1), cfg.Cost, dataless)
+		return newCache(xpb, &dev.stats, cfg.Mode, cfg.CacheBytes/n, cfg.CacheWays, dev.Size(), cfg.Cost, dataless)
+	})
+	return &System{cfg: cfg, Dev: dev, XPB: sp.cache.lower.(*XPBuffer), Cache: sp.cache, Space: sp}
 }
 
 // Config returns the (defaulted) configuration of the system.
@@ -95,10 +97,8 @@ func (s *System) Faults() *FaultPlan { return s.faults }
 // while workers are quiescent.
 func (s *System) SetHook(fn FlushFn) {
 	s.Cache.setHook(fn)
-	if det := s.Space.det; det != nil {
-		for _, c := range det.caches {
-			c.setHook(fn)
-		}
+	for _, c := range s.Space.parts {
+		c.setHook(fn)
 	}
 }
 
