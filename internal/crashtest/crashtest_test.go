@@ -22,7 +22,7 @@ func seedsForTest(t *testing.T) int {
 	return 200
 }
 
-var updateCounts = flag.Bool("update", false, "rewrite this lane's rows of testdata/crash_matrix.json from this binary")
+var updateCounts = flag.Bool("update", false, "rewrite this lane's rows of testdata/crash_matrix.json and testdata/server_cells.json from this binary")
 
 const countsPath = "testdata/crash_matrix.json"
 
@@ -54,9 +54,14 @@ func checkPinned(t *testing.T, want map[string]cellCounts, res CellResult) {
 }
 
 func readCounts(t *testing.T) map[string]map[string]cellCounts {
+	return readPinned[cellCounts](t, countsPath)
+}
+
+// readPinned loads a pinned table, lane → cell → counts.
+func readPinned[C any](t *testing.T, path string) map[string]map[string]C {
 	t.Helper()
-	table := map[string]map[string]cellCounts{}
-	b, err := os.ReadFile(countsPath)
+	table := map[string]map[string]C{}
+	b, err := os.ReadFile(path)
 	if err != nil {
 		if *updateCounts {
 			return table
@@ -64,9 +69,25 @@ func readCounts(t *testing.T) map[string]map[string]cellCounts {
 		t.Fatalf("%v (generate with -update, once with and once without -short)", err)
 	}
 	if err := json.Unmarshal(b, &table); err != nil {
-		t.Fatalf("%s: %v", countsPath, err)
+		t.Fatalf("%s: %v", path, err)
 	}
 	return table
+}
+
+// writeLane replaces one lane of the pinned table at path (the -update flow).
+func writeLane[C any](t *testing.T, path string, table map[string]map[string]C, lane string, got map[string]C) {
+	t.Helper()
+	table[lane] = got
+	b, err := json.MarshalIndent(table, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCrashMatrix is the acceptance gate: every engine preset under eADR and
@@ -110,19 +131,8 @@ func TestCrashMatrix(t *testing.T) {
 			})
 		}
 	})
-	if !*updateCounts {
-		return
-	}
-	table[laneName(seeds)] = got
-	b, err := json.MarshalIndent(table, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll("testdata", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(countsPath, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	if *updateCounts {
+		writeLane(t, countsPath, table, laneName(seeds), got)
 	}
 }
 

@@ -2,6 +2,7 @@ package crashtest
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -20,12 +21,25 @@ func strictCells() []Cell {
 	return out
 }
 
+const serverCountsPath = "testdata/server_cells.json"
+
+// serverCounts is what testdata/server_cells.json pins per strict cell and
+// lane: how many seeds crashed mid-request, and how many of those retries
+// replayed or re-executed. The stream is seeded and sequential, so every
+// figure is exact.
+type serverCounts struct{ Crashes, Replays, Reexecs int }
+
 // TestServerExactlyOnceAcrossCrashes is the serving-layer acceptance gate:
 // crash mid-request, recover, retry under the original idempotency key — the
 // retry must observe the original attempt's outcome (replay with identical
 // digest if it committed, fresh exactly-once execution if not), and the final
 // state of every touched row must match the golden model exactly. Runs 400
 // crash seeds per strict matrix cell.
+//
+// Beside the verdicts it pins each cell's counts in
+// testdata/server_cells.json, as TestCrashMatrix does. Regenerate a lane with
+//
+//	go test ./internal/crashtest -run TestServerExactlyOnceAcrossCrashes -update [-short]
 func TestServerExactlyOnceAcrossCrashes(t *testing.T) {
 	cells := strictCells()
 	if len(cells) == 0 {
@@ -38,12 +52,24 @@ func TestServerExactlyOnceAcrossCrashes(t *testing.T) {
 	if testing.Short() {
 		perCell = 2
 	}
+	table := readPinned[serverCounts](t, serverCountsPath)
+	lane := laneName(perCell)
+	want := table[lane]
+	var mu sync.Mutex
+	got := map[string]serverCounts{}
 	var totalCrashes, totalReplays, totalReexecs atomic.Int64
 	for _, cell := range cells {
 		cell := cell
 		t.Run(cell.String(), func(t *testing.T) {
 			t.Parallel()
 			res := RunServerCell(cell, Options{Seeds: perCell})
+			c := serverCounts{res.Crashes, res.Replays, res.Reexecs}
+			mu.Lock()
+			got[cell.String()] = c
+			mu.Unlock()
+			if w, ok := want[cell.String()]; !*updateCounts && (!ok || w != c) {
+				t.Errorf("counts moved: pinned %+v (present %v), got %+v", w, ok, c)
+			}
 			if res.Crashes == 0 {
 				t.Errorf("no injected crash fired mid-request across %d seeds", perCell)
 			}
@@ -56,6 +82,9 @@ func TestServerExactlyOnceAcrossCrashes(t *testing.T) {
 		})
 	}
 	t.Cleanup(func() {
+		if *updateCounts {
+			writeLane(t, serverCountsPath, table, lane, got)
+		}
 		// Both post-crash retry paths must be exercised somewhere in the
 		// matrix: replays prove idempotency records survive with their
 		// effects; re-executions prove uncommitted attempts leave neither.
