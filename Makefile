@@ -1,6 +1,6 @@
 # Convenience targets; everything also works with plain go commands.
 
-.PHONY: build test lines race race-par bench bench-quick bench-smoke sweep phase-tables trace-check contend-smoke soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke old-spellings
+.PHONY: build test lines race race-par bench bench-quick bench-smoke sweep phase-tables trace-check contend-smoke soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke old-spellings fmt-check
 
 build:
 	go build ./...
@@ -125,8 +125,9 @@ contend-smoke:
 
 # The nine per-tool binaries were folded into `falcon <subcommand>`, the
 # named-collector stats registry into Engine.ObsSnapshot and Server.Snapshot,
-# the two memory spaces into pmem.MemSpace, and the epoch-length and version-
-# headroom knobs into constants; fail when a removed spelling comes back (same
+# the two memory spaces into pmem.MemSpace, the epoch-length and version-
+# headroom knobs into constants, and the hand-rolled bulk loads into
+# core.Table.Load; fail when a removed spelling comes back (same
 # lane CI runs). CHANGES.md, ROADMAP.md, benchmark/ and EXPERIMENTS.md's dated
 # sections are history and exempt. The [-], the [R]s and the like keep this
 # recipe from matching itself.
@@ -135,5 +136,9 @@ old-spellings:
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
 	! grep -rnE 'New[R]egistry|Stats[R]egistry|\.Obs\(\)\.[R]egister' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
-	! grep -rnE '\b(New)?(N[V]M|D[R]AM)Space(Cache)?\b|dram[T]imingBackend|Group[E]pochNanos|Version[H]eadroom|-[e]pochns' \
+	! grep -rnE '\b(New)?(N[V]M|D[R]AM)Space(Cache)?\b|dram[T]imingBackend|Group[E]pochNanos|Version[H]eadroom|-[e]pochns|Bulk[I]ndexInsert' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+
+# Every Go file gofmt-clean, benchmark/ included (same lane CI runs).
+fmt-check:
+	test -z "$$(gofmt -l .)"

@@ -88,19 +88,6 @@ func (a *Arena) Alloc(clk *sim.Clock, n uint64) (uint64, error) {
 	return off, nil
 }
 
-// Remaining returns the bytes still available.
-func (a *Arena) Remaining() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.next > a.limit {
-		return 0
-	}
-	return a.limit - a.next
-}
-
-// Space returns the backing space.
-func (a *Arena) Space() pmem.Space { return a.space }
-
 func (a *Arena) persistNext(clk *sim.Clock) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], a.next)

@@ -69,6 +69,36 @@ func TestRunYCSBSmoke(t *testing.T) {
 	}
 }
 
+// TestFreeRunningGroupCommit runs Falcon with group commit and four
+// free-running workers on skewed YCSB-A, the configuration of `falcon serve
+// -groupcommit` and of every -groupcommit figure without -parworkers. Each
+// publisher helps seal expired epochs while the others enlist into them and
+// reclaim log slots, so under `make race` this is the lane that sees the
+// board's pending list from several workers at once.
+func TestFreeRunningGroupCommit(t *testing.T) {
+	ecfg := core.FalconConfig()
+	ecfg.GroupCommit = true
+	ecfg.Threads = 4
+	e, d, err := NewYCSB(ecfg, ycsb.Config{
+		Records: 2000, Fields: 4, FieldBytes: 32,
+		Workload: ycsb.A, Distribution: ycsb.Zipfian,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(e, "YCSB-A", Options{Workers: 4, TxnsPerWorker: 2000},
+		func(w int) (int, error) { return 0, d.Next(w) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed != 4*2000 {
+		t.Errorf("committed %d of %d transactions", res.Committed, 4*2000)
+	}
+	if res.Obs.Epochs.Sealed == 0 {
+		t.Error("no durability epoch sealed: the run never exercised group commit")
+	}
+}
+
 // TestEveryEventReachesEachConsumerOnce arms the tracer (every transaction
 // sampled, a ring that drops nothing) and the observatory on a two-worker
 // YCSB-A cell and holds the three ledgers against one another: what the

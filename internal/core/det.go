@@ -178,9 +178,6 @@ func (e *Engine) LeaveGroup() {
 	e.det = nil
 }
 
-// InGroup reports whether deterministic worker-parallel mode is active.
-func (e *Engine) InGroup() bool { return e.det != nil }
-
 // Group returns the round scheduler while in group mode (nil otherwise).
 // Benchmark drivers call Group().Begin(n) at phase start and Group().Leave()
 // when a worker retires.

@@ -202,10 +202,6 @@ func (e *Engine) initGroupCommit() {
 	}
 }
 
-// Board returns the group-commit epoch board, or nil when group commit is
-// off (diagnostics and tests).
-func (e *Engine) Board() *wal.EpochBoard { return e.board }
-
 // NewEngineArena formats the engine's space arena (header + catalog region
 // reserved).
 func NewEngineArena(sys *pmem.System) (*alloc.Arena, error) {
@@ -498,10 +494,6 @@ func (e *Engine) AbortReasons() [obs.NumAbortReasons]uint64 {
 	return e.outcomes().AbortCounts
 }
 
-// MinActive returns the oldest running TID (MaxUint64 when idle); exported
-// for tests exercising GC behaviour.
-func (e *Engine) MinActive() uint64 { return e.active.Min() }
-
 // Sync flushes all dirty simulated state to the media (clean shutdown).
 // With group commit on, every open durability epoch seals first so no
 // published record is left behind its durable point.
@@ -512,16 +504,24 @@ func (e *Engine) Sync(clk *sim.Clock) {
 	e.sys.Sync(clk)
 }
 
-// BulkIndexInsert installs an index entry during initial data load, charging
-// no worker clock (pass nil clocks through; sim.Clock methods are nil-safe).
-func (t *Table) BulkIndexInsert(key, slot uint64) error {
+// Load bulk-installs one tuple during initial data load: a slot from
+// thread's range, the tuple with timestamp 0 (committed whatever the
+// per-thread commit markers say), then its primary and secondary index
+// entries. It charges no worker clock (nil clocks; sim.Clock methods are
+// nil-safe) and runs before any transaction.
+func (t *Table) Load(thread int, key uint64, payload []byte) error {
+	slot, err := t.heap.Alloc(nil, thread, 0)
+	if err != nil {
+		return err
+	}
+	t.heap.BulkInstall(slot, 0, payload)
 	if err := t.primary.Insert(nil, key, slot); err != nil {
-		return fmt.Errorf("primary %v: %w", t.primary.Kind(), err)
+		return fmt.Errorf("slot %d primary %v: %w", slot, t.primary.Kind(), err)
 	}
 	if t.secondary != nil {
 		sec := t.heap.ReadRangeU64(nil, slot, t.schema.Offset(t.secondaryCol))
 		if err := t.secondary.Insert(nil, sec, slot); err != nil {
-			return fmt.Errorf("secondary key %#x: %w", sec, err)
+			return fmt.Errorf("slot %d secondary key %#x: %w", slot, sec, err)
 		}
 	}
 	return nil

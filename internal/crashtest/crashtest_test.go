@@ -262,7 +262,8 @@ func TestChecksumCatchesFlippedRecord(t *testing.T) {
 	cell := Cell{Config: presetByName(t, "Inp"), Mode: pmem.ADR}
 
 	run := func(disable bool) (violations []string, corrupt int) {
-		e, m, err := buildCell(cell)
+		m := newModel()
+		e, err := buildCell(cell, cellSpecs(), m.loadRow)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -186,17 +186,22 @@ func cellSpecs() []core.TableSpec {
 	}
 }
 
-// buildCell constructs a fresh engine for the cell, bulk-loads the initial
-// rows, and syncs everything to the media. The fault plan must be armed only
-// after this returns, so injected crashes always land mid-workload.
-func buildCell(cell Cell) (*core.Engine, *model, error) {
+// buildCell constructs a fresh engine for the cell over specs, bulk-loads
+// the initial rows of the tables it has (reporting each to onRow when that
+// is not nil), and syncs everything to the media. Fault plans are armed only
+// after it returns, so injected crashes always land mid-stream.
+//
+// The rows are kv 1..kvKeys, then acct 1..acctKeys, spread over the
+// workers' slot ranges by one round-robin counter across both tables. The
+// allocation cursors live in simulated memory, so this order is part of the
+// image every pinned count was recorded against.
+func buildCell(cell Cell, specs []core.TableSpec, onRow func(cellKey, int64)) (*core.Engine, error) {
 	cfg := cellConfig(cell.Config)
-	specs := cellSpecs()
 	sys := pmem.NewSystem(pmem.Config{
 		Mode:        cell.Mode,
 		DeviceBytes: bench.EstimateDeviceBytes(cfg, specs),
-		// A small cache and buffer force evictions and drains during the
-		// 48-txn workload, so those fault events exist to crash on.
+		// A small cache and buffer force evictions and drains during a
+		// 48-transaction stream, so those fault events exist to crash on.
 		CacheBytes:    64 << 10,
 		CacheWays:     8,
 		XPBufferBytes: 8 << 10,
@@ -204,49 +209,84 @@ func buildCell(cell Cell) (*core.Engine, *model, error) {
 	})
 	e, err := core.New(sys, cfg, specs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("build %s: %w", cell, err)
-	}
-	m := newModel()
-	if err := loadCell(e, m); err != nil {
-		return nil, nil, fmt.Errorf("load %s: %w", cell, err)
-	}
-	e.Sync(sim.NewClock())
-	return e, m, nil
-}
-
-func loadCell(e *core.Engine, m *model) error {
-	type row struct {
-		table string
-		key   uint64
-		val   int64
-	}
-	var rows []row
-	for k := uint64(1); k <= kvKeys; k++ {
-		rows = append(rows, row{"kv", k, int64(k * 10)})
-	}
-	for k := uint64(1); k <= acctKeys; k++ {
-		rows = append(rows, row{"acct", k, acctInitBal})
+		return nil, fmt.Errorf("build %s: %w", cell, err)
 	}
 	th := 0
-	for _, r := range rows {
-		tbl := e.Table(r.table)
+	for _, r := range initialRows() {
+		tbl := e.Table(r.ck.table)
+		if tbl == nil {
+			continue // the server cells have no acct table
+		}
 		s := tbl.Schema()
 		buf := make([]byte, s.TupleSize())
-		s.PutUint64(buf, 0, r.key)
+		s.PutUint64(buf, 0, r.ck.key)
 		s.PutInt64(buf, 1, r.val)
-		h := tbl.Heap()
-		slot, err := h.Alloc(nil, th, 0)
-		if err != nil {
-			return err
+		if err := tbl.Load(th, r.ck.key, buf); err != nil {
+			return nil, fmt.Errorf("load %s: %w", cell, err)
 		}
-		h.BulkInstall(slot, 0, buf)
-		if err := tbl.BulkIndexInsert(r.key, slot); err != nil {
-			return err
+		if onRow != nil {
+			onRow(r.ck, r.val)
 		}
-		m.loadRow(cellKey{r.table, r.key}, r.val)
 		th = (th + 1) % cellThreads
 	}
-	return nil
+	e.Sync(sim.NewClock())
+	return e, nil
+}
+
+// calibrate builds a fresh cell over specs and runs stream on it once under
+// a count-only fault plan. It returns the per-event fault-point totals, at
+// least one of them nonzero, and the engine the stream ran on.
+func calibrate(cell Cell, specs []core.TableSpec, stream func(*core.Engine) error) ([pmem.NumFaultEvents]uint64, *core.Engine, error) {
+	var counts [pmem.NumFaultEvents]uint64
+	e, err := buildCell(cell, specs, nil)
+	if err != nil {
+		return counts, nil, err
+	}
+	plan := &pmem.FaultPlan{} // N == 0: count, never fire
+	e.System().SetFaults(plan)
+	if err := stream(e); err != nil {
+		return counts, nil, err
+	}
+	if counts = plan.Counts(); counts == ([pmem.NumFaultEvents]uint64{}) {
+		return counts, nil, errors.New("no fault points")
+	}
+	return counts, e, nil
+}
+
+// drawFault picks one seed's crash point from the calibration counts: an
+// event class that occurred, then the 1-based occurrence to crash on. Each
+// oracle passes its own salt.
+func drawFault(seed, salt uint64, counts [pmem.NumFaultEvents]uint64) *pmem.FaultPlan {
+	st := seed ^ salt
+	var evs []pmem.FaultEvent
+	for ev := 0; ev < pmem.NumFaultEvents; ev++ {
+		if counts[ev] > 0 {
+			evs = append(evs, pmem.FaultEvent(ev))
+		}
+	}
+	ev := evs[splitmix(&st)%uint64(len(evs))]
+	return &pmem.FaultPlan{Event: ev, N: 1 + splitmix(&st)%counts[ev], Seed: seed}
+}
+
+// catchCrash runs f and reports whether an injected crash fired inside it.
+// Any other panic propagates.
+func catchCrash(f func()) (crashed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if !pmem.IsInjectedCrash(r) {
+				panic(r)
+			}
+			crashed = true
+		}
+	}()
+	f()
+	return false
+}
+
+// crashAndRecover crashes the cell's memory system and recovers an engine
+// from what survived, with the config the cell was built with.
+func crashAndRecover(cell Cell, e *core.Engine) (*core.Engine, *core.RecoveryReport, error) {
+	return core.Recover(e.System().Crash(), cellConfig(cell.Config))
 }
 
 // applyTxn executes one generated op inside a transaction.
@@ -295,21 +335,13 @@ func applyTxn(tx *core.Txn, e *core.Engine, op txnOp) error {
 // set populated for the oracle).
 func execOne(e *core.Engine, m *model, op txnOp) (crashed bool) {
 	m.begin(m.writesFor(op))
-	defer func() {
-		if r := recover(); r != nil {
-			if pmem.IsInjectedCrash(r) {
-				crashed = true
-				return
-			}
-			panic(r)
+	return catchCrash(func() {
+		if err := e.Run(op.worker, func(tx *core.Txn) error { return applyTxn(tx, e, op) }); err == nil {
+			m.ack()
+		} else {
+			m.abortAck()
 		}
-	}()
-	if err := e.Run(op.worker, func(tx *core.Txn) error { return applyTxn(tx, e, op) }); err == nil {
-		m.ack()
-	} else {
-		m.abortAck()
-	}
-	return false
+	})
 }
 
 func runWorkload(e *core.Engine, m *model, ops []txnOp) (crashed bool) {
@@ -321,60 +353,13 @@ func runWorkload(e *core.Engine, m *model, ops []txnOp) (crashed bool) {
 	return false
 }
 
-// calibrate runs the cell's workload once with a count-only plan, returning
-// the per-event fault-point totals and the log-window media range (the
-// corruption target).
-func calibrate(cell Cell, opts Options) (counts [pmem.NumFaultEvents]uint64, winBase, winSize uint64, err error) {
-	e, m, err := buildCell(cell)
-	if err != nil {
-		return counts, 0, 0, err
-	}
-	plan := &pmem.FaultPlan{} // N == 0: count, never fire
-	e.System().SetFaults(plan)
-	runWorkload(e, m, genOps(opts.WorkloadSeed, txnBudget, cellThreads))
-	winBase, winSize = e.LogWindowRange()
-	return plan.Counts(), winBase, winSize, nil
-}
-
-// planForSeed derives the fault plan for one crash seed: which event class
-// to crash on, the 1-based occurrence number, and (ADR only) whether to also
-// tear the in-flight XPBuffer block or flip a byte in the log-window region.
-func planForSeed(cell Cell, seed uint64, counts [pmem.NumFaultEvents]uint64, winBase, winSize uint64) *pmem.FaultPlan {
-	st := seed ^ 0xfa57
-	var evs []pmem.FaultEvent
-	for ev := 0; ev < pmem.NumFaultEvents; ev++ {
-		if counts[ev] > 0 {
-			evs = append(evs, pmem.FaultEvent(ev))
-		}
-	}
-	if len(evs) == 0 {
-		return nil
-	}
-	ev := evs[splitmix(&st)%uint64(len(evs))]
-	p := &pmem.FaultPlan{
-		Event: ev,
-		N:     1 + splitmix(&st)%counts[ev],
-		Seed:  seed,
-	}
-	if cell.Mode == pmem.ADR {
-		switch seed % 4 {
-		case 0:
-			p.Torn = true
-		case 1:
-			p.Corrupt = true
-			p.CorruptLo = winBase
-			p.CorruptHi = winBase + winSize
-		}
-	}
-	return p
-}
-
 // runSeed executes one crash seed end to end and returns the oracle
 // violations plus the recovery report (nil if the build failed). With
 // opts.TraceDir set, a failing seed's pre-crash trace is written there and
 // its path returned.
 func runSeed(cell Cell, opts Options, seed uint64, counts [pmem.NumFaultEvents]uint64, winBase, winSize uint64) (viol []string, rep *core.RecoveryReport, plan *pmem.FaultPlan, crashed bool, tracePath string) {
-	e, m, err := buildCell(cell)
+	m := newModel()
+	e, err := buildCell(cell, cellSpecs(), m.loadRow)
 	if err != nil {
 		return []string{fmt.Sprintf("setup: %v", err)}, nil, nil, false, ""
 	}
@@ -386,15 +371,23 @@ func runSeed(cell Cell, opts Options, seed uint64, counts [pmem.NumFaultEvents]u
 		tracer = obs.NewTracer(cellThreads, obs.TraceOptions{Sample: 1})
 		e.Arm(tracer, nil)
 	}
-	plan = planForSeed(cell, seed, counts, winBase, winSize)
-	if plan == nil {
-		return []string{"calibration found no fault points"}, nil, nil, false, ""
+	// Under ADR, a quarter of the seeds also tear the in-flight XPBuffer
+	// block and a quarter flip a byte in the log-window region.
+	plan = drawFault(seed, 0xfa57, counts)
+	if cell.Mode == pmem.ADR {
+		switch seed % 4 {
+		case 0:
+			plan.Torn = true
+		case 1:
+			plan.Corrupt = true
+			plan.CorruptLo = winBase
+			plan.CorruptHi = winBase + winSize
+		}
 	}
 	e.System().SetFaults(plan)
 	crashed = runWorkload(e, m, genOps(opts.WorkloadSeed, txnBudget, cellThreads))
 
-	sys2 := e.System().Crash()
-	e2, r, err := core.Recover(sys2, cellConfig(cell.Config))
+	e2, r, err := crashAndRecover(cell, e)
 	if err != nil {
 		viol = []string{fmt.Sprintf("recovery failed: %v", err)}
 		return viol, nil, plan, crashed, dumpSeedTrace(opts.TraceDir, cell, seed, tracer)
@@ -488,11 +481,15 @@ func RunCell(cell Cell, opts Options) CellResult {
 			return res
 		}
 	}
-	counts, winBase, winSize, err := calibrate(cell, opts)
+	counts, e, err := calibrate(cell, cellSpecs(), func(e *core.Engine) error {
+		runWorkload(e, newModel(), genOps(opts.WorkloadSeed, txnBudget, cellThreads))
+		return nil
+	})
 	if err != nil {
 		res.Violations = append(res.Violations, Violation{Seed: 0, Detail: fmt.Sprintf("calibration: %v", err)})
 		return res
 	}
+	winBase, winSize := e.LogWindowRange()
 	for s := 0; s < opts.Seeds; s++ {
 		seed := opts.FirstSeed + uint64(s)
 		viol, rep, plan, crashed, tracePath := runSeed(cell, opts, seed, counts, winBase, winSize)

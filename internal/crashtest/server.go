@@ -6,12 +6,10 @@ import (
 	"reflect"
 	"sort"
 
-	"falcon/internal/bench"
 	"falcon/internal/core"
 	"falcon/internal/index"
 	"falcon/internal/pmem"
 	"falcon/internal/server"
-	"falcon/internal/sim"
 )
 
 // Server exactly-once cells: the same crash-at-Nth-event machinery as the
@@ -45,12 +43,13 @@ type svModel struct {
 }
 
 func newSvModel() *svModel {
-	m := &svModel{rows: map[uint64]int64{}, touched: map[uint64]bool{}}
-	for k := uint64(1); k <= kvKeys; k++ {
-		m.rows[k] = int64(k * 10)
-		m.touched[k] = true
-	}
-	return m
+	return &svModel{rows: map[uint64]int64{}, touched: map[uint64]bool{}}
+}
+
+// loadRow records a bulk-loaded row.
+func (m *svModel) loadRow(ck cellKey, v int64) {
+	m.rows[ck.key] = v
+	m.touched[ck.key] = true
 }
 
 // expect computes the results the request must produce against the current
@@ -146,97 +145,19 @@ func genServerReqs(wlSeed uint64, budget int) []svReq {
 	return reqs
 }
 
-// buildServerCell constructs a fresh engine with the serving tables (kv plus
-// the idempotency table), bulk-loads the initial rows, and syncs the media.
-func buildServerCell(cell Cell) (*core.Engine, error) {
-	cfg := cellConfig(cell.Config)
-	specs := server.WithIdemTable([]core.TableSpec{{
+// serverSpecs are the serving tables: kv plus the idempotency table.
+func serverSpecs() []core.TableSpec {
+	return server.WithIdemTable([]core.TableSpec{{
 		Name: "kv", Schema: server.ServeSchema(0), Capacity: 2048,
 		KeyCol: 0, IndexKind: index.Hash,
 	}}, 1024)
-	sys := pmem.NewSystem(pmem.Config{
-		Mode:        cell.Mode,
-		DeviceBytes: bench.EstimateDeviceBytes(cfg, specs),
-		// Same tight geometry as buildCell: force evictions and drains so
-		// fault events exist mid-request.
-		CacheBytes:    64 << 10,
-		CacheWays:     8,
-		XPBufferBytes: 8 << 10,
-		XPBanks:       2,
-	})
-	e, err := core.New(sys, cfg, specs)
-	if err != nil {
-		return nil, fmt.Errorf("build %s: %w", cell, err)
-	}
-	kv := e.Table("kv")
-	s := kv.Schema()
-	th := 0
-	for k := uint64(1); k <= kvKeys; k++ {
-		buf := make([]byte, s.TupleSize())
-		s.PutUint64(buf, 0, k)
-		s.PutInt64(buf, 1, int64(k*10))
-		h := kv.Heap()
-		slot, err := h.Alloc(nil, th, 0)
-		if err != nil {
-			return nil, err
-		}
-		h.BulkInstall(slot, 0, buf)
-		if err := kv.BulkIndexInsert(k, slot); err != nil {
-			return nil, err
-		}
-		th = (th + 1) % cellThreads
-	}
-	e.Sync(sim.NewClock())
-	return e, nil
 }
 
 // svApply runs one request through server.Apply, converting an injected
 // crash panic into a flag.
 func svApply(e *core.Engine, worker int, idem uint64, req *server.TxnRequest) (resp *server.TxnResponse, err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pmem.IsInjectedCrash(r) {
-				crashed = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	resp, err = server.Apply(e, worker, idem, req, nil)
-	return resp, err, false
-}
-
-// svCalibrate counts fault events over the full request stream.
-func svCalibrate(cell Cell, wlSeed uint64) ([pmem.NumFaultEvents]uint64, error) {
-	e, err := buildServerCell(cell)
-	if err != nil {
-		return [pmem.NumFaultEvents]uint64{}, err
-	}
-	plan := &pmem.FaultPlan{} // N == 0: count, never fire
-	e.System().SetFaults(plan)
-	for i, r := range genServerReqs(wlSeed, txnBudget) {
-		if _, err, _ := svApply(e, i%cellThreads, r.idem, &r.req); err != nil {
-			return plan.Counts(), fmt.Errorf("calibration request %d failed: %w", i, err)
-		}
-	}
-	return plan.Counts(), nil
-}
-
-// svPlanForSeed picks the crash point for one seed. No torn or corrupt media:
-// those void the strict guarantee the exactly-once oracle depends on.
-func svPlanForSeed(seed uint64, counts [pmem.NumFaultEvents]uint64) *pmem.FaultPlan {
-	st := seed ^ 0x1de4
-	var evs []pmem.FaultEvent
-	for ev := 0; ev < pmem.NumFaultEvents; ev++ {
-		if counts[ev] > 0 {
-			evs = append(evs, pmem.FaultEvent(ev))
-		}
-	}
-	if len(evs) == 0 {
-		return nil
-	}
-	ev := evs[splitmix(&st)%uint64(len(evs))]
-	return &pmem.FaultPlan{Event: ev, N: 1 + splitmix(&st)%counts[ev], Seed: seed}
+	crashed = catchCrash(func() { resp, err = server.Apply(e, worker, idem, req, nil) })
+	return resp, err, crashed
 }
 
 // ServerCellResult aggregates one server cell's seeds.
@@ -259,18 +180,16 @@ func (r ServerCellResult) Passed() bool { return len(r.Violations) == 0 }
 // injected crash, recover, retry the interrupted request under its original
 // idempotency key, finish the stream, and compare every touched row exactly.
 func runServerSeed(cell Cell, seed, wlSeed uint64, counts [pmem.NumFaultEvents]uint64) (viol []string, crashed, replayed bool) {
-	e, err := buildServerCell(cell)
+	m := newSvModel()
+	e, err := buildCell(cell, serverSpecs(), m.loadRow)
 	if err != nil {
 		return []string{fmt.Sprintf("setup: %v", err)}, false, false
 	}
-	plan := svPlanForSeed(seed, counts)
-	if plan == nil {
-		return []string{"calibration found no fault points"}, false, false
-	}
-	e.System().SetFaults(plan)
+	// No torn or corrupt media: those void the strict guarantee the
+	// exactly-once oracle depends on.
+	e.System().SetFaults(drawFault(seed, 0x1de4, counts))
 
 	reqs := genServerReqs(wlSeed, txnBudget)
-	m := newSvModel()
 	digests := make([]string, len(reqs)) // acked requests' digests, for later replay probes
 	crashIdx := -1
 	var crashExp, lastExp []server.OpResult
@@ -296,8 +215,7 @@ func runServerSeed(cell Cell, seed, wlSeed uint64, counts [pmem.NumFaultEvents]u
 		m.rows = post
 	}
 
-	sys2 := e.System().Crash()
-	e2, _, err := core.Recover(sys2, cellConfig(cell.Config))
+	e2, _, err := crashAndRecover(cell, e)
 	if err != nil {
 		return []string{fmt.Sprintf("recovery failed: %v", err)}, crashIdx >= 0, false
 	}
@@ -307,8 +225,6 @@ func runServerSeed(cell Cell, seed, wlSeed uint64, counts [pmem.NumFaultEvents]u
 	// replay).
 	k := crashIdx
 	if k < 0 {
-		// The plan's event never fired mid-request: probe the last acked
-		// request instead — its model state is already committed.
 		k = len(reqs) - 1
 		crashExp, crashPost = lastExp, m.rows
 	}
@@ -326,7 +242,6 @@ func runServerSeed(cell Cell, seed, wlSeed uint64, counts [pmem.NumFaultEvents]u
 		if resp1.Digest != wantDigest {
 			viol = append(viol, fmt.Sprintf("request %d: replayed digest %s != original %s", k, resp1.Digest, wantDigest))
 		}
-		m.rows = crashPost
 	default:
 		// Original attempt did not commit: the retry executes fresh, exactly
 		// once, with the same results the model predicts.
@@ -336,8 +251,8 @@ func runServerSeed(cell Cell, seed, wlSeed uint64, counts [pmem.NumFaultEvents]u
 		if resp1.Digest != wantDigest || !reflect.DeepEqual(resp1.Results, crashExp) {
 			viol = append(viol, fmt.Sprintf("request %d: fresh retry diverged from model: digest %s want %s", k, resp1.Digest, wantDigest))
 		}
-		m.rows = crashPost
 	}
+	m.rows = crashPost
 
 	// Second retry must always replay with a stable digest.
 	resp2, err, c := svApply(e2, k%cellThreads, reqs[k].idem, &reqs[k].req)
@@ -423,7 +338,14 @@ func RunServerCell(cell Cell, opts Options) ServerCellResult {
 		res.Violations = append(res.Violations, Violation{Detail: "server exactly-once cells require a strict configuration"})
 		return res
 	}
-	counts, err := svCalibrate(cell, opts.WorkloadSeed)
+	counts, _, err := calibrate(cell, serverSpecs(), func(e *core.Engine) error {
+		for i, r := range genServerReqs(opts.WorkloadSeed, txnBudget) {
+			if _, err, _ := svApply(e, i%cellThreads, r.idem, &r.req); err != nil {
+				return fmt.Errorf("request %d failed: %w", i, err)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		res.Violations = append(res.Violations, Violation{Detail: fmt.Sprintf("calibration: %v", err)})
 		return res

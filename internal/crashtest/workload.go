@@ -112,6 +112,24 @@ type cellKey struct {
 	key   uint64
 }
 
+// row is one bulk-loaded row.
+type row struct {
+	ck  cellKey
+	val int64
+}
+
+// initialRows lists the rows a cell starts with, in load order.
+func initialRows() []row {
+	var rows []row
+	for k := uint64(1); k <= kvKeys; k++ {
+		rows = append(rows, row{cellKey{"kv", k}, int64(k * 10)})
+	}
+	for k := uint64(1); k <= acctKeys; k++ {
+		rows = append(rows, row{cellKey{"acct", k}, acctInitBal})
+	}
+	return rows
+}
+
 // write is one intended row mutation of an attempted transaction. pre is the
 // expected value if the transaction did not commit, post if it did; nil
 // means absent (not yet inserted, or deleted).
@@ -122,7 +140,7 @@ type write struct {
 
 // model is the golden host-side truth the oracle checks recovery against.
 type model struct {
-	committed map[cellKey]int64         // exact value of every acked live row
+	committed map[cellKey]int64          // exact value of every acked live row
 	seen      map[cellKey]map[int64]bool // every value ever intended for the row (incl. load)
 	touched   map[cellKey]bool
 	inFlight  []write // write set of the attempt in progress; nil when quiescent

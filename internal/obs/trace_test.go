@@ -216,12 +216,12 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 	bad := []string{
 		`{}`,
 		`{"traceEvents":[]}`,
-		`{"traceEvents":[{"name":"x","pid":1,"tid":1}]}`,                             // no ph
-		`{"traceEvents":[{"name":"x","ph":"X","pid":1,"tid":1}]}`,                    // X without ts/dur
-		`{"traceEvents":[{"name":"x","ph":"M","pid":1,"tid":1}]}`,                    // M without args.name
-		`{"traceEvents":[{"name":"x","ph":"?","pid":1,"tid":1,"ts":0}]}`,             // unknown phase
-		`{"traceEvents":[{"name":"x","ph":"X","pid":1,"tid":1,"ts":5,"dur":-1}]}`,    // negative dur
-		`{"traceEvents":[{"ph":"X","pid":1,"tid":1,"ts":5,"dur":1}]}`,                // no name
+		`{"traceEvents":[{"name":"x","pid":1,"tid":1}]}`,                          // no ph
+		`{"traceEvents":[{"name":"x","ph":"X","pid":1,"tid":1}]}`,                 // X without ts/dur
+		`{"traceEvents":[{"name":"x","ph":"M","pid":1,"tid":1}]}`,                 // M without args.name
+		`{"traceEvents":[{"name":"x","ph":"?","pid":1,"tid":1,"ts":0}]}`,          // unknown phase
+		`{"traceEvents":[{"name":"x","ph":"X","pid":1,"tid":1,"ts":5,"dur":-1}]}`, // negative dur
+		`{"traceEvents":[{"ph":"X","pid":1,"tid":1,"ts":5,"dur":1}]}`,             // no name
 	}
 	for _, s := range bad {
 		if err := ValidateChromeTrace([]byte(s)); err == nil {

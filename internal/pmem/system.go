@@ -12,7 +12,7 @@ type Config struct {
 	CacheBytes int
 	// CacheWays is the associativity (default 16).
 	CacheWays int
-	// XPBufferBytes is the write-combining buffer capacity (default 64 KiB,
+	// XPBufferBytes is the write-combining buffer capacity (default 256 KiB,
 	// approximating the aggregate XPBuffer of an interleaved DIMM set).
 	XPBufferBytes int
 	// XPBanks is the number of independently locked buffer banks
@@ -86,9 +86,6 @@ func (s *System) SetFaults(p *FaultPlan) {
 	s.Cache.faults = p
 	s.XPB.faults = p
 }
-
-// Faults returns the armed plan, or nil.
-func (s *System) Faults() *FaultPlan { return s.faults }
 
 // SetHook arms the write-back hook (see FlushFn) on the cache, the XPBuffer
 // and any live deterministic-group partitions, so arming after group entry

@@ -85,23 +85,3 @@ func MaxNanos(clocks []*Clock) uint64 {
 	}
 	return max
 }
-
-// SumNanos returns the total virtual work across the clocks.
-func SumNanos(clocks []*Clock) uint64 {
-	var sum uint64
-	for _, c := range clocks {
-		sum += c.Nanos()
-	}
-	return sum
-}
-
-// Throughput converts a committed-operation count and a set of worker clocks
-// into operations per virtual second. The completion time of the run is the
-// maximum clock value (workers run in parallel in virtual time).
-func Throughput(ops uint64, clocks []*Clock) float64 {
-	t := MaxNanos(clocks)
-	if t == 0 {
-		return 0
-	}
-	return float64(ops) / (float64(t) / 1e9)
-}

@@ -26,7 +26,7 @@ func TestNilClockIsSafe(t *testing.T) {
 	}
 }
 
-func TestMaxSumNanos(t *testing.T) {
+func TestMaxNanos(t *testing.T) {
 	a, b, c := NewClock(), NewClock(), NewClock()
 	a.Advance(10)
 	b.Advance(30)
@@ -34,21 +34,6 @@ func TestMaxSumNanos(t *testing.T) {
 	clocks := []*Clock{a, b, c}
 	if got := MaxNanos(clocks); got != 30 {
 		t.Errorf("MaxNanos = %d, want 30", got)
-	}
-	if got := SumNanos(clocks); got != 60 {
-		t.Errorf("SumNanos = %d, want 60", got)
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	a := NewClock()
-	a.Advance(1e9) // one virtual second
-	got := Throughput(1000, []*Clock{a})
-	if got != 1000 {
-		t.Errorf("Throughput = %f, want 1000", got)
-	}
-	if Throughput(1000, nil) != 0 {
-		t.Errorf("Throughput with no clocks should be 0")
 	}
 }
 

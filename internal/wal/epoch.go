@@ -113,9 +113,6 @@ func NewEpochBoard(space pmem.Space, markerOff, epochNanos uint64) *EpochBoard {
 	return &EpochBoard{space: space, markerOff: markerOff, epochNanos: epochNanos}
 }
 
-// EpochNanos returns the configured epoch length.
-func (b *EpochBoard) EpochNanos() uint64 { return b.epochNanos }
-
 // epochOf maps a virtual time to its epoch id (ids start at 1; 0 means "no
 // epoch" in the marker).
 func (b *EpochBoard) epochOf(v uint64) uint64 { return v/b.epochNanos + 1 }
@@ -205,11 +202,9 @@ func (b *EpochBoard) pendingFor(id uint64) *pendingEpoch {
 
 // sealExpired seals, in ascending id order, every open epoch whose boundary
 // lies behind the caller's virtual time — the lazy leader step run by each
-// publisher after it enlists.
+// publisher after it enlists. The pending list is read only under the lock:
+// other workers enlist into it and reclaim from it concurrently.
 func (b *EpochBoard) sealExpired(clk *sim.Clock, pr *obs.Probe) {
-	if len(b.pending) == 0 { // unsynchronized peek: publishers race to help, the lock below decides
-		return
-	}
 	b.mu.Lock()
 	b.sealUpToLocked(clk, pr, b.epochOf(clk.Nanos())-1)
 	b.mu.Unlock()
@@ -302,14 +297,6 @@ func (b *EpochBoard) sealOneLocked(clk *sim.Clock, pr *obs.Probe, p *pendingEpoc
 		}
 	}
 	pr.EpochSeal(startV, sealV, p.id, uint64(len(p.pubV)))
-}
-
-// Marker returns the highest sealed epoch id (the volatile mirror of the
-// durable marker word).
-func (b *EpochBoard) Marker() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.marker
 }
 
 // Stats snapshots the board's observability gauges.

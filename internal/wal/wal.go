@@ -258,12 +258,6 @@ func (l *TxnLog) Overflowed() bool { return l.extPos > 0 }
 // must abort such transactions: their redo is incomplete.
 func (l *TxnLog) Full() bool { return l.full }
 
-// TID returns the owning transaction id (read back from the header line —
-// a cache hit).
-func (l *TxnLog) TID(clk *sim.Clock) uint64 {
-	return l.w.space.ReadU64(clk, l.w.slotOff(l.slot)+hdrTID)
-}
-
 // append writes raw bytes at the log cursor, spilling to overflow as needed.
 // It returns the logical record offset of the first byte written, or -1 when
 // space ran out.

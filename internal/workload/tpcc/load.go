@@ -34,27 +34,17 @@ type loader struct {
 	seqs map[string]int // per-table round-robin thread assignment
 }
 
-// install bulk-writes one tuple and its index entries, spreading each
+// install bulk-loads one tuple and its index entries, spreading each
 // table's rows round-robin across worker slot ranges so per-thread
 // allocation cursors stay balanced.
-func (l *loader) install(t *core.Table, _ int, key uint64, buf []byte) error {
-	h := t.Heap()
+func (l *loader) install(t *core.Table, key uint64, buf []byte) error {
 	thread := l.seqs[t.Name()] % l.e.Config().Threads
 	l.seqs[t.Name()]++
-	slot, err := h.Alloc(nil, thread, 0)
-	if err != nil {
-		return fmt.Errorf("tpcc: load %s: %w", t.Name(), err)
-	}
-	h.BulkInstall(slot, 0, buf)
-	if err := t.BulkIndexInsert(key, slot); err != nil {
-		return fmt.Errorf("tpcc: load %s key %#x slot %d: %w", t.Name(), key, slot, err)
+	if err := t.Load(thread, key, buf); err != nil {
+		return fmt.Errorf("tpcc: load %s key %#x: %w", t.Name(), key, err)
 	}
 	return nil
 }
-
-// thread is retained for call-site readability; install ignores it and
-// assigns threads per table.
-func (l *loader) thread(int) int { return 0 }
 
 func (l *loader) fillString(s *layout.Schema, buf []byte, col, minLen, maxLen int) {
 	n := minLen
@@ -81,7 +71,7 @@ func (l *loader) items() error {
 		s.PutInt64(buf, IPrice, int64(l.rng.Intn(9901)+100)) // 1.00..100.00 in cents
 		l.fillString(s, buf, IName, 14, 24)
 		l.fillString(s, buf, IData, 26, 50)
-		if err := l.install(t, l.thread(i), iKey(i), buf); err != nil {
+		if err := l.install(t, iKey(i), buf); err != nil {
 			return err
 		}
 	}
@@ -96,7 +86,7 @@ func (l *loader) warehouse(w int) error {
 	s.PutInt64(buf, WTax, int64(l.rng.Intn(2001))) // 0..20.00% in bp
 	s.PutInt64(buf, WYtd, 30000000)                // 300,000.00
 	l.fillString(s, buf, WName, 6, 10)
-	if err := l.install(tw, l.thread(w), wKey(w), buf); err != nil {
+	if err := l.install(tw, wKey(w), buf); err != nil {
 		return err
 	}
 
@@ -123,7 +113,7 @@ func (l *loader) stock(w int) error {
 		s.PutInt64(buf, SQuantity, int64(l.rng.Intn(91)+10))
 		l.fillString(s, buf, SDist, 240, 240)
 		l.fillString(s, buf, SData, 26, 50)
-		if err := l.install(t, l.thread(i), sKey(w, i), buf); err != nil {
+		if err := l.install(t, sKey(w, i), buf); err != nil {
 			return err
 		}
 	}
@@ -139,7 +129,7 @@ func (l *loader) district(w, d int) error {
 	s.PutInt64(buf, DYtd, 3000000)
 	s.PutInt64(buf, DNextOID, int64(l.cfg.OrdersPerDistrict)+1)
 	l.fillString(s, buf, DName, 6, 10)
-	if err := l.install(t, l.thread(w*Districts+d), dKey(w, d), buf); err != nil {
+	if err := l.install(t, dKey(w, d), buf); err != nil {
 		return err
 	}
 
@@ -180,7 +170,7 @@ func (l *loader) customers(w, d int) error {
 			s.PutString(buf, 18, "GC")
 		}
 		l.fillString(s, buf, 19, 100, 250) // c_data
-		if err := l.install(t, l.thread(c), cKey(w, d, c), buf); err != nil {
+		if err := l.install(t, cKey(w, d, c), buf); err != nil {
 			return err
 		}
 
@@ -193,7 +183,7 @@ func (l *loader) customers(w, d int) error {
 		hs.PutUint64(hbuf, HCKey, cKey(w, d, c))
 		hs.PutUint64(hbuf, HDKey, dKey(w, d))
 		hs.PutInt64(hbuf, HAmount, 1000)
-		if err := l.install(th, l.thread(c), l.hseq, hbuf); err != nil {
+		if err := l.install(th, l.hseq, hbuf); err != nil {
 			return err
 		}
 	}
@@ -228,12 +218,12 @@ func (l *loader) orders(w, d int) error {
 		if delivered {
 			os.PutInt64(obuf, OCarrierID, int64(l.rng.Intn(10)+1))
 		}
-		if err := l.install(to, l.thread(o), oKey(w, d, o), obuf); err != nil {
+		if err := l.install(to, oKey(w, d, o), obuf); err != nil {
 			return err
 		}
 		if !delivered {
 			nos.PutUint64(nobuf, NOKey, noKey(w, d, o))
-			if err := l.install(tno, l.thread(o), noKey(w, d, o), nobuf); err != nil {
+			if err := l.install(tno, noKey(w, d, o), nobuf); err != nil {
 				return err
 			}
 		}
@@ -252,7 +242,7 @@ func (l *loader) orders(w, d int) error {
 				ols.PutInt64(olbuf, OLAmount, int64(l.rng.Intn(999999)+1))
 			}
 			l.fillString(ols, olbuf, OLDistInfo, 24, 24)
-			if err := l.install(tol, l.thread(ol), olKey(w, d, o, ol), olbuf); err != nil {
+			if err := l.install(tol, olKey(w, d, o, ol), olbuf); err != nil {
 				return err
 			}
 		}

@@ -136,7 +136,6 @@ func Load(e *core.Engine, cfg Config) error {
 		return fmt.Errorf("ycsb: table %q missing", TableName)
 	}
 	s := tbl.Schema()
-	h := tbl.Heap()
 	buf := make([]byte, s.TupleSize())
 	perThread := cfg.Records/uint64(e.Config().Threads) + 1
 	var loaded uint64
@@ -144,12 +143,7 @@ func Load(e *core.Engine, cfg Config) error {
 		for i := uint64(0); i < perThread && loaded < cfg.Records; i++ {
 			key := loaded
 			fillTuple(s, buf, key, cfg)
-			slot, err := h.Alloc(nil, th, 0)
-			if err != nil {
-				return err
-			}
-			h.BulkInstall(slot, 0, buf)
-			if err := tbl.BulkIndexInsert(key, slot); err != nil {
+			if err := tbl.Load(th, key, buf); err != nil {
 				return err
 			}
 			loaded++
