@@ -80,6 +80,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzBTreeOps -fuzztime 10s ./internal/index
 	go test -run '^$$' -fuzz FuzzHashOps -fuzztime 10s ./internal/index
 	go test -run '^$$' -fuzz FuzzXPIndex -fuzztime 10s ./internal/pmem
+	go test -run '^$$' -fuzz FuzzXPBufferModel -fuzztime 10s ./internal/pmem
 	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/server
 
 sweep:

@@ -143,6 +143,8 @@ var memMetrics = []metric[pmem.Snapshot]{
 	row(counter, "falcon_pmem_partial_block_writes_total", "Read-modify-write media writes.", func(m *pmem.Snapshot) *uint64 { return &m.PartialBlockWrites }),
 	row(counter, "falcon_pmem_xpbuffer_merges_total", "Line write-backs merged into a buffered block.", func(m *pmem.Snapshot) *uint64 { return &m.XPBufferMerges }),
 	row(counter, "falcon_pmem_xpbuffer_hits_total", "Load misses served by the XPBuffer.", func(m *pmem.Snapshot) *uint64 { return &m.XPBufferHits }),
+	row(counter, "falcon_pmem_xpbuffer_read_fills_total", "Load misses that read their block from media into the XPBuffer.", func(m *pmem.Snapshot) *uint64 { return &m.XPBufferReadFills }),
+	row(counter, "falcon_pmem_xpbuffer_clean_evictions_total", "XPBuffer slots dropped with no written line (no media write).", func(m *pmem.Snapshot) *uint64 { return &m.XPBufferCleanEvictions }),
 	row(counter, "falcon_pmem_cache_hits_total", "Persistent-cache line hits.", func(m *pmem.Snapshot) *uint64 { return &m.CacheHits }),
 	row(counter, "falcon_pmem_cache_misses_total", "Persistent-cache line misses.", func(m *pmem.Snapshot) *uint64 { return &m.CacheMisses }),
 	row(counter, "falcon_pmem_dirty_evictions_total", "Dirty lines written back by replacement.", func(m *pmem.Snapshot) *uint64 { return &m.DirtyEvictions }),

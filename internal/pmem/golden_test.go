@@ -13,22 +13,23 @@ import (
 // holding the NVM and DRAM stats snapshots, the three workers' virtual
 // clocks, the fault-plan event counts, a hash over every trace/contend hook
 // call (arguments and order) and the CRC32 of the post-crash device image.
-// The constants were recorded on the commit before the cache and XPBuffer
-// host layout was rebuilt; a host-side change to internal/pmem must
-// reproduce them exactly — not one virtual-time byte may move.
+// The constants were re-recorded when the XPBuffer began to allocate on
+// reads (a missed line fetches its block once; the siblings hit); a
+// host-side change to internal/pmem must reproduce them exactly — not one
+// virtual-time byte may move.
 var goldenWant = map[string]string{
-	"4way/eADR/shared":  "nvm{63754 22804 808 21996 9378 941 26149 59847 28633 31086 3512 1847100 5837824 72 0 1631 10357} dram{0 0 0 0 0 0 2399 10916 4626 6226 0 242581 0 0 0 0 0} clk[8487412 8062124 8496832] faults[9923 19506 59719 22804] hooks=ce773e7914e0afe5 crc=b29885e7",
-	"4way/eADR/group":   "nvm{74932 25034 763 24271 10314 575 14504 71492 33676 37688 1682 1847100 6408704 0 0 1631 10357} dram{0 0 0 0 0 0 990 12325 4946 7315 0 242581 0 0 0 0 0} clk[9734575 9518039 9712308] faults[0 0 0 0] hooks=26a46881b95038ee crc=b29885e7",
-	"4way/ADR/shared":   "nvm{63494 22129 739 21390 9086 1029 27069 59605 27918 31559 3329 1843834 5665024 0 87 1556 10096} dram{0 0 0 0 0 0 2517 11154 5431 5659 0 301668 0 0 0 0 0} clk[8326444 8428156 8110541] faults[9803 18991 59477 22129] hooks=806d95fd1dc0d874 crc=28928d33",
-	"4way/ADR/group":    "nvm{74972 24658 727 23931 10169 733 14831 71843 33179 38536 1661 1843834 6312448 0 0 1556 10096} dram{0 0 0 0 0 0 1109 12562 5877 6621 0 301668 0 0 0 0 0} clk[9670877 9679014 9559196] faults[0 0 0 0] hooks=a9ddc90714ad1fb7 crc=9e5628ce",
-	"8way/eADR/shared":  "nvm{60847 20781 1156 19625 10709 1160 26392 59062 28132 30802 3344 1836291 5319936 51 0 1587 10243} dram{0 0 0 0 0 0 2205 11419 5201 6154 0 271501 0 0 0 0 0} clk[8203517 7730822 7920422] faults[9831 19127 58934 20781] hooks=5cc2624708959771 crc=243a5772",
-	"8way/eADR/group":   "nvm{73541 24133 978 23155 11084 711 13837 71617 33449 38040 1784 1836291 6178048 0 0 1587 10243} dram{0 0 0 0 0 0 962 12662 5405 7193 0 271501 0 0 0 0 0} clk[9619532 9299775 9481202] faults[0 0 0 0] hooks=f70584d92a586173 crc=243a5772",
-	"8way/ADR/shared":   "nvm{61348 20673 1219 19454 11060 1133 26439 59938 28393 31417 3390 1857693 5292288 0 77 1638 10264} dram{0 0 0 0 0 0 2758 11390 5233 6093 0 289443 0 0 0 0 0} clk[7981919 8115107 7922771] faults[9862 19474 59810 20673] hooks=adc23e0429a21046 crc=6f053017",
-	"8way/ADR/group":    "nvm{74951 24633 858 23775 10768 717 13998 72379 33841 38410 1579 1857693 6306048 0 0 1638 10264} dram{0 0 0 0 0 0 1192 12956 5601 7291 0 289443 0 0 0 0 0} clk[9600221 9698800 9648228] faults[0 0 0 0] hooks=28d817c4226c1604 crc=31a7a726",
-	"16way/eADR/shared": "nvm{58790 19510 1807 17703 13005 1325 26454 59850 29051 30671 3421 1904811 4994560 76 0 1601 9775} dram{0 0 0 0 0 0 2486 11317 5397 5856 0 295300 0 0 0 0 0} clk[7763263 7813323 7452619] faults[9951 18225 59722 19510] hooks=122ca37e552f54c6 crc=941f028b",
-	"16way/eADR/group":  "nvm{70244 22218 1845 20373 13763 850 14456 71848 34300 37420 1707 1904811 5687808 0 0 1601 9775} dram{0 0 0 0 0 0 1017 12786 5771 6951 0 295300 0 0 0 0 0} clk[9146837 9152955 8808615] faults[0 0 0 0] hooks=616ba3fbdc722e21 crc=941f028b",
-	"16way/ADR/shared":  "nvm{58767 19210 1786 17424 12785 1237 25822 59910 28961 30821 3071 1856877 4917760 0 53 1647 10672} dram{0 0 0 0 0 0 2300 10599 5012 5523 0 276599 0 0 0 0 0} clk[7673416 7627008 7633440] faults[9901 19116 59782 19210] hooks=e46b3f076171a45d crc=797938f8",
-	"16way/ADR/group":   "nvm{70213 21925 1788 20137 13546 746 14233 71499 33889 37482 1602 1856877 5612800 0 0 1647 10672} dram{0 0 0 0 0 0 928 11971 5428 6479 0 276599 0 0 0 0 0} clk[9051072 8847916 9078052] faults[0 0 0 0] hooks=65dffe3b72de36a3 crc=6ff31610",
+	"4way/eADR/shared":  "nvm{48278 25318 467 24851 6894 19272 23427 22831 26149 59847 28633 31086 3512 1847100 6481408 72 0 1631 10357} dram{0 0 0 0 0 0 0 0 2399 10916 4626 6226 0 242581 0 0 0 0 0} clk[7589592 7278124 7614602] faults[9923 19506 59719 25318] hooks=02f3168271a6fc0d crc=b29885e7",
+	"4way/eADR/group":   "nvm{54728 27578 386 27192 7777 23700 27536 27214 14504 71492 33676 37688 1682 1847100 7059968 0 0 1631 10357} dram{0 0 0 0 0 0 0 0 990 12325 4946 7315 0 242581 0 0 0 0 0} clk[8582695 8331209 8503548] faults[0 0 0 0] hooks=ab4b0a395c35a7fa crc=b29885e7",
+	"4way/ADR/shared":   "nvm{47845 24716 389 24327 6531 19615 23518 22964 27069 59605 27918 31559 3329 1843834 6327296 0 87 1556 10096} dram{0 0 0 0 0 0 0 0 2517 11154 5431 5659 0 301668 0 0 0 0 0} clk[7435014 7511586 7338251] faults[9803 18991 59477 24716] hooks=0be72df15560bd29 crc=28928d33",
+	"4way/ADR/group":    "nvm{54522 27235 359 26876 7604 24128 27646 27274 14831 71843 33179 38536 1661 1843834 6972160 0 0 1556 10096} dram{0 0 0 0 0 0 0 0 1109 12562 5877 6621 0 301668 0 0 0 0 0} clk[8480337 8409444 8427946] faults[0 0 0 0] hooks=92ccdfda181281a6 crc=9e5628ce",
+	"8way/eADR/shared":  "nvm{46627 24030 511 23519 7485 19274 23108 22487 26392 59062 28132 30802 3344 1836291 6151680 51 0 1587 10243} dram{0 0 0 0 0 0 0 0 2205 11419 5201 6154 0 271501 0 0 0 0 0} clk[7457547 7059432 7254542] faults[9831 19127 58934 24030] hooks=73358f9bfe076020 crc=243a5772",
+	"8way/eADR/group":   "nvm{54610 27549 417 27132 7680 23619 27478 27079 13837 71617 33449 38040 1784 1836291 7052544 0 0 1587 10243} dram{0 0 0 0 0 0 0 0 962 12662 5405 7193 0 271501 0 0 0 0 0} clk[8585462 8331775 8446412] faults[0 0 0 0] hooks=c014a9aae9918e9f crc=243a5772",
+	"8way/ADR/shared":   "nvm{46744 24039 513 23526 7738 19809 23218 22642 26439 59938 28393 31417 3390 1857693 6153984 0 77 1638 10264} dram{0 0 0 0 0 0 0 0 2758 11390 5233 6093 0 289443 0 0 0 0 0} clk[7292179 7374747 7227081] faults[9862 19474 59810 24039] hooks=534cbd7b978d0d84 crc=6f053017",
+	"8way/ADR/group":    "nvm{55239 27992 333 27659 7423 24313 27580 27183 13998 72379 33841 38410 1579 1857693 7165952 0 0 1638 10264} dram{0 0 0 0 0 0 0 0 1192 12956 5601 7291 0 289443 0 0 0 0 0} clk[8541321 8560050 8626948] faults[0 0 0 0] hooks=d682f7930ba0a5d3 crc=31a7a726",
+	"16way/eADR/shared": "nvm{45472 23268 782 22486 9274 19426 22986 22372 26454 59850 29051 30671 3421 1904811 5956608 76 0 1601 9775} dram{0 0 0 0 0 0 0 0 2486 11317 5397 5856 0 295300 0 0 0 0 0} clk[7201343 7182713 6920519] faults[9951 18225 59722 23268] hooks=b4912647ae47f936 crc=941f028b",
+	"16way/eADR/group":  "nvm{52303 25990 877 25113 10015 23531 27190 26799 14456 71848 34300 37420 1707 1904811 6653440 0 0 1601 9775} dram{0 0 0 0 0 0 0 0 1017 12786 5771 6951 0 295300 0 0 0 0 0} clk[8290167 8085055 8033415] faults[0 0 0 0] hooks=54be85841a3ef9cb crc=941f028b",
+	"16way/ADR/shared":  "nvm{45289 22991 751 22240 9035 19531 23049 22418 25822 59910 28961 30821 3071 1856877 5885696 0 53 1647 10672} dram{0 0 0 0 0 0 0 0 2300 10599 5012 5523 0 276599 0 0 0 0 0} clk[7066396 7064478 7051340] faults[9901 19116 59782 22991] hooks=d4cbd4379a3a0072 crc=797938f8",
+	"16way/ADR/group":   "nvm{52162 25730 839 24891 9758 23551 27271 26853 14233 71499 33889 37482 1602 1856877 6586880 0 0 1647 10672} dram{0 0 0 0 0 0 0 0 928 11971 5428 6479 0 276599 0 0 0 0 0} clk[8189642 7909396 8162002] faults[0 0 0 0] hooks=d4c8e59261ccbb40 crc=6ff31610",
 }
 
 // goldenRun drives a seeded mixed op stream from three worker clocks over a

@@ -23,8 +23,9 @@ const numStatShards = 32
 // anonymous clocks all map to shard 0 — but in the steady state a shard has
 // one writer and the atomic adds never contend.
 type StatShard struct {
-	// MediaReads counts 256 B block reads from the storage media, including
-	// the reads issued by read-modify-write partial-block evictions.
+	// MediaReads counts 256 B block reads from the storage media: the
+	// XPBufferReadFills of load misses plus the reads issued by
+	// read-modify-write partial-block evictions (PartialBlockWrites).
 	MediaReads atomic.Uint64
 	// MediaWrites counts 256 B block writes to the storage media.
 	MediaWrites atomic.Uint64
@@ -40,6 +41,14 @@ type StatShard struct {
 	XPBufferMerges atomic.Uint64
 	// XPBufferHits counts load misses served by the XPBuffer.
 	XPBufferHits atomic.Uint64
+	// XPBufferReadFills counts load misses the XPBuffer could not serve:
+	// each reads its 256 B block from the media into a slot (a new one, or
+	// the slot already staging the block's writes), making the block's
+	// unwritten lines clean buffer hits.
+	XPBufferReadFills atomic.Uint64
+	// XPBufferCleanEvictions counts XPBuffer slots dropped with no written
+	// line: no media write, unlike every other slot eviction.
+	XPBufferCleanEvictions atomic.Uint64
 	// CacheHits / CacheMisses count per-line cache accesses.
 	CacheHits   atomic.Uint64
 	CacheMisses atomic.Uint64
@@ -67,8 +76,8 @@ type StatShard struct {
 	FlushTrains     atomic.Uint64
 	FlushTrainLines atomic.Uint64
 	// pad rounds the block up to a multiple of the 64 B cache line size
-	// (17 counters = 136 B -> 192 B) so adjacent shards never share a line.
-	_ [56]byte
+	// (19 counters = 152 B -> 192 B) so adjacent shards never share a line.
+	_ [40]byte
 }
 
 // addLines adds one call's per-line hit and miss counts. The span walks
@@ -107,23 +116,25 @@ func (s *Stats) NumShards() int { return numStatShards }
 
 // Snapshot is a point-in-time copy of Stats, suitable for diffing.
 type Snapshot struct {
-	MediaReads         uint64
-	MediaWrites        uint64
-	FullBlockWrites    uint64
-	PartialBlockWrites uint64
-	XPBufferMerges     uint64
-	XPBufferHits       uint64
-	CacheHits          uint64
-	CacheMisses        uint64
-	DirtyEvictions     uint64
-	CleanEvictions     uint64
-	ClwbWritebacks     uint64
-	BytesStored        uint64
-	BytesToMedia       uint64
-	CrashFlushedLines  uint64
-	CrashDroppedLines  uint64
-	FlushTrains        uint64
-	FlushTrainLines    uint64
+	MediaReads             uint64
+	MediaWrites            uint64
+	FullBlockWrites        uint64
+	PartialBlockWrites     uint64
+	XPBufferMerges         uint64
+	XPBufferHits           uint64
+	XPBufferReadFills      uint64
+	XPBufferCleanEvictions uint64
+	CacheHits              uint64
+	CacheMisses            uint64
+	DirtyEvictions         uint64
+	CleanEvictions         uint64
+	ClwbWritebacks         uint64
+	BytesStored            uint64
+	BytesToMedia           uint64
+	CrashFlushedLines      uint64
+	CrashDroppedLines      uint64
+	FlushTrains            uint64
+	FlushTrainLines        uint64
 }
 
 // Snapshot returns the current counter values summed across all shards.
@@ -137,6 +148,8 @@ func (s *Stats) Snapshot() Snapshot {
 		out.PartialBlockWrites += sh.PartialBlockWrites.Load()
 		out.XPBufferMerges += sh.XPBufferMerges.Load()
 		out.XPBufferHits += sh.XPBufferHits.Load()
+		out.XPBufferReadFills += sh.XPBufferReadFills.Load()
+		out.XPBufferCleanEvictions += sh.XPBufferCleanEvictions.Load()
 		out.CacheHits += sh.CacheHits.Load()
 		out.CacheMisses += sh.CacheMisses.Load()
 		out.DirtyEvictions += sh.DirtyEvictions.Load()
@@ -155,23 +168,25 @@ func (s *Stats) Snapshot() Snapshot {
 // Sub returns the element-wise difference s - o.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return Snapshot{
-		MediaReads:         s.MediaReads - o.MediaReads,
-		MediaWrites:        s.MediaWrites - o.MediaWrites,
-		FullBlockWrites:    s.FullBlockWrites - o.FullBlockWrites,
-		PartialBlockWrites: s.PartialBlockWrites - o.PartialBlockWrites,
-		XPBufferMerges:     s.XPBufferMerges - o.XPBufferMerges,
-		XPBufferHits:       s.XPBufferHits - o.XPBufferHits,
-		CacheHits:          s.CacheHits - o.CacheHits,
-		CacheMisses:        s.CacheMisses - o.CacheMisses,
-		DirtyEvictions:     s.DirtyEvictions - o.DirtyEvictions,
-		CleanEvictions:     s.CleanEvictions - o.CleanEvictions,
-		ClwbWritebacks:     s.ClwbWritebacks - o.ClwbWritebacks,
-		BytesStored:        s.BytesStored - o.BytesStored,
-		BytesToMedia:       s.BytesToMedia - o.BytesToMedia,
-		CrashFlushedLines:  s.CrashFlushedLines - o.CrashFlushedLines,
-		CrashDroppedLines:  s.CrashDroppedLines - o.CrashDroppedLines,
-		FlushTrains:        s.FlushTrains - o.FlushTrains,
-		FlushTrainLines:    s.FlushTrainLines - o.FlushTrainLines,
+		MediaReads:             s.MediaReads - o.MediaReads,
+		MediaWrites:            s.MediaWrites - o.MediaWrites,
+		FullBlockWrites:        s.FullBlockWrites - o.FullBlockWrites,
+		PartialBlockWrites:     s.PartialBlockWrites - o.PartialBlockWrites,
+		XPBufferMerges:         s.XPBufferMerges - o.XPBufferMerges,
+		XPBufferHits:           s.XPBufferHits - o.XPBufferHits,
+		XPBufferReadFills:      s.XPBufferReadFills - o.XPBufferReadFills,
+		XPBufferCleanEvictions: s.XPBufferCleanEvictions - o.XPBufferCleanEvictions,
+		CacheHits:              s.CacheHits - o.CacheHits,
+		CacheMisses:            s.CacheMisses - o.CacheMisses,
+		DirtyEvictions:         s.DirtyEvictions - o.DirtyEvictions,
+		CleanEvictions:         s.CleanEvictions - o.CleanEvictions,
+		ClwbWritebacks:         s.ClwbWritebacks - o.ClwbWritebacks,
+		BytesStored:            s.BytesStored - o.BytesStored,
+		BytesToMedia:           s.BytesToMedia - o.BytesToMedia,
+		CrashFlushedLines:      s.CrashFlushedLines - o.CrashFlushedLines,
+		CrashDroppedLines:      s.CrashDroppedLines - o.CrashDroppedLines,
+		FlushTrains:            s.FlushTrains - o.FlushTrains,
+		FlushTrainLines:        s.FlushTrainLines - o.FlushTrainLines,
 	}
 }
 

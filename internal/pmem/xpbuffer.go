@@ -14,6 +14,15 @@ import (
 // controller must read the block from the media, merge, and write it back —
 // the read-modify-write amplification the paper's hinted flush avoids.
 //
+// Reads allocate too: a load miss fetches its whole 256 B block with one
+// media read and keeps the block's unwritten lines as clean lines of a slot,
+// so a later miss on a sibling line is a buffer hit — the read behaviour
+// measured on real Optane (Yang et al., FAST 2020). Clean lines hold no
+// payload: a hit on one copies the line from the device, which holds exactly
+// what the media holds, so no write that bypasses the buffer (BulkWrite, or
+// group mode's direct device writes) can leave a stale copy behind. A slot
+// with no written lines leaves the buffer for free.
+//
 // The buffer is banked by block address so concurrent workers contend only
 // when they touch nearby blocks, loosely modelling per-DIMM controllers.
 type XPBuffer struct {
@@ -38,14 +47,15 @@ type XPBuffer struct {
 }
 
 // xpSlot is the per-slot state the bank walks: LRU links, block address and
-// valid-line mask. Payloads live apart in xpBank.data, so an LRU relink —
+// the written- and clean-line masks. Payloads live apart in xpBank.data, so an LRU relink —
 // which touches up to three other slots — stays within a few host lines.
 type xpSlot struct {
 	blockAddr uint64
 	// LRU list links (indexes into the bank's slot array; -1 = none). The
 	// next link doubles as the free-list link while the slot is unused.
 	prev, next int32
-	mask       uint8 // bit i set => line i of the block holds valid data
+	mask       uint8 // bit i set => line i of the block is written and staged
+	clean      uint8 // bit i set => line i was read in and equals the media (no payload)
 	used       bool
 }
 
@@ -189,24 +199,15 @@ func (b *XPBuffer) WriteLine(clk *sim.Clock, lineAddr uint64, data *[LineSize]by
 	si := bank.index.get(blockAddr)
 	if si >= 0 {
 		s := &bank.slots[si]
-		if s.mask&(1<<lineIdx) == 0 {
-			s.mask |= 1 << lineIdx
+		if s.mask != 0 && s.mask&(1<<lineIdx) == 0 {
 			sh.XPBufferMerges.Add(1)
 		}
+		s.mask |= 1 << lineIdx
+		s.clean &^= 1 << lineIdx
 		bank.touch(si)
 	} else {
-		si = bank.takeFreeSlot()
-		if si < 0 {
-			b.evictSlotLocked(clk, sh, bank, bank.tail)
-			// evictSlotLocked pushed the slot back on the free list; reclaim it.
-			si = bank.takeFreeSlot()
-		}
-		s := &bank.slots[si]
-		s.blockAddr = blockAddr
-		s.mask = 1 << lineIdx
-		s.used = true
-		bank.index.put(blockAddr, si)
-		bank.pushFront(si)
+		si = b.allocSlotLocked(clk, sh, bank, blockAddr)
+		bank.slots[si].mask = 1 << lineIdx
 	}
 	if !b.dataless {
 		bank.data[si][lineIdx] = *data
@@ -214,18 +215,23 @@ func (b *XPBuffer) WriteLine(clk *sim.Clock, lineAddr uint64, data *[LineSize]by
 	unlockWord(&bank.mu)
 }
 
-// ReadLine fills dst with the current content of the 64 B line at lineAddr,
-// preferring buffered data over the media. It reports whether the XPBuffer
-// had the line (so the caller can charge XPBufferHit instead of a media
-// read).
+// ReadLine fills dst with the current content of the 64 B line at lineAddr.
+// A line the buffer holds, written or clean, is a hit. A miss reads the
+// whole block from the media into a slot — the block's own if it is staging
+// writes, else a new one at the MRU end — and marks every line not written
+// as clean, so the block's other lines hit from then on. Reads leave a
+// resident slot's LRU place alone. ReadLine reports whether the line was a
+// hit (so the caller can charge XPBufferHit instead of a media read).
 func (b *XPBuffer) ReadLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte) (fromBuffer bool) {
 	blockAddr := blockFloor(lineAddr)
-	lineIdx := int(lineAddr-blockAddr) / LineSize
+	lineIdx := (lineAddr - blockAddr) / LineSize
+	bit := uint8(1) << lineIdx
 	bank := b.bankFor(blockAddr)
 	sh := b.dev.stats.ShardFor(clk)
 
 	lockWord(&bank.mu)
-	if si := bank.index.get(blockAddr); si >= 0 && bank.slots[si].mask&(1<<lineIdx) != 0 {
+	si := bank.index.get(blockAddr)
+	if si >= 0 && bank.slots[si].mask&bit != 0 {
 		if !b.dataless {
 			*dst = bank.data[si][lineIdx]
 		}
@@ -234,25 +240,64 @@ func (b *XPBuffer) ReadLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte
 		clk.Advance(b.cost.XPBufferHit)
 		return true
 	}
-	// The media read happens under the bank lock, like evictions' media
-	// writes, so a fill can never observe a torn concurrent write-back.
-	// Dataless buffers charge the read without touching device bytes (the
-	// caller reads data straight from the device; see XPBuffer.dataless).
+	hit := si >= 0 && bank.slots[si].clean&bit != 0
+	if !hit {
+		if si < 0 {
+			si = b.allocSlotLocked(clk, sh, bank, blockAddr)
+		}
+		s := &bank.slots[si]
+		s.clean = ^s.mask & (1<<LinesPerBlock - 1)
+	}
+	// A clean line is the media's content, so it is copied from the device,
+	// under the bank lock like evictions' media writes: a read never
+	// observes a torn concurrent write-back. Dataless buffers charge the
+	// access without touching device bytes (the caller reads data straight
+	// from the device; see XPBuffer.dataless).
 	if !b.dataless {
 		b.dev.readLineInto(lineAddr, dst)
 	}
 	unlockWord(&bank.mu)
+	if hit {
+		sh.XPBufferHits.Add(1)
+		clk.Advance(b.cost.XPBufferHit)
+		return true
+	}
+	sh.XPBufferReadFills.Add(1)
 	sh.MediaReads.Add(1)
 	clk.Advance(b.cost.MediaReadBlock)
 	return false
 }
 
+// allocSlotLocked takes a slot for blockAddr, evicting the bank's LRU slot
+// if none is free, and places it at the MRU end with empty masks.
+func (b *XPBuffer) allocSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, blockAddr uint64) int32 {
+	si := bank.takeFreeSlot()
+	if si < 0 {
+		b.evictSlotLocked(clk, sh, bank, bank.tail)
+		// evictSlotLocked pushed the slot back on the free list; reclaim it.
+		si = bank.takeFreeSlot()
+	}
+	s := &bank.slots[si]
+	s.blockAddr = blockAddr
+	s.used = true
+	bank.index.put(blockAddr, si)
+	bank.pushFront(si)
+	return si
+}
+
 // evictSlotLocked writes the victim slot out to the media and returns it to
 // the bank's free list. Full blocks cost a single media write; partial
-// blocks cost a read-modify-write.
+// blocks cost a read-modify-write, even when the block's other lines sit
+// clean in the slot. A slot with no written lines is dropped for free: no
+// media access, no fault point, no hook event.
 func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, si int32) {
 	s := &bank.slots[si]
 	if !s.used {
+		return
+	}
+	if s.mask == 0 {
+		sh.XPBufferCleanEvictions.Add(1)
+		bank.release(si)
 		return
 	}
 	if b.faults != nil {
@@ -302,8 +347,9 @@ func (b *XPBuffer) Drain(clk *sim.Clock) {
 }
 
 // tearOne simulates a torn 256 B media write at crash time: one buffered
-// block loses a pseudo-random nonempty subset of its valid lines before the
-// crash drain. The lost lines keep their previous durable content on the
+// block with written lines loses a pseudo-random nonempty subset of them
+// before the crash drain (a slot holding only clean lines has no write to
+// tear). The lost lines keep their previous durable content on the
 // media — line-granular tearing, the failure mode of a block write
 // interrupted mid-transfer. Candidate selection is deterministic (banks and
 // slots in index order) so a seed reproduces the same tear.
@@ -316,7 +362,7 @@ func (b *XPBuffer) tearOne(p *FaultPlan) {
 	for i := range b.banks {
 		bank := &b.banks[i]
 		for si := range bank.slots {
-			if bank.slots[si].used {
+			if bank.slots[si].mask != 0 {
 				cands = append(cands, cand{bank, int32(si)})
 			}
 		}
@@ -369,7 +415,7 @@ func (k *xpBank) release(si int32) {
 	k.index.del(s.blockAddr)
 	k.unlink(si)
 	s.used = false
-	s.mask = 0
+	s.mask, s.clean = 0, 0
 	s.next = k.free
 	k.free = si
 }

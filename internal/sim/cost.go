@@ -16,7 +16,9 @@ type CostModel struct {
 	// MediaReadBlock).
 	CacheMissLine uint64
 	// MediaReadBlock is charged for fetching a 256 B block from the NVM
-	// storage media (3D XPoint read latency).
+	// storage media (3D XPoint read latency): once per load miss the
+	// XPBuffer cannot serve — the block then sits in the buffer, so its
+	// other lines are XPBufferHits — and once per partial-block eviction.
 	MediaReadBlock uint64
 	// MediaWriteBlock is charged for writing a 256 B block from the XPBuffer
 	// to the storage media. A partial-block eviction additionally charges
@@ -24,7 +26,8 @@ type CostModel struct {
 	// paper is built around).
 	MediaWriteBlock uint64
 	// XPBufferHit is charged when a load miss is served from the NVM
-	// module's internal write-combining buffer instead of the media.
+	// module's internal buffer instead of the media: a line staged by a
+	// write-back, or one whose block an earlier load miss read in.
 	XPBufferHit uint64
 	// LineWriteback is charged for transferring one dirty 64 B line from the
 	// CPU cache into the XPBuffer (eviction or clwb write-back).
