@@ -23,10 +23,6 @@ const numStatShards = 32
 // anonymous clocks all map to shard 0 — but in the steady state a shard has
 // one writer and the atomic adds never contend.
 type StatShard struct {
-	// MediaReads counts 256 B block reads from the storage media: the
-	// XPBufferReadFills of load misses plus the reads issued by
-	// read-modify-write partial-block evictions (PartialBlockWrites).
-	MediaReads atomic.Uint64
 	// MediaWrites counts 256 B block writes to the storage media.
 	MediaWrites atomic.Uint64
 	// FullBlockWrites counts media writes whose block was fully populated in
@@ -34,7 +30,8 @@ type StatShard struct {
 	FullBlockWrites atomic.Uint64
 	// PartialBlockWrites counts media writes that required a
 	// read-modify-write because only part of the block was buffered. These
-	// are the amplified writes the paper's hinted flush tries to eliminate.
+	// are the amplified writes the paper's hinted flush tries to eliminate;
+	// each also counts as a media read (Snapshot.MediaReads).
 	PartialBlockWrites atomic.Uint64
 	// XPBufferMerges counts 64 B line write-backs that merged into an
 	// already-buffered block.
@@ -44,7 +41,8 @@ type StatShard struct {
 	// XPBufferReadFills counts load misses the XPBuffer could not serve:
 	// each reads its 256 B block from the media into a slot (a new one, or
 	// the slot already staging the block's writes), making the block's
-	// unwritten lines clean buffer hits.
+	// unwritten lines clean buffer hits. Each is a media read
+	// (Snapshot.MediaReads).
 	XPBufferReadFills atomic.Uint64
 	// XPBufferCleanEvictions counts XPBuffer slots dropped with no written
 	// line: no media write, unlike every other slot eviction.
@@ -76,8 +74,8 @@ type StatShard struct {
 	FlushTrains     atomic.Uint64
 	FlushTrainLines atomic.Uint64
 	// pad rounds the block up to a multiple of the 64 B cache line size
-	// (19 counters = 152 B -> 192 B) so adjacent shards never share a line.
-	_ [40]byte
+	// (18 counters = 144 B -> 192 B) so adjacent shards never share a line.
+	_ [48]byte
 }
 
 // addLines adds one call's per-line hit and miss counts. The span walks
@@ -116,6 +114,10 @@ func (s *Stats) NumShards() int { return numStatShards }
 
 // Snapshot is a point-in-time copy of Stats, suitable for diffing.
 type Snapshot struct {
+	// MediaReads counts 256 B block reads from the storage media: the
+	// read fills of load misses plus the reads of read-modify-write
+	// partial-block evictions. The shards count the two causes; a block
+	// read has no counter of its own.
 	MediaReads             uint64
 	MediaWrites            uint64
 	FullBlockWrites        uint64
@@ -142,7 +144,7 @@ func (s *Stats) Snapshot() Snapshot {
 	var out Snapshot
 	for i := range s.shards {
 		sh := &s.shards[i]
-		out.MediaReads += sh.MediaReads.Load()
+		out.MediaReads += sh.XPBufferReadFills.Load() + sh.PartialBlockWrites.Load()
 		out.MediaWrites += sh.MediaWrites.Load()
 		out.FullBlockWrites += sh.FullBlockWrites.Load()
 		out.PartialBlockWrites += sh.PartialBlockWrites.Load()

@@ -47,8 +47,9 @@ type XPBuffer struct {
 }
 
 // xpSlot is the per-slot state the bank walks: LRU links, block address and
-// the written- and clean-line masks. Payloads live apart in xpBank.data, so an LRU relink —
-// which touches up to three other slots — stays within a few host lines.
+// the written- and clean-line masks. Payloads live apart in xpBank.data, so
+// an LRU relink — which touches up to three other slots — stays within a few
+// host lines.
 type xpSlot struct {
 	blockAddr uint64
 	// LRU list links (indexes into the bank's slot array; -1 = none). The
@@ -215,14 +216,13 @@ func (b *XPBuffer) WriteLine(clk *sim.Clock, lineAddr uint64, data *[LineSize]by
 	unlockWord(&bank.mu)
 }
 
-// ReadLine fills dst with the current content of the 64 B line at lineAddr.
-// A line the buffer holds, written or clean, is a hit. A miss reads the
-// whole block from the media into a slot — the block's own if it is staging
-// writes, else a new one at the MRU end — and marks every line not written
-// as clean, so the block's other lines hit from then on. Reads leave a
-// resident slot's LRU place alone. ReadLine reports whether the line was a
-// hit (so the caller can charge XPBufferHit instead of a media read).
-func (b *XPBuffer) ReadLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte) (fromBuffer bool) {
+// ReadLine fills dst with the current content of the 64 B line at lineAddr
+// and charges the access. A line the buffer holds, written or clean, is a
+// hit. A miss reads the whole block from the media into a slot — the
+// block's own if it is staging writes, else a new one at the MRU end — and
+// marks every line not written as clean. Reads leave a resident slot's LRU
+// place alone.
+func (b *XPBuffer) ReadLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte) {
 	blockAddr := blockFloor(lineAddr)
 	lineIdx := (lineAddr - blockAddr) / LineSize
 	bit := uint8(1) << lineIdx
@@ -231,41 +231,33 @@ func (b *XPBuffer) ReadLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte
 
 	lockWord(&bank.mu)
 	si := bank.index.get(blockAddr)
-	if si >= 0 && bank.slots[si].mask&bit != 0 {
-		if !b.dataless {
-			*dst = bank.data[si][lineIdx]
-		}
-		unlockWord(&bank.mu)
-		sh.XPBufferHits.Add(1)
-		clk.Advance(b.cost.XPBufferHit)
-		return true
+	if si < 0 {
+		si = b.allocSlotLocked(clk, sh, bank, blockAddr)
 	}
-	hit := si >= 0 && bank.slots[si].clean&bit != 0
+	s := &bank.slots[si]
+	hit := (s.mask|s.clean)&bit != 0
 	if !hit {
-		if si < 0 {
-			si = b.allocSlotLocked(clk, sh, bank, blockAddr)
-		}
-		s := &bank.slots[si]
 		s.clean = ^s.mask & (1<<LinesPerBlock - 1)
 	}
-	// A clean line is the media's content, so it is copied from the device,
-	// under the bank lock like evictions' media writes: a read never
-	// observes a torn concurrent write-back. Dataless buffers charge the
-	// access without touching device bytes (the caller reads data straight
-	// from the device; see XPBuffer.dataless).
+	// A line not written is the media's content, copied from the device
+	// under the bank lock like evictions' media writes, so a read never
+	// observes a torn concurrent write-back. Dataless buffers copy nothing
+	// (the caller reads the device itself; see XPBuffer.dataless).
 	if !b.dataless {
-		b.dev.readLineInto(lineAddr, dst)
+		if s.mask&bit != 0 {
+			*dst = bank.data[si][lineIdx]
+		} else {
+			b.dev.readLineInto(lineAddr, dst)
+		}
 	}
 	unlockWord(&bank.mu)
 	if hit {
 		sh.XPBufferHits.Add(1)
 		clk.Advance(b.cost.XPBufferHit)
-		return true
+	} else {
+		sh.XPBufferReadFills.Add(1)
+		clk.Advance(b.cost.MediaReadBlock)
 	}
-	sh.XPBufferReadFills.Add(1)
-	sh.MediaReads.Add(1)
-	clk.Advance(b.cost.MediaReadBlock)
-	return false
 }
 
 // allocSlotLocked takes a slot for blockAddr, evicting the bank's LRU slot
@@ -310,7 +302,6 @@ func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, 
 	} else {
 		// Read-modify-write: fetch the block, merge the valid lines, write
 		// the whole block back.
-		sh.MediaReads.Add(1)
 		clk.Advance(b.cost.MediaReadBlock)
 		sh.PartialBlockWrites.Add(1)
 	}
