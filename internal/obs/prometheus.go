@@ -140,7 +140,8 @@ var memMetrics = []metric[pmem.Snapshot]{
 	row(counter, "falcon_pmem_media_reads_total", "256B media block reads.", func(m *pmem.Snapshot) *uint64 { return &m.MediaReads }),
 	row(counter, "falcon_pmem_media_writes_total", "256B media block writes.", func(m *pmem.Snapshot) *uint64 { return &m.MediaWrites }),
 	row(counter, "falcon_pmem_full_block_writes_total", "Media writes with a fully buffered block.", func(m *pmem.Snapshot) *uint64 { return &m.FullBlockWrites }),
-	row(counter, "falcon_pmem_partial_block_writes_total", "Read-modify-write media writes.", func(m *pmem.Snapshot) *uint64 { return &m.PartialBlockWrites }),
+	row(counter, "falcon_pmem_partial_block_writes_total", "Media writes of a partly written block.", func(m *pmem.Snapshot) *uint64 { return &m.PartialBlockWrites }),
+	row(counter, "falcon_pmem_xpbuffer_whole_evictions_total", "Partial block writes without the read-modify-write's read (rest of the block clean in the XPBuffer).", func(m *pmem.Snapshot) *uint64 { return &m.XPBufferWholeEvictions }),
 	row(counter, "falcon_pmem_xpbuffer_merges_total", "Line write-backs merged into a buffered block.", func(m *pmem.Snapshot) *uint64 { return &m.XPBufferMerges }),
 	row(counter, "falcon_pmem_xpbuffer_hits_total", "Load misses served by the XPBuffer.", func(m *pmem.Snapshot) *uint64 { return &m.XPBufferHits }),
 	row(counter, "falcon_pmem_xpbuffer_read_fills_total", "Load misses that read their block from media into the XPBuffer.", func(m *pmem.Snapshot) *uint64 { return &m.XPBufferReadFills }),

@@ -18,18 +18,18 @@ import (
 // host-side change to internal/pmem must reproduce them exactly — not one
 // virtual-time byte may move.
 var goldenWant = map[string]string{
-	"4way/eADR/shared":  "nvm{48278 25318 467 24851 6894 19272 23427 22831 26149 59847 28633 31086 3512 1847100 6481408 72 0 1631 10357} dram{0 0 0 0 0 0 0 0 2399 10916 4626 6226 0 242581 0 0 0 0 0} clk[7589592 7278124 7614602] faults[9923 19506 59719 25318] hooks=02f3168271a6fc0d crc=b29885e7",
-	"4way/eADR/group":   "nvm{54728 27578 386 27192 7777 23700 27536 27214 14504 71492 33676 37688 1682 1847100 7059968 0 0 1631 10357} dram{0 0 0 0 0 0 0 0 990 12325 4946 7315 0 242581 0 0 0 0 0} clk[8582695 8331209 8503548] faults[0 0 0 0] hooks=ab4b0a395c35a7fa crc=b29885e7",
-	"4way/ADR/shared":   "nvm{47845 24716 389 24327 6531 19615 23518 22964 27069 59605 27918 31559 3329 1843834 6327296 0 87 1556 10096} dram{0 0 0 0 0 0 0 0 2517 11154 5431 5659 0 301668 0 0 0 0 0} clk[7435014 7511586 7338251] faults[9803 18991 59477 24716] hooks=0be72df15560bd29 crc=28928d33",
-	"4way/ADR/group":    "nvm{54522 27235 359 26876 7604 24128 27646 27274 14831 71843 33179 38536 1661 1843834 6972160 0 0 1556 10096} dram{0 0 0 0 0 0 0 0 1109 12562 5877 6621 0 301668 0 0 0 0 0} clk[8480337 8409444 8427946] faults[0 0 0 0] hooks=92ccdfda181281a6 crc=9e5628ce",
-	"8way/eADR/shared":  "nvm{46627 24030 511 23519 7485 19274 23108 22487 26392 59062 28132 30802 3344 1836291 6151680 51 0 1587 10243} dram{0 0 0 0 0 0 0 0 2205 11419 5201 6154 0 271501 0 0 0 0 0} clk[7457547 7059432 7254542] faults[9831 19127 58934 24030] hooks=73358f9bfe076020 crc=243a5772",
-	"8way/eADR/group":   "nvm{54610 27549 417 27132 7680 23619 27478 27079 13837 71617 33449 38040 1784 1836291 7052544 0 0 1587 10243} dram{0 0 0 0 0 0 0 0 962 12662 5405 7193 0 271501 0 0 0 0 0} clk[8585462 8331775 8446412] faults[0 0 0 0] hooks=c014a9aae9918e9f crc=243a5772",
-	"8way/ADR/shared":   "nvm{46744 24039 513 23526 7738 19809 23218 22642 26439 59938 28393 31417 3390 1857693 6153984 0 77 1638 10264} dram{0 0 0 0 0 0 0 0 2758 11390 5233 6093 0 289443 0 0 0 0 0} clk[7292179 7374747 7227081] faults[9862 19474 59810 24039] hooks=534cbd7b978d0d84 crc=6f053017",
-	"8way/ADR/group":    "nvm{55239 27992 333 27659 7423 24313 27580 27183 13998 72379 33841 38410 1579 1857693 7165952 0 0 1638 10264} dram{0 0 0 0 0 0 0 0 1192 12956 5601 7291 0 289443 0 0 0 0 0} clk[8541321 8560050 8626948] faults[0 0 0 0] hooks=d682f7930ba0a5d3 crc=31a7a726",
-	"16way/eADR/shared": "nvm{45472 23268 782 22486 9274 19426 22986 22372 26454 59850 29051 30671 3421 1904811 5956608 76 0 1601 9775} dram{0 0 0 0 0 0 0 0 2486 11317 5397 5856 0 295300 0 0 0 0 0} clk[7201343 7182713 6920519] faults[9951 18225 59722 23268] hooks=b4912647ae47f936 crc=941f028b",
-	"16way/eADR/group":  "nvm{52303 25990 877 25113 10015 23531 27190 26799 14456 71848 34300 37420 1707 1904811 6653440 0 0 1601 9775} dram{0 0 0 0 0 0 0 0 1017 12786 5771 6951 0 295300 0 0 0 0 0} clk[8290167 8085055 8033415] faults[0 0 0 0] hooks=54be85841a3ef9cb crc=941f028b",
-	"16way/ADR/shared":  "nvm{45289 22991 751 22240 9035 19531 23049 22418 25822 59910 28961 30821 3071 1856877 5885696 0 53 1647 10672} dram{0 0 0 0 0 0 0 0 2300 10599 5012 5523 0 276599 0 0 0 0 0} clk[7066396 7064478 7051340] faults[9901 19116 59782 22991] hooks=d4cbd4379a3a0072 crc=797938f8",
-	"16way/ADR/group":   "nvm{52162 25730 839 24891 9758 23551 27271 26853 14233 71499 33889 37482 1602 1856877 6586880 0 0 1647 10672} dram{0 0 0 0 0 0 0 0 928 11971 5428 6479 0 276599 0 0 0 0 0} clk[8189642 7909396 8162002] faults[0 0 0 0] hooks=d4c8e59261ccbb40 crc=6ff31610",
+	"4way/eADR/shared":  "nvm{47687 25318 467 24851 591 6894 19272 23427 22831 26149 59847 28633 31086 3512 1847100 6481408 72 0 1631 10357} dram{0 0 0 0 0 0 0 0 0 2399 10916 4626 6226 0 242581 0 0 0 0 0} clk[7528092 7223524 7553402] faults[9923 19506 59719 25318] hooks=2a779c7e4005f769 crc=b29885e7",
+	"4way/eADR/group":   "nvm{54414 27578 386 27192 314 7777 23700 27536 27214 14504 71492 33676 37688 1682 1847100 7059968 0 0 1631 10357} dram{0 0 0 0 0 0 0 0 0 990 12325 4946 7315 0 242581 0 0 0 0 0} clk[8551795 8301509 8469948] faults[0 0 0 0] hooks=f29814c35628bbc2 crc=b29885e7",
+	"4way/ADR/shared":   "nvm{47294 24716 389 24327 551 6531 19615 23518 22964 27069 59605 27918 31559 3329 1843834 6327296 0 87 1556 10096} dram{0 0 0 0 0 0 0 0 0 2517 11154 5431 5659 0 301668 0 0 0 0 0} clk[7379814 7459086 7280651] faults[9803 18991 59477 24716] hooks=d052cd8c101dea55 crc=28928d33",
+	"4way/ADR/group":    "nvm{54158 27235 359 26876 364 7604 24128 27646 27274 14831 71843 33179 38536 1661 1843834 6972160 0 0 1556 10096} dram{0 0 0 0 0 0 0 0 0 1109 12562 5877 6621 0 301668 0 0 0 0 0} clk[8445537 8374644 8388346] faults[0 0 0 0] hooks=9d3bfb121bbfc5ee crc=9e5628ce",
+	"8way/eADR/shared":  "nvm{46010 24030 511 23519 617 7485 19274 23108 22487 26392 59062 28132 30802 3344 1836291 6151680 51 0 1587 10243} dram{0 0 0 0 0 0 0 0 0 2205 11419 5201 6154 0 271501 0 0 0 0 0} clk[7390647 7000632 7195142] faults[9831 19127 58934 24030] hooks=b09e30276c219ebc crc=243a5772",
+	"8way/eADR/group":   "nvm{54216 27549 417 27132 394 7680 23619 27478 27079 13837 71617 33449 38040 1784 1836291 7052544 0 0 1587 10243} dram{0 0 0 0 0 0 0 0 0 962 12662 5405 7193 0 271501 0 0 0 0 0} clk[8547962 8290375 8407112] faults[0 0 0 0] hooks=e8621071244150b7 crc=243a5772",
+	"8way/ADR/shared":   "nvm{46172 24039 513 23526 572 7738 19809 23218 22642 26439 59938 28393 31417 3390 1857693 6153984 0 77 1638 10264} dram{0 0 0 0 0 0 0 0 0 2758 11390 5233 6093 0 289443 0 0 0 0 0} clk[7235479 7318647 7168281] faults[9862 19474 59810 24039] hooks=906006221cec3ddc crc=6f053017",
+	"8way/ADR/group":    "nvm{54845 27992 333 27659 394 7423 24313 27580 27183 13998 72379 33841 38410 1579 1857693 7165952 0 0 1638 10264} dram{0 0 0 0 0 0 0 0 0 1192 12956 5601 7291 0 289443 0 0 0 0 0} clk[8499921 8517750 8592448] faults[0 0 0 0] hooks=9dbdebee3cf9c84b crc=31a7a726",
+	"16way/eADR/shared": "nvm{44863 23268 782 22486 609 9274 19426 22986 22372 26454 59850 29051 30671 3421 1904811 5956608 76 0 1601 9775} dram{0 0 0 0 0 0 0 0 0 2486 11317 5397 5856 0 295300 0 0 0 0 0} clk[7140443 7123313 6858419] faults[9951 18225 59722 23268] hooks=1fdf0e4385858bca crc=941f028b",
+	"16way/eADR/group":  "nvm{51922 25990 877 25113 381 10015 23531 27190 26799 14456 71848 34300 37420 1707 1904811 6653440 0 0 1601 9775} dram{0 0 0 0 0 0 0 0 0 1017 12786 5771 6951 0 295300 0 0 0 0 0} clk[8254167 8044555 7995615] faults[0 0 0 0] hooks=7f9c6848f56bcf5f crc=941f028b",
+	"16way/ADR/shared":  "nvm{44659 22991 751 22240 630 9035 19531 23049 22418 25822 59910 28961 30821 3071 1856877 5885696 0 53 1647 10672} dram{0 0 0 0 0 0 0 0 0 2300 10599 5012 5523 0 276599 0 0 0 0 0} clk[7005496 7000278 6987740] faults[9901 19116 59782 22991] hooks=4515e04e0c5464da crc=797938f8",
+	"16way/ADR/group":   "nvm{51750 25730 839 24891 412 9758 23551 27271 26853 14233 71499 33889 37482 1602 1856877 6586880 0 0 1647 10672} dram{0 0 0 0 0 0 0 0 0 928 11971 5428 6479 0 276599 0 0 0 0 0} clk[8147942 7875196 8114302] faults[0 0 0 0] hooks=fb30981aeae3f298 crc=6ff31610",
 }
 
 // goldenRun drives a seeded mixed op stream from three worker clocks over a

@@ -28,11 +28,16 @@ type StatShard struct {
 	// FullBlockWrites counts media writes whose block was fully populated in
 	// the XPBuffer (no read-modify-write needed).
 	FullBlockWrites atomic.Uint64
-	// PartialBlockWrites counts media writes that required a
-	// read-modify-write because only part of the block was buffered. These
-	// are the amplified writes the paper's hinted flush tries to eliminate;
-	// each also counts as a media read (Snapshot.MediaReads).
+	// PartialBlockWrites counts media writes of a block only partly
+	// written in the XPBuffer. These are the amplified writes the paper's
+	// hinted flush tries to eliminate; each is a read-modify-write and counts
+	// as a media read (Snapshot.MediaReads), unless it is also one of the
+	// XPBufferWholeEvictions.
 	PartialBlockWrites atomic.Uint64
+	// XPBufferWholeEvictions counts the partial block writes that skipped
+	// their read: every line of the block not written sat clean in the slot
+	// (a load miss had read it in), so the controller held the whole block.
+	XPBufferWholeEvictions atomic.Uint64
 	// XPBufferMerges counts 64 B line write-backs that merged into an
 	// already-buffered block.
 	XPBufferMerges atomic.Uint64
@@ -74,8 +79,8 @@ type StatShard struct {
 	FlushTrains     atomic.Uint64
 	FlushTrainLines atomic.Uint64
 	// pad rounds the block up to a multiple of the 64 B cache line size
-	// (18 counters = 144 B -> 192 B) so adjacent shards never share a line.
-	_ [48]byte
+	// (19 counters = 152 B -> 192 B) so adjacent shards never share a line.
+	_ [40]byte
 }
 
 // addLines adds one call's per-line hit and miss counts. The span walks
@@ -116,12 +121,15 @@ func (s *Stats) NumShards() int { return numStatShards }
 type Snapshot struct {
 	// MediaReads counts 256 B block reads from the storage media: the
 	// read fills of load misses plus the reads of read-modify-write
-	// partial-block evictions. The shards count the two causes; a block
-	// read has no counter of its own.
-	MediaReads             uint64
-	MediaWrites            uint64
-	FullBlockWrites        uint64
-	PartialBlockWrites     uint64
+	// partial-block evictions (partial block writes less whole evictions).
+	// The shards count the causes; a block read has no counter of its own.
+	MediaReads         uint64
+	MediaWrites        uint64
+	FullBlockWrites    uint64
+	PartialBlockWrites uint64
+	// XPBufferWholeEvictions is omitted from JSON while zero, so a run with
+	// none serializes as it did before the counter existed.
+	XPBufferWholeEvictions uint64 `json:",omitempty"`
 	XPBufferMerges         uint64
 	XPBufferHits           uint64
 	XPBufferReadFills      uint64
@@ -144,10 +152,13 @@ func (s *Stats) Snapshot() Snapshot {
 	var out Snapshot
 	for i := range s.shards {
 		sh := &s.shards[i]
-		out.MediaReads += sh.XPBufferReadFills.Load() + sh.PartialBlockWrites.Load()
+		whole := sh.XPBufferWholeEvictions.Load()
+		partial := sh.PartialBlockWrites.Load()
+		out.MediaReads += sh.XPBufferReadFills.Load() + partial - whole
 		out.MediaWrites += sh.MediaWrites.Load()
 		out.FullBlockWrites += sh.FullBlockWrites.Load()
-		out.PartialBlockWrites += sh.PartialBlockWrites.Load()
+		out.PartialBlockWrites += partial
+		out.XPBufferWholeEvictions += whole
 		out.XPBufferMerges += sh.XPBufferMerges.Load()
 		out.XPBufferHits += sh.XPBufferHits.Load()
 		out.XPBufferReadFills += sh.XPBufferReadFills.Load()
@@ -174,6 +185,7 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		MediaWrites:            s.MediaWrites - o.MediaWrites,
 		FullBlockWrites:        s.FullBlockWrites - o.FullBlockWrites,
 		PartialBlockWrites:     s.PartialBlockWrites - o.PartialBlockWrites,
+		XPBufferWholeEvictions: s.XPBufferWholeEvictions - o.XPBufferWholeEvictions,
 		XPBufferMerges:         s.XPBufferMerges - o.XPBufferMerges,
 		XPBufferHits:           s.XPBufferHits - o.XPBufferHits,
 		XPBufferReadFills:      s.XPBufferReadFills - o.XPBufferReadFills,

@@ -21,7 +21,9 @@ import (
 // payload: a hit on one copies the line from the device, which holds exactly
 // what the media holds, so no write that bypasses the buffer (BulkWrite, or
 // group mode's direct device writes) can leave a stale copy behind. A slot
-// with no written lines leaves the buffer for free.
+// with no written lines leaves the buffer for free, and a partial slot whose
+// other lines a read brought in is written without the read-modify-write's
+// media read: the controller already holds the whole block.
 //
 // The buffer is banked by block address so concurrent workers contend only
 // when they touch nearby blocks, loosely modelling per-DIMM controllers.
@@ -278,10 +280,13 @@ func (b *XPBuffer) allocSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, 
 }
 
 // evictSlotLocked writes the victim slot out to the media and returns it to
-// the bank's free list. Full blocks cost a single media write; partial
-// blocks cost a read-modify-write, even when the block's other lines sit
-// clean in the slot. A slot with no written lines is dropped for free: no
-// media access, no fault point, no hook event.
+// the bank's free list. Full blocks cost a single media write. A partial
+// block costs a read-modify-write, unless every line it did not write sits
+// clean in the slot: the controller then holds the whole block already and
+// only writes it (a whole eviction — still a partial block write to the
+// fault plan, the hook and the counters, minus the read). A slot with no
+// written lines is dropped for free: no media access, no fault point, no
+// hook event.
 func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, si int32) {
 	s := &bank.slots[si]
 	if !s.used {
@@ -300,10 +305,14 @@ func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, 
 	if full {
 		sh.FullBlockWrites.Add(1)
 	} else {
-		// Read-modify-write: fetch the block, merge the valid lines, write
-		// the whole block back.
-		clk.Advance(b.cost.MediaReadBlock)
 		sh.PartialBlockWrites.Add(1)
+		if s.mask|s.clean == (1<<LinesPerBlock)-1 {
+			sh.XPBufferWholeEvictions.Add(1)
+		} else {
+			// Read-modify-write: fetch the block, merge the valid lines,
+			// write the whole block back.
+			clk.Advance(b.cost.MediaReadBlock)
+		}
 	}
 	if !b.dataless {
 		b.dev.writeLines(s.blockAddr, &bank.data[si], s.mask)

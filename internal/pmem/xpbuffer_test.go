@@ -63,6 +63,61 @@ func TestCleanSlotEvictionIsFree(t *testing.T) {
 	}
 }
 
+// TestWholeBlockEvictionSkipsRead: a partial slot whose unwritten lines a
+// read brought in is written to the media without the read-modify-write's
+// read; a slot whose block was never read still pays it. Both stay partial
+// block writes to the counters, the fault plan and the hook, and a dataless
+// (group-mode) buffer charges the same time.
+func TestWholeBlockEvictionSkipsRead(t *testing.T) {
+	cost := sim.DefaultCostModel()
+	for _, c := range []struct {
+		name           string
+		readFirst      bool
+		dataless       bool
+		reads, wholeEv uint64
+	}{
+		{"read-in block", true, false, 1, 1},
+		{"cold block", false, false, 1, 0},
+		{"read-in block, dataless", true, true, 1, 1},
+		{"cold block, dataless", false, true, 1, 0},
+	} {
+		dev := NewDevice(1 << 20)
+		b := NewXPBuffer(dev, BlockSize, 1, cost, c.dataless) // one bank of one slot
+		plan := &FaultPlan{}                                  // N == 0: counts only
+		b.faults = plan
+		var kinds []FlushKind
+		b.hook = func(_ uint64, k FlushKind, _, _, _ uint64) { kinds = append(kinds, k) }
+
+		clk := sim.NewClock()
+		var line [LineSize]byte
+		if c.readFirst {
+			b.ReadLine(clk, 0, &line)
+		}
+		line[0] = 0x5a
+		b.WriteLine(clk, LineSize, &line)
+		b.Drain(clk)
+
+		st := dev.Stats().Snapshot()
+		wantNanos := cost.MediaWriteBlock + cost.MediaReadBlock // the fill's read, or the eviction's
+		if clk.Nanos() != wantNanos || st.MediaReads != c.reads || st.MediaWrites != 1 {
+			t.Errorf("%s: %d ns, %d media reads, %d writes; want %d ns, %d, 1",
+				c.name, clk.Nanos(), st.MediaReads, st.MediaWrites, wantNanos, c.reads)
+		}
+		if st.PartialBlockWrites != 1 || st.XPBufferWholeEvictions != c.wholeEv {
+			t.Errorf("%s: %d partial writes, %d whole evictions; want 1, %d",
+				c.name, st.PartialBlockWrites, st.XPBufferWholeEvictions, c.wholeEv)
+		}
+		if n := plan.Counts()[FaultDrain]; n != 1 || !slices.Equal(kinds, []FlushKind{FlushXPPartial}) {
+			t.Errorf("%s: %d drains noted, hook kinds %v; want 1, [FlushXPPartial]", c.name, n, kinds)
+		}
+		var got [LineSize]byte
+		dev.readLineInto(LineSize, &got)
+		if want := byte(0x5a); !c.dataless && got[0] != want {
+			t.Errorf("%s: line 1 reads %#x from the device, want %#x", c.name, got[0], want)
+		}
+	}
+}
+
 // TestBulkWriteAfterReadAllocate: a clean line in the buffer must not hide
 // bytes installed by BulkWrite after its block was read in. A buffer that
 // kept a copy of the clean lines would return the old bytes here.
