@@ -49,7 +49,7 @@ type Engine struct {
 
 	gen    cc.TIDGen
 	active *cc.ActiveSet
-	hot    []*hotSet
+	hot    []*hotSet // per worker; nil unless persist consults it
 	tcache *tupleCache
 	resv   *reservations
 
@@ -149,7 +149,9 @@ func New(sys *pmem.System, cfg Config, specs []TableSpec) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.initWorkers()
+	if err := e.initWorkers(); err != nil {
+		return nil, err
+	}
 
 	clk := sim.NewClock() // setup costs are not attributed to workers
 	// Per-thread log windows (in-place engines) and commit markers
@@ -208,17 +210,30 @@ func NewEngineArena(sys *pmem.System) (*alloc.Arena, error) {
 	return alloc.NewArena(sys.Space, 0, arenaStart, sys.Space.Size())
 }
 
-func (e *Engine) initWorkers() {
+// initWorkers builds the per-worker state: clocks, scratch, table counters
+// and, for an engine whose persist consults it (in place, FlushSelective),
+// each worker's hot set in a fixed region of the DRAM space.
+func (e *Engine) initWorkers() error {
 	e.clocks = make([]*sim.Clock, e.cfg.Threads)
-	e.hot = make([]*hotSet, e.cfg.Threads)
 	e.scratch = make([]workerScratch, e.cfg.Threads)
 	e.tstats = make([][]paddedTableStats, e.cfg.Threads)
 	for i := range e.clocks {
 		// Worker clocks carry the worker id as a shard hint so the pmem
 		// layer can route each worker's event counters to its own shard.
 		e.clocks[i] = sim.NewWorkerClock(i)
-		e.hot[i] = newHotSet(e.cfg.HotTupleCap, e.sys.Cost())
 	}
+	if e.cfg.Update != InPlace || e.cfg.Flush != FlushSelective {
+		return nil
+	}
+	e.hot = make([]*hotSet, e.cfg.Threads)
+	for i := range e.hot {
+		off, err := e.dramAlloc(hotSetBytes(e.cfg.HotTupleCap))
+		if err != nil {
+			return err
+		}
+		e.hot[i] = newHotSet(e.dram, off, e.cfg.HotTupleCap)
+	}
+	return nil
 }
 
 // paddedTableStats keeps one worker's counters for one table on a cache

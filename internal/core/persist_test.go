@@ -40,12 +40,12 @@ func oneCommit(t *testing.T, cfg Config, fn func(tx *Txn, tb *Table) error) (flu
 	}
 	plan := &pmem.FaultPlan{} // N == 0: count only
 	sys.SetFaults(plan)
-	before := e.hot[0].stats
+	before := e.ObsSnapshot().Hot
 	if err := e.Run(0, func(tx *Txn) error { return fn(tx, tb) }); err != nil {
 		t.Fatal(err)
 	}
 	sys.SetFaults(nil)
-	d := e.hot[0].stats.Sub(before)
+	d := e.ObsSnapshot().Hot.Sub(before)
 	return plan.Counts()[pmem.FaultFlush], d.Hits, d.Misses
 }
 

@@ -99,7 +99,9 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	e.initWorkers()
+	if err := e.initWorkers(); err != nil {
+		return nil, nil, err
+	}
 	e.windowBase = img.windowBase
 	e.markerBase = img.markerBase
 	e.epochBase = img.epochBase

@@ -10,6 +10,7 @@ import (
 
 	"falcon/internal/index"
 	"falcon/internal/layout"
+	"falcon/internal/obs"
 	"falcon/internal/pmem"
 	"falcon/internal/sim"
 	"falcon/internal/wal"
@@ -599,5 +600,38 @@ func TestOutOfPlaceRecoveryIsDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoveredHotSetIsEmpty: the hot set is DRAM data, lost with the crash,
+// so a recovered engine starts tracking from nothing — a tuple that was hot
+// before the crash misses, and is written back, on its first update after it.
+func TestRecoveredHotSetIsEmpty(t *testing.T) {
+	update := func(e *Engine) {
+		t.Helper()
+		if err := e.Run(0, func(tx *Txn) error { return tx.UpdateField(e.Table("kv"), 1, 1, i64le(7)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var hits uint64
+	e2, _ := recoverAfter(t, FalconConfig(), func(e *Engine) {
+		kv := e.Table("kv")
+		if err := e.Run(0, func(tx *Txn) error { return tx.Insert(kv, 1, encodeKV(kv.Schema(), 1, 1)) }); err != nil {
+			t.Fatal(err)
+		}
+		update(e)
+		hits = e.hot[0].stats.Hits
+	})
+	if hits == 0 {
+		t.Fatal("key 1 was not hot before the crash: the test no longer covers a hot tuple")
+	}
+	for w, h := range e2.hot {
+		if got := hotOrder(t, h); len(got) != 0 || h.stats != (obs.HotSetStats{}) {
+			t.Errorf("worker %d: recovered hot set holds %v, stats %+v", w, got, h.stats)
+		}
+	}
+	update(e2)
+	if st := e2.hot[0].stats; st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("first update after recovery: %d hits, %d misses; want a miss", st.Hits, st.Misses)
 	}
 }

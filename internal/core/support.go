@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"falcon/internal/obs"
@@ -14,120 +15,234 @@ import (
 // which for genuinely hot tuples means almost never.
 //
 // A commit asks it once per written tuple, with one probe that answers and, on
-// a miss, inserts, for one DRAM access: the decision must cost less than the
-// flush it may save. It is single-owner (one worker thread), so it needs no
-// locking; recency is an intrusive doubly-linked list over a fixed node array.
+// a miss, inserts. The set is data in the engine's DRAM space, read and
+// written a word at a time through it, so a probe costs what the lines it
+// touches cost: a cold set pays DRAM, a resident one cache hits, and in group
+// mode the worker's own partition answers. Its region is an open-addressed,
+// linearly probed table of 16 B entries, at most a quarter full: a key word
+// (the tuple with a used bit; 0 = empty) and a link word (the previous and
+// next entry of the recency list, high and low half), so the list runs
+// through the table itself. The list's ends, the head's next link and the entry count
+// are the owning worker's registers. It is single-owner (one worker thread),
+// so it needs no locking.
 type hotSet struct {
-	cap   int
-	m     map[hotKey]int // key -> node index
-	nodes []hotNode
-	head  int // most recently used (-1 = empty)
-	tail  int // least recently used (-1 = empty)
-	free  int // free-list head through next links (-1 = full)
-	cost  sim.CostModel
-	// stats counts hits (flushes elided), misses (tuples newly tracked) and
-	// evictions; single-owner like the set itself.
+	space      *pmem.MemSpace
+	base       uint64 // offset of entry 0 in space
+	mask       uint32 // entries - 1 (entries is a power of two)
+	shift      uint8  // 64 - log2(entries)
+	cap, n     int
+	head, tail uint32 // most and least recently used entry (hotNone = empty)
+	headNext   uint32 // the head's next link, as its link word holds it
+	// stats counts hits (flushes elided), misses (tuples newly tracked),
+	// evictions and the line accesses; single-owner like the set itself.
 	stats obs.HotSetStats
 }
 
-type hotNode struct {
-	key        hotKey
-	prev, next int
+// hotEntryBytes is one entry: the key word, then the link word.
+const hotEntryBytes = 16
+
+// hotNone is the link to no entry.
+const hotNone = ^uint32(0)
+
+// hotEntries is the table length for a capacity: four times it, rounded up
+// to a power of two, so short probe runs keep lookups and removals to a line
+// access or two.
+func hotEntries(capacity int) uint64 {
+	n := uint64(2)
+	for n < 4*uint64(max(capacity, 1)) {
+		n <<= 1
+	}
+	return n
 }
 
-type hotKey struct {
-	table uint8
-	slot  uint64
+// hotSetBytes is the size of the DRAM region a set of the given capacity
+// occupies.
+func hotSetBytes(capacity int) uint64 { return hotEntries(capacity) * hotEntryBytes }
+
+// newHotSet lays an empty set over the zeroed region of space at base.
+func newHotSet(space *pmem.MemSpace, base uint64, capacity int) *hotSet {
+	n := hotEntries(capacity)
+	return &hotSet{
+		space: space,
+		base:  base,
+		mask:  uint32(n - 1),
+		shift: uint8(64 - bits.TrailingZeros64(n)),
+		cap:   max(capacity, 1),
+		head:  hotNone,
+		tail:  hotNone,
+	}
 }
 
-func newHotSet(capacity int, cost sim.CostModel) *hotSet {
-	if capacity < 1 {
-		capacity = 1
-	}
-	h := &hotSet{
-		cap:   capacity,
-		m:     make(map[hotKey]int, capacity+1),
-		nodes: make([]hotNode, capacity),
-		head:  -1,
-		tail:  -1,
-		cost:  cost,
-	}
-	for i := range h.nodes {
-		h.nodes[i].next = i + 1
-	}
-	h.nodes[capacity-1].next = -1
-	h.free = 0
-	return h
+// hotKey is a tuple's key word: its slot and table with the used bit set.
+func hotKey(table uint8, slot uint64) uint64 { return slot<<9 | uint64(table)<<1 | 1 }
+
+// home is the first entry probed for key.
+func (h *hotSet) home(key uint64) uint32 { return uint32(key * 0x9e3779b97f4a7c15 >> h.shift) }
+
+func (h *hotSet) off(i uint32) uint64 { return h.base + uint64(i)*hotEntryBytes }
+
+// The accessors below are the set's only way to its entries; each reads or
+// writes one word, one line.
+
+func (h *hotSet) keyAt(clk *sim.Clock, i uint32) uint64 {
+	h.stats.Lines++
+	return h.space.ReadU64(clk, h.off(i))
 }
 
-// touchFront moves node i to the MRU end of the list.
-func (h *hotSet) touchFront(i int) {
-	if h.head == i {
-		return
+func (h *hotSet) linksAt(clk *sim.Clock, i uint32) (prev, next uint32) {
+	h.stats.Lines++
+	w := h.space.ReadU64(clk, h.off(i)+8)
+	return uint32(w >> 32), uint32(w)
+}
+
+func (h *hotSet) setLinks(clk *sim.Clock, i, prev, next uint32) {
+	h.stats.Lines++
+	h.space.WriteU64(clk, h.off(i)+8, uint64(prev)<<32|uint64(next))
+}
+
+func (h *hotSet) setEntry(clk *sim.Clock, i uint32, key uint64, prev, next uint32) {
+	h.stats.Lines++
+	h.space.WriteU64Pair(clk, h.off(i), key, uint64(prev)<<32|uint64(next))
+}
+
+func (h *hotSet) clearKey(clk *sim.Clock, i uint32) {
+	h.stats.Lines++
+	h.space.WriteU64(clk, h.off(i), 0)
+}
+
+// setPrev and setNext rewrite one half of entry i's link word, reading the
+// other half first unless no one reads it (the tail's next, the head's prev)
+// or headNext holds it.
+func (h *hotSet) setPrev(clk *sim.Clock, i, prev uint32) {
+	next := hotNone
+	switch i {
+	case h.tail:
+	case h.head:
+		next = h.headNext
+	default:
+		_, next = h.linksAt(clk, i)
 	}
-	n := &h.nodes[i]
-	if n.prev != -1 {
-		h.nodes[n.prev].next = n.next
+	h.setLinks(clk, i, prev, next)
+}
+
+func (h *hotSet) setNext(clk *sim.Clock, i, next uint32) {
+	prev := hotNone
+	if i == h.head {
+		h.headNext = next
+	} else {
+		prev, _ = h.linksAt(clk, i)
 	}
-	if n.next != -1 {
-		h.nodes[n.next].prev = n.prev
-	} else if h.tail == i {
-		h.tail = n.prev
-	}
-	n.prev = -1
-	n.next = h.head
-	if h.head != -1 {
-		h.nodes[h.head].prev = i
-	}
-	h.head = i
-	if h.tail == -1 {
+	h.setLinks(clk, i, prev, next)
+}
+
+// pushFront makes entry i, whose link word already names the old head as
+// its next, the most recent.
+func (h *hotSet) pushFront(clk *sim.Clock, i uint32) {
+	if h.head == hotNone {
 		h.tail = i
+	} else {
+		h.setPrev(clk, h.head, i)
 	}
+	h.head, h.headNext = i, h.head
 }
 
-// probe is Algorithm 1 lines 9-11 in one DRAM access: it reports whether the
-// tuple is tracked hot, refreshing its recency, and otherwise starts tracking
-// it — in the bucket the lookup just loaded — evicting the least recently used
+// probe is Algorithm 1 lines 9-11 in one lookup: it reports whether the tuple
+// is tracked hot, refreshing its recency, and otherwise starts tracking it —
+// in the empty entry the lookup ended on — evicting the least recently used
 // entry when full.
 func (h *hotSet) probe(clk *sim.Clock, table uint8, slot uint64) (hot bool) {
-	clk.Advance(h.cost.DRAMFirstLine)
-	k := hotKey{table, slot}
-	if i, ok := h.m[k]; ok {
-		h.touchFront(i)
-		h.stats.Hits++
-		return true
+	key := hotKey(table, slot)
+	home := h.home(key)
+	i := home
+	for k := h.keyAt(clk, i); k != 0; k = h.keyAt(clk, i) {
+		if k == key {
+			h.stats.Hits++
+			h.toFront(clk, i)
+			return true
+		}
+		i = (i + 1) & h.mask
 	}
 	h.stats.Misses++
-	i := h.free
-	if i != -1 {
-		h.free = h.nodes[i].next
-	} else {
-		// Full: reuse the LRU node. The new entry is by definition the most
-		// recent, so it can never be its own victim.
-		i = h.tail
-		n := &h.nodes[i]
-		delete(h.m, n.key)
-		h.tail = n.prev
-		if h.tail != -1 {
-			h.nodes[h.tail].next = -1
-		} else {
-			h.head = -1
-		}
+	if h.n == h.cap {
+		// Full: drop the LRU entry. The new one is by definition the most
+		// recent, so it can never be its own victim. If the drop left an
+		// entry of the new key's probe run empty, the key goes there.
 		h.stats.Evictions++
+		if hole := h.evictTail(clk); (hole-home)&h.mask < (i-home)&h.mask {
+			i = hole
+		} else {
+			h.clearKey(clk, hole)
+		}
+	} else {
+		h.n++
 	}
-	n := &h.nodes[i]
-	n.key = k
-	n.prev = -1
-	n.next = h.head
-	if h.head != -1 {
-		h.nodes[h.head].prev = i
-	}
-	h.head = i
-	if h.tail == -1 {
-		h.tail = i
-	}
-	h.m[k] = i
+	h.setEntry(clk, i, key, hotNone, h.head)
+	h.pushFront(clk, i)
 	return false
+}
+
+// The recency list's ends live in head and tail, so the head's prev link and
+// the tail's next link are never read: the list leaves them stale rather than
+// pay a line access to keep them.
+
+// toFront moves entry i to the MRU end of the recency list.
+func (h *hotSet) toFront(clk *sim.Clock, i uint32) {
+	if i == h.head {
+		return
+	}
+	prev, next := h.linksAt(clk, i) // prev is an entry: i is not the head
+	if i == h.tail {
+		h.tail = prev
+	} else {
+		h.setNext(clk, prev, next)
+		h.setPrev(clk, next, prev)
+	}
+	h.setLinks(clk, i, hotNone, h.head)
+	h.pushFront(clk, i)
+}
+
+// evictTail unlinks the least recently used entry and removes it from the
+// table, returning the entry the removal left to be emptied.
+func (h *hotSet) evictTail(clk *sim.Clock) uint32 {
+	v := h.tail
+	if v == h.head {
+		h.head, h.tail = hotNone, hotNone
+	} else {
+		h.tail, _ = h.linksAt(clk, v)
+	}
+	return h.remove(clk, v)
+}
+
+// remove takes entry hole, which the recency list no longer reaches, out of
+// the table by shifting later entries of its probe run back over it (no
+// tombstones): an entry moves into the hole unless its home lies cyclically
+// after the hole, so every remaining key stays reachable from its home. A
+// moved entry keeps its place in the recency list — its neighbours' links
+// follow it. remove returns the entry finally left over, still holding its
+// old key word: the caller empties it, or reuses it at once.
+func (h *hotSet) remove(clk *sim.Clock, hole uint32) uint32 {
+	for j := (hole + 1) & h.mask; ; j = (j + 1) & h.mask {
+		k := h.keyAt(clk, j)
+		if k == 0 {
+			return hole
+		}
+		if (j-h.home(k))&h.mask < (j-hole)&h.mask {
+			continue
+		}
+		prev, next := h.linksAt(clk, j)
+		h.setEntry(clk, hole, k, prev, next)
+		if j == h.head {
+			h.head = hole
+		} else {
+			h.setNext(clk, prev, hole)
+		}
+		if j == h.tail {
+			h.tail = hole
+		} else {
+			h.setPrev(clk, next, hole)
+		}
+		hole = j
+	}
 }
 
 // reservations provides short-lived key latches for inserts: a transaction

@@ -129,12 +129,17 @@ type HotSetStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
+	// Lines counts the probes' accesses to the set's DRAM-space lines: each
+	// word a probe reads or writes is one. Omitted from JSON while zero, so a
+	// preset without a hot set serializes as it did before the counter.
+	Lines uint64 `json:",omitempty"`
 }
 
 var hotSetMetrics = []metric[HotSetStats]{
 	row(counter, "falcon_hot_set_hits_total", "Selective-flush elisions: written tuples found hot (one probe per written tuple).", func(s *HotSetStats) *uint64 { return &s.Hits }),
 	row(counter, "falcon_hot_set_misses_total", "Hot-set misses: written tuples flushed and tracked (one probe per written tuple).", func(s *HotSetStats) *uint64 { return &s.Misses }),
 	row(counter, "falcon_hot_set_evictions_total", "Hot-set LRU evictions.", func(s *HotSetStats) *uint64 { return &s.Evictions }),
+	row(counter, "falcon_hot_set_lines_total", "DRAM-space line accesses of hot-set probes (one per word read or written).", func(s *HotSetStats) *uint64 { return &s.Lines }),
 }
 
 // Add sums o into s.
@@ -280,8 +285,8 @@ func (s Snapshot) Text() string {
 			s.Epochs.ForcedSeals, s.Epochs.ForcedWaitNanos, s.Epochs.DurableLag.Max)
 	}
 	if s.Hot.Hits+s.Hot.Misses > 0 {
-		fmt.Fprintf(&b, "hot-set   hits %d  misses %d  evictions %d\n",
-			s.Hot.Hits, s.Hot.Misses, s.Hot.Evictions)
+		fmt.Fprintf(&b, "hot-set   hits %d  misses %d  evictions %d  dram line accesses %d\n",
+			s.Hot.Hits, s.Hot.Misses, s.Hot.Evictions, s.Hot.Lines)
 	}
 	if len(s.Tables) > 0 {
 		b.WriteString("tables    reads / writes / versions / index-probes\n")

@@ -44,9 +44,11 @@ type CostModel struct {
 	// Sfence is charged per sfence instruction.
 	Sfence uint64
 	// DRAMFirstLine and DRAMNextLine are charged for accesses to simulated
-	// DRAM-resident structures (version heap, DRAM indexes, tuple cache):
-	// the first 64 B line of an access costs DRAMFirstLine and each
-	// subsequent contiguous line costs DRAMNextLine (streaming).
+	// DRAM-resident structures (version heap, DRAM indexes, tuple cache,
+	// hot-tuple set): the first 64 B line of an access costs DRAMFirstLine
+	// and each subsequent contiguous line costs DRAMNextLine (streaming).
+	// Structures kept in a DRAM space pay them only on a miss of that
+	// space's cache, and CacheHitLine on a hit.
 	DRAMFirstLine uint64
 	DRAMNextLine  uint64
 	// TxnOverhead is the fixed CPU cost per transaction (begin/commit
