@@ -22,9 +22,11 @@ import (
 // linearly probed table of 16 B entries, at most a quarter full: a key word
 // (the tuple with a used bit; 0 = empty) and a link word (the previous and
 // next entry of the recency list, high and low half), so the list runs
-// through the table itself. The list's ends, the head's next link and the entry count
-// are the owning worker's registers. It is single-owner (one worker thread),
-// so it needs no locking.
+// through the table itself. The list's ends, the head's next link and the
+// entry count are the owning worker's registers; the head's prev link and the
+// tail's next link are never read, so they are left stale rather than kept at
+// the price of a line access. It is single-owner (one worker thread), so it
+// needs no locking.
 type hotSet struct {
 	space      *pmem.MemSpace
 	base       uint64 // offset of entry 0 in space
@@ -111,8 +113,8 @@ func (h *hotSet) clearKey(clk *sim.Clock, i uint32) {
 }
 
 // setPrev and setNext rewrite one half of entry i's link word, reading the
-// other half first unless no one reads it (the tail's next, the head's prev)
-// or headNext holds it.
+// other half first unless it is stale (the tail's next, the head's prev) or
+// headNext holds it.
 func (h *hotSet) setPrev(clk *sim.Clock, i, prev uint32) {
 	next := hotNone
 	switch i {
@@ -180,10 +182,6 @@ func (h *hotSet) probe(clk *sim.Clock, table uint8, slot uint64) (hot bool) {
 	h.pushFront(clk, i)
 	return false
 }
-
-// The recency list's ends live in head and tail, so the head's prev link and
-// the tail's next link are never read: the list leaves them stale rather than
-// pay a line access to keep them.
 
 // toFront moves entry i to the MRU end of the recency list.
 func (h *hotSet) toFront(clk *sim.Clock, i uint32) {
