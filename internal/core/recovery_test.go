@@ -626,7 +626,7 @@ func TestRecoveredHotSetIsEmpty(t *testing.T) {
 		t.Fatal("key 1 was not hot before the crash: the test no longer covers a hot tuple")
 	}
 	for w, h := range e2.hot {
-		if got := hotOrder(t, h); len(got) != 0 || h.stats != (obs.HotSetStats{}) {
+		if got := hotOrder(t, h); slices.ContainsFunc(got, func(s []hotModelKey) bool { return len(s) != 0 }) || h.stats != (obs.HotSetStats{}) {
 			t.Errorf("worker %d: recovered hot set holds %v, stats %+v", w, got, h.stats)
 		}
 	}

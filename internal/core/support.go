@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sync"
 
@@ -9,49 +10,39 @@ import (
 	"falcon/internal/sim"
 )
 
-// hotSet is the per-thread hot-tuple LRU used by selective data flush
+// hotSet is the per-thread hot-tuple set used by selective data flush
 // (§4.4): tuples present in the set are never manually flushed, so their
 // dirty lines stay in the (persistent) cache until natural eviction —
 // which for genuinely hot tuples means almost never.
 //
 // A commit asks it once per written tuple, with one probe that answers and, on
-// a miss, inserts. The set is data in the engine's DRAM space, read and
-// written a word at a time through it, so a probe costs what the lines it
-// touches cost: a cold set pays DRAM, a resident one cache hits, and in group
-// mode the worker's own partition answers. Its region is an open-addressed,
-// linearly probed table of 16 B entries, at most a quarter full: a key word
-// (the tuple with a used bit; 0 = empty) and a link word (the previous and
-// next entry of the recency list, high and low half), so the list runs
-// through the table itself. The list's ends, the head's next link and the
-// entry count are the owning worker's registers; the head's prev link and the
-// tail's next link are never read, so they are left stale rather than kept at
-// the price of a line access. It is single-owner (one worker thread), so it
-// needs no locking.
+// a miss, inserts. The set is data in the engine's DRAM space, so a probe costs
+// what the lines it touches cost: a cold set pays DRAM, a resident one cache
+// hits, and in group mode the worker's own partition answers. Its region is a
+// set-associative table of hotWays-way sets, one 64 B line each: hotWays key
+// words (the tuple with a used bit; 0 = empty) in recency order, way 0 the
+// most recent, the empty ways last. A probe reads its key's line and, unless
+// the key is already at way 0, writes it back with the key moved or inserted
+// at way 0; a miss on a full set drops the last way. So recency is exact
+// within a set, not across the whole set. It is single-owner (one worker
+// thread), so it needs no locking.
 type hotSet struct {
-	space      *pmem.MemSpace
-	base       uint64 // offset of entry 0 in space
-	mask       uint32 // entries - 1 (entries is a power of two)
-	shift      uint8  // 64 - log2(entries)
-	cap, n     int
-	head, tail uint32 // most and least recently used entry (hotNone = empty)
-	headNext   uint32 // the head's next link, as its link word holds it
+	space *pmem.MemSpace
+	base  uint64 // offset of set 0 in space
+	shift uint8  // 64 - log2(sets)
 	// stats counts hits (flushes elided), misses (tuples newly tracked),
 	// evictions and the line accesses; single-owner like the set itself.
 	stats obs.HotSetStats
 }
 
-// hotEntryBytes is one entry: the key word, then the link word.
-const hotEntryBytes = 16
+// hotWays is the number of key words in a set's line.
+const hotWays = pmem.LineSize / 8
 
-// hotNone is the link to no entry.
-const hotNone = ^uint32(0)
-
-// hotEntries is the table length for a capacity: four times it, rounded up
-// to a power of two, so short probe runs keep lookups and removals to a line
-// access or two.
-func hotEntries(capacity int) uint64 {
-	n := uint64(2)
-	for n < 4*uint64(max(capacity, 1)) {
+// hotSets is the number of sets for a capacity: enough hotWays-way sets to
+// hold it, rounded up to a power of two.
+func hotSets(capacity int) uint64 {
+	n := uint64(1)
+	for n*hotWays < uint64(capacity) {
 		n <<= 1
 	}
 	return n
@@ -59,188 +50,56 @@ func hotEntries(capacity int) uint64 {
 
 // hotSetBytes is the size of the DRAM region a set of the given capacity
 // occupies.
-func hotSetBytes(capacity int) uint64 { return hotEntries(capacity) * hotEntryBytes }
+func hotSetBytes(capacity int) uint64 { return hotSets(capacity) * pmem.LineSize }
 
-// newHotSet lays an empty set over the zeroed region of space at base.
+// newHotSet lays an empty set over the zeroed, line-aligned region of space
+// at base.
 func newHotSet(space *pmem.MemSpace, base uint64, capacity int) *hotSet {
-	n := hotEntries(capacity)
-	return &hotSet{
-		space: space,
-		base:  base,
-		mask:  uint32(n - 1),
-		shift: uint8(64 - bits.TrailingZeros64(n)),
-		cap:   max(capacity, 1),
-		head:  hotNone,
-		tail:  hotNone,
-	}
+	return &hotSet{space: space, base: base, shift: uint8(64 - bits.TrailingZeros64(hotSets(capacity)))}
 }
 
 // hotKey is a tuple's key word: its slot and table with the used bit set.
 func hotKey(table uint8, slot uint64) uint64 { return slot<<9 | uint64(table)<<1 | 1 }
 
-// home is the first entry probed for key.
-func (h *hotSet) home(key uint64) uint32 { return uint32(key * 0x9e3779b97f4a7c15 >> h.shift) }
-
-func (h *hotSet) off(i uint32) uint64 { return h.base + uint64(i)*hotEntryBytes }
-
-// The accessors below are the set's only way to its entries; each reads or
-// writes one word, one line.
-
-func (h *hotSet) keyAt(clk *sim.Clock, i uint32) uint64 {
-	h.stats.Lines++
-	return h.space.ReadU64(clk, h.off(i))
+// line is the offset of key's set.
+func (h *hotSet) line(key uint64) uint64 {
+	return h.base + (key*0x9e3779b97f4a7c15>>h.shift)*pmem.LineSize
 }
 
-func (h *hotSet) linksAt(clk *sim.Clock, i uint32) (prev, next uint32) {
-	h.stats.Lines++
-	w := h.space.ReadU64(clk, h.off(i)+8)
-	return uint32(w >> 32), uint32(w)
-}
-
-func (h *hotSet) setLinks(clk *sim.Clock, i, prev, next uint32) {
-	h.stats.Lines++
-	h.space.WriteU64(clk, h.off(i)+8, uint64(prev)<<32|uint64(next))
-}
-
-func (h *hotSet) setEntry(clk *sim.Clock, i uint32, key uint64, prev, next uint32) {
-	h.stats.Lines++
-	h.space.WriteU64Pair(clk, h.off(i), key, uint64(prev)<<32|uint64(next))
-}
-
-func (h *hotSet) clearKey(clk *sim.Clock, i uint32) {
-	h.stats.Lines++
-	h.space.WriteU64(clk, h.off(i), 0)
-}
-
-// setPrev and setNext rewrite one half of entry i's link word, reading the
-// other half first unless it is stale (the tail's next, the head's prev) or
-// headNext holds it.
-func (h *hotSet) setPrev(clk *sim.Clock, i, prev uint32) {
-	next := hotNone
-	switch i {
-	case h.tail:
-	case h.head:
-		next = h.headNext
-	default:
-		_, next = h.linksAt(clk, i)
-	}
-	h.setLinks(clk, i, prev, next)
-}
-
-func (h *hotSet) setNext(clk *sim.Clock, i, next uint32) {
-	prev := hotNone
-	if i == h.head {
-		h.headNext = next
-	} else {
-		prev, _ = h.linksAt(clk, i)
-	}
-	h.setLinks(clk, i, prev, next)
-}
-
-// pushFront makes entry i, whose link word already names the old head as
-// its next, the most recent.
-func (h *hotSet) pushFront(clk *sim.Clock, i uint32) {
-	if h.head == hotNone {
-		h.tail = i
-	} else {
-		h.setPrev(clk, h.head, i)
-	}
-	h.head, h.headNext = i, h.head
-}
-
-// probe is Algorithm 1 lines 9-11 in one lookup: it reports whether the tuple
-// is tracked hot, refreshing its recency, and otherwise starts tracking it —
-// in the empty entry the lookup ended on — evicting the least recently used
-// entry when full.
+// probe is Algorithm 1 lines 9-11 in one line read and at most one line
+// write: it reports whether the tuple is tracked hot, making it its set's most
+// recent, and otherwise starts tracking it, evicting the set's least recent
+// tuple when the set is full.
 func (h *hotSet) probe(clk *sim.Clock, table uint8, slot uint64) (hot bool) {
 	key := hotKey(table, slot)
-	home := h.home(key)
-	i := home
-	for k := h.keyAt(clk, i); k != 0; k = h.keyAt(clk, i) {
-		if k == key {
-			h.stats.Hits++
-			h.toFront(clk, i)
+	off := h.line(key)
+	var w [pmem.LineSize]byte
+	h.space.Read(clk, off, w[:])
+	h.stats.Lines++
+	j := 0 // the key's way, else the first empty one, else the last
+	for ; j < hotWays-1; j++ {
+		if k := binary.LittleEndian.Uint64(w[8*j:]); k == key || k == 0 {
+			break
+		}
+	}
+	switch binary.LittleEndian.Uint64(w[8*j:]) {
+	case key:
+		h.stats.Hits++
+		if j == 0 {
 			return true
 		}
-		i = (i + 1) & h.mask
-	}
-	h.stats.Misses++
-	if h.n == h.cap {
-		// Full: drop the LRU entry. The new one is by definition the most
-		// recent, so it can never be its own victim. If the drop left an
-		// entry of the new key's probe run empty, the key goes there.
+		hot = true
+	case 0:
+		h.stats.Misses++
+	default:
+		h.stats.Misses++
 		h.stats.Evictions++
-		if hole := h.evictTail(clk); (hole-home)&h.mask < (i-home)&h.mask {
-			i = hole
-		} else {
-			h.clearKey(clk, hole)
-		}
-	} else {
-		h.n++
 	}
-	h.setEntry(clk, i, key, hotNone, h.head)
-	h.pushFront(clk, i)
-	return false
-}
-
-// toFront moves entry i to the MRU end of the recency list.
-func (h *hotSet) toFront(clk *sim.Clock, i uint32) {
-	if i == h.head {
-		return
-	}
-	prev, next := h.linksAt(clk, i) // prev is an entry: i is not the head
-	if i == h.tail {
-		h.tail = prev
-	} else {
-		h.setNext(clk, prev, next)
-		h.setPrev(clk, next, prev)
-	}
-	h.setLinks(clk, i, hotNone, h.head)
-	h.pushFront(clk, i)
-}
-
-// evictTail unlinks the least recently used entry and removes it from the
-// table, returning the entry the removal left to be emptied.
-func (h *hotSet) evictTail(clk *sim.Clock) uint32 {
-	v := h.tail
-	if v == h.head {
-		h.head, h.tail = hotNone, hotNone
-	} else {
-		h.tail, _ = h.linksAt(clk, v)
-	}
-	return h.remove(clk, v)
-}
-
-// remove takes entry hole, which the recency list no longer reaches, out of
-// the table by shifting later entries of its probe run back over it (no
-// tombstones): an entry moves into the hole unless its home lies cyclically
-// after the hole, so every remaining key stays reachable from its home. A
-// moved entry keeps its place in the recency list — its neighbours' links
-// follow it. remove returns the entry finally left over, still holding its
-// old key word: the caller empties it, or reuses it at once.
-func (h *hotSet) remove(clk *sim.Clock, hole uint32) uint32 {
-	for j := (hole + 1) & h.mask; ; j = (j + 1) & h.mask {
-		k := h.keyAt(clk, j)
-		if k == 0 {
-			return hole
-		}
-		if (j-h.home(k))&h.mask < (j-hole)&h.mask {
-			continue
-		}
-		prev, next := h.linksAt(clk, j)
-		h.setEntry(clk, hole, k, prev, next)
-		if j == h.head {
-			h.head = hole
-		} else {
-			h.setNext(clk, prev, hole)
-		}
-		if j == h.tail {
-			h.tail = hole
-		} else {
-			h.setPrev(clk, next, hole)
-		}
-		hole = j
-	}
+	copy(w[8:8*j+8], w[:8*j])
+	binary.LittleEndian.PutUint64(w[:], key)
+	h.space.Write(clk, off, w[:])
+	h.stats.Lines++
+	return hot
 }
 
 // reservations provides short-lived key latches for inserts: a transaction

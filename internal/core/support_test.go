@@ -18,9 +18,9 @@ func testHotSet(capacity int) *hotSet {
 }
 
 func TestHotSetLRUEviction(t *testing.T) {
-	h := testHotSet(3)
+	h := testHotSet(hotWays) // one set
 	clk := sim.NewClock()
-	for s := uint64(1); s <= 3; s++ {
+	for s := uint64(1); s <= hotWays; s++ {
 		if h.probe(clk, 0, s) {
 			t.Fatalf("first probe of %d reported hot", s)
 		}
@@ -28,10 +28,11 @@ func TestHotSetLRUEviction(t *testing.T) {
 	if !h.probe(clk, 0, 1) {
 		t.Fatal("entry 1 missing")
 	}
-	// A 4th tuple evicts the LRU (2): 1 was refreshed by its probe.
-	h.probe(clk, 0, 4)
-	if got := hotOrder(t, h); !slices.Equal(got, []hotModelKey{{0, 4}, {0, 1}, {0, 3}}) {
-		t.Fatalf("LRU order after eviction = %v, want 4 1 3", got)
+	// A 9th tuple evicts the set's LRU (2): 1 was refreshed by its probe.
+	h.probe(clk, 0, 9)
+	want := []hotModelKey{{0, 9}, {0, 1}, {0, 8}, {0, 7}, {0, 6}, {0, 5}, {0, 4}, {0, 3}}
+	if got := hotOrder(t, h); len(got) != 1 || !slices.Equal(got[0], want) {
+		t.Fatalf("LRU order after eviction = %v, want %v", got, want)
 	}
 }
 
@@ -54,11 +55,24 @@ func TestHotSetChargesVirtualTime(t *testing.T) {
 	}
 }
 
+// TestHotSetSizing: the capacity rounds up to a power-of-two number of
+// hotWays-way sets, one line each.
+func TestHotSetSizing(t *testing.T) {
+	for _, c := range []struct {
+		capacity int
+		bytes    uint64
+	}{{0, 64}, {1, 64}, {8, 64}, {9, 128}, {17, 256}, {256, 2048}, {257, 4096}} {
+		if got := hotSetBytes(c.capacity); got != c.bytes {
+			t.Errorf("capacity %d: %d B, want %d", c.capacity, got, c.bytes)
+		}
+	}
+}
+
 // TestHotProbeCost: a probe costs the lines it touches. The first probe of a
 // cold set misses the DRAM space's cache and pays DRAM; once the set is
-// resident every line access is a cache hit, so a probe costs its line
-// accesses times CacheHitLine, and a repeated probe (its tuple already the
-// most recent) at most six of them.
+// resident a probe that finds its tuple the most recent of its set reads one
+// line, one CacheHitLine, and any other probe reads the line and writes it
+// back, exactly two.
 func TestHotProbeCost(t *testing.T) {
 	cost := sim.DefaultCostModel()
 	h := testHotSet(256)
@@ -71,63 +85,56 @@ func TestHotProbeCost(t *testing.T) {
 		h.space.ReadU64(clk, off)
 	}
 	rng := rand.New(rand.NewSource(1))
-	for n := 0; n < 2000; n++ {
-		slot := uint64(rng.Intn(400))
+	check := func(n int, slot uint64, wantLines uint64) {
+		t.Helper()
 		before, lines := clk.Nanos(), h.stats.Lines
 		h.probe(clk, 0, slot)
-		if got, want := clk.Nanos()-before, (h.stats.Lines-lines)*cost.CacheHitLine; got != want {
-			t.Fatalf("probe %d of a resident set cost %d ns for %d line accesses, want %d", n, got, h.stats.Lines-lines, want)
+		if got, gotLines := clk.Nanos()-before, h.stats.Lines-lines; gotLines != wantLines || got != wantLines*cost.CacheHitLine {
+			t.Fatalf("probe %d of slot %d cost %d ns for %d line accesses, want %d for %d", n, slot, got, gotLines, wantLines*cost.CacheHitLine, wantLines)
 		}
-		before = clk.Nanos()
-		if !h.probe(clk, 0, slot) {
-			t.Fatalf("probe %d: slot %d not hot right after its probe", n, slot)
+	}
+	for n := 0; n < 2000; n++ {
+		slot := uint64(rng.Intn(400))
+		w := h.space.ReadU64(nil, h.line(hotKey(0, slot)))
+		if w == hotKey(0, slot) {
+			check(n, slot, 1)
+		} else {
+			check(n, slot, 2)
 		}
-		if got := clk.Nanos() - before; got > 6*cost.CacheHitLine {
-			t.Fatalf("repeated probe %d cost %d ns, want at most 6 x CacheHitLine (%d)", n, got, 6*cost.CacheHitLine)
-		}
+		check(n, slot, 1) // now the set's most recent
 	}
 }
 
-// hotOrder lists the set's tuples from most to least recently used, reading
-// its region directly (no clock, no line count), and checks on the way that
-// every entry but the head links back to the one before it, that headNext is
-// the head's next link, that the walk from the head reaches the tail and that
-// it counts n entries.
-func hotOrder(t testing.TB, h *hotSet) []hotModelKey {
+// hotOrder lists each set's tuples from most to least recently used, reading
+// the region directly (no clock, no line count), and checks on the way that
+// a set's empty ways all come after its tuples, that no tuple is in a set
+// twice and that each sits in the set its key hashes to.
+func hotOrder(t testing.TB, h *hotSet) [][]hotModelKey {
 	t.Helper()
-	word := func(i uint32, w uint64) uint64 { return h.space.ReadU64(nil, h.off(i)+w) }
-	var keys []hotModelKey
-	if h.head == hotNone {
-		if h.tail != hotNone || h.n != 0 {
-			t.Fatalf("no head, but tail %d and count %d", h.tail, h.n)
+	sets := make([][]hotModelKey, 1<<(64-h.shift))
+	for i := range sets {
+		off := h.base + uint64(i)*pmem.LineSize
+		for j := uint64(0); j < hotWays; j++ {
+			k := h.space.ReadU64(nil, off+8*j)
+			if k == 0 {
+				continue
+			}
+			key := hotModelKey{uint8(k >> 1), k >> 9}
+			if uint64(len(sets[i])) != j || slices.Contains(sets[i], key) || h.line(k) != off {
+				t.Fatalf("set %d way %d: key %v after %v (empty ways, a repeat or another set's key)", i, j, key, sets[i])
+			}
+			sets[i] = append(sets[i], key)
 		}
-		return nil
 	}
-	if h.n > 1 && uint32(word(h.head, 8)) != h.headNext {
-		t.Fatalf("headNext %d, the head's link word says %d", h.headNext, uint32(word(h.head, 8)))
-	}
-	for i, prev := h.head, hotNone; ; i = uint32(word(i, 8)) {
-		if p := uint32(word(i, 8) >> 32); prev != hotNone && p != prev {
-			t.Fatalf("entry %d links back to %d, want %d", i, p, prev)
-		}
-		k := word(i, 0)
-		keys = append(keys, hotModelKey{uint8(k >> 1), k >> 9})
-		if i == h.tail || len(keys) > h.n {
-			break
-		}
-		prev = i
-	}
-	if len(keys) != h.n {
-		t.Fatalf("the walk from the head reached %d entries before the tail, count %d", len(keys), h.n)
-	}
-	return keys
+	return sets
 }
 
 // hotModel is the hot set as it was before it moved into the DRAM space — a
-// Go map beside an intrusive doubly-linked list over a node array — driven
-// through the two calls persist made before probe: contains, then add on a
-// miss. The DRAM set must give the same answers, evict the same victims and
-// keep the same recency order.
+// Go map beside an intrusive doubly-linked list over a node array, one exact
+// LRU list — driven through the two calls persist made before probe:
+// contains, then add on a miss. One per set, hotWays big, it is the reference
+// the set-associative set must match; one of the set's whole capacity, it is
+// the exact LRU whose hit rate the set must stay near.
 type hotModel struct {
 	cap   int
 	m     map[hotModelKey]int // key -> node index
@@ -234,6 +241,15 @@ func (h *hotModel) add(table uint8, slot uint64) {
 	h.m[k] = i
 }
 
+// probe is contains, then add on a miss.
+func (h *hotModel) probe(table uint8, slot uint64) bool {
+	if h.contains(table, slot) {
+		return true
+	}
+	h.add(table, slot)
+	return false
+}
+
 // order lists the model's keys from most to least recently used.
 func (h *hotModel) order() []hotModelKey {
 	var keys []hotModelKey
@@ -243,54 +259,83 @@ func (h *hotModel) order() []hotModelKey {
 	return keys
 }
 
-// probeBoth runs one probe on the set and the contains-then-add pair on the
-// model and fails on a different answer or a different eviction victim.
-func probeBoth(t testing.TB, h *hotSet, ref *hotModel, clk *sim.Clock, table uint8, slot uint64) {
-	t.Helper()
-	var victim hotModelKey
-	if h.tail != hotNone {
-		k := h.space.ReadU64(nil, h.off(h.tail))
-		victim = hotModelKey{uint8(k >> 1), k >> 9}
+// setModel is the reference for a set-associative set: one exact LRU model
+// of hotWays entries per set, each key routed to the set it hashes to.
+type setModel struct {
+	h    *hotSet
+	sets []*hotModel
+}
+
+func newSetModel(h *hotSet) *setModel {
+	m := &setModel{h: h, sets: make([]*hotModel, 1<<(64-h.shift))}
+	for i := range m.sets {
+		m.sets[i] = newHotModel(hotWays)
 	}
+	return m
+}
+
+func (m *setModel) of(table uint8, slot uint64) *hotModel {
+	return m.sets[(m.h.line(hotKey(table, slot))-m.h.base)/pmem.LineSize]
+}
+
+func (m *setModel) stats() (s obs.HotSetStats) {
+	for _, r := range m.sets {
+		s.Add(r.stats)
+	}
+	return s
+}
+
+func (m *setModel) order() [][]hotModelKey {
+	sets := make([][]hotModelKey, len(m.sets))
+	for i, r := range m.sets {
+		sets[i] = r.order()
+	}
+	return sets
+}
+
+// probeBoth runs one probe on the set and on the model of the probed key's
+// set and fails on a different answer or a different eviction victim.
+func probeBoth(t testing.TB, h *hotSet, m *setModel, clk *sim.Clock, table uint8, slot uint64) {
+	t.Helper()
+	ref := m.of(table, slot)
+	k := h.space.ReadU64(nil, h.line(hotKey(table, slot))+8*(hotWays-1))
+	victim := hotModelKey{uint8(k >> 1), k >> 9}
 	refVictim := ref.nodes[max(ref.tail, 0)].key
 	ev, refEv := h.stats.Evictions, ref.stats.Evictions
 
-	hot := h.probe(clk, table, slot)
-	refHot := ref.contains(table, slot)
-	if !refHot {
-		ref.add(table, slot)
-	}
-	if hot != refHot {
-		t.Fatalf("cap %d (%d,%d): probe hot=%v, model %v", ref.cap, table, slot, hot, refHot)
+	if hot, refHot := h.probe(clk, table, slot), ref.probe(table, slot); hot != refHot {
+		t.Fatalf("(%d,%d): probe hot=%v, model %v", table, slot, hot, refHot)
 	}
 	evicted, refEvicted := h.stats.Evictions != ev, ref.stats.Evictions != refEv
 	if evicted != refEvicted || evicted && victim != refVictim {
-		t.Fatalf("cap %d (%d,%d): eviction %v of %v, model %v of %v", ref.cap, table, slot, evicted, victim, refEvicted, refVictim)
+		t.Fatalf("(%d,%d): eviction %v of %v, model %v of %v", table, slot, evicted, victim, refEvicted, refVictim)
 	}
 }
 
 // TestHotSetProbeMatchesContainsAdd drives one seeded key stream through the
-// DRAM set's probe and through the model's contains-then-add pair: the same
-// hits and misses, the same eviction victims, the same final recency order.
+// DRAM set's probe and through the per-set model's contains-then-add pairs:
+// the same hits and misses, the same eviction victims, the same final
+// recency order in every set.
 func TestHotSetProbeMatchesContainsAdd(t *testing.T) {
-	for _, capacity := range []int{1, 3, 256} {
+	for _, capacity := range []int{1, 24, 256} {
 		rng := rand.New(rand.NewSource(int64(capacity)))
-		h, ref := testHotSet(capacity), newHotModel(capacity)
+		h := testHotSet(capacity)
+		m := newSetModel(h)
 		clk := sim.NewClock()
 		for n := 0; n < 100_000; n++ {
 			span := 4*capacity + 8 // half the stream revisits a hot few
 			if rng.Intn(2) == 0 {
 				span = capacity + 1
 			}
-			probeBoth(t, h, ref, clk, uint8(rng.Intn(3)), uint64(rng.Intn(span)))
+			probeBoth(t, h, m, clk, uint8(rng.Intn(3)), uint64(rng.Intn(span)))
 		}
-		if got, want := hotOrder(t, h), ref.order(); !slices.Equal(got, want) {
+		if got, want := hotOrder(t, h), m.order(); !slices.EqualFunc(got, want, slices.Equal) {
 			t.Fatalf("cap %d: final LRU order differs:\n probe %v\n model %v", capacity, got, want)
 		}
 		got := h.stats
 		got.Lines = 0
-		if got != ref.stats {
-			t.Fatalf("cap %d: stats %+v, model %+v", capacity, got, ref.stats)
+		if got != m.stats() {
+			t.Fatalf("cap %d: stats %+v, model %+v", capacity, got, m.stats())
 		}
 		if h.stats.Hits == 0 || h.stats.Evictions == 0 {
 			t.Fatalf("cap %d: stream exercised no hits or no evictions: %+v", capacity, h.stats)
@@ -298,29 +343,93 @@ func TestHotSetProbeMatchesContainsAdd(t *testing.T) {
 	}
 }
 
-// FuzzHotSetModel drives the DRAM set and the model with the same probes: the
-// first byte picks a capacity of 1 to 8, each further pair of bytes a table
-// (of three) and a slot (of 24, so keys collide in the table and revisit the
-// set). Every answer, every eviction victim and, after every probe, the whole
-// recency order must match.
+// FuzzHotSetModel drives the DRAM set and the per-set model with the same
+// probes: the first byte picks a capacity of 1 to 32 (one to four sets), each
+// further pair of bytes a table (of three) and a slot (of 48, so keys collide
+// in a set and revisit it). Every answer, every eviction victim and, after
+// every probe, every set's whole recency order must match.
 func FuzzHotSetModel(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0, 2, 0, 1, 0, 3, 1, 1})
 	f.Add([]byte{0, 0, 5, 1, 5, 2, 5, 0, 5})
 	f.Add([]byte{7, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 1, 0, 10, 0, 2})
+	f.Add([]byte{20, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 0, 11, 0, 12,
+		1, 1, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 1, 7, 1, 8, 1, 9, 2, 40, 2, 41, 2, 42, 2, 43, 2, 44,
+		0, 1, 0, 13, 0, 14, 0, 15, 0, 16, 0, 17, 0, 18, 0, 19, 0, 20, 0, 2, 0, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return
 		}
-		capacity := 1 + int(b[0]%8)
-		h, ref := testHotSet(capacity), newHotModel(capacity)
+		h := testHotSet(1 + int(b[0]%32))
+		m := newSetModel(h)
 		clk := sim.NewClock()
 		for p := b[1:]; len(p) >= 2; p = p[2:] {
-			probeBoth(t, h, ref, clk, p[0]%3, uint64(p[1]%24))
-			if got, want := hotOrder(t, h), ref.order(); !slices.Equal(got, want) {
-				t.Fatalf("cap %d: LRU order differs:\n probe %v\n model %v", capacity, got, want)
+			probeBoth(t, h, m, clk, p[0]%3, uint64(p[1]%48))
+			if got, want := hotOrder(t, h), m.order(); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("LRU order differs:\n probe %v\n model %v", got, want)
 			}
 		}
 	})
+}
+
+// TestHotSetHitRateNearExactLRU: the set-associative set keeps recency only
+// within a set, so it may drop a tuple one global LRU list of the same
+// capacity would keep, or keep one it would drop. At the default capacity its
+// hit rate stays within two points of exact LRU's, on a seeded scrambled
+// Zipfian stream and on a TPC-C-like one (hot warehouse and district rows,
+// customer and stock rows drawn non-uniformly, and inserted rows, each written
+// once, that only ever miss).
+func TestHotSetHitRateNearExactLRU(t *testing.T) {
+	const capacity = 256
+	streams := []struct {
+		name string
+		run  func(rng *rand.Rand, emit func(table uint8, slot uint64))
+	}{
+		{"zipfian", func(rng *rand.Rand, emit func(uint8, uint64)) {
+			zipf := rand.NewZipf(rng, 1.01, 1, 99_999)
+			for n := 0; n < 200_000; n++ {
+				emit(0, zipf.Uint64()*7919%100_000)
+			}
+		}},
+		{"tpcc", func(rng *rand.Rand, emit func(uint8, uint64)) {
+			next := uint64(0) // the slot of the next inserted row
+			nurand := func(a, n int) uint64 { return uint64((rng.Intn(a+1) | rng.Intn(n)) % n) }
+			for n := 0; n < 20_000; n++ {
+				w := uint64(rng.Intn(2))
+				d := w*10 + uint64(rng.Intn(10))
+				if rng.Intn(2) == 0 { // NewOrder
+					emit(1, d)
+					for i := 5 + rng.Intn(11); i > 0; i-- {
+						emit(3, w*2000+nurand(511, 2000))
+						emit(6, next)
+						next++
+					}
+					emit(4, next)
+					emit(5, next)
+					next++
+				} else { // Payment
+					emit(0, w)
+					emit(1, d)
+					emit(2, d*120+nurand(127, 120))
+					emit(7, next)
+					next++
+				}
+			}
+		}},
+	}
+	for _, s := range streams {
+		h, ref := testHotSet(capacity), newHotModel(capacity)
+		clk := sim.NewClock()
+		s.run(rand.New(rand.NewSource(1)), func(table uint8, slot uint64) {
+			h.probe(clk, table, slot)
+			ref.probe(table, slot)
+		})
+		rate := func(s obs.HotSetStats) float64 { return float64(s.Hits) / float64(s.Hits+s.Misses) }
+		got, want := rate(h.stats), rate(ref.stats)
+		t.Logf("%s: set-associative hit rate %.4f, exact LRU %.4f", s.name, got, want)
+		if want == 0 || got < want-0.02 || got > want+0.02 {
+			t.Errorf("%s: hit rate %.4f, exact LRU %.4f: more than two points apart", s.name, got, want)
+		}
+	}
 }
 
 func TestReservationsExclusive(t *testing.T) {

@@ -121,7 +121,7 @@ func (s EpochStats) MeanEpochSize() float64 {
 	return float64(s.Records) / float64(s.Sealed)
 }
 
-// HotSetStats aggregates the per-worker hot-tuple LRU counters (selective
+// HotSetStats aggregates the per-worker hot-tuple set counters (selective
 // data flush, §4.4). A commit probes once per written tuple: a hit is a
 // write-back elided, a miss a tuple written back and tracked from then on,
 // which may evict.
@@ -129,9 +129,10 @@ type HotSetStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	// Lines counts the probes' accesses to the set's DRAM-space lines: each
-	// word a probe reads or writes is one. Omitted from JSON while zero, so a
-	// preset without a hot set serializes as it did before the counter.
+	// Lines counts the probes' accesses to the set's DRAM-space lines: a
+	// probe reads its set's line and may write it back, one access each.
+	// Omitted from JSON while zero, so a preset without a hot set serializes
+	// as it did before the counter.
 	Lines uint64 `json:",omitempty"`
 }
 
@@ -139,7 +140,7 @@ var hotSetMetrics = []metric[HotSetStats]{
 	row(counter, "falcon_hot_set_hits_total", "Selective-flush elisions: written tuples found hot (one probe per written tuple).", func(s *HotSetStats) *uint64 { return &s.Hits }),
 	row(counter, "falcon_hot_set_misses_total", "Hot-set misses: written tuples flushed and tracked (one probe per written tuple).", func(s *HotSetStats) *uint64 { return &s.Misses }),
 	row(counter, "falcon_hot_set_evictions_total", "Hot-set LRU evictions.", func(s *HotSetStats) *uint64 { return &s.Evictions }),
-	row(counter, "falcon_hot_set_lines_total", "DRAM-space line accesses of hot-set probes (one per word read or written).", func(s *HotSetStats) *uint64 { return &s.Lines }),
+	row(counter, "falcon_hot_set_lines_total", "DRAM-space line accesses of hot-set probes (one per line read or written).", func(s *HotSetStats) *uint64 { return &s.Lines }),
 }
 
 // Add sums o into s.
