@@ -120,8 +120,9 @@ type Config struct {
 	Flush FlushPolicy
 	// Index selects index placement.
 	Index IndexPlacement
-	// HotTupleCap is the per-thread hot-tuple LRU capacity used by
-	// FlushSelective.
+	// HotTupleCap is the per-thread hot-tuple set capacity used by
+	// FlushSelective: set-associative, 8 ways; rounded up to a power-of-two
+	// number of sets.
 	HotTupleCap int
 	// TupleCacheBytes enables the ZenS-style DRAM tuple cache when > 0.
 	TupleCacheBytes int

@@ -11,9 +11,8 @@ import (
 // a seeded stream over 512 slots of three tables, so about half the probes
 // hit and the misses evict. Like the pmem host benchmarks it times the
 // simulation, not the simulated machine; a probe must not allocate. A probe
-// is one line read and at most one line write: about 60 host ns on a 2-core
-// Xeon, where the linked LRU it replaced took about 206 and a Go map beside a
-// node list about 130.
+// is one line read and at most one line write, about 60 host ns on a 2-core
+// Xeon, under the 130 a Go map beside a node list took.
 func BenchmarkHotSetProbe(b *testing.B) {
 	h := testHotSet(256)
 	clk := sim.NewClock()

@@ -24,7 +24,7 @@ import (
 // most recent, the empty ways last. A probe reads its key's line and, unless
 // the key is already at way 0, writes it back with the key moved or inserted
 // at way 0; a miss on a full set drops the last way. So recency is exact
-// within a set, not across the whole set. It is single-owner (one worker
+// within a set, not across the table. It is single-owner (one worker
 // thread), so it needs no locking.
 type hotSet struct {
 	space *pmem.MemSpace
