@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 // TestSweepCellObsGolden holds two cells of `falcon sweep -threads 2 -txns 40
 // -warmup 10 -records 2000 -parworkers` to testdata byte for byte: what -prom
-// writes for the cell, and its Snapshot.JSON. Falcon's TPC-C cell runs with
+// writes for the cell, and its snapshot as -json writes it. Falcon's TPC-C cell runs with
 // -contend, Falcon+GC's YCSB-A Zipfian cell with -groupcommit, so between them
 // they carry tables, the observatory, epochs and their histograms. Both run
 // through the group scheduler, so nothing in them depends on the host. -update
@@ -37,7 +38,7 @@ func TestSweepCellObsGolden(t *testing.T) {
 			if err := obs.WritePrometheusCells(&prom, []obs.NamedSnapshot{{Label: c.Label, Snap: res.Obs}}); err != nil {
 				t.Fatal(err)
 			}
-			js, err := res.Obs.JSON()
+			js, err := json.MarshalIndent(res.Obs, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}

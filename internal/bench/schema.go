@@ -1,10 +1,10 @@
 package bench
 
-// Schema identifiers stamped on the tools' JSON artifacts (alongside
-// obs.SnapshotSchema for obs snapshots), so offline consumers can detect
-// layout drift instead of silently misreading renamed fields. The formats
-// only grow; a version bump signals a rename or semantic change, not an
-// addition.
+// Schema identifiers stamped on the tools' JSON artifacts, so offline
+// consumers can detect layout drift instead of silently misreading renamed
+// fields. An obs snapshot has no stamp of its own: it travels inside a
+// stamped sweep cell or stream line. The formats only grow; a version bump
+// signals a rename or semantic change, not an addition.
 const (
 	// StreamSchema marks -stream JSONL epoch lines (EpochLine).
 	StreamSchema = "falcon/stream/v1"

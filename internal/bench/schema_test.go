@@ -12,7 +12,7 @@ import (
 // schema tag is "falcon/<artifact>/v<N>" and the tags are distinct, so a
 // consumer can dispatch on the string without ambiguity.
 func TestSchemaConstantsShape(t *testing.T) {
-	tags := []string{StreamSchema, SweepCellSchema, HostPerfSchema, obs.SnapshotSchema}
+	tags := []string{StreamSchema, SweepCellSchema, HostPerfSchema, LoadgenSchema}
 	seen := map[string]bool{}
 	for _, tag := range tags {
 		if !strings.HasPrefix(tag, "falcon/") || !strings.Contains(tag, "/v") {
@@ -69,19 +69,28 @@ func TestStreamLineSchemaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestObsSnapshotJSONSchema checks that the obs snapshot's JSON
-// rendering carries its own schema stamp.
+// TestObsSnapshotJSONSchema checks that an obs snapshot's JSON travels under
+// a schema stamp: a -json sweep cell carries SweepCellSchema, and the
+// snapshot inside it (encoding/json over the struct, its one encoding)
+// survives the round trip.
 func TestObsSnapshotJSONSchema(t *testing.T) {
 	var snap obs.Snapshot
-	b, err := snap.JSON()
+	snap.Commits = 7
+	snap.PhaseNanos[obs.PhaseGroupWait] = 11
+	snap.Contend = &obs.ContentionStats{Algo: "OCC", WALFlushLines: 3}
+	b, err := json.Marshal(GridCell{Schema: SweepCellSchema, Result: &Result{Obs: snap}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(b, &m); err != nil {
+	var back GridCell
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if m["schema"] != obs.SnapshotSchema {
-		t.Fatalf("snapshot JSON schema key = %v, want %q", m["schema"], obs.SnapshotSchema)
+	if back.Schema != SweepCellSchema {
+		t.Fatalf("sweep cell schema = %q, want %q", back.Schema, SweepCellSchema)
+	}
+	got := back.Result.Obs
+	if got.Commits != 7 || got.PhaseNanos != snap.PhaseNanos || got.Contend == nil || got.Contend.Algo != "OCC" || got.Contend.WALFlushLines != 3 {
+		t.Fatalf("snapshot round trip lost fields: %+v", got)
 	}
 }

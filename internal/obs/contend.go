@@ -82,7 +82,7 @@ func NewObservatory(cfg ObservatoryConfig) *Observatory {
 		if cfg.Banks > 0 {
 			w.bankEv = make([]uint64, cfg.Banks)
 		}
-		w.ex = make(map[uint32]*exEntry)
+		w.ex = make(map[uint32]*Exemplar)
 	}
 	return o
 }
@@ -134,12 +134,6 @@ type waitEdge struct {
 	slot  uint64
 }
 
-// exEntry is the slowest-transaction exemplar for one attribution bucket.
-type exEntry struct {
-	dur uint64
-	ex  Exemplar
-}
-
 // contendShard is one worker's shard of the observatory. The counting paths
 // allocate nothing; only exemplar admission (rare, tracer-armed only) copies
 // span stacks.
@@ -162,9 +156,9 @@ type contendShard struct {
 	// bankEv[bank] counts XPBuffer evictions per bank.
 	bankEv        []uint64
 	walFlushLines uint64
-	walGroupWait  uint64
-	// ex holds slowest-1 exemplars keyed by (table<<16 | pop<<8 | kind).
-	ex map[uint32]*exEntry
+	// ex holds each bucket's slowest exemplar keyed by
+	// (table<<16 | pop<<8 | kind).
+	ex map[uint32]*Exemplar
 	// pad keeps adjacent workers' hot state off one cache line.
 	_ [4]uint64
 }
@@ -231,17 +225,13 @@ func (w *contendShard) conflict(tr *WorkerTracer, table int, key, slot uint64, k
 	}
 
 	if tr != nil {
-		if el := tr.TxnElapsed(now); el > 0 {
-			k := uint32(table)<<16 | uint32(pop)<<8 | uint32(kind)
-			ent := w.ex[k]
-			if ent == nil {
-				ent = &exEntry{}
-				w.ex[k] = ent
-			}
-			if el > ent.dur && tr.CaptureCurrent(&ent.ex, now, kind.String()) {
-				ent.dur = el
-			}
+		k := uint32(table)<<16 | uint32(pop)<<8 | uint32(kind)
+		ex := w.ex[k]
+		if ex == nil {
+			ex = &Exemplar{}
+			w.ex[k] = ex
 		}
+		tr.keepIfSlower(ex, now, kind.String())
 	}
 }
 
@@ -290,15 +280,14 @@ func (o *Observatory) Report() *ContentionStats {
 			}
 			// Slowest exemplar across workers; ties keep the lowest worker.
 			key := uint32(t)<<16 | uint32(pop)<<8 | uint32(kind)
-			var best *exEntry
+			best := &Exemplar{}
 			for i := range o.workers {
-				if e := o.workers[i].ex[key]; e != nil && (best == nil || e.dur > best.dur) {
+				if e := o.workers[i].ex[key]; e != nil && e.Dur() > best.Dur() {
 					best = e
 				}
 			}
-			if best != nil {
-				ex := best.ex
-				ex.Events = append([]Event(nil), best.ex.Events...)
+			if best.Dur() > 0 {
+				ex := cloneExemplar(best)
 				row.Exemplar = &ex
 			}
 			c.Attribution = append(c.Attribution, row)
@@ -384,7 +373,6 @@ func (o *Observatory) Report() *ContentionStats {
 	// WAL contributions.
 	for i := range o.workers {
 		c.WALFlushLines += o.workers[i].walFlushLines
-		c.WALGroupWaitNanos += o.workers[i].walGroupWait
 	}
 
 	// XPBuffer set contention.

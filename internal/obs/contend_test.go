@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"falcon/internal/pmem"
+	"falcon/internal/sim"
 )
 
 func testConfig(workers int) ObservatoryConfig {
@@ -58,7 +59,6 @@ func drive(rec *Probe, w, events int) {
 		}
 	}
 	rec.FlushTrain(0, 0, uint64(w)+1)
-	rec.GroupWait(uint64(w) * 100)
 }
 
 // TestConcurrentMergeEqualsSerialReplay hammers the sharded recorders from
@@ -184,5 +184,96 @@ func TestReportShape(t *testing.T) {
 	}
 	if wf.Hot[0].Worker != 1 || wf.Hot[0].In != 10 {
 		t.Fatalf("hot vertex = %+v", wf.Hot[0])
+	}
+}
+
+// TestConflictExemplarIsSlowestAttempt co-arms a tracer and an observatory and
+// plants conflicts of several lengths, some in attempts that run on long after
+// theirs or never conflict at all. Each attribution row's exemplar must be its
+// slowest conflicting attempt, measured to the conflict: it ends at that
+// conflict's virtual time and holds the attempt's spans up to then, not the
+// segment still open.
+func TestConflictExemplarIsSlowestAttempt(t *testing.T) {
+	cfg := testConfig(2)
+	tr := NewTracer(cfg.Workers, TraceOptions{})
+	o := NewObservatory(cfg)
+	probes := make([]Probe, cfg.Workers)
+	clks := make([]*sim.Clock, cfg.Workers)
+	for w := range probes {
+		probes[w].Arm(tr, o, w)
+		clks[w] = sim.NewClock()
+	}
+
+	// want models each row's exemplar: the attempt with the longest run up to
+	// its conflict, the first of equals on a worker.
+	want := map[string]Exemplar{}
+	// attempt runs one attempt on worker w: exec for execNs, then cc for ccNs,
+	// then the conflict (for a spin-wait, a stall of waitNs), then tailNs more
+	// before it ends. A kind past the last conflicts nowhere.
+	attempt := func(w int, tid uint64, table int, kind ConflictKind, execNs, ccNs, waitNs, tailNs uint64) {
+		p, clk := &probes[w], clks[w]
+		p.Begin(tid, clk)
+		start := clk.Nanos()
+		clk.Advance(execNs)
+		p.To(PhaseCC)
+		spans := []Event{{Kind: EvPhase, Phase: PhaseExec, Start: start, End: clk.Nanos()}}
+		clk.Advance(ccNs)
+		if kind < NumConflictKinds {
+			if kind == ConflictSpinWait {
+				from := clk.Nanos()
+				clk.Advance(waitNs)
+				spans = append(spans, Event{Kind: EvLockWait, Start: from, End: clk.Nanos()})
+				p.SpinWait(table, 7, 7, 1-w, from, clk.Nanos(), 3)
+			} else {
+				p.Conflict(table, 7, 7, kind, 1-w, clk.Nanos())
+			}
+			row := cfg.Tables[table] + "/" + kind.String()
+			if cur, ok := want[row]; !ok || clk.Nanos()-start > cur.Dur() {
+				want[row] = Exemplar{Worker: w, TID: tid, Start: start, End: clk.Nanos(), Abort: kind.String(), Events: spans}
+			}
+		}
+		clk.Advance(tailNs)
+		p.End(kind >= NumConflictKinds, AbortLockConflict)
+	}
+
+	attempt(0, 1, 0, ConflictLockFail, 30, 10, 0, 5)
+	attempt(0, 2, 0, ConflictLockFail, 50, 40, 0, 5)   // slowest kv lock-fail on worker 0
+	attempt(0, 3, 0, ConflictLockFail, 10, 5, 0, 5000) // long, but conflicts early
+	attempt(0, 4, 0, ConflictLockFail, 60, 30, 0, 5)   // as slow as tid 2: the first stays
+	attempt(0, 5, 0, NumConflictKinds, 900, 900, 0, 5) // slowest of all, never conflicts
+	attempt(0, 6, 1, ConflictValidation, 20, 20, 0, 5)
+	attempt(1, 11, 0, ConflictLockFail, 70, 40, 0, 5) // slower than worker 0's best
+	attempt(1, 12, 1, ConflictSpinWait, 15, 5, 200, 5)
+	attempt(1, 13, 1, ConflictSpinWait, 15, 5, 100, 5000)
+	attempt(1, 14, 1, ConflictValidation, 10, 20, 0, 5)
+
+	rep := o.Report()
+	if len(rep.Attribution) != len(want) {
+		t.Fatalf("attribution rows = %d, want %d", len(rep.Attribution), len(want))
+	}
+	for _, r := range rep.Attribution {
+		row := r.Table + "/" + r.Kind
+		w, ok := want[row]
+		if !ok {
+			t.Fatalf("unexpected attribution row %s", row)
+		}
+		ex := r.Exemplar
+		if ex == nil {
+			t.Fatalf("%s: no exemplar", row)
+		}
+		if ex.Worker != w.Worker || ex.TID != w.TID || ex.Start != w.Start || ex.End != w.End || ex.Abort != w.Abort {
+			t.Errorf("%s: exemplar worker %d tid %d [%d, %d] %q; want worker %d tid %d [%d, %d] %q",
+				row, ex.Worker, ex.TID, ex.Start, ex.End, ex.Abort, w.Worker, w.TID, w.Start, w.End, w.Abort)
+		}
+		if len(ex.Events) != len(w.Events) {
+			t.Fatalf("%s: exemplar holds %d spans, want %d: %+v", row, len(ex.Events), len(w.Events), ex.Events)
+		}
+		for i, e := range ex.Events {
+			x := w.Events[i]
+			if e.Kind != x.Kind || e.Phase != x.Phase || e.Start != x.Start || e.End != x.End || e.TID != w.TID {
+				t.Errorf("%s: span %d = %s/%s [%d, %d] tid %d; want %s/%s [%d, %d] tid %d",
+					row, i, e.Kind, e.Phase, e.Start, e.End, e.TID, x.Kind, x.Phase, x.Start, x.End, w.TID)
+			}
+		}
 	}
 }

@@ -165,10 +165,9 @@ type ContentionStats struct {
 	Heat        *HeatDump        `json:"heat,omitempty"`
 	FlushAmp    []FlushAmpRow    `json:"flush_amp,omitempty"`
 	// WALFlushLines counts log-region lines flushed by the WAL's own drain
-	// path (persist trains and per-commit CLWBs); WALGroupWaitNanos the
-	// virtual time spent stalled on group-commit slot reclaim.
-	WALFlushLines     uint64 `json:"wal_flush_lines,omitempty"`
-	WALGroupWaitNanos uint64 `json:"wal_group_wait_nanos,omitempty"`
+	// path (persist trains and per-commit CLWBs). The time group commit
+	// stalls on a slot reclaim is the group-wait phase's, not counted here.
+	WALFlushLines uint64 `json:"wal_flush_lines,omitempty"`
 	// BankEvictions counts XPBuffer evictions per bank (set index);
 	// SetContention is the distribution of those per-bank counts — a wide
 	// spread means a few sets take all the eviction pressure.
@@ -184,37 +183,6 @@ func (c *ContentionStats) TotalConflicts() uint64 {
 		n += r.Conflicts
 	}
 	return n
-}
-
-// Sub returns the observation window s - o. The observatory is armed after
-// the warmup baseline is taken, so o is normally nil and s passes through;
-// a non-nil o diffs the counter tables row-wise (exemplars, heat sketches
-// and graph dumps pass through from s — they are point-in-time captures).
-func (c *ContentionStats) Sub(o *ContentionStats) *ContentionStats {
-	if c == nil || o == nil {
-		return c
-	}
-	key := func(r AttributionRow) string {
-		return fmt.Sprintf("%s\x00%d\x00%s", r.Table, r.PopBucket, r.Kind)
-	}
-	prev := make(map[string]AttributionRow, len(o.Attribution))
-	for _, r := range o.Attribution {
-		prev[key(r)] = r
-	}
-	out := *c
-	out.Attribution = make([]AttributionRow, 0, len(c.Attribution))
-	for _, r := range c.Attribution {
-		if p, ok := prev[key(r)]; ok {
-			r.Conflicts -= p.Conflicts
-			r.WaitNanos -= p.WaitNanos
-		}
-		if r.Conflicts > 0 || r.WaitNanos > 0 {
-			out.Attribution = append(out.Attribution, r)
-		}
-	}
-	out.WALFlushLines = c.WALFlushLines - o.WALFlushLines
-	out.WALGroupWaitNanos = c.WALGroupWaitNanos - o.WALGroupWaitNanos
-	return &out
 }
 
 // heatGlyphs renders relative density; index scales with count/max.
@@ -234,7 +202,8 @@ func glyph(count, max uint64) rune {
 // HeatMarkdown renders the heat sketch as a markdown table: one row per
 // density map, one column per ring bucket group, using block glyphs scaled
 // to each map's own maximum. cols caps the table width; adjacent ring
-// buckets are folded together to fit.
+// buckets are folded together to fit, spread evenly so that every column
+// holds at least one bucket.
 func (h *HeatDump) HeatMarkdown(cols int) string {
 	if h == nil || h.Buckets == 0 {
 		return ""
@@ -243,10 +212,9 @@ func (h *HeatDump) HeatMarkdown(cols int) string {
 		cols = h.Buckets
 	}
 	fold := func(src []uint64) []uint64 {
-		per := (h.Buckets + cols - 1) / cols
 		out := make([]uint64, cols)
 		for i, v := range src {
-			out[i/per] += v
+			out[i*cols/h.Buckets] += v
 		}
 		return out
 	}
@@ -274,41 +242,8 @@ func (h *HeatDump) HeatMarkdown(cols int) string {
 	return b.String()
 }
 
-// Text renders the report as an aligned block in the Snapshot.Text style.
-func (c *ContentionStats) Text() string {
-	if c == nil {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "contend   algo %s  conflicts %d\n", c.Algo, c.TotalConflicts())
-	top := c.Attribution
-	if len(top) > 8 {
-		top = top[:8]
-	}
-	for _, r := range top {
-		fmt.Fprintf(&b, "  %-14s pop2^%-2d %-11s %8d", r.Table, r.PopBucket, r.Kind, r.Conflicts)
-		if r.WaitNanos > 0 {
-			fmt.Fprintf(&b, "  wait %d ns", r.WaitNanos)
-		}
-		b.WriteByte('\n')
-	}
-	for _, r := range c.FlushAmp {
-		fmt.Fprintf(&b, "  flush-amp %-12s logical %d B  clwb %d  train %d  evict %d lines  xp %d/%d  amp %.2f\n",
-			r.Table, r.LogicalBytes, r.ClwbLines, r.TrainLines, r.EvictLines,
-			r.XPFullEvicts, r.XPPartialEvicts, r.Amplification())
-	}
-	if c.WALFlushLines > 0 || c.WALGroupWaitNanos > 0 {
-		fmt.Fprintf(&b, "  wal       flush lines %d  group-wait %d ns\n", c.WALFlushLines, c.WALGroupWaitNanos)
-	}
-	if c.WaitFor != nil && len(c.WaitFor.Edges) > 0 {
-		fmt.Fprintf(&b, "  wait-for  %d workers  %d edges  %d cycles  %d rounds\n",
-			c.WaitFor.Workers, len(c.WaitFor.Edges), len(c.WaitFor.Cycles), c.WaitFor.Rounds)
-	}
-	return b.String()
-}
-
-// Autopsy renders the full human report for the -contend tool mode: top
-// attribution buckets, heat tables, flush amplification, set contention,
+// Autopsy is the report's one human rendering, printed per cell by -contend:
+// top attribution buckets, heat tables, flush amplification, set contention,
 // and the wait-for graph.
 func (c *ContentionStats) Autopsy() string {
 	if c == nil {
@@ -348,8 +283,8 @@ func (c *ContentionStats) Autopsy() string {
 				r.XPFullEvicts, r.XPPartialEvicts, r.Amplification())
 		}
 	}
-	if c.WALFlushLines > 0 || c.WALGroupWaitNanos > 0 {
-		fmt.Fprintf(&b, "\nwal: %d flush lines, %d ns group-commit wait\n", c.WALFlushLines, c.WALGroupWaitNanos)
+	if c.WALFlushLines > 0 {
+		fmt.Fprintf(&b, "\nwal: %d flush lines\n", c.WALFlushLines)
 	}
 	if c.SetContention.Count > 0 {
 		fmt.Fprintf(&b, "\nxpbuffer set contention: %d banks, evictions/bank min %d max %d mean %.1f\n",

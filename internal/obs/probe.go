@@ -203,14 +203,6 @@ func (p *Probe) FlushTrain(start, end, lines uint64) {
 	}
 }
 
-// GroupWait is nanos of virtual time stalled reclaiming a slot whose epoch
-// had not sealed.
-func (p *Probe) GroupWait(nanos uint64) {
-	if p != nil && p.cw != nil {
-		p.cw.walGroupWait += nanos
-	}
-}
-
 // EpochSeal is the sealing of durability epoch id, which coalesced records
 // records.
 func (p *Probe) EpochSeal(start, end, id, records uint64) {

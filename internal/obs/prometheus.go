@@ -253,7 +253,6 @@ func promSnapshot(p *promWriter, s Snapshot) {
 			}
 		}
 		p.counter("falcon_contend_wal_flush_lines_total", "Log-region lines flushed by the WAL drain path.", nil, c.WALFlushLines)
-		p.counter("falcon_contend_wal_group_wait_nanos_total", "Virtual nanoseconds stalled on group-commit slot reclaim.", nil, c.WALGroupWaitNanos)
 		if c.SetContention.Count > 0 {
 			p.histogram("falcon_contend_xp_set_evictions", "Evictions per XPBuffer bank (set-contention spread).", nil, c.SetContention)
 		}

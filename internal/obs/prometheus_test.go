@@ -85,9 +85,8 @@ func promTestSnapshot() Snapshot {
 		FlushAmp: []FlushAmpRow{
 			{Table: "kv", LogicalBytes: 64000, ClwbLines: 1200, TrainLines: 300, EvictLines: 80, XPFullEvicts: 50, XPPartialEvicts: 9},
 		},
-		WALFlushLines:     777,
-		WALGroupWaitNanos: 123,
-		SetContention:     setHist.Dump(),
+		WALFlushLines: 777,
+		SetContention: setHist.Dump(),
 		WaitFor: &WaitForDump{Workers: 4, Rounds: 12,
 			Edges:  []WaitForEdge{{Waiter: 0, Holder: 1, Count: 5}},
 			Cycles: [][]int{{0, 1}}},
@@ -350,6 +349,19 @@ func TestHeatMarkdownShape(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], "█") {
 		t.Errorf("max bucket not rendered at full intensity: %q", lines[2])
+	}
+
+	// 256 buckets over 48 columns: every column holds five or six of them,
+	// so a ring with traffic in every bucket leaves no column blank.
+	ring := &HeatDump{Buckets: 256, Lock: make([]uint64, 256), Version: make([]uint64, 256), Flush: make([]uint64, 256)}
+	for i := range ring.Flush {
+		ring.Flush[i] = 1
+	}
+	md = ring.HeatMarkdown(48)
+	flush := strings.Split(strings.TrimRight(md, "\n"), "\n")[4]
+	glyphs := []rune(flush[strings.Index(flush, "`")+1 : strings.LastIndex(flush, "`")])
+	if len(glyphs) != 48 || strings.ContainsRune(string(glyphs), ' ') {
+		t.Errorf("48-column flush row has %d columns, blank ones among them: %q", len(glyphs), flush)
 	}
 }
 

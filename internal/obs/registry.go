@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -189,7 +188,9 @@ func (s TableStats) Sub(o TableStats) TableStats { return subRows(tableMetrics, 
 // server in front of it (Server.Snapshot): engine counters, phase accounting,
 // abort taxonomy, WAL and hot-set gauges, and the pmem hardware counters.
 // Snapshots are plain values; Sub diffs two of them, which is how warmup
-// activity is excluded from measurements.
+// activity is excluded from measurements. Text is their human rendering,
+// WritePrometheus their exposition, and encoding/json over the struct their
+// one JSON encoding (what `falcon sweep -json` and -stream write).
 type Snapshot struct {
 	Commits     uint64
 	Aborts      uint64
@@ -212,12 +213,9 @@ type Snapshot struct {
 	Server *ServerStats `json:",omitempty"`
 }
 
-// SnapshotSchema versions the JSON rendering of a Snapshot. Consumers
-// should reject schemas they do not know; the format only grows, so a
-// version bump signals a field rename or semantic change, not an addition.
-const SnapshotSchema = "falcon/obs-snapshot/v1"
-
-// Sub returns the element-wise difference s - o.
+// Sub returns the element-wise difference s - o. Contend passes through from
+// s: the observatory is armed only after the baseline is taken, so o never
+// carries a report.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	out := Snapshot{
 		Commits: s.Commits - o.Commits,
@@ -227,7 +225,7 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		Mem:     s.Mem.Sub(o.Mem),
 		Epochs:  s.Epochs.Sub(o.Epochs),
 		Tables:  subEach(tableMetrics, s.Tables, o.Tables),
-		Contend: s.Contend.Sub(o.Contend),
+		Contend: s.Contend,
 		Server:  s.Server.Sub(o.Server),
 	}
 	for i := range s.PhaseNanos {
@@ -283,7 +281,7 @@ func (s Snapshot) Text() string {
 			s.Epochs.Sealed, s.Epochs.Pending, s.Epochs.Records,
 			s.Epochs.MeanEpochSize(), s.Epochs.TrainSpans)
 		fmt.Fprintf(&b, "          forced seals %d (%d ns group-wait)  durable lag max %d ns\n",
-			s.Epochs.ForcedSeals, s.Epochs.ForcedWaitNanos, s.Epochs.DurableLag.Max)
+			s.Epochs.ForcedSeals, s.PhaseNanos[PhaseGroupWait], s.Epochs.DurableLag.Max)
 	}
 	if s.Hot.Hits+s.Hot.Misses > 0 {
 		fmt.Fprintf(&b, "hot-set   hits %d  misses %d  evictions %d  dram line accesses %d\n",
@@ -310,43 +308,5 @@ func (s Snapshot) Text() string {
 	if s.Server != nil {
 		b.WriteString(s.Server.Text())
 	}
-	if s.Contend != nil {
-		b.WriteString(s.Contend.Text())
-	}
 	return b.String()
-}
-
-// JSON renders the snapshot with named phases and abort reasons.
-func (s Snapshot) JSON() ([]byte, error) {
-	phases := make(map[string]uint64, NumPhases)
-	for i, n := range s.PhaseNanos {
-		phases[PhaseNames[i]] = n
-	}
-	reasons := make(map[string]uint64, NumAbortReasons)
-	for i, n := range s.AbortCounts {
-		reasons[AbortReasonNames[i]] = n
-	}
-	m := map[string]any{
-		"schema":       SnapshotSchema,
-		"commits":      s.Commits,
-		"aborts":       s.Aborts,
-		"phase_nanos":  phases,
-		"abort_counts": reasons,
-		"wal":          s.WAL,
-		"hot_set":      s.Hot,
-		"pmem":         s.Mem,
-	}
-	if s.Epochs.Records > 0 || s.Epochs.Sealed > 0 {
-		m["epochs"] = s.Epochs
-	}
-	if len(s.Tables) > 0 {
-		m["tables"] = s.Tables
-	}
-	if s.Contend != nil {
-		m["contend"] = s.Contend
-	}
-	if s.Server != nil {
-		m["server"] = s.Server
-	}
-	return json.MarshalIndent(m, "", "  ")
 }

@@ -90,7 +90,7 @@ func TestSnapshotServerRendering(t *testing.T) {
 		t.Fatalf("Text missing server block:\n%s", txt)
 	}
 
-	raw, err := s.JSON()
+	raw, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func TestSnapshotServerRendering(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m["server"]; !ok {
-		t.Fatal("JSON missing server key")
+	if _, ok := m["Server"]; !ok {
+		t.Fatal("JSON missing Server key")
 	}
 
 	// Snapshot.Sub must carry the server block through nil-safely.

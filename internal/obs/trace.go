@@ -84,7 +84,7 @@ type Exemplar struct {
 	Events []Event `json:"events"`
 }
 
-// Dur returns the exemplar's virtual duration.
+// Dur returns the exemplar's virtual duration; an empty exemplar's is 0.
 func (e *Exemplar) Dur() uint64 { return e.End - e.Start }
 
 // TraceOptions configures a Tracer.
@@ -144,7 +144,7 @@ func NewTracer(workers int, opt TraceOptions) *Tracer {
 		w.tr = t
 		w.worker = int32(i)
 		w.ring = make([]Event, 0, opt.RingCap)
-		w.slow = make([]Exemplar, 0, opt.SlowK)
+		w.slow = make([]Exemplar, opt.SlowK)
 		w.aborted = make([]Exemplar, opt.AbortCap)
 		w.cur = make([]Event, 0, 64)
 	}
@@ -189,11 +189,11 @@ type WorkerTracer struct {
 	dropped uint64
 
 	// slow keeps the K slowest transactions (linear min-replace — K is
-	// small); aborted is a ring of the most recent aborted transactions.
-	slow     []Exemplar
-	aborted  []Exemplar
-	abortN   int
-	abortLen int
+	// small); aborted is a ring of the most recent aborted transactions,
+	// abortN its oldest slot. A slot of either with no duration is empty.
+	slow    []Exemplar
+	aborted []Exemplar
+	abortN  int
 
 	// pad keeps adjacent workers' hot scratch state off one cache line.
 	_ [4]uint64
@@ -224,10 +224,9 @@ func (w *WorkerTracer) TxnEnd(end uint64, reason int) {
 	if w == nil || !w.active {
 		return
 	}
-	w.active = false
-	ab := int16(0)
+	ab, abort := int16(0), ""
 	if reason >= 0 {
-		ab = int16(reason) + 1
+		ab, abort = int16(reason)+1, AbortReason(reason).String()
 	}
 	w.cur = append(w.cur, Event{
 		Kind: EvTxn, Start: w.txnStart, End: end, Host: w.host(),
@@ -239,9 +238,10 @@ func (w *WorkerTracer) TxnEnd(end uint64, reason int) {
 		}
 	}
 	if reason >= 0 {
-		w.keepAborted(end, reason)
+		w.keepAborted(end, abort)
 	}
-	w.keepSlow(end, reason)
+	w.keepSlow(end, abort)
+	w.active = false
 }
 
 // Span records a span event [start, end] of the given kind.
@@ -296,85 +296,41 @@ func (w *WorkerTracer) push(e Event) {
 	w.dropped++
 }
 
-// keepSlow admits the finished transaction to the slowest-K store if it
-// beats the current minimum (linear scan; K is small).
-func (w *WorkerTracer) keepSlow(end uint64, reason int) {
-	dur := end - w.txnStart
-	if len(w.slow) < cap(w.slow) {
-		w.slow = append(w.slow, w.exemplar(end, reason))
-		return
-	}
+// keepSlow writes the finished transaction over the fastest of the K slowest
+// if it ran longer (linear scan; K is small).
+func (w *WorkerTracer) keepSlow(end uint64, abort string) {
 	min := 0
-	for i := 1; i < len(w.slow); i++ {
+	for i := range w.slow {
 		if w.slow[i].Dur() < w.slow[min].Dur() {
 			min = i
 		}
 	}
-	if dur > w.slow[min].Dur() {
-		ex := &w.slow[min]
-		w.fillExemplar(ex, end, reason)
-	}
+	w.keepIfSlower(&w.slow[min], end, abort)
 }
 
-// keepAborted appends the aborted transaction to the bounded exemplar ring.
-func (w *WorkerTracer) keepAborted(end uint64, reason int) {
+// keepAborted writes the aborted transaction over the ring's oldest slot.
+// The ring keeps the latest attempts, not the slowest, so the slot is emptied
+// first.
+func (w *WorkerTracer) keepAborted(end uint64, abort string) {
 	ex := &w.aborted[w.abortN]
-	w.fillExemplar(ex, end, reason)
-	w.abortN++
-	if w.abortN == len(w.aborted) {
-		w.abortN = 0
-	}
-	if w.abortLen < len(w.aborted) {
-		w.abortLen++
-	}
+	ex.End = ex.Start
+	w.keepIfSlower(ex, end, abort)
+	w.abortN = (w.abortN + 1) % len(w.aborted)
 }
 
-func (w *WorkerTracer) exemplar(end uint64, reason int) Exemplar {
-	var ex Exemplar
-	w.fillExemplar(&ex, end, reason)
-	return ex
-}
-
-// fillExemplar overwrites ex with the current transaction, reusing ex's
-// event slice to stay allocation-free once the stores have warmed up.
-func (w *WorkerTracer) fillExemplar(ex *Exemplar, end uint64, reason int) {
-	ex.Worker = int(w.worker)
-	ex.TID = w.txnTID
-	ex.Start = w.txnStart
-	ex.End = end
-	ex.Abort = ""
-	if reason >= 0 {
-		ex.Abort = AbortReason(reason).String()
+// keepIfSlower overwrites ex with the open transaction as it stands at
+// virtual time end — its span stack so far, abort as its outcome — when it
+// has run longer than ex's (an empty ex takes any transaction that took
+// virtual time). It reuses ex's event slice, so a store stays allocation-free
+// once warm. The tracer's exemplar stores fill through it at TxnEnd, and the
+// observatory's attribution buckets mid-transaction at a conflict; with no
+// transaction open it keeps nothing.
+func (w *WorkerTracer) keepIfSlower(ex *Exemplar, end uint64, abort string) {
+	if !w.active || end-w.txnStart <= ex.Dur() {
+		return
 	}
-	ex.Events = append(ex.Events[:0], w.cur...)
-}
-
-// TxnElapsed returns the active transaction's virtual duration so far, or
-// 0 when no transaction is open. Observatory exemplar admission uses it to
-// decide whether a capture is worth the copy.
-func (w *WorkerTracer) TxnElapsed(now uint64) uint64 {
-	if w == nil || !w.active {
-		return 0
-	}
-	return now - w.txnStart
-}
-
-// CaptureCurrent fills ex with the active transaction's span stack so far —
-// the observatory's slowest-exemplar capture, taken mid-transaction at a
-// conflict site rather than at TxnEnd. ex's event slice is reused, keeping
-// repeated captures allocation-free. Reports false when no transaction is
-// open (or w is nil), leaving ex untouched.
-func (w *WorkerTracer) CaptureCurrent(ex *Exemplar, end uint64, reason string) bool {
-	if w == nil || !w.active {
-		return false
-	}
-	ex.Worker = int(w.worker)
-	ex.TID = w.txnTID
-	ex.Start = w.txnStart
-	ex.End = end
-	ex.Abort = reason
-	ex.Events = append(ex.Events[:0], w.cur...)
-	return true
+	*ex = Exemplar{Worker: int(w.worker), TID: w.txnTID, Start: w.txnStart, End: end,
+		Abort: abort, Events: append(ex.Events[:0], w.cur...)}
 }
 
 // TraceDump is the quiescent read-out of a Tracer: every worker's ring
@@ -414,10 +370,15 @@ func (t *Tracer) Dump() *TraceDump {
 		}
 		d.Dropped += w.dropped
 		for j := range w.slow {
-			d.Slow = append(d.Slow, cloneExemplar(&w.slow[j]))
+			if w.slow[j].Dur() > 0 {
+				d.Slow = append(d.Slow, cloneExemplar(&w.slow[j]))
+			}
 		}
-		for j := 0; j < w.abortLen; j++ {
-			d.Aborted = append(d.Aborted, cloneExemplar(&w.aborted[j]))
+		// The abort ring oldest-first, like the event ring.
+		for j := range w.aborted {
+			if ex := &w.aborted[(w.abortN+j)%len(w.aborted)]; ex.Dur() > 0 {
+				d.Aborted = append(d.Aborted, cloneExemplar(ex))
+			}
 		}
 	}
 	sortExemplarsByDur(d.Slow)

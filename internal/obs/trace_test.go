@@ -121,6 +121,12 @@ func TestTraceAbortRingBounded(t *testing.T) {
 	if len(d.Aborted) != 3 {
 		t.Fatalf("aborted = %d, want cap 3", len(d.Aborted))
 	}
+	// The wrapped ring comes out oldest-first: the last three, in order.
+	for i, ex := range d.Aborted {
+		if ex.TID != uint64(5+i) {
+			t.Fatalf("aborted[%d] is tid %d, want %d (oldest-first order)", i, ex.TID, 5+i)
+		}
+	}
 }
 
 func TestTracerNilSafety(t *testing.T) {

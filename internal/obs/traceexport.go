@@ -330,7 +330,7 @@ func AutopsyReport(d *TraceDump, maxAborts int) string {
 		}
 	}
 	if d.Dropped > 0 {
-		fmt.Fprintf(&b, "ring dropped %d events (raise -trace-sample or ring capacity)\n", d.Dropped)
+		fmt.Fprintf(&b, "ring dropped %d events (raise -trace-sample)\n", d.Dropped)
 	}
 	return b.String()
 }

@@ -147,19 +147,15 @@ func (w *Window) SetBoard(b *EpochBoard) {
 // GroupWait is the group-commit backpressure point, called before Begin
 // reclaims the next slot: if the slot's previous record belongs to an epoch
 // that is not sealed yet, the worker stalls until that epoch's boundary (the
-// bounded timeout) and forces the seal. Returns the virtual nanoseconds
-// stalled; the caller attributes them to the group-wait phase.
-func (w *Window) GroupWait(clk *sim.Clock) uint64 {
+// bounded timeout) and forces the seal. The caller attributes the stall to
+// the group-wait phase, the one place it is counted.
+func (w *Window) GroupWait(clk *sim.Clock) {
 	if w.board == nil || w.slotEpoch == nil {
-		return 0
+		return
 	}
-	id := w.slotEpoch[w.cur]
-	if id == 0 {
-		return 0
+	if id := w.slotEpoch[w.cur]; id != 0 {
+		w.board.reclaimWait(clk, w.pr, id)
 	}
-	n := w.board.reclaimWait(clk, w.pr, id)
-	w.pr.GroupWait(n)
-	return n
 }
 
 // Attach hands the window its owning worker's probe and returns the window.
