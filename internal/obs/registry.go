@@ -82,11 +82,9 @@ type EpochStats struct {
 	// the contiguous spans their seals coalesced into flush trains.
 	Records    uint64
 	TrainSpans uint64
-	// ForcedSeals counts slot-reclaim waits that had to seal an epoch early;
-	// ForcedWaitNanos is the virtual time those waits stalled (also visible
-	// as PhaseGroupWait).
-	ForcedSeals     uint64
-	ForcedWaitNanos uint64
+	// ForcedSeals counts slot-reclaim waits that had to seal an epoch early.
+	// The virtual time they stalled is PhaseGroupWait's, counted there only.
+	ForcedSeals uint64
 	// EpochSize is the distribution of records per sealed epoch; DurableLag
 	// the distribution of publish→seal virtual nanoseconds per record.
 	EpochSize  HistogramDump `json:",omitempty"`
@@ -99,7 +97,6 @@ var epochMetrics = []metric[EpochStats]{
 	row(lastGauge, "falcon_epochs_pending", "Durability epochs still open.", func(s *EpochStats) *uint64 { return &s.Pending }),
 	row(counter, "falcon_epochs_train_spans_total", "Contiguous spans epoch seals coalesced into flush trains.", func(s *EpochStats) *uint64 { return &s.TrainSpans }),
 	row(counter, "falcon_epochs_forced_seals_total", "Slot-reclaim waits that sealed an epoch early.", func(s *EpochStats) *uint64 { return &s.ForcedSeals }),
-	row(counter, "falcon_epochs_forced_wait_nanos_total", "Virtual nanoseconds stalled in slot-reclaim waits.", func(s *EpochStats) *uint64 { return &s.ForcedWaitNanos }),
 	hist("falcon_epoch_size_records", "Records per sealed durability epoch.", func(s *EpochStats) *HistogramDump { return &s.EpochSize }),
 	hist("falcon_epoch_durable_lag_nanos", "Publish-to-seal virtual nanoseconds per record.", func(s *EpochStats) *HistogramDump { return &s.DurableLag }),
 }

@@ -92,13 +92,12 @@ type EpochBoard struct {
 	deferSeal bool
 
 	// stats, guarded by mu; snapshots are taken while workers are quiescent.
-	sealed          uint64
-	records         uint64
-	trainSpans      uint64
-	forcedSeals     uint64
-	forcedWaitNanos uint64
-	sizeHist        obs.Histogram
-	lagHist         obs.Histogram
+	sealed      uint64
+	records     uint64
+	trainSpans  uint64
+	forcedSeals uint64
+	sizeHist    obs.Histogram
+	lagHist     obs.Histogram
 }
 
 // NewEpochBoard creates a board whose durable marker lives at markerOff (one
@@ -227,27 +226,19 @@ func (b *EpochBoard) SealAll(clk *sim.Clock, pr *obs.Probe) {
 // deterministic group mode worker-side sealing would race the round barrier,
 // so the worker instead advances to the epoch boundary — the bounded
 // timeout — and its own commit tail, then past the boundary, seals the epoch
-// in canonical order (sealExpired). Returns the virtual nanoseconds the
-// reclaim cost; the caller attributes them to the group-wait phase.
-func (b *EpochBoard) reclaimWait(clk *sim.Clock, pr *obs.Probe, id uint64) uint64 {
+// in canonical order (sealExpired). The caller attributes the virtual time
+// the reclaim cost to the group-wait phase.
+func (b *EpochBoard) reclaimWait(clk *sim.Clock, pr *obs.Probe, id uint64) {
 	b.mu.Lock()
-	if id <= b.marker {
-		b.mu.Unlock()
-		return 0
-	}
-	start := clk.Nanos()
-	b.forcedSeals++
-	if b.deferSeal {
-		if bound := id * b.epochNanos; bound > start {
-			clk.Advance(bound - start)
+	if id > b.marker {
+		b.forcedSeals++
+		if !b.deferSeal {
+			b.sealUpToLocked(clk, pr, id)
+		} else if now, bound := clk.Nanos(), id*b.epochNanos; bound > now {
+			clk.Advance(bound - now)
 		}
-	} else {
-		b.sealUpToLocked(clk, pr, id)
 	}
-	waited := clk.Nanos() - start
-	b.forcedWaitNanos += waited
 	b.mu.Unlock()
-	return waited
 }
 
 // sealUpToLocked seals every open epoch with id <= upTo, ascending. Caller
@@ -304,14 +295,13 @@ func (b *EpochBoard) Stats() obs.EpochStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return obs.EpochStats{
-		Sealed:          b.sealed,
-		Pending:         uint64(len(b.pending)),
-		Records:         b.records,
-		TrainSpans:      b.trainSpans,
-		ForcedSeals:     b.forcedSeals,
-		ForcedWaitNanos: b.forcedWaitNanos,
-		EpochSize:       b.sizeHist.Dump(),
-		DurableLag:      b.lagHist.Dump(),
+		Sealed:      b.sealed,
+		Pending:     uint64(len(b.pending)),
+		Records:     b.records,
+		TrainSpans:  b.trainSpans,
+		ForcedSeals: b.forcedSeals,
+		EpochSize:   b.sizeHist.Dump(),
+		DurableLag:  b.lagHist.Dump(),
 	}
 }
 
@@ -320,7 +310,7 @@ func (b *EpochBoard) Stats() obs.EpochStats {
 func (b *EpochBoard) ResetStats() {
 	b.mu.Lock()
 	b.sealed, b.records, b.trainSpans = 0, 0, 0
-	b.forcedSeals, b.forcedWaitNanos = 0, 0
+	b.forcedSeals = 0
 	b.sizeHist.Reset()
 	b.lagHist.Reset()
 	b.mu.Unlock()
