@@ -104,6 +104,41 @@ func TestReportSchemaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRoundJSONBytes pins a Round's JSON byte for byte, both latency
+// histograms included: -json artifacts are diffed offline.
+func TestRoundJSONBytes(t *testing.T) {
+	var lat, latOK obs.Histogram
+	for _, v := range []uint64{0, 900, 1800, 3600, 1 << 63} {
+		lat.Observe(v)
+	}
+	latOK.Observe(900)
+	r := Round{
+		Label: "closed", TargetQPS: 250.5, Offered: 5, Completed: 5, OK: 4, Errors: 1,
+		Sheds: 2, Retries: 3, Replayed: 1, AchievedQPS: 199.25, DurationNanos: 20_000_000,
+		Latency: lat.Dump(), P50Nanos: 1800, P95Nanos: 3600, P99Nanos: 3600,
+		AcceptedLatency: latOK.Dump(), AcceptedP99Nanos: 900,
+	}
+	for _, tc := range []struct {
+		r    Round
+		want string
+	}{
+		{r, `{"label":"closed","target_qps":250.5,"offered":5,"completed":5,"ok":4,"errors":1,"sheds":2,"retries":3,"replayed":1,"achieved_qps":199.25,"duration_nanos":20000000,` +
+			`"latency":{"count":5,"sum":9223372036854782108,"min":0,"max":9223372036854775808,"buckets":[{"lo":0,"hi":0,"count":1},{"lo":512,"hi":1023,"count":1},{"lo":1024,"hi":2047,"count":1},{"lo":2048,"hi":4095,"count":1},{"lo":9223372036854775808,"hi":18446744073709551615,"count":1}]},` +
+			`"p50_nanos":1800,"p95_nanos":3600,"p99_nanos":3600,` +
+			`"accepted_latency":{"count":1,"sum":900,"min":900,"max":900,"buckets":[{"lo":512,"hi":1023,"count":1}]},"accepted_p99_nanos":900}`},
+		{Round{Label: "empty"}, `{"label":"empty","offered":0,"completed":0,"ok":0,"errors":0,"sheds":0,"retries":0,"replayed":0,"achieved_qps":0,"duration_nanos":0,` +
+			`"latency":{"count":0,"sum":0,"min":0,"max":0},"p50_nanos":0,"p95_nanos":0,"p99_nanos":0,"accepted_latency":{"count":0,"sum":0,"min":0,"max":0},"accepted_p99_nanos":0}`},
+	} {
+		b, err := json.Marshal(tc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != tc.want {
+			t.Errorf("%s: got\n%s\nwant\n%s", tc.r.Label, b, tc.want)
+		}
+	}
+}
+
 // TestClosedScenarioInProcess smoke-tests the closed-loop scenario end to end
 // against an in-process server: every request terminates OK and the artifact
 // is well-formed.
