@@ -131,8 +131,10 @@ contend-smoke:
 # The nine per-tool binaries were folded into `falcon <subcommand>`, the
 # named-collector stats registry into Engine.ObsSnapshot and Server.Snapshot,
 # the two memory spaces into pmem.MemSpace, the epoch-length and version-
-# headroom knobs into constants, and the hand-rolled bulk loads into
-# core.Table.Load; fail when a removed spelling comes back (same
+# headroom knobs into constants, the hand-rolled bulk loads into
+# core.Table.Load, the chunked -stream phase into one window per cell, the
+# histogram dump into obs.Histogram and the recovery report's time fields into
+# its probe's phases; fail when a removed spelling comes back (same
 # lane CI runs). CHANGES.md, ROADMAP.md, benchmark/ and EXPERIMENTS.md's dated
 # sections are history and exempt. The [-], the [R]s and the like keep this
 # recipe from matching itself.
@@ -142,6 +144,8 @@ old-spellings:
 	! grep -rnE 'New[R]egistry|Stats[R]egistry|\.Obs\(\)\.[R]egister' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
 	! grep -rnE '\b(New)?(N[V]M|D[R]AM)Space(Cache)?\b|dram[T]imingBackend|Group[E]pochNanos|Version[H]eadroom|-[e]pochns|Bulk[I]ndexInsert' \
+		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+	! grep -rnE 'stream[-]every|Epoch[T]xns|On[E]poch|Histogram[D]ump|Catalog[N]anos' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
 
 # Every Go file gofmt-clean, benchmark/ included (same lane CI runs).

@@ -146,7 +146,7 @@ func BenchmarkFig12TupleSize(b *testing.B) {
 func BenchmarkRecovery(b *testing.B) {
 	s := benchScale(150, 0)
 	s.RecoveryRecords = []uint64{20_000, 80_000}
-	fig, reports := bench.Recovery(s)
+	fig, reports, _ := bench.Recovery(s)
 	runFigure(b, fig,
 		func(c bench.Cell, col int) string {
 			return fmt.Sprintf("%s/records=%d", c.Engine, s.RecoveryRecords[col])

@@ -204,7 +204,7 @@ func runRecovery(args []string, stdout, stderr io.Writer) int {
 	}
 	s.Txns, s.Flags = *txns, cf
 	s.RecoveryRecords = []uint64{20_000, 50_000, 100_000, 200_000}
-	fig, _ := bench.Recovery(s)
+	fig, _, _ := bench.Recovery(s)
 	return render(stdout, stderr, fig, 1, cf)
 }
 

@@ -84,6 +84,49 @@ func TestGoldenStdout(t *testing.T) {
 	}
 }
 
+// TestStreamDoesNotPerturbTheSweep: -stream watches a sweep without changing
+// it. The group-mode Figure-11 grid prints the same table and writes the same
+// -json with and without it, and the stream holds one line per cell. (When
+// -stream split each cell's measured phase into chunks, the workers left the
+// group scheduler at every chunk boundary and the TPC-C rows moved.)
+func TestStreamDoesNotPerturbTheSweep(t *testing.T) {
+	dir := t.TempDir()
+	args := strings.Fields("sweep -parworkers -threads 4 -txns 300 -warmup 20 -records 5000")
+	sweep := func(name string, extra ...string) (stdout string, cells []byte) {
+		t.Helper()
+		jsonPath := filepath.Join(dir, name+".json")
+		code, stdout, stderr := falcon(append(append(args, "-json", jsonPath), extra...)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d\n%s", name, code, stderr)
+		}
+		cells, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stdout, cells
+	}
+	streamPath := filepath.Join(dir, "run.jsonl")
+	plainOut, plainJSON := sweep("plain")
+	streamOut, streamJSON := sweep("stream", "-stream", streamPath)
+	if streamOut != plainOut {
+		t.Errorf("stdout moved under -stream:\n--- plain ---\n%s--- stream ---\n%s", plainOut, streamOut)
+	}
+	if !bytes.Equal(streamJSON, plainJSON) {
+		t.Error("-json moved under -stream")
+	}
+	stream, err := os.ReadFile(streamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grid []json.RawMessage
+	if err := json.Unmarshal(plainJSON, &grid); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(stream, []byte("\n")); n != len(grid) || n != 15 {
+		t.Errorf("stream holds %d lines, want one per cell (%d)", n, len(grid))
+	}
+}
+
 // TestFailedCellsReachTheExitStatus: a figure with failed cells still prints
 // its whole table, then exits 1. Here the five in-place engines fill
 // order_line ("table full") within 1000 transactions; the pre-fold tool

@@ -44,14 +44,6 @@ type Options struct {
 	// measured phase (warmup is never attributed); the report lands on
 	// Result.Obs.Contend.
 	Contend bool
-	// EpochTxns, with OnEpoch, splits the measured phase into epochs of
-	// this many transactions per worker: after each epoch the workers
-	// quiesce and OnEpoch receives the cumulative post-warmup snapshot —
-	// the streaming-snapshot hook for watching long sweeps mid-flight.
-	EpochTxns int
-	// OnEpoch is called after each epoch (and is never called when
-	// EpochTxns <= 0). The epoch counter starts at 1.
-	OnEpoch func(epoch int, snap obs.Snapshot)
 	// Stop, when non-nil, is an external cancellation flag polled alongside
 	// the run's internal error-cancel check: once Stop.Stopped() reports
 	// true, every worker exits after its current transaction and Run returns
@@ -93,7 +85,7 @@ type Result struct {
 	LatP99Nanos []uint64
 	// LatHists is the merged per-class latency distribution (log2 buckets),
 	// for offline analysis beyond the fixed quantile columns above.
-	LatHists []obs.HistogramDump
+	LatHists []obs.Histogram
 	// MediaWrites/MediaReads/WriteAmp summarize NVM traffic during the run.
 	MediaWrites uint64
 	MediaReads  uint64
@@ -217,21 +209,7 @@ func Run(e *core.Engine, workload string, opts Options, fn TxnFunc) (*Result, er
 	e.Arm(tracer, observatory)
 	defer e.Arm(nil, nil)
 
-	if opts.EpochTxns > 0 && opts.OnEpoch != nil {
-		// Epoch streaming: run the measured phase in chunks; between chunks
-		// the workers have joined, so the engine snapshot is coherent.
-		for done, epoch := 0, 1; done < opts.TxnsPerWorker; epoch++ {
-			chunk := opts.EpochTxns
-			if done+chunk > opts.TxnsPerWorker {
-				chunk = opts.TxnsPerWorker - done
-			}
-			if err := runPhase(chunk, true); err != nil {
-				return nil, err
-			}
-			done += chunk
-			opts.OnEpoch(epoch, e.ObsSnapshot().Sub(obs0))
-		}
-	} else if err := runPhase(opts.TxnsPerWorker, true); err != nil {
+	if err := runPhase(opts.TxnsPerWorker, true); err != nil {
 		return nil, err
 	}
 
@@ -261,26 +239,25 @@ func Run(e *core.Engine, workload string, opts Options, fn TxnFunc) (*Result, er
 }
 
 // percentiles merges the per-worker histogram rows class-wise and extracts
-// the mean, the p50/p95/p99 quantiles, and the full bucket dump per class.
-func percentiles(hists [][]obs.Histogram, classes int) (avg, p50, p95, p99 []uint64, dumps []obs.HistogramDump) {
+// the mean and the p50/p95/p99 quantiles of each merged class.
+func percentiles(hists [][]obs.Histogram, classes int) (avg, p50, p95, p99 []uint64, merged []obs.Histogram) {
 	avg = make([]uint64, classes)
 	p50 = make([]uint64, classes)
 	p95 = make([]uint64, classes)
 	p99 = make([]uint64, classes)
-	dumps = make([]obs.HistogramDump, classes)
-	for c := 0; c < classes; c++ {
-		var merged obs.Histogram
+	merged = make([]obs.Histogram, classes)
+	for c := range merged {
+		m := &merged[c]
 		for w := range hists {
-			merged.Merge(&hists[w][c])
+			m.Merge(&hists[w][c])
 		}
-		dumps[c] = merged.Dump()
-		if merged.Count() == 0 {
+		if m.Count == 0 {
 			continue
 		}
-		avg[c] = merged.Mean()
-		p50[c] = merged.Quantile(0.50)
-		p95[c] = merged.Quantile(0.95)
-		p99[c] = merged.Quantile(0.99)
+		avg[c] = m.Mean()
+		p50[c] = m.Quantile(0.50)
+		p95[c] = m.Quantile(0.95)
+		p99[c] = m.Quantile(0.99)
 	}
-	return avg, p50, p95, p99, dumps
+	return avg, p50, p95, p99, merged
 }

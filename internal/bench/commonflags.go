@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -68,17 +69,16 @@ type CommonFlags struct {
 	// The sweep's own flags (RegisterSweep). ParWorkers runs every cell's
 	// workers through the deterministic group scheduler; JSONPath, MDPath and
 	// StreamPath name the per-cell JSON export, the markdown file the
-	// phase-share tables are spliced into, and the JSON-lines epoch stream
-	// (one snapshot every StreamEvery transactions per worker).
-	ParWorkers  bool
-	JSONPath    string
-	MDPath      string
-	StreamPath  string
-	StreamEvery int
+	// phase-share tables are spliced into, and the JSON-lines stream (one
+	// line per finished cell).
+	ParWorkers bool
+	JSONPath   string
+	MDPath     string
+	StreamPath string
 
 	dumps  []obs.NamedDump
 	prom   []obs.NamedSnapshot
-	stream *StreamWriter
+	stream *json.Encoder
 }
 
 // RegisterCommonFlags installs the shared figure-command flags on fs and
@@ -106,8 +106,7 @@ func (f *CommonFlags) RegisterSweep(fs *flag.FlagSet) {
 	fs.BoolVar(&f.ParWorkers, "parworkers", false, "run each cell's workers through the deterministic group scheduler (results independent of GOMAXPROCS; a different simulated machine than the default free-running mode)")
 	fs.StringVar(&f.JSONPath, "json", "", "also write per-cell results (incl. latency histograms) as JSON to this file")
 	fs.StringVar(&f.MDPath, "md", "", "splice generated phase-share tables into this markdown file (e.g. EXPERIMENTS.md)")
-	fs.StringVar(&f.StreamPath, "stream", "", "stream per-epoch snapshots as JSON lines to this file while cells run")
-	fs.IntVar(&f.StreamEvery, "stream-every", 200, "with -stream: epoch size in transactions per worker")
+	fs.StringVar(&f.StreamPath, "stream", "", "write one JSON line per finished cell to this file while the sweep runs")
 }
 
 // flags is the scale's flag set; a scale without one runs its cells bare.
@@ -127,20 +126,11 @@ func (f *CommonFlags) traceOptions() *obs.TraceOptions {
 }
 
 // options decorates one cell's Options with the flag-driven knobs: trace
-// capture, observatory arming, the group scheduler and the epoch stream.
-// label tags the cell's stream lines.
-func (f *CommonFlags) options(label string, o Options) Options {
+// capture, observatory arming and the group scheduler.
+func (f *CommonFlags) options(o Options) Options {
 	o.Trace = f.traceOptions()
 	o.Contend = f.Contend
 	o.ParWorkers = f.ParWorkers
-	if f.stream != nil && f.StreamEvery > 0 {
-		o.EpochTxns = f.StreamEvery
-		o.OnEpoch = func(epoch int, snap obs.Snapshot) {
-			if err := f.stream.Emit(EpochSnapshotLine(label, epoch, snap)); err != nil {
-				fmt.Fprintln(os.Stderr, "stream:", err)
-			}
-		}
-	}
 	return o
 }
 
@@ -154,7 +144,7 @@ func (f *CommonFlags) collect(label string, res *Result) error {
 		f.prom = append(f.prom, obs.NamedSnapshot{Label: label, Snap: res.Obs})
 	}
 	if f.stream != nil {
-		return f.stream.Emit(CellDoneLine(label, res))
+		return f.stream.Encode(CellLine(label, res))
 	}
 	return nil
 }

@@ -127,7 +127,7 @@ func (s Scale) measure(label string, ecfg core.Config, workload any, o Options) 
 	default:
 		panic(fmt.Sprintf("bench: cell %s: workload is a %T", label, workload))
 	}
-	res, err := Run(e, name, s.flags().options(label, o), next)
+	res, err := Run(e, name, s.flags().options(o), next)
 	return e, res, err
 }
 
@@ -422,17 +422,16 @@ func fmtSize(n int) string {
 // milliseconds independent of data size — catalog read + instant NVM-index
 // recovery + replay of the tiny log windows — while ZenS-style engines scan
 // the whole tuple heap to rebuild their DRAM index, so their recovery time
-// grows with the data. The returned reports fill in as the cells run, one per
-// cell, nil where a cell failed.
-func Recovery(s Scale) (*Figure, []*core.RecoveryReport) {
+// grows with the data. The returned reports and the recovered engines'
+// snapshots fill in as the cells run, one per cell, nil and zero where a cell
+// failed; a snapshot's rec-* phases break its report's TotalNanos down.
+func Recovery(s Scale) (*Figure, []*core.RecoveryReport, []obs.Snapshot) {
 	th := s.Threads[0]
 	engines := s.engines([]core.Config{
 		core.FalconConfig(), core.FalconDRAMIndexConfig(), core.InpConfig(), core.ZenSConfig(),
 	})
 	reports := make([]*core.RecoveryReport, len(engines)*len(s.RecoveryRecords))
-	// With -stats, the recovered engines' snapshots at the largest size.
-	stats := s.flags().Stats
-	snapshots := make([]string, len(engines))
+	recovered := make([]obs.Snapshot, len(reports))
 	t := Table{
 		Title:  fmt.Sprintf("Recovery time (virtual ms) vs data size, %d threads\n", th),
 		Corner: "engine", RowFmt: "%-24s", ColFmt: "%12s", Quiet: true,
@@ -443,10 +442,10 @@ func Recovery(s Scale) (*Figure, []*core.RecoveryReport) {
 	for _, records := range s.RecoveryRecords {
 		t.Cols = append(t.Cols, fmt.Sprintf("%dk rec", records/1000))
 	}
-	for r, ecfg := range engines {
+	for _, ecfg := range engines {
 		ecfg.Threads = th
 		t.Rows = append(t.Rows, ecfg.Name)
-		for c, records := range s.RecoveryRecords {
+		for _, records := range s.RecoveryRecords {
 			i := len(t.Cells)
 			label := fmt.Sprintf("%s/%dk (pre-crash)", ecfg.Name, records/1000)
 			t.Cells = append(t.Cells, Cell{Label: label, Workload: "YCSB-A", Engine: ecfg.Name, Threads: th,
@@ -460,10 +459,7 @@ func Recovery(s Scale) (*Figure, []*core.RecoveryReport) {
 					if err != nil {
 						return nil, err
 					}
-					reports[i] = rep
-					if stats && c == len(s.RecoveryRecords)-1 {
-						snapshots[r] = e2.ObsSnapshot().Text()
-					}
+					reports[i], recovered[i] = rep, e2.ObsSnapshot()
 					return res, nil
 				}})
 		}
@@ -472,20 +468,22 @@ func Recovery(s Scale) (*Figure, []*core.RecoveryReport) {
 		var b strings.Builder
 		b.WriteString("\nBreakdown for the largest configuration:\n")
 		for r, ecfg := range engines {
-			rep := reports[(r+1)*len(s.RecoveryRecords)-1]
+			i := (r+1)*len(s.RecoveryRecords) - 1
+			rep, ph := reports[i], &recovered[i].PhaseNanos
 			if rep == nil {
 				continue
 			}
-			fmt.Fprintf(&b, "%-24s catalog %8.3f ms  index %8.3f ms  replay %8.3f ms  (scanned %d tuples, replayed %d records)\n",
-				ecfg.Name, float64(rep.CatalogNanos)/1e6, float64(rep.IndexNanos)/1e6,
-				float64(rep.ReplayNanos)/1e6, rep.TuplesScanned, rep.RecordsReplayed)
-			if stats {
-				fmt.Fprintln(&b, snapshots[r])
+			fmt.Fprintf(&b, "%-24s catalog %8.3f ms  index %8.3f ms  replay %8.3f ms  heap-scan %8.3f ms  (scanned %d tuples, replayed %d records)\n",
+				ecfg.Name, float64(ph[obs.PhaseRecCatalog])/1e6, float64(ph[obs.PhaseRecIndex])/1e6,
+				float64(ph[obs.PhaseRecReplay])/1e6, float64(ph[obs.PhaseRecHeapScan])/1e6,
+				rep.TuplesScanned, rep.RecordsReplayed)
+			if s.flags().Stats {
+				fmt.Fprintln(&b, recovered[i].Text())
 			}
 		}
 		return b.String()
 	}
-	return &Figure{Name: "recovery", Tables: []Table{t}}, reports
+	return &Figure{Name: "recovery", Tables: []Table{t}}, reports, recovered
 }
 
 // Cell returns the figure's cell with the given label.

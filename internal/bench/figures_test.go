@@ -71,7 +71,7 @@ func TestSweepCellObsGolden(t *testing.T) {
 // time and says why.
 func TestRecoveryStudyGolden(t *testing.T) {
 	cf := &CommonFlags{Stats: true}
-	fig, reports := Recovery(Scale{Threads: []int{1}, Txns: 20, RecoveryRecords: []uint64{2000, 5000}, Flags: cf})
+	fig, reports, _ := Recovery(Scale{Threads: []int{1}, Txns: 20, RecoveryRecords: []uint64{2000, 5000}, Flags: cf})
 	var out, errs bytes.Buffer
 	if err := Render(&out, &errs, fig, 1, cf); err != nil {
 		t.Fatalf("render: %v\n%s", err, errs.String())
@@ -91,6 +91,25 @@ func TestRecoveryStudyGolden(t *testing.T) {
 	for i, rep := range reports {
 		if rep == nil {
 			t.Fatalf("cell %d left no recovery report", i)
+		}
+	}
+}
+
+// TestRecoveryBreakdownSumsToTotal: the study's breakdown is the recovered
+// engine's four rec-* phases, and they partition the recovery clock, so in
+// every cell they sum to the report's TotalNanos exactly (epilogue included).
+func TestRecoveryBreakdownSumsToTotal(t *testing.T) {
+	s := Scale{Threads: []int{1}, Txns: 20, RecoveryRecords: []uint64{2000, 5000}}
+	fig, reports, recovered := Recovery(s)
+	results := RunCells(fig.Cells(), 0)
+	for i, cr := range results {
+		if cr.Err != nil {
+			t.Fatalf("%s: %v", cr.Label, cr.Err)
+		}
+		ph := recovered[i].PhaseNanos
+		sum := ph[obs.PhaseRecCatalog] + ph[obs.PhaseRecIndex] + ph[obs.PhaseRecReplay] + ph[obs.PhaseRecHeapScan]
+		if sum != reports[i].TotalNanos || sum == 0 {
+			t.Errorf("%s: rec-* phases sum to %d ns, recovery took %d ns", cr.Label, sum, reports[i].TotalNanos)
 		}
 	}
 }

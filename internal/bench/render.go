@@ -24,8 +24,8 @@ func Render(stdout, stderr io.Writer, fig *Figure, par int, f *CommonFlags) erro
 		if err != nil {
 			return fmt.Errorf("stream: %w", err)
 		}
-		f.stream = NewStreamWriter(out)
-		defer out.Close() // Emit writes through, so a failed write has already been reported
+		f.stream = json.NewEncoder(out)
+		defer out.Close() // Encode writes through, so a failed write has already been reported
 	}
 
 	cells := fig.Cells()

@@ -6,8 +6,9 @@ package bench
 // stamped sweep cell or stream line. The formats only grow; a version bump
 // signals a rename or semantic change, not an addition.
 const (
-	// StreamSchema marks -stream JSONL epoch lines (EpochLine).
-	StreamSchema = "falcon/stream/v1"
+	// StreamSchema marks -stream JSONL lines (StreamLine), one per finished
+	// cell.
+	StreamSchema = "falcon/stream/v2"
 	// SweepCellSchema marks `falcon sweep` -json grid cells.
 	SweepCellSchema = "falcon/sweep-cell/v1"
 	// HostPerfSchema marks the `falcon hostbench` baseline file

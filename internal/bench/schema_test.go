@@ -26,20 +26,17 @@ func TestSchemaConstantsShape(t *testing.T) {
 }
 
 // TestStreamLineSchemaRoundTrip guards the streamed-JSON contract: every
-// epoch line carries the schema stamp, and the stamp plus the payload
-// survive a marshal/unmarshal round trip so offline consumers (jq, replay
-// tooling) can rely on the field.
+// line carries the schema stamp, and the stamp plus the payload survive a
+// marshal/unmarshal round trip so offline consumers (jq, replay tooling) can
+// rely on the field.
 func TestStreamLineSchemaRoundTrip(t *testing.T) {
 	var snap obs.Snapshot
 	snap.Commits = 7
 	snap.Aborts = 2
-	snap.PhaseNanos[0] = 123
+	snap.PhaseNanos[obs.PhaseExec] = 123
 	snap.Mem.MediaWrites = 9
 
-	line := EpochSnapshotLine("Falcon/YCSB-A/8", 3, snap)
-	if line.Schema != StreamSchema {
-		t.Fatalf("EpochSnapshotLine schema = %q, want %q", line.Schema, StreamSchema)
-	}
+	line := CellLine("Falcon/YCSB-A/8", &Result{Obs: snap, MTxnPerSec: 1.5, VirtualNanos: 42})
 	b, err := json.Marshal(line)
 	if err != nil {
 		t.Fatal(err)
@@ -51,21 +48,13 @@ func TestStreamLineSchemaRoundTrip(t *testing.T) {
 	if m["schema"] != StreamSchema {
 		t.Fatalf("marshalled line schema key = %v, want %q", m["schema"], StreamSchema)
 	}
-	var back EpochLine
+	var back StreamLine
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Schema != StreamSchema || back.Cell != line.Cell || back.Epoch != 3 ||
-		back.Commits != 7 || back.Aborts != 2 || back.MediaWrites != 9 {
+	if back.Schema != StreamSchema || back.Cell != line.Cell || back.Commits != 7 || back.Aborts != 2 ||
+		back.MediaWrites != 9 || back.PhaseNanos["exec"] != 123 || back.MTxnPerSec != 1.5 || back.VirtualNanos != 42 {
 		t.Fatalf("round trip lost fields: %+v", back)
-	}
-
-	done := CellDoneLine("Falcon/YCSB-A/8", &Result{Obs: snap, MTxnPerSec: 1.5, VirtualNanos: 42})
-	if done.Schema != StreamSchema {
-		t.Fatalf("CellDoneLine schema = %q, want %q", done.Schema, StreamSchema)
-	}
-	if !done.Done || done.MTxnPerSec != 1.5 || done.VirtualNanos != 42 {
-		t.Fatalf("CellDoneLine payload wrong: %+v", done)
 	}
 }
 

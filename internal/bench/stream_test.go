@@ -14,76 +14,48 @@ import (
 	"falcon/internal/workload/ycsb"
 )
 
-// TestRunEpochStreaming checks the chunked measured phase: OnEpoch fires on a
-// quiescent engine with cumulative post-warmup snapshots, and the final
-// result matches a monolithic run's accounting.
-func TestRunEpochStreaming(t *testing.T) {
-	ecfg := core.FalconConfig()
-	ecfg.Threads = 2
-	e, d, err := NewYCSB(ecfg, ycsb.Config{Records: 2000, Fields: 4, FieldBytes: 32, Workload: ycsb.A})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []obs.Snapshot
-	res, err := Run(e, "YCSB-A", Options{
-		Workers: 2, TxnsPerWorker: 100, WarmupPerWorker: 20,
-		EpochTxns: 30,
-		OnEpoch:   func(epoch int, snap obs.Snapshot) { snaps = append(snaps, snap) },
-	}, func(w int) (int, error) { return 0, d.Next(w) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 100 txns in chunks of 30 → epochs of 30, 30, 30, 10.
-	if len(snaps) != 4 {
-		t.Fatalf("epochs = %d, want 4", len(snaps))
-	}
-	var last uint64
-	for i, s := range snaps {
-		total := s.Commits + s.Aborts
-		if total < last {
-			t.Fatalf("epoch %d attempts %d < previous %d (must be cumulative)", i+1, total, last)
-		}
-		last = total
-	}
-	if snaps[3].Commits != res.Obs.Commits {
-		t.Fatalf("final epoch commits %d != result commits %d", snaps[3].Commits, res.Obs.Commits)
-	}
-	if res.Committed+res.Aborted != uint64(2*100) {
-		t.Fatalf("attempts = %d, want 200", res.Committed+res.Aborted)
-	}
-}
-
+// TestStreamWriterLines renders a small figure with -stream: the file holds
+// one complete JSON line per cell, in grid order, each carrying its cell's
+// finished result.
 func TestStreamWriterLines(t *testing.T) {
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
-	snap := obs.Snapshot{Commits: 10, Aborts: 2}
-	snap.PhaseNanos[obs.PhaseExec] = 1234
-	if err := sw.Emit(EpochSnapshotLine("cell-a", 1, snap)); err != nil {
+	dir := t.TempDir()
+	cf := &CommonFlags{StreamPath: filepath.Join(dir, "run.jsonl"), JSONPath: filepath.Join(dir, "cells.json"), ParWorkers: true}
+	fig := Fig11(Scale{Threads: []int{2}, Txns: 30, Warmup: 10, Records: 2000, Flags: cf})
+	var out, errs bytes.Buffer
+	if err := Render(&out, &errs, fig, 2, cf); err != nil {
+		t.Fatalf("render: %v\n%s", err, errs.String())
+	}
+	raw, err := os.ReadFile(cf.JSONPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Emit(CellDoneLine("cell-a", &Result{MTxnPerSec: 1.5, VirtualNanos: 99, Obs: snap})); err != nil {
+	var cells []GridCell
+	if err := json.Unmarshal(raw, &cells); err != nil {
 		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(&buf)
-	var lines []EpochLine
+	f, err := os.Open(cf.StreamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	var lines []StreamLine
 	for sc.Scan() {
-		var l EpochLine
+		var l StreamLine
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			t.Fatalf("line is not valid JSON: %v", err)
 		}
 		lines = append(lines, l)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d, want 2", len(lines))
+	if len(lines) != len(cells) {
+		t.Fatalf("lines = %d, want one per cell (%d)", len(lines), len(cells))
 	}
-	if lines[0].Cell != "cell-a" || lines[0].Epoch != 1 || lines[0].Commits != 10 {
-		t.Fatalf("epoch line = %+v", lines[0])
-	}
-	if lines[0].PhaseNanos["exec"] != 1234 {
-		t.Fatalf("phase map = %+v", lines[0].PhaseNanos)
-	}
-	if !lines[1].Done || lines[1].MTxnPerSec != 1.5 || lines[1].VirtualNanos != 99 {
-		t.Fatalf("done line = %+v", lines[1])
+	for i, l := range lines {
+		res := cells[i].Result
+		if l.Schema != StreamSchema || l.Cell != fig.Cells()[i].Label || l.Commits != res.Obs.Commits ||
+			l.MTxnPerSec != res.MTxnPerSec || l.VirtualNanos != res.VirtualNanos {
+			t.Errorf("line %d = %+v, want cell %d's result", i, l, i)
+		}
 	}
 }
 

@@ -16,17 +16,11 @@ import (
 	"falcon/internal/wal"
 )
 
-// RecoveryReport breaks down where recovery time went, in virtual
-// nanoseconds (the simulated machine's time) and host wall time.
+// RecoveryReport counts what recovery did and how long it took, in virtual
+// nanoseconds (the simulated machine's time) and host wall time. Where the
+// virtual time went is the recovered engine's recovery probe: its four rec-*
+// phases in ObsSnapshot partition TotalNanos.
 type RecoveryReport struct {
-	// CatalogNanos covers reading the catalog and reopening heaps/arena.
-	CatalogNanos uint64
-	// IndexNanos covers index recovery: ~zero for NVM indexes (instant
-	// structural recovery), a full heap scan for DRAM indexes and
-	// out-of-place engines.
-	IndexNanos uint64
-	// ReplayNanos covers redo-log replay (in-place engines).
-	ReplayNanos uint64
 	// TotalNanos is the end-to-end virtual recovery time.
 	TotalNanos uint64
 	// Wall is host wall-clock time (diagnostic only).
@@ -143,12 +137,10 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 		}
 		e.addTable(t)
 	}
-	rep.CatalogNanos = clk.Nanos()
 
 	// Index recovery step 1: NVM indexes reattach structurally ("instant
 	// recovery"); DRAM indexes must be recreated and are filled below.
 	pr.To(obs.PhaseRecIndex)
-	mark := clk.Nanos()
 	for _, t := range e.tables {
 		if cfg.Index == IndexNVM {
 			t.primary, err = e.openIndexOn(e.nvm, clk, t.priBase, t.indexKind)
@@ -180,10 +172,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 		// DRAM index rebuild needs the post-replay heap image, but replay
 		// needs indexes for its idempotent fixups. Order: replay first with
 		// NVM-index fixups; for DRAM indexes skip fixups and rebuild after.
-		rep.IndexNanos = clk.Nanos() - mark
-
 		pr.To(obs.PhaseRecReplay)
-		mark = clk.Nanos()
 		// Published-record gate: under persistent cache the publish point is
 		// physically durable, so every published record replays; under ADR
 		// only epochs the durable marker covers were sealed — records beyond
@@ -196,13 +185,9 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		rep.ReplayNanos = clk.Nanos() - mark
-
 		if cfg.Index == IndexDRAM {
 			pr.To(obs.PhaseRecHeapScan)
-			mark = clk.Nanos()
 			e.rebuildDRAMIndexes(clk, rep)
-			rep.IndexNanos += clk.Nanos() - mark
 		}
 	} else {
 		// Out-of-place: resolve committedness against the per-thread
@@ -216,7 +201,6 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 			return nil, nil, err2
 		}
 		maxTID = m
-		rep.IndexNanos = clk.Nanos() - mark
 	}
 
 	// Restore the TID clock past everything ever issued.

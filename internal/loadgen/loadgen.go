@@ -92,15 +92,15 @@ type Round struct {
 	DurationNanos uint64  `json:"duration_nanos"`
 	// Latency is the per-request (including retries) completion-time
 	// distribution in host nanos, with the usual quantile columns.
-	Latency  obs.HistogramDump `json:"latency,omitempty"`
-	P50Nanos uint64            `json:"p50_nanos"`
-	P95Nanos uint64            `json:"p95_nanos"`
-	P99Nanos uint64            `json:"p99_nanos"`
+	Latency  obs.Histogram `json:"latency,omitempty"`
+	P50Nanos uint64        `json:"p50_nanos"`
+	P95Nanos uint64        `json:"p95_nanos"`
+	P99Nanos uint64        `json:"p99_nanos"`
 	// AcceptedLatency restricts the distribution to requests that got an OK
 	// answer — the population the no-queue-collapse criterion is judged on
 	// (shed requests return fast by design and would flatter the numbers).
-	AcceptedLatency  obs.HistogramDump `json:"accepted_latency,omitempty"`
-	AcceptedP99Nanos uint64            `json:"accepted_p99_nanos"`
+	AcceptedLatency  obs.Histogram `json:"accepted_latency,omitempty"`
+	AcceptedP99Nanos uint64        `json:"accepted_p99_nanos"`
 }
 
 // Report is a `falcon loadgen` artifact.
@@ -285,7 +285,7 @@ func assemble(label string, target float64, offered uint64, stats []workerStats,
 		merged.Merge(&stats[i].lat)
 		mergedOK.Merge(&stats[i].latOK)
 	}
-	r.AcceptedLatency = mergedOK.Dump()
+	r.AcceptedLatency = mergedOK
 	r.AcceptedP99Nanos = mergedOK.Quantile(0.99)
 	for _, c := range clients {
 		r.Sheds += c.Sheds
@@ -295,7 +295,7 @@ func assemble(label string, target float64, offered uint64, stats []workerStats,
 	if secs := elapsed.Seconds(); secs > 0 {
 		r.AchievedQPS = float64(r.OK) / secs
 	}
-	r.Latency = merged.Dump()
+	r.Latency = merged
 	r.P50Nanos = merged.Quantile(0.50)
 	r.P95Nanos = merged.Quantile(0.95)
 	r.P99Nanos = merged.Quantile(0.99)

@@ -56,9 +56,9 @@ func TestReportSchemaRoundTrip(t *testing.T) {
 			Label: "overload@2x-knee", TargetQPS: 247, Offered: 100, Completed: 90,
 			OK: 60, Errors: 30, Sheds: 35, Retries: 20, Replayed: 2,
 			AchievedQPS: 59.5, DurationNanos: uint64(time.Second),
-			Latency: lat.Dump(), P50Nanos: lat.Quantile(0.50),
+			Latency: lat, P50Nanos: lat.Quantile(0.50),
 			P95Nanos: lat.Quantile(0.95), P99Nanos: lat.Quantile(0.99),
-			AcceptedLatency: latOK.Dump(), AcceptedP99Nanos: latOK.Quantile(0.99),
+			AcceptedLatency: latOK, AcceptedP99Nanos: latOK.Quantile(0.99),
 		}},
 	}
 	raw, err := json.Marshal(in)
@@ -115,8 +115,8 @@ func TestRoundJSONBytes(t *testing.T) {
 	r := Round{
 		Label: "closed", TargetQPS: 250.5, Offered: 5, Completed: 5, OK: 4, Errors: 1,
 		Sheds: 2, Retries: 3, Replayed: 1, AchievedQPS: 199.25, DurationNanos: 20_000_000,
-		Latency: lat.Dump(), P50Nanos: 1800, P95Nanos: 3600, P99Nanos: 3600,
-		AcceptedLatency: latOK.Dump(), AcceptedP99Nanos: 900,
+		Latency: lat, P50Nanos: 1800, P95Nanos: 3600, P99Nanos: 3600,
+		AcceptedLatency: latOK, AcceptedP99Nanos: 900,
 	}
 	for _, tc := range []struct {
 		r    Round

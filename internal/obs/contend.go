@@ -387,11 +387,9 @@ func (o *Observatory) Report() *ContentionStats {
 		}
 		if total > 0 {
 			c.BankEvictions = banks
-			var h Histogram
 			for _, n := range banks {
-				h.Observe(n)
+				c.SetContention.Observe(n)
 			}
-			c.SetContention = h.Dump()
 		}
 	}
 

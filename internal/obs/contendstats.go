@@ -171,9 +171,9 @@ type ContentionStats struct {
 	// BankEvictions counts XPBuffer evictions per bank (set index);
 	// SetContention is the distribution of those per-bank counts — a wide
 	// spread means a few sets take all the eviction pressure.
-	BankEvictions []uint64      `json:"bank_evictions,omitempty"`
-	SetContention HistogramDump `json:"set_contention,omitempty"`
-	WaitFor       *WaitForDump  `json:"wait_for,omitempty"`
+	BankEvictions []uint64     `json:"bank_evictions,omitempty"`
+	SetContention Histogram    `json:"set_contention,omitempty"`
+	WaitFor       *WaitForDump `json:"wait_for,omitempty"`
 }
 
 // TotalConflicts sums the attribution counters.

@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // histBuckets covers bits.Len64 of any uint64: bucket 0 holds the value 0,
@@ -15,62 +16,56 @@ const histBuckets = 65
 // within-bucket linear interpolation, clamped to the observed min/max so a
 // single-sample histogram reports that sample exactly.
 //
+// The summary is exported as fields; the stats structs and the run results
+// hold a Histogram by value, and it marshals as the summary plus its
+// non-empty buckets (MarshalJSON).
+//
 // Like a Probe it is single-owner while being written; Merge and the
 // quantile queries are for after the workers have stopped.
 type Histogram struct {
-	counts   [histBuckets]uint64
-	count    uint64
-	sum      uint64
-	min, max uint64
+	// Count and Sum are the number of samples and their sum; Min and Max
+	// the exact observed extremes (all 0 when empty).
+	Count, Sum, Min, Max uint64
+	counts               [histBuckets]uint64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
 	h.counts[bits.Len64(v)]++
-	h.count++
-	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
+	h.Count++
+	h.Sum += v
+	if h.Count == 1 || v < h.Min {
+		h.Min = v
 	}
-	if v > h.max {
-		h.max = v
+	if v > h.Max {
+		h.Max = v
 	}
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Min and Max return the exact observed extremes (0 when empty).
-func (h *Histogram) Min() uint64 { return h.min }
-func (h *Histogram) Max() uint64 { return h.max }
-
 // Mean returns the exact mean sample (0 when empty).
 func (h *Histogram) Mean() uint64 {
-	if h.count == 0 {
+	if h.Count == 0 {
 		return 0
 	}
-	return h.sum / h.count
+	return h.Sum / h.Count
 }
 
 // Merge adds o's samples into h.
 func (h *Histogram) Merge(o *Histogram) {
-	if o.count == 0 {
+	if o.Count == 0 {
 		return
 	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
+	if h.Count == 0 || o.Min < h.Min {
+		h.Min = o.Min
 	}
-	if o.max > h.max {
-		h.max = o.max
+	if o.Max > h.Max {
+		h.Max = o.Max
 	}
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
-	h.count += o.count
-	h.sum += o.sum
+	h.Count += o.Count
+	h.Sum += o.Sum
 }
 
 // Reset zeroes the histogram.
@@ -81,15 +76,15 @@ func (h *Histogram) Reset() { *h = Histogram{} }
 // linear interpolation inside the chosen bucket. Results are clamped to the
 // observed [min, max], so the error is bounded by one bucket width.
 func (h *Histogram) Quantile(q float64) uint64 {
-	if h.count == 0 {
+	if h.Count == 0 {
 		return 0
 	}
 	if q < 0 {
 		q = 0
 	}
-	target := uint64(float64(h.count) * q)
-	if target >= h.count {
-		target = h.count - 1
+	target := uint64(float64(h.Count) * q)
+	if target >= h.Count {
+		target = h.Count - 1
 	}
 	var cum uint64
 	for i, c := range h.counts {
@@ -100,31 +95,30 @@ func (h *Histogram) Quantile(q float64) uint64 {
 			lo, hi := bucketBounds(i)
 			// Interpolate at the rank's position within this bucket.
 			v := lo + uint64(float64(hi-lo)*float64(target-cum)/float64(c))
-			if v < h.min {
-				v = h.min
+			if v < h.Min {
+				v = h.Min
 			}
-			if v > h.max {
-				v = h.max
+			if v > h.Max {
+				v = h.Max
 			}
 			return v
 		}
 		cum += c
 	}
-	return h.max
+	return h.Max
 }
 
-// HistBucket is one non-empty histogram bucket in an export: the inclusive
-// value range [Lo, Hi] and the number of samples that fell in it.
+// HistBucket is one non-empty histogram bucket in the JSON form: the
+// inclusive value range [Lo, Hi] and the number of samples that fell in it.
 type HistBucket struct {
 	Lo    uint64 `json:"lo"`
 	Hi    uint64 `json:"hi"`
 	Count uint64 `json:"count"`
 }
 
-// HistogramDump is the exportable form of a Histogram: summary fields plus
-// the non-empty buckets, suitable for JSON serialization and offline
-// latency-distribution analysis.
-type HistogramDump struct {
+// histJSON is a Histogram's JSON form: the summary and the non-empty buckets
+// in ascending order.
+type histJSON struct {
 	Count   uint64       `json:"count"`
 	Sum     uint64       `json:"sum"`
 	Min     uint64       `json:"min"`
@@ -132,65 +126,40 @@ type HistogramDump struct {
 	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
-// Dump exports the histogram's summary and non-empty buckets.
-func (h *Histogram) Dump() HistogramDump {
-	d := HistogramDump{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+// buckets returns the non-empty buckets in ascending order.
+func (h *Histogram) buckets() []HistBucket {
+	var out []HistBucket
 	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		lo, hi := bucketBounds(i)
-		d.Buckets = append(d.Buckets, HistBucket{Lo: lo, Hi: hi, Count: c})
-	}
-	return d
-}
-
-// Mean returns the mean sample recorded in the dump (0 when empty).
-func (d HistogramDump) Mean() uint64 {
-	if d.Count == 0 {
-		return 0
-	}
-	return d.Sum / d.Count
-}
-
-// Merge combines two dumps bucket-wise (buckets share the fixed log2 bounds,
-// so same-Lo buckets add). Either side may be empty.
-func (d HistogramDump) Merge(o HistogramDump) HistogramDump {
-	if o.Count == 0 {
-		return d
-	}
-	if d.Count == 0 {
-		return o
-	}
-	out := HistogramDump{
-		Count: d.Count + o.Count,
-		Sum:   d.Sum + o.Sum,
-		Min:   d.Min,
-		Max:   d.Max,
-	}
-	if o.Min < out.Min {
-		out.Min = o.Min
-	}
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	byLo := make(map[uint64]HistBucket, len(d.Buckets)+len(o.Buckets))
-	for _, b := range d.Buckets {
-		byLo[b.Lo] = b
-	}
-	for _, b := range o.Buckets {
-		if prev, ok := byLo[b.Lo]; ok {
-			prev.Count += b.Count
-			byLo[b.Lo] = prev
-		} else {
-			byLo[b.Lo] = b
+		if c != 0 {
+			lo, hi := bucketBounds(i)
+			out = append(out, HistBucket{Lo: lo, Hi: hi, Count: c})
 		}
 	}
-	for _, b := range byLo {
-		out.Buckets = append(out.Buckets, b)
-	}
-	sort.Slice(out.Buckets, func(i, j int) bool { return out.Buckets[i].Lo < out.Buckets[j].Lo })
 	return out
+}
+
+// MarshalJSON writes the summary and the non-empty buckets. It has a value
+// receiver because snapshots are marshaled by value.
+func (h Histogram) MarshalJSON() ([]byte, error) {
+	return json.Marshal(histJSON{h.Count, h.Sum, h.Min, h.Max, h.buckets()})
+}
+
+// UnmarshalJSON reads what MarshalJSON writes; a bucket must have one of the
+// fixed log2 ranges.
+func (h *Histogram) UnmarshalJSON(b []byte) error {
+	var j histJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*h = Histogram{Count: j.Count, Sum: j.Sum, Min: j.Min, Max: j.Max}
+	for _, bk := range j.Buckets {
+		i := bits.Len64(bk.Lo)
+		if lo, hi := bucketBounds(i); lo != bk.Lo || hi != bk.Hi {
+			return fmt.Errorf("obs: histogram bucket [%d, %d] is not a log2 bucket", bk.Lo, bk.Hi)
+		}
+		h.counts[i] += bk.Count
+	}
+	return nil
 }
 
 // bucketBounds returns the inclusive value range of bucket i.

@@ -8,7 +8,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
+	if h.Count != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max != 0 {
 		t.Error("empty histogram must report zeros")
 	}
 }
@@ -30,7 +30,7 @@ func TestHistogramZeroValue(t *testing.T) {
 	var h Histogram
 	h.Observe(0)
 	h.Observe(0)
-	if h.Quantile(0.95) != 0 || h.Mean() != 0 || h.Count() != 2 {
+	if h.Quantile(0.95) != 0 || h.Mean() != 0 || h.Count != 2 {
 		t.Error("zero samples must stay zero")
 	}
 }
@@ -68,15 +68,15 @@ func TestHistogramMerge(t *testing.T) {
 		b.Observe(i)
 	}
 	a.Merge(&b)
-	if a.Count() != 200 || a.Min() != 1 || a.Max() != 200 {
-		t.Fatalf("merge: count=%d min=%d max=%d", a.Count(), a.Min(), a.Max())
+	if a.Count != 200 || a.Min != 1 || a.Max != 200 {
+		t.Fatalf("merge: count=%d min=%d max=%d", a.Count, a.Min, a.Max)
 	}
 	if got := a.Quantile(0.5); got < 64 || got > 200 {
 		t.Errorf("median after merge = %d, want within a bucket of ~100", got)
 	}
 	var empty Histogram
 	empty.Merge(&a)
-	if empty.Count() != 200 || empty.Min() != 1 {
+	if empty.Count != 200 || empty.Min != 1 {
 		t.Error("merge into empty must copy min/max")
 	}
 }
@@ -85,37 +85,37 @@ func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	h.Observe(5)
 	h.Reset()
-	if h.Count() != 0 || h.Quantile(1) != 0 {
+	if h.Count != 0 || h.Quantile(1) != 0 {
 		t.Error("reset must clear everything")
 	}
 }
 
-func TestHistogramDump(t *testing.T) {
+func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
 	for _, v := range []uint64{0, 1, 1, 5, 300} {
 		h.Observe(v)
 	}
-	d := h.Dump()
-	if d.Count != 5 || d.Sum != 307 || d.Min != 0 || d.Max != 300 {
-		t.Fatalf("summary = %+v", d)
+	if h.Count != 5 || h.Sum != 307 || h.Min != 0 || h.Max != 300 {
+		t.Fatalf("summary = %+v", h)
 	}
 	// 0 → bucket [0,0]; 1,1 → [1,1]; 5 → [4,7]; 300 → [256,511].
 	want := []HistBucket{{0, 0, 1}, {1, 1, 2}, {4, 7, 1}, {256, 511, 1}}
-	if len(d.Buckets) != len(want) {
-		t.Fatalf("buckets = %+v, want %+v", d.Buckets, want)
+	got := h.buckets()
+	if len(got) != len(want) {
+		t.Fatalf("buckets = %+v, want %+v", got, want)
 	}
 	var total uint64
-	for i, b := range d.Buckets {
+	for i, b := range got {
 		if b != want[i] {
 			t.Errorf("bucket %d = %+v, want %+v", i, b, want[i])
 		}
 		total += b.Count
 	}
-	if total != d.Count {
-		t.Errorf("bucket counts sum to %d, want %d", total, d.Count)
+	if total != h.Count {
+		t.Errorf("bucket counts sum to %d, want %d", total, h.Count)
 	}
 
-	if empty := new(Histogram).Dump(); empty.Count != 0 || empty.Buckets != nil {
-		t.Errorf("empty dump = %+v", empty)
+	if empty := new(Histogram).buckets(); empty != nil {
+		t.Errorf("empty histogram buckets = %+v", empty)
 	}
 }

@@ -5,17 +5,13 @@ import (
 	"testing"
 )
 
-// histJSON is what a stats struct holds for h; its JSON is the histogram's
-// wire form.
-func histJSON(h *Histogram) HistogramDump { return h.Dump() }
-
 // pinHistogram returns a histogram of vs.
-func pinHistogram(vs ...uint64) *Histogram {
+func pinHistogram(vs ...uint64) Histogram {
 	var h Histogram
 	for _, v := range vs {
 		h.Observe(v)
 	}
-	return &h
+	return h
 }
 
 // TestHistogramJSONBytes pins the histogram's JSON wire form byte for byte:
@@ -25,7 +21,7 @@ func pinHistogram(vs ...uint64) *Histogram {
 func TestHistogramJSONBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		h    *Histogram
+		h    Histogram
 		want string
 	}{
 		{"empty", pinHistogram(), `{"count":0,"sum":0,"min":0,"max":0}`},
@@ -33,13 +29,21 @@ func TestHistogramJSONBytes(t *testing.T) {
 		{"multi", pinHistogram(0, 3, 3, 700, 1<<63+5),
 			`{"count":5,"sum":9223372036854776519,"min":0,"max":9223372036854775813,"buckets":[{"lo":0,"hi":0,"count":1},{"lo":2,"hi":3,"count":2},{"lo":512,"hi":1023,"count":1},{"lo":9223372036854775808,"hi":18446744073709551615,"count":1}]}`},
 	} {
-		b, err := json.Marshal(histJSON(tc.h))
+		b, err := json.Marshal(tc.h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(b) != tc.want {
 			t.Errorf("%s: got\n%s\nwant\n%s", tc.name, b, tc.want)
 		}
+		var back Histogram
+		if err := json.Unmarshal(b, &back); err != nil || back != tc.h {
+			t.Errorf("%s: round trip gave %+v (%v)", tc.name, back, err)
+		}
+	}
+	var h Histogram
+	if err := json.Unmarshal([]byte(`{"count":1,"buckets":[{"lo":4,"hi":8,"count":1}]}`), &h); err == nil {
+		t.Error("a bucket off the log2 grid was accepted")
 	}
 }
 
@@ -47,9 +51,9 @@ func TestHistogramJSONBytes(t *testing.T) {
 // histogram, marshaled by value as a snapshot marshals them.
 func TestStatsJSONBytes(t *testing.T) {
 	ep := EndpointStats{Requests: 9, OK: 6, Errors: 1, ShedQueue: 1, ShedDeadline: 1, ShedDraining: 0,
-		Expired: 1, Replayed: 2, Latency: histJSON(pinHistogram(40_000, 90_000))}
+		Expired: 1, Replayed: 2, Latency: pinHistogram(40_000, 90_000)}
 	epoch := EpochStats{Sealed: 3, Pending: 1, Records: 12, TrainSpans: 4, ForcedSeals: 1,
-		EpochSize: histJSON(pinHistogram(2, 4, 6)), DurableLag: histJSON(pinHistogram(0, 1500))}
+		EpochSize: pinHistogram(2, 4, 6), DurableLag: pinHistogram(0, 1500)}
 	for _, tc := range []struct {
 		name string
 		v    any

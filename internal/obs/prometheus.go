@@ -48,7 +48,7 @@ func row[T any](kind metricKind, name, help string, u func(*T) *uint64) metric[T
 	return metric[T]{name: name, help: help, field: field{kind, offset(u)}}
 }
 
-func hist[T any](name, help string, h func(*T) *HistogramDump) metric[T] {
+func hist[T any](name, help string, h func(*T) *Histogram) metric[T] {
 	return metric[T]{name: name, help: help, field: field{histogram, offset(h)}}
 }
 
@@ -64,11 +64,11 @@ func (m metric[T]) with(name, value string) metric[T] {
 
 func (f field) u(v unsafe.Pointer) *uint64 { return (*uint64)(unsafe.Add(v, f.off)) }
 
-func (f field) h(v unsafe.Pointer) *HistogramDump { return (*HistogramDump)(unsafe.Add(v, f.off)) }
+func (f field) h(v unsafe.Pointer) *Histogram { return (*Histogram)(unsafe.Add(v, f.off)) }
 
 func (f field) add(s, o unsafe.Pointer) {
 	if f.kind == histogram {
-		*f.h(s) = f.h(s).Merge(*f.h(o))
+		f.h(s).Merge(f.h(o))
 		return
 	}
 	v, w := f.u(s), *f.u(o)
@@ -123,8 +123,8 @@ func promRows[T any](p *promWriter, rows []metric[T], v *T, labels map[string]st
 		}
 		switch r.kind {
 		case histogram:
-			if d := *r.h(unsafe.Pointer(v)); d.Count > 0 {
-				p.histogram(r.name, r.help, l, d)
+			if h := r.h(unsafe.Pointer(v)); h.Count > 0 {
+				p.histogram(r.name, r.help, l, h)
 			}
 		case counter:
 			p.counter(r.name, r.help, l, *r.u(unsafe.Pointer(v)))
@@ -254,7 +254,7 @@ func promSnapshot(p *promWriter, s Snapshot) {
 		}
 		p.counter("falcon_contend_wal_flush_lines_total", "Log-region lines flushed by the WAL drain path.", nil, c.WALFlushLines)
 		if c.SetContention.Count > 0 {
-			p.histogram("falcon_contend_xp_set_evictions", "Evictions per XPBuffer bank (set-contention spread).", nil, c.SetContention)
+			p.histogram("falcon_contend_xp_set_evictions", "Evictions per XPBuffer bank (set-contention spread).", nil, &c.SetContention)
 		}
 		if c.WaitFor != nil {
 			p.gauge("falcon_contend_waitfor_edges", "Edges in the worker wait-for graph.", nil, uint64(len(c.WaitFor.Edges)))
@@ -312,10 +312,10 @@ func (p *promWriter) gauge(name, help string, labels map[string]string, v uint64
 	p.sample(p.family(name, "gauge", help), "", labels, v)
 }
 
-// histogram renders a HistogramDump as cumulative le-buckets. The dump's
-// buckets are disjoint [Lo, Hi] ranges in ascending order, so the running
-// sum gives the cumulative count at each upper bound.
-func (p *promWriter) histogram(name, help string, labels map[string]string, d HistogramDump) {
+// histogram renders a Histogram as cumulative le-buckets. Its buckets are
+// disjoint [Lo, Hi] ranges in ascending order, so the running sum gives the
+// cumulative count at each upper bound.
+func (p *promWriter) histogram(name, help string, labels map[string]string, d *Histogram) {
 	f := p.family(name, "histogram", help)
 	withLE := func(le string) map[string]string {
 		bl := map[string]string{"le": le}
@@ -325,7 +325,7 @@ func (p *promWriter) histogram(name, help string, labels map[string]string, d Hi
 		return bl
 	}
 	var cum uint64
-	for _, b := range d.Buckets {
+	for _, b := range d.buckets() {
 		cum += b.Count
 		p.sample(f, "_bucket", withLE(fmt.Sprint(b.Hi)), cum)
 	}

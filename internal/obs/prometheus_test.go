@@ -63,7 +63,7 @@ func promTestSnapshot() Snapshot {
 		"order": {Reads: 100, Writes: 50, Versions: 2, IndexProbes: 120, IndexRestarts: 6},
 	}
 	s.Epochs = EpochStats{Sealed: 40, Records: 990, ForcedSeals: 1,
-		EpochSize: epochSize.Dump(), DurableLag: lag.Dump()}
+		EpochSize: epochSize, DurableLag: lag}
 	var lat Histogram
 	for _, v := range []uint64{1000, 2000, 4000, 4000, 90000} {
 		lat.Observe(v)
@@ -71,7 +71,7 @@ func promTestSnapshot() Snapshot {
 	s.Server = &ServerStats{
 		Endpoints: map[string]EndpointStats{
 			"/v1/txn": {Requests: 500, OK: 450, Errors: 5, ShedQueue: 30,
-				ShedDeadline: 10, ShedDraining: 5, Expired: 3, Replayed: 12, Latency: lat.Dump()},
+				ShedDeadline: 10, ShedDraining: 5, Expired: 3, Replayed: 12, Latency: lat},
 			"/v1/read": {Requests: 100, OK: 100},
 		},
 		QueueDepth: 7, QueueCap: 64, Workers: 4, EstServiceNanos: 2500, Draining: true,
@@ -86,7 +86,7 @@ func promTestSnapshot() Snapshot {
 			{Table: "kv", LogicalBytes: 64000, ClwbLines: 1200, TrainLines: 300, EvictLines: 80, XPFullEvicts: 50, XPPartialEvicts: 9},
 		},
 		WALFlushLines: 777,
-		SetContention: setHist.Dump(),
+		SetContention: setHist,
 		WaitFor: &WaitForDump{Workers: 4, Rounds: 12,
 			Edges:  []WaitForEdge{{Waiter: 0, Holder: 1, Count: 5}},
 			Cycles: [][]int{{0, 1}}},
@@ -416,7 +416,7 @@ func covers[T any](t *testing.T, rows []metric[T]) {
 	fields := 0
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
-		isHist := f.Type == reflect.TypeOf(HistogramDump{})
+		isHist := f.Type == reflect.TypeOf(Histogram{})
 		if f.Type.Kind() != reflect.Uint64 && !isHist {
 			continue
 		}

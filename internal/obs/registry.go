@@ -87,8 +87,8 @@ type EpochStats struct {
 	ForcedSeals uint64
 	// EpochSize is the distribution of records per sealed epoch; DurableLag
 	// the distribution of publish→seal virtual nanoseconds per record.
-	EpochSize  HistogramDump `json:",omitempty"`
-	DurableLag HistogramDump `json:",omitempty"`
+	EpochSize  Histogram `json:",omitempty"`
+	DurableLag Histogram `json:",omitempty"`
 }
 
 var epochMetrics = []metric[EpochStats]{
@@ -97,8 +97,8 @@ var epochMetrics = []metric[EpochStats]{
 	row(lastGauge, "falcon_epochs_pending", "Durability epochs still open.", func(s *EpochStats) *uint64 { return &s.Pending }),
 	row(counter, "falcon_epochs_train_spans_total", "Contiguous spans epoch seals coalesced into flush trains.", func(s *EpochStats) *uint64 { return &s.TrainSpans }),
 	row(counter, "falcon_epochs_forced_seals_total", "Slot-reclaim waits that sealed an epoch early.", func(s *EpochStats) *uint64 { return &s.ForcedSeals }),
-	hist("falcon_epoch_size_records", "Records per sealed durability epoch.", func(s *EpochStats) *HistogramDump { return &s.EpochSize }),
-	hist("falcon_epoch_durable_lag_nanos", "Publish-to-seal virtual nanoseconds per record.", func(s *EpochStats) *HistogramDump { return &s.DurableLag }),
+	hist("falcon_epoch_size_records", "Records per sealed durability epoch.", func(s *EpochStats) *Histogram { return &s.EpochSize }),
+	hist("falcon_epoch_durable_lag_nanos", "Publish-to-seal virtual nanoseconds per record.", func(s *EpochStats) *Histogram { return &s.DurableLag }),
 }
 
 // Add folds o into s: counters sum, Pending keeps the last non-zero, the

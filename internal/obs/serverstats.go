@@ -31,7 +31,7 @@ type EndpointStats struct {
 	// requests in host nanoseconds: from taking an engine-worker slot to the
 	// end of the transaction, any service-floor padding included. The wait
 	// for the slot and the response write are not in it.
-	Latency HistogramDump `json:",omitempty"`
+	Latency Histogram `json:",omitempty"`
 }
 
 // Shed returns the total rejections across causes.
@@ -50,7 +50,7 @@ var endpointMetrics = []metric[EndpointStats]{
 	row(counter, shedFamily, shedHelp, func(e *EndpointStats) *uint64 { return &e.ShedDraining }).with("reason", "draining"),
 	row(counter, "falcon_server_expired_total", "Admitted requests whose deadline passed before completion.", func(e *EndpointStats) *uint64 { return &e.Expired }),
 	row(counter, "falcon_server_replayed_total", "Retries answered from the idempotency table.", func(e *EndpointStats) *uint64 { return &e.Replayed }),
-	hist("falcon_server_latency_nanos", "Accepted-request service time in host nanoseconds.", func(e *EndpointStats) *HistogramDump { return &e.Latency }),
+	hist("falcon_server_latency_nanos", "Accepted-request service time in host nanoseconds.", func(e *EndpointStats) *Histogram { return &e.Latency }),
 }
 
 // Add sums o into e; the latency histograms merge bucket-wise.

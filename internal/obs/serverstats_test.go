@@ -12,8 +12,8 @@ func TestEndpointStatsAddSub(t *testing.T) {
 	h1.Observe(200)
 	h2.Observe(400)
 
-	a := EndpointStats{Requests: 10, OK: 8, Errors: 1, ShedQueue: 1, Latency: h1.Dump()}
-	b := EndpointStats{Requests: 4, OK: 3, ShedDeadline: 1, Replayed: 2, Latency: h2.Dump()}
+	a := EndpointStats{Requests: 10, OK: 8, Errors: 1, ShedQueue: 1, Latency: h1}
+	b := EndpointStats{Requests: 4, OK: 3, ShedDeadline: 1, Replayed: 2, Latency: h2}
 	sum := a
 	sum.Add(b)
 	if sum.Requests != 14 || sum.OK != 11 || sum.Errors != 1 || sum.Replayed != 2 {
@@ -29,35 +29,6 @@ func TestEndpointStatsAddSub(t *testing.T) {
 	diff := sum.Sub(a)
 	if diff.Requests != 4 || diff.OK != 3 || diff.ShedDeadline != 1 || diff.Replayed != 2 {
 		t.Fatalf("Sub: %+v", diff)
-	}
-}
-
-func TestHistogramDumpMerge(t *testing.T) {
-	var h1, h2 Histogram
-	for _, v := range []uint64{0, 1, 5, 5, 1000} {
-		h1.Observe(v)
-	}
-	for _, v := range []uint64{5, 2000} {
-		h2.Observe(v)
-	}
-	var ref Histogram
-	ref.Merge(&h1)
-	ref.Merge(&h2)
-	got := h1.Dump().Merge(h2.Dump())
-	want := ref.Dump()
-	if got.Count != want.Count || got.Sum != want.Sum || got.Min != want.Min || got.Max != want.Max {
-		t.Fatalf("summary mismatch: got %+v want %+v", got, want)
-	}
-	if len(got.Buckets) != len(want.Buckets) {
-		t.Fatalf("bucket count: got %d want %d", len(got.Buckets), len(want.Buckets))
-	}
-	for i := range got.Buckets {
-		if got.Buckets[i] != want.Buckets[i] {
-			t.Fatalf("bucket %d: got %+v want %+v", i, got.Buckets[i], want.Buckets[i])
-		}
-	}
-	if d := (HistogramDump{}).Merge(HistogramDump{}); d.Count != 0 {
-		t.Fatal("empty merge not empty")
 	}
 }
 

@@ -64,7 +64,7 @@ func (ep *endpoint) stats() obs.EndpointStats {
 		Requests: ep.requests.Load(), OK: ep.ok.Load(), Errors: ep.errors.Load(),
 		ShedQueue: ep.shedQueue.Load(), ShedDeadline: ep.shedDeadline.Load(), ShedDraining: ep.shedDraining.Load(),
 		Expired: ep.expired.Load(), Replayed: ep.replayed.Load(),
-		Latency: ep.latency.Dump(),
+		Latency: ep.latency,
 	}
 }
 

@@ -50,9 +50,9 @@ type Attempt struct {
 	// Nil marks an empty attempt: a worker that already aborted against
 	// round-frozen state and only needs to wait out the round.
 	Data any
-	// OK and Reason carry the replay verdict back to the submitting worker.
-	OK     bool
-	Reason int
+	// OK carries the replay verdict back to the submitting worker: whether
+	// the attempt committed. Why it did not is the payload's business.
+	OK bool
 }
 
 // NewGroup returns a scheduler that applies each round's attempts with
@@ -72,8 +72,7 @@ func (g *Group) Begin(n int) {
 }
 
 // Submit hands in the worker's attempt for this round and parks until the
-// round's barrier has replayed it; the verdict is in att.OK / att.Reason on
-// return. The last worker to arrive runs the replay itself.
+// round's barrier has replayed it; the verdict is in att.OK on return. The last worker to arrive runs the replay itself.
 func (g *Group) Submit(att *Attempt) {
 	g.mu.Lock()
 	g.pending = append(g.pending, att)

@@ -300,8 +300,8 @@ func (b *EpochBoard) Stats() obs.EpochStats {
 		Records:     b.records,
 		TrainSpans:  b.trainSpans,
 		ForcedSeals: b.forcedSeals,
-		EpochSize:   b.sizeHist.Dump(),
-		DurableLag:  b.lagHist.Dump(),
+		EpochSize:   b.sizeHist,
+		DurableLag:  b.lagHist,
 	}
 }
 
