@@ -58,7 +58,7 @@ func BenchmarkAblationXPBufferSize(b *testing.B) {
 					res := runYCSBWith(b, cfg, wcfg, mem)
 					return map[string]float64{
 						"MTxn/s(virtual)": res.MTxnPerSec,
-						"write-amp":       res.WriteAmp,
+						"write-amp":       res.Obs.Mem.WriteAmplification(),
 					}
 				})
 			})
@@ -109,7 +109,7 @@ func BenchmarkAblationHotTupleCap(b *testing.B) {
 				res := runYCSBWith(b, cfg, wcfg, mem)
 				return map[string]float64{
 					"MTxn/s(virtual)": res.MTxnPerSec,
-					"media-writes":    float64(res.MediaWrites),
+					"media-writes":    float64(res.Obs.Mem.MediaWrites),
 				}
 			})
 		})

@@ -86,9 +86,7 @@ func TestGoldenStdout(t *testing.T) {
 
 // TestStreamDoesNotPerturbTheSweep: -stream watches a sweep without changing
 // it. The group-mode Figure-11 grid prints the same table and writes the same
-// -json with and without it, and the stream holds one line per cell. (When
-// -stream split each cell's measured phase into chunks, the workers left the
-// group scheduler at every chunk boundary and the TPC-C rows moved.)
+// -json with and without it, and the stream holds one line per cell.
 func TestStreamDoesNotPerturbTheSweep(t *testing.T) {
 	dir := t.TempDir()
 	args := strings.Fields("sweep -parworkers -threads 4 -txns 300 -warmup 20 -records 5000")

@@ -66,9 +66,6 @@ type Result struct {
 	Workload string
 	// Workers actually used.
 	Workers int
-	// Committed transactions and aborted attempts during measurement.
-	Committed uint64
-	Aborted   uint64
 	// VirtualNanos is the run's completion time (max worker clock).
 	VirtualNanos uint64
 	// MTxnPerSec is throughput in million transactions per virtual second —
@@ -86,13 +83,10 @@ type Result struct {
 	// LatHists is the merged per-class latency distribution (log2 buckets),
 	// for offline analysis beyond the fixed quantile columns above.
 	LatHists []obs.Histogram
-	// MediaWrites/MediaReads/WriteAmp summarize NVM traffic during the run.
-	MediaWrites uint64
-	MediaReads  uint64
-	WriteAmp    float64
-	// Obs is the full observability snapshot of the measured phase: commit
-	// path phase nanos, abort taxonomy, WAL/hot-set gauges, and the pmem
-	// counters diffed against the post-warmup baseline.
+	// Obs is the full observability snapshot of the measured phase: commits
+	// and aborts, commit path phase nanos, abort taxonomy, WAL/hot-set
+	// gauges, and the pmem counters (NVM traffic, write amplification)
+	// diffed against the post-warmup baseline.
 	Obs obs.Snapshot
 	// Trace is the transaction-level trace of the measured phase, present
 	// only when Options.Trace was set.
@@ -213,18 +207,12 @@ func Run(e *core.Engine, workload string, opts Options, fn TxnFunc) (*Result, er
 		return nil, err
 	}
 
-	snap := e.ObsSnapshot().Sub(obs0)
 	res := &Result{
 		Engine:       e.Config().Name,
 		Workload:     workload,
 		Workers:      opts.Workers,
-		Committed:    e.Commits(),
-		Aborted:      e.Aborts(),
 		VirtualNanos: sim.MaxNanos(e.Clocks()),
-		MediaWrites:  snap.Mem.MediaWrites,
-		MediaReads:   snap.Mem.MediaReads,
-		WriteAmp:     snap.Mem.WriteAmplification(),
-		Obs:          snap,
+		Obs:          e.ObsSnapshot().Sub(obs0),
 		ParWorkers:   opts.ParWorkers,
 	}
 	for w := 0; w < opts.Workers; w++ {

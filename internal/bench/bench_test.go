@@ -32,8 +32,8 @@ func TestRunTPCCSmoke(t *testing.T) {
 	if res.MTxnPerSec <= 0 || res.VirtualNanos == 0 {
 		t.Fatalf("bad result %+v", res)
 	}
-	if res.Committed < 200 {
-		t.Fatalf("committed = %d", res.Committed)
+	if res.Obs.Commits < 200 {
+		t.Fatalf("committed = %d", res.Obs.Commits)
 	}
 	if res.LatAvgNanos[int(tpcc.TxnNewOrder)] == 0 {
 		t.Fatal("NewOrder latency not measured")
@@ -57,8 +57,8 @@ func TestRunYCSBSmoke(t *testing.T) {
 	}
 	// The attached snapshot covers exactly the measured phase: warmup
 	// transactions must not leak into it.
-	if res.Obs.Commits != res.Committed {
-		t.Fatalf("snapshot commits = %d, result committed = %d", res.Obs.Commits, res.Committed)
+	if res.Obs.Commits != e.Commits() {
+		t.Fatalf("snapshot commits = %d, engine committed = %d since warmup", res.Obs.Commits, e.Commits())
 	}
 	if res.Obs.TotalPhaseNanos() == 0 {
 		t.Fatal("snapshot has no phase time")
@@ -91,8 +91,8 @@ func TestFreeRunningGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed != 4*2000 {
-		t.Errorf("committed %d of %d transactions", res.Committed, 4*2000)
+	if res.Obs.Commits != 4*2000 {
+		t.Errorf("committed %d of %d transactions", res.Obs.Commits, 4*2000)
 	}
 	if res.Obs.Epochs.Sealed == 0 {
 		t.Error("no durability epoch sealed: the run never exercised group commit")

@@ -3,14 +3,14 @@ package bench
 // Schema identifiers stamped on the tools' JSON artifacts, so offline
 // consumers can detect layout drift instead of silently misreading renamed
 // fields. An obs snapshot has no stamp of its own: it travels inside a
-// stamped sweep cell or stream line. The formats only grow; a version bump
-// signals a rename or semantic change, not an addition.
+// stamped sweep cell. An added field keeps the version; a renamed or removed
+// field, or a changed meaning, bumps it.
 const (
 	// StreamSchema marks -stream JSONL lines (StreamLine), one per finished
 	// cell.
 	StreamSchema = "falcon/stream/v2"
 	// SweepCellSchema marks `falcon sweep` -json grid cells.
-	SweepCellSchema = "falcon/sweep-cell/v1"
+	SweepCellSchema = "falcon/sweep-cell/v2"
 	// HostPerfSchema marks the `falcon hostbench` baseline file
 	// (BENCH_hostperf.json).
 	HostPerfSchema = "falcon/hostperf/v1"

@@ -49,7 +49,7 @@ func renderTable(results []CellResult) string {
 			continue
 		}
 		s += fmt.Sprintf("%-30s%10.3f%12d%14d\n",
-			cr.Label, cr.Res.MTxnPerSec, cr.Res.Committed, cr.Res.VirtualNanos)
+			cr.Label, cr.Res.MTxnPerSec, cr.Res.Obs.Commits, cr.Res.VirtualNanos)
 	}
 	return s
 }
@@ -72,10 +72,10 @@ func TestRunCellsParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("cell %d errored: seq=%v par=%v", i, seq[i].Err, par[i].Err)
 		}
 		a, b := seq[i].Res, par[i].Res
-		if a.VirtualNanos != b.VirtualNanos || a.Committed != b.Committed || a.Aborted != b.Aborted {
+		if a.VirtualNanos != b.VirtualNanos || a.Obs.Commits != b.Obs.Commits || a.Obs.Aborts != b.Obs.Aborts {
 			t.Errorf("cell %s: virtual results differ: %d/%d/%d vs %d/%d/%d",
-				seq[i].Label, a.VirtualNanos, a.Committed, a.Aborted,
-				b.VirtualNanos, b.Committed, b.Aborted)
+				seq[i].Label, a.VirtualNanos, a.Obs.Commits, a.Obs.Aborts,
+				b.VirtualNanos, b.Obs.Commits, b.Obs.Aborts)
 		}
 		if !reflect.DeepEqual(a.LatHists, b.LatHists) {
 			t.Errorf("cell %s: latency histograms differ", seq[i].Label)

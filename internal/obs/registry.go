@@ -70,7 +70,7 @@ func (s WALStats) MeanRecordBytes() uint64 {
 // sealed, how many records they coalesced, and the distribution of epoch
 // sizes and publish→durable lag. The counters are plain uint64 (the epoch
 // board guards them with its own lock and snapshots are quiescent); the
-// histogram dumps are point-in-time exports and pass through Sub unchanged —
+// histograms are point-in-time copies and pass through Sub unchanged —
 // callers that diff snapshots reset the board's stats at the measurement
 // start instead (Engine.ResetCounters does).
 type EpochStats struct {

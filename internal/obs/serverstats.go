@@ -56,7 +56,7 @@ var endpointMetrics = []metric[EndpointStats]{
 // Add sums o into e; the latency histograms merge bucket-wise.
 func (e *EndpointStats) Add(o EndpointStats) { addRows(endpointMetrics, e, &o) }
 
-// Sub returns the counter-wise difference e - o; the latency dump passes
+// Sub returns the counter-wise difference e - o; the latency histogram passes
 // through from e (point-in-time export, like the epoch histograms).
 func (e EndpointStats) Sub(o EndpointStats) EndpointStats { return subRows(endpointMetrics, e, o) }
 
