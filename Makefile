@@ -133,8 +133,10 @@ contend-smoke:
 # the two memory spaces into pmem.MemSpace, the epoch-length and version-
 # headroom knobs into constants, the hand-rolled bulk loads into
 # core.Table.Load, the chunked -stream phase into one window per cell, the
-# histogram dump into obs.Histogram and the recovery report's time fields into
-# its probe's phases; fail when a removed spelling comes back (same
+# histogram dump into obs.Histogram, the recovery report's time fields into
+# its probe's phases, and the cost model, the shared stop flag and the
+# single-valued workload settings into constants; fail when a removed
+# spelling comes back (same
 # lane CI runs). CHANGES.md, ROADMAP.md, benchmark/ and EXPERIMENTS.md's dated
 # sections are history and exempt. The [-], the [R]s and the like keep this
 # recipe from matching itself.
@@ -146,6 +148,8 @@ old-spellings:
 	! grep -rnE '\b(New)?(N[V]M|D[R]AM)Space(Cache)?\b|dram[T]imingBackend|Group[E]pochNanos|Version[H]eadroom|-[e]pochns|Bulk[I]ndexInsert' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
 	! grep -rnE 'stream[-]every|Epoch[T]xns|On[E]poch|Histogram[D]ump|Catalog[N]anos' \
+		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+	! grep -rnE 'Cost[M]odel|Stop[F]lag|Err[S]topped|Workload[S]eed|Orders[P]erDistrict' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
 
 # Every Go file gofmt-clean, benchmark/ included (same lane CI runs).

@@ -55,8 +55,6 @@ type (
 	MemConfig = pmem.Config
 	// Clock is a worker's virtual clock.
 	Clock = sim.Clock
-	// CostModel holds the virtual-time latency constants.
-	CostModel = sim.CostModel
 	// CCAlgo selects a concurrency-control algorithm.
 	CCAlgo = cc.Algo
 	// StatsSnapshot is one observability snapshot — commit-path phase nanos,
@@ -179,6 +177,3 @@ func NewSystem(cfg MemConfig) *System { return pmem.NewSystem(cfg) }
 func NewEngine(sys *System, cfg Config, tables []TableSpec) (*Engine, error) {
 	return core.New(sys, cfg, tables)
 }
-
-// DefaultCostModel returns the calibrated virtual-time latency constants.
-func DefaultCostModel() CostModel { return sim.DefaultCostModel() }

@@ -5,7 +5,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,11 +13,6 @@ import (
 	"falcon/internal/obs"
 	"falcon/internal/sim"
 )
-
-// ErrStopped reports a run cut short by its Options.Stop flag (an external
-// drain, not a worker failure): workers exited after their current
-// transaction and the engine is quiescent.
-var ErrStopped = errors.New("bench: run stopped")
 
 // TxnFunc executes one transaction for worker w and returns a latency class
 // (an arbitrary small int, e.g. the TPC-C transaction type) for percentile
@@ -44,12 +38,6 @@ type Options struct {
 	// measured phase (warmup is never attributed); the report lands on
 	// Result.Obs.Contend.
 	Contend bool
-	// Stop, when non-nil, is an external cancellation flag polled alongside
-	// the run's internal error-cancel check: once Stop.Stopped() reports
-	// true, every worker exits after its current transaction and Run returns
-	// ErrStopped. Used for SIGTERM drains that share one flag between a
-	// benchmark phase and a serving front-end.
-	Stop *StopFlag
 	// ParWorkers runs the workers through the engine's deterministic group
 	// scheduler (core.Engine.EnterGroup): real goroutines, virtual-time round
 	// barriers, results independent of GOMAXPROCS and host schedule. Note
@@ -148,7 +136,7 @@ func Run(e *core.Engine, workload string, opts Options, fn TxnFunc) (*Result, er
 				}
 				clk := e.Clock(w)
 				for i := 0; i < txns; i++ {
-					if cancel.Load() || opts.Stop.Stopped() {
+					if cancel.Load() {
 						return
 					}
 					before := clk.Nanos()
@@ -172,9 +160,6 @@ func Run(e *core.Engine, workload string, opts Options, fn TxnFunc) (*Result, er
 			if err != nil {
 				return err
 			}
-		}
-		if opts.Stop.Stopped() {
-			return ErrStopped
 		}
 		return nil
 	}

@@ -421,7 +421,7 @@ func (tx *Txn) Abort() {
 			tx.freeInsertSlot(ins.t, ins.slot)
 		}
 	}
-	tx.clk.Advance(tx.e.sys.Cost().AbortOverhead)
+	tx.clk.Advance(sim.AbortOverhead)
 	// A bare Abort with no recorded failure is a voluntary rollback.
 	if !tx.causeSet {
 		tx.cause = obs.AbortUserRollback

@@ -148,7 +148,7 @@ func (e *Engine) EnterGroup() {
 		e.tcache.clear()
 		d.tc = make([]*tupleCache, n)
 		for w := range d.tc {
-			d.tc[w] = newTupleCache(e.cfg.TupleCacheBytes/n, e.tcache.slotBytes, e.sys.Cost())
+			d.tc[w] = newTupleCache(e.cfg.TupleCacheBytes/n, e.tcache.slotBytes)
 		}
 	}
 	e.det = d
@@ -226,7 +226,7 @@ func (tx *Txn) detRecordScan(t *Table) {
 // charges the same probe cost.
 func (tx *Txn) reserveKey(t *Table, key uint64) bool {
 	if tx.dt != nil {
-		tx.clk.Advance(tx.e.sys.Cost().DRAMFirstLine)
+		tx.clk.Advance(sim.DRAMFirstLine)
 		return true
 	}
 	return tx.e.resv.tryReserve(tx.clk, t.id, key)
@@ -235,7 +235,7 @@ func (tx *Txn) reserveKey(t *Table, key uint64) bool {
 // releaseKey frees an insert key latch (no-op cost-charge in group mode).
 func (tx *Txn) releaseKey(t *Table, key uint64) {
 	if tx.dt != nil {
-		tx.clk.Advance(tx.e.sys.Cost().DRAMFirstLine)
+		tx.clk.Advance(sim.DRAMFirstLine)
 		return
 	}
 	tx.e.resv.release(tx.clk, t.id, key)

@@ -105,7 +105,7 @@ func runGroupWorkload(t *testing.T, cfg Config, procs int) groupResult {
 	}
 	res.commits = e.Commits()
 	res.aborts = e.Aborts()
-	for i, n := range e.AbortReasons() {
+	for i, n := range e.ObsSnapshot().AbortCounts {
 		if i < len(res.reasons) {
 			res.reasons[i] = n
 		}

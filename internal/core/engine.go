@@ -141,11 +141,12 @@ func New(sys *pmem.System, cfg Config, specs []TableSpec) (*Engine, error) {
 		nvm:    sys.Space,
 		byName: make(map[string]*Table, len(specs)),
 		active: cc.NewActiveSet(cfg.Threads),
-		resv:   newReservations(sys.Cost()),
+		resv:   newReservations(),
 		probes: make([]obs.Probe, cfg.Threads+1),
 	}
 	var err error
-	e.arena, err = NewEngineArena(sys)
+	// The space arena: header and catalog region reserved.
+	e.arena, err = alloc.NewArena(sys.Space, 0, arenaStart, sys.Space.Size())
 	if err != nil {
 		return nil, err
 	}
@@ -202,12 +203,6 @@ func (e *Engine) initGroupCommit() {
 	for _, w := range e.windows {
 		w.SetBoard(e.board)
 	}
-}
-
-// NewEngineArena formats the engine's space arena (header + catalog region
-// reserved).
-func NewEngineArena(sys *pmem.System) (*alloc.Arena, error) {
-	return alloc.NewArena(sys.Space, 0, arenaStart, sys.Space.Size())
 }
 
 // initWorkers builds the per-worker state: clocks, scratch, table counters
@@ -277,7 +272,7 @@ func (e *Engine) scratchFor(worker, n int) []byte {
 // first use.
 func (e *Engine) dramAlloc(n uint64) (uint64, error) {
 	if e.dram == nil {
-		e.dram = pmem.NewDRAM(e.cfg.DRAMBytes, e.sys.Cost())
+		e.dram = pmem.NewDRAM(e.cfg.DRAMBytes)
 	}
 	off := (e.dramNext + 63) &^ 63
 	if off+n > e.dram.Size() {
@@ -330,7 +325,7 @@ func (e *Engine) createTable(clk *sim.Clock, spec TableSpec) (*Table, error) {
 	}
 
 	if e.cfg.CC.MultiVersion() {
-		t.versions = version.NewStore(t.heap.NSlots(), e.cfg.Threads, e.sys.Cost())
+		t.versions = version.NewStore(t.heap.NSlots(), e.cfg.Threads)
 	}
 	if e.cfg.TupleCacheBytes > 0 {
 		e.ensureTupleCache(spec.Schema.TupleSize())
@@ -342,7 +337,7 @@ func (e *Engine) createTable(clk *sim.Clock, spec TableSpec) (*Table, error) {
 
 func (e *Engine) ensureTupleCache(slotBytes int) {
 	if e.tcache == nil || e.tcache.slotBytes < slotBytes {
-		e.tcache = newTupleCache(e.cfg.TupleCacheBytes, slotBytes, e.sys.Cost())
+		e.tcache = newTupleCache(e.cfg.TupleCacheBytes, slotBytes)
 	}
 }
 
@@ -502,11 +497,6 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 		s.Tables[t.name] = agg
 	}
 	return s
-}
-
-// AbortReasons returns the per-reason abort counters; they sum to Aborts().
-func (e *Engine) AbortReasons() [obs.NumAbortReasons]uint64 {
-	return e.outcomes().AbortCounts
 }
 
 // Sync flushes all dirty simulated state to the media (clean shutdown).

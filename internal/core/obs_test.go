@@ -14,7 +14,7 @@ import (
 // every abort exactly once.
 func assertReasonsSumToAborts(t *testing.T, e *Engine) [obs.NumAbortReasons]uint64 {
 	t.Helper()
-	reasons := e.AbortReasons()
+	reasons := e.ObsSnapshot().AbortCounts
 	var sum uint64
 	for _, n := range reasons {
 		sum += n
@@ -207,8 +207,8 @@ func TestAbortReasonsSumUnderContention(t *testing.T) {
 			}
 			<-done
 			assertReasonsSumToAborts(t, e)
-			if e.AbortReasons()[obs.AbortUserRollback] != 10 {
-				t.Fatalf("user rollbacks = %d, want 10", e.AbortReasons()[obs.AbortUserRollback])
+			if n := e.ObsSnapshot().AbortCounts[obs.AbortUserRollback]; n != 10 {
+				t.Fatalf("user rollbacks = %d, want 10", n)
 			}
 		})
 	}

@@ -86,7 +86,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 		nvm:    sys.Space,
 		byName: make(map[string]*Table, len(img.tables)),
 		active: cc.NewActiveSet(cfg.Threads),
-		resv:   newReservations(sys.Cost()),
+		resv:   newReservations(),
 		probes: probes,
 	}
 	e.arena, err = alloc.OpenArena(sys.Space, clk, 0)
@@ -130,7 +130,7 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 			// Old versions lived in DRAM and are gone; fresh empty store
 			// (§5.2.3: "each thread only needs to create a new empty version
 			// queue during recovery").
-			t.versions = version.NewStore(t.heap.NSlots(), cfg.Threads, sys.Cost())
+			t.versions = version.NewStore(t.heap.NSlots(), cfg.Threads)
 		}
 		if cfg.TupleCacheBytes > 0 {
 			e.ensureTupleCache(ct.schema.TupleSize())

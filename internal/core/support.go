@@ -109,7 +109,6 @@ func (h *hotSet) probe(clk *sim.Clock, table uint8, slot uint64) (hot bool) {
 // transaction is mid-insert.
 type reservations struct {
 	shards [64]resShard
-	cost   sim.CostModel
 }
 
 type resShard struct {
@@ -122,8 +121,8 @@ type resKey struct {
 	key   uint64
 }
 
-func newReservations(cost sim.CostModel) *reservations {
-	r := &reservations{cost: cost}
+func newReservations() *reservations {
+	r := &reservations{}
 	for i := range r.shards {
 		r.shards[i].m = make(map[resKey]struct{})
 	}
@@ -137,7 +136,7 @@ func (r *reservations) shard(k resKey) *resShard {
 // tryReserve claims (table, key), failing if another in-flight transaction
 // holds it.
 func (r *reservations) tryReserve(clk *sim.Clock, table uint8, key uint64) bool {
-	clk.Advance(r.cost.DRAMFirstLine)
+	clk.Advance(sim.DRAMFirstLine)
 	k := resKey{table, key}
 	s := r.shard(k)
 	s.mu.Lock()
@@ -151,7 +150,7 @@ func (r *reservations) tryReserve(clk *sim.Clock, table uint8, key uint64) bool 
 
 // release frees a reservation.
 func (r *reservations) release(clk *sim.Clock, table uint8, key uint64) {
-	clk.Advance(r.cost.DRAMFirstLine)
+	clk.Advance(sim.DRAMFirstLine)
 	k := resKey{table, key}
 	s := r.shard(k)
 	s.mu.Lock()
@@ -171,7 +170,6 @@ type tupleCache struct {
 	slotBytes int
 	perShard  int
 	shards    [64]tcShard
-	cost      sim.CostModel
 }
 
 type tcShard struct {
@@ -182,7 +180,7 @@ type tcShard struct {
 	hand int
 }
 
-func newTupleCache(totalBytes, slotBytes int, cost sim.CostModel) *tupleCache {
+func newTupleCache(totalBytes, slotBytes int) *tupleCache {
 	if slotBytes < 64 {
 		slotBytes = 64
 	}
@@ -192,10 +190,9 @@ func newTupleCache(totalBytes, slotBytes int, cost sim.CostModel) *tupleCache {
 		perShard = 4
 	}
 	c := &tupleCache{
-		space:     pmem.NewDRAM(uint64(64*perShard*slotBytes), cost),
+		space:     pmem.NewDRAM(uint64(64 * perShard * slotBytes)),
 		slotBytes: slotBytes,
 		perShard:  perShard,
-		cost:      cost,
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]int, perShard)
@@ -218,7 +215,7 @@ func (c *tupleCache) offset(shard, entry int) uint64 {
 func (c *tupleCache) get(clk *sim.Clock, table uint8, key uint64, dst []byte) bool {
 	pk := pack(table, key)
 	sh := &c.shards[pk&63]
-	clk.Advance(c.cost.DRAMFirstLine)
+	clk.Advance(sim.DRAMFirstLine)
 	sh.mu.Lock()
 	i, ok := sh.m[pk]
 	if !ok {
@@ -239,7 +236,7 @@ func (c *tupleCache) put(clk *sim.Clock, table uint8, key uint64, payload []byte
 	}
 	pk := pack(table, key)
 	sh := &c.shards[pk&63]
-	clk.Advance(c.cost.DRAMFirstLine)
+	clk.Advance(sim.DRAMFirstLine)
 	sh.mu.Lock()
 	i, ok := sh.m[pk]
 	if !ok {
@@ -259,7 +256,7 @@ func (c *tupleCache) put(clk *sim.Clock, table uint8, key uint64, payload []byte
 func (c *tupleCache) invalidate(clk *sim.Clock, table uint8, key uint64) {
 	pk := pack(table, key)
 	sh := &c.shards[pk&63]
-	clk.Advance(c.cost.DRAMFirstLine)
+	clk.Advance(sim.DRAMFirstLine)
 	sh.mu.Lock()
 	if i, ok := sh.m[pk]; ok {
 		delete(sh.m, pk)

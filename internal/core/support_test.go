@@ -14,7 +14,7 @@ import (
 
 // testHotSet lays a set of the given capacity over a DRAM space of its own.
 func testHotSet(capacity int) *hotSet {
-	return newHotSet(pmem.NewDRAM(hotSetBytes(capacity), sim.DefaultCostModel()), 0, capacity)
+	return newHotSet(pmem.NewDRAM(hotSetBytes(capacity)), 0, capacity)
 }
 
 func TestHotSetLRUEviction(t *testing.T) {
@@ -74,11 +74,10 @@ func TestHotSetSizing(t *testing.T) {
 // line, one CacheHitLine, and any other probe reads the line and writes it
 // back, exactly two.
 func TestHotProbeCost(t *testing.T) {
-	cost := sim.DefaultCostModel()
 	h := testHotSet(256)
 	clk := sim.NewClock()
-	if h.probe(clk, 0, 1); clk.Nanos() < cost.DRAMFirstLine {
-		t.Fatalf("cold probe cost %d ns, want at least DRAMFirstLine (%d)", clk.Nanos(), cost.DRAMFirstLine)
+	if h.probe(clk, 0, 1); clk.Nanos() < sim.DRAMFirstLine {
+		t.Fatalf("cold probe cost %d ns, want at least DRAMFirstLine (%d)", clk.Nanos(), sim.DRAMFirstLine)
 	}
 	// Make the whole region resident: touch every line of it.
 	for off := uint64(0); off < hotSetBytes(256); off += pmem.LineSize {
@@ -89,8 +88,8 @@ func TestHotProbeCost(t *testing.T) {
 		t.Helper()
 		before, lines := clk.Nanos(), h.stats.Lines
 		h.probe(clk, 0, slot)
-		if got, gotLines := clk.Nanos()-before, h.stats.Lines-lines; gotLines != wantLines || got != wantLines*cost.CacheHitLine {
-			t.Fatalf("probe %d of slot %d cost %d ns for %d line accesses, want %d for %d", n, slot, got, gotLines, wantLines*cost.CacheHitLine, wantLines)
+		if got, gotLines := clk.Nanos()-before, h.stats.Lines-lines; gotLines != wantLines || got != wantLines*sim.CacheHitLine {
+			t.Fatalf("probe %d of slot %d cost %d ns for %d line accesses, want %d for %d", n, slot, got, gotLines, wantLines*sim.CacheHitLine, wantLines)
 		}
 	}
 	for n := 0; n < 2000; n++ {
@@ -433,7 +432,7 @@ func TestHotSetHitRateNearExactLRU(t *testing.T) {
 }
 
 func TestReservationsExclusive(t *testing.T) {
-	r := newReservations(sim.DefaultCostModel())
+	r := newReservations()
 	clk := sim.NewClock()
 	if !r.tryReserve(clk, 1, 100) {
 		t.Fatal("first reserve failed")
@@ -451,7 +450,7 @@ func TestReservationsExclusive(t *testing.T) {
 }
 
 func TestReservationsConcurrent(t *testing.T) {
-	r := newReservations(sim.DefaultCostModel())
+	r := newReservations()
 	const workers = 8
 	winners := make([]int, workers)
 	var wg sync.WaitGroup
@@ -478,7 +477,7 @@ func TestReservationsConcurrent(t *testing.T) {
 }
 
 func TestTupleCachePutGetInvalidate(t *testing.T) {
-	tc := newTupleCache(1<<20, 128, sim.DefaultCostModel())
+	tc := newTupleCache(1<<20, 128)
 	clk := sim.NewClock()
 	payload := bytes.Repeat([]byte{0xAB}, 128)
 	buf := make([]byte, 128)
@@ -505,7 +504,7 @@ func TestTupleCachePutGetInvalidate(t *testing.T) {
 
 func TestTupleCacheEvictsUnderPressure(t *testing.T) {
 	// Tiny cache: 64 shards × 4 entries × 64 B.
-	tc := newTupleCache(16<<10, 64, sim.DefaultCostModel())
+	tc := newTupleCache(16<<10, 64)
 	clk := sim.NewClock()
 	payload := make([]byte, 64)
 	for k := uint64(0); k < 10_000; k++ {
@@ -524,7 +523,7 @@ func TestTupleCacheEvictsUnderPressure(t *testing.T) {
 }
 
 func TestTupleCacheRejectsOversizedPayload(t *testing.T) {
-	tc := newTupleCache(1<<20, 64, sim.DefaultCostModel())
+	tc := newTupleCache(1<<20, 64)
 	clk := sim.NewClock()
 	tc.put(clk, 0, 1, make([]byte, 65)) // silently ignored
 	if tc.get(clk, 0, 1, make([]byte, 64)) {

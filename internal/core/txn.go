@@ -137,7 +137,7 @@ func (e *Engine) begin(worker int, ro bool) *Txn {
 	// Open the probe before charging the begin overhead so the phases
 	// partition every transactional nanosecond (the overhead lands in exec).
 	tx.pr.Begin(tid, clk)
-	clk.Advance(e.sys.Cost().TxnOverhead)
+	clk.Advance(sim.TxnOverhead)
 	if e.cfg.Update == InPlace && !ro {
 		if e.board != nil {
 			// Group-commit backpressure: the next slot's record may belong
@@ -204,7 +204,7 @@ func (tx *Txn) enter(t *Table, key uint64, write bool) error {
 	if tx.cancel != nil && tx.cancel() {
 		return ErrCanceled
 	}
-	tx.clk.Advance(tx.e.sys.Cost().OpOverhead)
+	tx.clk.Advance(sim.OpOverhead)
 	if write && tx.ro {
 		return ErrReadOnly
 	}
@@ -638,7 +638,7 @@ func (tx *Txn) bufferOp(op txnOp, data []byte) error {
 		}
 	} else if op.kind != wal.OpDelete {
 		op.data = append([]byte(nil), data...)
-		chargeDRAMCopy(tx.clk, tx.e.sys.Cost(), len(data))
+		tx.clk.Advance(sim.DRAMCopy(len(data)))
 	}
 	tx.ops = append(tx.ops, op)
 	return nil
@@ -648,7 +648,7 @@ func (tx *Txn) bufferOp(op txnOp, data []byte) error {
 func (tx *Txn) updatePendingInsert(ins *txnOp, off int, data []byte) error {
 	if tx.e.cfg.Update == OutOfPlace {
 		copy(ins.data[off:off+len(data)], data)
-		chargeDRAMCopy(tx.clk, tx.e.sys.Cost(), len(data))
+		tx.clk.Advance(sim.DRAMCopy(len(data)))
 		return nil
 	}
 	// In-place: append a follow-up update op on the same slot; replay order
@@ -695,14 +695,6 @@ func (tx *Txn) readPending(ins *txnOp, off, n int, dst []byte) {
 	}
 	copy(dst[:n], data[off:off+n])
 	tx.overlayOwnWrites(ins.t, ins.slot, off, n, dst)
-}
-
-func chargeDRAMCopy(clk *sim.Clock, cost sim.CostModel, n int) {
-	lines := (n + 63) / 64
-	if lines < 1 {
-		lines = 1
-	}
-	clk.Advance(cost.DRAMFirstLine + uint64(lines-1)*cost.DRAMNextLine)
 }
 
 func leU64(b []byte) uint64 {

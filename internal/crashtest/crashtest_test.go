@@ -284,7 +284,7 @@ func TestChecksumCatchesFlippedRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if crashed := runWorkload(e, m, genOps(1, txnBudget, cellThreads)); crashed {
+		if crashed := runWorkload(e, m, genOps(txnBudget, cellThreads)); crashed {
 			t.Fatal("unexpected crash without a fault plan")
 		}
 		ecfg := e.Config() // defaults applied: window geometry resolved

@@ -110,8 +110,6 @@ type Options struct {
 	// FirstSeed is the first seed value (default 1); seeds are
 	// FirstSeed..FirstSeed+Seeds-1 so a repro can name one directly.
 	FirstSeed uint64
-	// WorkloadSeed varies the transaction stream (default 1).
-	WorkloadSeed uint64
 	// TraceDir, when set, arms an unsampled tracer on every seed's engine
 	// and, for seeds that violate their oracle, writes the pre-crash Chrome
 	// trace there — the transaction history leading into the failing crash,
@@ -125,9 +123,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FirstSeed == 0 {
 		o.FirstSeed = 1
-	}
-	if o.WorkloadSeed == 0 {
-		o.WorkloadSeed = 1
 	}
 	return o
 }
@@ -385,7 +380,7 @@ func runSeed(cell Cell, opts Options, seed uint64, counts [pmem.NumFaultEvents]u
 		}
 	}
 	e.System().SetFaults(plan)
-	crashed = runWorkload(e, m, genOps(opts.WorkloadSeed, txnBudget, cellThreads))
+	crashed = runWorkload(e, m, genOps(txnBudget, cellThreads))
 
 	e2, r, err := crashAndRecover(cell, e)
 	if err != nil {
@@ -482,7 +477,7 @@ func RunCell(cell Cell, opts Options) CellResult {
 		}
 	}
 	counts, e, err := calibrate(cell, cellSpecs(), func(e *core.Engine) error {
-		runWorkload(e, newModel(), genOps(opts.WorkloadSeed, txnBudget, cellThreads))
+		runWorkload(e, newModel(), genOps(txnBudget, cellThreads))
 		return nil
 	})
 	if err != nil {

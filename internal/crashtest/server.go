@@ -90,8 +90,8 @@ func (m *svModel) expect(req *server.TxnRequest) ([]server.OpResult, map[uint64]
 // genServerReqs builds the deterministic request stream. The generator tracks
 // key presence so every request is designed to succeed (inserts use fresh
 // keys, adds target live rows): any runtime error is then itself a violation.
-func genServerReqs(wlSeed uint64, budget int) []svReq {
-	st := wlSeed ^ 0x5e4e
+func genServerReqs(budget int) []svReq {
+	st := workloadSeed ^ 0x5e4e
 	present := map[uint64]bool{}
 	for k := uint64(1); k <= kvKeys; k++ {
 		present[k] = true
@@ -179,7 +179,7 @@ func (r ServerCellResult) Passed() bool { return len(r.Violations) == 0 }
 // runServerSeed executes one crash seed end to end: run requests until the
 // injected crash, recover, retry the interrupted request under its original
 // idempotency key, finish the stream, and compare every touched row exactly.
-func runServerSeed(cell Cell, seed, wlSeed uint64, counts [pmem.NumFaultEvents]uint64) (viol []string, crashed, replayed bool) {
+func runServerSeed(cell Cell, seed uint64, counts [pmem.NumFaultEvents]uint64) (viol []string, crashed, replayed bool) {
 	m := newSvModel()
 	e, err := buildCell(cell, serverSpecs(), m.loadRow)
 	if err != nil {
@@ -189,7 +189,7 @@ func runServerSeed(cell Cell, seed, wlSeed uint64, counts [pmem.NumFaultEvents]u
 	// exactly-once oracle depends on.
 	e.System().SetFaults(drawFault(seed, 0x1de4, counts))
 
-	reqs := genServerReqs(wlSeed, txnBudget)
+	reqs := genServerReqs(txnBudget)
 	digests := make([]string, len(reqs)) // acked requests' digests, for later replay probes
 	crashIdx := -1
 	var crashExp, lastExp []server.OpResult
@@ -339,7 +339,7 @@ func RunServerCell(cell Cell, opts Options) ServerCellResult {
 		return res
 	}
 	counts, _, err := calibrate(cell, serverSpecs(), func(e *core.Engine) error {
-		for i, r := range genServerReqs(opts.WorkloadSeed, txnBudget) {
+		for i, r := range genServerReqs(txnBudget) {
 			if _, err, _ := svApply(e, i%cellThreads, r.idem, &r.req); err != nil {
 				return fmt.Errorf("request %d failed: %w", i, err)
 			}
@@ -352,7 +352,7 @@ func RunServerCell(cell Cell, opts Options) ServerCellResult {
 	}
 	for s := 0; s < opts.Seeds; s++ {
 		seed := opts.FirstSeed + uint64(s)
-		viol, crashed, replayed := runServerSeed(cell, seed, opts.WorkloadSeed, counts)
+		viol, crashed, replayed := runServerSeed(cell, seed, counts)
 		if crashed {
 			res.Crashes++
 			if replayed {

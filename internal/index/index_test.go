@@ -27,12 +27,11 @@ func buildIndexes(t *testing.T, capacity uint64) map[string]Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := sim.DefaultCostModel()
-	dh, err := NewHash(pmem.NewDRAM(32<<20, cost), 0, capacity)
+	dh, err := NewHash(pmem.NewDRAM(32<<20), 0, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := NewBTree(pmem.NewDRAM(64<<20, cost), 0, capacity)
+	db, err := NewBTree(pmem.NewDRAM(64<<20), 0, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +318,7 @@ func TestNVMIndexChargesMoreThanDRAM(t *testing.T) {
 	capacity := uint64(50000)
 	sys := newSys()
 	nvm, _ := NewBTree(sys.Space, 0, capacity)
-	dram, _ := NewBTree(pmem.NewDRAM(64<<20, sim.DefaultCostModel()), 0, capacity)
+	dram, _ := NewBTree(pmem.NewDRAM(64<<20), 0, capacity)
 
 	run := func(idx Index) uint64 {
 		clk := sim.NewClock()

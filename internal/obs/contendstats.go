@@ -164,9 +164,9 @@ type ContentionStats struct {
 	Attribution []AttributionRow `json:"attribution,omitempty"`
 	Heat        *HeatDump        `json:"heat,omitempty"`
 	FlushAmp    []FlushAmpRow    `json:"flush_amp,omitempty"`
-	// WALFlushLines counts log-region lines flushed by the WAL's own drain
-	// path (persist trains and per-commit CLWBs). The time group commit
-	// stalls on a slot reclaim is the group-wait phase's, not counted here.
+	// WALFlushLines counts log-record lines clwb'd by per-commit record drains;
+	// not epoch seals, not tuple flush trains, and not the time group commit
+	// stalls on a slot reclaim (that is the group-wait phase's).
 	WALFlushLines uint64 `json:"wal_flush_lines,omitempty"`
 	// BankEvictions counts XPBuffer evictions per bank (set index);
 	// SetContention is the distribution of those per-bank counts — a wide

@@ -50,7 +50,6 @@ type Cache struct {
 	data  [][LineSize]byte
 	lower backend
 	stats *Stats
-	cost  sim.CostModel
 	// faults, when non-nil, is the armed crash-injection plan (test
 	// harnesses only; see FaultPlan). Nil on every production path, so the
 	// hot loops pay a single predictable branch.
@@ -87,7 +86,7 @@ func setWords(ways int) uint64 { return (setTags + 2*uint64(ways) + 7) &^ 7 }
 // over the backend. The set count is rounded down to a power of two so set
 // indexing is a mask. limit bounds valid addresses. A dataless cache (see
 // Cache.data) needs a backend that ignores the line pointers it is given.
-func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, limit uint64, cost sim.CostModel, dataless bool) *Cache {
+func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, limit uint64, dataless bool) *Cache {
 	if ways < 1 {
 		ways = 1
 	}
@@ -99,7 +98,7 @@ func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, l
 		nsets &= nsets - 1 // round down to a power of two
 	}
 	c := &Cache{mode: mode, ways: ways, nsets: nsets, stride: setWords(ways), limit: limit,
-		lower: lower, stats: stats, cost: cost}
+		lower: lower, stats: stats}
 	raw := make([]uint64, nsets*c.stride+7)
 	skip := -uintptr(unsafe.Pointer(&raw[0])) % 64 / 8 // the heap does not move: alignment holds
 	c.meta = raw[skip : skip+uintptr(nsets*c.stride)]
@@ -229,7 +228,7 @@ func (c *Cache) accessLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off i
 	if hit {
 		blk[setTick]++
 		lru[w] = blk[setTick]<<1 | lru[w]&lruDirty
-		clk.Advance(c.cost.CacheHitLine)
+		clk.Advance(sim.CacheHitLine)
 	} else {
 		// Allocate with fill: the untouched bytes of the line must come from
 		// below. A store covering the whole line skips the fill — every byte
@@ -289,7 +288,7 @@ func (c *Cache) missLocked(clk *sim.Clock, sh *StatShard, si, lineAddr uint64, f
 			c.faults.note(FaultEvict) // under the set lock: note only, no panic
 		}
 		if lru[w]&lruDirty != 0 {
-			clk.Advance(c.cost.LineWriteback)
+			clk.Advance(sim.LineWriteback)
 			c.lower.writeBackLine(clk, victim&^tagValid, c.line(si, w))
 			sh.DirtyEvictions.Add(1)
 			if c.hook != nil {
@@ -302,7 +301,7 @@ func (c *Cache) missLocked(clk *sim.Clock, sh *StatShard, si, lineAddr uint64, f
 	tags[w] = lineAddr | tagValid
 	blk[setTick]++
 	lru[w] = blk[setTick] << 1
-	clk.Advance(c.cost.CacheMissLine)
+	clk.Advance(sim.CacheMissLine)
 	if fill {
 		c.lower.fillLine(clk, lineAddr, c.line(si, w))
 	}
@@ -335,7 +334,7 @@ func (c *Cache) CLWB(clk *sim.Clock, addr uint64, n int) {
 	la, end := lineFloor(addr), addr+uint64(n)
 	c.touch(la, end)
 	for ; la < end; la += LineSize {
-		c.flushLine(clk, sh, la, c.cost.ClwbIssue, FlushClwb)
+		c.flushLine(clk, sh, la, sim.ClwbIssue, FlushClwb)
 	}
 }
 
@@ -354,7 +353,7 @@ func (c *Cache) flushLine(clk *sim.Clock, sh *StatShard, la, issue uint64, kind 
 	blk, tags, lru := c.set(si)
 	lockWord(&blk[setLock])
 	if w := findHit(tags, la); w >= 0 && lru[w]&lruDirty != 0 {
-		clk.Advance(c.cost.LineWriteback)
+		clk.Advance(sim.LineWriteback)
 		c.lower.writeBackLine(clk, la, c.line(si, w))
 		lru[w] &^= lruDirty
 		sh.ClwbWritebacks.Add(1)
@@ -402,10 +401,10 @@ func (c *Cache) CLWBTrain(clk *sim.Clock, spans []Span) {
 		trained = true
 		la, end := lineFloor(sp.Off), sp.Off+uint64(sp.N)
 		c.touch(la, end)
-		issue := c.cost.ClwbIssue
+		issue := sim.ClwbIssue
 		for ; la < end; la += LineSize {
 			c.flushLine(clk, sh, la, issue, FlushTrain)
-			issue = c.cost.ClwbTrainNext
+			issue = sim.ClwbTrainNext
 		}
 	}
 	if trained {
@@ -415,7 +414,7 @@ func (c *Cache) CLWBTrain(clk *sim.Clock, spans []Span) {
 
 // SFence charges the fence cost. Ordering itself needs no modelling: the
 // simulation executes each worker's operations in program order.
-func (c *Cache) SFence(clk *sim.Clock) { clk.Advance(c.cost.Sfence) }
+func (c *Cache) SFence(clk *sim.Clock) { clk.Advance(sim.Sfence) }
 
 // sweep visits every occupied way of every set under the set's lock: visit
 // gets the line address, its payload and a pointer to its LRU word, and

@@ -49,6 +49,3 @@ func (s *MemSpace) EnterGroup(workers int) {
 // cold (it was invalidated on entry), exactly like a freshly built space over
 // the same device image.
 func (s *MemSpace) LeaveGroup() { s.parts = nil }
-
-// InGroup reports whether deterministic group mode is active.
-func (s *MemSpace) InGroup() bool { return s.parts != nil }

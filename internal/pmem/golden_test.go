@@ -41,7 +41,7 @@ func goldenRun(t *testing.T, ways int, mode Mode, group bool) string {
 	const nvmSize, dramSize, hot = 256 << 10, 64 << 10, 6 << 10
 	sys := NewSystem(Config{Mode: mode, DeviceBytes: nvmSize, CacheBytes: 8 << 10, CacheWays: ways,
 		XPBufferBytes: 2 << 10, XPBanks: 2})
-	dram := newDRAM(dramSize, sys.Cost(), 4<<10, ways)
+	dram := newDRAM(dramSize, 4<<10, ways)
 	plan := &FaultPlan{} // N == 0: counts events, never fires
 	sys.SetFaults(plan)
 	hooks := uint64(14695981039346656037)

@@ -31,7 +31,7 @@ func TestHostLayout(t *testing.T) {
 	}
 	for _, ways := range []int{1, 3, 4, 8, 16} {
 		for _, capacity := range []int{64, 4 << 10, 100 << 10} {
-			c := newCache(nil, &Stats{}, EADR, capacity, ways, 1<<20, sim.DefaultCostModel(), false)
+			c := newCache(nil, &Stats{}, EADR, capacity, ways, 1<<20, false)
 			if a := uintptr(unsafe.Pointer(&c.meta[0])); a%64 != 0 {
 				t.Errorf("%d ways, %d B: set blocks start at %#x, not on a host line", ways, capacity, a)
 			}
@@ -62,7 +62,7 @@ func TestBoundsCheckDoesNotWrap(t *testing.T) {
 	clk := sim.NewClock()
 	buf := make([]byte, 16)
 	sys := testSystem(EADR)
-	dram := NewDRAM(1<<20, sim.DefaultCostModel())
+	dram := NewDRAM(1 << 20)
 	for name, sp := range map[string]Space{"nvm": sys.Space, "dram": dram} {
 		mustPanic(name+" write", "beyond space bounds", func() { sp.Write(clk, addr, buf) })
 		mustPanic(name+" read", "beyond space bounds", func() { sp.Read(clk, addr, buf) })

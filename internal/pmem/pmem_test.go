@@ -209,8 +209,7 @@ func TestXPBufferServesLoadsFromBufferedLines(t *testing.T) {
 }
 
 func TestDRAMSpaceRoundTripAndVolatility(t *testing.T) {
-	cost := sim.DefaultCostModel()
-	d := NewDRAM(1<<20, cost)
+	d := NewDRAM(1 << 20)
 	clk := sim.NewClock()
 	src := []byte("volatile")
 	d.Write(clk, 10, src)
@@ -234,14 +233,14 @@ func TestDRAMSpaceIsSparse(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	d := NewDRAM(1<<30, sim.DefaultCostModel())
+	d := NewDRAM(1 << 30)
 	d.Write(sim.NewClock(), 12345<<6, bytes.Repeat([]byte{7}, LineSize))
 	runtime.ReadMemStats(&after)
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 4<<20 {
 		t.Errorf("a 1 GiB DRAM space with one line written raised HeapAlloc by %d B, want < 4 MiB", grew)
 	}
 	runtime.KeepAlive(d)
-	if got := NewDRAM(1000, sim.DefaultCostModel()).Size(); got != 1000 {
+	if got := NewDRAM(1000).Size(); got != 1000 {
 		t.Errorf("NewDRAM(1000).Size() = %d, want 1000", got)
 	}
 }

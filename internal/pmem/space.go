@@ -83,35 +83,34 @@ func newSpace(dev *Device, flush bool, split func(n int, dataless bool) *Cache) 
 
 // NewDRAM allocates a volatile space of size bytes behind a 2 MiB 16-way
 // cache. No byte of it is allocated on the host until written back.
-func NewDRAM(size uint64, cost sim.CostModel) *MemSpace {
-	return newDRAM(size, cost, 2<<20, 16)
+func NewDRAM(size uint64) *MemSpace {
+	return newDRAM(size, 2<<20, 16)
 }
 
 // newDRAM is NewDRAM with an explicit cache size and associativity.
-func newDRAM(size uint64, cost sim.CostModel, cacheBytes, ways int) *MemSpace {
-	lvl := &dram{dev: NewDevice(size), cost: cost}
+func newDRAM(size uint64, cacheBytes, ways int) *MemSpace {
+	lvl := &dram{dev: NewDevice(size)}
 	return newSpace(lvl.dev, false, func(n int, dataless bool) *Cache {
 		// The cache limit is size itself: NewDevice rounds up to a block.
-		return newCache(lvl, &lvl.dev.stats, ADR, cacheBytes/n, ways, size, cost, dataless)
+		return newCache(lvl, &lvl.dev.stats, ADR, cacheBytes/n, ways, size, dataless)
 	})
 }
 
 // dram is the level beneath a DRAM space's cache. It copies a line only
 // when handed one, so the dataless group-mode partitions share it.
 type dram struct {
-	dev  *Device
-	cost sim.CostModel
+	dev *Device
 }
 
 func (d *dram) writeBackLine(clk *sim.Clock, lineAddr uint64, data *[LineSize]byte) {
-	clk.Advance(d.cost.DRAMNextLine) // write-backs are posted: the streaming cost only
+	clk.Advance(sim.DRAMNextLine) // write-backs are posted: the streaming cost only
 	if data != nil {
 		d.dev.RawWrite(lineAddr, data[:])
 	}
 }
 
 func (d *dram) fillLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte) {
-	clk.Advance(d.cost.DRAMFirstLine)
+	clk.Advance(sim.DRAMFirstLine)
 	if dst != nil {
 		d.dev.readLineInto(lineAddr, dst)
 	}

@@ -18,8 +18,6 @@ type Config struct {
 	// XPBanks is the number of independently locked buffer banks
 	// (default 16).
 	XPBanks int
-	// Cost is the virtual-time latency model (default DefaultCostModel).
-	Cost sim.CostModel
 }
 
 // withDefaults fills zero fields with default values.
@@ -38,9 +36,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.XPBanks == 0 {
 		c.XPBanks = 16
-	}
-	if c.Cost == (sim.CostModel{}) {
-		c.Cost = sim.DefaultCostModel()
 	}
 	return c
 }
@@ -66,17 +61,14 @@ func NewSystem(cfg Config) *System {
 
 func newSystemOn(cfg Config, dev *Device) *System {
 	sp := newSpace(dev, true, func(n int, dataless bool) *Cache {
-		xpb := NewXPBuffer(dev, cfg.XPBufferBytes/n, max(cfg.XPBanks/n, 1), cfg.Cost, dataless)
-		return newCache(xpb, &dev.stats, cfg.Mode, cfg.CacheBytes/n, cfg.CacheWays, dev.Size(), cfg.Cost, dataless)
+		xpb := NewXPBuffer(dev, cfg.XPBufferBytes/n, max(cfg.XPBanks/n, 1), dataless)
+		return newCache(xpb, &dev.stats, cfg.Mode, cfg.CacheBytes/n, cfg.CacheWays, dev.Size(), dataless)
 	})
 	return &System{cfg: cfg, Dev: dev, XPB: sp.cache.lower.(*XPBuffer), Cache: sp.cache, Space: sp}
 }
 
 // Config returns the (defaulted) configuration of the system.
 func (s *System) Config() Config { return s.cfg }
-
-// Cost returns the latency model in effect.
-func (s *System) Cost() sim.CostModel { return s.cfg.Cost }
 
 // SetFaults arms a crash-injection plan on the system's cache and XPBuffer
 // (test harnesses only; see FaultPlan for the single-goroutine contract).

@@ -29,7 +29,6 @@ import (
 // when they touch nearby blocks, loosely modelling per-DIMM controllers.
 type XPBuffer struct {
 	dev   *Device
-	cost  sim.CostModel
 	banks []xpBank
 	// faults, when non-nil, counts slot evictions for crash injection (see
 	// FaultPlan). The buffer only notes events — it always runs under a bank
@@ -156,7 +155,7 @@ func (x *xpIndex) del(blockAddr uint64) {
 // NewXPBuffer creates a buffer with the given total capacity in bytes spread
 // over nbanks banks. Capacity is rounded so each bank holds at least one
 // slot. A dataless buffer (see XPBuffer.dataless) allocates no payloads.
-func NewXPBuffer(dev *Device, capacityBytes, nbanks int, cost sim.CostModel, dataless bool) *XPBuffer {
+func NewXPBuffer(dev *Device, capacityBytes, nbanks int, dataless bool) *XPBuffer {
 	if nbanks < 1 {
 		nbanks = 1
 	}
@@ -164,7 +163,7 @@ func NewXPBuffer(dev *Device, capacityBytes, nbanks int, cost sim.CostModel, dat
 	if slotsPerBank < 1 {
 		slotsPerBank = 1
 	}
-	b := &XPBuffer{dev: dev, cost: cost, banks: make([]xpBank, nbanks), dataless: dataless}
+	b := &XPBuffer{dev: dev, banks: make([]xpBank, nbanks), dataless: dataless}
 	for i := range b.banks {
 		bank := &b.banks[i]
 		bank.slots = make([]xpSlot, slotsPerBank)
@@ -255,10 +254,10 @@ func (b *XPBuffer) ReadLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte
 	unlockWord(&bank.mu)
 	if hit {
 		sh.XPBufferHits.Add(1)
-		clk.Advance(b.cost.XPBufferHit)
+		clk.Advance(sim.XPBufferHit)
 	} else {
 		sh.XPBufferReadFills.Add(1)
-		clk.Advance(b.cost.MediaReadBlock)
+		clk.Advance(sim.MediaReadBlock)
 	}
 }
 
@@ -311,7 +310,7 @@ func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, 
 		} else {
 			// Read-modify-write: fetch the block, merge the valid lines,
 			// write the whole block back.
-			clk.Advance(b.cost.MediaReadBlock)
+			clk.Advance(sim.MediaReadBlock)
 		}
 	}
 	if !b.dataless {
@@ -319,7 +318,7 @@ func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, 
 	}
 	sh.MediaWrites.Add(1)
 	sh.BytesToMedia.Add(BlockSize)
-	clk.Advance(b.cost.MediaWriteBlock)
+	clk.Advance(sim.MediaWriteBlock)
 	if b.hook != nil {
 		kind := FlushXPFull
 		if !full {

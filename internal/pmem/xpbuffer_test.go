@@ -13,16 +13,15 @@ import (
 // from the media once; the loads of its other three lines are buffer hits.
 func TestReadAllocateSiblingsHit(t *testing.T) {
 	sys := testSystem(EADR)
-	cost := sys.Cost()
 	const base = 64 << 10 // block-aligned, never touched
 	var b [8]byte
 	for l := uint64(0); l < LinesPerBlock; l++ {
 		before, clk := sys.Dev.Stats().Snapshot(), sim.NewClock()
 		sys.Space.Read(clk, base+l*LineSize, b[:])
 		d := sys.Dev.Stats().Snapshot().Sub(before)
-		wantNanos, wantReads, wantHits := cost.CacheMissLine+cost.MediaReadBlock, uint64(1), uint64(0)
+		wantNanos, wantReads, wantHits := sim.CacheMissLine+sim.MediaReadBlock, uint64(1), uint64(0)
 		if l > 0 {
-			wantNanos, wantReads, wantHits = cost.CacheMissLine+cost.XPBufferHit, 0, 1
+			wantNanos, wantReads, wantHits = sim.CacheMissLine+sim.XPBufferHit, 0, 1
 		}
 		if clk.Nanos() != wantNanos || d.MediaReads != wantReads || d.XPBufferReadFills != wantReads || d.XPBufferHits != wantHits {
 			t.Errorf("line %d: %d ns, %d media reads, %d fills, %d buffer hits; want %d ns, %d, %d, %d",
@@ -35,9 +34,8 @@ func TestReadAllocateSiblingsHit(t *testing.T) {
 // without a media write, a fault point or a hook event.
 func TestCleanSlotEvictionIsFree(t *testing.T) {
 	dev := NewDevice(1 << 20)
-	cost := sim.DefaultCostModel()
-	b := NewXPBuffer(dev, BlockSize, 1, cost, false) // one bank of one slot
-	plan := &FaultPlan{}                             // N == 0: counts only
+	b := NewXPBuffer(dev, BlockSize, 1, false) // one bank of one slot
+	plan := &FaultPlan{}                       // N == 0: counts only
 	b.faults = plan
 	hooks := 0
 	b.hook = func(uint64, FlushKind, uint64, uint64, uint64) { hooks++ }
@@ -58,8 +56,8 @@ func TestCleanSlotEvictionIsFree(t *testing.T) {
 	if n := plan.Counts()[FaultDrain]; n != 0 || hooks != 0 {
 		t.Errorf("dropping a read-only slot noted %d drains and fired %d hooks", n, hooks)
 	}
-	if got := clk.Nanos() - at; got != cost.MediaReadBlock {
-		t.Errorf("the second read cost %d ns, want one media read (%d)", got, cost.MediaReadBlock)
+	if got := clk.Nanos() - at; got != sim.MediaReadBlock {
+		t.Errorf("the second read cost %d ns, want one media read (%d)", got, sim.MediaReadBlock)
 	}
 }
 
@@ -69,7 +67,6 @@ func TestCleanSlotEvictionIsFree(t *testing.T) {
 // block writes to the counters, the fault plan and the hook, and a dataless
 // (group-mode) buffer charges the same time.
 func TestWholeBlockEvictionSkipsRead(t *testing.T) {
-	cost := sim.DefaultCostModel()
 	for _, c := range []struct {
 		name           string
 		readFirst      bool
@@ -82,8 +79,8 @@ func TestWholeBlockEvictionSkipsRead(t *testing.T) {
 		{"cold block, dataless", false, true, 1, 0},
 	} {
 		dev := NewDevice(1 << 20)
-		b := NewXPBuffer(dev, BlockSize, 1, cost, c.dataless) // one bank of one slot
-		plan := &FaultPlan{}                                  // N == 0: counts only
+		b := NewXPBuffer(dev, BlockSize, 1, c.dataless) // one bank of one slot
+		plan := &FaultPlan{}                            // N == 0: counts only
 		b.faults = plan
 		var kinds []FlushKind
 		b.hook = func(_ uint64, k FlushKind, _, _, _ uint64) { kinds = append(kinds, k) }
@@ -98,7 +95,7 @@ func TestWholeBlockEvictionSkipsRead(t *testing.T) {
 		b.Drain(clk)
 
 		st := dev.Stats().Snapshot()
-		wantNanos := cost.MediaWriteBlock + cost.MediaReadBlock // the fill's read, or the eviction's
+		wantNanos := sim.MediaWriteBlock + sim.MediaReadBlock // the fill's read, or the eviction's
 		if clk.Nanos() != wantNanos || st.MediaReads != c.reads || st.MediaWrites != 1 {
 			t.Errorf("%s: %d ns, %d media reads, %d writes; want %d ns, %d, 1",
 				c.name, clk.Nanos(), st.MediaReads, st.MediaWrites, wantNanos, c.reads)
@@ -148,7 +145,7 @@ func TestTearDrawsOnlyWrittenSlots(t *testing.T) {
 	clk := sim.NewClock()
 	var line [LineSize]byte
 	for seed := uint64(1); seed <= 64; seed++ {
-		b := NewXPBuffer(dev, 8*BlockSize, 1, sim.DefaultCostModel(), false)
+		b := NewXPBuffer(dev, 8*BlockSize, 1, false)
 		bank := &b.banks[0]
 		for i := uint64(0); i < 7; i++ {
 			b.ReadLine(clk, i*BlockSize, &line)

@@ -12,38 +12,27 @@ import (
 // durable — the "detectable operation" invariant the crash cells verify.
 const IdemTable = "__idem"
 
-// idemSchema is the idempotency record layout: request key, result digest,
-// outcome code.
-func idemSchema() *layout.Schema {
-	return layout.NewSchema(
-		layout.Column{Name: "k", Kind: layout.Uint64},
-		layout.Column{Name: "digest", Kind: layout.Uint64},
-		layout.Column{Name: "outcome", Kind: layout.Int64},
-	)
-}
-
-// IdemSpec returns the idempotency table's spec. Engine tables are fixed at
-// core.New, so callers append this to their table list before opening the
-// engine (WithIdemTable does).
-func IdemSpec(capacity uint64) core.TableSpec {
-	return core.TableSpec{
-		Name:      IdemTable,
-		Schema:    idemSchema(),
-		Capacity:  capacity,
-		KeyCol:    0,
-		IndexKind: index.Hash,
-	}
-}
-
 // WithIdemTable appends the idempotency table (with the given record
-// capacity) to a table list, unless one is already present.
+// capacity) to a table list, unless one is already present. Engine tables are
+// fixed at core.New, so callers do this before opening the engine. A record
+// is the request key, the result digest and an outcome code.
 func WithIdemTable(specs []core.TableSpec, capacity uint64) []core.TableSpec {
 	for _, s := range specs {
 		if s.Name == IdemTable {
 			return specs
 		}
 	}
-	return append(append([]core.TableSpec(nil), specs...), IdemSpec(capacity))
+	return append(append([]core.TableSpec(nil), specs...), core.TableSpec{
+		Name: IdemTable,
+		Schema: layout.NewSchema(
+			layout.Column{Name: "k", Kind: layout.Uint64},
+			layout.Column{Name: "digest", Kind: layout.Uint64},
+			layout.Column{Name: "outcome", Kind: layout.Int64},
+		),
+		Capacity:  capacity,
+		KeyCol:    0,
+		IndexKind: index.Hash,
+	})
 }
 
 // outcome codes stored in the idempotency record.

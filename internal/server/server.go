@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"falcon/internal/bench"
 	"falcon/internal/core"
 	"falcon/internal/obs"
 )
@@ -37,10 +36,6 @@ type Config struct {
 	// SeedServiceNanos seeds the EWMA service-time estimate before the
 	// first completion; 0 means 1ms.
 	SeedServiceNanos uint64
-	// Stop, when non-nil, is the shared drain flag: once raised (SIGTERM),
-	// admission refuses new requests while in-flight ones finish. A nil
-	// Stop gets a private flag.
-	Stop *bench.StopFlag
 }
 
 // endpoint is the live accumulator behind one obs.EndpointStats. The counters
@@ -96,7 +91,6 @@ type Server struct {
 	// once Drain waits on inflight no request can still join it.
 	gate     sync.RWMutex
 	inflight sync.WaitGroup
-	stop     *bench.StopFlag
 	states   sync.Pool // *txnState
 
 	txn, read endpoint
@@ -123,16 +117,11 @@ func New(e *core.Engine, cfg Config) (*Server, error) {
 	if cfg.ServiceFloor > 0 && cfg.SeedServiceNanos < uint64(cfg.ServiceFloor) {
 		cfg.SeedServiceNanos = uint64(cfg.ServiceFloor)
 	}
-	stop := cfg.Stop
-	if stop == nil {
-		stop = &bench.StopFlag{}
-	}
 	s := &Server{
 		e:     e,
 		cfg:   cfg,
 		adm:   newAdmission(cfg.QueueDepth, cfg.Workers, cfg.SeedServiceNanos),
 		slots: make(chan int, cfg.Workers),
-		stop:  stop,
 		txn:   endpoint{name: "/v1/txn"},
 		read:  endpoint{name: "/v1/read", readOnly: true},
 	}
@@ -153,9 +142,6 @@ func (s *Server) Config() Config { return s.cfg }
 
 // Engine returns the served engine.
 func (s *Server) Engine() *core.Engine { return s.e }
-
-// Stop returns the drain flag (shared with bench.Run when Config.Stop was).
-func (s *Server) Stop() *bench.StopFlag { return s.stop }
 
 var (
 	errExpiredInQueue = errors.New("deadline expired in queue")
@@ -251,7 +237,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if s.stop.Stopped() || s.adm.draining.Load() {
+		if s.adm.draining.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
@@ -338,12 +324,6 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request, ep *endpoint)
 	}
 
 	s.gate.RLock()
-	// The drain flag sheds before the admission bookkeeping runs.
-	if s.stop.Stopped() {
-		s.gate.RUnlock()
-		s.shed(w, ep, shedDraining, s.adm.estWait(1))
-		return
-	}
 	reason, wait := s.adm.admit(now, st.deadline)
 	if reason != shedNone {
 		s.gate.RUnlock()
@@ -432,13 +412,12 @@ func (s *Server) Snapshot() obs.Snapshot {
 	return snap
 }
 
-// Drain performs the graceful shutdown: raise the stop flag (no new
+// Drain performs the graceful shutdown: raise the drain flag (no new
 // admissions), wait for in-flight requests to finish (bounded by timeout),
 // then seal the group-commit epoch and sync the device so every
 // acknowledged commit is durable. Returns false if in-flight work was still
 // running at the timeout.
 func (s *Server) Drain(timeout time.Duration) bool {
-	s.stop.Stop()
 	s.adm.draining.Store(true)
 	// Wait out in-flight admissions: after this, every admitted request has
 	// joined inflight and no new one can (handlers re-check the flag under

@@ -125,7 +125,7 @@ func TestDrainWaitsForInflight(t *testing.T) {
 	drained := make(chan bool, 1)
 	start := time.Now()
 	go func() { drained <- s.Drain(5 * time.Second) }()
-	waitFor(t, "the drain flag", s.stop.Stopped)
+	waitFor(t, "the drain flag", s.adm.draining.Load)
 	if _, code := postTxn(t, ts.URL, 2, &TxnRequest{Ops: []Op{{Op: "put", Table: "kv", Key: 2, Val: 2}}}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("a request that arrived during the drain: %d, want 503", code)
 	}

@@ -37,13 +37,36 @@ func TestMaxNanos(t *testing.T) {
 	}
 }
 
-func TestDefaultCostModelPopulated(t *testing.T) {
-	cm := DefaultCostModel()
-	if cm.MediaReadBlock == 0 || cm.MediaWriteBlock == 0 || cm.Sfence == 0 {
-		t.Fatalf("default cost model has zero core latencies: %+v", cm)
+// TestCostConstantsCalibrated: no media or fence latency is zero, and a media
+// read is slower than a first DRAM line.
+func TestCostConstantsCalibrated(t *testing.T) {
+	for name, ns := range map[string]uint64{
+		"MediaReadBlock": MediaReadBlock, "MediaWriteBlock": MediaWriteBlock, "Sfence": Sfence,
+	} {
+		if ns == 0 {
+			t.Errorf("%s = 0", name)
+		}
 	}
-	if cm.MediaReadBlock <= cm.DRAMFirstLine {
-		t.Errorf("NVM media read (%d) should be slower than DRAM (%d)",
-			cm.MediaReadBlock, cm.DRAMFirstLine)
+	if MediaReadBlock <= DRAMFirstLine {
+		t.Errorf("NVM media read (%d) should be slower than DRAM (%d)", MediaReadBlock, DRAMFirstLine)
+	}
+}
+
+// TestDRAMCopy pins the copy cost: one first line, then the streaming cost
+// per further 64 B line; an empty copy is charged as one line.
+func TestDRAMCopy(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		want uint64
+	}{
+		{0, DRAMFirstLine},
+		{1, DRAMFirstLine},
+		{64, DRAMFirstLine},
+		{65, DRAMFirstLine + DRAMNextLine},
+		{4096, DRAMFirstLine + 63*DRAMNextLine},
+	} {
+		if got := DRAMCopy(c.n); got != c.want {
+			t.Errorf("DRAMCopy(%d) = %d, want %d", c.n, got, c.want)
+		}
 	}
 }

@@ -14,7 +14,6 @@ package version
 import (
 	"sync/atomic"
 
-	"falcon/internal/pmem"
 	"falcon/internal/sim"
 )
 
@@ -43,7 +42,6 @@ func (v *Version) Prev() *Version { return v.prev.Load() }
 
 // Store manages version chains for one tuple heap.
 type Store struct {
-	cost  sim.CostModel
 	heads []atomic.Pointer[Version]
 
 	queues []queue // one per worker thread
@@ -62,22 +60,12 @@ type queued struct {
 }
 
 // NewStore creates chains for nslots tuples and nthreads worker queues.
-func NewStore(nslots uint64, nthreads int, cost sim.CostModel) *Store {
+func NewStore(nslots uint64, nthreads int) *Store {
 	return &Store{
-		cost:      cost,
 		heads:     make([]atomic.Pointer[Version], nslots),
 		queues:    make([]queue, nthreads),
 		Threshold: 64,
 	}
-}
-
-// chargeCopy accounts the DRAM traffic of touching n payload bytes.
-func (s *Store) chargeCopy(clk *sim.Clock, n int) {
-	lines := (n + pmem.LineSize - 1) / pmem.LineSize
-	if lines < 1 {
-		lines = 1
-	}
-	clk.Advance(s.cost.DRAMFirstLine + uint64(lines-1)*s.cost.DRAMNextLine)
 }
 
 // Publish records that thread's transaction tid overwrote slot, whose prior
@@ -85,7 +73,7 @@ func (s *Store) chargeCopy(clk *sim.Clock, n int) {
 // into DRAM, linked at the head of the chain, and enqueued for GC.
 func (s *Store) Publish(clk *sim.Clock, thread int, slot uint64, beginTS, tid uint64, data []byte) {
 	v := &Version{BeginTS: beginTS, EndTS: tid, Data: append([]byte(nil), data...)}
-	s.chargeCopy(clk, len(data))
+	clk.Advance(sim.DRAMCopy(len(data)))
 	head := &s.heads[slot]
 	for {
 		old := head.Load()
@@ -106,7 +94,7 @@ func (s *Store) Publish(clk *sim.Clock, thread int, slot uint64, beginTS, tid ui
 // points at newSlot.
 func (s *Store) PublishRef(clk *sim.Clock, thread int, newSlot uint64, beginTS, tid, oldSlot uint64) {
 	v := &Version{BeginTS: beginTS, EndTS: tid, SlotRef: oldSlot + 1}
-	clk.Advance(s.cost.DRAMFirstLine)
+	clk.Advance(sim.DRAMFirstLine)
 	v.prev.Store(s.heads[oldSlot].Load())
 	s.heads[oldSlot].Store(nil)
 	s.heads[newSlot].Store(v)
@@ -122,10 +110,10 @@ func (s *Store) PublishRef(clk *sim.Clock, thread int, newSlot uint64, beginTS, 
 func (s *Store) ReadVisible(clk *sim.Clock, slot uint64, ts uint64) *Version {
 	v := s.heads[slot].Load()
 	for v != nil {
-		clk.Advance(s.cost.DRAMFirstLine)
+		clk.Advance(sim.DRAMFirstLine)
 		if v.BeginTS <= ts {
 			if ts < v.EndTS {
-				s.chargeCopy(clk, len(v.Data))
+				clk.Advance(sim.DRAMCopy(len(v.Data)))
 				return v
 			}
 			// ts >= EndTS: the overwriting transaction is within the
@@ -188,7 +176,7 @@ func (s *Store) gc(clk *sim.Clock, q *queue, minActive uint64) int {
 // version are also unreachable (the chain is newest-first and every newer
 // version pins only itself), so truncating at v is safe.
 func (s *Store) unlink(clk *sim.Clock, slot uint64, v *Version) {
-	clk.Advance(s.cost.DRAMFirstLine)
+	clk.Advance(sim.DRAMFirstLine)
 	head := &s.heads[slot]
 	if head.CompareAndSwap(v, nil) {
 		return

@@ -10,7 +10,7 @@ import (
 )
 
 func newStore() *Store {
-	return NewStore(16, 2, sim.DefaultCostModel())
+	return NewStore(16, 2)
 }
 
 func TestPublishAndReadVisible(t *testing.T) {
@@ -87,7 +87,7 @@ func TestResetDropsEverything(t *testing.T) {
 }
 
 func TestConcurrentPublishAndRead(t *testing.T) {
-	s := NewStore(4, 4, sim.DefaultCostModel())
+	s := NewStore(4, 4)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -127,7 +127,7 @@ func (l *loader) district(w, d int) error {
 	s.PutUint64(buf, DKey, dKey(w, d))
 	s.PutInt64(buf, DTax, int64(l.rng.Intn(2001)))
 	s.PutInt64(buf, DYtd, 3000000)
-	s.PutInt64(buf, DNextOID, int64(l.cfg.OrdersPerDistrict)+1)
+	s.PutInt64(buf, DNextOID, int64(l.cfg.CustomersPerDistrict)+1)
 	l.fillString(s, buf, DName, 6, 10)
 	if err := l.install(t, dKey(w, d), buf); err != nil {
 		return err
@@ -201,8 +201,8 @@ func (l *loader) orders(w, d int) error {
 
 	// Orders 1..N with customers in a random permutation (spec).
 	perm := l.rng.Perm(l.cfg.CustomersPerDistrict)
-	for o := 1; o <= l.cfg.OrdersPerDistrict; o++ {
-		c := perm[(o-1)%len(perm)] + 1
+	for o := 1; o <= l.cfg.CustomersPerDistrict; o++ {
+		c := perm[o-1] + 1
 		olCnt := l.rng.Intn(11) + 5 // 5..15
 		for j := range obuf {
 			obuf[j] = 0
@@ -214,7 +214,7 @@ func (l *loader) orders(w, d int) error {
 		os.PutInt64(obuf, OOlCnt, int64(olCnt))
 		os.PutInt64(obuf, OAllLocal, 1)
 		// Last third of the orders are undelivered (spec: 2101..3000).
-		delivered := o <= l.cfg.OrdersPerDistrict*2/3
+		delivered := o <= l.cfg.CustomersPerDistrict*2/3
 		if delivered {
 			os.PutInt64(obuf, OCarrierID, int64(l.rng.Intn(10)+1))
 		}

@@ -36,10 +36,9 @@ type Config struct {
 	Warehouses int
 	// Items is the item/stock catalog size (default 10,000; spec 100,000).
 	Items int
-	// CustomersPerDistrict (default 300; spec 3,000).
+	// CustomersPerDistrict (default 300; spec 3,000). Each district is
+	// preloaded with as many orders, as the spec has it.
 	CustomersPerDistrict int
-	// OrdersPerDistrict preloaded (default = CustomersPerDistrict).
-	OrdersPerDistrict int
 	// OrderHeadroom multiplies order/order-line/history capacity to leave
 	// room for NewOrder growth during a run (default 4).
 	OrderHeadroom int
@@ -60,9 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CustomersPerDistrict == 0 {
 		c.CustomersPerDistrict = 300
-	}
-	if c.OrdersPerDistrict == 0 {
-		c.OrdersPerDistrict = c.CustomersPerDistrict
 	}
 	if c.OrderHeadroom == 0 {
 		c.OrderHeadroom = 4
@@ -218,7 +214,7 @@ func TableSpecs(cfg Config) []core.TableSpec {
 	cfg = cfg.withDefaults()
 	w := uint64(cfg.Warehouses)
 	cust := w * Districts * uint64(cfg.CustomersPerDistrict)
-	orders := w * Districts * uint64(cfg.OrdersPerDistrict) * uint64(cfg.OrderHeadroom)
+	orders := w * Districts * uint64(cfg.CustomersPerDistrict) * uint64(cfg.OrderHeadroom)
 	return []core.TableSpec{
 		{Name: TWarehouse, Schema: warehouseSchema(), Capacity: w + 1, KeyCol: WID, IndexKind: index.Hash},
 		{Name: TDistrict, Schema: districtSchema(), Capacity: w*Districts + 1, KeyCol: DKey, IndexKind: index.Hash},

@@ -88,7 +88,7 @@ func TestNewOrderCreatesOrderAndLines(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if ds.GetInt64(dbuf, DNextOID) > int64(cfg.OrdersPerDistrict)+1 {
+		if ds.GetInt64(dbuf, DNextOID) > int64(cfg.CustomersPerDistrict)+1 {
 			advanced = true
 		}
 	}

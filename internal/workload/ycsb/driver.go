@@ -42,7 +42,7 @@ func NewDriver(e *core.Engine, cfg Config) (*Driver, error) {
 		ws := &d.workers[w]
 		ws.rng = splitmix(uint64(w) + 0xD1B54A32D192ED03)
 		if cfg.Distribution == Zipfian {
-			ws.zipf = newZipf(cfg.Records, cfg.Theta, splitmix(uint64(w)+0x9E3779B97F4A7C15))
+			ws.zipf = newZipf(cfg.Records, zipfTheta, splitmix(uint64(w)+0x9E3779B97F4A7C15))
 		}
 		ws.buf = make([]byte, s.TupleSize())
 		ws.fullVal = make([]byte, s.TupleSize())
@@ -198,7 +198,7 @@ func (d *Driver) doInsert(w int) error {
 
 func (d *Driver) doScan(w int) error {
 	from := d.key(w)
-	n := 1 + int(d.rand(w)%uint64(d.cfg.ScanLen))
+	n := 1 + int(d.rand(w)%maxScanLen)
 	return d.e.RunRO(w, func(tx *core.Txn) error {
 		_, err := tx.Scan(d.tbl, from, n, func(uint64, []byte) bool { return true })
 		return err

@@ -67,13 +67,16 @@ type Config struct {
 	FieldBytes int
 	// Workload selects A–F.
 	Workload Workload
-	// Distribution selects Uniform or Zipfian(0.99).
+	// Distribution selects Uniform or Zipfian(zipfTheta).
 	Distribution Distribution
-	// Theta is the Zipfian skew (default 0.99).
-	Theta float64
-	// ScanLen is the maximum scan length for workload E (default 100).
-	ScanLen int
 }
+
+const (
+	// zipfTheta is the Zipfian skew, YCSB's default.
+	zipfTheta = 0.99
+	// maxScanLen is the longest scan of workload E, YCSB's default.
+	maxScanLen = 100
+)
 
 func (c Config) withDefaults() Config {
 	if c.Records == 0 {
@@ -84,12 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FieldBytes == 0 {
 		c.FieldBytes = 100
-	}
-	if c.Theta == 0 {
-		c.Theta = 0.99
-	}
-	if c.ScanLen == 0 {
-		c.ScanLen = 100
 	}
 	return c
 }
