@@ -122,7 +122,10 @@ type Config struct {
 	Index IndexPlacement
 	// HotTupleCap is the per-thread hot-tuple set capacity used by
 	// FlushSelective: set-associative, 8 ways; rounded up to a power-of-two
-	// number of sets.
+	// number of sets. Zero derives it when the engine is built: half of one
+	// worker's effective cache share (pmem.System.CacheShare) over the
+	// widest table's heap slot stride, so the tuples a set keeps unflushed
+	// fit in the cache they are kept in (hotCapFor).
 	HotTupleCap int
 	// TupleCacheBytes enables the ZenS-style DRAM tuple cache when > 0.
 	TupleCacheBytes int
@@ -148,9 +151,6 @@ const versionHeadroom = 4
 func (c Config) withDefaults() Config {
 	if c.Threads == 0 {
 		c.Threads = 4
-	}
-	if c.HotTupleCap == 0 {
-		c.HotTupleCap = 256
 	}
 	if c.Window.Slots == 0 {
 		if c.Log == SmallLogWindow {

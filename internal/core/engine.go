@@ -150,7 +150,13 @@ func New(sys *pmem.System, cfg Config, specs []TableSpec) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.initWorkers(); err != nil {
+	widest := 0
+	for _, spec := range specs {
+		if spec.Schema != nil {
+			widest = max(widest, spec.Schema.TupleSize())
+		}
+	}
+	if err := e.initWorkers(widest); err != nil {
 		return nil, err
 	}
 
@@ -207,8 +213,11 @@ func (e *Engine) initGroupCommit() {
 
 // initWorkers builds the per-worker state: clocks, scratch, table counters
 // and, for an engine whose persist consults it (in place, FlushSelective),
-// each worker's hot set in a fixed region of the DRAM space.
-func (e *Engine) initWorkers() error {
+// each worker's hot set in a fixed region of the DRAM space. widest is the
+// largest tuple size among the tables, from which a zero HotTupleCap is
+// derived (hotCapFor); the create and the recovery path both size the sets
+// here, so a recovered engine derives what the one it replaces did.
+func (e *Engine) initWorkers(widest int) error {
 	e.clocks = make([]*sim.Clock, e.cfg.Threads)
 	e.scratch = make([]workerScratch, e.cfg.Threads)
 	e.tstats = make([][]paddedTableStats, e.cfg.Threads)
@@ -219,6 +228,9 @@ func (e *Engine) initWorkers() error {
 	}
 	if e.cfg.Update != InPlace || e.cfg.Flush != FlushSelective {
 		return nil
+	}
+	if e.cfg.HotTupleCap == 0 {
+		e.cfg.HotTupleCap = hotCapFor(e.sys.CacheShare(e.cfg.Threads), heap.SlotStride(widest))
 	}
 	e.hot = make([]*hotSet, e.cfg.Threads)
 	for i := range e.hot {
@@ -478,6 +490,9 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 	}
 	for _, h := range e.hot {
 		s.Hot.Add(h.stats)
+	}
+	if e.hot != nil {
+		s.Hot.Capacity = e.cfg.HotTupleCap
 	}
 	s.Mem = e.sys.Dev.Stats().Snapshot()
 	s.Contend = e.observatory.Report()

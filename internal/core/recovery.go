@@ -93,7 +93,11 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := e.initWorkers(); err != nil {
+	widest := 0
+	for _, ct := range img.tables {
+		widest = max(widest, ct.schema.TupleSize())
+	}
+	if err := e.initWorkers(widest); err != nil {
 		return nil, nil, err
 	}
 	e.windowBase = img.windowBase

@@ -606,6 +606,8 @@ func TestOutOfPlaceRecoveryIsDeterministic(t *testing.T) {
 // TestRecoveredHotSetIsEmpty: the hot set is DRAM data, lost with the crash,
 // so a recovered engine starts tracking from nothing — a tuple that was hot
 // before the crash misses, and is written back, on its first update after it.
+// Given the same Config, the recovered engine derives the capacity the one it
+// replaces did, from the catalog's schemas.
 func TestRecoveredHotSetIsEmpty(t *testing.T) {
 	update := func(e *Engine) {
 		t.Helper()
@@ -614,7 +616,10 @@ func TestRecoveredHotSetIsEmpty(t *testing.T) {
 		}
 	}
 	var hits uint64
+	var capacity int
+	var hotBytes uint64
 	e2, _ := recoverAfter(t, FalconConfig(), func(e *Engine) {
+		capacity, hotBytes = e.Config().HotTupleCap, e.dramNext
 		kv := e.Table("kv")
 		if err := e.Run(0, func(tx *Txn) error { return tx.Insert(kv, 1, encodeKV(kv.Schema(), 1, 1)) }); err != nil {
 			t.Fatal(err)
@@ -624,6 +629,9 @@ func TestRecoveredHotSetIsEmpty(t *testing.T) {
 	})
 	if hits == 0 {
 		t.Fatal("key 1 was not hot before the crash: the test no longer covers a hot tuple")
+	}
+	if got := e2.Config().HotTupleCap; capacity == 0 || got != capacity || e2.dramNext != hotBytes {
+		t.Errorf("recovered engine: capacity %d in %d B of DRAM, the engine it replaces %d in %d B", got, e2.dramNext, capacity, hotBytes)
 	}
 	for w, h := range e2.hot {
 		if got := hotOrder(t, h); slices.ContainsFunc(got, func(s []hotModelKey) bool { return len(s) != 0 }) || h.stats != (obs.HotSetStats{}) {

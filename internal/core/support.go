@@ -48,6 +48,16 @@ func hotSets(capacity int) uint64 {
 	return n
 }
 
+// hotCapFor is the capacity an engine derives for a worker's hot set from
+// share, the bytes of that worker's effective cache share, and stride, the
+// widest heap slot stride among its tables: as many of the widest tuples as
+// fill half the share, rounded up to whole sets as hotSets rounds. The other
+// half is left to the worker's log window, index nodes and the tuples it
+// reads.
+func hotCapFor(share int, stride uint64) int {
+	return int(hotSets(int(max(uint64(share)/2/stride, 1))) * hotWays)
+}
+
 // hotSetBytes is the size of the DRAM region a set of the given capacity
 // occupies.
 func hotSetBytes(capacity int) uint64 { return hotSets(capacity) * pmem.LineSize }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"falcon/internal/layout"
 	"falcon/internal/obs"
 	"falcon/internal/pmem"
 	"falcon/internal/sim"
@@ -56,7 +57,15 @@ func TestHotSetChargesVirtualTime(t *testing.T) {
 }
 
 // TestHotSetSizing: the capacity rounds up to a power-of-two number of
-// hotWays-way sets, one line each.
+// hotWays-way sets, one line each. An engine whose Config names no capacity
+// derives one from half its worker's effective cache share over the widest
+// heap slot stride, on the figures' cache (2 MiB + 256 KiB per worker, so
+// 2 MiB effective at 2 workers and 4 MiB at 16): the YCSB usertable (1 008 B
+// tuples, 1 024 B slots), TPC-C (widest the customer, 445 B in 512 B slots)
+// and the serving tables (16 and 24 B in 64 B slots). The share is what a
+// group-mode partition holds (pmem's TestCacheShare), so the same capacity
+// serves free-running and group-mode runs; entering group mode leaves it be.
+// An explicit capacity wins; an engine without a hot set reports none.
 func TestHotSetSizing(t *testing.T) {
 	for _, c := range []struct {
 		capacity int
@@ -65,6 +74,57 @@ func TestHotSetSizing(t *testing.T) {
 		if got := hotSetBytes(c.capacity); got != c.bytes {
 			t.Errorf("capacity %d: %d B, want %d", c.capacity, got, c.bytes)
 		}
+	}
+
+	table := func(name string, tupleBytes int) TableSpec {
+		return TableSpec{Name: name, Capacity: 1000, Schema: layout.NewSchema(
+			layout.Column{Name: "k", Kind: layout.Uint64},
+			layout.Column{Name: "pad", Kind: layout.Bytes, Size: tupleBytes - 8})}
+	}
+	geometries := []struct {
+		name   string
+		specs  []TableSpec
+		want2  int // at 2 workers
+		want16 int // at 16
+	}{
+		{"ycsb", []TableSpec{table("usertable", 1008)}, 512, 128},
+		{"tpcc", []TableSpec{table("item", 98), table("customer", 445), table("stock", 330)}, 1024, 256},
+		{"serve", []TableSpec{table("kv", 16), table("__idem", 24)}, 8192, 2048},
+	}
+	build := func(t *testing.T, cfg Config, threads int, specs []TableSpec) *Engine {
+		t.Helper()
+		cfg.Threads = threads
+		sys := pmem.NewSystem(pmem.Config{DeviceBytes: 64 << 20, CacheBytes: 2<<20 + threads*(256<<10)})
+		e, err := New(sys, cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	for _, g := range geometries {
+		for _, c := range []struct{ threads, want int }{{2, g.want2}, {16, g.want16}} {
+			e := build(t, FalconConfig(), c.threads, g.specs)
+			if got := e.Config().HotTupleCap; got != c.want {
+				t.Errorf("%s at %d workers: derived capacity %d, want %d", g.name, c.threads, got, c.want)
+			}
+			if got, want := e.dramNext, uint64(c.threads)*hotSetBytes(c.want); got != want {
+				t.Errorf("%s at %d workers: hot sets take %d B of DRAM, want %d", g.name, c.threads, got, want)
+			}
+			e.EnterGroup()
+			if got := e.Config().HotTupleCap; got != c.want {
+				t.Errorf("%s at %d workers in group mode: capacity %d, want %d", g.name, c.threads, got, c.want)
+			}
+			e.LeaveGroup()
+		}
+	}
+
+	explicit := FalconConfig()
+	explicit.HotTupleCap = 100
+	if got := build(t, explicit, 2, geometries[0].specs).Config().HotTupleCap; got != 100 {
+		t.Errorf("explicit capacity 100 became %d", got)
+	}
+	if got := build(t, InpConfig(), 2, geometries[0].specs).Config().HotTupleCap; got != 0 {
+		t.Errorf("Inp, which has no hot set, reports capacity %d", got)
 	}
 }
 
@@ -372,13 +432,13 @@ func FuzzHotSetModel(f *testing.F) {
 
 // TestHotSetHitRateNearExactLRU: the set-associative set keeps recency only
 // within a set, so it may drop a tuple one global LRU list of the same
-// capacity would keep, or keep one it would drop. At the default capacity its
-// hit rate stays within two points of exact LRU's, on a seeded scrambled
-// Zipfian stream and on a TPC-C-like one (hot warehouse and district rows,
-// customer and stock rows drawn non-uniformly, and inserted rows, each written
-// once, that only ever miss).
+// capacity would keep, or keep one it would drop. At every capacity the
+// figure and benchmark engines derive (128 to 2 048 for YCSB and TPC-C at 2
+// to 16 workers, 8 192 for the serving tables) its hit rate stays within two
+// points of exact LRU's, on a seeded scrambled Zipfian stream and on a TPC-C-like one (hot
+// warehouse and district rows, customer and stock rows drawn non-uniformly,
+// and inserted rows, each written once, that only ever miss).
 func TestHotSetHitRateNearExactLRU(t *testing.T) {
-	const capacity = 256
 	streams := []struct {
 		name string
 		run  func(rng *rand.Rand, emit func(table uint8, slot uint64))
@@ -415,18 +475,20 @@ func TestHotSetHitRateNearExactLRU(t *testing.T) {
 			}
 		}},
 	}
-	for _, s := range streams {
-		h, ref := testHotSet(capacity), newHotModel(capacity)
-		clk := sim.NewClock()
-		s.run(rand.New(rand.NewSource(1)), func(table uint8, slot uint64) {
-			h.probe(clk, table, slot)
-			ref.probe(table, slot)
-		})
-		rate := func(s obs.HotSetStats) float64 { return float64(s.Hits) / float64(s.Hits+s.Misses) }
-		got, want := rate(h.stats), rate(ref.stats)
-		t.Logf("%s: set-associative hit rate %.4f, exact LRU %.4f", s.name, got, want)
-		if want == 0 || got < want-0.02 || got > want+0.02 {
-			t.Errorf("%s: hit rate %.4f, exact LRU %.4f: more than two points apart", s.name, got, want)
+	for _, capacity := range []int{128, 256, 512, 1024, 2048, 8192} {
+		for _, s := range streams {
+			h, ref := testHotSet(capacity), newHotModel(capacity)
+			clk := sim.NewClock()
+			s.run(rand.New(rand.NewSource(1)), func(table uint8, slot uint64) {
+				h.probe(clk, table, slot)
+				ref.probe(table, slot)
+			})
+			rate := func(s obs.HotSetStats) float64 { return float64(s.Hits) / float64(s.Hits+s.Misses) }
+			got, want := rate(h.stats), rate(ref.stats)
+			t.Logf("%s at %d: set-associative hit rate %.4f, exact LRU %.4f", s.name, capacity, got, want)
+			if want == 0 || got < want-0.02 || got > want+0.02 {
+				t.Errorf("%s at %d: hit rate %.4f, exact LRU %.4f: more than two points apart", s.name, capacity, got, want)
+			}
 		}
 	}
 }

@@ -121,7 +121,7 @@ type slotMeta struct {
 // accounting for the rounding of NSlots to a thread multiple that New
 // performs.
 func BytesNeeded(cfg Config) uint64 {
-	stride := slotStride(cfg.SlotSize)
+	stride := SlotStride(cfg.SlotSize)
 	return headerBytes(cfg.NThreads) + stride*roundSlots(cfg.NSlots, cfg.NThreads)
 }
 
@@ -137,7 +137,9 @@ func roundSlots(n uint64, threads int) uint64 {
 	return n
 }
 
-func slotStride(slotSize int) uint64 {
+// SlotStride is the bytes a slot of a slotSize-byte tuple spans: the tuple
+// after its slot header, rounded up to whole lines.
+func SlotStride(slotSize int) uint64 {
 	return (uint64(slotSize) + slotHdrBytes + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
 }
 
@@ -160,7 +162,7 @@ func New(space pmem.Space, base uint64, cfg Config) (*Heap, error) {
 		space:     space,
 		base:      base,
 		slotSize:  cfg.SlotSize,
-		stride:    slotStride(cfg.SlotSize),
+		stride:    SlotStride(cfg.SlotSize),
 		nslots:    cfg.NSlots,
 		nthreads:  cfg.NThreads,
 		perThread: cfg.NSlots / uint64(cfg.NThreads),

@@ -542,10 +542,11 @@ func (t *BTreeIndex) Scan(clk *sim.Clock, from uint64, fn func(key, val uint64) 
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
 	var (
-		n       *node
-		i       int
-		nxt, at uint64 // the leaf after n, as of sequence at
-		chained bool
+		n         *node
+		i         int
+		nxt, at   uint64 // the leaf after n, as of sequence at
+		chained   bool
+		delivered bool
 	)
 	// The chain of a sound tree ascends and is shorter than nextFree; the
 	// torn image of an ADR crash may do neither.
@@ -564,12 +565,20 @@ func (t *BTreeIndex) Scan(clk *sim.Clock, from uint64, fn func(key, val uint64) 
 		for ; i < n.count(); i++ {
 			k := n.key(i)
 			if k < least {
+				// Until a key is delivered, keys below from are skipped: the
+				// leaf the chain leads to may be the right half of a split a
+				// crash cut, which descents do not reach and whose keys start
+				// below from. After one, a key that does not ascend is a chain
+				// that runs backwards.
+				if !delivered {
+					continue
+				}
 				return ErrCorrupt
 			}
 			if !fn(k, n.val(i)) {
 				return nil
 			}
-			least = k + 1
+			least, delivered = k+1, true
 		}
 		if nxt, chained = n.next(); !chained {
 			return nil

@@ -130,6 +130,11 @@ type HotSetStats struct {
 	// Omitted from JSON while zero, so a preset without a hot set serializes
 	// as it did before the counter.
 	Lines uint64 `json:",omitempty"`
+	// Capacity is each worker's set capacity in tuples, the engine's
+	// Config().HotTupleCap: a setting, not a counter, so no row carries it
+	// (Add keeps s's, Sub passes s's through). Zero for a preset without a
+	// hot set.
+	Capacity int `json:",omitempty"`
 }
 
 var hotSetMetrics = []metric[HotSetStats]{
@@ -281,8 +286,8 @@ func (s Snapshot) Text() string {
 			s.Epochs.ForcedSeals, s.PhaseNanos[PhaseGroupWait], s.Epochs.DurableLag.Max)
 	}
 	if s.Hot.Hits+s.Hot.Misses > 0 {
-		fmt.Fprintf(&b, "hot-set   hits %d  misses %d  evictions %d  dram line accesses %d\n",
-			s.Hot.Hits, s.Hot.Misses, s.Hot.Evictions, s.Hot.Lines)
+		fmt.Fprintf(&b, "hot-set   capacity %d/worker  hits %d  misses %d  evictions %d  dram line accesses %d\n",
+			s.Hot.Capacity, s.Hot.Hits, s.Hot.Misses, s.Hot.Evictions, s.Hot.Lines)
 	}
 	if len(s.Tables) > 0 {
 		b.WriteString("tables    reads / writes / versions / index-probes\n")

@@ -82,21 +82,23 @@ const (
 // setWords returns the size of one set block in words.
 func setWords(ways int) uint64 { return (setTags + 2*uint64(ways) + 7) &^ 7 }
 
+// cacheSets is the set count of a cache of capacityBytes and the given
+// associativity: at least one, rounded down to a power of two.
+func cacheSets(capacityBytes, ways int) uint64 {
+	nsets := max(uint64(capacityBytes/LineSize/ways), 1)
+	for nsets&(nsets-1) != 0 {
+		nsets &= nsets - 1 // round down to a power of two
+	}
+	return nsets
+}
+
 // newCache creates a cache of capacityBytes with the given associativity
 // over the backend. The set count is rounded down to a power of two so set
 // indexing is a mask. limit bounds valid addresses. A dataless cache (see
 // Cache.data) needs a backend that ignores the line pointers it is given.
 func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, limit uint64, dataless bool) *Cache {
-	if ways < 1 {
-		ways = 1
-	}
-	nsets := uint64(capacityBytes / LineSize / ways)
-	if nsets < 1 {
-		nsets = 1
-	}
-	for nsets&(nsets-1) != 0 {
-		nsets &= nsets - 1 // round down to a power of two
-	}
+	ways = max(ways, 1)
+	nsets := cacheSets(capacityBytes, ways)
 	c := &Cache{mode: mode, ways: ways, nsets: nsets, stride: setWords(ways), limit: limit,
 		lower: lower, stats: stats}
 	raw := make([]uint64, nsets*c.stride+7)

@@ -124,3 +124,26 @@ func TestGroupModeDRAM(t *testing.T) {
 		t.Fatalf("post-group DRAM read = %q, want %q", got, in)
 	}
 }
+
+// TestCacheShare: a worker's share of the cache is the bytes a group-mode
+// partition of it holds, and for a power-of-two worker count the shared
+// cache's effective bytes over the workers. On the figures' cache (2 MiB +
+// 256 KiB per worker) the set count rounds down to a power of two, so the
+// effective cache steps 2 / 2 / 4 / 4 MiB at 2 / 4 / 8 / 16 workers.
+func TestCacheShare(t *testing.T) {
+	bytesOf := func(c *Cache) int { return int(c.nsets) * c.ways * LineSize }
+	for _, c := range []struct{ workers, effective int }{{1, 2 << 20}, {2, 2 << 20}, {4, 2 << 20}, {8, 4 << 20}, {16, 4 << 20}} {
+		sys := NewSystem(Config{DeviceBytes: 1 << 20, CacheBytes: 2<<20 + c.workers*(256<<10)})
+		if got := bytesOf(sys.Cache); got != c.effective {
+			t.Errorf("%d workers: shared cache holds %d B, want %d", c.workers, got, c.effective)
+		}
+		share := sys.CacheShare(c.workers)
+		if share != c.effective/c.workers {
+			t.Errorf("%d workers: share %d B, want %d", c.workers, share, c.effective/c.workers)
+		}
+		sys.Space.EnterGroup(c.workers)
+		if got := bytesOf(sys.Space.parts[0]); got != share {
+			t.Errorf("%d workers: a group partition holds %d B, the share is %d", c.workers, got, share)
+		}
+	}
+}
