@@ -123,7 +123,7 @@ type Config struct {
 	// HotTupleCap is the per-thread hot-tuple set capacity used by
 	// FlushSelective: set-associative, 8 ways; rounded up to a power-of-two
 	// number of sets. Zero derives it when the engine is built: half of one
-	// worker's effective cache share (pmem.System.CacheShare) over the
+	// worker's share of the cache (CacheBytes over the workers) over the
 	// widest table's heap slot stride, so the tuples a set keeps unflushed
 	// fit in the cache they are kept in (hotCapFor).
 	HotTupleCap int

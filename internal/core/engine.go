@@ -230,7 +230,7 @@ func (e *Engine) initWorkers(widest int) error {
 		return nil
 	}
 	if e.cfg.HotTupleCap == 0 {
-		e.cfg.HotTupleCap = hotCapFor(e.sys.CacheShare(e.cfg.Threads), heap.SlotStride(widest))
+		e.cfg.HotTupleCap = hotCapFor(e.sys.Config().CacheBytes/e.cfg.Threads, heap.SlotStride(widest))
 	}
 	e.hot = make([]*hotSet, e.cfg.Threads)
 	for i := range e.hot {

@@ -49,7 +49,7 @@ func hotSets(capacity int) uint64 {
 }
 
 // hotCapFor is the capacity an engine derives for a worker's hot set from
-// share, the bytes of that worker's effective cache share, and stride, the
+// share, the bytes of that worker's share of the cache, and stride, the
 // widest heap slot stride among its tables: as many of the widest tuples as
 // fill half the share, rounded up to whole sets as hotSets rounds. The other
 // half is left to the worker's log window, index nodes and the tuples it

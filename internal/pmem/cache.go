@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 
@@ -35,6 +36,7 @@ type Cache struct {
 	mode   Mode
 	ways   int
 	nsets  uint64
+	fm     uint64 // setFor's fastmod reciprocal of nsets
 	stride uint64 // words per set block, a multiple of 8 (one host cache line)
 	limit  uint64
 	// meta holds the set blocks, the first on a 64 B boundary. All zero is an
@@ -82,25 +84,16 @@ const (
 // setWords returns the size of one set block in words.
 func setWords(ways int) uint64 { return (setTags + 2*uint64(ways) + 7) &^ 7 }
 
-// cacheSets is the set count of a cache of capacityBytes and the given
-// associativity: at least one, rounded down to a power of two.
-func cacheSets(capacityBytes, ways int) uint64 {
-	nsets := max(uint64(capacityBytes/LineSize/ways), 1)
-	for nsets&(nsets-1) != 0 {
-		nsets &= nsets - 1 // round down to a power of two
-	}
-	return nsets
-}
-
 // newCache creates a cache of capacityBytes with the given associativity
-// over the backend. The set count is rounded down to a power of two so set
-// indexing is a mask. limit bounds valid addresses. A dataless cache (see
-// Cache.data) needs a backend that ignores the line pointers it is given.
+// over the backend: capacityBytes / LineSize / ways sets (at least one), so
+// the cache holds the bytes it is given in whole sets. limit bounds valid
+// addresses. A dataless cache (see Cache.data) needs a backend that ignores
+// the line pointers it is given.
 func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, limit uint64, dataless bool) *Cache {
 	ways = max(ways, 1)
-	nsets := cacheSets(capacityBytes, ways)
-	c := &Cache{mode: mode, ways: ways, nsets: nsets, stride: setWords(ways), limit: limit,
-		lower: lower, stats: stats}
+	nsets := max(uint64(capacityBytes/LineSize/ways), 1)
+	c := &Cache{mode: mode, ways: ways, nsets: nsets, fm: ^uint64(0)/nsets + 1, stride: setWords(ways),
+		limit: limit, lower: lower, stats: stats}
 	raw := make([]uint64, nsets*c.stride+7)
 	skip := -uintptr(unsafe.Pointer(&raw[0])) % 64 / 8 // the heap does not move: alignment holds
 	c.meta = raw[skip : skip+uintptr(nsets*c.stride)]
@@ -117,13 +110,16 @@ func (c *Cache) Mode() Mode { return c.mode }
 // their set index (Intel's slice/CBo hashing), which decorrelates the
 // eviction times of adjacent lines; without this, a tuple's lines would be
 // evicted together and merge in the XPBuffer even when never flushed,
-// erasing the write-amplification effect the paper builds on (§3.3).
+// erasing the write-amplification effect the paper builds on (§3.3). The
+// hash's low 32 bits are reduced mod nsets with Lemire's fastmod, one
+// multiply more than a mask; for a power-of-two nsets it is the mask.
 func (c *Cache) setFor(lineAddr uint64) uint64 {
 	x := lineAddr / LineSize
 	x ^= x >> 17
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
-	return x & (c.nsets - 1)
+	hi, _ := bits.Mul64(c.fm*uint64(uint32(x)), c.nsets)
+	return hi
 }
 
 // set returns set si's block and, within it, the tag and LRU arrays.

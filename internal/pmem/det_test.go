@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -125,25 +126,57 @@ func TestGroupModeDRAM(t *testing.T) {
 	}
 }
 
-// TestCacheShare: a worker's share of the cache is the bytes a group-mode
-// partition of it holds, and for a power-of-two worker count the shared
-// cache's effective bytes over the workers. On the figures' cache (2 MiB +
-// 256 KiB per worker) the set count rounds down to a power of two, so the
-// effective cache steps 2 / 2 / 4 / 4 MiB at 2 / 4 / 8 / 16 workers.
+// TestCacheShare: a cache holds the bytes it is configured with, in whole
+// sets. On the figures' cache (2 MiB + 256 KiB per worker) the shared cache
+// holds 2.5 / 3 / 4 / 5 / 6 / 14 MiB at 2 / 4 / 8 / 12 / 16 / 48 workers, and a
+// group-mode partition CacheBytes/n in whole sets.
 func TestCacheShare(t *testing.T) {
 	bytesOf := func(c *Cache) int { return int(c.nsets) * c.ways * LineSize }
-	for _, c := range []struct{ workers, effective int }{{1, 2 << 20}, {2, 2 << 20}, {4, 2 << 20}, {8, 4 << 20}, {16, 4 << 20}} {
-		sys := NewSystem(Config{DeviceBytes: 1 << 20, CacheBytes: 2<<20 + c.workers*(256<<10)})
-		if got := bytesOf(sys.Cache); got != c.effective {
-			t.Errorf("%d workers: shared cache holds %d B, want %d", c.workers, got, c.effective)
+	const set = 16 * LineSize
+	for _, c := range []struct{ workers, mib int }{{2, 5 << 19}, {4, 3 << 20}, {8, 4 << 20}, {12, 5 << 20}, {16, 6 << 20}, {48, 14 << 20}} {
+		cacheBytes := 2<<20 + c.workers*(256<<10)
+		if cacheBytes != c.mib {
+			t.Fatalf("%d workers: the figures' cache is %d B, the table says %d", c.workers, cacheBytes, c.mib)
 		}
-		share := sys.CacheShare(c.workers)
-		if share != c.effective/c.workers {
-			t.Errorf("%d workers: share %d B, want %d", c.workers, share, c.effective/c.workers)
+		sys := NewSystem(Config{DeviceBytes: 1 << 20, CacheBytes: cacheBytes})
+		if got := bytesOf(sys.Cache); got != cacheBytes {
+			t.Errorf("%d workers: shared cache holds %d B, want %d", c.workers, got, cacheBytes)
 		}
 		sys.Space.EnterGroup(c.workers)
-		if got := bytesOf(sys.Space.parts[0]); got != share {
-			t.Errorf("%d workers: a group partition holds %d B, the share is %d", c.workers, got, share)
+		if got, want := bytesOf(sys.Space.parts[0]), cacheBytes/c.workers/set*set; got != want {
+			t.Errorf("%d workers: a group partition holds %d B, want %d", c.workers, got, want)
 		}
+	}
+}
+
+// TestSetForIsExact: setFor reduces the hash's low 32 bits mod the set
+// count, and for a power-of-two count that is the mask a power-of-two cache
+// used, so such caches index exactly as they did.
+func TestSetForIsExact(t *testing.T) {
+	hash := func(la uint64) uint64 {
+		x := la / LineSize
+		x ^= x >> 17
+		x *= 0xff51afd7ed558ccd
+		return x ^ x>>33
+	}
+	rng := rand.New(rand.NewSource(1))
+	check := func(nsets uint64, want func(x uint64) uint64) {
+		c := newCache(nil, &Stats{}, EADR, int(nsets)*LineSize, 1, 1<<40, true)
+		if c.nsets != nsets {
+			t.Fatalf("a %d-line direct-mapped cache has %d sets", nsets, c.nsets)
+		}
+		for i := 0; i < 1000; i++ {
+			la := rng.Uint64() % (1 << 40) &^ (LineSize - 1)
+			if got, w := c.setFor(la), want(hash(la)); got != w {
+				t.Fatalf("%d sets: line %#x maps to set %d, want %d", nsets, la, got, w)
+			}
+		}
+	}
+	for n := uint64(1); n <= 1<<20; n <<= 1 {
+		check(n, func(x uint64) uint64 { return x & (n - 1) })
+	}
+	for i := 0; i < 20; i++ {
+		n := 1 + rng.Uint64()%(1<<20)
+		check(n, func(x uint64) uint64 { return uint64(uint32(x)) % n })
 	}
 }

@@ -70,15 +70,6 @@ func newSystemOn(cfg Config, dev *Device) *System {
 // Config returns the (defaulted) configuration of the system.
 func (s *System) Config() Config { return s.cfg }
 
-// CacheShare is the bytes one of workers equal shares of the cache holds: a
-// cache of CacheBytes/workers with its set count rounded down to a power of
-// two, as a group-mode partition is built. For a power-of-two worker count it
-// is also the shared cache's effective bytes divided by workers.
-func (s *System) CacheShare(workers int) int {
-	ways := max(s.cfg.CacheWays, 1)
-	return int(cacheSets(s.cfg.CacheBytes/max(workers, 1), ways)) * ways * LineSize
-}
-
 // SetFaults arms a crash-injection plan on the system's cache and XPBuffer
 // (test harnesses only; see FaultPlan for the single-goroutine contract).
 // Pass nil to disarm.
