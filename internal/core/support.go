@@ -29,7 +29,7 @@ import (
 type hotSet struct {
 	space *pmem.MemSpace
 	base  uint64 // offset of set 0 in space
-	shift uint8  // 64 - log2(sets)
+	sets  uint64
 	// stats counts hits (flushes elided), misses (tuples newly tracked),
 	// evictions and the line accesses; single-owner like the set itself.
 	stats obs.HotSetStats
@@ -39,14 +39,8 @@ type hotSet struct {
 const hotWays = pmem.LineSize / 8
 
 // hotSets is the number of sets for a capacity: enough hotWays-way sets to
-// hold it, rounded up to a power of two.
-func hotSets(capacity int) uint64 {
-	n := uint64(1)
-	for n*hotWays < uint64(capacity) {
-		n <<= 1
-	}
-	return n
-}
+// hold it, at least one.
+func hotSets(capacity int) uint64 { return max(uint64(capacity+hotWays-1)/hotWays, 1) }
 
 // hotCapFor is the capacity an engine derives for a worker's hot set from
 // share, the bytes of that worker's share of the cache, and stride, the
@@ -65,15 +59,18 @@ func hotSetBytes(capacity int) uint64 { return hotSets(capacity) * pmem.LineSize
 // newHotSet lays an empty set over the zeroed, line-aligned region of space
 // at base.
 func newHotSet(space *pmem.MemSpace, base uint64, capacity int) *hotSet {
-	return &hotSet{space: space, base: base, shift: uint8(64 - bits.TrailingZeros64(hotSets(capacity)))}
+	return &hotSet{space: space, base: base, sets: hotSets(capacity)}
 }
 
 // hotKey is a tuple's key word: its slot and table with the used bit set.
 func hotKey(table uint8, slot uint64) uint64 { return slot<<9 | uint64(table)<<1 | 1 }
 
-// line is the offset of key's set.
+// line is the offset of key's set: the high word of the key's Fibonacci
+// hash times the set count, which for a power-of-two count is the hash's top
+// bits.
 func (h *hotSet) line(key uint64) uint64 {
-	return h.base + (key*0x9e3779b97f4a7c15>>h.shift)*pmem.LineSize
+	si, _ := bits.Mul64(key*0x9e3779b97f4a7c15, h.sets)
+	return h.base + si*pmem.LineSize
 }
 
 // probe is Algorithm 1 lines 9-11 in one line read and at most one line

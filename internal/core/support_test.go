@@ -56,8 +56,8 @@ func TestHotSetChargesVirtualTime(t *testing.T) {
 	}
 }
 
-// TestHotSetSizing: the capacity rounds up to a power-of-two number of
-// hotWays-way sets, one line each. An engine whose Config names no capacity
+// TestHotSetSizing: the capacity rounds up to whole hotWays-way sets, one
+// line each. An engine whose Config names no capacity
 // derives one from half its worker's share of the cache (CacheBytes over the
 // workers) over the widest heap slot stride, on the figures' cache (2 MiB +
 // 256 KiB per worker: 2.5 MiB at 2 workers and 6 MiB at 16): the YCSB
@@ -71,7 +71,7 @@ func TestHotSetSizing(t *testing.T) {
 	for _, c := range []struct {
 		capacity int
 		bytes    uint64
-	}{{0, 64}, {1, 64}, {8, 64}, {9, 128}, {17, 256}, {256, 2048}, {257, 4096}} {
+	}{{0, 64}, {1, 64}, {8, 64}, {9, 128}, {17, 192}, {256, 2048}, {257, 2112}} {
 		if got := hotSetBytes(c.capacity); got != c.bytes {
 			t.Errorf("capacity %d: %d B, want %d", c.capacity, got, c.bytes)
 		}
@@ -88,9 +88,9 @@ func TestHotSetSizing(t *testing.T) {
 		want2  int // at 2 workers
 		want16 int // at 16
 	}{
-		{"ycsb", []TableSpec{table("usertable", 1008)}, 1024, 256},
-		{"tpcc", []TableSpec{table("item", 98), table("customer", 445), table("stock", 330)}, 2048, 512},
-		{"serve", []TableSpec{table("kv", 16), table("__idem", 24)}, 16384, 4096},
+		{"ycsb", []TableSpec{table("usertable", 1008)}, 640, 192},
+		{"tpcc", []TableSpec{table("item", 98), table("customer", 445), table("stock", 330)}, 1280, 384},
+		{"serve", []TableSpec{table("kv", 16), table("__idem", 24)}, 10240, 3072},
 	}
 	build := func(t *testing.T, cfg Config, threads int, specs []TableSpec) *Engine {
 		t.Helper()
@@ -126,6 +126,33 @@ func TestHotSetSizing(t *testing.T) {
 	}
 	if got := build(t, InpConfig(), 2, geometries[0].specs).Config().HotTupleCap; got != 0 {
 		t.Errorf("Inp, which has no hot set, reports capacity %d", got)
+	}
+}
+
+// TestHotSetLineIsExact: line maps a key with the high word of its hash
+// times the set count, which for a power-of-two count is the top-bits shift a
+// power-of-two set used (pmem's TestSetForIsExact is the cache's twin), so
+// such sets place every key where they did; any other count keeps every key
+// inside the region.
+func TestHotSetLineIsExact(t *testing.T) {
+	const phi = 0x9e3779b97f4a7c15
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k <= 20; k++ {
+		h := &hotSet{base: 4096, sets: 1 << k}
+		for i := 0; i < 1000; i++ {
+			key := rng.Uint64() | 1
+			if got, want := h.line(key), h.base+(key*phi>>(64-k))*pmem.LineSize; got != want {
+				t.Fatalf("%d sets: key %#x at %d, the shift puts it at %d", h.sets, key, got, want)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		h := &hotSet{base: 4096, sets: 1 + rng.Uint64()%(1<<20)}
+		for j := 0; j < 1000; j++ {
+			if off := h.line(rng.Uint64() | 1); off >= h.base+h.sets*pmem.LineSize {
+				t.Fatalf("%d sets: a key at %d, past the region's end", h.sets, off)
+			}
+		}
 	}
 }
 
@@ -171,7 +198,7 @@ func TestHotProbeCost(t *testing.T) {
 // twice and that each sits in the set its key hashes to.
 func hotOrder(t testing.TB, h *hotSet) [][]hotModelKey {
 	t.Helper()
-	sets := make([][]hotModelKey, 1<<(64-h.shift))
+	sets := make([][]hotModelKey, h.sets)
 	for i := range sets {
 		off := h.base + uint64(i)*pmem.LineSize
 		for j := uint64(0); j < hotWays; j++ {
@@ -327,7 +354,7 @@ type setModel struct {
 }
 
 func newSetModel(h *hotSet) *setModel {
-	m := &setModel{h: h, sets: make([]*hotModel, 1<<(64-h.shift))}
+	m := &setModel{h: h, sets: make([]*hotModel, h.sets)}
 	for i := range m.sets {
 		m.sets[i] = newHotModel(hotWays)
 	}
