@@ -239,6 +239,7 @@ func storeLoop(writes, size int, region uint64, clwb bool, topt *obs.TraceOption
 	res := &Result{Workers: 1, VirtualNanos: clk.Nanos(), Trace: tr.Dump()}
 	pr.AddTo(&res.Obs)
 	res.Obs.Mem = sys.Dev.Stats().Snapshot()
+	res.Obs.CacheSets, res.Obs.CacheWays = sys.Cache.Geometry()
 	return res
 }
 

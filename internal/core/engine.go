@@ -495,6 +495,7 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 		s.Hot.Capacity = e.cfg.HotTupleCap
 	}
 	s.Mem = e.sys.Dev.Stats().Snapshot()
+	s.CacheSets, s.CacheWays = e.sys.Cache.Geometry()
 	s.Contend = e.observatory.Report()
 	if len(e.tables) > 0 {
 		s.Tables = make(map[string]obs.TableStats, len(e.tables))

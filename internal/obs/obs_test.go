@@ -181,9 +181,11 @@ func TestSnapshotRenderers(t *testing.T) {
 	s.PhaseNanos[PhaseLogAppend] = 40
 	s.WAL = WALStats{Begins: 9, Commits: 7, Aborts: 2, BytesLogged: 700, SlotBytes: 4096}
 	s.Hot = HotSetStats{Hits: 3, Misses: 4, Evictions: 1, Capacity: 512}
+	s.CacheSets, s.CacheWays = 2560, 16
 
 	text := s.Text()
-	for _, want := range []string{"commits 7", "validation 2", "log-append", "40", "hot-set   capacity 512/worker", "wal", "pmem"} {
+	for _, want := range []string{"commits 7", "validation 2", "log-append", "40", "hot-set   capacity 512/worker", "wal", "pmem",
+		"cache 2621440 B (2560 sets x 16 ways)"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text rendering missing %q:\n%s", want, text)
 		}

@@ -201,6 +201,10 @@ type Snapshot struct {
 	WAL         WALStats
 	Hot         HotSetStats
 	Mem         pmem.Snapshot
+	// CacheSets and CacheWays are the simulated cache's geometry, its bytes
+	// their product with the line size: settings, not counters, so no row
+	// carries them and Sub passes s's through.
+	CacheSets, CacheWays int `json:",omitempty"`
 	// Epochs carries the group-commit durability-epoch stats (zero when
 	// group commit is off).
 	Epochs EpochStats
@@ -220,15 +224,17 @@ type Snapshot struct {
 // carries a report.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	out := Snapshot{
-		Commits: s.Commits - o.Commits,
-		Aborts:  s.Aborts - o.Aborts,
-		WAL:     s.WAL.Sub(o.WAL),
-		Hot:     s.Hot.Sub(o.Hot),
-		Mem:     s.Mem.Sub(o.Mem),
-		Epochs:  s.Epochs.Sub(o.Epochs),
-		Tables:  subEach(tableMetrics, s.Tables, o.Tables),
-		Contend: s.Contend,
-		Server:  s.Server.Sub(o.Server),
+		Commits:   s.Commits - o.Commits,
+		Aborts:    s.Aborts - o.Aborts,
+		WAL:       s.WAL.Sub(o.WAL),
+		Hot:       s.Hot.Sub(o.Hot),
+		Mem:       s.Mem.Sub(o.Mem),
+		CacheSets: s.CacheSets,
+		CacheWays: s.CacheWays,
+		Epochs:    s.Epochs.Sub(o.Epochs),
+		Tables:    subEach(tableMetrics, s.Tables, o.Tables),
+		Contend:   s.Contend,
+		Server:    s.Server.Sub(o.Server),
 	}
 	for i := range s.PhaseNanos {
 		out.PhaseNanos[i] = s.PhaseNanos[i] - o.PhaseNanos[i]
@@ -304,8 +310,8 @@ func (s Snapshot) Text() string {
 	fmt.Fprintf(&b, "pmem      media reads %d  writes %d (full %d, partial %d)  write-amp %.2f\n",
 		s.Mem.MediaReads, s.Mem.MediaWrites, s.Mem.FullBlockWrites,
 		s.Mem.PartialBlockWrites, s.Mem.WriteAmplification())
-	fmt.Fprintf(&b, "          cache hits %d  misses %d  dirty-evict %d  clwb-wb %d  xpbuf merges %d\n",
-		s.Mem.CacheHits, s.Mem.CacheMisses, s.Mem.DirtyEvictions,
+	fmt.Fprintf(&b, "          cache %d B (%d sets x %d ways)  hits %d  misses %d  dirty-evict %d  clwb-wb %d  xpbuf merges %d\n",
+		s.CacheSets*s.CacheWays*pmem.LineSize, s.CacheSets, s.CacheWays, s.Mem.CacheHits, s.Mem.CacheMisses, s.Mem.DirtyEvictions,
 		s.Mem.ClwbWritebacks, s.Mem.XPBufferMerges)
 	if s.Server != nil {
 		b.WriteString(s.Server.Text())

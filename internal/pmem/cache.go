@@ -106,6 +106,9 @@ func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, l
 // Mode returns the persistence domain configuration.
 func (c *Cache) Mode() Mode { return c.mode }
 
+// Geometry returns the set count and the associativity.
+func (c *Cache) Geometry() (sets, ways int) { return int(c.nsets), c.ways }
+
 // setFor hashes the line address to a set. Real last-level caches hash
 // their set index (Intel's slice/CBo hashing), which decorrelates the
 // eviction times of adjacent lines; without this, a tuple's lines would be
