@@ -24,15 +24,20 @@ type groupResult struct {
 	heapHash uint64
 }
 
+// groupCaches are the cache sizes the group-mode runs are made on: the
+// default 2 MiB, whose four partitions have 512 sets each, and 3 MiB, whose
+// partitions have 768, a set count that is not a power of two.
+var groupCaches = []int{2 << 20, 3 << 20}
+
 // runGroupWorkload runs a seeded mixed workload (reads, updates, inserts,
-// deletes, scans) on 4 group-mode workers under the given GOMAXPROCS and
-// returns the result fingerprint.
-func runGroupWorkload(t *testing.T, cfg Config, procs int) groupResult {
+// deletes, scans) on 4 group-mode workers over a cache of cacheBytes under
+// the given GOMAXPROCS and returns the result fingerprint.
+func runGroupWorkload(t *testing.T, cfg Config, cacheBytes, procs int) groupResult {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	const workers = 4
 	cfg.Threads = workers
-	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 256 << 20})
+	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 256 << 20, CacheBytes: cacheBytes})
 	e, err := New(sys, cfg, kvSpec(index.Hash, 20000))
 	if err != nil {
 		t.Fatal(err)
@@ -131,19 +136,21 @@ func runGroupWorkload(t *testing.T, cfg Config, procs int) groupResult {
 // TestGroupModeDeterministicAcrossSchedules is the tentpole gate at engine
 // level: group-mode runs must produce byte-identical virtual results whether
 // the host executes the workers serially (GOMAXPROCS=1) or in parallel
-// (GOMAXPROCS=4), for every engine preset.
+// (GOMAXPROCS=4), for every engine preset and both groupCaches.
 func TestGroupModeDeterministicAcrossSchedules(t *testing.T) {
 	for _, cfg := range allEngineConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
-			serial := runGroupWorkload(t, cfg, 1)
-			par := runGroupWorkload(t, cfg, 4)
-			par2 := runGroupWorkload(t, cfg, 4)
-			if serial != par || par != par2 {
-				t.Fatalf("group-mode results differ across host schedules:\n serial: %+v\n par:    %+v\n par2:   %+v", serial, par, par2)
-			}
-			if serial.commits == 0 {
-				t.Fatal("workload committed nothing")
+			for _, cache := range groupCaches {
+				serial := runGroupWorkload(t, cfg, cache, 1)
+				par := runGroupWorkload(t, cfg, cache, 4)
+				par2 := runGroupWorkload(t, cfg, cache, 4)
+				if serial != par || par != par2 {
+					t.Fatalf("%d B cache: group-mode results differ across host schedules:\n serial: %+v\n par:    %+v\n par2:   %+v", cache, serial, par, par2)
+				}
+				if serial.commits == 0 {
+					t.Fatalf("%d B cache: workload committed nothing", cache)
+				}
 			}
 		})
 	}
@@ -151,7 +158,7 @@ func TestGroupModeDeterministicAcrossSchedules(t *testing.T) {
 
 // TestGroupModeDeterministicAllCC repeats the schedule-independence check for
 // every concurrency-control algorithm (the overlay and barrier validation
-// paths differ per algorithm).
+// paths differ per algorithm), on both groupCaches.
 func TestGroupModeDeterministicAllCC(t *testing.T) {
 	anyAborts := false
 	for _, algo := range cc.All {
@@ -159,13 +166,15 @@ func TestGroupModeDeterministicAllCC(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			cfg := FalconConfig()
 			cfg.CC = algo
-			serial := runGroupWorkload(t, cfg, 1)
-			par := runGroupWorkload(t, cfg, 4)
-			if serial != par {
-				t.Fatalf("group-mode results differ across host schedules:\n serial: %+v\n par:    %+v", serial, par)
-			}
-			if serial.aborts > 0 {
-				anyAborts = true
+			for _, cache := range groupCaches {
+				serial := runGroupWorkload(t, cfg, cache, 1)
+				par := runGroupWorkload(t, cfg, cache, 4)
+				if serial != par {
+					t.Fatalf("%d B cache: group-mode results differ across host schedules:\n serial: %+v\n par:    %+v", cache, serial, par)
+				}
+				if serial.aborts > 0 {
+					anyAborts = true
+				}
 			}
 		})
 	}
