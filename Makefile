@@ -135,7 +135,8 @@ contend-smoke:
 # core.Table.Load, the chunked -stream phase into one window per cell, the
 # histogram dump into obs.Histogram, the recovery report's time fields into
 # its probe's phases, and the cost model, the shared stop flag and the
-# single-valued workload settings into constants; fail when a removed
+# single-valued workload settings into constants, and the cache's
+# power-of-two "effective" share into exact set counts; fail when a removed
 # spelling comes back (same
 # lane CI runs). CHANGES.md, ROADMAP.md, benchmark/ and EXPERIMENTS.md's dated
 # sections are history and exempt. The [-], the [R]s and the like keep this
@@ -150,6 +151,8 @@ old-spellings:
 	! grep -rnE 'stream[-]every|Epoch[T]xns|On[E]poch|Histogram[D]ump|Catalog[N]anos' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
 	! grep -rnE 'Cost[M]odel|Stop[F]lag|Err[S]topped|Workload[S]eed|Orders[P]erDistrict' \
+		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+	! grep -rnE '\bCache[S]hare\b|effective [c]ache' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
 
 # Every Go file gofmt-clean, benchmark/ included (same lane CI runs).

@@ -122,10 +122,10 @@ type Config struct {
 	Index IndexPlacement
 	// HotTupleCap is the per-thread hot-tuple set capacity used by
 	// FlushSelective: set-associative, 8 ways; rounded up to whole sets.
-	// Zero derives it when the engine is built: half of one
-	// worker's share of the cache (CacheBytes over the workers) over the
-	// widest table's heap slot stride, so the tuples a set keeps unflushed
-	// fit in the cache they are kept in (hotCapFor).
+	// Zero derives it when the engine is built: half of one worker's share
+	// of the cache (CacheBytes over the workers) over the widest table's
+	// heap slot stride, so the tuples a set keeps unflushed fit in the cache
+	// they are kept in (hotCapFor).
 	HotTupleCap int
 	// TupleCacheBytes enables the ZenS-style DRAM tuple cache when > 0.
 	TupleCacheBytes int

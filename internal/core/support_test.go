@@ -57,16 +57,15 @@ func TestHotSetChargesVirtualTime(t *testing.T) {
 }
 
 // TestHotSetSizing: the capacity rounds up to whole hotWays-way sets, one
-// line each. An engine whose Config names no capacity
-// derives one from half its worker's share of the cache (CacheBytes over the
-// workers) over the widest heap slot stride, on the figures' cache (2 MiB +
-// 256 KiB per worker: 2.5 MiB at 2 workers and 6 MiB at 16): the YCSB
-// usertable (1 008 B tuples, 1 024 B slots), TPC-C (widest the customer,
-// 445 B in 512 B slots) and the serving tables (16 and 24 B in 64 B slots).
-// The share is what a group-mode partition holds (pmem's TestCacheShare), so
-// the same capacity serves free-running and group-mode runs; entering group
-// mode leaves it be. An explicit capacity wins; an engine without a hot set
-// reports none.
+// line each. An engine whose Config names no capacity derives one from half
+// its worker's share of the cache (CacheBytes over the workers) over the
+// widest heap slot stride, on the figures' cache (2 MiB + 256 KiB per worker:
+// 2.5 MiB at 2 workers and 6 MiB at 16): the YCSB usertable (1 008 B tuples,
+// 1 024 B slots), TPC-C (widest the customer, 445 B in 512 B slots) and the
+// serving tables (16 and 24 B in 64 B slots). The share is what a group-mode
+// partition holds (pmem's TestCacheShare), so the same capacity serves
+// free-running and group-mode runs; entering group mode leaves it be. An
+// explicit capacity wins; an engine without a hot set reports none.
 func TestHotSetSizing(t *testing.T) {
 	for _, c := range []struct {
 		capacity int

@@ -311,7 +311,8 @@ func (s Snapshot) Text() string {
 		s.Mem.MediaReads, s.Mem.MediaWrites, s.Mem.FullBlockWrites,
 		s.Mem.PartialBlockWrites, s.Mem.WriteAmplification())
 	fmt.Fprintf(&b, "          cache %d B (%d sets x %d ways)  hits %d  misses %d  dirty-evict %d  clwb-wb %d  xpbuf merges %d\n",
-		s.CacheSets*s.CacheWays*pmem.LineSize, s.CacheSets, s.CacheWays, s.Mem.CacheHits, s.Mem.CacheMisses, s.Mem.DirtyEvictions,
+		s.CacheSets*s.CacheWays*pmem.LineSize, s.CacheSets, s.CacheWays,
+		s.Mem.CacheHits, s.Mem.CacheMisses, s.Mem.DirtyEvictions,
 		s.Mem.ClwbWritebacks, s.Mem.XPBufferMerges)
 	if s.Server != nil {
 		b.WriteString(s.Server.Text())

@@ -133,17 +133,13 @@ func TestGroupModeDRAM(t *testing.T) {
 func TestCacheShare(t *testing.T) {
 	bytesOf := func(c *Cache) int { return int(c.nsets) * c.ways * LineSize }
 	const set = 16 * LineSize
-	for _, c := range []struct{ workers, mib int }{{2, 5 << 19}, {4, 3 << 20}, {8, 4 << 20}, {12, 5 << 20}, {16, 6 << 20}, {48, 14 << 20}} {
-		cacheBytes := 2<<20 + c.workers*(256<<10)
-		if cacheBytes != c.mib {
-			t.Fatalf("%d workers: the figures' cache is %d B, the table says %d", c.workers, cacheBytes, c.mib)
-		}
-		sys := NewSystem(Config{DeviceBytes: 1 << 20, CacheBytes: cacheBytes})
-		if got := bytesOf(sys.Cache); got != cacheBytes {
-			t.Errorf("%d workers: shared cache holds %d B, want %d", c.workers, got, cacheBytes)
+	for _, c := range []struct{ workers, bytes int }{{2, 5 << 19}, {4, 3 << 20}, {8, 4 << 20}, {12, 5 << 20}, {16, 6 << 20}, {48, 14 << 20}} {
+		sys := NewSystem(Config{DeviceBytes: 1 << 20, CacheBytes: 2<<20 + c.workers*(256<<10)})
+		if got := bytesOf(sys.Cache); got != c.bytes {
+			t.Errorf("%d workers: shared cache holds %d B, want %d", c.workers, got, c.bytes)
 		}
 		sys.Space.EnterGroup(c.workers)
-		if got, want := bytesOf(sys.Space.parts[0]), cacheBytes/c.workers/set*set; got != want {
+		if got, want := bytesOf(sys.Space.parts[0]), c.bytes/c.workers/set*set; got != want {
 			t.Errorf("%d workers: a group partition holds %d B, want %d", c.workers, got, want)
 		}
 	}
