@@ -36,7 +36,7 @@ type Cache struct {
 	mode   Mode
 	ways   int
 	nsets  uint64
-	fm     uint64 // setFor's fastmod reciprocal of nsets
+	fm     uint64 // setFor's fastmod reciprocal of nsets, exact while nsets < 2^32
 	stride uint64 // words per set block, a multiple of 8 (one host cache line)
 	limit  uint64
 	// meta holds the set blocks, the first on a 64 B boundary. All zero is an
