@@ -460,8 +460,9 @@ func FuzzHotSetModel(f *testing.F) {
 // TestHotSetHitRateNearExactLRU: the set-associative set keeps recency only
 // within a set, so it may drop a tuple one global LRU list of the same
 // capacity would keep, or keep one it would drop. At every capacity the
-// figure and benchmark engines derive (128 to 2 048 for YCSB and TPC-C at 2
-// to 16 workers, 8 192 for the serving tables) its hit rate stays within two
+// figure and benchmark engines derive (192 to 1 280 for YCSB and TPC-C at 2
+// and 16 workers, 3 072 and 10 240 for the serving tables), set counts that
+// are not powers of two, its hit rate stays within two
 // points of exact LRU's, on a seeded scrambled Zipfian stream and on a TPC-C-like one (hot
 // warehouse and district rows, customer and stock rows drawn non-uniformly,
 // and inserted rows, each written once, that only ever miss).
@@ -502,7 +503,7 @@ func TestHotSetHitRateNearExactLRU(t *testing.T) {
 			}
 		}},
 	}
-	for _, capacity := range []int{128, 256, 512, 1024, 2048, 8192} {
+	for _, capacity := range []int{192, 384, 640, 1280, 3072, 10240} {
 		for _, s := range streams {
 			h, ref := testHotSet(capacity), newHotModel(capacity)
 			clk := sim.NewClock()
