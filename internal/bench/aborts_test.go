@@ -9,8 +9,8 @@ import (
 )
 
 // runContended runs a fixed, deterministic high-contention YCSB-A cell —
-// Zipfian(0.99) keys over a tiny keyspace, four workers in group-scheduled
-// rounds — and returns the measured phase's observability snapshot.
+// Zipfian(0.99) keys over a tiny keyspace, four group-scheduled workers — and
+// returns the measured phase's observability snapshot.
 func runContended(t *testing.T, group bool) obs.Snapshot {
 	t.Helper()
 	ecfg := core.FalconConfig()

@@ -39,11 +39,11 @@ type Options struct {
 	// Result.Obs.Contend.
 	Contend bool
 	// ParWorkers runs the workers through the engine's deterministic group
-	// scheduler (core.Engine.EnterGroup): real goroutines, virtual-time round
-	// barriers, results independent of GOMAXPROCS and host schedule. Note
-	// that group mode is a different simulated machine than free-running mode
-	// (per-worker timing partitions, round-frozen conflict windows), so its
-	// virtual numbers are not comparable with ParWorkers=false runs.
+	// scheduler (core.Engine.EnterGroup): real goroutines on the one simulated
+	// machine, one at a time, the token handed on in virtual-time order, so
+	// results are independent of GOMAXPROCS and host schedule. It is the same
+	// machine as a free-running run: one worker gives the same result either
+	// way, and several give one of the interleavings a free-running run could.
 	ParWorkers bool
 }
 
@@ -129,10 +129,10 @@ func Run(e *core.Engine, workload string, opts Options, fn TxnFunc) (*Result, er
 			go func(w int) {
 				defer wg.Done()
 				if g != nil {
-					// Retire from the round scheduler on any exit path —
-					// a worker that leaves without this parks the others
-					// at the next barrier forever.
-					defer g.Leave()
+					// Retire from the scheduler on any exit path — a worker
+					// that leaves without this keeps the token, or its turn
+					// at it, forever.
+					defer g.Leave(w)
 				}
 				clk := e.Clock(w)
 				for i := 0; i < txns; i++ {

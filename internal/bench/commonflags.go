@@ -103,7 +103,7 @@ func RegisterCommonFlags(fs *flag.FlagSet, engine bool) *CommonFlags {
 
 // RegisterSweep installs the sweep's scheduler and export flags on fs.
 func (f *CommonFlags) RegisterSweep(fs *flag.FlagSet) {
-	fs.BoolVar(&f.ParWorkers, "parworkers", false, "run each cell's workers through the deterministic group scheduler (results independent of GOMAXPROCS; a different simulated machine than the default free-running mode)")
+	fs.BoolVar(&f.ParWorkers, "parworkers", false, "run each cell's workers one at a time, handed on in virtual-time order (results independent of GOMAXPROCS; the same simulated machine as the default free-running mode)")
 	fs.StringVar(&f.JSONPath, "json", "", "also write per-cell results (incl. latency histograms) as JSON to this file")
 	fs.StringVar(&f.MDPath, "md", "", "splice generated phase-share tables into this markdown file (e.g. EXPERIMENTS.md)")
 	fs.StringVar(&f.StreamPath, "stream", "", "write one JSON line per finished cell to this file while the sweep runs")

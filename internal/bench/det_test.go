@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"falcon/internal/core"
@@ -13,22 +14,23 @@ import (
 	"falcon/internal/workload/ycsb"
 )
 
-// runParYCSB runs a fixed seeded YCSB-A cell through the deterministic group
-// scheduler and returns the full Result serialized as JSON. With group set,
-// the engine commits through leader-based group commit — epoch seals then
-// ride the round barrier's canonical commit-tail order, which is exactly the
-// mechanism these tests must pin down.
-func runParYCSB(t *testing.T, procs int, group bool) []byte {
+// runParYCSB runs a fixed seeded YCSB-A Zipfian cell on workers workers —
+// through the deterministic group scheduler when par is set — and returns the
+// full Result serialized as JSON. With group set, the engine commits through
+// leader-based group commit, whose epoch seals then follow the token's
+// virtual-time order, which is exactly the mechanism these tests must pin
+// down.
+func runParYCSB(t *testing.T, procs int, group bool, workers int, par bool) []byte {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	ecfg := core.FalconConfig()
 	ecfg.GroupCommit = group
-	ecfg.Threads = 4
-	e, d, err := NewYCSB(ecfg, ycsb.Config{Records: 2000, Fields: 4, FieldBytes: 32, Workload: ycsb.A})
+	ecfg.Threads = workers
+	e, d, err := NewYCSB(ecfg, ycsb.Config{Records: 2000, Fields: 4, FieldBytes: 32, Workload: ycsb.A, Distribution: ycsb.Zipfian})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(e, "YCSB-A", Options{Workers: 4, TxnsPerWorker: 60, WarmupPerWorker: 10, ParWorkers: true},
+	res, err := Run(e, "YCSB-A", Options{Workers: workers, TxnsPerWorker: 60, WarmupPerWorker: 10, ParWorkers: par},
 		func(w int) (int, error) { return 0, d.Next(w) })
 	if err != nil {
 		t.Fatal(err)
@@ -41,18 +43,18 @@ func runParYCSB(t *testing.T, procs int, group bool) []byte {
 }
 
 // runParTPCC is runParYCSB's TPC-C sibling: the full five-transaction mix,
-// including inserts, deletes and scans, through the group scheduler.
-func runParTPCC(t *testing.T, procs int, group bool) []byte {
+// including inserts, deletes and scans.
+func runParTPCC(t *testing.T, procs int, group bool, workers int, par bool) []byte {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	ecfg := core.FalconConfig()
 	ecfg.GroupCommit = group
-	ecfg.Threads = 4
+	ecfg.Threads = workers
 	e, d, err := NewTPCC(ecfg, tpcc.Config{Warehouses: 2, Items: 200, CustomersPerDistrict: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(e, "TPC-C", Options{Workers: 4, TxnsPerWorker: 30, WarmupPerWorker: 5, Classes: 5, ParWorkers: true},
+	res, err := Run(e, "TPC-C", Options{Workers: workers, TxnsPerWorker: 30, WarmupPerWorker: 5, Classes: 5, ParWorkers: par},
 		func(w int) (int, error) {
 			ty, err := d.NextTyped(w)
 			return int(ty), err
@@ -60,11 +62,10 @@ func runParTPCC(t *testing.T, procs int, group bool) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The execution phase reads frozen trees and the barrier applies writes
-	// alone: a restarted B-tree read would be virtual time that depends on the
-	// host's schedule.
+	// Under the token no writer runs beside a B-tree read: a restarted read
+	// would be virtual time that depends on the host's schedule.
 	for name, ts := range e.ObsSnapshot().Tables {
-		if ts.IndexRestarts != 0 {
+		if par && ts.IndexRestarts != 0 {
 			t.Fatalf("table %s: %d B-tree reads restarted in group mode", name, ts.IndexRestarts)
 		}
 	}
@@ -78,7 +79,9 @@ func runParTPCC(t *testing.T, procs int, group bool) []byte {
 // TestParWorkersDeterministicJSON is the benchmark-level determinism gate:
 // with worker-parallel cells enabled, the serialized Result must be
 // byte-identical whether the host runs the workers on one core or four, for
-// both YCSB-A and TPC-C.
+// both YCSB-A and TPC-C. And group mode is the free-running machine: one
+// worker's Result is the free-running one's byte for byte, but for the
+// ParWorkers key.
 func TestParWorkersDeterministicJSON(t *testing.T) {
 	for _, group := range []bool{false, true} {
 		name := func(s string) string {
@@ -88,29 +91,32 @@ func TestParWorkersDeterministicJSON(t *testing.T) {
 			return s
 		}
 		group := group
-		t.Run(name("YCSB-A"), func(t *testing.T) {
-			serial := runParYCSB(t, 1, group)
-			par := runParYCSB(t, 4, group)
-			if string(serial) != string(par) {
-				t.Fatalf("YCSB-A JSON differs across GOMAXPROCS:\n 1: %s\n 4: %s", serial, par)
-			}
-		})
-		t.Run(name("TPC-C"), func(t *testing.T) {
-			serial := runParTPCC(t, 1, group)
-			par := runParTPCC(t, 4, group)
-			if string(serial) != string(par) {
-				t.Fatalf("TPC-C JSON differs across GOMAXPROCS:\n 1: %s\n 4: %s", serial, par)
-			}
-		})
+		for _, c := range []struct {
+			name string
+			run  func(t *testing.T, procs int, group bool, workers int, par bool) []byte
+		}{{"YCSB-A", runParYCSB}, {"TPC-C", runParTPCC}} {
+			t.Run(name(c.name), func(t *testing.T) {
+				serial := c.run(t, 1, group, 4, true)
+				par := c.run(t, 4, group, 4, true)
+				if string(serial) != string(par) {
+					t.Fatalf("%s JSON differs across GOMAXPROCS:\n 1: %s\n 4: %s", c.name, serial, par)
+				}
+				one := strings.Replace(string(c.run(t, 1, group, 1, true)), `,"ParWorkers":true`, "", 1)
+				if free := string(c.run(t, 1, group, 1, false)); one != free {
+					t.Fatalf("%s: one group-mode worker differs from one free-running worker:\n group: %s\n free:  %s", c.name, one, free)
+				}
+			})
+		}
 	}
 }
 
 // TestRunCancelsPhaseOnWorkerError pins down the prompt-abort contract: when
 // one worker's transaction function fails, the other workers must stop at
 // their next transaction boundary instead of grinding through the full count.
-// Group mode makes the bound tight — workers advance in lockstep rounds, so
-// nobody can be more than a round or two past the failure point. A failed
-// measured phase must also leave the engine disarmed, like a finished one.
+// Group mode makes the bound tight — workers take turns in virtual-time order,
+// so nobody can be more than a transaction or two past the failure point. A
+// failed measured phase must also leave the engine disarmed, like a finished
+// one.
 func TestRunCancelsPhaseOnWorkerError(t *testing.T) {
 	const failAt = 5
 	boom := errors.New("injected workload failure")

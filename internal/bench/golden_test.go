@@ -33,7 +33,8 @@ type goldenCell struct {
 // goldenCells enumerates 8 presets × 6 CC × {YCSB-A Zipfian, TPC-C} × {one
 // free-running worker, four group-scheduled workers}, each in-place preset a
 // second time with group commit on. Both execution modes are deterministic
-// (one goroutine; or round barriers), so the whole Result pins.
+// (one goroutine; or one worker at a time under the group token), so the
+// whole Result pins.
 func goldenCells() []goldenCell {
 	var cells []goldenCell
 	for _, preset := range EngineConfigs() {

@@ -13,9 +13,9 @@ import (
 // the EXPERIMENTS.md evidence that skew, not load, is what concentrates
 // conflicts. The cells are independent of whatever grid was just swept, and
 // run under the deterministic group scheduler: free-running workers on a
-// small host can serialize and dodge every conflict, while group rounds
-// force the overlap and make the rendered tables byte-stable across
-// regenerations. The cells are the default Figure-11 grid's own eight-worker
+// small host can serialize and dodge every conflict, while the token hands
+// the workers on in virtual-time order, which forces the overlap and makes
+// the rendered tables byte-stable across regenerations. The cells are the default Figure-11 grid's own eight-worker
 // Falcon YCSB-A cells.
 func HeatTablesMarkdown() (string, error) {
 	s := SweepScale()

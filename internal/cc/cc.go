@@ -130,8 +130,8 @@ func (g *TIDGen) Next(thread int) uint64 {
 }
 
 // Seq returns the current clock value: the sequence part (TID >> 8) of the
-// most recently issued TID, 0 if none. Deterministic group mode uses it to
-// base virtual-time TID sequences above every previously issued TID.
+// most recently issued TID, 0 if none. Begin registers a lower bound on the
+// next TID with it before drawing one.
 func (g *TIDGen) Seq() uint64 { return g.clock.Load() }
 
 // Restore fast-forwards the clock so that every future TID exceeds seenTID.

@@ -1,17 +1,12 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"falcon/internal/wal"
-)
+import "falcon/internal/wal"
 
 // A transaction's view of the tuples it touched is two lists, both kept in the
 // worker's scratch between attempts (a worker has one open attempt):
 //
 //   - the access set, one entry per (table, slot) the attempt has reached
-//     through concurrency control — what it read, what it holds, and in group
-//     mode its private copy of the slot's two CC words;
+//     through concurrency control — what it read and what it holds;
 //   - the op list, the buffered inserts, updates and deletes in the order they
 //     were issued, which for an in-place engine is the order of the redo
 //     record (Algorithm 1's write set is the log window; the op list is its
@@ -26,14 +21,14 @@ import (
 type accessMode uint8
 
 const (
-	// accRead: the slot was read under concurrency control. OCC validates
-	// word; the round barrier checks vt against earlier winners' commits.
+	// accRead: the slot was read under concurrency control; OCC validates
+	// word.
 	accRead accessMode = 1 << iota
 	// accShared: a 2PL read lock is held.
 	accShared
 	// accIntent: an OCC write intent; validation takes the lock.
 	accIntent
-	// accExcl: the write lock is held (taken at lockVt, over the word pre).
+	// accExcl: the write lock is held (taken over the word pre).
 	accExcl
 	// accDeleted: the attempt has buffered a delete; its later operations on
 	// the key see the row gone.
@@ -51,14 +46,6 @@ type access struct {
 	// the slot must not refresh it: validating the newer word would pass a
 	// non-repeatable read. The abort stays at validation.
 	word uint64
-	// vt is when the attempt last read the slot under concurrency control
-	// (the entry's creation until it has); lockVt is when it took the write
-	// lock. The round barrier compares them with earlier winners' commits.
-	vt, lockVt uint64
-	// lock and readTS are group mode's private copy of the slot's CC words,
-	// taken from the round-frozen live words on first touch; the live words
-	// are never locked mid-round, and the commit tail stores the final word.
-	lock, readTS atomic.Uint64
 }
 
 // find returns the attempt's entry for (t, slot), nil when it has none. The
@@ -73,47 +60,24 @@ func (tx *Txn) find(t *Table, slot uint64) *access {
 }
 
 // access returns the entry for (t, slot), creating it on first touch — the only
-// place entries are made, so every entry carries a virtual time and, in group
-// mode, its copy of the CC words. The pointer is into the set: it is good until
-// the next call, which may grow the slice and move the entries.
+// place entries are made. The pointer is into the set: it is good until the
+// next call, which may grow the slice and move the entries.
 func (tx *Txn) access(t *Table, slot, key uint64) *access {
 	if a := tx.find(t, slot); a != nil {
 		return a
 	}
-	tx.acc = append(tx.acc, access{t: t, slot: slot, key: key, vt: tx.clk.Nanos()})
-	a := &tx.acc[len(tx.acc)-1]
-	if tx.dt != nil {
-		lock, readTS := t.heap.Meta(slot)
-		a.lock.Store(lock.Load())
-		a.readTS.Store(readTS.Load())
-	}
-	return a
-}
-
-// words returns the CC words the algorithms run against: the live heap words
-// when workers run free, the entry's private copy in group mode. Like the entry
-// they are good until the next access call.
-func (tx *Txn) words(a *access) (lock, readTS *atomic.Uint64) {
-	if tx.dt != nil {
-		return &a.lock, &a.readTS
-	}
-	return a.t.heap.Meta(a.slot)
+	tx.acc = append(tx.acc, access{t: t, slot: slot, key: key})
+	return &tx.acc[len(tx.acc)-1]
 }
 
 // owned reports whether the attempt may write the slot: it holds the write
 // lock, or under OCC has marked its intent.
 func (a *access) owned() bool { return a.mode&(accExcl|accIntent) != 0 }
 
-// noteRead records a read under concurrency control at virtual time now.
-func (a *access) noteRead(now uint64) {
-	a.mode |= accRead
-	a.vt = now
-}
-
-// noteLocked records the write lock, taken at now over the word pre.
-func (a *access) noteLocked(pre, now uint64) {
+// noteLocked records the write lock, taken over the word pre.
+func (a *access) noteLocked(pre uint64) {
 	a.mode = a.mode&^accShared | accExcl
-	a.pre, a.lockVt = pre, now
+	a.pre = pre
 }
 
 // txnOp is one buffered insert, update or delete. An insert's slot is

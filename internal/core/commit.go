@@ -23,18 +23,17 @@ var ErrRollback = errors.New("core: rollback requested")
 // Commit finishes the transaction. On ErrConflict the transaction is left
 // for the caller to Abort (Engine.Run does this automatically).
 //
-// Every engine and every mode commits through the same two halves: validate
-// on the worker, then commitTail — called from here when workers run free,
-// and from the round barrier (detReplay), in canonical order, in group mode.
+// Every engine commits through the same two halves, validate and then
+// commitTail. In group mode the commit is a safe point, before validate.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return errors.New("core: commit on finished transaction")
 	}
+	if g := tx.e.group; g != nil {
+		g.Yield(tx.worker)
+	}
 	if err := tx.validate(); err != nil {
 		return err
-	}
-	if tx.dt != nil {
-		return tx.submit()
 	}
 	return tx.commitTail()
 }
@@ -43,11 +42,8 @@ func (tx *Txn) Commit() error {
 // transaction cannot buffer one).
 func (tx *Txn) hasWrites() bool { return len(tx.ops) > 0 }
 
-// validate is the worker-side head of a read-write commit: the redo record
-// must have fitted its window, and under OCC the read set must still hold. It
-// touches only what the worker owns (in group mode the CC words are the access
-// set's private copies; the barrier re-checks against the round's earlier
-// winners).
+// validate is the head of a read-write commit: the redo record must have
+// fitted its window, and under OCC the read set must still hold.
 func (tx *Txn) validate() error {
 	if !tx.hasWrites() {
 		return nil
@@ -68,7 +64,7 @@ func (tx *Txn) validate() error {
 	return nil
 }
 
-// commitTail is the shared-state half of Commit: the write set becomes
+// commitTail is the second half of Commit: the write set becomes
 // durable and visible in the update scheme's own order, then the locks go. An
 // error (out-of-place only: no slot for a new version) leaves the transaction
 // for the caller to Abort.
@@ -263,8 +259,8 @@ func (tx *Txn) applyInsert(ins *txnOp) {
 		t.indexInsert(tx.clk, t.secondary, t.schema.GetUint64(payload, t.secondaryCol), ins.slot)
 	}
 	tx.pr.To(prev)
-	tx.releaseKey(t, ins.key)
-	tx.e.tcPut(tx.clk, tx.worker, t.id, ins.key, payload)
+	tx.e.resv.release(tx.clk, t.id, ins.key)
+	tx.e.tcache.put(tx.clk, t.id, ins.key, payload)
 }
 
 // indexInsert publishes a committed tuple in one of its table's indexes. It
@@ -297,7 +293,7 @@ func (tx *Txn) applyDelete(w *txnOp) {
 		t.secondary.Delete(tx.clk, w.secKey)
 	}
 	tx.pr.To(prev)
-	tx.e.tcInvalidate(tx.clk, t.id, w.key)
+	tx.e.tcache.invalidate(tx.clk, t.id, w.key)
 }
 
 // publishVersions copies the pre-images of updated/deleted tuples into the
@@ -335,13 +331,13 @@ func (tx *Txn) occValidate() bool {
 		if a.mode&accIntent == 0 {
 			continue
 		}
-		lock, _ := tx.words(a)
+		lock, _ := a.t.heap.Meta(a.slot)
 		pre, ok := cc.TryLockTO(lock)
 		if !ok {
 			tx.noteConflict(a.t, a.key, a.slot, lock.Load(), obs.ConflictValidation)
 			return false
 		}
-		a.noteLocked(pre, tx.clk.Nanos())
+		a.noteLocked(pre)
 		if liveErr(a.t, tx.clk, a.slot) != nil {
 			// Superseded or deleted while we ran.
 			tx.noteConflict(a.t, a.key, a.slot, pre, obs.ConflictValidation)
@@ -353,7 +349,7 @@ func (tx *Txn) occValidate() bool {
 		if a.mode&accRead == 0 {
 			continue
 		}
-		lock, _ := tx.words(a)
+		lock, _ := a.t.heap.Meta(a.slot)
 		cur := lock.Load()
 		if cur == a.word {
 			continue
@@ -372,31 +368,29 @@ func (tx *Txn) occValidate() bool {
 // releaseLocks drops every lock the transaction holds. A committed write
 // installs the new writer TID; everything else — shared locks, and exclusive
 // ones on the read-only, empty and abort paths — leaves the writer timestamp
-// as it was. Locks live where they were taken (words: the entry's private copy
-// in group mode, which dies with the attempt), but the new writer timestamp
-// must land on the LIVE word so that later transactions observe the commit; in
-// group mode that word was never locked and the store is all there is to do.
+// as it was.
 func (tx *Txn) releaseLocks(committed bool) {
 	twoPL := tx.e.cfg.CC.Base() == cc.TwoPL
 	for i := range tx.acc {
 		a := &tx.acc[i]
+		if a.mode&(accExcl|accShared) == 0 {
+			continue
+		}
+		lock, _ := a.t.heap.Meta(a.slot)
 		switch {
 		case a.mode&accExcl != 0 && committed:
-			live, _ := a.t.heap.Meta(a.slot)
 			if twoPL {
-				cc.WriteUnlock2PL(live, tx.tid)
+				cc.WriteUnlock2PL(lock, tx.tid)
 			} else {
-				cc.UnlockTO(live, tx.tid)
+				cc.UnlockTO(lock, tx.tid)
 			}
 		case a.mode&accExcl != 0:
-			lock, _ := tx.words(a)
 			if twoPL {
 				cc.WriteUnlock2PLKeepTS(lock)
 			} else {
 				cc.UnlockTOKeep(lock, a.pre)
 			}
-		case a.mode&accShared != 0:
-			lock, _ := tx.words(a)
+		default:
 			cc.ReadUnlock2PL(lock)
 		}
 		a.mode &^= accExcl | accShared
@@ -417,7 +411,7 @@ func (tx *Txn) Abort() {
 	// The pre-allocated slots were never published; recycle them at once.
 	for i := range tx.ops {
 		if ins := &tx.ops[i]; ins.kind == wal.OpInsert {
-			tx.releaseKey(ins.t, ins.key)
+			tx.e.resv.release(tx.clk, ins.t.id, ins.key)
 			tx.freeInsertSlot(ins.t, ins.slot)
 		}
 	}
@@ -437,7 +431,7 @@ func (tx *Txn) finish(committed bool) {
 	// recycling threads).
 	if tx.e.cfg.CC.MultiVersion() && committed {
 		tx.pr.To(obs.PhaseHeapWrite)
-		min := tx.e.minActive()
+		min := tx.e.active.Min()
 		for _, t := range tx.e.tables {
 			if t.versions != nil {
 				t.versions.MaybeGC(tx.clk, tx.worker, min)
@@ -495,16 +489,7 @@ func (e *Engine) run(worker int, ro bool, canceled func() bool, fn func(*Txn) er
 		tx.classifyAbort(err)
 		tx.Abort()
 		if errors.Is(err, ErrConflict) {
-			if d := e.det; d != nil {
-				// A conflict detected during execution (against round-frozen
-				// state) waits out the current round with an empty attempt;
-				// one detected at the barrier already consumed the round, so
-				// retry immediately. Retried attempts draw strictly larger
-				// TIDs, so a stale frozen timestamp eventually clears.
-				if tx.dt == nil || !tx.dt.submitted {
-					d.group.Submit(&sim.Attempt{Order: tx.tid})
-				}
-			} else {
+			if e.group == nil {
 				runtime.Gosched() // break retry lockstep between workers
 			}
 			continue
@@ -562,7 +547,6 @@ func (tx *Txn) scanIndex(t *Table, idx index.Index, from uint64, limit int, fn f
 	if err != nil {
 		return visited, err
 	}
-	tx.detRecordScan(t)
 	return visited, scanErr
 }
 

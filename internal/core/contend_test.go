@@ -149,7 +149,7 @@ func contendGroupReport(t *testing.T, algo cc.Algo, procs int) ([]byte, *obs.Con
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer e.Group().Leave()
+			defer e.Group().Leave(w)
 			contendHotKeyLoop(e, w, 120)
 		}(w)
 	}

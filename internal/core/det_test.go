@@ -25,8 +25,8 @@ type groupResult struct {
 }
 
 // groupCaches are the cache sizes the group-mode runs are made on: the
-// default 2 MiB, whose four partitions have 512 sets each, and 3 MiB, whose
-// partitions have 768, a set count that is not a power of two.
+// default 2 MiB, 2 048 sets, and 3 MiB, whose 3 072 sets are not a power of
+// two.
 var groupCaches = []int{2 << 20, 3 << 20}
 
 // runGroupWorkload runs a seeded mixed workload (reads, updates, inserts,
@@ -63,7 +63,7 @@ func runGroupWorkload(t *testing.T, cfg Config, cacheBytes, procs int) groupResu
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer e.Group().Leave()
+			defer e.Group().Leave(w)
 			rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
 			nextIns := uint64(1000 + 500*w)
 			for i := 0; i < 120; i++ {
@@ -157,8 +157,8 @@ func TestGroupModeDeterministicAcrossSchedules(t *testing.T) {
 }
 
 // TestGroupModeDeterministicAllCC repeats the schedule-independence check for
-// every concurrency-control algorithm (the overlay and barrier validation
-// paths differ per algorithm), on both groupCaches.
+// every concurrency-control algorithm (their conflict paths differ), on both
+// groupCaches.
 func TestGroupModeDeterministicAllCC(t *testing.T) {
 	anyAborts := false
 	for _, algo := range cc.All {
@@ -179,7 +179,7 @@ func TestGroupModeDeterministicAllCC(t *testing.T) {
 		})
 	}
 	if !anyAborts {
-		t.Error("contended workload aborted nothing under any algorithm; barrier validation untested")
+		t.Error("contended workload aborted nothing under any algorithm; the conflict paths went untested")
 	}
 }
 
@@ -207,7 +207,7 @@ func TestGroupModeVsLegacyVisibleState(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				if group {
-					defer e.Group().Leave()
+					defer e.Group().Leave(w)
 				}
 				base := uint64(w) * 100
 				for i := uint64(0); i < 50; i++ {

@@ -53,10 +53,9 @@ type Engine struct {
 	tcache *tupleCache
 	resv   *reservations
 
-	// det is non-nil while the engine runs in deterministic group mode
-	// (EnterGroup/LeaveGroup, det.go): workers execute in parallel against
-	// round-frozen shared state and merge at virtual-time barriers.
-	det *detState
+	// group is the token scheduler while the engine runs in deterministic
+	// group mode (EnterGroup), nil while workers run free.
+	group *sim.Group
 
 	clocks  []*sim.Clock
 	scratch []workerScratch
@@ -406,23 +405,33 @@ func (e *Engine) Clocks() []*sim.Clock { return e.clocks }
 
 // ResetClocks rewinds all worker clocks (between benchmark phases).
 func (e *Engine) ResetClocks() {
-	if d := e.det; d != nil {
-		// Group-mode TID sequences are base + virtual nanos; rewinding the
-		// clocks would reissue past sequences, so lift the base above every
-		// sequence drawn so far first.
-		var maxSeq uint64
-		for _, s := range d.lastSeq {
-			if s > maxSeq {
-				maxSeq = s
-			}
-		}
-		d.base = maxSeq + 1
-		d.min = d.base << 8
-	}
 	for _, c := range e.clocks {
 		c.Reset()
 	}
 }
+
+// EnterGroup switches the engine into deterministic group mode: the workers
+// run one at a time on the one simulated machine, under the token of a
+// sim.Group over their clocks, and hand it on at their safe points — begin
+// before the TID is drawn, every operation's entry, Commit before validate,
+// and the snapshot read's spin. Nothing else changes: a group-mode worker
+// runs the free-running code, so one worker gives what it gives free-running.
+// DESIGN.md §7 has the rule and the lock invariant that makes it safe. The
+// caller must be quiescent.
+func (e *Engine) EnterGroup() {
+	if e.group == nil {
+		e.group = sim.NewGroup(e.clocks)
+	}
+}
+
+// LeaveGroup returns the engine to free-running mode. The caller must be
+// quiescent.
+func (e *Engine) LeaveGroup() { e.group = nil }
+
+// Group returns the token scheduler while in group mode (nil otherwise).
+// Benchmark drivers call Group().Begin(n) at phase start and
+// Group().Leave(w) when worker w retires.
+func (e *Engine) Group() *sim.Group { return e.group }
 
 // Commits returns the number of committed transactions.
 func (e *Engine) Commits() uint64 { return e.outcomes().Commits }

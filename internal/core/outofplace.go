@@ -100,7 +100,7 @@ func (tx *Txn) commitOutOfPlace() error {
 		if g.t.secondary != nil {
 			g.newSec = g.t.schema.GetUint64(scratch, g.t.secondaryCol)
 		}
-		slot, err := g.t.heap.Alloc(tx.clk, tx.worker, e.minActive())
+		slot, err := g.t.heap.Alloc(tx.clk, tx.worker, e.active.Min())
 		if err != nil {
 			// Roll back versions already materialized in this phase so the
 			// slots are not leaked.
@@ -117,7 +117,7 @@ func (tx *Txn) commitOutOfPlace() error {
 		g.newSlot = slot
 		tx.publishTuple(g.t, slot, scratch)
 		tx.persist(g.t, slot, 0, size)
-		e.tcPut(tx.clk, tx.worker, g.t.id, g.key, scratch)
+		e.tcache.put(tx.clk, g.t.id, g.key, scratch)
 	}
 	// Inserts: fresh slots, same durability rules.
 	for i := range tx.ops {
@@ -146,7 +146,7 @@ func (tx *Txn) commitOutOfPlace() error {
 			if g.t.secondary != nil {
 				g.t.secondary.Delete(tx.clk, g.oldSec)
 			}
-			e.tcInvalidate(tx.clk, g.t.id, g.key)
+			e.tcache.invalidate(tx.clk, g.t.id, g.key)
 			tx.pr.To(obs.PhaseHeapWrite)
 			g.t.heap.Link(tx.clk, g.oldSlot, e.gen.Next(tx.worker))
 			tx.pr.To(obs.PhaseIndexUpdate)
@@ -191,8 +191,8 @@ func (tx *Txn) commitOutOfPlace() error {
 			ins.t.indexInsert(tx.clk, ins.t.secondary, ins.t.schema.GetUint64(ins.data, ins.t.secondaryCol), ins.slot)
 		}
 		ins.t.indexInsert(tx.clk, ins.t.primary, ins.key, ins.slot)
-		tx.releaseKey(ins.t, ins.key)
-		e.tcPut(tx.clk, tx.worker, ins.t.id, ins.key, ins.data)
+		e.resv.release(tx.clk, ins.t.id, ins.key)
+		e.tcache.put(tx.clk, ins.t.id, ins.key, ins.data)
 	}
 	return nil
 }

@@ -18,14 +18,13 @@ import (
 // A commit asks it once per written tuple, with one probe that answers and, on
 // a miss, inserts. The set is data in the engine's DRAM space, so a probe costs
 // what the lines it touches cost: a cold set pays DRAM, a resident one cache
-// hits, and in group mode the worker's own partition answers. Its region is a
-// set-associative table of hotWays-way sets, one 64 B line each: hotWays key
-// words (the tuple with a used bit; 0 = empty) in recency order, way 0 the
-// most recent, the empty ways last. A probe reads its key's line and, unless
-// the key is already at way 0, writes it back with the key moved or inserted
-// at way 0; a miss on a full set drops the last way. So recency is exact
-// within a set, not across the table. It is single-owner (one worker
-// thread), so it needs no locking.
+// hits. Its region is a set-associative table of hotWays-way sets, one 64 B
+// line each: hotWays key words (the tuple with a used bit; 0 = empty) in
+// recency order, way 0 the most recent, the empty ways last. A probe reads its
+// key's line and, unless the key is already at way 0, writes it back with the
+// key moved or inserted at way 0; a miss on a full set drops the last way. So
+// recency is exact within a set, not across the table. It is single-owner (one
+// worker thread), so it needs no locking.
 type hotSet struct {
 	space *pmem.MemSpace
 	base  uint64 // offset of set 0 in space
@@ -236,9 +235,10 @@ func (c *tupleCache) get(clk *sim.Clock, table uint8, key uint64, dst []byte) bo
 	return true
 }
 
-// put installs or refreshes a cached payload.
+// put installs or refreshes a cached payload (a no-op on an engine with no
+// tuple cache: c is nil).
 func (c *tupleCache) put(clk *sim.Clock, table uint8, key uint64, payload []byte) {
-	if len(payload) > c.slotBytes {
+	if c == nil || len(payload) > c.slotBytes {
 		return
 	}
 	pk := pack(table, key)
@@ -259,8 +259,11 @@ func (c *tupleCache) put(clk *sim.Clock, table uint8, key uint64, payload []byte
 	sh.mu.Unlock()
 }
 
-// invalidate drops a cached entry (delete path).
+// invalidate drops a cached entry (delete path; a no-op when c is nil).
 func (c *tupleCache) invalidate(clk *sim.Clock, table uint8, key uint64) {
+	if c == nil {
+		return
+	}
 	pk := pack(table, key)
 	sh := &c.shards[pk&63]
 	clk.Advance(sim.DRAMFirstLine)
@@ -271,26 +274,6 @@ func (c *tupleCache) invalidate(clk *sim.Clock, table uint8, key uint64) {
 		sh.ref[i] = false
 	}
 	sh.mu.Unlock()
-}
-
-// clear drops every cached entry (group-mode entry: the shared cache goes
-// dormant while per-worker caches serve reads, and its contents would be
-// stale on return). Payload bytes in the DRAM space need no scrubbing — an
-// entry is live only while referenced from a shard map.
-func (c *tupleCache) clear() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			delete(sh.m, k)
-		}
-		for j := range sh.keys {
-			sh.keys[j] = 0
-			sh.ref[j] = false
-		}
-		sh.hand = 0
-		sh.mu.Unlock()
-	}
 }
 
 // evictLocked runs CLOCK over the shard and returns a free entry index.

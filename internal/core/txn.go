@@ -53,9 +53,6 @@ type Txn struct {
 	pr       *obs.Probe
 	cause    obs.AbortReason
 	causeSet bool
-	// dt is the deterministic group-mode state (nil in free-running mode —
-	// the instrumented sites pay one pointer test). See det.go.
-	dt *detTxn
 	// cancel, when non-nil, is polled at operation entry points; a true
 	// return makes the op fail with ErrCanceled (deadline propagation from
 	// the serving layer — nil in the common embedded case, so the op path
@@ -114,26 +111,21 @@ func (e *Engine) BeginRO(worker int) *Txn {
 }
 
 func (e *Engine) begin(worker int, ro bool) *Txn {
-	clk := e.clocks[worker]
-	var tid uint64
-	if e.det != nil {
-		tid = e.detTID(worker, clk)
-	} else {
-		// A TID that is drawn but not yet registered is invisible to a
-		// concurrent Min(), which would then hand version GC and slot reclaim
-		// a horizon above this snapshot. Register a lower bound first: every
-		// TID drawn from here on is larger.
-		e.active.Set(worker, e.gen.Seq()<<8|0xFF)
-		tid = e.gen.Next(worker)
+	if g := e.group; g != nil {
+		g.Yield(worker)
 	}
+	clk := e.clocks[worker]
+	// A TID that is drawn but not yet registered is invisible to a concurrent
+	// Min(), which would then hand version GC and slot reclaim a horizon above
+	// this snapshot. Register a lower bound first: every TID drawn from here
+	// on is larger.
+	e.active.Set(worker, e.gen.Seq()<<8|0xFF)
+	tid := e.gen.Next(worker)
 	e.active.Set(worker, tid)
 	tx := &Txn{e: e, worker: worker, tid: tid, clk: clk, ro: ro, pr: &e.probes[worker]}
 	ws := &e.scratch[worker]
 	tx.acc, tx.ops = ws.acc[:0], ws.ops[:0]
 	ws.acc, ws.ops = nil, nil // taken while the attempt is open, like the scan buffer
-	if e.det != nil {
-		tx.dt = &detTxn{}
-	}
 	// Open the probe before charging the begin overhead so the phases
 	// partition every transactional nanosecond (the overhead lands in exec).
 	tx.pr.Begin(tid, clk)
@@ -197,10 +189,14 @@ func (tx *Txn) tstat(t *Table) *obs.TableStats {
 	return &tx.e.tstats[tx.worker][t.id].TableStats
 }
 
-// enter is the head of every operation: the cancel poll (so an expired deadline
-// surfaces within one op, not one transaction), the op's fixed cost, the
-// read-only check for a write, the popularity count.
+// enter is the head of every operation: in group mode a safe point, then the
+// cancel poll (so an expired deadline surfaces within one op, not one
+// transaction), the op's fixed cost, the read-only check for a write, the
+// popularity count.
 func (tx *Txn) enter(t *Table, key uint64, write bool) error {
+	if g := tx.e.group; g != nil {
+		g.Yield(tx.worker)
+	}
 	if tx.cancel != nil && tx.cancel() {
 		return ErrCanceled
 	}
@@ -278,17 +274,11 @@ func (tx *Txn) readResolved(t *Table, key, slot uint64, off, n int, dst []byte) 
 			return ErrNotFound
 		}
 		tx.readPayload(t, key, slot, off, n, dst)
-		if a.mode&accExcl != 0 {
-			// A read under our own write lock is still a read the round
-			// barrier must see (an OCC intent holds no lock and has observed
-			// no word to validate).
-			a.noteRead(tx.clk.Nanos())
-		}
 		tx.overlayOwnWrites(t, slot, off, n, dst)
 		return nil
 	}
 
-	lock, readTS := tx.words(a)
+	lock, readTS := t.heap.Meta(slot)
 	switch tx.e.cfg.CC.Base() {
 	case cc.TwoPL:
 		if a.mode&accShared == 0 {
@@ -302,7 +292,7 @@ func (tx *Txn) readResolved(t *Table, key, slot uint64, off, n int, dst []byte) 
 			return err
 		}
 		tx.readPayload(t, key, slot, off, n, dst)
-		a.noteRead(tx.clk.Nanos())
+		a.mode |= accRead
 		return nil
 
 	case cc.TO:
@@ -323,7 +313,7 @@ func (tx *Txn) readResolved(t *Table, key, slot uint64, off, n int, dst []byte) 
 		if err := flagsErr(flags); err != nil {
 			return err
 		}
-		a.noteRead(tx.clk.Nanos())
+		a.mode |= accRead
 		return nil
 
 	default: // OCC
@@ -342,7 +332,7 @@ func (tx *Txn) readResolved(t *Table, key, slot uint64, off, n int, dst []byte) 
 		if a.mode&accRead == 0 {
 			a.word = word // the first word observed is the one validated
 		}
-		a.noteRead(tx.clk.Nanos())
+		a.mode |= accRead
 		return nil
 	}
 }
@@ -380,7 +370,7 @@ func (tx *Txn) liveIntent(t *Table, slot uint64) error {
 // readPayload reads tuple bytes, consulting the ZenS tuple cache when
 // enabled.
 func (tx *Txn) readPayload(t *Table, key uint64, slot uint64, off, n int, dst []byte) {
-	if tc := tx.tupleCache(); tc != nil {
+	if tc := tx.e.tcache; tc != nil {
 		scratch := tx.e.scratchFor(tx.worker, t.schema.TupleSize())
 		if tc.get(tx.clk, t.id, key, scratch) {
 			copy(dst[:n], scratch[off:off+n])
@@ -460,9 +450,15 @@ func (tx *Txn) snapshotReadSlotSpin(t *Table, slot uint64, off, n int, dst []byt
 			}
 		}
 		// A writer newer than every chained version but older than our
-		// snapshot is mid-apply; wait for it.
+		// snapshot is mid-apply; wait for it. In group mode it cannot run
+		// while this worker holds the token, and the loop need not move this
+		// worker's clock: hand the token on whatever the clocks say.
 		spins++
-		runtime.Gosched()
+		if g := tx.e.group; g != nil {
+			g.Pass(tx.worker)
+		} else {
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -529,17 +525,17 @@ func (tx *Txn) Insert(t *Table, key uint64, payload []byte) error {
 	if tx.findInsert(t, key) != nil {
 		return ErrDuplicateKey
 	}
-	if !tx.reserveKey(t, key) {
+	if !tx.e.resv.tryReserve(tx.clk, t.id, key) {
 		// Another in-flight insert holds the key latch.
 		return tx.ccConflict(t, key, 0, 0, obs.ConflictLockFail)
 	}
 	if _, exists := tx.resolve(t, key); exists {
-		tx.releaseKey(t, key)
+		tx.e.resv.release(tx.clk, t.id, key)
 		return ErrDuplicateKey
 	}
-	slot, err := t.heap.Alloc(tx.clk, tx.worker, tx.e.minActive())
+	slot, err := t.heap.Alloc(tx.clk, tx.worker, tx.e.active.Min())
 	if err != nil {
-		tx.releaseKey(t, key)
+		tx.e.resv.release(tx.clk, t.id, key)
 		if errors.Is(err, heap.ErrReclaimPending) {
 			return ErrConflict // backpressure: retry once horizons advance
 		}
@@ -548,7 +544,7 @@ func (tx *Txn) Insert(t *Table, key uint64, payload []byte) error {
 	size := t.schema.TupleSize()
 	op := txnOp{t: t, kind: wal.OpInsert, slot: slot, key: key, n: size}
 	if err := tx.bufferOp(op, payload[:size]); err != nil {
-		tx.releaseKey(t, key)
+		tx.e.resv.release(tx.clk, t.id, key)
 		tx.freeInsertSlot(t, slot)
 		return err
 	}
@@ -588,7 +584,7 @@ func (tx *Txn) writeIntentCC(t *Table, key, slot uint64) error {
 		}
 		return nil
 	}
-	lock, readTS := tx.words(a)
+	lock, readTS := t.heap.Meta(slot)
 	switch tx.e.cfg.CC.Base() {
 	case cc.TwoPL:
 		if a.mode&accShared != 0 {
@@ -598,7 +594,7 @@ func (tx *Txn) writeIntentCC(t *Table, key, slot uint64) error {
 		} else if !cc.TryWriteLock2PL(lock) {
 			return tx.ccConflict(t, key, slot, lock.Load(), obs.ConflictLockFail)
 		}
-		a.noteLocked(0, tx.clk.Nanos())
+		a.noteLocked(0)
 		return tx.liveIntent(t, slot)
 
 	case cc.TO:
@@ -610,7 +606,7 @@ func (tx *Txn) writeIntentCC(t *Table, key, slot uint64) error {
 			cc.UnlockTOKeep(lock, pre)
 			return tx.ccConflict(t, key, slot, pre, obs.ConflictTSOrder)
 		}
-		a.noteLocked(pre, tx.clk.Nanos())
+		a.noteLocked(pre)
 		return tx.liveIntent(t, slot)
 
 	default: // OCC defers locking to validation

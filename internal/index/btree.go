@@ -41,7 +41,8 @@ const (
 // so such a view costs another try, never a panic. A retry reads the nodes
 // again and pays their virtual time as a real optimistic reader pays real
 // time; when no writer runs beside the readers (one worker, or the
-// deterministic group mode, whose barrier applies writes alone) there is none.
+// deterministic group mode, which runs one worker at a time and never between
+// a reader's loads) there is none.
 //
 // Every change to a node is one store, and multi-node changes are ordered so
 // that a crash between two stores leaves a tree that answers correctly, with

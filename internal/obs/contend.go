@@ -44,16 +44,12 @@ type rangeEntry struct {
 // recorded quantity derives from virtual-time state, so the merged report is
 // byte-identical across host schedules and GOMAXPROCS settings. Construction
 // and AddRange happen before arming; after that the struct is immutable except
-// through the shards and the barrier-serialized round counter.
+// through the shards.
 type Observatory struct {
 	cfg     ObservatoryConfig
 	ranges  []rangeEntry
 	cells   []string // flush-amp cell names, in registration order
 	workers []contendShard
-	// rounds counts deterministic group-scheduler replay barriers. The
-	// barrier body is mutually exclusive and ordered (the same contract that
-	// lets applyWriteSet run there), so a plain counter suffices.
-	rounds uint64
 }
 
 // NewObservatory builds an observatory for cfg; a worker count below 1 is
@@ -115,14 +111,6 @@ func (o *Observatory) shard(i int) *contendShard {
 		return nil
 	}
 	return &o.workers[i]
-}
-
-// BarrierTick records one deterministic group-scheduler replay barrier. It
-// must only be called from barrier context (mutually exclusive, ordered).
-func (o *Observatory) BarrierTick() {
-	if o != nil {
-		o.rounds++
-	}
 }
 
 // waitEdge accumulates one out-edge of the wait-for graph from the owning
@@ -394,7 +382,7 @@ func (o *Observatory) Report() *ContentionStats {
 	}
 
 	// Wait-for graph.
-	wf := &WaitForDump{Workers: len(o.workers), Rounds: o.rounds}
+	wf := &WaitForDump{Workers: len(o.workers)}
 	in := make([]uint64, len(o.workers))
 	out := make([]uint64, len(o.workers))
 	for i := range o.workers {
@@ -425,7 +413,7 @@ func (o *Observatory) Report() *ContentionStats {
 		}
 		sort.SliceStable(wf.Hot, func(i, j int) bool { return wf.Hot[i].In > wf.Hot[j].In })
 	}
-	if len(wf.Edges) > 0 || wf.Rounds > 0 {
+	if len(wf.Edges) > 0 {
 		c.WaitFor = wf
 	}
 	return c

@@ -145,8 +145,6 @@ func TestReportShape(t *testing.T) {
 	w0.Flush(pmem.FlushClwb, 128, 0, 0)
 	w1.Flush(pmem.FlushXPFull, 512, 0, 0)
 	w0.LogicalBytes(0, 100)
-	o.BarrierTick()
-	o.BarrierTick()
 
 	c := o.Report()
 	if c.Algo != "2PL" {
@@ -175,7 +173,7 @@ func TestReportShape(t *testing.T) {
 		t.Fatalf("set contention: banks %d hist count %d", len(c.BankEvictions), c.SetContention.Count)
 	}
 	wf := c.WaitFor
-	if wf == nil || wf.Rounds != 2 {
+	if wf == nil || wf.Workers != 2 {
 		t.Fatalf("wait-for = %+v", wf)
 	}
 	// w0→w1 and w1→w0 form a 2-cycle.

@@ -9,8 +9,7 @@ import (
 // ConflictKind classifies one contention event reported into the
 // observatory. The taxonomy is finer than AbortReason because a single
 // abort reason (e.g. AbortLockConflict) covers several distinct shadow-word
-// interactions, and because some kinds (spin-wait, det-barrier) never
-// surface as aborts at all.
+// interactions, and because a spin-wait never surfaces as an abort at all.
 type ConflictKind uint8
 
 const (
@@ -35,16 +34,13 @@ const (
 	// writer (the only true wait in the no-wait engine); its WaitNanos
 	// carry the virtual stall time.
 	ConflictSpinWait
-	// ConflictDetBarrier is a deterministic group-mode attempt rejected by
-	// the round barrier's replay validation.
-	ConflictDetBarrier
 
-	NumConflictKinds = 7
+	NumConflictKinds = 6
 )
 
 // ConflictKindNames maps ConflictKind to its report label.
 var ConflictKindNames = [NumConflictKinds]string{
-	"lock-fail", "upgrade", "ts-order", "torn-read", "validation", "spin-wait", "det-barrier",
+	"lock-fail", "upgrade", "ts-order", "torn-read", "validation", "spin-wait",
 }
 
 func (k ConflictKind) String() string {
@@ -142,11 +138,9 @@ type WaitForVertex struct {
 
 // WaitForDump is an on-demand snapshot of the worker-level wait-for graph,
 // with cycle and hot-vertex detection. In deterministic group mode the dump
-// is byte-identical across host schedules; Rounds counts the group
-// scheduler's replay barriers observed while armed.
+// is byte-identical across host schedules.
 type WaitForDump struct {
 	Workers int           `json:"workers"`
-	Rounds  uint64        `json:"rounds,omitempty"`
 	Edges   []WaitForEdge `json:"edges,omitempty"`
 	// Cycles lists the elementary worker cycles present in the edge set,
 	// each rotated to start at its smallest worker id and sorted.
@@ -293,11 +287,7 @@ func (c *ContentionStats) Autopsy() string {
 	}
 	if c.WaitFor != nil {
 		w := c.WaitFor
-		fmt.Fprintf(&b, "\nwait-for graph: %d workers, %d edges", w.Workers, len(w.Edges))
-		if w.Rounds > 0 {
-			fmt.Fprintf(&b, ", %d det rounds", w.Rounds)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "\nwait-for graph: %d workers, %d edges\n", w.Workers, len(w.Edges))
 		for _, e := range w.Edges {
 			fmt.Fprintf(&b, "  w%d -> w%d  ×%d", e.Waiter, e.Holder, e.Count)
 			if e.Table != "" {

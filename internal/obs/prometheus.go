@@ -259,7 +259,6 @@ func promSnapshot(p *promWriter, s Snapshot) {
 		if c.WaitFor != nil {
 			p.gauge("falcon_contend_waitfor_edges", "Edges in the worker wait-for graph.", nil, uint64(len(c.WaitFor.Edges)))
 			p.gauge("falcon_contend_waitfor_cycles", "Elementary cycles in the wait-for graph.", nil, uint64(len(c.WaitFor.Cycles)))
-			p.counter("falcon_contend_det_rounds_total", "Deterministic group-scheduler replay barriers observed.", nil, c.WaitFor.Rounds)
 		}
 	}
 }

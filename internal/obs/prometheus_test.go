@@ -87,7 +87,7 @@ func promTestSnapshot() Snapshot {
 		},
 		WALFlushLines: 777,
 		SetContention: setHist,
-		WaitFor: &WaitForDump{Workers: 4, Rounds: 12,
+		WaitFor: &WaitForDump{Workers: 4,
 			Edges:  []WaitForEdge{{Waiter: 0, Holder: 1, Count: 5}},
 			Cycles: [][]int{{0, 1}}},
 	}

@@ -42,13 +42,7 @@ type Cache struct {
 	// meta holds the set blocks, the first on a 64 B boundary. All zero is an
 	// empty cache.
 	meta []uint64
-	// data holds the payloads, way w of set s at s*ways+w. It is nil in a
-	// dataless, timing-only cache: hit/miss/eviction state and cost charging
-	// run as usual, but line payloads are never copied in or out.
-	// Deterministic worker-parallel mode uses one dataless cache per worker
-	// for timing while the device holds the authoritative bytes (see
-	// MemSpace.EnterGroup) — payload copies here would both waste host work
-	// and race with other workers' direct device access.
+	// data holds the payloads, way w of set s at s*ways+w.
 	data  [][LineSize]byte
 	lower backend
 	stats *Stats
@@ -87,9 +81,8 @@ func setWords(ways int) uint64 { return (setTags + 2*uint64(ways) + 7) &^ 7 }
 // newCache creates a cache of capacityBytes with the given associativity
 // over the backend: capacityBytes / LineSize / ways sets (at least one), so
 // the cache holds the bytes it is given in whole sets. limit bounds valid
-// addresses. A dataless cache (see Cache.data) needs a backend that ignores
-// the line pointers it is given.
-func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, limit uint64, dataless bool) *Cache {
+// addresses.
+func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, limit uint64) *Cache {
 	ways = max(ways, 1)
 	nsets := max(uint64(capacityBytes/LineSize/ways), 1)
 	c := &Cache{mode: mode, ways: ways, nsets: nsets, fm: ^uint64(0)/nsets + 1, stride: setWords(ways),
@@ -97,9 +90,7 @@ func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, l
 	raw := make([]uint64, nsets*c.stride+7)
 	skip := -uintptr(unsafe.Pointer(&raw[0])) % 64 / 8 // the heap does not move: alignment holds
 	c.meta = raw[skip : skip+uintptr(nsets*c.stride)]
-	if !dataless {
-		c.data = make([][LineSize]byte, nsets*uint64(ways))
-	}
+	c.data = make([][LineSize]byte, nsets*uint64(ways))
 	return c
 }
 
@@ -131,12 +122,8 @@ func (c *Cache) set(si uint64) (blk, tags, lru []uint64) {
 	return blk, blk[setTags : setTags+c.ways], blk[setTags+c.ways : setTags+2*c.ways]
 }
 
-// line returns the payload of way w of set si, or nil in a dataless cache
-// (whose backend never looks at it).
+// line returns the payload of way w of set si.
 func (c *Cache) line(si uint64, w int) *[LineSize]byte {
-	if c.data == nil {
-		return nil
-	}
 	return &c.data[si*uint64(c.ways)+uint64(w)]
 }
 
@@ -240,12 +227,10 @@ func (c *Cache) accessLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off i
 	if store {
 		lru[w] |= lruDirty
 	}
-	if line := c.line(si, w); line != nil {
-		if store {
-			copyLine(line[off:off+len(buf)], buf)
-		} else {
-			copyLine(buf, line[off:off+len(buf)])
-		}
+	if line := c.line(si, w); store {
+		copyLine(line[off:off+len(buf)], buf)
+	} else {
+		copyLine(buf, line[off:off+len(buf)])
 	}
 	unlockWord(&blk[setLock])
 	return hit
@@ -473,12 +458,4 @@ func (c *Cache) crashWriteback(clk *sim.Clock) {
 		}
 		return false
 	})
-}
-
-// invalidateAll drops every resident line without writing anything back.
-// Used when entering deterministic group mode: the device image has just
-// been made authoritative (FlushAll), and any line left resident would go
-// stale against the group's direct device writes.
-func (c *Cache) invalidateAll() {
-	c.sweep(func(uint64, *[LineSize]byte, *uint64) bool { return false })
 }

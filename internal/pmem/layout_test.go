@@ -31,7 +31,7 @@ func TestHostLayout(t *testing.T) {
 	}
 	for _, ways := range []int{1, 3, 4, 8, 16} {
 		for _, capacity := range []int{64, 4 << 10, 100 << 10} {
-			c := newCache(nil, &Stats{}, EADR, capacity, ways, 1<<20, false)
+			c := newCache(nil, &Stats{}, EADR, capacity, ways, 1<<20)
 			if a := uintptr(unsafe.Pointer(&c.meta[0])); a%64 != 0 {
 				t.Errorf("%d ways, %d B: set blocks start at %#x, not on a host line", ways, capacity, a)
 			}
@@ -45,7 +45,7 @@ func TestHostLayout(t *testing.T) {
 // TestBoundsCheckDoesNotWrap: an access whose end wraps past 2^64 must hit
 // the bounds panic like any other out-of-range access. addr+n used to be
 // compared after wrapping, so it passed the check and went on to index the
-// device's chunk table (or, on a dataless cache, to charge time for it).
+// device's chunk table.
 func TestBoundsCheckDoesNotWrap(t *testing.T) {
 	const addr = 1<<64 - 8
 	mustPanic := func(name, want string, f func()) {
@@ -71,8 +71,6 @@ func TestBoundsCheckDoesNotWrap(t *testing.T) {
 	mustPanic("train", "beyond space bounds", func() { sys.Space.CLWBTrain(clk, []Span{{Off: addr, N: 16}}) })
 	mustPanic("raw read", "beyond device size", func() { sys.Dev.RawRead(addr, buf) })
 	mustPanic("raw write", "beyond device size", func() { sys.Dev.RawWrite(addr, buf) })
-	sys.Space.EnterGroup(2) // dataless timing caches: the wrapped access used to be charged silently
-	mustPanic("group write", "beyond space bounds", func() { sys.Space.Write(clk, addr, buf) })
 	if clk.Nanos() != 0 {
 		t.Errorf("out-of-range accesses charged %d virtual ns", clk.Nanos())
 	}

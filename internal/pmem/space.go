@@ -66,19 +66,6 @@ type MemSpace struct {
 	dev   *Device
 	// flush lets CLWB, CLWBTrain and SFence reach the cache (NVM only).
 	flush bool
-	// split builds one of n equal caches over the level beneath this one;
-	// split(1, false) is the shared cache, split(n, true) a group-mode
-	// partition (det.go), so the geometry is stated once, by the
-	// constructor that made the space.
-	split func(n int, dataless bool) *Cache
-	// parts, when non-nil, are the group-mode partitions: per-worker
-	// dataless timing caches with the device as the byte authority. Nil on
-	// the normal path — one predictable branch.
-	parts []*Cache
-}
-
-func newSpace(dev *Device, flush bool, split func(n int, dataless bool) *Cache) *MemSpace {
-	return &MemSpace{cache: split(1, false), dev: dev, flush: flush, split: split}
 }
 
 // NewDRAM allocates a volatile space of size bytes behind a 2 MiB 16-way
@@ -90,78 +77,46 @@ func NewDRAM(size uint64) *MemSpace {
 // newDRAM is NewDRAM with an explicit cache size and associativity.
 func newDRAM(size uint64, cacheBytes, ways int) *MemSpace {
 	lvl := &dram{dev: NewDevice(size)}
-	return newSpace(lvl.dev, false, func(n int, dataless bool) *Cache {
-		// The cache limit is size itself: NewDevice rounds up to a block.
-		return newCache(lvl, &lvl.dev.stats, ADR, cacheBytes/n, ways, size, dataless)
-	})
+	// The cache limit is size itself: NewDevice rounds up to a block.
+	return &MemSpace{cache: newCache(lvl, &lvl.dev.stats, ADR, cacheBytes, ways, size), dev: lvl.dev}
 }
 
-// dram is the level beneath a DRAM space's cache. It copies a line only
-// when handed one, so the dataless group-mode partitions share it.
+// dram is the level beneath a DRAM space's cache.
 type dram struct {
 	dev *Device
 }
 
 func (d *dram) writeBackLine(clk *sim.Clock, lineAddr uint64, data *[LineSize]byte) {
 	clk.Advance(sim.DRAMNextLine) // write-backs are posted: the streaming cost only
-	if data != nil {
-		d.dev.RawWrite(lineAddr, data[:])
-	}
+	d.dev.RawWrite(lineAddr, data[:])
 }
 
 func (d *dram) fillLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte) {
 	clk.Advance(sim.DRAMFirstLine)
-	if dst != nil {
-		d.dev.readLineInto(lineAddr, dst)
-	}
+	d.dev.readLineInto(lineAddr, dst)
 }
 
 func (d *dram) drain(*sim.Clock) {}
 
-// cacheFor is the cache clk's accesses go through: in group mode the
-// partition of the clock's shard id (the routing the sharded stats use;
-// anonymous clocks — setup, recovery — share partition 0), else the shared
-// cache.
-func (s *MemSpace) cacheFor(clk *sim.Clock) *Cache {
-	if s.parts == nil {
-		return s.cache
-	}
-	w := clk.ShardID()
-	if w >= uint64(len(s.parts)) {
-		w = 0
-	}
-	return s.parts[w]
-}
+func (s *MemSpace) Read(clk *sim.Clock, off uint64, dst []byte) { s.cache.Load(clk, off, dst) }
 
-func (s *MemSpace) Read(clk *sim.Clock, off uint64, dst []byte) {
-	s.cacheFor(clk).Load(clk, off, dst)
-	if s.parts != nil {
-		s.dev.RawRead(off, dst) // the partition only charged the time
-	}
-}
-
-func (s *MemSpace) Write(clk *sim.Clock, off uint64, src []byte) {
-	s.cacheFor(clk).Store(clk, off, src)
-	if s.parts != nil {
-		s.dev.RawWrite(off, src) // the partition only charged the time
-	}
-}
+func (s *MemSpace) Write(clk *sim.Clock, off uint64, src []byte) { s.cache.Store(clk, off, src) }
 
 func (s *MemSpace) CLWB(clk *sim.Clock, off uint64, n int) {
 	if s.flush {
-		s.cacheFor(clk).CLWB(clk, off, n)
+		s.cache.CLWB(clk, off, n)
 	}
 }
 
 func (s *MemSpace) CLWBTrain(clk *sim.Clock, spans []Span) {
 	if s.flush {
-		s.cacheFor(clk).CLWBTrain(clk, spans)
+		s.cache.CLWBTrain(clk, spans)
 	}
 }
 
 func (s *MemSpace) SFence(clk *sim.Clock) {
 	if s.flush {
-		s.cacheFor(clk).SFence(clk)
+		s.cache.SFence(clk)
 	}
 }
 

@@ -60,11 +60,9 @@ func NewSystem(cfg Config) *System {
 }
 
 func newSystemOn(cfg Config, dev *Device) *System {
-	sp := newSpace(dev, true, func(n int, dataless bool) *Cache {
-		xpb := NewXPBuffer(dev, cfg.XPBufferBytes/n, max(cfg.XPBanks/n, 1), dataless)
-		return newCache(xpb, &dev.stats, cfg.Mode, cfg.CacheBytes/n, cfg.CacheWays, dev.Size(), dataless)
-	})
-	return &System{cfg: cfg, Dev: dev, XPB: sp.cache.lower.(*XPBuffer), Cache: sp.cache, Space: sp}
+	xpb := NewXPBuffer(dev, cfg.XPBufferBytes, cfg.XPBanks)
+	c := newCache(xpb, &dev.stats, cfg.Mode, cfg.CacheBytes, cfg.CacheWays, dev.Size())
+	return &System{cfg: cfg, Dev: dev, XPB: xpb, Cache: c, Space: &MemSpace{cache: c, dev: dev, flush: true}}
 }
 
 // Config returns the (defaulted) configuration of the system.
@@ -79,24 +77,12 @@ func (s *System) SetFaults(p *FaultPlan) {
 	s.XPB.faults = p
 }
 
-// SetHook arms the write-back hook (see FlushFn) on the cache, the XPBuffer
-// and any live deterministic-group partitions, so arming after group entry
-// behaves the same as arming before. Pass nil to disarm: a disarmed system
-// pays one pointer test per write-back. Like SetFaults, it must be called
-// while workers are quiescent.
+// SetHook arms the write-back hook (see FlushFn) on the cache and the
+// XPBuffer. Pass nil to disarm: a disarmed system pays one pointer test per
+// write-back. Like SetFaults, it must be called while workers are quiescent.
 func (s *System) SetHook(fn FlushFn) {
-	s.Cache.setHook(fn)
-	for _, c := range s.Space.parts {
-		c.setHook(fn)
-	}
-}
-
-// setHook arms fn on the cache and on the XPBuffer beneath it.
-func (c *Cache) setHook(fn FlushFn) {
-	c.hook = fn
-	if xpb, ok := c.lower.(*XPBuffer); ok {
-		xpb.hook = fn
-	}
+	s.Cache.hook = fn
+	s.XPB.hook = fn
 }
 
 // Crash simulates a power failure: the persistence-domain flush runs

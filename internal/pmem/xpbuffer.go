@@ -19,8 +19,8 @@ import (
 // so a later miss on a sibling line is a buffer hit — the read behaviour
 // measured on real Optane (Yang et al., FAST 2020). Clean lines hold no
 // payload: a hit on one copies the line from the device, which holds exactly
-// what the media holds, so no write that bypasses the buffer (BulkWrite, or
-// group mode's direct device writes) can leave a stale copy behind. A slot
+// what the media holds, so no write that bypasses the buffer (BulkWrite) can
+// leave a stale copy behind. A slot
 // with no written lines leaves the buffer for free, and a partial slot whose
 // other lines a read brought in is written without the read-modify-write's
 // media read: the controller already holds the whole block.
@@ -37,14 +37,6 @@ type XPBuffer struct {
 	// hook, when non-nil, receives every slot eviction (see FlushFn). The
 	// unarmed fast path pays one pointer test per eviction.
 	hook FlushFn
-	// dataless marks a timing-only buffer (deterministic group mode): slot
-	// occupancy, merge accounting and media-cost charging run as usual, but
-	// no payload bytes are staged and — critically — evictions never write
-	// to the device. In group mode the device bytes are maintained directly
-	// by the space; a stale staged payload flushing over them would corrupt
-	// the authoritative image, and the read-modify-write media read of a
-	// partial eviction would race other workers' direct device writes.
-	dataless bool
 }
 
 // xpSlot is the per-slot state the bank walks: LRU links, block address and
@@ -69,7 +61,7 @@ type xpBlock [LinesPerBlock][LineSize]byte
 type xpBank struct {
 	mu    uint64 // lockWord/unlockWord
 	slots []xpSlot
-	data  []xpBlock // payload of each slot; nil in a dataless buffer
+	data  []xpBlock // payload of each slot
 	index xpIndex   // blockAddr -> slot
 	head  int32     // most recently used
 	tail  int32     // least recently used
@@ -154,8 +146,8 @@ func (x *xpIndex) del(blockAddr uint64) {
 
 // NewXPBuffer creates a buffer with the given total capacity in bytes spread
 // over nbanks banks. Capacity is rounded so each bank holds at least one
-// slot. A dataless buffer (see XPBuffer.dataless) allocates no payloads.
-func NewXPBuffer(dev *Device, capacityBytes, nbanks int, dataless bool) *XPBuffer {
+// slot.
+func NewXPBuffer(dev *Device, capacityBytes, nbanks int) *XPBuffer {
 	if nbanks < 1 {
 		nbanks = 1
 	}
@@ -163,13 +155,11 @@ func NewXPBuffer(dev *Device, capacityBytes, nbanks int, dataless bool) *XPBuffe
 	if slotsPerBank < 1 {
 		slotsPerBank = 1
 	}
-	b := &XPBuffer{dev: dev, banks: make([]xpBank, nbanks), dataless: dataless}
+	b := &XPBuffer{dev: dev, banks: make([]xpBank, nbanks)}
 	for i := range b.banks {
 		bank := &b.banks[i]
 		bank.slots = make([]xpSlot, slotsPerBank)
-		if !dataless {
-			bank.data = make([]xpBlock, slotsPerBank)
-		}
+		bank.data = make([]xpBlock, slotsPerBank)
 		bank.index = newXPIndex(slotsPerBank)
 		bank.head, bank.tail = -1, -1
 		// Chain all slots onto the free list through their next links.
@@ -211,9 +201,7 @@ func (b *XPBuffer) WriteLine(clk *sim.Clock, lineAddr uint64, data *[LineSize]by
 		si = b.allocSlotLocked(clk, sh, bank, blockAddr)
 		bank.slots[si].mask = 1 << lineIdx
 	}
-	if !b.dataless {
-		bank.data[si][lineIdx] = *data
-	}
+	bank.data[si][lineIdx] = *data
 	unlockWord(&bank.mu)
 }
 
@@ -242,14 +230,11 @@ func (b *XPBuffer) ReadLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte
 	}
 	// A line not written is the media's content, copied from the device
 	// under the bank lock like evictions' media writes, so a read never
-	// observes a torn concurrent write-back. Dataless buffers copy nothing
-	// (the caller reads the device itself; see XPBuffer.dataless).
-	if !b.dataless {
-		if s.mask&bit != 0 {
-			*dst = bank.data[si][lineIdx]
-		} else {
-			b.dev.readLineInto(lineAddr, dst)
-		}
+	// observes a torn concurrent write-back.
+	if s.mask&bit != 0 {
+		*dst = bank.data[si][lineIdx]
+	} else {
+		b.dev.readLineInto(lineAddr, dst)
 	}
 	unlockWord(&bank.mu)
 	if hit {
@@ -313,9 +298,7 @@ func (b *XPBuffer) evictSlotLocked(clk *sim.Clock, sh *StatShard, bank *xpBank, 
 			clk.Advance(sim.MediaReadBlock)
 		}
 	}
-	if !b.dataless {
-		b.dev.writeLines(s.blockAddr, &bank.data[si], s.mask)
-	}
+	b.dev.writeLines(s.blockAddr, &bank.data[si], s.mask)
 	sh.MediaWrites.Add(1)
 	sh.BytesToMedia.Add(BlockSize)
 	clk.Advance(sim.MediaWriteBlock)

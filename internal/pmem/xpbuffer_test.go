@@ -34,8 +34,8 @@ func TestReadAllocateSiblingsHit(t *testing.T) {
 // without a media write, a fault point or a hook event.
 func TestCleanSlotEvictionIsFree(t *testing.T) {
 	dev := NewDevice(1 << 20)
-	b := NewXPBuffer(dev, BlockSize, 1, false) // one bank of one slot
-	plan := &FaultPlan{}                       // N == 0: counts only
+	b := NewXPBuffer(dev, BlockSize, 1) // one bank of one slot
+	plan := &FaultPlan{}                // N == 0: counts only
 	b.faults = plan
 	hooks := 0
 	b.hook = func(uint64, FlushKind, uint64, uint64, uint64) { hooks++ }
@@ -64,23 +64,19 @@ func TestCleanSlotEvictionIsFree(t *testing.T) {
 // TestWholeBlockEvictionSkipsRead: a partial slot whose unwritten lines a
 // read brought in is written to the media without the read-modify-write's
 // read; a slot whose block was never read still pays it. Both stay partial
-// block writes to the counters, the fault plan and the hook, and a dataless
-// (group-mode) buffer charges the same time.
+// block writes to the counters, the fault plan and the hook.
 func TestWholeBlockEvictionSkipsRead(t *testing.T) {
 	for _, c := range []struct {
 		name           string
 		readFirst      bool
-		dataless       bool
 		reads, wholeEv uint64
 	}{
-		{"read-in block", true, false, 1, 1},
-		{"cold block", false, false, 1, 0},
-		{"read-in block, dataless", true, true, 1, 1},
-		{"cold block, dataless", false, true, 1, 0},
+		{"read-in block", true, 1, 1},
+		{"cold block", false, 1, 0},
 	} {
 		dev := NewDevice(1 << 20)
-		b := NewXPBuffer(dev, BlockSize, 1, c.dataless) // one bank of one slot
-		plan := &FaultPlan{}                            // N == 0: counts only
+		b := NewXPBuffer(dev, BlockSize, 1) // one bank of one slot
+		plan := &FaultPlan{}                // N == 0: counts only
 		b.faults = plan
 		var kinds []FlushKind
 		b.hook = func(_ uint64, k FlushKind, _, _, _ uint64) { kinds = append(kinds, k) }
@@ -109,7 +105,7 @@ func TestWholeBlockEvictionSkipsRead(t *testing.T) {
 		}
 		var got [LineSize]byte
 		dev.readLineInto(LineSize, &got)
-		if want := byte(0x5a); !c.dataless && got[0] != want {
+		if want := byte(0x5a); got[0] != want {
 			t.Errorf("%s: line 1 reads %#x from the device, want %#x", c.name, got[0], want)
 		}
 	}
@@ -145,7 +141,7 @@ func TestTearDrawsOnlyWrittenSlots(t *testing.T) {
 	clk := sim.NewClock()
 	var line [LineSize]byte
 	for seed := uint64(1); seed <= 64; seed++ {
-		b := NewXPBuffer(dev, 8*BlockSize, 1, false)
+		b := NewXPBuffer(dev, 8*BlockSize, 1)
 		bank := &b.banks[0]
 		for i := uint64(0); i < 7; i++ {
 			b.ReadLine(clk, i*BlockSize, &line)

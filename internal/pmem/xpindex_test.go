@@ -87,7 +87,7 @@ func FuzzXPIndex(f *testing.F) {
 // must still be found (and merge) afterwards.
 func TestTearOneKeepsIndexConsistent(t *testing.T) {
 	dev := NewDevice(1 << 20)
-	b := NewXPBuffer(dev, 8*BlockSize, 1, false)
+	b := NewXPBuffer(dev, 8*BlockSize, 1)
 	clk := sim.NewClock()
 	var line [LineSize]byte
 	for i := 0; i < 8; i++ {

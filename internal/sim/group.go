@@ -1,115 +1,122 @@
 package sim
 
-import (
-	"sort"
-	"sync"
-)
-
-// Group is the deterministic round-barrier scheduler behind worker-parallel
-// cells (bulk-synchronous, in the spirit of conservative parallel
-// discrete-event simulation).
+// Group is the deterministic scheduler behind worker-parallel cells, in the
+// spirit of conservative discrete-event simulation: the workers are real
+// goroutines over one shared simulated machine, and exactly one of them runs
+// at a time — the one holding the token.
 //
-// Workers run as real goroutines, each advancing its own virtual clock
-// freely while every access it makes stays in worker-private state (private
-// timing caches, a private log window, a private concurrency-control word
-// overlay). A worker's crossing into shared simulated state — installing a
-// commit, publishing versions, retiring heap slots — is *deferred*: the
-// worker packages the crossing as an Attempt and parks in Submit. When every
-// live worker of the round has submitted (or left), the last arrival replays
-// all attempts in canonical merge order — ascending Attempt.Order, which
-// callers derive from (virtual time, worker id) — with every other worker
-// parked, then releases the round. The replay is single-threaded and its
-// order is a pure function of virtual time, so results are byte-identical
-// for any host interleaving and any GOMAXPROCS.
+// A worker calls Yield(w) at each of its safe points. Its first safe point of
+// a phase waits for the token. At every later one it hands the token to the
+// live worker with the smallest virtual clock (ties to the lowest id) when
+// that worker is strictly behind it, and waits until the token comes back.
+// Leave(w) takes the worker out of the phase and passes the token on; a
+// worker that never reached a safe point waits for the token first. Pass(w)
+// hands the token on unconditionally, for a spin-wait that cannot finish
+// until another worker runs.
 //
-// A round therefore spans exactly one transaction attempt per worker: a
-// worker that aborts against round-frozen state submits an empty attempt and
-// retries in the next round (see Engine.Run), preserving the no-wait
-// abort-retry cost model in virtual time.
+// Which worker runs next is a pure function of the virtual clocks, so the
+// interleaving — and with it every simulated event — is the same on every
+// host schedule and at any GOMAXPROCS. The workers' code needs no ordering of
+// its own beyond one rule: no host lock may be held across a safe point, or
+// the parked holder of that lock would stall the worker holding the token.
+//
+// Only the token holder reads or writes the live set and the clocks; the
+// handoff over wake orders those accesses.
 type Group struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	// replay applies the round's attempts in canonical order. It runs on
-	// whichever worker goroutine arrived last, with all other workers parked
-	// and g.mu held: it has exclusive access to all shared state.
-	replay func(atts []*Attempt)
-	// active is the number of workers still running in the current phase.
-	active int
-	// pending holds this round's submissions.
-	pending []*Attempt
-	// round increments after each barrier; parked workers wait on it.
-	round uint64
+	clocks []*Clock
+	// live marks the workers still in the current phase.
+	live []bool
+	// next is the holder's successor: the live worker other than the holder
+	// with the smallest (clock, id), -1 for none. The others are parked while
+	// the holder runs, so it holds until the token moves.
+	next int
+	// wake[w] carries the token to worker w (capacity one).
+	wake []chan struct{}
+	// started[w] is set once worker w has waited for the token in this
+	// phase. Only worker w touches it while the phase runs.
+	started []bool
 }
 
-// Attempt is one worker's deferred crossing into shared state.
-type Attempt struct {
-	// Order is the canonical merge key: callers pack (virtual time,
-	// worker id) so ties across workers cannot occur.
-	Order uint64
-	// Data is the scheduler-opaque payload (the engine's transaction).
-	// Nil marks an empty attempt: a worker that already aborted against
-	// round-frozen state and only needs to wait out the round.
-	Data any
-	// OK carries the replay verdict back to the submitting worker: whether
-	// the attempt committed. Why it did not is the payload's business.
-	OK bool
-}
-
-// NewGroup returns a scheduler that applies each round's attempts with
-// replay. See Group for the threading contract.
-func NewGroup(replay func(atts []*Attempt)) *Group {
-	g := &Group{replay: replay}
-	g.cond = sync.NewCond(&g.mu)
+// NewGroup returns a scheduler over the workers whose virtual clocks are
+// clocks (worker w's is clocks[w]).
+func NewGroup(clocks []*Clock) *Group {
+	g := &Group{
+		clocks:  clocks,
+		live:    make([]bool, len(clocks)),
+		wake:    make([]chan struct{}, len(clocks)),
+		started: make([]bool, len(clocks)),
+	}
+	for w := range g.wake {
+		g.wake[w] = make(chan struct{}, 1)
+	}
 	return g
 }
 
-// Begin opens a phase with n live workers. The caller must be quiescent (no
-// worker inside Submit).
+// Begin opens a phase with workers 0..n-1 live and hands the token to the
+// most-behind of them. The caller must be quiescent: the previous phase's
+// workers have all left, and this phase's have not started.
 func (g *Group) Begin(n int) {
-	g.mu.Lock()
-	g.active = n
-	g.mu.Unlock()
+	for w := range g.live {
+		g.live[w], g.started[w] = w < n, false
+	}
+	if m := g.behind(-1); m >= 0 {
+		g.wake[m] <- struct{}{}
+	}
 }
 
-// Submit hands in the worker's attempt for this round and parks until the
-// round's barrier has replayed it; the verdict is in att.OK on return. The last worker to arrive runs the replay itself.
-func (g *Group) Submit(att *Attempt) {
-	g.mu.Lock()
-	g.pending = append(g.pending, att)
-	if len(g.pending) >= g.active {
-		g.runBarrierLocked()
-	} else {
-		r := g.round
-		for g.round == r {
-			g.cond.Wait()
+// Yield is worker w's safe point: it waits for the token the first time and
+// otherwise hands it to a worker strictly behind w, if there is one, until it
+// returns.
+func (g *Group) Yield(w int) {
+	if !g.started[w] {
+		g.started[w] = true
+		g.wait(w)
+		return
+	}
+	if n := g.next; n >= 0 && g.clocks[n].Nanos() < g.clocks[w].Nanos() {
+		g.wake[n] <- struct{}{}
+		g.wait(w)
+	}
+}
+
+// Pass hands the token from worker w, which holds it, to the most-behind
+// other live worker whatever their clocks, and waits for it to come back. A
+// spin-wait calls it: the worker it waits for cannot run while w holds the
+// token, and w's clock need not move for the rule in Yield to let it.
+func (g *Group) Pass(w int) {
+	if n := g.next; n >= 0 {
+		g.wake[n] <- struct{}{}
+		g.wait(w)
+	}
+}
+
+// Leave takes worker w out of the phase (it finished its quota or failed) and
+// passes the token to the most-behind worker still live.
+func (g *Group) Leave(w int) {
+	if !g.started[w] {
+		g.started[w] = true
+		<-g.wake[w]
+	}
+	g.live[w] = false
+	if m := g.behind(-1); m >= 0 {
+		g.wake[m] <- struct{}{}
+	}
+}
+
+// wait parks worker w until the token reaches it, then picks its successor.
+func (g *Group) wait(w int) {
+	<-g.wake[w]
+	g.next = g.behind(w)
+}
+
+// behind returns the live worker other than skip with the smallest (clock,
+// id), or -1 when there is none.
+func (g *Group) behind(skip int) int {
+	m := -1
+	for w, ok := range g.live {
+		if ok && w != skip && (m < 0 || g.clocks[w].Nanos() < g.clocks[m].Nanos()) {
+			m = w
 		}
 	}
-	g.mu.Unlock()
-}
-
-// Leave retires the calling worker from the phase (it finished its quota or
-// failed). If it was the last worker the round was waiting on, the barrier
-// runs on this goroutine.
-func (g *Group) Leave() {
-	g.mu.Lock()
-	if g.active > 0 {
-		g.active--
-	}
-	if len(g.pending) > 0 && len(g.pending) >= g.active {
-		g.runBarrierLocked()
-	}
-	g.mu.Unlock()
-}
-
-// runBarrierLocked replays the round and wakes the parked workers. Called
-// with g.mu held.
-func (g *Group) runBarrierLocked() {
-	atts := g.pending
-	g.pending = nil
-	sort.Slice(atts, func(i, j int) bool { return atts[i].Order < atts[j].Order })
-	if g.replay != nil {
-		g.replay(atts)
-	}
-	g.round++
-	g.cond.Broadcast()
+	return m
 }

@@ -1,131 +1,209 @@
 package sim
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
-// TestGroupCanonicalOrder drives N workers through R rounds with
-// deliberately skewed virtual orders and asserts every round's replay sees
-// the attempts sorted by Order, regardless of goroutine arrival order.
-func TestGroupCanonicalOrder(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const workers, rounds = 8, 50
-	var replayed [][]uint64
-	g := NewGroup(func(atts []*Attempt) {
-		var orders []uint64
-		for _, a := range atts {
-			orders = append(orders, a.Order)
-			a.OK = true
-		}
-		replayed = append(replayed, orders)
-	})
-	g.Begin(workers)
+// event is one iteration of a worker in a Group: who ran, at what virtual
+// time.
+type event struct {
+	w   int
+	now uint64
+}
+
+// runGroup runs len(iters) workers through one phase: worker w makes
+// iters[w] iterations of Yield, log, advance by steps[w], then leaves. stop,
+// when non-nil, is consulted under the token before each iteration; a true
+// return makes the worker leave at once (a phase canceled by a failed
+// worker). It returns the log, failing the test if the phase hangs.
+func runGroup(t *testing.T, procs int, steps []uint64, iters []int, stop func(w, i int) bool) []event {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	clocks := make([]*Clock, len(steps))
+	for w := range clocks {
+		clocks[w] = NewWorkerClock(w)
+	}
+	g := NewGroup(clocks)
+	var log []event // appended by the token holder only
+	g.Begin(len(steps))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range steps {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer g.Leave()
-			for r := 0; r < rounds; r++ {
-				// Skew orders so the canonical order differs from worker
-				// order: worker w submits (rounds-r)*100 + w.
-				att := &Attempt{Order: uint64((rounds-r)*100 + w)}
-				g.Submit(att)
-				if !att.OK {
-					t.Errorf("worker %d round %d: verdict not delivered", w, r)
+			defer g.Leave(w)
+			for i := 0; i < iters[w]; i++ {
+				g.Yield(w)
+				if stop != nil && stop(w, i) {
 					return
 				}
+				log = append(log, event{w, clocks[w].Nanos()})
+				clocks[w].Advance(steps[w])
 			}
 		}(w)
 	}
-	wg.Wait()
-	if len(replayed) != rounds {
-		t.Fatalf("got %d rounds, want %d", len(replayed), rounds)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the phase hung")
 	}
-	for r, orders := range replayed {
-		if len(orders) != workers {
-			t.Fatalf("round %d: %d attempts, want %d", r, len(orders), workers)
+	return log
+}
+
+// modelGroup replays the token rule serially: the holder runs an iteration,
+// then, unless that was its last, hands the token to the live worker with the
+// smallest (clock, id) when that worker is strictly behind it; a worker out of
+// iterations leaves and the token goes to the smallest (clock, id) still live.
+func modelGroup(steps []uint64, iters []int) []event {
+	n := len(steps)
+	clk, done, live := make([]uint64, n), make([]int, n), make([]bool, n)
+	for w := range live {
+		live[w] = true
+	}
+	behind := func(skip int) int {
+		m := -1
+		for w := range live {
+			if live[w] && w != skip && (m < 0 || clk[w] < clk[m]) {
+				m = w
+			}
 		}
-		for i := 1; i < len(orders); i++ {
-			if orders[i-1] >= orders[i] {
-				t.Fatalf("round %d: replay out of canonical order: %v", r, orders)
+		return m
+	}
+	var log []event
+	for h := behind(-1); h >= 0; {
+		if done[h] == iters[h] {
+			live[h] = false
+			h = behind(-1)
+			continue
+		}
+		log = append(log, event{h, clk[h]})
+		clk[h] += steps[h]
+		done[h]++
+		if m := behind(h); done[h] < iters[h] && m >= 0 && clk[m] < clk[h] {
+			h = m
+		}
+	}
+	return log
+}
+
+// TestGroupCanonicalOrder: the token moves in (clock, id) order — the run
+// equals the serial model of the rule on every schedule — for equal steps
+// (every handoff a tie between candidates), skewed steps, and workers with
+// different quotas.
+func TestGroupCanonicalOrder(t *testing.T) {
+	// Two workers stepping 2: worker 0 starts (ids break the tie at zero), and
+	// a holder tied with the other worker keeps the token.
+	want := []event{{0, 0}, {1, 0}, {1, 2}, {0, 2}, {0, 4}, {1, 4}}
+	if got := modelGroup([]uint64{2, 2}, []int{3, 3}); !slices.Equal(got, want) {
+		t.Fatalf("model: %v, want %v", got, want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	cases := [][2][]int{
+		{{2, 2}, {3, 3}},
+		{{5, 5, 5, 5, 5, 5, 5, 5}, {40, 40, 40, 40, 40, 40, 40, 40}},
+		{{10, 1, 1}, {20, 50, 50}},
+	}
+	for i := 0; i < 5; i++ {
+		var steps, iters []int
+		for w := 0; w < 2+rng.Intn(7); w++ {
+			steps = append(steps, 1+rng.Intn(100))
+			iters = append(iters, 1+rng.Intn(60))
+		}
+		cases = append(cases, [2][]int{steps, iters})
+	}
+	for _, c := range cases {
+		steps := make([]uint64, len(c[0]))
+		for w, s := range c[0] {
+			steps[w] = uint64(s)
+		}
+		want := modelGroup(steps, c[1])
+		for _, procs := range []int{1, 4, 4} {
+			if got := runGroup(t, procs, steps, c[1], nil); !slices.Equal(got, want) {
+				t.Fatalf("steps %v, iterations %v, GOMAXPROCS %d:\n got  %v\n want %v", steps, c[1], procs, got, want)
 			}
 		}
 	}
 }
 
-// TestGroupEarlyLeave retires workers at different rounds and checks the
-// remaining workers keep making progress: a departing worker must release
-// any round that was only waiting on it.
+// TestGroupEarlyLeave: a worker that leaves before its first safe point (no
+// iterations) waits its turn for the token and passes it on, and the others
+// finish in the model's order. Workers 1 and 4 leave so; worker 0 has the
+// token first, so neither may leave at once.
 func TestGroupEarlyLeave(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const workers = 6
-	var mu sync.Mutex
-	perRound := make(map[int]int)
-	g := NewGroup(func(atts []*Attempt) {
-		mu.Lock()
-		perRound[len(perRound)] = len(atts)
-		mu.Unlock()
-		for _, a := range atts {
-			a.OK = true
+	steps := []uint64{3, 1, 4, 1, 5}
+	iters := []int{30, 0, 20, 1, 0}
+	want := modelGroup(steps, iters)
+	for _, procs := range []int{1, 4} {
+		if got := runGroup(t, procs, steps, iters, nil); !slices.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS %d:\n got  %v\n want %v", procs, got, want)
 		}
-	})
-	g.Begin(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer g.Leave()
-			// Worker w participates in w+1 rounds, so the live set shrinks
-			// by one each round.
-			for r := 0; r <= w; r++ {
-				g.Submit(&Attempt{Order: uint64(r*workers + w)})
+	}
+	if got := runGroup(t, 4, steps, []int{0, 0, 0, 0, 0}, nil); len(got) != 0 {
+		t.Fatalf("a phase every worker leaves at once ran %v", got)
+	}
+}
+
+// TestGroupWorkerFailsMidPhase: a worker that fails mid-phase raises a flag
+// the others read under the token and leaves; the phase ends, and where each
+// worker stopped is the same on every schedule.
+func TestGroupWorkerFailsMidPhase(t *testing.T) {
+	steps := []uint64{7, 3, 5, 2}
+	iters := []int{100, 100, 100, 100}
+	var first []event
+	for _, procs := range []int{1, 4, 4} {
+		failed := false
+		log := runGroup(t, procs, steps, iters, func(w, i int) bool {
+			if w == 2 && i == 10 {
+				failed = true
 			}
-		}(w)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(perRound) != workers {
-		t.Fatalf("got %d rounds, want %d", len(perRound), workers)
-	}
-	for r := 0; r < workers; r++ {
-		if perRound[r] != workers-r {
-			t.Fatalf("round %d: %d attempts, want %d", r, perRound[r], workers-r)
+			return failed
+		})
+		if len(log) == 0 || len(log) >= 400 {
+			t.Fatalf("GOMAXPROCS %d: %d iterations ran around a failure at worker 2's eleventh", procs, len(log))
+		}
+		if first == nil {
+			first = log
+		} else if !slices.Equal(log, first) {
+			t.Fatalf("GOMAXPROCS %d: the canceled phase ran\n %v\nnot\n %v", procs, log, first)
 		}
 	}
 }
 
-// TestGroupEmptyAttempts mixes nil-Data (abort wait-out) attempts with real
-// ones and checks both park until the same barrier.
-func TestGroupEmptyAttempts(t *testing.T) {
-	g := NewGroup(func(atts []*Attempt) {
-		for _, a := range atts {
-			a.OK = a.Data != nil
-		}
-	})
+// TestGroupPassUnblocksSpin: a worker spinning on a flag another worker sets
+// hands the token on with Pass and gets out, though its clock never moves
+// and the setter's is ahead.
+func TestGroupPassUnblocksSpin(t *testing.T) {
+	clocks := []*Clock{NewWorkerClock(0), NewWorkerClock(1)}
+	g := NewGroup(clocks)
+	clocks[1].Advance(100)
+	set, spins := false, 0
 	g.Begin(2)
-	done := make(chan *Attempt, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
 	go func() {
-		a := &Attempt{Order: 1, Data: "txn"}
-		g.Submit(a)
-		done <- a
+		defer wg.Done()
+		defer g.Leave(0)
+		g.Yield(0)
+		for !set {
+			spins++
+			g.Pass(0)
+		}
 	}()
 	go func() {
-		a := &Attempt{Order: 2}
-		g.Submit(a)
-		done <- a
+		defer wg.Done()
+		defer g.Leave(1)
+		g.Yield(1)
+		set = true
 	}()
-	a1, a2 := <-done, <-done
-	if a1.Data == nil {
-		a1, a2 = a2, a1
+	wg.Wait()
+	if spins != 1 {
+		t.Fatalf("the spin took %d passes, want 1", spins)
 	}
-	if !a1.OK || a2.OK {
-		t.Fatalf("verdicts: real=%v empty=%v, want true/false", a1.OK, a2.OK)
-	}
-	g.Leave()
-	g.Leave()
 }

@@ -12,15 +12,11 @@
 //     is persisted in the durable epoch marker.
 //
 // Epoch membership is a pure function of virtual time — epoch id
-// v/EpochNanos+1 — so group formation is byte-identical across GOMAXPROCS in
-// the deterministic worker-parallel mode. A publisher whose clock lags behind
-// the sealed marker (its epoch already sealed) cannot re-open the sealed id —
-// that would regress the marker. Free-running workers future-date such
-// records into the first unsealed epoch (coalescing survives clock drift;
-// reclaims still never stall because the reclaimer seals immediately), while
-// deterministic group mode falls back to the per-commit drain (epoch 0) so a
-// laggard's slot reclaims never chain to the fastest clock in the system
-// through the bounded timeout.
+// v/EpochNanos+1. A publisher whose clock lags behind the sealed marker (its
+// epoch already sealed) cannot re-open the sealed id — that would regress the
+// marker — so it future-dates the record into the first unsealed epoch
+// (coalescing survives clock drift; reclaims still never stall because the
+// reclaimer seals immediately).
 // Leadership is implicit and also virtual-time-derived: whichever committer
 // first crosses an epoch's boundary seals everything that expired before it
 // (sealExpired), playing the leader's role of batching the enlisted windows'
@@ -29,8 +25,7 @@
 // seals it on the spot (reclaimWait — the group-wait phase). The epoch
 // boundary is an upper bound on an epoch's lifetime, never a lower one, so
 // singleton commits stall at most one epoch and slot reclaims do not stall at
-// all outside deterministic group mode (where seals must defer to the round
-// barrier and the reclaimer pays the bounded timeout instead).
+// all.
 //
 // Crash atomicity per epoch: the seal orders record trains → fence → marker
 // publish → fence → data trains. The XPBuffer drains even on an ADR crash,
@@ -73,11 +68,8 @@ type pendingEpoch struct {
 // epochs, the durable epoch marker, and the seal machinery. Windows publish
 // into it; any committer crossing an epoch boundary seals what expired.
 //
-// The mutex serializes free-running workers. In deterministic group mode
-// every state mutation happens inside the round barrier (publishes run in
-// the canonical replay) except reclaimWait, which only advances the calling
-// worker's clock and counters — deferSeal keeps worker-side callers from
-// sealing outside the barrier.
+// The mutex serializes free-running workers; it is never held across a call
+// out of the board.
 type EpochBoard struct {
 	mu         sync.Mutex
 	space      pmem.Space
@@ -86,10 +78,6 @@ type EpochBoard struct {
 	// marker mirrors the durable epoch marker: the highest sealed epoch id.
 	marker  uint64
 	pending []*pendingEpoch // ascending id
-	// deferSeal, set while the deterministic group scheduler is active,
-	// forbids sealing from worker-side call sites (reclaimWait); expired
-	// epochs then seal inside the round barrier via sealExpired.
-	deferSeal bool
 
 	// stats, guarded by mu; snapshots are taken while workers are quiescent.
 	sealed      uint64
@@ -116,36 +104,18 @@ func NewEpochBoard(space pmem.Space, markerOff, epochNanos uint64) *EpochBoard {
 // epoch" in the marker).
 func (b *EpochBoard) epochOf(v uint64) uint64 { return v/b.epochNanos + 1 }
 
-// EnterGroup switches the board into deterministic group mode: worker-side
-// slot reclaims stop sealing (the round barrier seals instead). Must be
-// called while workers are quiescent.
-func (b *EpochBoard) EnterGroup() { b.deferSeal = true }
-
-// LeaveGroup reverts EnterGroup.
-func (b *EpochBoard) LeaveGroup() { b.deferSeal = false }
-
 // enlist assigns the publishing record its virtual time's epoch and stores
 // the record's flush obligations for the seal. The span slices are copied.
 //
 // A publisher whose clock lags the sealed marker (its own epoch already
-// sealed) is handled per mode. Free-running workers future-date the record
-// into the first unsealed epoch: drifted clocks keep coalescing into shared
-// epochs, and nothing ever stalls on the future boundary because a
-// free-running reclaimer seals on the spot. In deterministic group mode a
-// future-dated epoch would pin the laggard's slot reclaims to the bounded
-// timeout — the fastest clock in the system — so enlist instead returns 0
-// and records nothing: the caller drains the record per-commit, keeping
-// laggards (rare there; round barriers hold clocks together) independent of
-// the leaders' clocks.
+// sealed) future-dates the record into the first unsealed epoch: drifted
+// clocks keep coalescing into shared epochs, and nothing ever stalls on the
+// future boundary because a reclaimer seals on the spot.
 func (b *EpochBoard) enlist(clk *sim.Clock, recSpans, dataSpans []pmem.Span) uint64 {
 	v := clk.Nanos()
 	b.mu.Lock()
 	id := b.epochOf(v)
 	if id <= b.marker {
-		if b.deferSeal {
-			b.mu.Unlock()
-			return 0
-		}
 		id = b.marker + 1
 	}
 	p := b.pendingFor(id)
@@ -222,21 +192,13 @@ func (b *EpochBoard) SealAll(clk *sim.Clock, pr *obs.Probe) {
 // is not sealed yet — overwriting it before the seal would void the epoch's
 // durability. The reclaimer becomes the epoch's leader and seals through id
 // on the spot: sealing early is always permitted (the boundary bounds an
-// epoch's lifetime from above) and strictly better than stalling. In
-// deterministic group mode worker-side sealing would race the round barrier,
-// so the worker instead advances to the epoch boundary — the bounded
-// timeout — and its own commit tail, then past the boundary, seals the epoch
-// in canonical order (sealExpired). The caller attributes the virtual time
-// the reclaim cost to the group-wait phase.
+// epoch's lifetime from above) and strictly better than stalling. The caller
+// attributes the virtual time the reclaim cost to the group-wait phase.
 func (b *EpochBoard) reclaimWait(clk *sim.Clock, pr *obs.Probe, id uint64) {
 	b.mu.Lock()
 	if id > b.marker {
 		b.forcedSeals++
-		if !b.deferSeal {
-			b.sealUpToLocked(clk, pr, id)
-		} else if now, bound := clk.Nanos(), id*b.epochNanos; bound > now {
-			clk.Advance(bound - now)
-		}
+		b.sealUpToLocked(clk, pr, id)
 	}
 	b.mu.Unlock()
 }

@@ -418,19 +418,13 @@ func (l *TxnLog) Commit(clk *sim.Clock) {
 // enlist on the epoch board, but nothing is fenced or flushed here. The
 // durable point comes when the epoch seals. The caller enlists its deferred
 // tuple spans via EnlistData and then plays lazy leader with SealExpired.
-// Returns the epoch id the record joined — or 0 when the publisher's clock
-// lags the sealed marker, in which case the record is drained per-commit on
-// the spot (it is durable from the return, like the classic Commit path) and
-// never waits on a leader.
+// Returns the epoch id the record joined.
 func (l *TxnLog) Publish(clk *sim.Clock) uint64 {
 	l.commitStats()
 	var buf [2]pmem.Span
 	epoch := l.w.board.enlist(clk, l.pendingSpans(buf[:0]), nil)
 	l.publishHeader(clk, StatePublished, epoch)
 	l.w.slotEpoch[l.slot] = epoch
-	if epoch == 0 {
-		l.drainPending(clk)
-	}
 	return epoch
 }
 
