@@ -23,14 +23,15 @@ lines:
 
 # The race lane, here and in CI (ci.yml runs this target, so there is one
 # package list): -short trims property-check sample counts. sim holds the group
-# scheduler's round barrier, which no other lane runs under the detector.
+# scheduler's token handoff, whose own tests no other lane runs under the
+# detector.
 race:
 	go test -race -short ./internal/obs ./internal/bench ./internal/pmem ./internal/index ./internal/core ./internal/wal ./internal/heap ./internal/alloc ./internal/sim ./internal/cc ./internal/version ./internal/workload/ycsb
 
 # Worker-parallel race lane: the same engine/simulation packages plus the
-# crash-consistency oracle, with GOMAXPROCS=4 so the group scheduler's round
-# barriers, per-worker timing partitions, and the free-running spin-locked
-# paths actually interleave across cores under the race detector. The index
+# crash-consistency oracle, with GOMAXPROCS=4 so the group scheduler's token
+# handoffs and the free-running spin-locked paths actually run across cores
+# under the race detector. The index
 # and TPC-C packages are here for the B-tree's lock-free readers: what they
 # load beside a writer (root, nextFree, the sequence word) must be atomic.
 # -count=1 because GOMAXPROCS is not part of Go's test-cache key: right after
@@ -135,9 +136,10 @@ contend-smoke:
 # core.Table.Load, the chunked -stream phase into one window per cell, the
 # histogram dump into obs.Histogram, the recovery report's time fields into
 # its probe's phases, and the cost model, the shared stop flag and the
-# single-valued workload settings into constants, and the cache's
-# power-of-two "effective" share into exact set counts; fail when a removed
-# spelling comes back (same
+# single-valued workload settings into constants, the cache's
+# power-of-two "effective" share into exact set counts, and group mode's
+# round-barrier replay, per-worker timing caches and deferred epoch seals into
+# the one machine under a token; fail when a removed spelling comes back (same
 # lane CI runs). CHANGES.md, ROADMAP.md, benchmark/ and EXPERIMENTS.md's dated
 # sections are history and exempt. The [-], the [R]s and the like keep this
 # recipe from matching itself.
@@ -153,6 +155,8 @@ old-spellings:
 	! grep -rnE 'Cost[M]odel|Stop[F]lag|Err[S]topped|Workload[S]eed|Orders[P]erDistrict' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
 	! grep -rnE '\bCache[S]hare\b|effective [c]ache' \
+		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+	! grep -rnE 'det[R]eplay|defer[S]eal|[d]ataless|ConflictDet[B]arrier|Barrier[T]ick|note[C]ommitted|det[T]ID' \
 		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
 
 # Every Go file gofmt-clean, benchmark/ included (same lane CI runs).
