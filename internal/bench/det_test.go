@@ -14,19 +14,19 @@ import (
 	"falcon/internal/workload/ycsb"
 )
 
-// runParYCSB runs a fixed seeded YCSB-A Zipfian cell on workers workers —
-// through the deterministic group scheduler when par is set — and returns the
-// full Result serialized as JSON. With group set, the engine commits through
-// leader-based group commit, whose epoch seals then follow the token's
-// virtual-time order, which is exactly the mechanism these tests must pin
-// down.
-func runParYCSB(t *testing.T, procs int, group bool, workers int, par bool) []byte {
+// runParYCSB runs a fixed seeded YCSB-A cell with keys drawn from dist on
+// workers workers — through the deterministic group scheduler when par is
+// set — and returns the full Result serialized as JSON. With group set, the
+// engine commits through leader-based group commit, whose epoch seals then
+// follow the token's virtual-time order, which is exactly the mechanism these
+// tests must pin down.
+func runParYCSB(t *testing.T, procs int, group bool, workers int, par bool, dist ycsb.Distribution) []byte {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	ecfg := core.FalconConfig()
 	ecfg.GroupCommit = group
 	ecfg.Threads = workers
-	e, d, err := NewYCSB(ecfg, ycsb.Config{Records: 2000, Fields: 4, FieldBytes: 32, Workload: ycsb.A, Distribution: ycsb.Zipfian})
+	e, d, err := NewYCSB(ecfg, ycsb.Config{Records: 2000, Fields: 4, FieldBytes: 32, Workload: ycsb.A, Distribution: dist})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func runParTPCC(t *testing.T, procs int, group bool, workers int, par bool) []by
 // TestParWorkersDeterministicJSON is the benchmark-level determinism gate:
 // with worker-parallel cells enabled, the serialized Result must be
 // byte-identical whether the host runs the workers on one core or four, for
-// both YCSB-A and TPC-C. And group mode is the free-running machine: one
+// YCSB-A under Uniform and Zipfian keys and for TPC-C. And group mode is the free-running machine: one
 // worker's Result is the free-running one's byte for byte, but for the
 // ParWorkers key.
 func TestParWorkersDeterministicJSON(t *testing.T) {
@@ -94,7 +94,15 @@ func TestParWorkersDeterministicJSON(t *testing.T) {
 		for _, c := range []struct {
 			name string
 			run  func(t *testing.T, procs int, group bool, workers int, par bool) []byte
-		}{{"YCSB-A", runParYCSB}, {"TPC-C", runParTPCC}} {
+		}{
+			{"YCSB-A", func(t *testing.T, procs int, group bool, workers int, par bool) []byte {
+				return runParYCSB(t, procs, group, workers, par, ycsb.Uniform)
+			}},
+			{"YCSB-A Zipfian", func(t *testing.T, procs int, group bool, workers int, par bool) []byte {
+				return runParYCSB(t, procs, group, workers, par, ycsb.Zipfian)
+			}},
+			{"TPC-C", runParTPCC},
+		} {
 			t.Run(name(c.name), func(t *testing.T) {
 				serial := c.run(t, 1, group, 4, true)
 				par := c.run(t, 4, group, 4, true)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"falcon/internal/cc"
 	"falcon/internal/index"
@@ -250,6 +252,87 @@ func TestGroupModeVsLegacyVisibleState(t *testing.T) {
 	for k, v := range legacy {
 		if gv, ok := grouped[k]; !ok || gv != v {
 			t.Fatalf("key %d: legacy %d, group %v %v", k, v, gv, ok)
+		}
+	}
+}
+
+// TestGroupModeSpinnersReachParkedWriter: two snapshot readers spinning on a
+// row that a parked read-write transaction locked at exec time hand the token
+// on to the writer, not back and forth between themselves. MV2PL and MVTO
+// lock at exec time; the row was never updated, so its version chain is
+// empty and the readers have no older version to read. The readers start
+// behind the writer's first operation and far behind its commit, so the
+// writer locks the row and parks at Commit, and both readers spin.
+func TestGroupModeSpinnersReachParkedWriter(t *testing.T) {
+	for _, algo := range []cc.Algo{cc.MV2PL, cc.MVTO} {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/GOMAXPROCS=%d", algo, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				cfg := FalconConfig()
+				cfg.CC = algo
+				cfg.Threads = 3
+				sys := pmem.NewSystem(pmem.Config{DeviceBytes: 64 << 20})
+				e, err := New(sys, cfg, kvSpec(index.Hash, 1000))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tbl := e.Table("kv")
+				s := tbl.Schema()
+				const key = 7
+				if err := e.Run(0, func(tx *Txn) error {
+					return tx.Insert(tbl, key, encodeKV(s, key, 1))
+				}); err != nil {
+					t.Fatal(err)
+				}
+				e.ResetClocks()
+				e.Clock(1).Advance(10_000)
+				e.Clock(2).Advance(10_000)
+
+				e.EnterGroup()
+				e.Group().Begin(3)
+				errs := make([]error, 3)
+				got := make([]int64, 3)
+				var wg sync.WaitGroup
+				wg.Add(3)
+				go func() {
+					defer wg.Done()
+					defer e.Group().Leave(0)
+					errs[0] = e.Run(0, func(tx *Txn) error {
+						if err := tx.UpdateField(tbl, key, 1, s.GetBytes(encodeKV(s, key, 2), 1)); err != nil {
+							return err
+						}
+						tx.clk.Advance(1_000_000)
+						return nil
+					})
+				}()
+				for w := 1; w < 3; w++ {
+					go func(w int) {
+						defer wg.Done()
+						defer e.Group().Leave(w)
+						buf := make([]byte, s.TupleSize())
+						errs[w] = e.RunRO(w, func(tx *Txn) error {
+							return tx.Read(tbl, key, buf)
+						})
+						got[w] = s.GetInt64(buf, 1)
+					}(w)
+				}
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(20 * time.Second):
+					t.Fatal("the phase hung: the readers kept the token from the writer")
+				}
+				e.LeaveGroup()
+				for w, err := range errs {
+					if err != nil {
+						t.Fatalf("worker %d: %v", w, err)
+					}
+				}
+				if got[1] != 2 || got[2] != 2 {
+					t.Fatalf("the readers saw %d and %d, want the committed 2", got[1], got[2])
+				}
+			})
 		}
 	}
 }

@@ -452,7 +452,8 @@ func (tx *Txn) snapshotReadSlotSpin(t *Table, slot uint64, off, n int, dst []byt
 		// A writer newer than every chained version but older than our
 		// snapshot is mid-apply; wait for it. In group mode it cannot run
 		// while this worker holds the token, and the loop need not move this
-		// worker's clock: hand the token on whatever the clocks say.
+		// worker's clock: hand the token on whatever the clocks say, past the
+		// other spinners (sim.Group.Pass).
 		spins++
 		if g := tx.e.group; g != nil {
 			g.Pass(tx.worker)

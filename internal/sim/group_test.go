@@ -176,34 +176,79 @@ func TestGroupWorkerFailsMidPhase(t *testing.T) {
 	}
 }
 
-// TestGroupPassUnblocksSpin: a worker spinning on a flag another worker sets
-// hands the token on with Pass and gets out, though its clock never moves
-// and the setter's is ahead.
-func TestGroupPassUnblocksSpin(t *testing.T) {
-	clocks := []*Clock{NewWorkerClock(0), NewWorkerClock(1)}
+// passPhase runs one phase of spin-waits: worker w starts at clock starts[w],
+// spins with Pass until every flag in waits[w] is set, then sets the flags
+// in sets[w] and leaves. The flags are touched under the token only. It
+// returns how many passes each worker made, failing the test if the phase
+// hangs.
+func passPhase(t *testing.T, procs int, starts []uint64, waits, sets [][]int) []int {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	clocks := make([]*Clock, len(starts))
+	for w := range clocks {
+		clocks[w] = NewWorkerClock(w)
+		clocks[w].Advance(starts[w])
+	}
 	g := NewGroup(clocks)
-	clocks[1].Advance(100)
-	set, spins := false, 0
-	g.Begin(2)
+	flags := map[int]bool{}
+	passes := make([]int, len(starts))
+	g.Begin(len(starts))
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		defer g.Leave(0)
-		g.Yield(0)
-		for !set {
-			spins++
-			g.Pass(0)
+	for w := range starts {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer g.Leave(w)
+			g.Yield(w)
+			for slices.ContainsFunc(waits[w], func(f int) bool { return !flags[f] }) {
+				passes[w]++
+				g.Pass(w)
+			}
+			for _, f := range sets[w] {
+				flags[f] = true
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the phase hung: the spinners kept the token among themselves")
+	}
+	return passes
+}
+
+// TestGroupPass: a spinner hands the token on with Pass and gets out,
+// though its clock never moves; each case gives the passes each worker makes
+// on every schedule.
+func TestGroupPass(t *testing.T) {
+	cases := []struct {
+		name   string
+		starts []uint64
+		waits  [][]int
+		sets   [][]int
+		passes []int
+	}{
+		// The setter's clock is ahead of the spinner's.
+		{"setter ahead", []uint64{0, 100}, [][]int{{0}, nil}, [][]int{nil, {0}}, []int{1, 0}},
+		// Two spinners, both behind the worker that sets their flag, do not
+		// hand the token back and forth: Pass takes it past the other
+		// spinner to the setter.
+		{"past a spinner", []uint64{0, 0, 100}, [][]int{{0}, {0}, nil}, [][]int{nil, nil, {0}}, []int{1, 1, 0}},
+		// When every other worker spins, Pass goes round them in id order,
+		// so the one whose flag was set gets to look. Workers 0 and 1 spin
+		// on flag 1; worker 2 spins on flag 0 and then sets flag 1; worker 3
+		// sets flag 0 and leaves, which wakes worker 0 with all three still
+		// spinning. Handing the token to the most-behind other spinner
+		// instead would leave it between workers 0 and 1.
+		{"round the spinners", []uint64{0, 0, 0, 100}, [][]int{{1}, {1}, {0}, nil}, [][]int{nil, nil, {1}, {0}}, []int{2, 2, 1, 0}},
+	}
+	for _, c := range cases {
+		for _, procs := range []int{1, 4, 4} {
+			if got := passPhase(t, procs, c.starts, c.waits, c.sets); !slices.Equal(got, c.passes) {
+				t.Fatalf("%s, GOMAXPROCS %d: passes %v, want %v", c.name, procs, got, c.passes)
+			}
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		defer g.Leave(1)
-		g.Yield(1)
-		set = true
-	}()
-	wg.Wait()
-	if spins != 1 {
-		t.Fatalf("the spin took %d passes, want 1", spins)
 	}
 }
