@@ -95,10 +95,13 @@ sweep:
 # hand-written text survives) from a fresh Figure-11 sweep: the phase-share
 # tables of the per-commit baseline grid and the hot-key heat tables, then the
 # same grid through leader-based group commit (its own marker section, so the
-# two render side by side for the log+flush comparison).
+# two render side by side for the log+flush comparison). Both sweeps run under
+# the group-mode token (-parworkers), so two regenerations at one commit write
+# the same bytes; free-running, every multi-worker cell follows the host's
+# interleaving.
 phase-tables:
-	go run ./cmd/falcon sweep -md EXPERIMENTS.md
-	go run ./cmd/falcon sweep -md EXPERIMENTS.md -groupcommit
+	go run ./cmd/falcon sweep -md EXPERIMENTS.md -parworkers
+	go run ./cmd/falcon sweep -md EXPERIMENTS.md -groupcommit -parworkers
 
 # Server soak: the serving layer (admission, deadlines, idempotent replay,
 # drain, sixteen connections on two engine-worker slots) and every loadgen

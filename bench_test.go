@@ -3,7 +3,10 @@
 // the figure's data points, measured in virtual time (see DESIGN.md §5).
 // The figures are the catalogue's (internal/bench/figures.go), built here at
 // a reduced scale so `go test -bench=.` finishes in minutes; the `falcon`
-// subcommands expose the full parameter space.
+// subcommands expose the full parameter space. The engine figures run their
+// workers under the group-mode token (bench.Options.ParWorkers), so two runs
+// of `go test -run '^$' -bench 'Fig7|Fig8|Fig9|Recovery' .` print the same
+// virtual metrics; EXPERIMENTS.md quotes them.
 package falcon_test
 
 import (
@@ -21,11 +24,14 @@ import (
 const benchThreads = 4
 
 // benchScale is the reduced scale the figures run at under `go test -bench`;
-// each Benchmark* sets the transaction counts that suit its workload.
+// each Benchmark* sets the transaction counts that suit its workload. Free-
+// running workers on a small host interleave differently from run to run,
+// and every multi-worker cell with them; under the token they repeat.
 func benchScale(txns, warmup int) bench.Scale {
 	return bench.Scale{
 		Threads: []int{benchThreads}, Txns: txns, Warmup: warmup, Records: 30_000,
 		TPCC: tpcc.Config{Warehouses: 2, Items: 1000, CustomersPerDistrict: 90}, CC: cc.All,
+		Flags: &bench.CommonFlags{ParWorkers: true},
 	}
 }
 
