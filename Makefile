@@ -10,15 +10,17 @@ test:
 
 # ROADMAP aim 2's measure, per package and for the root module: non-test .go
 # lines, comments and blanks included (benchmark/ is a module of its own and is
-# not counted). CI prints it after Build, so a PR that says "net negative in
-# core" is read, not asserted. The last line is ROADMAP item 10's size target,
-# obs against the memory system it observes: obs - (pmem + sim), to reach 0.
+# not counted), then EXPERIMENTS.md's lines, the document beside the code. CI
+# prints it after Build, so a PR that says "net negative in core" is read, not
+# asserted. The last line is ROADMAP item 10's size target, obs against the
+# memory system it observes: obs - (pmem + sim), to reach 0.
 lines:
 	@count() { find $$1 -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l; }; \
 	for d in $$(find cmd internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
 		printf '%7d  %s\n' $$(count $$d) $$d; \
 	done; \
 	printf '%7d  root module\n' $$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
+	printf '%7d  EXPERIMENTS.md\n' $$(wc -l < EXPERIMENTS.md); \
 	printf '%7d  obs - (pmem + sim)\n' $$(( $$(count internal/obs) - $$(count internal/pmem) - $$(count internal/sim) ))
 
 # The race lane, here and in CI (ci.yml runs this target, so there is one
@@ -143,24 +145,23 @@ contend-smoke:
 # power-of-two "effective" share into exact set counts, and group mode's
 # round-barrier replay, per-worker timing caches and deferred epoch seals into
 # the one machine under a token; fail when a removed spelling comes back (same
-# lane CI runs). CHANGES.md, ROADMAP.md, benchmark/ and EXPERIMENTS.md's dated
-# sections are history and exempt. The [-], the [R]s and the like keep this
-# recipe from matching itself.
+# lane CI runs). CHANGES.md, ROADMAP.md and benchmark/ are history and exempt.
+# The [-], the [R]s and the like keep this recipe from matching itself.
 old-spellings:
 	! grep -rnE 'cmd/falcon[-]|falcon[-](micro|tpcc|ycsb|sweep|recovery|hostbench|serve|loadgen|tracecheck)\b' \
-		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 	! grep -rnE 'New[R]egistry|Stats[R]egistry|\.Obs\(\)\.[R]egister' \
-		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 	! grep -rnE '\b(New)?(N[V]M|D[R]AM)Space(Cache)?\b|dram[T]imingBackend|Group[E]pochNanos|Version[H]eadroom|-[e]pochns|Bulk[I]ndexInsert' \
-		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 	! grep -rnE 'stream[-]every|Epoch[T]xns|On[E]poch|Histogram[D]ump|Catalog[N]anos' \
-		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 	! grep -rnE 'Cost[M]odel|Stop[F]lag|Err[S]topped|Workload[S]eed|Orders[P]erDistrict' \
-		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 	! grep -rnE '\bCache[S]hare\b|effective [c]ache' \
-		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 	! grep -rnE 'det[R]eplay|defer[S]eal|[d]ataless|ConflictDet[B]arrier|Barrier[T]ick|note[C]ommitted|det[T]ID' \
-		Makefile .github scripts README.md DESIGN.md .claude cmd internal *.go
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 
 # Every Go file gofmt-clean, benchmark/ included (same lane CI runs).
 fmt-check:

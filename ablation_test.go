@@ -96,8 +96,9 @@ func BenchmarkAblationWindowSlots(b *testing.B) {
 // (bench.CacheBytesFor) and Figure 11's databases, in group mode at 2 and 16
 // workers, over fixed capacities and "derived" (Config.HotTupleCap 0, what an
 // engine sizes itself to); the "cap" metric is the capacity in use.
-// EXPERIMENTS.md "A hot set sized from the cache share" holds the table the
-// derivation was picked from and the run length.
+// EXPERIMENTS.md "Ablations" quotes the sweep at a named commit; the table the
+// derivation was picked from is under "A hot set sized from the cache share"
+// in `git show 17625b4:EXPERIMENTS.md`.
 func BenchmarkAblationHotTupleCap(b *testing.B) {
 	const txns, warmup = 1800, 450 // three times the default Figure-11 cell
 	workloads := []struct {

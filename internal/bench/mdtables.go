@@ -136,7 +136,8 @@ func SpliceMarkdown(path, name, content string) error {
 	bi := strings.Index(text, begin)
 	ei := strings.Index(text, end)
 	if bi >= 0 && ei > bi {
-		text = text[:bi] + section + text[ei+len(end):]
+		// section ends in the newline that ended the old end marker's line.
+		text = text[:bi] + section + strings.TrimPrefix(text[ei+len(end):], "\n")
 		text = strings.TrimRight(text, "\n") + "\n"
 	} else {
 		text = strings.TrimRight(text, "\n") + "\n\n" + section

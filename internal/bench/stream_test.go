@@ -138,4 +138,24 @@ func TestPhaseShareMarkdownAndSplice(t *testing.T) {
 	if n := strings.Count(text, "generated:phase-shares:begin"); n != 1 {
 		t.Fatalf("marker count = %d, want 1", n)
 	}
+
+	// With hand-written text after the section, splicing the same content
+	// again writes the same bytes: `make phase-tables` is repeatable.
+	if err := os.WriteFile(path, []byte(text+"\n## After\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var prev string
+	for i := 0; i < 2; i++ {
+		if err := SpliceMarkdown(path, "phase-shares", "replaced-content\n"); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && string(got) != prev {
+			t.Fatalf("second splice changed the file:\n%q\nthen\n%q", prev, got)
+		}
+		prev = string(got)
+	}
 }

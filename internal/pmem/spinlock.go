@@ -21,8 +21,8 @@ import (
 // parking on the B+-tree's lock (three parks per call). With the tree's readers
 // lock-free the same run makes 54 % more calls and has 74 waits of 2 ms or
 // more (p99.9 4.2 ms); the rest are the collector and the runtime's own
-// goroutines taking a processor from a holder (EXPERIMENTS.md "B+-tree readers
-// without the tree lock").
+// goroutines taking a processor from a holder ("B+-tree readers without the
+// tree lock" in `git show 17625b4:EXPERIMENTS.md`).
 // The lock is a plain uint64 rather than an atomic type so that a cache set's
 // lock can be a word of its flat set block (see Cache.meta); it must only
 // ever be accessed through these functions and atomic loads.
