@@ -81,9 +81,18 @@ func btreeNodes(capacity uint64) uint64 {
 	return capacity*2/7 + 64
 }
 
+// nodeLines is the cache lines of a node. Line 0 holds the header (kind,
+// count, the appended hint, a leaf's link) and entries 0-2; entries 3-14 fill
+// lines 1-3, four to a line.
+const nodeLines = nodeBytes / pmem.LineSize
+
+// node is a walk's image of one node: the lines the walk read, bit l of lines
+// for bytes [64l, 64l+64). The other lines of buf still hold whatever node
+// the buffer held before.
 type node struct {
-	id  uint64
-	buf [nodeBytes]byte
+	id    uint64
+	lines uint8
+	buf   [nodeBytes]byte
 }
 
 func (n *node) leaf() bool { return n.buf[0] == 0 }
@@ -134,38 +143,6 @@ func (n *node) removeAt(i int) {
 	n.setCount(c - 1)
 }
 
-// searchLeaf returns the position of key, or (insert position, false).
-func (n *node) searchLeaf(key uint64) (int, bool) {
-	lo, hi := 0, n.count()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.key(mid) < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < n.count() && n.key(lo) == key
-}
-
-// childFor returns the entry index to descend for key: the last separator
-// <= key, defaulting to 0.
-func (n *node) childFor(key uint64) int {
-	lo, hi := 0, n.count()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.key(mid) <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return lo - 1
-}
-
 // NewBTree formats a tree at base sized for capacity keys.
 func NewBTree(space pmem.Space, base uint64, capacity uint64) (*BTreeIndex, error) {
 	t := &BTreeIndex{space: space, base: base, cap: btreeNodes(capacity)}
@@ -214,10 +191,77 @@ func (t *BTreeIndex) nodeOff(id uint64) uint64 { return t.base + structHdrBytes 
 // NodeAddr returns the space offset of node id (diagnostics and tests).
 func (t *BTreeIndex) NodeAddr(id uint64) uint64 { return t.nodeOff(id) }
 
-func (t *BTreeIndex) loadInto(clk *sim.Clock, id uint64, n *node) *node {
-	n.id = id
-	t.space.Read(clk, t.nodeOff(id), n.buf[:])
+// loadHead starts a walk's image of node id in n with its header line. The
+// other lines come in as a search probes them (keyAt) or a change needs them
+// (fill).
+func (t *BTreeIndex) loadHead(clk *sim.Clock, id uint64, n *node) *node {
+	n.id, n.lines = id, 1
+	t.space.Read(clk, t.nodeOff(id), n.buf[:pmem.LineSize])
 	return n
+}
+
+// fill reads the lines of n covering bytes [lo, hi) that the walk does not
+// hold yet, one Space.Read per contiguous run of them.
+func (t *BTreeIndex) fill(clk *sim.Clock, n *node, lo, hi int) {
+	for l := lo / pmem.LineSize; l < nodeLines && l*pmem.LineSize < hi; {
+		if n.lines&(1<<l) != 0 {
+			l++
+			continue
+		}
+		e := l + 1
+		for e < nodeLines && e*pmem.LineSize < hi && n.lines&(1<<e) == 0 {
+			e++
+		}
+		t.space.Read(clk, t.nodeOff(n.id)+uint64(l*pmem.LineSize), n.buf[l*pmem.LineSize:e*pmem.LineSize])
+		n.lines |= 1<<e - 1<<l
+		l = e
+	}
+}
+
+// fillEntry makes n hold entry i.
+func (t *BTreeIndex) fillEntry(clk *sim.Clock, n *node, i int) {
+	t.fill(clk, n, entryOff(i), entryOff(i+1))
+}
+
+// keyAt returns key i of n, reading its line first if the walk does not hold it.
+func (t *BTreeIndex) keyAt(clk *sim.Clock, n *node, i int) uint64 {
+	t.fillEntry(clk, n, i)
+	return n.key(i)
+}
+
+// searchLeaf returns the position of key in leaf n, or (insert position,
+// false). It reads the lines of the entries its binary search probes and no
+// others; the position it returns, if below the count, is one of them.
+func (t *BTreeIndex) searchLeaf(clk *sim.Clock, n *node, key uint64) (int, bool) {
+	lo, hi := 0, n.count()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if t.keyAt(clk, n, mid) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < n.count() && n.key(lo) == key
+}
+
+// childFor returns the entry of inner node n to descend for key: the last
+// separator <= key, defaulting to 0. Like searchLeaf it reads only the lines
+// its probes land in, and the entry it returns is one of them or entry 0.
+func (t *BTreeIndex) childFor(clk *sim.Clock, n *node, key uint64) int {
+	lo, hi := 0, n.count()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if t.keyAt(clk, n, mid) <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return 0
+	}
+	return lo - 1
 }
 
 // storeHead persists n's header and, when entries from position lo on moved,
@@ -283,14 +327,14 @@ var walkPool = sync.Pool{New: func() any { return new(treeWalk) }}
 func (t *BTreeIndex) descend(clk *sim.Clock, key uint64, w *treeWalk, record bool) (n *node, npath int) {
 	n = &w.nodes[0]
 	for id := t.root.Load(); id < t.cap; npath++ {
-		n = t.loadInto(clk, id, &w.nodes[npath])
+		n = t.loadHead(clk, id, &w.nodes[npath])
 		if n.leaf() {
 			return n, npath
 		}
 		if npath >= maxDepth {
 			break
 		}
-		i := n.childFor(key)
+		i := t.childFor(clk, n, key)
 		if record {
 			w.path[npath] = pathEntry{n: n, idx: i}
 		}
@@ -299,7 +343,7 @@ func (t *BTreeIndex) descend(clk *sim.Clock, key uint64, w *treeWalk, record boo
 	// A reader's view that will not validate, or the torn image of an ADR
 	// crash, can hold a cycle of inner nodes or an id past the last node: the
 	// walk ends on an empty leaf and finds nothing.
-	n.buf = [nodeBytes]byte{}
+	n.buf, n.lines = [nodeBytes]byte{}, 1<<nodeLines-1
 	return n, npath
 }
 
@@ -346,7 +390,7 @@ func (t *BTreeIndex) Get(clk *sim.Clock, key uint64) (v uint64, ok bool) {
 	t.read(func(uint64) {
 		n, _ := t.descend(clk, key, w, false)
 		var i int
-		if i, ok = n.searchLeaf(key); ok {
+		if i, ok = t.searchLeaf(clk, n, key); ok {
 			v = n.val(i)
 		}
 	})
@@ -362,7 +406,7 @@ func (t *BTreeIndex) Insert(clk *sim.Clock, key, val uint64) error {
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
 	n, npath := t.descend(clk, key, w, true)
-	i, exists := n.searchLeaf(key)
+	i, exists := t.searchLeaf(clk, n, key)
 	if exists {
 		return ErrDuplicate
 	}
@@ -373,8 +417,13 @@ func (t *BTreeIndex) Insert(clk *sim.Clock, key, val uint64) error {
 
 // insertEntry places (k, v) at position i of n, the node w.path[:npath]
 // leads to. A full node splits first and hands the separator of its new
-// right sibling to the level above.
+// right sibling to the level above. Only an append, one that does not split
+// the node in the middle, leaves n's entries where they are and stores none of
+// them: any other insert reads the occupied lines the search did not.
 func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node, i int, k, v uint64) error {
+	if c := n.count(); i < c || (c == nodeEntries && !n.appended()) {
+		t.fill(clk, n, 0, entryOff(c))
+	}
 	if n.count() < nodeEntries {
 		n.insertAt(i, k, v)
 		n.setAppended(i == n.count()-1)
@@ -449,7 +498,7 @@ func (t *BTreeIndex) Update(clk *sim.Clock, key, val uint64) bool {
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
 	n, _ := t.descend(clk, key, w, false)
-	i, ok := n.searchLeaf(key)
+	i, ok := t.searchLeaf(clk, n, key)
 	if !ok {
 		return false
 	}
@@ -467,18 +516,28 @@ func (t *BTreeIndex) Delete(clk *sim.Clock, key uint64) bool {
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
 	n, npath := t.descend(clk, key, w, true)
-	i, ok := n.searchLeaf(key)
+	i, ok := t.searchLeaf(clk, n, key)
 	if !ok {
 		return false
 	}
 	t.seq.Add(1)
 	defer t.seq.Add(1)
-	n.removeAt(i)
-	t.storeHead(clk, n, i)
+	t.removeEntry(clk, n, i)
 	if n.count() == 0 {
 		t.unlinkLeaf(clk, w, npath, n)
 	}
 	return true
+}
+
+// removeEntry takes entry i out of n and stores the change. Unless i is the
+// last entry, the entries after it move down and the store covers them all,
+// so the occupied lines the walk did not read come in first.
+func (t *BTreeIndex) removeEntry(clk *sim.Clock, n *node, i int) {
+	if c := n.count(); i < c-1 {
+		t.fill(clk, n, 0, entryOff(c))
+	}
+	n.removeAt(i)
+	t.storeHead(clk, n, i)
 }
 
 // unlinkLeaf takes the empty leaf that w.path[:npath] leads to out of the
@@ -501,8 +560,7 @@ func (t *BTreeIndex) unlinkLeaf(clk *sim.Clock, w *treeWalk, npath int, leaf *no
 	}
 	prev, hasPrev := t.prevLeaf(clk, w, npath)
 	p := w.path[a]
-	p.n.removeAt(p.idx)
-	t.storeHead(clk, p.n, p.idx)
+	t.removeEntry(clk, p.n, p.idx)
 	if hasPrev {
 		t.space.Write(clk, t.nodeOff(prev)+8, leaf.buf[8:16])
 	}
@@ -515,7 +573,7 @@ func (t *BTreeIndex) unlinkLeaf(clk *sim.Clock, w *treeWalk, npath int, leaf *no
 		child := r.val(0)
 		t.setRoot(clk, child)
 		t.freeNode(clk, r.id)
-		r = t.loadInto(clk, child, r)
+		r = t.loadHead(clk, child, r)
 	}
 }
 
@@ -529,9 +587,13 @@ func (t *BTreeIndex) prevLeaf(clk *sim.Clock, w *treeWalk, npath int) (uint64, b
 	if l < 0 {
 		return 0, false
 	}
-	n := t.loadInto(clk, w.path[l].n.val(w.path[l].idx-1), &w.spare)
+	p := w.path[l]
+	t.fillEntry(clk, p.n, p.idx-1)
+	n := t.loadHead(clk, p.n.val(p.idx-1), &w.spare)
 	for !n.leaf() {
-		n = t.loadInto(clk, n.val(n.count()-1), n)
+		last := n.count() - 1
+		t.fillEntry(clk, n, last)
+		n = t.loadHead(clk, n.val(last), n)
 	}
 	return n.id, true
 }
@@ -539,6 +601,8 @@ func (t *BTreeIndex) prevLeaf(clk *sim.Clock, w *treeWalk, npath int) (uint64, b
 // Scan iterates keys >= from in ascending order until fn returns false. It
 // reads one leaf at a time into its own buffer and calls fn with nothing held:
 // fn may wait for a writer that is itself waiting to store into this tree.
+// What it delivers of a leaf, the occupied lines from its start position on,
+// is read inside the validated read, so no stale or torn byte reaches fn.
 func (t *BTreeIndex) Scan(clk *sim.Clock, from uint64, fn func(key, val uint64) bool) error {
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
@@ -554,14 +618,16 @@ func (t *BTreeIndex) Scan(clk *sim.Clock, from uint64, fn func(key, val uint64) 
 	for hops, least := uint64(0), from; hops < t.nextFree.Load(); hops++ {
 		at = t.read(func(s uint64) {
 			if chained && s == at {
-				n, i = t.loadInto(clk, nxt, &w.nodes[0]), 0
-				return
+				n, i = t.loadHead(clk, nxt, &w.nodes[0]), 0
+			} else {
+				// The tree changed since nxt was read, and its node may be
+				// another leaf's by now: go by the smallest key not yet
+				// delivered.
+				n, _ = t.descend(clk, least, w, false)
+				i, _ = t.searchLeaf(clk, n, least)
+				hops = 0
 			}
-			// The tree changed since nxt was read, and its node may be another
-			// leaf's by now: go by the smallest key not yet delivered.
-			n, _ = t.descend(clk, least, w, false)
-			i, _ = n.searchLeaf(least)
-			hops = 0
+			t.fill(clk, n, entryOff(i), entryOff(n.count()))
 		})
 		for ; i < n.count(); i++ {
 			k := n.key(i)

@@ -23,6 +23,13 @@ func (r treeReport) sound() bool {
 	return r.emptyLeaves == 0 && r.deadHops == 0 && r.offTree == 0 && r.leaked == 0 && r.loneChild == 0
 }
 
+// loadNode reads all of node id, which no walk of the tree does.
+func loadNode(t *BTreeIndex, clk *sim.Clock, id uint64) *node {
+	n := t.loadHead(clk, id, new(node))
+	t.fill(clk, n, 0, nodeBytes)
+	return n
+}
+
 // checkInvariants walks the whole tree, the leaf chain and the free list and
 // fails the test on anything no crash point of Insert or Delete can produce:
 // leaves at different depths, an inner node without children, a key outside
@@ -45,7 +52,7 @@ func checkInvariants(tb testing.TB, t *BTreeIndex) treeReport {
 			tb.Fatalf("node %d reached twice", id)
 		}
 		inTree[id] = true
-		n := t.loadInto(clk, id, new(node))
+		n := loadNode(t, clk, id)
 		if n.leaf() {
 			if rep.depth < 0 {
 				rep.depth = depth
@@ -95,7 +102,7 @@ func checkInvariants(tb testing.TB, t *BTreeIndex) treeReport {
 			tb.Fatalf("leaf chain loops at node %d", id)
 		}
 		seen[id] = true
-		n := t.loadInto(clk, id, new(node))
+		n := loadNode(t, clk, id)
 		if !n.leaf() {
 			tb.Fatalf("leaf chain reaches inner node %d", id)
 		}

@@ -12,8 +12,12 @@ import (
 // them to a tree and a reference map. Single-key ops address keys 0..255 of
 // the 4096-key space; run ops insert or delete the 16 keys of one of its 256
 // blocks in order, so a short input fills and drains whole leaves and reaches
-// three levels. Every result is compared on the spot; at the end the tree
-// must be sound and scan the model.
+// three levels. A scan stops after 1 to 24 keys, as the opcode says, often
+// inside a leaf; a drain scans for the block's oldest key after each delete,
+// as TPC-C's Delivery does, so walks pass through buffers that last held a
+// leaf the drain emptied and the tree freed, in the lines they do not read.
+// Every result is compared on the spot; at the end the tree must be sound and
+// scan the model.
 func btreeOpsAgainstModel(t *testing.T, ops []byte) {
 	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 4 << 20, CacheBytes: 64 << 10, XPBufferBytes: 16 << 10})
 	bt, err := NewBTree(sys.Space, 0, 4096)
@@ -36,6 +40,22 @@ func btreeOpsAgainstModel(t *testing.T, ops []byte) {
 		}
 		delete(ref, k)
 	}
+	scan := func(from uint64, stop int) {
+		want := sortedFrom(ref, from)
+		n := 0
+		if err := bt.Scan(clk, from, func(key, val uint64) bool {
+			if n >= len(want) || key != want[n] || val != ref[key] {
+				t.Fatalf("scan from %d: key %d at %d, model %v", from, key, n, want[:min(n+1, len(want))])
+			}
+			n++
+			return n < stop
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n < min(stop, len(want)) {
+			t.Fatalf("scan from %d stopped after %d of %d keys", from, n, len(want))
+		}
+	}
 	for ; len(ops) >= 2; ops = ops[2:] {
 		k := uint64(ops[1])
 		switch ops[0] % 6 {
@@ -50,22 +70,10 @@ func btreeOpsAgainstModel(t *testing.T, ops []byte) {
 		case 3:
 			for i := uint64(0); i < 16; i++ {
 				remove(k*16 + i)
+				scan(k*16, 1)
 			}
 		case 4:
-			want := sortedFrom(ref, k*16)
-			n := 0
-			if err := bt.Scan(clk, k*16, func(key, val uint64) bool {
-				if n >= len(want) || key != want[n] || val != ref[key] {
-					t.Fatalf("scan from %d: key %d at %d, model %v", k*16, key, n, want[:min(n+1, len(want))])
-				}
-				n++
-				return n < 24
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if n < min(24, len(want)) {
-				t.Fatalf("scan from %d stopped after %d of %d keys", k*16, n, len(want))
-			}
+			scan(k*16, 24-int(ops[0]/6)%24)
 		default:
 			got, ok := bt.Get(clk, k*16)
 			if want, exists := ref[k*16]; ok != exists || got != want {
@@ -92,6 +100,18 @@ func FuzzBTreeOps(f *testing.F) {
 		fill = append(fill, 2, b)
 	}
 	f.Add(fill)
+	// Fill 48 blocks, then visit them in a stride that empties leaves all
+	// over the tree, not just the first: scan each, stopping after 24 keys
+	// down to 1 in turn, and drain it.
+	var stops []byte
+	for b := byte(0); b < 48; b++ {
+		stops = append(stops, 2, b)
+	}
+	for i := byte(0); i < 48; i++ {
+		b := i * 7 % 48
+		stops = append(stops, 4+6*(i%24), b, 3, b)
+	}
+	f.Add(stops)
 	f.Fuzz(func(t *testing.T, data []byte) { btreeOpsAgainstModel(t, data) })
 }
 

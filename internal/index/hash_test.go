@@ -47,6 +47,35 @@ func (s *spaceLog) Write(clk *sim.Clock, off uint64, src []byte) {
 	s.Space.Write(clk, off, src)
 }
 
+func (s *spaceLog) ReadU64(clk *sim.Clock, off uint64) uint64 {
+	s.reads = append(s.reads, [2]uint64{off, 8})
+	return s.Space.ReadU64(clk, off)
+}
+
+func (s *spaceLog) WriteU64(clk *sim.Clock, off uint64, v uint64) {
+	s.writes = append(s.writes, [2]uint64{off, 8})
+	s.Space.WriteU64(clk, off, v)
+}
+
+// measure runs op on a log over sys's space and returns the cache lines it
+// touched (hits + misses, loads and stores alike), having checked that it read
+// no byte twice. The log then holds op's reads and stores.
+func (s *spaceLog) measure(t *testing.T, sys *pmem.System, name string, op func()) uint64 {
+	t.Helper()
+	s.reads, s.writes = s.reads[:0], s.writes[:0]
+	before := sys.Dev.Stats().Snapshot()
+	op()
+	d := sys.Dev.Stats().Snapshot().Sub(before)
+	for i, r := range s.reads {
+		for _, q := range s.reads[:i] {
+			if r[0] < q[0]+q[1] && q[0] < r[0]+r[1] {
+				t.Fatalf("%s read [%d,+%d) and [%d,+%d): the same bytes twice", name, q[0], q[1], r[0], r[1])
+			}
+		}
+	}
+	return d.CacheHits + d.CacheMisses
+}
+
 // TestHashLineBudget pins what an operation on a fresh NVM hash touches: the
 // cache-line accesses the memory system counted (hits + misses, loads and
 // stores alike) and the reads and stores the index issued. The fingerprints of
@@ -66,21 +95,11 @@ func TestHashLineBudget(t *testing.T) {
 	// that it read no byte twice: in particular no bucket's first line.
 	cost := func(name string, wantReads, wantWrites int, op func()) uint64 {
 		t.Helper()
-		log.reads, log.writes = log.reads[:0], log.writes[:0]
-		before := sys.Dev.Stats().Snapshot()
-		op()
-		d := sys.Dev.Stats().Snapshot().Sub(before)
-		for i, r := range log.reads {
-			for _, q := range log.reads[:i] {
-				if r[0] < q[0]+q[1] && q[0] < r[0]+r[1] {
-					t.Fatalf("%s read [%d,+%d) and [%d,+%d): the same bytes twice", name, q[0], q[1], r[0], r[1])
-				}
-			}
-		}
+		lines := log.measure(t, sys, name, op)
 		if len(log.reads) != wantReads || len(log.writes) != wantWrites {
 			t.Fatalf("%s: %d reads %v and %d stores %v, want %d and %d", name, len(log.reads), log.reads, len(log.writes), log.writes, wantReads, wantWrites)
 		}
-		return d.CacheHits + d.CacheMisses
+		return lines
 	}
 	mustInsert := func(k uint64) func() {
 		return func() {

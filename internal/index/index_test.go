@@ -341,13 +341,15 @@ type leafImage struct {
 	next uint64 // first key of the following leaf, or the largest key there is
 }
 
-// chainImages walks the leaf chain from the tree's first leaf.
+// chainImages walks the leaf chain from the tree's first leaf, reading each
+// leaf as Scan does.
 func chainImages(t *BTreeIndex) []leafImage {
 	clk := sim.NewClock()
 	w := new(treeWalk)
 	n, _ := t.descend(clk, 0, w, false)
 	var out []leafImage
 	for {
+		t.fill(clk, n, 0, entryOff(n.count()))
 		img := leafImage{next: ^uint64(0)}
 		for i := 0; i < n.count(); i++ {
 			img.keys = append(img.keys, n.key(i))
@@ -360,7 +362,7 @@ func chainImages(t *BTreeIndex) []leafImage {
 		if !ok {
 			return out
 		}
-		n = t.loadInto(clk, nxt, n)
+		n = t.loadHead(clk, nxt, n)
 	}
 }
 
@@ -470,20 +472,20 @@ func TestDrainedRangesLeaveNoEmptyLeaves(t *testing.T) {
 		r = uint64(rng.Intn(ranges))
 		// Delivery: find the oldest key of range r as Scan does, then delete it.
 		n, _ := bt.descend(clk, r<<32, w, false)
-		i, _ := n.searchLeaf(r << 32)
+		i, _ := bt.searchLeaf(clk, n, r<<32)
 		for i == n.count() {
 			nxt, ok := n.next()
 			if !ok {
 				break
 			}
-			n, i = bt.loadInto(clk, nxt, n), 0
+			n, i = bt.loadHead(clk, nxt, n), 0
 			hops++
 			if n.count() == 0 {
 				emptyHops++
 			}
 		}
 		if head[r] < tail[r] {
-			if i == n.count() || n.key(i) != r<<32|head[r] {
+			if i == n.count() || bt.keyAt(clk, n, i) != r<<32|head[r] {
 				t.Fatalf("round %d: oldest key of range %d not found", round, r)
 			}
 			if !bt.Delete(clk, r<<32|head[r]) {
