@@ -72,13 +72,13 @@ tpcc-aging:
 		awk '/worker [0-9]+ txn/ && !/table full/ { bad = 1 } END { exit bad }'
 
 # Four free-running TPC-C workers under each multi-version algorithm, every
-# preset (~12 s per algorithm). While Scan held the B-tree's lock across its
-# callbacks this hung on the Outp row in two runs of three: a snapshot read
-# spun for a writer that was queued on the same tree's lock.
+# preset (~30 s; each run fails by its own 90 s deadline with the goroutine
+# dump). While Scan held the B-tree's lock across its callbacks this hung on
+# the Outp row in two runs of three: a snapshot read spun for a writer that
+# was queued on the same tree's lock. The figure commands run their workers
+# under the group-mode token, so the test, not `falcon tpcc`, runs them free.
 tpcc-mv-smoke:
-	for cc in MV2PL MVTO MVOCC; do \
-		timeout 120 go run ./cmd/falcon tpcc -cc $$cc -threads 4 -warehouses 2 -txns 3000 -warmup 200 || exit 1; \
-	done
+	go test -count=1 -run TestMVMixFinishesFreeRunning ./internal/workload/tpcc
 
 # Ten seconds of native fuzzing per target, on top of the checked-in corpora
 # that every `go test` run replays (same lane CI runs).
@@ -97,13 +97,12 @@ sweep:
 # hand-written text survives) from a fresh Figure-11 sweep: the phase-share
 # tables of the per-commit baseline grid and the hot-key heat tables, then the
 # same grid through leader-based group commit (its own marker section, so the
-# two render side by side for the log+flush comparison). Both sweeps run under
-# the group-mode token (-parworkers), so two regenerations at one commit write
-# the same bytes; free-running, every multi-worker cell follows the host's
-# interleaving.
+# two render side by side for the log+flush comparison). Every figure cell runs
+# its workers under the group-mode token, so two regenerations at one commit
+# write the same bytes, at any GOMAXPROCS.
 phase-tables:
-	go run ./cmd/falcon sweep -md EXPERIMENTS.md -parworkers
-	go run ./cmd/falcon sweep -md EXPERIMENTS.md -groupcommit -parworkers
+	go run ./cmd/falcon sweep -md EXPERIMENTS.md
+	go run ./cmd/falcon sweep -md EXPERIMENTS.md -groupcommit
 
 # Server soak: the serving layer (admission, deadlines, idempotent replay,
 # drain, sixteen connections on two engine-worker slots) and every loadgen
@@ -144,9 +143,12 @@ contend-smoke:
 # single-valued workload settings into constants, the cache's
 # power-of-two "effective" share into exact set counts, and group mode's
 # round-barrier replay, per-worker timing caches and deferred epoch seals into
-# the one machine under a token; fail when a removed spelling comes back (same
-# lane CI runs). CHANGES.md, ROADMAP.md and benchmark/ are history and exempt.
-# The [-], the [R]s and the like keep this recipe from matching itself.
+# the one machine under a token, and the free-running figure schedule, its
+# worker-scheduling flag and the sweep's and hostbench's cell-count flags into
+# that token with GOMAXPROCS cells at once; fail when a removed spelling comes
+# back (same lane CI runs). CHANGES.md, ROADMAP.md and benchmark/ are history
+# and exempt, and so are the tests that check a removed flag is refused. The
+# [-], the [R]s and the like keep this recipe from matching itself.
 old-spellings:
 	! grep -rnE 'cmd/falcon[-]|falcon[-](micro|tpcc|ycsb|sweep|recovery|hostbench|serve|loadgen|tracecheck)\b' \
 		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
@@ -161,6 +163,8 @@ old-spellings:
 	! grep -rnE '\bCache[S]hare\b|effective [c]ache' \
 		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 	! grep -rnE 'det[R]eplay|defer[S]eal|[d]ataless|ConflictDet[B]arrier|Barrier[T]ick|note[C]ommitted|det[T]ID' \
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
+	! grep -rnE --exclude='*_test.go' -- '-[p]arworkers|(sweep|hostbench)\b.*[[:space:]]-[p]ar\b' \
 		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 
 # Every Go file gofmt-clean, benchmark/ included (same lane CI runs).

@@ -4,7 +4,7 @@
 // The figures are the catalogue's (internal/bench/figures.go), built here at
 // a reduced scale so `go test -bench=.` finishes in minutes; the `falcon`
 // subcommands expose the full parameter space. The engine figures run their
-// workers under the group-mode token (bench.Options.ParWorkers), so two runs
+// workers under the group-mode token, as every figure cell does, so two runs
 // of `go test -run '^$' -bench 'Fig7|Fig8|Fig9|Recovery' .` print the same
 // virtual metrics; EXPERIMENTS.md quotes them.
 package falcon_test
@@ -24,14 +24,11 @@ import (
 const benchThreads = 4
 
 // benchScale is the reduced scale the figures run at under `go test -bench`;
-// each Benchmark* sets the transaction counts that suit its workload. Free-
-// running workers on a small host interleave differently from run to run,
-// and every multi-worker cell with them; under the token they repeat.
+// each Benchmark* sets the transaction counts that suit its workload.
 func benchScale(txns, warmup int) bench.Scale {
 	return bench.Scale{
 		Threads: []int{benchThreads}, Txns: txns, Warmup: warmup, Records: 30_000,
 		TPCC: tpcc.Config{Warehouses: 2, Items: 1000, CustomersPerDistrict: 90}, CC: cc.All,
-		Flags: &bench.CommonFlags{ParWorkers: true},
 	}
 }
 

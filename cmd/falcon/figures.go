@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -41,8 +42,13 @@ func gridScale(threads, workloads, algo string) (bench.Scale, error) {
 			delete(want, letter)
 		}
 	}
+	var unknown []string
 	for l := range want {
-		return s, fmt.Errorf("unknown YCSB workload %q (have %s)", l, allWorkloads)
+		unknown = append(unknown, l)
+	}
+	if unknown != nil {
+		slices.Sort(unknown)
+		return s, fmt.Errorf("unknown YCSB workload %q (have %s)", strings.Join(unknown, ","), allWorkloads)
 	}
 	for _, a := range cc.All {
 		if algo == "" || a.String() == algo {
@@ -55,8 +61,9 @@ func gridScale(threads, workloads, algo string) (bench.Scale, error) {
 	return s, nil
 }
 
-// render runs and prints a figure; any failed cell or export makes the exit
-// status 1 after the tables are out.
+// render runs and prints a figure, up to par cells at once (0 = GOMAXPROCS:
+// an engine cell runs under the group-mode token and keeps one core busy);
+// any failed cell or export makes the exit status 1 after the tables are out.
 func render(stdout, stderr io.Writer, fig *bench.Figure, par int, cf *bench.CommonFlags) int {
 	if err := bench.Render(stdout, stderr, fig, par, cf); err != nil {
 		fmt.Fprintln(stderr, "falcon:", err)
@@ -78,6 +85,9 @@ func runMicro(args []string, stdout, stderr io.Writer) int {
 	if code, done := parse(fs, args); done {
 		return code
 	}
+	// One cell at a time: each cell is a device of -region bytes (512 MiB by
+	// default), and two side by side save 40 % of the host time for twice
+	// the peak memory (about 2 GiB).
 	return render(stdout, stderr, bench.Fig3(bench.Scale{Writes: *writes, Region: *region, Flags: cf}), 1, cf)
 }
 
@@ -98,7 +108,7 @@ func runYCSB(args []string, stdout, stderr io.Writer) int {
 		return refuse(fs, stderr, err)
 	}
 	s.Records, s.Txns, s.Warmup, s.Flags = *records, *txns, *warmup, cf
-	return render(stdout, stderr, bench.Fig9(s), 1, cf)
+	return render(stdout, stderr, bench.Fig9(s), 0, cf)
 }
 
 // runTPCC regenerates Figure 7 and, with -latency, Figure 8.
@@ -123,16 +133,13 @@ func runTPCC(args []string, stdout, stderr io.Writer) int {
 	s.TPCC = tpcc.Config{Warehouses: *warehouses, Items: *items, CustomersPerDistrict: *customers}
 	s.Txns, s.Warmup, s.Flags = *txns, *warmup, cf
 	if *latency {
-		return render(stdout, stderr, bench.Fig8(s), 1, cf)
+		return render(stdout, stderr, bench.Fig8(s), 0, cf)
 	}
-	return render(stdout, stderr, bench.Fig7(s), 1, cf)
+	return render(stdout, stderr, bench.Fig7(s), 0, cf)
 }
 
 // runSweep regenerates the scalability study (Figure 11) and, with
-// -tuplesize, the tuple-size study (Figure 12). Every grid cell builds its own
-// isolated engine, so cells run concurrently (-par) on multi-core hosts;
-// measurements are taken in virtual time, so parallel execution changes
-// wall-clock only.
+// -tuplesize, the tuple-size study (Figure 12).
 func runSweep(args []string, stdout, stderr io.Writer) int {
 	d := bench.SweepScale()
 	var defThreads []string
@@ -145,7 +152,6 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	warmup := fs.Int("warmup", d.Warmup, "warmup transactions per worker")
 	records := fs.Uint64("records", d.Records, "YCSB records (Figure 11; -tuplesize sizes its own tables)")
 	tupleSize := fs.Bool("tuplesize", false, "run Figure 12 (tuple-size sweep) instead of Figure 11")
-	par := fs.Int("par", 0, "concurrent sweep cells (0 = GOMAXPROCS)")
 	cf := bench.RegisterCommonFlags(fs, true)
 	cf.RegisterSweep(fs)
 	if code, done := parse(fs, args); done {
@@ -160,9 +166,9 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	}
 	s.Txns, s.Warmup, s.Records, s.TPCC, s.Flags = *txns, *warmup, *records, d.TPCC, cf
 	if *tupleSize {
-		return render(stdout, stderr, bench.Fig12(s), *par, cf)
+		return render(stdout, stderr, bench.Fig12(s), 0, cf)
 	}
-	return render(stdout, stderr, bench.Fig11(s), *par, cf)
+	return render(stdout, stderr, bench.Fig11(s), 0, cf)
 }
 
 // isSet reports whether the command line gave flag name explicitly.
@@ -205,7 +211,7 @@ func runRecovery(args []string, stdout, stderr io.Writer) int {
 	s.Txns, s.Flags = *txns, cf
 	s.RecoveryRecords = []uint64{20_000, 50_000, 100_000, 200_000}
 	fig, _, _ := bench.Recovery(s)
-	return render(stdout, stderr, fig, 1, cf)
+	return render(stdout, stderr, fig, 0, cf)
 }
 
 // crashMatrix runs the seeded crash-consistency matrix and returns the exit

@@ -40,13 +40,13 @@ type hostRun struct {
 	PmemLoad64Ns    float64 `json:"pmem_load64_ns"`
 	PmemStoreCLWBNs float64 `json:"pmem_store_clwb_ns"`
 	// One end-to-end cell of the grid, Falcon on YCSB-A Zipfian with 8
-	// workers (50k records, 600 txns + 150 warmup each): host seconds for the
-	// whole cell including load, and host nanoseconds per measured
-	// transaction.
+	// workers under the group-mode token (50k records, 600 txns + 150 warmup
+	// each): host seconds for the whole cell including load, and host
+	// nanoseconds per measured transaction.
 	YCSBCellS        float64 `json:"ycsb_cell_s"`
 	YCSBCellNsPerTxn float64 `json:"ycsb_cell_host_ns_per_txn"`
 	// Host seconds for the default Figure-11 grid (3 workloads x 5 engines x
-	// threads 2,4,8,12,16). Omitted by -quick.
+	// threads 2,4,8,12,16), GOMAXPROCS cells at once. Omitted by -quick.
 	GridS float64 `json:"grid_s,omitempty"`
 	// Speedup of this run's grid vs the file's first entry with a grid.
 	GridSpeedupVsBase float64 `json:"grid_speedup_vs_baseline,omitempty"`
@@ -87,7 +87,6 @@ func runHostbench(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("out", "BENCH_hostperf.json", "baseline file to append this run to")
 	label := fs.String("label", "", "label for this run (default: hostbench-<date>)")
 	quick := fs.Bool("quick", false, "skip the full Figure-11 grid (CI-friendly, ~10s)")
-	par := fs.Int("par", 0, "concurrent grid cells (0 = GOMAXPROCS)")
 	procs := fs.Int("gomaxprocs", 0, "set runtime.GOMAXPROCS before timing (0 = leave as-is); the effective value is recorded in the run entry")
 	check := fs.Bool("check", false, "regression gate: compare this run's grid_s against the baseline file's best (fastest) gridded entry with the same gomaxprocs, and exit 1 on a >10% regression (a grid that reads regressed is timed up to three times and the best pass counts, as tracked entries are minima); the run is not appended to the baseline")
 	if code, done := parse(fs, args); done {
@@ -96,14 +95,14 @@ func runHostbench(args []string, stdout, stderr io.Writer) int {
 	if *check && *quick {
 		return refuse(fs, stderr, fmt.Errorf("-check needs the full Figure-11 grid; drop -quick"))
 	}
-	if err := hostbench(stdout, stderr, *out, *label, *quick, *check, *par, *procs); err != nil {
+	if err := hostbench(stdout, stderr, *out, *label, *quick, *check, *procs); err != nil {
 		fmt.Fprintln(stderr, "falcon hostbench:", err)
 		return 1
 	}
 	return 0
 }
 
-func hostbench(stdout, stderr io.Writer, out, label string, quick, check bool, par, procs int) error {
+func hostbench(stdout, stderr io.Writer, out, label string, quick, check bool, procs int) error {
 	if procs > 0 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	}
@@ -156,7 +155,7 @@ func hostbench(stdout, stderr io.Writer, out, label string, quick, check bool, p
 	// timeGrid runs every cell of the grid and returns the host seconds.
 	timeGrid := func() (float64, error) {
 		start := time.Now()
-		results := bench.RunCells(grid.Cells(), par)
+		results := bench.RunCells(grid.Cells(), 0)
 		elapsed := time.Since(start).Seconds()
 		for _, cr := range results {
 			if cr.Err != nil {

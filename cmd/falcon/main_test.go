@@ -6,11 +6,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -42,10 +44,10 @@ func TestGoldenStdout(t *testing.T) {
 		{"ycsb_e", "ycsb -threads 1 -records 2000 -txns 60 -warmup 20 -workloads E -stats", false},
 		{"tpcc_occ", "tpcc " + small, false},
 		{"tpcc_latency", "tpcc " + small + " -latency", false},
-		{"sweep_fig11", "sweep -threads 2,4 -txns 40 -warmup 10 -records 2000 -parworkers", true},
-		{"sweep_fig11_groupcommit", "sweep -threads 2,4 -txns 40 -warmup 10 -records 2000 -parworkers -groupcommit", true},
-		{"sweep_fig11_stats_contend", "sweep -threads 2 -txns 40 -warmup 10 -records 2000 -parworkers -stats -contend", false},
-		{"sweep_tuplesize", "sweep -tuplesize -threads 2,2 -txns 20 -warmup 6 -parworkers", false},
+		{"sweep_fig11", "sweep -threads 2,4 -txns 40 -warmup 10 -records 2000", true},
+		{"sweep_fig11_groupcommit", "sweep -threads 2,4 -txns 40 -warmup 10 -records 2000 -groupcommit", true},
+		{"sweep_fig11_stats_contend", "sweep -threads 2 -txns 40 -warmup 10 -records 2000 -stats -contend", false},
+		{"sweep_tuplesize", "sweep -tuplesize -threads 2,2 -txns 20 -warmup 6", false},
 		{"recovery_faults", "recovery -faults 3 -seed 1 -preset Falcon", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,11 +87,11 @@ func TestGoldenStdout(t *testing.T) {
 }
 
 // TestStreamDoesNotPerturbTheSweep: -stream watches a sweep without changing
-// it. The group-mode Figure-11 grid prints the same table and writes the same
-// -json with and without it, and the stream holds one line per cell.
+// it. The Figure-11 grid prints the same table and writes the same -json with
+// and without it, and the stream holds one line per cell.
 func TestStreamDoesNotPerturbTheSweep(t *testing.T) {
 	dir := t.TempDir()
-	args := strings.Fields("sweep -parworkers -threads 4 -txns 300 -warmup 20 -records 5000")
+	args := strings.Fields("sweep -threads 4 -txns 300 -warmup 20 -records 5000")
 	sweep := func(name string, extra ...string) (stdout string, cells []byte) {
 		t.Helper()
 		jsonPath := filepath.Join(dir, name+".json")
@@ -125,6 +127,37 @@ func TestStreamDoesNotPerturbTheSweep(t *testing.T) {
 	}
 }
 
+// TestMultiWorkerStdout: figure commands run every cell's workers under the
+// group-mode token, so a multi-worker table is the same bytes at any
+// GOMAXPROCS, whatever number of cells runs side by side. Each command line
+// below prints what testdata/<name>.stdout holds at GOMAXPROCS 1 and at 4. A
+// change that means to move virtual time re-records them with `falcon <args>
+// > testdata/<name>.stdout` and says per file what moved.
+func TestMultiWorkerStdout(t *testing.T) {
+	for _, tc := range []struct{ name, args string }{
+		{"tpcc_occ_4w", "tpcc -threads 4 -items 200 -customers 30 -txns 40 -warmup 10 -cc OCC -stats"},
+		{"ycsb_ae_4w", "ycsb -threads 4 -records 2000 -txns 60 -warmup 20 -workloads A,E"},
+		{"recovery_4w", "recovery -threads 4 -txns 20"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.name+".stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/GOMAXPROCS=%d", tc.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				code, stdout, stderr := falcon(strings.Fields(tc.args)...)
+				if code != 0 {
+					t.Fatalf("exit %d\n%s", code, stderr)
+				}
+				if stdout != string(want) {
+					t.Errorf("stdout differs from testdata/%s.stdout:\n%s", tc.name, stdout)
+				}
+			})
+		}
+	}
+}
+
 // TestFailedCellsReachTheExitStatus: a figure with failed cells still prints
 // its whole table, then exits 1. Here the five in-place engines fill
 // order_line ("table full") within 1000 transactions; the pre-fold tool
@@ -145,8 +178,9 @@ func TestFailedCellsReachTheExitStatus(t *testing.T) {
 	}
 }
 
-// TestBadInputIsRefused: input that parses but selects nothing runnable exits
-// 2 with the usage line and prints no table.
+// TestBadInputIsRefused: input that parses but selects nothing runnable, or
+// names a flag that is gone, exits 2 with the usage line and prints no table.
+// Every unknown workload letter is named, in sorted order.
 func TestBadInputIsRefused(t *testing.T) {
 	for _, args := range []string{
 		"ycsb -workloads Z",
@@ -155,6 +189,9 @@ func TestBadInputIsRefused(t *testing.T) {
 		"sweep -threads 0",
 		"sweep -threads 2,-4",
 		"sweep -threads 2,x",
+		"sweep -parworkers",
+		"sweep -par 2",
+		"hostbench -par 2",
 		"tpcc -cc NOPE",
 		"recovery -threads -1",
 		"hostbench -check -quick",
@@ -168,6 +205,9 @@ func TestBadInputIsRefused(t *testing.T) {
 		if code != 2 || stdout != "" || !strings.Contains(strings.ToLower(stderr), "usage") {
 			t.Errorf("falcon %s: exit %d, stdout %q, stderr %q; want exit 2, no stdout, a usage line", args, code, stdout, stderr)
 		}
+	}
+	if _, _, stderr := falcon("ycsb", "-workloads", "Z,x,A,Y"); !strings.Contains(stderr, `unknown YCSB workload "X,Y,Z"`) {
+		t.Errorf("falcon ycsb -workloads Z,x,A,Y: stderr %q, want X, Y and Z named in order", stderr)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestRunYCSBSmoke(t *testing.T) {
 
 // TestFreeRunningGroupCommit runs Falcon with group commit and four
 // free-running workers on skewed YCSB-A, the configuration of `falcon serve
-// -groupcommit` and of every -groupcommit figure without -parworkers. Each
+// -groupcommit` (figure cells run under the group-mode token). Each
 // publisher helps seal expired epochs while the others enlist into them and
 // reclaim log slots, so under `make race` this is the lane that sees the
 // board's pending list from several workers at once.

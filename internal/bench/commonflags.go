@@ -46,8 +46,8 @@ func (f *GroupFlag) Apply(cfg core.Config) core.Config {
 // capture (-trace, -trace-sample, -trace-autopsy), leader-based group commit
 // (-groupcommit), per-cell observability snapshots (-stats), the
 // contention & flush-amplification observatory (-contend), Prometheus text
-// exposition (-prom), and the sweep's scheduler and export knobs. A Scale
-// carries it to the one cell constructor; Render feeds the exports.
+// exposition (-prom), and the sweep's export knobs. A Scale carries it to
+// the one cell constructor; Render feeds the exports.
 type CommonFlags struct {
 	Group GroupFlag
 	// TracePath (-trace) is the Chrome trace-event output file; empty
@@ -66,12 +66,10 @@ type CommonFlags struct {
 	// Prometheus exposition file, samples distinguished by a `cell` label.
 	PromPath string
 
-	// The sweep's own flags (RegisterSweep). ParWorkers runs every cell's
-	// workers through the deterministic group scheduler; JSONPath, MDPath and
-	// StreamPath name the per-cell JSON export, the markdown file the
-	// phase-share tables are spliced into, and the JSON-lines stream (one
-	// line per finished cell).
-	ParWorkers bool
+	// The sweep's own flags (RegisterSweep): JSONPath, MDPath and StreamPath
+	// name the per-cell JSON export, the markdown file the phase-share tables
+	// are spliced into, and the JSON-lines stream (one line per finished
+	// cell).
 	JSONPath   string
 	MDPath     string
 	StreamPath string
@@ -101,9 +99,8 @@ func RegisterCommonFlags(fs *flag.FlagSet, engine bool) *CommonFlags {
 	return f
 }
 
-// RegisterSweep installs the sweep's scheduler and export flags on fs.
+// RegisterSweep installs the sweep's export flags on fs.
 func (f *CommonFlags) RegisterSweep(fs *flag.FlagSet) {
-	fs.BoolVar(&f.ParWorkers, "parworkers", false, "run each cell's workers one at a time, handed on in virtual-time order (results independent of GOMAXPROCS; the same simulated machine as the default free-running mode)")
 	fs.StringVar(&f.JSONPath, "json", "", "also write per-cell results (incl. latency histograms) as JSON to this file")
 	fs.StringVar(&f.MDPath, "md", "", "splice generated phase-share tables into this markdown file (e.g. EXPERIMENTS.md)")
 	fs.StringVar(&f.StreamPath, "stream", "", "write one JSON line per finished cell to this file while the sweep runs")
@@ -125,12 +122,14 @@ func (f *CommonFlags) traceOptions() *obs.TraceOptions {
 	return &obs.TraceOptions{Sample: f.TraceSample}
 }
 
-// options decorates one cell's Options with the flag-driven knobs: trace
-// capture, observatory arming and the group scheduler.
+// options decorates one cell's Options with the flag-driven knobs (trace
+// capture, observatory arming) and runs the cell's workers under the
+// group-mode token: one at a time, handed on in virtual-time order, so the
+// cell gives the same bytes at any GOMAXPROCS and beside any other cell.
 func (f *CommonFlags) options(o Options) Options {
 	o.Trace = f.traceOptions()
 	o.Contend = f.Contend
-	o.ParWorkers = f.ParWorkers
+	o.ParWorkers = true
 	return o
 }
 

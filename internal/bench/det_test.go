@@ -209,7 +209,7 @@ func TestRunCancelsPhaseOnWorkerError(t *testing.T) {
 // TestSweepCellsDeterministicAcrossPar runs a small sweep grid twice — cells
 // sequential, then cells concurrent — with worker-parallel execution inside
 // each cell, and requires byte-identical JSON. This is the sweep-level
-// determinism claim behind `falcon sweep`'s -parworkers flag.
+// determinism claim behind running GOMAXPROCS figure cells side by side.
 func TestSweepCellsDeterministicAcrossPar(t *testing.T) {
 	grid := func(par int) []byte {
 		gcfg := core.FalconConfig()

@@ -17,7 +17,8 @@ import (
 // This file is the figure catalogue: one constructor per figure of the
 // paper's evaluation (§6). A constructor takes a Scale and returns the
 // figure's tables — labels plus the cells that measure them — and every
-// engine cell is assembled by the one constructor, Scale.measure. The `falcon`
+// engine cell is assembled by the one constructor, Scale.measure, and runs its
+// workers under the group-mode token. The `falcon`
 // subcommands, the root Benchmark* functions and hostbench all call these
 // constructors; they differ only in the Scale they pass.
 
@@ -44,8 +45,9 @@ type Scale struct {
 	// Writes and Region size Figure 3's store loop.
 	Writes int
 	Region uint64
-	// Flags decorates every cell (tracing, group commit, the observatory,
-	// the group scheduler); nil runs them bare.
+	// Flags decorates every cell (tracing, group commit, the observatory);
+	// nil runs them bare. Every engine cell runs under the group-mode token
+	// either way (CommonFlags.options).
 	Flags *CommonFlags
 }
 

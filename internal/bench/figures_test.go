@@ -10,19 +10,19 @@ import (
 )
 
 // TestSweepCellObsGolden holds two cells of `falcon sweep -threads 2 -txns 40
-// -warmup 10 -records 2000 -parworkers` to testdata byte for byte: what -prom
+// -warmup 10 -records 2000` to testdata byte for byte: what -prom
 // writes for the cell, and its snapshot as -json writes it. Falcon's TPC-C cell runs with
 // -contend, Falcon+GC's YCSB-A Zipfian cell with -groupcommit, so between them
 // they carry tables, the observatory, epochs and their histograms. Both run
-// through the group scheduler, so nothing in them depends on the host. -update
+// under the group-mode token, so nothing in them depends on the host. -update
 // rewrites them, for a change that means to move them and says why.
 func TestSweepCellObsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name, cell string
 		flags      CommonFlags
 	}{
-		{"contend", "Falcon/TPC-C/2", CommonFlags{ParWorkers: true, Contend: true}},
-		{"groupcommit", "Falcon+GC/YCSB-A Zipfian/2", CommonFlags{ParWorkers: true, Group: GroupFlag{Enable: true}}},
+		{"contend", "Falcon/TPC-C/2", CommonFlags{Contend: true}},
+		{"groupcommit", "Falcon+GC/YCSB-A Zipfian/2", CommonFlags{Group: GroupFlag{Enable: true}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := Scale{Threads: []int{2}, Txns: 40, Warmup: 10, Records: 2000, TPCC: DefaultTPCC, Flags: &tc.flags}

@@ -11,16 +11,14 @@ import (
 // cell per request distribution (Uniform vs Zipfian) and renders their
 // key-space heat rings and top conflict-attribution buckets side by side —
 // the evidence in EXPERIMENTS.md "Hot-key heat (generated)" that skew, not
-// load, is what concentrates conflicts. The cells are independent of
-// whatever grid was just swept, and run under the deterministic group
-// scheduler: free-running workers on a small host can serialize and dodge
-// every conflict, while the token hands the workers on in virtual-time order,
-// which forces the overlap and makes the rendered tables byte-stable across
-// regenerations. The cells are the default Figure-11 grid's own eight-worker
-// Falcon YCSB-A cells.
+// load, is what concentrates conflicts. The cells are the default Figure-11
+// grid's own eight-worker Falcon YCSB-A cells, run apart from whatever grid
+// was just swept. Like every figure cell they run under the group-mode token,
+// which hands the workers on in virtual-time order: the workers overlap as on
+// the simulated machine, and two regenerations render the same bytes.
 func HeatTablesMarkdown() (string, error) {
 	s := SweepScale()
-	s.Flags = &CommonFlags{Contend: true, ParWorkers: true}
+	s.Flags = &CommonFlags{Contend: true}
 	const workers = 8
 	var b strings.Builder
 	fmt.Fprintf(&b, "#### Hot-key heat — YCSB-A Uniform vs Zipfian (Falcon, %d workers, %d txns/worker)\n\n",

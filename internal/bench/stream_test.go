@@ -19,7 +19,7 @@ import (
 // finished result.
 func TestStreamWriterLines(t *testing.T) {
 	dir := t.TempDir()
-	cf := &CommonFlags{StreamPath: filepath.Join(dir, "run.jsonl"), JSONPath: filepath.Join(dir, "cells.json"), ParWorkers: true}
+	cf := &CommonFlags{StreamPath: filepath.Join(dir, "run.jsonl"), JSONPath: filepath.Join(dir, "cells.json")}
 	fig := Fig11(Scale{Threads: []int{2}, Txns: 30, Warmup: 10, Records: 2000, Flags: cf})
 	var out, errs bytes.Buffer
 	if err := Render(&out, &errs, fig, 2, cf); err != nil {

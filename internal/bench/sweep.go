@@ -9,8 +9,8 @@ import (
 // Cell is one grid cell of a parameter sweep: an independent measurement
 // with its own isolated engine. Run must build the engine itself (no state
 // shared with other cells) so cells can execute concurrently; the virtual
-// clocks inside a cell make its measured result independent of host
-// scheduling for single-worker cells.
+// clocks inside a cell, and the group-mode token its workers run under, make
+// its measured result independent of host scheduling.
 type Cell struct {
 	// Label identifies the cell for reporting ("Falcon/TPC-C/8").
 	Label string
@@ -38,10 +38,12 @@ type CellResult struct {
 // static partition would.
 //
 // Throughput and latency are measured in virtual time inside each cell, so
-// running cells concurrently changes only host wall-clock, not results —
-// except that multi-worker cells are host-schedule-dependent with or
-// without cell parallelism (their workers interleave on shared simulated
-// state). Single-worker cells are bit-deterministic under any par.
+// running cells concurrently changes only host wall-clock, not results. A
+// figure cell runs its workers under the group-mode token, one at a time on
+// one core, so GOMAXPROCS runners keep every core busy and each cell gives
+// the same bytes under any par. A cell whose workers run free (a Run of its
+// own with Options.ParWorkers unset) follows the host's interleaving of
+// those workers, with or without cell parallelism.
 func RunCells(cells []Cell, par int) []CellResult {
 	out := make([]CellResult, len(cells))
 	runCells(cells, par, func(i int, cr CellResult) { out[i] = cr })

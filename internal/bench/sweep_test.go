@@ -55,8 +55,8 @@ func renderTable(results []CellResult) string {
 }
 
 // TestRunCellsParallelMatchesSequential is the determinism guarantee behind
-// `falcon sweep` -par: running the grid with concurrent cell runners must
-// produce byte-identical tables to a sequential run.
+// running figure cells side by side: running the grid with concurrent cell
+// runners must produce byte-identical tables to a sequential run.
 func TestRunCellsParallelMatchesSequential(t *testing.T) {
 	seq := RunCells(sweepCells(t), 1)
 	par := RunCells(sweepCells(t), 4)

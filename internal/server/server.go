@@ -91,7 +91,6 @@ type Server struct {
 	// once Drain waits on inflight no request can still join it.
 	gate     sync.RWMutex
 	inflight sync.WaitGroup
-	states   sync.Pool // *txnState
 
 	txn, read endpoint
 }
@@ -124,11 +123,6 @@ func New(e *core.Engine, cfg Config) (*Server, error) {
 		slots: make(chan int, cfg.Workers),
 		txn:   endpoint{name: "/v1/txn"},
 		read:  endpoint{name: "/v1/read", readOnly: true},
-	}
-	s.states.New = func() any {
-		st := new(txnState)
-		st.expired = func() bool { return time.Now().After(st.deadline) }
-		return st
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		s.slots <- w
@@ -252,6 +246,17 @@ func (s *Server) Handler() http.Handler {
 // so that one huge request does not pin its buffers.
 const maxBody, maxPooledBody = 1 << 20, 64 << 10
 
+// txnStates recycles per-request state across every Server of the process: a
+// state refers to no server or engine. The pool is not a Server field because
+// the runtime keeps each used pool reachable until the second collection after
+// its last use (the victim cache), and a pool inside the Server would keep the
+// Server and its engine alive that long after Drain.
+var txnStates = sync.Pool{New: func() any {
+	st := new(txnState)
+	st.expired = func() bool { return time.Now().After(st.deadline) }
+	return st
+}}
+
 // readBody reads the request's body into st.body. On failure it returns the
 // status to refuse the request with.
 func (st *txnState) readBody(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -284,10 +289,10 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request, ep *endpoint)
 		return
 	}
 	ep.requests.Add(1)
-	st := s.states.Get().(*txnState)
+	st := txnStates.Get().(*txnState)
 	defer func() {
 		if cap(st.body) <= maxPooledBody {
-			s.states.Put(st)
+			txnStates.Put(st)
 		}
 	}()
 

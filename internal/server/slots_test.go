@@ -7,13 +7,16 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"falcon/internal/core"
 	"falcon/internal/index"
@@ -162,6 +165,40 @@ func TestDrainTimesOut(t *testing.T) {
 	}
 	if !s.Drain(5 * time.Second) {
 		t.Fatal("second Drain, after the request finished, timed out")
+	}
+}
+
+// TestDrainedServerFreesItsEngine: once a drained server and its engine are
+// dropped, one collection frees the engine. A process that serves in epochs,
+// each on a fresh engine, collects before it builds the next one; an engine
+// still reachable then stays resident beside the new one.
+func TestDrainedServerFreesItsEngine(t *testing.T) {
+	engine := func() weak.Pointer[core.Engine] {
+		e := newTestEngine(t, 2)
+		s, err := New(e, Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range []string{
+			`{"ops":[{"op":"insert","table":"kv","key":1,"val":1}]}`,
+			`{"ops":[{"op":"get","table":"kv","key":1}]}`,
+		} {
+			r := httptest.NewRequest(http.MethodPost, "/v1/txn", strings.NewReader(body))
+			r.Header.Set("Idempotency-Key", strconv.Itoa(len(body)))
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, r)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", body, w.Code, w.Body.Bytes())
+			}
+		}
+		if !s.Drain(5 * time.Second) {
+			t.Fatal("Drain timed out")
+		}
+		return weak.Make(e)
+	}()
+	runtime.GC()
+	if engine.Value() != nil {
+		t.Fatal("the engine of a drained and dropped server survived a collection")
 	}
 }
 

@@ -1,16 +1,19 @@
-package tpcc
+package tpcc_test
 
 import (
 	"runtime"
 	"testing"
 	"time"
 
+	"falcon/internal/bench"
 	"falcon/internal/cc"
-	"falcon/internal/core"
 )
 
 // TestMVMixFinishesFreeRunning: four free-running workers of the mix finish
-// under every multi-version algorithm. A read-only scan's callback may spin
+// under every multi-version algorithm on every preset, on the database that
+// `falcon tpcc -threads 4 -warehouses 2` loads. The figure commands run their
+// workers under the group-mode token, so this is where free-running TPC-C
+// workers meet. A read-only scan's callback may spin
 // for a writer that is applying its write set (snapshotReadSlotSpin), and that
 // writer stores into the same B-tree (applyInsert's Insert; the out-of-place
 // commit's Update of the customer's secondary key): when Scan held the tree's
@@ -28,17 +31,26 @@ import (
 // the writer it had waited for finished between its look at the version chain
 // and its second look at the lock word (StockLevel: "key not found"; three
 // runs of three under make race-par).
+//
+// The race lane (-short) runs Falcon and Outp only, at an eighth of the calls.
 func TestMVMixFinishesFreeRunning(t *testing.T) {
 	calls, deadline := 3200, 90*time.Second
 	if testing.Short() {
 		calls = 400 // the race lane: ten times slower per call
 	}
-	cfg := Config{Warehouses: 2, Items: 2000, CustomersPerDistrict: 120}
+	cfg := bench.DefaultTPCC
+	cfg.Warehouses = 2
 	for _, algo := range []cc.Algo{cc.MV2PL, cc.MVTO, cc.MVOCC} {
-		for _, ecfg := range []core.Config{core.FalconConfig(), core.OutpConfig()} {
+		for _, ecfg := range bench.EngineConfigs() {
+			if testing.Short() && ecfg.Name != "Falcon" && ecfg.Name != "Outp" {
+				continue
+			}
 			t.Run(ecfg.Name+"/"+algo.String(), func(t *testing.T) {
-				ecfg.CC = algo
-				_, d := newLoadedEngine(t, ecfg, cfg)
+				ecfg.CC, ecfg.Threads = algo, 4
+				_, d, err := bench.NewTPCC(ecfg, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
 				errs := make(chan error, 4) // one send per worker
 				for w := 0; w < 4; w++ {
 					go func() {
