@@ -197,19 +197,29 @@ func runRecovery(args []string, stdout, stderr io.Writer) int {
 	preset := fs.String("preset", "", "restrict the crash matrix to one engine preset by name")
 	mode := fs.String("mode", "", "restrict the crash matrix to one persistence mode: eadr or adr")
 	traceDir := fs.String("trace-dir", "", "with -faults: write each failing seed's pre-crash Chrome trace into this directory")
+	records := fs.String("records", "20000,50000,100000,200000", "comma-separated table sizes of the study, one column each")
 	cf := bench.RegisterCommonFlags(fs, true)
 	if code, done := parse(fs, args); done {
 		return code
 	}
 	if *faults > 0 {
+		if isSet(fs, "records") {
+			return refuse(fs, stderr, errors.New("-records does not apply to -faults: the crash matrix sizes its own tables"))
+		}
 		return crashMatrix(stdout, stderr, *faults, *seed, *preset, *mode, *traceDir)
 	}
 	s, err := gridScale(strconv.Itoa(*threads), allWorkloads, "")
 	if err != nil {
 		return refuse(fs, stderr, err)
 	}
+	for _, f := range strings.Split(*records, ",") {
+		n, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
+		if err != nil || n == 0 {
+			return refuse(fs, stderr, fmt.Errorf("record count %q is not a positive integer", f))
+		}
+		s.RecoveryRecords = append(s.RecoveryRecords, n)
+	}
 	s.Txns, s.Flags = *txns, cf
-	s.RecoveryRecords = []uint64{20_000, 50_000, 100_000, 200_000}
 	fig, _, _ := bench.Recovery(s)
 	return render(stdout, stderr, fig, 0, cf)
 }

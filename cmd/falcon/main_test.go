@@ -137,7 +137,7 @@ func TestMultiWorkerStdout(t *testing.T) {
 	for _, tc := range []struct{ name, args string }{
 		{"tpcc_occ_4w", "tpcc -threads 4 -items 200 -customers 30 -txns 40 -warmup 10 -cc OCC -stats"},
 		{"ycsb_ae_4w", "ycsb -threads 4 -records 2000 -txns 60 -warmup 20 -workloads A,E"},
-		{"recovery_4w", "recovery -threads 4 -txns 20"},
+		{"recovery_4w", "recovery -threads 4 -txns 20 -records 2000,5000"},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.name+".stdout"))
 		if err != nil {
@@ -194,6 +194,9 @@ func TestBadInputIsRefused(t *testing.T) {
 		"hostbench -par 2",
 		"tpcc -cc NOPE",
 		"recovery -threads -1",
+		"recovery -records 0",
+		"recovery -records 2000,x",
+		"recovery -faults 1 -records 2000",
 		"hostbench -check -quick",
 		"serve -preset nope",
 		"ycsb -no-such-flag",

@@ -442,15 +442,23 @@ func Recovery(s Scale) (*Figure, []*core.RecoveryReport, []obs.Snapshot) {
 			return []string{fmt.Sprintf("%.3f", float64(reports[i].TotalNanos)/1e6)}
 		},
 	}
+	// A size names its column and cells in thousands when it is a multiple
+	// of a thousand, in full otherwise.
+	size := func(records uint64) string {
+		if records%1000 == 0 {
+			return fmt.Sprintf("%dk", records/1000)
+		}
+		return fmt.Sprint(records)
+	}
 	for _, records := range s.RecoveryRecords {
-		t.Cols = append(t.Cols, fmt.Sprintf("%dk rec", records/1000))
+		t.Cols = append(t.Cols, size(records)+" rec")
 	}
 	for _, ecfg := range engines {
 		ecfg.Threads = th
 		t.Rows = append(t.Rows, ecfg.Name)
 		for _, records := range s.RecoveryRecords {
 			i := len(t.Cells)
-			label := fmt.Sprintf("%s/%dk (pre-crash)", ecfg.Name, records/1000)
+			label := fmt.Sprintf("%s/%s (pre-crash)", ecfg.Name, size(records))
 			t.Cells = append(t.Cells, Cell{Label: label, Workload: "YCSB-A", Engine: ecfg.Name, Threads: th,
 				Run: func() (*Result, error) {
 					e, res, err := s.measure(label, ecfg, ycsb.Config{Records: records, Workload: ycsb.A},

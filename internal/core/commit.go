@@ -260,7 +260,7 @@ func (tx *Txn) applyInsert(ins *txnOp) {
 	}
 	tx.pr.To(prev)
 	tx.e.resv.release(tx.clk, t.id, ins.key)
-	tx.e.tcache.put(tx.clk, t.id, ins.key, payload)
+	tx.e.tcache.put(tx.clk, t.id, ins.key, ins.slot, payload)
 }
 
 // indexInsert publishes a committed tuple in one of its table's indexes. It
@@ -501,20 +501,33 @@ func (e *Engine) run(worker int, ro bool, canceled func() bool, fn func(*Txn) er
 // Scan iterates tuples with primary key >= from in key order, invoking fn
 // with the key and a scratch payload (valid only during the call), until fn
 // returns false or limit tuples have been visited (limit <= 0 means no
-// limit). The primary index must be a btree.
+// limit). The primary index must be a btree. It is ScanCols over every column.
 func (tx *Txn) Scan(t *Table, from uint64, limit int, fn func(key uint64, payload []byte) bool) (int, error) {
-	return tx.scanIndex(t, t.primary, from, limit, fn)
+	return tx.scanIndex(t, t.primary, from, limit, t.schema.TupleSize(), fn)
+}
+
+// ScanCols is Scan bounded to the first cols columns, as ReadCols bounds Read:
+// fn's payload is the tuple's first Schema.PrefixSize(cols) bytes, at their
+// schema offsets.
+func (tx *Txn) ScanCols(t *Table, from uint64, limit, cols int, fn func(key uint64, payload []byte) bool) (int, error) {
+	return tx.scanIndex(t, t.primary, from, limit, t.schema.PrefixSize(cols), fn)
 }
 
 // ScanSecondary iterates via the secondary index.
 func (tx *Txn) ScanSecondary(t *Table, from uint64, limit int, fn func(secKey uint64, payload []byte) bool) (int, error) {
+	return tx.ScanSecondaryCols(t, from, limit, t.schema.NumColumns(), fn)
+}
+
+// ScanSecondaryCols is ScanSecondary bounded to the first cols columns.
+func (tx *Txn) ScanSecondaryCols(t *Table, from uint64, limit, cols int, fn func(secKey uint64, payload []byte) bool) (int, error) {
 	if t.secondary == nil {
 		return 0, index.ErrUnordered
 	}
-	return tx.scanIndex(t, t.secondary, from, limit, fn)
+	return tx.scanIndex(t, t.secondary, from, limit, t.schema.PrefixSize(cols), fn)
 }
 
-func (tx *Txn) scanIndex(t *Table, idx index.Index, from uint64, limit int, fn func(uint64, []byte) bool) (int, error) {
+// scanIndex hands fn payload bytes [0, n) of each tuple it visits.
+func (tx *Txn) scanIndex(t *Table, idx index.Index, from uint64, limit, n int, fn func(uint64, []byte) bool) (int, error) {
 	// A buffer of the scan's own: fn may issue reads that use the worker
 	// scratch. The worker's scan buffer is taken while the scan runs, so a
 	// scan that fn starts allocates one for itself.
@@ -522,7 +535,7 @@ func (tx *Txn) scanIndex(t *Table, idx index.Index, from uint64, limit int, fn f
 	ws := &tx.e.scratch[tx.worker]
 	scratch := ws.scan
 	ws.scan = nil
-	if n := t.schema.TupleSize(); cap(scratch) < n {
+	if cap(scratch) < n {
 		scratch = make([]byte, n)
 	} else {
 		scratch = scratch[:n]
@@ -550,11 +563,12 @@ func (tx *Txn) scanIndex(t *Table, idx index.Index, from uint64, limit int, fn f
 	return visited, scanErr
 }
 
-// readSlot performs the CC read of an already-resolved slot (scan path).
+// readSlot performs the CC read of an already-resolved slot (scan path):
+// payload bytes [0, len(dst)).
 func (tx *Txn) readSlot(t *Table, key, slot uint64, dst []byte) error {
 	if err := tx.enter(t, key, false); err != nil {
 		return err
 	}
 	tx.tstat(t).Reads++
-	return tx.readResolved(t, key, slot, 0, t.schema.TupleSize(), dst)
+	return tx.readResolved(t, key, slot, 0, len(dst), dst)
 }

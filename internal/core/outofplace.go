@@ -117,7 +117,7 @@ func (tx *Txn) commitOutOfPlace() error {
 		g.newSlot = slot
 		tx.publishTuple(g.t, slot, scratch)
 		tx.persist(g.t, slot, 0, size)
-		e.tcache.put(tx.clk, g.t.id, g.key, scratch)
+		e.tcache.put(tx.clk, g.t.id, g.key, g.newSlot, scratch)
 	}
 	// Inserts: fresh slots, same durability rules.
 	for i := range tx.ops {
@@ -192,7 +192,7 @@ func (tx *Txn) commitOutOfPlace() error {
 		}
 		ins.t.indexInsert(tx.clk, ins.t.primary, ins.key, ins.slot)
 		e.resv.release(tx.clk, ins.t.id, ins.key)
-		e.tcache.put(tx.clk, ins.t.id, ins.key, ins.data)
+		e.tcache.put(tx.clk, ins.t.id, ins.key, ins.slot, ins.data)
 	}
 	return nil
 }

@@ -11,6 +11,12 @@ func (tx *Txn) ReadForUpdate(t *Table, key uint64, dst []byte) error {
 	return tx.readForUpdate(t, key, 0, t.schema.TupleSize(), dst)
 }
 
+// ReadColsForUpdate is ReadForUpdate bounded to the first cols columns, as
+// ReadCols bounds Read. The write intent covers the whole tuple.
+func (tx *Txn) ReadColsForUpdate(t *Table, key uint64, cols int, dst []byte) error {
+	return tx.readForUpdate(t, key, 0, t.schema.PrefixSize(cols), dst)
+}
+
 // ReadFieldForUpdate is ReadForUpdate for a single column.
 func (tx *Txn) ReadFieldForUpdate(t *Table, key uint64, col int, dst []byte) error {
 	return tx.readForUpdate(t, key, t.schema.Offset(col), t.schema.Column(col).Size, dst)

@@ -166,8 +166,11 @@ func (r *reservations) release(clk *sim.Clock, table uint8, key uint64) {
 
 // tupleCache is the ZenS-style DRAM tuple cache: recently read tuples are
 // kept in volatile memory so repeated reads skip NVM. Entries are keyed by
-// (table, primary key), so they stay valid across out-of-place relocations;
-// committed updates refresh the entry.
+// (table, key) and committed updates refresh them. An entry also names the
+// heap slot its payload is the image of, and a read takes it only for the slot
+// it resolved: otherwise a reader's late fill from a version that a writer has
+// just superseded would pass for the new version (a lost update), and a scan's
+// fill under a secondary key, which no writer refreshes, would go stale.
 //
 // Payloads live in a DRAM space so hits charge realistic DRAM/cache costs.
 // Eviction is per-shard CLOCK.
@@ -179,11 +182,12 @@ type tupleCache struct {
 }
 
 type tcShard struct {
-	mu   sync.Mutex
-	m    map[uint64]int // packed key -> entry index within shard
-	keys []uint64       // entry -> packed key (0 = free)
-	ref  []bool
-	hand int
+	mu    sync.Mutex
+	m     map[uint64]int // packed key -> entry index within shard
+	keys  []uint64       // entry -> packed key (0 = free)
+	slots []uint64       // entry -> the heap slot its payload is the image of
+	ref   []bool
+	hand  int
 }
 
 func newTupleCache(totalBytes, slotBytes int) *tupleCache {
@@ -203,6 +207,7 @@ func newTupleCache(totalBytes, slotBytes int) *tupleCache {
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]int, perShard)
 		c.shards[i].keys = make([]uint64, perShard)
+		c.shards[i].slots = make([]uint64, perShard)
 		c.shards[i].ref = make([]bool, perShard)
 	}
 	return c
@@ -217,14 +222,14 @@ func (c *tupleCache) offset(shard, entry int) uint64 {
 	return uint64((shard*c.perShard + entry) * c.slotBytes)
 }
 
-// get copies a cached payload into dst, reporting a hit.
-func (c *tupleCache) get(clk *sim.Clock, table uint8, key uint64, dst []byte) bool {
+// get copies the cached image of slot into dst, reporting a hit.
+func (c *tupleCache) get(clk *sim.Clock, table uint8, key, slot uint64, dst []byte) bool {
 	pk := pack(table, key)
 	sh := &c.shards[pk&63]
 	clk.Advance(sim.DRAMFirstLine)
 	sh.mu.Lock()
 	i, ok := sh.m[pk]
-	if !ok {
+	if !ok || sh.slots[i] != slot {
 		sh.mu.Unlock()
 		return false
 	}
@@ -235,9 +240,9 @@ func (c *tupleCache) get(clk *sim.Clock, table uint8, key uint64, dst []byte) bo
 	return true
 }
 
-// put installs or refreshes a cached payload (a no-op on an engine with no
-// tuple cache: c is nil).
-func (c *tupleCache) put(clk *sim.Clock, table uint8, key uint64, payload []byte) {
+// put installs or refreshes key's cached payload, the image of slot (a no-op
+// on an engine with no tuple cache: c is nil).
+func (c *tupleCache) put(clk *sim.Clock, table uint8, key, slot uint64, payload []byte) {
 	if c == nil || len(payload) > c.slotBytes {
 		return
 	}
@@ -254,7 +259,7 @@ func (c *tupleCache) put(clk *sim.Clock, table uint8, key uint64, payload []byte
 		sh.m[pk] = i
 		sh.keys[i] = pk
 	}
-	sh.ref[i] = true
+	sh.ref[i], sh.slots[i] = true, slot
 	c.space.Write(clk, c.offset(int(pk&63), i), payload)
 	sh.mu.Unlock()
 }

@@ -570,22 +570,31 @@ func TestTupleCachePutGetInvalidate(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 128)
 	buf := make([]byte, 128)
 
-	if tc.get(clk, 1, 42, buf) {
+	if tc.get(clk, 1, 42, 7, buf) {
 		t.Fatal("hit on empty cache")
 	}
-	tc.put(clk, 1, 42, payload)
-	if !tc.get(clk, 1, 42, buf) || !bytes.Equal(buf, payload) {
+	tc.put(clk, 1, 42, 7, payload)
+	if !tc.get(clk, 1, 42, 7, buf) || !bytes.Equal(buf, payload) {
 		t.Fatal("miss or corruption after put")
 	}
-	// Refresh with new content.
+	// Refresh with a new version in another slot: the entry is its image now,
+	// and a reader that resolved the old slot misses.
 	payload2 := bytes.Repeat([]byte{0xCD}, 128)
-	tc.put(clk, 1, 42, payload2)
-	tc.get(clk, 1, 42, buf)
-	if !bytes.Equal(buf, payload2) {
+	tc.put(clk, 1, 42, 8, payload2)
+	if !tc.get(clk, 1, 42, 8, buf) || !bytes.Equal(buf, payload2) {
 		t.Fatal("refresh did not replace content")
 	}
+	if tc.get(clk, 1, 42, 7, buf) {
+		t.Fatal("hit for the superseded slot")
+	}
+	// A late fill from the superseded slot: the reader of the new slot misses
+	// instead of taking the old image.
+	tc.put(clk, 1, 42, 7, payload)
+	if tc.get(clk, 1, 42, 8, buf) {
+		t.Fatal("hit for the new slot after a fill from the old one")
+	}
 	tc.invalidate(clk, 1, 42)
-	if tc.get(clk, 1, 42, buf) {
+	if tc.get(clk, 1, 42, 7, buf) {
 		t.Fatal("hit after invalidate")
 	}
 }
@@ -596,12 +605,12 @@ func TestTupleCacheEvictsUnderPressure(t *testing.T) {
 	clk := sim.NewClock()
 	payload := make([]byte, 64)
 	for k := uint64(0); k < 10_000; k++ {
-		tc.put(clk, 0, k, payload)
+		tc.put(clk, 0, k, k, payload)
 	}
 	buf := make([]byte, 64)
 	hits := 0
 	for k := uint64(0); k < 10_000; k++ {
-		if tc.get(clk, 0, k, buf) {
+		if tc.get(clk, 0, k, k, buf) {
 			hits++
 		}
 	}
@@ -613,8 +622,8 @@ func TestTupleCacheEvictsUnderPressure(t *testing.T) {
 func TestTupleCacheRejectsOversizedPayload(t *testing.T) {
 	tc := newTupleCache(1<<20, 64)
 	clk := sim.NewClock()
-	tc.put(clk, 0, 1, make([]byte, 65)) // silently ignored
-	if tc.get(clk, 0, 1, make([]byte, 64)) {
+	tc.put(clk, 0, 1, 1, make([]byte, 65)) // silently ignored
+	if tc.get(clk, 0, 1, 1, make([]byte, 64)) {
 		t.Fatal("oversized payload was cached")
 	}
 }

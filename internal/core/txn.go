@@ -172,10 +172,19 @@ func (e *Engine) wordOf(tid uint64) uint64 {
 
 // ---- read path ----
 
-// Read copies the tuple payload for key into dst (len >= tuple size). It
-// returns ErrNotFound for missing keys and ErrConflict on CC conflicts.
+// Read copies the tuple payload for key into dst (len >= tuple size): it is
+// ReadCols over every column. It returns ErrNotFound for missing keys and
+// ErrConflict on CC conflicts.
 func (tx *Txn) Read(t *Table, key uint64, dst []byte) error {
 	return tx.read(t, key, 0, t.schema.TupleSize(), dst)
+}
+
+// ReadCols is Read bounded to the tuple's first cols columns: it copies
+// payload bytes [0, Schema.PrefixSize(cols)) into dst, leaves dst past them as
+// it was, and loads no line past them, except that a tuple-cache miss fills the
+// whole tuple (ZenS).
+func (tx *Txn) ReadCols(t *Table, key uint64, cols int, dst []byte) error {
+	return tx.read(t, key, 0, t.schema.PrefixSize(cols), dst)
 }
 
 // ReadField copies one column of the tuple for key into dst.
@@ -372,12 +381,12 @@ func (tx *Txn) liveIntent(t *Table, slot uint64) error {
 func (tx *Txn) readPayload(t *Table, key uint64, slot uint64, off, n int, dst []byte) {
 	if tc := tx.e.tcache; tc != nil {
 		scratch := tx.e.scratchFor(tx.worker, t.schema.TupleSize())
-		if tc.get(tx.clk, t.id, key, scratch) {
+		if tc.get(tx.clk, t.id, key, slot, scratch) {
 			copy(dst[:n], scratch[off:off+n])
 			return
 		}
 		t.heap.ReadPayload(tx.clk, slot, scratch)
-		tc.put(tx.clk, t.id, key, scratch)
+		tc.put(tx.clk, t.id, key, slot, scratch)
 		copy(dst[:n], scratch[off:off+n])
 		return
 	}

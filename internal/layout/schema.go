@@ -95,6 +95,15 @@ func (s *Schema) Column(i int) Column { return s.cols[i] }
 // Offset returns the byte offset of column i within the tuple.
 func (s *Schema) Offset(i int) int { return s.offsets[i] }
 
+// PrefixSize returns the width of columns [0, n): the bytes a read of the
+// tuple's first n columns takes. PrefixSize(NumColumns()) is TupleSize().
+func (s *Schema) PrefixSize(n int) int {
+	if n == len(s.cols) {
+		return s.size
+	}
+	return s.offsets[n]
+}
+
 // ColumnIndex returns the index of the named column, or -1.
 func (s *Schema) ColumnIndex(name string) int {
 	if i, ok := s.byName[name]; ok {

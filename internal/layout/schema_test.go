@@ -26,6 +26,11 @@ func TestSchemaOffsets(t *testing.T) {
 			t.Errorf("Offset(%d) = %d, want %d", i, got, w)
 		}
 	}
+	for n, w := range []int{0, 8, 16, 32, 40} {
+		if got := s.PrefixSize(n); got != w {
+			t.Errorf("PrefixSize(%d) = %d, want %d", n, got, w)
+		}
+	}
 	if s.ColumnIndex("name") != 2 || s.ColumnIndex("missing") != -1 {
 		t.Error("ColumnIndex lookup broken")
 	}

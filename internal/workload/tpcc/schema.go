@@ -75,7 +75,7 @@ const (
 	DKey, DTax, DYtd, DNextOID, DName = 0, 1, 2, 3, 4
 	// customer
 	CKey, CSecKey, CBalance, CYtdPayment, CPaymentCnt, CDeliveryCnt,
-	CDiscount, CCreditLim, CFirst, CMiddle, CLast = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10
+	CDiscount, CCreditLim, CFirst, CMiddle, CLast, CData = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 19
 	// history
 	HKey, HCKey, HDKey, HDate, HAmount = 0, 1, 2, 3, 4
 	// new_order

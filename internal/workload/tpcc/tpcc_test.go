@@ -192,22 +192,43 @@ func TestDistrictOrderConsistency(t *testing.T) {
 	checkConsistency(t, e, cfg)
 }
 
-// checkConsistency checks TPC-C's consistency conditions 1 and 2 (spec 3.3.2)
+// checkConsistency checks TPC-C's consistency conditions 1 to 4 (spec 3.3.2)
 // on a quiescent engine: a warehouse's W_YTD is the sum of its districts'
 // D_YTD (Payment adds the same amount to both, so a lost update on either row
-// opens a gap), and for each district the order D_NEXT_O_ID - 1 exists and
-// the order D_NEXT_O_ID does not (NewOrder bumps the counter and inserts the
-// order in one transaction).
+// opens a gap); for each district the order D_NEXT_O_ID - 1 exists and the
+// order D_NEXT_O_ID does not (NewOrder bumps the counter and inserts the order
+// in one transaction); the district's NEW-ORDER rows are the orders
+// max(NO_O_ID) - min(NO_O_ID) + 1 in a row (NewOrder appends, Delivery takes
+// the oldest); and the sum of its orders' O_OL_CNT is the number of its
+// ORDER-LINE rows. The last two read the tables the transactions scan with a
+// column bound, so this reads them whole.
 func checkConsistency(t *testing.T, e *core.Engine, cfg Config) {
 	t.Helper()
 	read := func(tbl *core.Table, key uint64, buf []byte) error {
 		return e.RunRO(0, func(tx *core.Txn) error { return tx.Read(tbl, key, buf) })
 	}
+	// scan calls fn on each row of tbl from the key from while the key's bits
+	// above shift equal from's.
+	scan := func(tbl *core.Table, from uint64, shift int, fn func(key uint64, payload []byte)) {
+		t.Helper()
+		if err := e.RunRO(0, func(tx *core.Txn) error {
+			_, err := tx.Scan(tbl, from, 0, func(k uint64, payload []byte) bool {
+				if k>>shift != from>>shift {
+					return false
+				}
+				fn(k, payload)
+				return true
+			})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	wt, dt, ot := e.Table(TWarehouse), e.Table(TDistrict), e.Table(TOrder)
-	ws, ds := wt.Schema(), dt.Schema()
+	ws, ds, os := wt.Schema(), dt.Schema(), ot.Schema()
 	wbuf := make([]byte, ws.TupleSize())
 	dbuf := make([]byte, ds.TupleSize())
-	obuf := make([]byte, ot.Schema().TupleSize())
+	obuf := make([]byte, os.TupleSize())
 	for w := 1; w <= cfg.Warehouses; w++ {
 		if err := read(wt, wKey(w), wbuf); err != nil {
 			t.Fatal(err)
@@ -225,6 +246,20 @@ func checkConsistency(t *testing.T, e *core.Engine, cfg Config) {
 			if err := read(ot, oKey(w, did, next), obuf); err == nil {
 				t.Errorf("w%d d%d: order %d (next_o_id) already exists", w, did, next)
 			}
+
+			lo, hi, rows := uint64(1<<63), uint64(0), uint64(0)
+			scan(e.Table(TNewOrder), oKeyPrefix(w, did), 34, func(k uint64, _ []byte) {
+				lo, hi, rows = min(lo, k), max(hi, k), rows+1
+			})
+			if rows > 0 && hi-lo+1 != rows {
+				t.Errorf("w%d d%d: NEW-ORDER holds %d rows, orders %d to %d", w, did, rows, lo&0x3FFFFFFFF, hi&0x3FFFFFFFF)
+			}
+			var olCnt, lines int64
+			scan(ot, oKeyPrefix(w, did), 34, func(_ uint64, payload []byte) { olCnt += os.GetInt64(payload, OOlCnt) })
+			scan(e.Table(TOrderLine), olKeyPrefix(w, did, 0), 38, func(uint64, []byte) { lines++ })
+			if olCnt != lines {
+				t.Errorf("w%d d%d: sum(O_OL_CNT) %d, ORDER-LINE rows %d", w, did, olCnt, lines)
+			}
 		}
 		if ytd := ws.GetInt64(wbuf, WYtd); ytd != sum {
 			t.Errorf("w%d: W_YTD %d - sum(D_YTD) %d = %d", w, ytd, sum, ytd-sum)
@@ -234,7 +269,8 @@ func checkConsistency(t *testing.T, e *core.Engine, cfg Config) {
 
 // TestConsistencyAfterMix runs the mix on four workers, free-running and
 // through the group scheduler, under every CC algorithm, on an in-place and an
-// out-of-place engine, and then checks conditions 1 and 2. A lost update shows
+// out-of-place engine and on ZenS (whose tuple cache serves reads whole when
+// the statement bounds them), and then checks conditions 1 to 4. A lost update shows
 // here as a W_YTD gap in the millions (Payment's read-modify-write of the
 // warehouse and district rows); version GC at a horizon above a lagging
 // worker's next TID as "StockLevel: core: key not found". Group mode interleaves
@@ -245,7 +281,7 @@ func TestConsistencyAfterMix(t *testing.T) {
 	if testing.Short() {
 		calls, cfg = 100, tinyConfig() // the race lane: most of a cell is its load
 	}
-	for _, ecfg := range []core.Config{core.FalconConfig(), core.OutpConfig()} {
+	for _, ecfg := range []core.Config{core.FalconConfig(), core.OutpConfig(), core.ZenSConfig()} {
 		for _, algo := range cc.All {
 			for _, group := range []bool{false, true} {
 				mode := "free"

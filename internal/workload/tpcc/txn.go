@@ -251,14 +251,15 @@ func (d *Driver) NewOrderTxn(w int) error {
 		if err := tx.ReadField(d.warehouse, wKey(home), WTax, wtax[:]); err != nil {
 			return err
 		}
-		if err := tx.Read(d.customer, cKey(home, did, cid), ws.cbuf); err != nil {
+		// Customer: discount, last name, credit; never c_data.
+		if err := tx.ReadCols(d.customer, cKey(home, did, cid), CData, ws.cbuf); err != nil {
 			return err
 		}
 		_ = cs
 
 		// District: read tax + next_o_id, bump next_o_id (select-for-update
 		// — the district row is the NewOrder contention point).
-		if err := tx.ReadForUpdate(d.district, dKey(home, did), ws.dbuf); err != nil {
+		if err := tx.ReadColsForUpdate(d.district, dKey(home, did), DNextOID+1, ws.dbuf); err != nil {
 			return err
 		}
 		oid := int(ds.GetInt64(ws.dbuf, DNextOID))
@@ -413,7 +414,7 @@ func (d *Driver) PaymentTxn(w int) error {
 			key = k
 		} else {
 			key = cKey(cw, cd, cid)
-			if err := tx.ReadForUpdate(d.customer, key, ws.cbuf); err != nil {
+			if err := tx.ReadColsForUpdate(d.customer, key, CData, ws.cbuf); err != nil {
 				return err
 			}
 		}
@@ -448,7 +449,7 @@ func (d *Driver) customerByName(tx *core.Txn, w, did, nameNum int, cbuf []byte) 
 	const prefixMask = ^uint64(1<<22 - 1)
 	var keys []uint64
 	cs := d.customer.Schema()
-	_, err := tx.ScanSecondary(d.customer, prefix, 0, func(secKey uint64, payload []byte) bool {
+	_, err := tx.ScanSecondaryCols(d.customer, prefix, 0, CLast+1, func(secKey uint64, payload []byte) bool {
 		if secKey&prefixMask != prefix&prefixMask {
 			return false
 		}
@@ -467,7 +468,7 @@ func (d *Driver) customerByName(tx *core.Txn, w, did, nameNum int, cbuf []byte) 
 		return 0, core.ErrNotFound
 	}
 	key := keys[len(keys)/2]
-	if err := tx.Read(d.customer, key, cbuf); err != nil {
+	if err := tx.ReadCols(d.customer, key, CData, cbuf); err != nil {
 		return 0, err
 	}
 	return key, nil
@@ -501,7 +502,7 @@ func (d *Driver) OrderStatusTxn(w int) error {
 			key = k
 		} else {
 			key = cKey(home, did, cid)
-			if err := tx.Read(d.customer, key, ws.cbuf); err != nil {
+			if err := tx.ReadCols(d.customer, key, CData, ws.cbuf); err != nil {
 				return err
 			}
 		}
@@ -511,7 +512,7 @@ func (d *Driver) OrderStatusTxn(w int) error {
 		prefix := oSecPrefix(home, did, custID)
 		const prefixMask = ^uint64(1<<16 - 1)
 		lastOrder := uint64(0)
-		if _, err := tx.ScanSecondary(d.order, prefix, 0, func(secKey uint64, payload []byte) bool {
+		if _, err := tx.ScanSecondaryCols(d.order, prefix, 0, OCarrierID+1, func(secKey uint64, payload []byte) bool {
 			if secKey&prefixMask != prefix&prefixMask {
 				return false
 			}
@@ -526,7 +527,7 @@ func (d *Driver) OrderStatusTxn(w int) error {
 		// Read its order lines.
 		olPrefix := olKeyPrefix(home, did, int(lastOrder&0x3FFFFFFFF))
 		const olMask = ^uint64(1<<6 - 1)
-		_, err := tx.Scan(d.orderLine, olPrefix, maxOrderLines, func(k uint64, payload []byte) bool {
+		_, err := tx.ScanCols(d.orderLine, olPrefix, maxOrderLines, OLDistInfo, func(k uint64, payload []byte) bool {
 			return k&olMask == olPrefix&olMask
 		})
 		return err
@@ -570,7 +571,7 @@ func (d *Driver) DeliveryTxn(w int) error {
 			// Stamp the order's carrier and collect its customer + lines.
 			ws := &d.workers[w]
 			os := d.order.Schema()
-			if err := tx.ReadForUpdate(d.order, oKey(home, did, oid), ws.obuf); err != nil {
+			if err := tx.ReadColsForUpdate(d.order, oKey(home, did, oid), OCID+1, ws.obuf); err != nil {
 				return err
 			}
 			cid := int(os.GetInt64(ws.obuf, OCID))
@@ -585,7 +586,7 @@ func (d *Driver) DeliveryTxn(w int) error {
 			const olMask = ^uint64(1<<6 - 1)
 			var total int64
 			var lineKeys []uint64
-			if _, err := tx.Scan(d.orderLine, olPrefix, maxOrderLines, func(k uint64, payload []byte) bool {
+			if _, err := tx.ScanCols(d.orderLine, olPrefix, maxOrderLines, OLDistInfo, func(k uint64, payload []byte) bool {
 				if k&olMask != olPrefix&olMask {
 					return false
 				}
@@ -606,7 +607,7 @@ func (d *Driver) DeliveryTxn(w int) error {
 			// Credit the customer.
 			cs := d.customer.Schema()
 			key := cKey(home, did, cid)
-			if err := tx.ReadForUpdate(d.customer, key, ws.cbuf); err != nil {
+			if err := tx.ReadColsForUpdate(d.customer, key, CDeliveryCnt+1, ws.cbuf); err != nil {
 				return err
 			}
 			cs.PutInt64(ws.cbuf, CBalance, cs.GetInt64(ws.cbuf, CBalance)+total)
@@ -634,7 +635,7 @@ func (d *Driver) StockLevelTxn(w int) error {
 	return d.e.RunRO(w, func(tx *core.Txn) error {
 		ws := &d.workers[w]
 		ds := d.district.Schema()
-		if err := tx.Read(d.district, dKey(home, did), ws.dbuf); err != nil {
+		if err := tx.ReadCols(d.district, dKey(home, did), DNextOID+1, ws.dbuf); err != nil {
 			return err
 		}
 		nextO := int(ds.GetInt64(ws.dbuf, DNextOID))
@@ -647,7 +648,7 @@ func (d *Driver) StockLevelTxn(w int) error {
 		clear(seen)
 		olPrefix := olKeyPrefix(home, did, firstO)
 		limit := olKeyPrefix(home, did, nextO)
-		if _, err := tx.Scan(d.orderLine, olPrefix, 0, func(k uint64, payload []byte) bool {
+		if _, err := tx.ScanCols(d.orderLine, olPrefix, 0, OLDistInfo, func(k uint64, payload []byte) bool {
 			if k >= limit {
 				return false
 			}
