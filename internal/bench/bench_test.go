@@ -40,6 +40,39 @@ func TestRunTPCCSmoke(t *testing.T) {
 	}
 }
 
+// TestNoFlushPresetsIssueNoFlush: a No Flush preset issues no clwb, the
+// B-tree's flush of the nodes an ascending run leaves behind included, while
+// Falcon's TPC-C indexes do issue those trains.
+func TestNoFlushPresetsIssueNoFlush(t *testing.T) {
+	for _, ecfg := range []core.Config{core.FalconNoFlushConfig(), core.InpNoFlushConfig(), core.ZenSNoFlushConfig(), core.FalconConfig()} {
+		t.Run(ecfg.Name, func(t *testing.T) {
+			ecfg.Threads = 2
+			e, d, err := NewTPCC(ecfg, tpcc.Config{Warehouses: 2, Items: 200, CustomersPerDistrict: 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(e, "TPC-C", Options{Workers: 2, TxnsPerWorker: 100, WarmupPerWorker: 10, Classes: 5},
+				func(w int) (int, error) {
+					ty, err := d.NextTyped(w)
+					return int(ty), err
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Obs.Mem
+			if ecfg.Flush != core.FlushNone {
+				if m.FlushTrains == 0 {
+					t.Errorf("%d commits issued no flush train", res.Obs.Commits)
+				}
+				return
+			}
+			if m.ClwbWritebacks != 0 || m.FlushTrains != 0 {
+				t.Errorf("%d clwb write-backs and %d flush trains, want none", m.ClwbWritebacks, m.FlushTrains)
+			}
+		})
+	}
+}
+
 func TestRunYCSBSmoke(t *testing.T) {
 	ecfg := core.ZenSConfig()
 	ecfg.Threads = 2

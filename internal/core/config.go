@@ -5,6 +5,8 @@
 package core
 
 import (
+	"fmt"
+
 	"falcon/internal/cc"
 	"falcon/internal/index"
 	"falcon/internal/layout"
@@ -173,6 +175,16 @@ func (c Config) withDefaults() Config {
 		c.DRAMBytes = 512 << 20
 	}
 	return c
+}
+
+// check refuses a configuration no engine can run correctly: an in-place
+// engine with a tuple cache, whose commit overwrites tuples without
+// refreshing or invalidating their cached images.
+func (c Config) check() error {
+	if c.Update == InPlace && c.TupleCacheBytes > 0 {
+		return fmt.Errorf("core: %s: a tuple cache needs out-of-place updates", c.Name)
+	}
+	return nil
 }
 
 // Workers is the worker-thread count an engine of this configuration runs.

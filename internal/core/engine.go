@@ -134,6 +134,9 @@ var ErrTableFull = errors.New("core: table full")
 // New creates an engine with the given tables on a fresh memory system.
 func New(sys *pmem.System, cfg Config, specs []TableSpec) (*Engine, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:    cfg,
 		sys:    sys,
@@ -374,8 +377,18 @@ func (e *Engine) buildIndex(clk *sim.Clock, kind index.Kind, capacity uint64) (i
 	if err != nil {
 		return nil, 0, err
 	}
-	idx, err := e.newIndexOn(e.nvm, off, kind, capacity)
+	idx, err := e.newIndexOn(e.nvmIndexSpace(), off, kind, capacity)
 	return idx, off, err
+}
+
+// nvmIndexSpace is the space an NVM index lives on: the NVM space, through a
+// view whose flushes do nothing when the flush policy issues none (the
+// B-tree flushes the nodes an ascending run leaves behind).
+func (e *Engine) nvmIndexSpace() pmem.Space {
+	if e.cfg.Flush == FlushNone {
+		return e.sys.Space.NoFlush()
+	}
+	return e.nvm
 }
 
 func (e *Engine) newIndexOn(space pmem.Space, off uint64, kind index.Kind, capacity uint64) (index.Index, error) {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -437,5 +438,19 @@ func TestCommitsAndAbortsCounted(t *testing.T) {
 	e.Run(0, func(tx *Txn) error { return ErrRollback })
 	if e.Aborts() == 0 {
 		t.Fatal("aborts not counted")
+	}
+}
+
+// TestInPlaceTupleCacheRefused: an in-place commit overwrites tuples without
+// refreshing or invalidating their cached images, so New and Recover refuse an
+// in-place engine with a tuple cache rather than serve stale reads.
+func TestInPlaceTupleCacheRefused(t *testing.T) {
+	cfg := FalconConfig()
+	cfg.Threads, cfg.TupleCacheBytes = 4, 1<<20
+	if _, err := New(pmem.NewSystem(pmem.Config{DeviceBytes: 64 << 20}), cfg, kvSpec(index.Hash, 100)); err == nil || !strings.Contains(err.Error(), "tuple cache") {
+		t.Errorf("New: %v, want the tuple cache refused", err)
+	}
+	if _, _, err := Recover(newKVEngine(t, FalconConfig()).System().Crash(), cfg); err == nil || !strings.Contains(err.Error(), "tuple cache") {
+		t.Errorf("Recover: %v, want the tuple cache refused", err)
 	}
 }

@@ -58,6 +58,9 @@ type RecoveryReport struct {
 func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 	start := time.Now()
 	cfg = cfg.withDefaults()
+	if err := cfg.check(); err != nil {
+		return nil, nil, err
+	}
 	clk := sim.NewClock()
 	rep := &RecoveryReport{}
 
@@ -147,12 +150,12 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 	pr.To(obs.PhaseRecIndex)
 	for _, t := range e.tables {
 		if cfg.Index == IndexNVM {
-			t.primary, err = e.openIndexOn(e.nvm, clk, t.priBase, t.indexKind)
+			t.primary, err = e.openIndexOn(e.nvmIndexSpace(), clk, t.priBase, t.indexKind)
 			if err != nil {
 				return nil, nil, err
 			}
 			if t.secondaryCol > 0 {
-				t.secondary, err = e.openIndexOn(e.nvm, clk, t.secBase, index.BTree)
+				t.secondary, err = e.openIndexOn(e.nvmIndexSpace(), clk, t.secBase, index.BTree)
 				if err != nil {
 					return nil, nil, err
 				}

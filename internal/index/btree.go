@@ -71,20 +71,73 @@ func BTreeBytes(capacity uint64) uint64 {
 }
 
 // btreeNodes is the most nodes capacity inserts can need in any order, so a
-// table's heap fills before its tree does. A middle split leaves 8 and 8
-// entries, a split at the end 15 and 1; alternating them (fill a half to 15,
-// split it at the end, split the full node in the middle) spends 9 keys on 2
-// leaves, and inner nodes split the same way: capacity·2/9 leaves, and 2/7
-// as many inner nodes above them. (Leaves are never merged: deletes that
-// thin leaves out without emptying them are outside this bound.)
+// table's heap fills before its tree does. Every split (runHint.split) leaves
+// at least 8 entries in one node: a middle split 8 and 8, a split at the end
+// of a run 15 and 1, a split at a run's insertion point i+1 and 15-i, i >= 7.
+// A potential over a leaf's count and hint (TestSplitRuleKeysPerLeaf) shows
+// that no insert order leaves fewer than 4.5 keys per leaf, which the stream
+// that alternates end and middle splits reaches (fill a half to 15, split it
+// at the end, split the full node in the middle: 9 keys, 2 leaves); inner
+// nodes split the same way: capacity·2/9 leaves, and 2/7 as many inner nodes
+// above them. Runs shorter than minRun would break it: a position-only run
+// lets two inserts at a time split a full node 14 and 2, leaving 2 keys per
+// leaf. (Leaves are never merged: deletes that thin leaves out without
+// emptying them are outside this bound.)
 func btreeNodes(capacity uint64) uint64 {
 	return capacity*2/7 + 64
 }
 
 // nodeLines is the cache lines of a node. Line 0 holds the header (kind,
-// count, the appended hint, a leaf's link) and entries 0-2; entries 3-14 fill
+// count, the run hint, a leaf's link) and entries 0-2; entries 3-14 fill
 // lines 1-3, four to a line.
 const nodeLines = nodeBytes / pmem.LineSize
+
+// minRun is the length an ascending run needs before a full node splits at
+// its insertion point rather than in the middle: with shorter runs an
+// adversary can leave fewer than 4.5 keys per leaf (see btreeNodes).
+const minRun = 9
+
+// runHint is a node's header byte 2: the low nibble is the position of the
+// node's last insert plus one (0: none, the node has been left behind), the
+// high nibble the length of the run that insert ended, the inserts in a row,
+// it included, each at the position after the one before (saturating at 15).
+type runHint byte
+
+// continues reports whether an insert at position i continues the run.
+func (h runHint) continues(i int) bool { return h&15 != 0 && int(h&15) == i }
+
+// after returns the hint of a node whose last insert, at position pos, was
+// an insert at position i into a node with hint h (pos differs from i when a
+// split moved the key to another node).
+func (h runHint) after(i, pos int) runHint {
+	l := runHint(1)
+	if h.continues(i) {
+		l = min(h>>4+1, 15)
+	}
+	return l<<4 | runHint(pos+1)
+}
+
+// split says where a full node with hint h splits for an insert at position
+// i: it keeps [0, mid), the key goes to it if toLeft and to the new sibling
+// otherwise, and run reports a split at the run's insertion point, which
+// leaves the node the key does not go to finished. An ascending run (TPC-C's
+// per-district order ids) continued at the end keeps the full node and opens
+// the sibling with the key alone; continued inside the node by a run of
+// minRun, it keeps [0, i) and the key, and the entries after the key, which
+// belong to the next range, go to the sibling. Any other insert splits in the
+// middle, 8 and 8 entries.
+func (h runHint) split(i int) (mid int, toLeft, run bool) {
+	switch {
+	case h.continues(i) && i == nodeEntries:
+		return nodeEntries, false, true
+	case h.continues(i) && i >= nodeEntries/2 && h>>4 >= minRun:
+		return i, true, true
+	case i <= nodeEntries/2:
+		return nodeEntries / 2, true, false
+	default:
+		return nodeEntries/2 + 1, false, false
+	}
+}
 
 // node is a walk's image of one node: the lines the walk read, bit l of lines
 // for bytes [64l, 64l+64). The other lines of buf still hold whatever node
@@ -103,18 +156,10 @@ func (n *node) setKind(inner bool) {
 		n.buf[0] = 0
 	}
 }
-func (n *node) count() int { return int(n.buf[1]) }
-
-// appended is a hint in the header: the last insert into the node went after
-// all its entries. Two such inserts in a row are taken for an ascending run.
-func (n *node) appended() bool { return n.buf[2] != 0 }
-func (n *node) setAppended(a bool) {
-	n.buf[2] = 0
-	if a {
-		n.buf[2] = 1
-	}
-}
-func (n *node) setCount(c int) { n.buf[1] = byte(c) }
+func (n *node) count() int        { return int(n.buf[1]) }
+func (n *node) hint() runHint     { return runHint(n.buf[2]) }
+func (n *node) setHint(h runHint) { n.buf[2] = byte(h) }
+func (n *node) setCount(c int)    { n.buf[1] = byte(c) }
 func (n *node) next() (uint64, bool) {
 	v := binary.LittleEndian.Uint64(n.buf[8:16])
 	return v - 1, v != 0
@@ -317,6 +362,7 @@ type treeWalk struct {
 	nodes [maxDepth + 1]node
 	path  [maxDepth]pathEntry
 	spare node
+	train [1]pmem.Span // a finished node's flush, kept here so it does not escape
 }
 
 var walkPool = sync.Pool{New: func() any { return new(treeWalk) }}
@@ -416,18 +462,19 @@ func (t *BTreeIndex) Insert(clk *sim.Clock, key, val uint64) error {
 }
 
 // insertEntry places (k, v) at position i of n, the node w.path[:npath]
-// leads to. A full node splits first and hands the separator of its new
-// right sibling to the level above. Only an append, one that does not split
-// the node in the middle, leaves n's entries where they are and stores none of
+// leads to. A full node splits first (runHint.split) and hands the separator
+// of its new right sibling to the level above. Only an append, or a split at
+// the end of a run, leaves n's entries where they are and stores none of
 // them: any other insert reads the occupied lines the search did not.
 func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node, i int, k, v uint64) error {
-	if c := n.count(); i < c || (c == nodeEntries && !n.appended()) {
+	h := n.hint()
+	if c := n.count(); i < c || (c == nodeEntries && !h.continues(i)) {
 		t.fill(clk, n, 0, entryOff(c))
 	}
 	if n.count() < nodeEntries {
 		n.insertAt(i, k, v)
-		n.setAppended(i == n.count()-1)
-		if n.appended() {
+		n.setHint(h.after(i, i))
+		if i == n.count()-1 {
 			// An entry past the count is invisible: appending stores the
 			// entry and then the header, not the whole node.
 			t.space.Write(clk, t.nodeOff(n.id)+uint64(16+16*i), n.entry(i))
@@ -440,30 +487,30 @@ func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node
 	if err != nil {
 		return err
 	}
-	// Left keeps [0,mid), right gets [mid,count). In an ascending run (TPC-C's
-	// per-district order ids) the key opens the right sibling alone, which
-	// leaves full nodes behind, not half-full ones; a key that merely happens
-	// to sort after a full node splits it in the middle like any other.
-	mid, toLeft := nodeEntries/2, i <= nodeEntries/2
-	if i == nodeEntries && n.appended() {
-		mid = nodeEntries
-	}
+	// Left keeps [0,mid), right gets [mid,count), and the key goes to one of
+	// them, which carries the run on; the other is left with no hint.
+	mid, toLeft, run := h.split(i)
 	right := &w.spare
 	right.id, right.buf = rightID, [nodeBytes]byte{}
 	copy(right.buf[:16], n.buf[:16]) // kind, and a leaf's next
 	copy(right.buf[16:], n.buf[16+16*mid:])
 	right.setCount(nodeEntries - mid)
-	right.setAppended(i == nodeEntries)
 	n.setCount(mid)
 	if n.leaf() {
 		n.setNext(rightID)
 	}
-	moved := mid // first entry of n that changed: none, unless the key went there
+	// moved is the first entry of n that changed: none, unless the key went
+	// there; finished is the node the key did not go to.
+	moved, finished := mid, n.id
 	if toLeft {
 		n.insertAt(i, k, v)
-		moved = i
+		n.setHint(h.after(i, i))
+		right.setHint(0)
+		moved, finished = i, rightID
 	} else {
 		right.insertAt(i-mid, k, v)
+		right.setHint(h.after(i, i-mid))
+		n.setHint(0)
 	}
 	// The sibling first: nothing reaches it until the left node's link does.
 	// A new node is stored whole: whole-line stores need no fill from the
@@ -471,6 +518,14 @@ func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node
 	sep := right.key(0)
 	t.space.Write(clk, t.nodeOff(rightID), right.buf[:])
 	t.storeHead(clk, n, moved)
+	if run {
+		// The run will not come back to the node it left: its four lines go
+		// down together, one full-block media write, instead of one by one
+		// as the cache evicts them.
+		w.train[0] = pmem.Span{Off: t.nodeOff(finished), N: nodeBytes}
+		t.space.SFence(clk)
+		t.space.CLWBTrain(clk, w.train[:])
+	}
 	if npath > 0 {
 		p := w.path[npath-1]
 		return t.insertEntry(clk, w, npath-1, p.n, p.idx+1, sep, rightID)

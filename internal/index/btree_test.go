@@ -9,12 +9,15 @@ import (
 
 // TestBTreeLineBudget pins what an operation on a tree of known shape
 // touches: the cache-line accesses the memory system counted (hits + misses,
-// loads and stores alike), the reads the tree issued, and the offset and
-// length of every store. A walk reads a node's header line (kind, count,
-// entries 0-2), then the line of each entry its binary search probes (entries
-// 3-6, 7-10 and 11-14 are lines 1, 2 and 3), then, for a change that moves
-// entries or a scan, the occupied lines it still lacks in one read per run.
-// The stores are the ones the tree made when every walk read whole nodes.
+// loads and stores alike), the reads the tree issued, the offset and length
+// of every store, and the flush trains. A walk reads a node's header line
+// (kind, count, entries 0-2), then the line of each entry its binary search
+// probes (entries 3-6, 7-10 and 11-14 are lines 1, 2 and 3), then, for a
+// change that moves entries or a scan, the occupied lines it still lacks in
+// one read per run. The stores are the ones the tree made when every walk
+// read whole nodes. A split at a run's insertion point also flushes the node
+// the run leaves: one fence, one train of its four lines, and the node
+// reaches the media as one full block write.
 func TestBTreeLineBudget(t *testing.T) {
 	sys := newSys()
 	log := &spaceLog{Space: sys.Space}
@@ -31,9 +34,8 @@ func TestBTreeLineBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	node, hdr := bt.NodeAddr, bt.base
 	type span = [2]uint64
-	cost := func(name string, wantLines uint64, wantReads int, wantStores []span, op func()) {
+	cost := func(name string, wantLines uint64, wantReads int, wantStores []span, wantTrains [][]span, op func()) {
 		t.Helper()
 		lines := log.measure(t, sys, name, op)
 		if len(log.reads) != wantReads || !slices.Equal(log.writes, wantStores) {
@@ -41,6 +43,9 @@ func TestBTreeLineBudget(t *testing.T) {
 		}
 		if lines != wantLines {
 			t.Fatalf("%s touched %d lines, want %d", name, lines, wantLines)
+		}
+		if log.fences != len(wantTrains) || !slices.EqualFunc(log.trains, wantTrains, slices.Equal) {
+			t.Fatalf("%s: %d fences and trains %v, want %d and %v", name, log.fences, log.trains, len(wantTrains), wantTrains)
 		}
 	}
 	get := func(k uint64, want bool) func() {
@@ -50,53 +55,86 @@ func TestBTreeLineBudget(t *testing.T) {
 			}
 		}
 	}
-	insert := func(k uint64) func() {
+	insert := func(bt *BTreeIndex, k uint64) func() {
 		return func() {
 			if err := bt.Insert(clk, k, k+1); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	node, hdr := bt.NodeAddr, bt.base
 
 	// The root's three separators share its header line. Leaf 1's search for
 	// its first key probes entries 7, 3, 1 and 0: lines 2, 1 and 0.
-	cost("get hit", 4, 4, nil, get(160, true))
+	cost("get hit", 4, 4, nil, nil, get(160, true))
 	// 305 sorts after leaf 1's last key: entries 7, 11, 13 and 14.
-	cost("get miss", 4, 4, nil, get(305, false))
+	cost("get miss", 4, 4, nil, nil, get(305, false))
 	// 410 goes after leaf 3's ten keys (probes 5, 8, 9: lines 0-2). An append
 	// stores the entry, then the header.
-	cost("append insert", 6, 4, []span{{node(3) + 176, 16}, {node(3), 16}}, insert(410))
+	cost("append insert", 6, 4, []span{{node(3) + 176, 16}, {node(3), 16}}, nil, insert(bt, 410))
 	// 315 goes to position 1 of leaf 3 (probes 5, 2, 1, 0: lines 0 and 1). The
 	// entries after it move, so line 2 comes in, and the node is stored up to
 	// its new last entry, in line 3.
-	cost("middle insert", 8, 4, []span{{node(3), 208}}, insert(315))
+	cost("middle insert", 8, 4, []span{{node(3), 208}}, nil, insert(bt, 315))
 	// 235 lands at position 8 of full leaf 1 (probes 7, 11, 9, 8: lines 0, 2,
-	// 3), which splits in the middle: line 1 comes in; node 4 is taken from
-	// nextFree and stored whole with entries 7-14 and the key; leaf 1 keeps 7
-	// entries, a header store; the root takes separator 230 at position 2.
-	cost("split", 13, 5, []span{{hdr + hdrNextFree, 8}, {node(4), 256}, {node(1), 16}, {node(2), 80}}, insert(235))
-	// The root now holds 0, 160, 230, 310: 310 is entry 3, in its line 1.
+	// 3), which the run that filled it left behind: it splits in the middle.
+	// Line 1 comes in; node 4 is taken from nextFree and stored whole with
+	// the key and entries 8-14; leaf 1 keeps 8 entries, a header store; the
+	// root takes separator 235 at position 2. A middle split flushes nothing.
+	cost("middle split", 13, 5, []span{{hdr + hdrNextFree, 8}, {node(4), 256}, {node(1), 16}, {node(2), 80}}, nil, insert(bt, 235))
+	// The root now holds 0, 160, 235, 310: 310 is entry 3, in its line 1.
 	// Leaf 3's search for its first key reads lines 0 and 1; the eleven
 	// entries that move down bring lines 2 and 3 in one read.
-	cost("delete", 9, 5, []span{{node(3), 192}}, func() {
+	cost("delete", 9, 5, []span{{node(3), 192}}, nil, func() {
 		if !bt.Delete(clk, 310) {
 			t.Fatal("delete(310) found nothing")
 		}
 	})
-	// From 200: leaf 1 (160-220) is searched (probes 3, 5, 4: lines 0 and 1)
-	// and its keys from position 4 on are in line 1 already. Three keys in,
-	// the chain leads to node 4, whose header line and its nine entries' lines
-	// 1-2 (one read) are read before the scan stops at its first key.
+	// From 200: leaf 1 (160-230) is searched (probes 4, 2, 3: lines 0 and 1)
+	// and its keys from position 4 on are in lines 1 and 2, one read for the
+	// second. Four keys in, the chain leads to node 4, whose header line and
+	// its eight entries' lines 1-2 (one read) are read before the scan stops
+	// at its first key.
 	var got []uint64
-	cost("scan stopping early", 6, 5, nil, func() {
+	cost("scan stopping early", 7, 6, nil, nil, func() {
 		if err := bt.Scan(clk, 200, func(k, _ uint64) bool {
 			got = append(got, k)
-			return len(got) < 4
+			return len(got) < 5
 		}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if want := []uint64{200, 210, 220, 230}; !slices.Equal(got, want) {
+	if want := []uint64{200, 210, 220, 230, 235}; !slices.Equal(got, want) {
 		t.Fatalf("scan from 200 gave %v, want %v", got, want)
+	}
+
+	// A second tree, one leaf: the next range's head, 1000-6000, then a run
+	// from 100 ahead of it. The run's tenth key, 109, finds the leaf full
+	// after a run of nine at positions 0-8.
+	run, err := NewBTree(log, bt.Bytes(), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []uint64{1000, 2000, 3000, 4000, 5000, 6000, 100, 101, 102, 103, 104, 105, 106, 107, 108} {
+		insert(run, k)()
+	}
+	node, hdr = run.NodeAddr, run.base
+	sys.XPB.Drain(clk)
+	before := sys.Dev.Stats().Snapshot()
+	// 109 goes to position 9 (probes 7, 11, 9, 8: lines 0, 2, 3; line 1
+	// comes in for the split). The leaf splits there: node 1 is stored whole
+	// with 1000-6000, leaf 0 keeps 100-109 up to its new last entry, and node
+	// 1, which the run has left, is fenced and flushed as one train. Then
+	// the root split: nextFree, the new root whole, the root word.
+	cost("insertion-point split", 18, 4,
+		[]span{{hdr + hdrNextFree, 8}, {node(1), 256}, {node(0), 176}, {hdr + hdrNextFree, 8}, {node(2), 256}, {hdr + hdrRoot, 8}},
+		[][]span{{{node(1), 256}}}, insert(run, 109))
+	sys.XPB.Drain(clk)
+	d := sys.Dev.Stats().Snapshot().Sub(before)
+	if d.MediaWrites != 1 || d.FullBlockWrites != 1 || d.PartialBlockWrites != 0 {
+		t.Fatalf("the finished node reached the media in %d writes, %d of them full and %d partial; want one full block write", d.MediaWrites, d.FullBlockWrites, d.PartialBlockWrites)
+	}
+	if got := scanKeys(t, run, 0, func(k uint64) uint64 { return k + 1 }); len(got) != 16 || got[9] != 109 || got[10] != 1000 {
+		t.Fatalf("after the split the tree scans %v", got)
 	}
 }

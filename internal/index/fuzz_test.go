@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,7 +18,9 @@ import (
 // as TPC-C's Delivery does, so walks pass through buffers that last held a
 // leaf the drain emptied and the tree freed, in the lines they do not read.
 // Every result is compared on the spot; at the end the tree must be sound and
-// scan the model.
+// scan the model. Until the first delete the tree must use no more nodes than
+// btreeNodes allows for the keys inserted so far, so the fuzzer also hunts
+// for insert orders that fill a tree before its sizing says it can be.
 func btreeOpsAgainstModel(t *testing.T, ops []byte) {
 	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 4 << 20, CacheBytes: 64 << 10, XPBufferBytes: 16 << 10})
 	bt, err := NewBTree(sys.Space, 0, 4096)
@@ -26,22 +29,38 @@ func btreeOpsAgainstModel(t *testing.T, ops []byte) {
 	}
 	clk := sim.NewClock()
 	ref := map[uint64]uint64{}
+	var keys []uint64 // ref's keys in order: what a scan must return is a slice of them
+	insertOnly := true
 	insert := func(k uint64) {
 		err := bt.Insert(clk, k, k^0x55)
-		if _, dup := ref[k]; dup != (err == ErrDuplicate) || (!dup && err != nil) {
+		_, dup := ref[k]
+		if dup != (err == ErrDuplicate) || (!dup && err != nil) {
 			t.Fatalf("insert(%d): %v, in the model %v", k, err, dup)
 		}
+		if !dup {
+			i, _ := slices.BinarySearch(keys, k)
+			keys = slices.Insert(keys, i, k)
+		}
 		ref[k] = k ^ 0x55
+		if used, bound := bt.nextFree.Load(), btreeNodes(uint64(len(ref))); insertOnly && used > bound {
+			t.Fatalf("%d keys inserted take %d nodes, btreeNodes allows %d", len(ref), used, bound)
+		}
 	}
 	remove := func(k uint64) {
+		insertOnly = false
 		_, want := ref[k]
 		if got := bt.Delete(clk, k); got != want {
 			t.Fatalf("delete(%d) = %v, in the model %v", k, got, want)
 		}
+		if want {
+			i, _ := slices.BinarySearch(keys, k)
+			keys = slices.Delete(keys, i, i+1)
+		}
 		delete(ref, k)
 	}
 	scan := func(from uint64, stop int) {
-		want := sortedFrom(ref, from)
+		i, _ := slices.BinarySearch(keys, from)
+		want := keys[i:]
 		n := 0
 		if err := bt.Scan(clk, from, func(key, val uint64) bool {
 			if n >= len(want) || key != want[n] || val != ref[key] {

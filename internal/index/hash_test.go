@@ -31,10 +31,13 @@ func bucketKeys(b uint64, fp, n int) []uint64 {
 	return keys
 }
 
-// spaceLog records what an index reads and stores through its Space.
+// spaceLog records what an index reads, stores and flushes through its
+// Space.
 type spaceLog struct {
 	pmem.Space
-	reads, writes [][2]uint64 // offset, length
+	reads, writes [][2]uint64   // offset, length
+	trains        [][][2]uint64 // the spans of each CLWBTrain
+	fences        int
 }
 
 func (s *spaceLog) Read(clk *sim.Clock, off uint64, dst []byte) {
@@ -45,6 +48,20 @@ func (s *spaceLog) Read(clk *sim.Clock, off uint64, dst []byte) {
 func (s *spaceLog) Write(clk *sim.Clock, off uint64, src []byte) {
 	s.writes = append(s.writes, [2]uint64{off, uint64(len(src))})
 	s.Space.Write(clk, off, src)
+}
+
+func (s *spaceLog) CLWBTrain(clk *sim.Clock, spans []pmem.Span) {
+	var train [][2]uint64
+	for _, sp := range spans {
+		train = append(train, [2]uint64{sp.Off, uint64(sp.N)})
+	}
+	s.trains = append(s.trains, train)
+	s.Space.CLWBTrain(clk, spans)
+}
+
+func (s *spaceLog) SFence(clk *sim.Clock) {
+	s.fences++
+	s.Space.SFence(clk)
 }
 
 func (s *spaceLog) ReadU64(clk *sim.Clock, off uint64) uint64 {
@@ -62,7 +79,7 @@ func (s *spaceLog) WriteU64(clk *sim.Clock, off uint64, v uint64) {
 // no byte twice. The log then holds op's reads and stores.
 func (s *spaceLog) measure(t *testing.T, sys *pmem.System, name string, op func()) uint64 {
 	t.Helper()
-	s.reads, s.writes = s.reads[:0], s.writes[:0]
+	s.reads, s.writes, s.trains, s.fences = s.reads[:0], s.writes[:0], nil, 0
 	before := sys.Dev.Stats().Snapshot()
 	op()
 	d := sys.Dev.Stats().Snapshot().Sub(before)

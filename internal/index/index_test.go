@@ -368,9 +368,10 @@ func chainImages(t *BTreeIndex) []leafImage {
 
 // TestBTreeSizedForWorstCaseFill: a tree built for capacity keys takes
 // capacity inserts in any order without ErrFull — the heap of the table it
-// indexes is what fills first. Ascending keys leave full leaves; the stream
-// that plays splits at the end of a node against splits in the middle gets
-// the fewest keys per leaf there are, and still fits.
+// indexes is what fills first. Ascending keys leave full leaves, and so do
+// ascending runs that share leaves (TPC-C's districts); the stream that plays
+// splits at the end of a node against splits in the middle gets the fewest
+// keys per leaf there are (TestSplitRuleKeysPerLeaf), and still fits.
 func TestBTreeSizedForWorstCaseFill(t *testing.T) {
 	const capacity = 20000
 	fill := func(name string, key func(i int) uint64) *BTreeIndex {
@@ -394,6 +395,37 @@ func TestBTreeSizedForWorstCaseFill(t *testing.T) {
 	fill("descending", func(i int) uint64 { return uint64(capacity - i) })
 	rng := rand.New(rand.NewSource(5))
 	fill("random", func(int) uint64 { return rng.Uint64() })
+	// A run of 16 splits its leaf at the end; then keys just below the new
+	// sibling's, descending, each sort after the full leaf's last key. The
+	// leaf the run left must have lost its hint: if not, each of them splits
+	// it at the end again and takes a leaf of its own (ErrFull after 5 071
+	// keys).
+	fill("a run, then descending below its last key", func(i int) uint64 {
+		if i <= nodeEntries {
+			return uint64(i+1) << 32
+		}
+		return uint64(nodeEntries+1)<<32 - uint64(i-nodeEntries)
+	})
+	// Twenty ascending runs, loaded one after the other so that each run's
+	// last leaf holds the next one's first keys, then extended in turn at
+	// random. A run splits such a leaf in the middle until it has gone on
+	// for minRun keys, and then where it inserts: every leaf it leaves is
+	// full but its first few and the one it ends in.
+	const runs = 20
+	var tail [runs]uint64
+	interleaved := fill("interleaved runs", func(i int) uint64 {
+		r := i / 100
+		if i >= runs*100 {
+			r = rng.Intn(runs)
+		}
+		tail[r]++
+		return uint64(r)<<32 | tail[r]
+	})
+	leaves, limit := checkSound(t, interleaved).leaves, capacity/14+runs
+	if leaves > limit {
+		t.Fatalf("interleaved runs: %d leaves for %d keys, want at most %d", leaves, capacity, limit)
+	}
+	t.Logf("interleaved runs: %d keys in %d leaves, at most %d allowed", capacity, leaves, limit)
 
 	// The adversary: bring a leaf to 15 keys with keys after its last, split
 	// it at the end with one more, then split the full leaf in the middle.
@@ -443,6 +475,89 @@ func TestBTreeSizedForWorstCaseFill(t *testing.T) {
 	if perLeaf > 5.5 {
 		t.Fatalf("adversary reached only %.2f keys per leaf, the sizing argument says 4.5", perLeaf)
 	}
+}
+
+// TestSplitRuleKeysPerLeaf checks the argument btreeNodes rests on: in any
+// insert order the leaves hold 4.5 keys each, up to a constant. A leaf is its
+// count and run hint; an insert at position i takes it to one leaf or, when
+// it splits (runHint.split), to two, the key's with the hint the insert
+// leaves (runHint.after) and the other with none. A potential phi over these
+// states with phi >= 4.5 everywhere that no insert raises by more than 1,
+// summed over the leaves, is the proof: the keys inserted are at least
+// sum(phi) - phi(empty leaf) >= 4.5 leaves - phi(empty leaf). The least such
+// phi is the fixed point of phi(s) = max(4.5, max over the inserts into s of
+// the new leaves' phi - 1), found by iteration (in halves, to stay integral):
+// it exists for the split rule as it stands, and at 5 keys per leaf it runs
+// away, so 4.5 is the worst case and not a loose bound (with minRun 8 it runs
+// away at 4.5 too). Inner nodes split by the same rule, with fewer positions
+// open to the adversary.
+func TestSplitRuleKeysPerLeaf(t *testing.T) {
+	type leafState struct {
+		count int
+		hint  runHint
+	}
+	inserts := func(s leafState) [][]leafState {
+		var out [][]leafState
+		for i := 0; i <= s.count; i++ {
+			if s.count < nodeEntries {
+				out = append(out, []leafState{{s.count + 1, s.hint.after(i, i)}})
+				continue
+			}
+			mid, toLeft, _ := s.hint.split(i)
+			left, right := leafState{mid, 0}, leafState{nodeEntries - mid, 0}
+			if toLeft {
+				left = leafState{mid + 1, s.hint.after(i, i)}
+			} else {
+				right = leafState{right.count + 1, s.hint.after(i, i-mid)}
+			}
+			out = append(out, []leafState{left, right})
+		}
+		return out
+	}
+	empty := leafState{}
+	states, succ := []leafState{empty}, map[leafState][][]leafState{empty: nil}
+	for k := 0; k < len(states); k++ {
+		succ[states[k]] = inserts(states[k])
+		for _, next := range succ[states[k]] {
+			for _, s := range next {
+				if _, seen := succ[s]; !seen {
+					succ[s] = nil
+					states = append(states, s)
+				}
+			}
+		}
+	}
+	leastPhi := func(halves int) (map[leafState]int, bool) {
+		phi := map[leafState]int{}
+		for _, s := range states {
+			phi[s] = halves
+		}
+		for changed := true; changed; {
+			changed = false
+			for _, s := range states {
+				for _, next := range succ[s] {
+					v := -2
+					for _, n := range next {
+						v += phi[n]
+					}
+					if v > phi[s] {
+						if phi[s], changed = v, true; v > 100*halves {
+							return nil, false
+						}
+					}
+				}
+			}
+		}
+		return phi, true
+	}
+	phi, ok := leastPhi(9)
+	if !ok {
+		t.Fatalf("no potential of 4.5 keys per leaf over %d leaf states: an insert order leaves fewer", len(states))
+	}
+	if _, ok := leastPhi(10); ok {
+		t.Fatalf("a potential of 5 keys per leaf exists: btreeNodes could be smaller")
+	}
+	t.Logf("%d leaf states; keys >= 4.5 leaves - %.1f", len(states), float64(phi[empty])/2)
 }
 
 // TestDrainedRangesLeaveNoEmptyLeaves plays TPC-C's new_order table: twenty

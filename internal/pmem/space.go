@@ -98,6 +98,11 @@ func (d *dram) fillLine(clk *sim.Clock, lineAddr uint64, dst *[LineSize]byte) {
 
 func (d *dram) drain(*sim.Clock) {}
 
+// NoFlush returns a view of s over the same cache and device whose CLWB,
+// CLWBTrain and SFence do nothing: the space for a structure of an engine
+// that issues no flush.
+func (s *MemSpace) NoFlush() *MemSpace { return &MemSpace{cache: s.cache, dev: s.dev} }
+
 func (s *MemSpace) Read(clk *sim.Clock, off uint64, dst []byte) { s.cache.Load(clk, off, dst) }
 
 func (s *MemSpace) Write(clk *sim.Clock, off uint64, src []byte) { s.cache.Store(clk, off, src) }
