@@ -36,10 +36,12 @@ race:
 # under the race detector. The index
 # and TPC-C packages are here for the B-tree's lock-free readers: what they
 # load beside a writer (root, nextFree, the sequence word) must be atomic.
+# sim is here for the token's coroutine handoff itself, which its own tests
+# drive at GOMAXPROCS 1 and 4.
 # -count=1 because GOMAXPROCS is not part of Go's test-cache key: right after
 # `make race` the shared packages would otherwise report (cached).
 race-par:
-	GOMAXPROCS=4 go test -race -short -count=1 ./internal/crashtest ./internal/core ./internal/pmem ./internal/bench ./internal/index ./internal/workload/tpcc
+	GOMAXPROCS=4 go test -race -short -count=1 ./internal/crashtest ./internal/core ./internal/pmem ./internal/bench ./internal/index ./internal/workload/tpcc ./internal/sim
 
 # Append a full host-performance run (micro ops, one YCSB cell, the default
 # Figure-11 grid) to BENCH_hostperf.json. Speedups are against the first
@@ -81,14 +83,17 @@ tpcc-mv-smoke:
 	go test -count=1 -run TestMVMixFinishesFreeRunning ./internal/workload/tpcc
 
 # Ten seconds of native fuzzing per target, on top of the checked-in corpora
-# that every `go test` run replays (same lane CI runs).
+# that every `go test` run replays (same lane CI runs). -fuzzminimizetime caps
+# the minimization of each new interesting input: at Go's default of 60 s the
+# first one takes the rest of the ten seconds, and FuzzBTreeOps found 0 or 1
+# new inputs per run; at 5 s, 2 or 3; at 1 s, 15 or 16.
 fuzz-smoke:
-	go test -run '^$$' -fuzz FuzzBTreeOps -fuzztime 10s ./internal/index
-	go test -run '^$$' -fuzz FuzzHashOps -fuzztime 10s ./internal/index
-	go test -run '^$$' -fuzz FuzzXPIndex -fuzztime 10s ./internal/pmem
-	go test -run '^$$' -fuzz FuzzXPBufferModel -fuzztime 10s ./internal/pmem
-	go test -run '^$$' -fuzz FuzzHotSetModel -fuzztime 10s ./internal/core
-	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/server
+	go test -run '^$$' -fuzz FuzzBTreeOps -fuzztime 10s -fuzzminimizetime 1s ./internal/index
+	go test -run '^$$' -fuzz FuzzHashOps -fuzztime 10s -fuzzminimizetime 1s ./internal/index
+	go test -run '^$$' -fuzz FuzzXPIndex -fuzztime 10s -fuzzminimizetime 1s ./internal/pmem
+	go test -run '^$$' -fuzz FuzzXPBufferModel -fuzztime 10s -fuzzminimizetime 1s ./internal/pmem
+	go test -run '^$$' -fuzz FuzzHotSetModel -fuzztime 10s -fuzzminimizetime 1s ./internal/core
+	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 sweep:
 	go run ./cmd/falcon sweep
@@ -145,7 +150,8 @@ contend-smoke:
 # round-barrier replay, per-worker timing caches and deferred epoch seals into
 # the one machine under a token, and the free-running figure schedule, its
 # worker-scheduling flag and the sweep's and hostbench's cell-count flags into
-# that token with GOMAXPROCS cells at once; fail when a removed spelling comes
+# that token with GOMAXPROCS cells at once, and group mode's enter, begin,
+# leave and exit calls into the one Engine.RunGroup; fail when a removed spelling comes
 # back (same lane CI runs). CHANGES.md, ROADMAP.md and benchmark/ are history
 # and exempt, and so are the tests that check a removed flag is refused. The
 # [-], the [R]s and the like keep this recipe from matching itself.
@@ -165,6 +171,8 @@ old-spellings:
 	! grep -rnE 'det[R]eplay|defer[S]eal|[d]ataless|ConflictDet[B]arrier|Barrier[T]ick|note[C]ommitted|det[T]ID' \
 		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 	! grep -rnE --exclude='*_test.go' -- '-[p]arworkers|(sweep|hostbench)\b.*[[:space:]]-[p]ar\b' \
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
+	! grep -rnE --exclude='*_test.go' -- 'Enter[G]roup|Leave[G]roup|Group\(\)\.' \
 		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 
 # Every Go file gofmt-clean, benchmark/ included (same lane CI runs).

@@ -39,7 +39,7 @@ type Options struct {
 	// Result.Obs.Contend.
 	Contend bool
 	// ParWorkers runs the workers through the engine's deterministic group
-	// scheduler (core.Engine.EnterGroup): real goroutines on the one simulated
+	// scheduler (core.Engine.RunGroup): coroutines on the one simulated
 	// machine, one at a time, the token handed on in virtual-time order, so
 	// results are independent of GOMAXPROCS and host schedule. It is the same
 	// machine as a free-running run: one worker gives the same result either
@@ -107,55 +107,40 @@ func Run(e *core.Engine, workload string, opts Options, fn TxnFunc) (*Result, er
 		hists[w] = make([]obs.Histogram, opts.Classes)
 	}
 
-	if opts.ParWorkers {
-		e.EnterGroup()
-		defer e.LeaveGroup()
-	}
-
 	runPhase := func(txns int, record bool) error {
-		var wg sync.WaitGroup
 		errs := make([]error, opts.Workers)
 		// cancel aborts the whole phase promptly when any worker fails:
 		// without it the failing worker returns while the others grind
 		// through their full transaction count.
 		var cancel atomic.Bool
-		var g *sim.Group
+		work := func(w int) {
+			clk := e.Clock(w)
+			for i := 0; i < txns && !cancel.Load(); i++ {
+				before := clk.Nanos()
+				class, err := fn(w)
+				if err != nil {
+					errs[w] = fmt.Errorf("worker %d txn %d: %w", w, i, err)
+					cancel.Store(true)
+					return
+				}
+				if record {
+					if class < 0 || class >= opts.Classes {
+						class = 0
+					}
+					hists[w][class].Observe(clk.Nanos() - before)
+				}
+			}
+		}
 		if opts.ParWorkers {
-			g = e.Group()
-			g.Begin(opts.Workers)
+			e.RunGroup(opts.Workers, work)
+		} else {
+			var wg sync.WaitGroup
+			for w := 0; w < opts.Workers; w++ {
+				wg.Add(1)
+				go func() { defer wg.Done(); work(w) }()
+			}
+			wg.Wait()
 		}
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if g != nil {
-					// Retire from the scheduler on any exit path — a worker
-					// that leaves without this keeps the token, or its turn
-					// at it, forever.
-					defer g.Leave(w)
-				}
-				clk := e.Clock(w)
-				for i := 0; i < txns; i++ {
-					if cancel.Load() {
-						return
-					}
-					before := clk.Nanos()
-					class, err := fn(w)
-					if err != nil {
-						errs[w] = fmt.Errorf("worker %d txn %d: %w", w, i, err)
-						cancel.Store(true)
-						return
-					}
-					if record {
-						if class < 0 || class >= opts.Classes {
-							class = 0
-						}
-						hists[w][class].Observe(clk.Nanos() - before)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
 				return err

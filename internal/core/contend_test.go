@@ -142,19 +142,7 @@ func contendGroupReport(t *testing.T, algo cc.Algo, procs int) ([]byte, *obs.Con
 	cfg.CC = algo
 	e := newContendEngine(t, cfg)
 	const workers = 4
-	e.EnterGroup()
-	e.Group().Begin(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer e.Group().Leave(w)
-			contendHotKeyLoop(e, w, 120)
-		}(w)
-	}
-	wg.Wait()
-	e.LeaveGroup()
+	e.RunGroup(workers, func(w int) { contendHotKeyLoop(e, w, 120) })
 	rep := e.Contend().Report()
 	b, err := json.Marshal(rep)
 	if err != nil {

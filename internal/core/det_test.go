@@ -58,53 +58,43 @@ func runGroupWorkload(t *testing.T, cfg Config, cacheBytes, procs int) groupResu
 	e.ResetClocks()
 	e.ResetCounters()
 
-	e.EnterGroup()
-	e.Group().Begin(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer e.Group().Leave(w)
-			rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
-			nextIns := uint64(1000 + 500*w)
-			for i := 0; i < 120; i++ {
-				op := rng.Intn(10)
-				key := uint64(rng.Intn(80))
-				switch {
-				case op < 4: // field update
-					var v [8]byte
-					v[0] = byte(i)
-					v[1] = byte(w)
-					_ = e.Run(w, func(tx *Txn) error {
-						return tx.UpdateField(tbl, key, 1, v[:])
-					})
-				case op < 7: // point read
-					buf := make([]byte, s.TupleSize())
-					_ = e.RunRO(w, func(tx *Txn) error {
-						return tx.Read(tbl, key, buf)
-					})
-				case op == 7: // insert a fresh key
-					k := nextIns
-					nextIns++
-					_ = e.Run(w, func(tx *Txn) error {
-						return tx.Insert(tbl, k, encodeKV(s, k, int64(k)))
-					})
-				case op == 8: // delete
-					_ = e.Run(w, func(tx *Txn) error {
-						return tx.Delete(tbl, key)
-					})
-				default: // short scan
-					_ = e.RunRO(w, func(tx *Txn) error {
-						_, err := tx.Scan(tbl, key, 5, func(uint64, []byte) bool { return true })
-						return err
-					})
-				}
+	e.RunGroup(workers, func(w int) {
+		rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
+		nextIns := uint64(1000 + 500*w)
+		for i := 0; i < 120; i++ {
+			op := rng.Intn(10)
+			key := uint64(rng.Intn(80))
+			switch {
+			case op < 4: // field update
+				var v [8]byte
+				v[0] = byte(i)
+				v[1] = byte(w)
+				_ = e.Run(w, func(tx *Txn) error {
+					return tx.UpdateField(tbl, key, 1, v[:])
+				})
+			case op < 7: // point read
+				buf := make([]byte, s.TupleSize())
+				_ = e.RunRO(w, func(tx *Txn) error {
+					return tx.Read(tbl, key, buf)
+				})
+			case op == 7: // insert a fresh key
+				k := nextIns
+				nextIns++
+				_ = e.Run(w, func(tx *Txn) error {
+					return tx.Insert(tbl, k, encodeKV(s, k, int64(k)))
+				})
+			case op == 8: // delete
+				_ = e.Run(w, func(tx *Txn) error {
+					return tx.Delete(tbl, key)
+				})
+			default: // short scan
+				_ = e.RunRO(w, func(tx *Txn) error {
+					_, err := tx.Scan(tbl, key, 5, func(uint64, []byte) bool { return true })
+					return err
+				})
 			}
-		}(w)
-	}
-	wg.Wait()
-	e.LeaveGroup()
+		}
+	})
 
 	var res groupResult
 	for w := 0; w < workers; w++ {
@@ -199,41 +189,35 @@ func TestGroupModeVsLegacyVisibleState(t *testing.T) {
 		}
 		tbl := e.Table("kv")
 		s := tbl.Schema()
-		if group {
-			e.EnterGroup()
-			e.Group().Begin(4)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if group {
-					defer e.Group().Leave(w)
+		work := func(w int) {
+			base := uint64(w) * 100
+			for i := uint64(0); i < 50; i++ {
+				k := base + i
+				if err := e.Run(w, func(tx *Txn) error {
+					return tx.Insert(tbl, k, encodeKV(s, k, int64(k)))
+				}); err != nil {
+					t.Error(err)
+					return
 				}
-				base := uint64(w) * 100
-				for i := uint64(0); i < 50; i++ {
-					k := base + i
+				if i%3 == 0 {
 					if err := e.Run(w, func(tx *Txn) error {
-						return tx.Insert(tbl, k, encodeKV(s, k, int64(k)))
+						return tx.Delete(tbl, k)
 					}); err != nil {
 						t.Error(err)
 						return
 					}
-					if i%3 == 0 {
-						if err := e.Run(w, func(tx *Txn) error {
-							return tx.Delete(tbl, k)
-						}); err != nil {
-							t.Error(err)
-							return
-						}
-					}
 				}
-			}(w)
+			}
 		}
-		wg.Wait()
 		if group {
-			e.LeaveGroup()
+			e.RunGroup(4, work)
+		} else {
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() { defer wg.Done(); work(w) }()
+			}
+			wg.Wait()
 		}
 		out := make(map[uint64]int64)
 		buf := make([]byte, s.TupleSize())
@@ -288,42 +272,34 @@ func TestGroupModeSpinnersReachParkedWriter(t *testing.T) {
 				e.Clock(1).Advance(10_000)
 				e.Clock(2).Advance(10_000)
 
-				e.EnterGroup()
-				e.Group().Begin(3)
 				errs := make([]error, 3)
 				got := make([]int64, 3)
-				var wg sync.WaitGroup
-				wg.Add(3)
+				done := make(chan struct{})
 				go func() {
-					defer wg.Done()
-					defer e.Group().Leave(0)
-					errs[0] = e.Run(0, func(tx *Txn) error {
-						if err := tx.UpdateField(tbl, key, 1, s.GetBytes(encodeKV(s, key, 2), 1)); err != nil {
-							return err
+					defer close(done)
+					e.RunGroup(3, func(w int) {
+						if w == 0 {
+							errs[0] = e.Run(0, func(tx *Txn) error {
+								if err := tx.UpdateField(tbl, key, 1, s.GetBytes(encodeKV(s, key, 2), 1)); err != nil {
+									return err
+								}
+								tx.clk.Advance(1_000_000)
+								return nil
+							})
+							return
 						}
-						tx.clk.Advance(1_000_000)
-						return nil
-					})
-				}()
-				for w := 1; w < 3; w++ {
-					go func(w int) {
-						defer wg.Done()
-						defer e.Group().Leave(w)
 						buf := make([]byte, s.TupleSize())
 						errs[w] = e.RunRO(w, func(tx *Txn) error {
 							return tx.Read(tbl, key, buf)
 						})
 						got[w] = s.GetInt64(buf, 1)
-					}(w)
-				}
-				done := make(chan struct{})
-				go func() { wg.Wait(); close(done) }()
+					})
+				}()
 				select {
 				case <-done:
 				case <-time.After(20 * time.Second):
 					t.Fatal("the phase hung: the readers kept the token from the writer")
 				}
-				e.LeaveGroup()
 				for w, err := range errs {
 					if err != nil {
 						t.Fatalf("worker %d: %v", w, err)

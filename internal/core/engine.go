@@ -54,7 +54,7 @@ type Engine struct {
 	resv   *reservations
 
 	// group is the token scheduler while the engine runs in deterministic
-	// group mode (EnterGroup), nil while workers run free.
+	// group mode (RunGroup), nil while workers run free.
 	group *sim.Group
 
 	clocks  []*sim.Clock
@@ -423,28 +423,19 @@ func (e *Engine) ResetClocks() {
 	}
 }
 
-// EnterGroup switches the engine into deterministic group mode: the workers
-// run one at a time on the one simulated machine, under the token of a
-// sim.Group over their clocks, and hand it on at their safe points — begin
-// before the TID is drawn, every operation's entry, Commit before validate,
-// and the snapshot read's spin. Nothing else changes: a group-mode worker
-// runs the free-running code, so one worker gives what it gives free-running.
-// DESIGN.md §7 has the rule and the lock invariant that makes it safe. The
-// caller must be quiescent.
-func (e *Engine) EnterGroup() {
-	if e.group == nil {
-		e.group = sim.NewGroup(e.clocks)
-	}
+// RunGroup runs body(w) for workers 0..n-1 in deterministic group mode, one
+// at a time on the one simulated machine under the token of a sim.Group over
+// their clocks, handed on at the safe points: begin before the TID is drawn,
+// every operation's entry, Commit before validate, and the snapshot read's
+// spin. A group-mode worker runs the free-running code, so one worker gives
+// what it gives free-running. DESIGN.md §7 has the rule and the lock
+// invariant that makes it safe. The caller must be quiescent, and body(w)
+// calls the engine as worker w only.
+func (e *Engine) RunGroup(n int, body func(w int)) {
+	e.group = sim.NewGroup(e.clocks)
+	defer func() { e.group = nil }()
+	e.group.Run(n, body)
 }
-
-// LeaveGroup returns the engine to free-running mode. The caller must be
-// quiescent.
-func (e *Engine) LeaveGroup() { e.group = nil }
-
-// Group returns the token scheduler while in group mode (nil otherwise).
-// Benchmark drivers call Group().Begin(n) at phase start and
-// Group().Leave(w) when worker w retires.
-func (e *Engine) Group() *sim.Group { return e.group }
 
 // Commits returns the number of committed transactions.
 func (e *Engine) Commits() uint64 { return e.outcomes().Commits }

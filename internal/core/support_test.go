@@ -108,11 +108,11 @@ func TestHotSetSizing(t *testing.T) {
 			if got, want := e.dramNext, uint64(c.threads)*hotSetBytes(c.want); got != want {
 				t.Errorf("%s at %d workers: hot sets take %d B of DRAM, want %d", g.name, c.threads, got, want)
 			}
-			e.EnterGroup()
-			if got := e.Config().HotTupleCap; got != c.want {
-				t.Errorf("%s at %d workers in group mode: capacity %d, want %d", g.name, c.threads, got, c.want)
-			}
-			e.LeaveGroup()
+			e.RunGroup(1, func(int) {
+				if got := e.Config().HotTupleCap; got != c.want {
+					t.Errorf("%s at %d workers in group mode: capacity %d, want %d", g.name, c.threads, got, c.want)
+				}
+			})
 		}
 	}
 

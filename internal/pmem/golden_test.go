@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
-	"sync"
 	"testing"
 
 	"falcon/internal/sim"
@@ -141,22 +140,14 @@ func goldenRun(t *testing.T, ways int, mode Mode, group bool) string {
 		}
 	} else {
 		g := sim.NewGroup(clks)
-		g.Begin(len(clks))
 		msgs := make([]string, len(clks))
-		var wg sync.WaitGroup
-		for w := range clks {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer g.Leave(w)
-				st := st ^ uint64(w+1)<<32
-				for i := 0; i < 10000 && msgs[w] == ""; i++ {
-					g.Yield(w)
-					msgs[w] = step(i, clks[w], &st)
-				}
-			}(w)
-		}
-		wg.Wait()
+		g.Run(len(clks), func(w int) {
+			st := st ^ uint64(w+1)<<32
+			for i := 0; i < 10000 && msgs[w] == ""; i++ {
+				g.Yield(w)
+				msgs[w] = step(i, clks[w], &st)
+			}
+		})
 		for _, msg := range msgs {
 			if msg != "" {
 				t.Fatal(msg)

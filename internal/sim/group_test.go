@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 )
@@ -30,13 +30,8 @@ func runGroup(t *testing.T, procs int, steps []uint64, iters []int, stop func(w,
 	}
 	g := NewGroup(clocks)
 	var log []event // appended by the token holder only
-	g.Begin(len(steps))
-	var wg sync.WaitGroup
-	for w := range steps {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer g.Leave(w)
+	within(t, "the phase hung", func() {
+		g.Run(len(steps), func(w int) {
 			for i := 0; i < iters[w]; i++ {
 				g.Yield(w)
 				if stop != nil && stop(w, i) {
@@ -45,16 +40,21 @@ func runGroup(t *testing.T, procs int, steps []uint64, iters []int, stop func(w,
 				log = append(log, event{w, clocks[w].Nanos()})
 				clocks[w].Advance(steps[w])
 			}
-		}(w)
-	}
+		})
+	})
+	return log
+}
+
+// within runs f, failing the test with msg if it has not returned in 20 s.
+func within(t *testing.T, msg string, f func()) {
+	t.Helper()
 	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	go func() { f(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(20 * time.Second):
-		t.Fatal("the phase hung")
+		t.Fatal(msg)
 	}
-	return log
 }
 
 // modelGroup replays the token rule serially: the holder runs an iteration,
@@ -133,8 +133,8 @@ func TestGroupCanonicalOrder(t *testing.T) {
 }
 
 // TestGroupEarlyLeave: a worker that leaves before its first safe point (no
-// iterations) waits its turn for the token and passes it on, and the others
-// finish in the model's order. Workers 1 and 4 leave so; worker 0 has the
+// iterations) runs when its turn at the token comes and passes it on, and the
+// others finish in the model's order. Workers 1 and 4 leave so; worker 0 has the
 // token first, so neither may leave at once.
 func TestGroupEarlyLeave(t *testing.T) {
 	steps := []uint64{3, 1, 4, 1, 5}
@@ -192,13 +192,8 @@ func passPhase(t *testing.T, procs int, starts []uint64, waits, sets [][]int) []
 	g := NewGroup(clocks)
 	flags := map[int]bool{}
 	passes := make([]int, len(starts))
-	g.Begin(len(starts))
-	var wg sync.WaitGroup
-	for w := range starts {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer g.Leave(w)
+	within(t, "the phase hung: the spinners kept the token among themselves", func() {
+		g.Run(len(starts), func(w int) {
 			g.Yield(w)
 			for slices.ContainsFunc(waits[w], func(f int) bool { return !flags[f] }) {
 				passes[w]++
@@ -207,15 +202,8 @@ func passPhase(t *testing.T, procs int, starts []uint64, waits, sets [][]int) []
 			for _, f := range sets[w] {
 				flags[f] = true
 			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("the phase hung: the spinners kept the token among themselves")
-	}
+		})
+	})
 	return passes
 }
 
@@ -239,8 +227,8 @@ func TestGroupPass(t *testing.T) {
 		// When every other worker spins, Pass goes round them in id order,
 		// so the one whose flag was set gets to look. Workers 0 and 1 spin
 		// on flag 1; worker 2 spins on flag 0 and then sets flag 1; worker 3
-		// sets flag 0 and leaves, which wakes worker 0 with all three still
-		// spinning. Handing the token to the most-behind other spinner
+		// sets flag 0 and leaves, which hands the token to worker 0 with all
+		// three still spinning. Handing the token to the most-behind other spinner
 		// instead would leave it between workers 0 and 1.
 		{"round the spinners", []uint64{0, 0, 0, 100}, [][]int{{1}, {1}, {0}, nil}, [][]int{nil, nil, {1}, {0}}, []int{2, 2, 1, 0}},
 	}
@@ -251,4 +239,34 @@ func TestGroupPass(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGroupBodyPanics: a panic in one worker's body surfaces as a panic in
+// Run's caller, with the worker, its value and the stack it was raised on, and
+// the workers suspended beside it are unwound, their deferred calls run.
+func TestGroupBodyPanics(t *testing.T) {
+	clocks := []*Clock{NewWorkerClock(0), NewWorkerClock(1), NewWorkerClock(2)}
+	g := NewGroup(clocks)
+	var left []int
+	defer func() {
+		p, ok := recover().(*Panic)
+		if !ok || p.Worker != 1 || p.Value != "worker 1 failed" || !bytes.Contains(p.Stack, []byte("TestGroupBodyPanics.func")) {
+			t.Fatalf("Run's caller saw %v, want worker 1's panic from the body", p)
+		}
+		slices.Sort(left)
+		if !slices.Equal(left, []int{0, 1, 2}) {
+			t.Fatalf("the deferred calls of workers %v ran, want all three", left)
+		}
+	}()
+	g.Run(3, func(w int) {
+		defer func() { left = append(left, w) }()
+		for i := 0; ; i++ {
+			g.Yield(w)
+			if w == 1 && i == 5 {
+				panic("worker 1 failed")
+			}
+			clocks[w].Advance(1)
+		}
+	})
+	t.Fatal("Run returned")
 }

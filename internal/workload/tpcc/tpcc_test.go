@@ -291,26 +291,22 @@ func TestConsistencyAfterMix(t *testing.T) {
 				t.Run(ecfg.Name+"/"+algo.String()+"/"+mode, func(t *testing.T) {
 					ecfg.CC = algo
 					e, d := newLoadedEngine(t, ecfg, cfg)
-					if group {
-						e.EnterGroup()
-						e.Group().Begin(4)
-					}
-					var wg sync.WaitGroup
 					errs := make([]error, 4)
-					for w := 0; w < 4; w++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							if group {
-								defer e.Group().Leave(w)
-							}
-							for i := 0; i < calls && errs[w] == nil; i++ {
-								errs[w] = d.Next(w)
-							}
-						}()
+					work := func(w int) {
+						for i := 0; i < calls && errs[w] == nil; i++ {
+							errs[w] = d.Next(w)
+						}
 					}
-					wg.Wait()
-					e.LeaveGroup()
+					if group {
+						e.RunGroup(4, work)
+					} else {
+						var wg sync.WaitGroup
+						for w := 0; w < 4; w++ {
+							wg.Add(1)
+							go func() { defer wg.Done(); work(w) }()
+						}
+						wg.Wait()
+					}
 					for w, err := range errs {
 						if err != nil {
 							t.Fatalf("worker %d: %v", w, err)
