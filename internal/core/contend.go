@@ -9,9 +9,10 @@ import (
 
 // NewObservatory builds a contention observatory shaped for this engine: one
 // recorder shard per worker, the CC algorithm label, the table catalog, and
-// the flush-attribution address map (each table's heap plus its NVM index
-// regions under the table's name, every thread's log window under "(log)").
-// Arm it with Arm; its report lands in ObsSnapshot while armed.
+// the flush-attribution address map (each table's heap under the table's
+// name, its NVM index regions under "<table>.primary" and "<table>.secondary",
+// every thread's log window under "(log)"). Arm it with Arm; its report lands
+// in ObsSnapshot while armed.
 func (e *Engine) NewObservatory() *obs.Observatory {
 	names := make([]string, len(e.tables))
 	for i, t := range e.tables {
@@ -27,9 +28,9 @@ func (e *Engine) NewObservatory() *obs.Observatory {
 		hcfg := heap.Config{SlotSize: t.schema.TupleSize(), NSlots: t.heap.NSlots(), NThreads: e.cfg.Threads}
 		o.AddRange(t.name, t.heapBase, t.heapBase+heap.BytesNeeded(hcfg))
 		if e.cfg.Index == IndexNVM {
-			o.AddRange(t.name, t.priBase, t.priBase+t.primary.Bytes())
+			o.AddRange(t.name+".primary", t.priBase, t.priBase+t.primary.Bytes())
 			if t.secondary != nil {
-				o.AddRange(t.name, t.secBase, t.secBase+t.secondary.Bytes())
+				o.AddRange(t.name+".secondary", t.secBase, t.secBase+t.secondary.Bytes())
 			}
 		}
 	}

@@ -382,8 +382,9 @@ func (e *Engine) buildIndex(clk *sim.Clock, kind index.Kind, capacity uint64) (i
 }
 
 // nvmIndexSpace is the space an NVM index lives on: the NVM space, through a
-// view whose flushes do nothing when the flush policy issues none (the
-// B-tree flushes the nodes an ascending run leaves behind).
+// view whose flushes do nothing when the flush policy issues none (an index
+// writes back what its inserts and deletes store, and the B-tree the nodes an
+// ascending run leaves behind).
 func (e *Engine) nvmIndexSpace() pmem.Space {
 	if e.cfg.Flush == FlushNone {
 		return e.sys.Space.NoFlush()

@@ -23,10 +23,12 @@ func wideSchema() *layout.Schema {
 // oneCommit builds a two-worker engine holding key 1 (inserted by worker 1, so
 // worker 0's hot set has never seen it), runs fn as one transaction on worker
 // 0, and returns the CLWB line write-backs that commit issued and the hot-set
-// probes it made.
+// probes it made. The index lives in DRAM: an NVM index writes back its own
+// inserts and deletes, under every flush policy but FlushNone, and the
+// write-backs counted here are the tuple data's.
 func oneCommit(t *testing.T, cfg Config, fn func(tx *Txn, tb *Table) error) (flushLines uint64, hits, misses uint64) {
 	t.Helper()
-	cfg.Threads = 2
+	cfg.Threads, cfg.Index = 2, IndexDRAM
 	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 64 << 20})
 	e, err := New(sys, cfg, []TableSpec{{Name: "w", Schema: wideSchema(), Capacity: 64, IndexKind: index.Hash}})
 	if err != nil {

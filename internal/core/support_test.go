@@ -62,8 +62,9 @@ func TestHotSetChargesVirtualTime(t *testing.T) {
 // widest heap slot stride, on the figures' cache (2 MiB + 256 KiB per worker:
 // 2.5 MiB at 2 workers and 6 MiB at 16): the YCSB usertable (1 008 B tuples,
 // 1 024 B slots), TPC-C (widest the customer, 445 B in 512 B slots) and the
-// serving tables (16 and 24 B in 64 B slots). Entering group mode leaves it
-// be. An explicit capacity wins; an engine without a hot set reports none.
+// serving tables (16 and 24 B in 64 B slots). A recovered engine derives the
+// same capacity from its catalog and gives its sets the same DRAM. An
+// explicit capacity wins; an engine without a hot set reports none.
 func TestHotSetSizing(t *testing.T) {
 	for _, c := range []struct {
 		capacity int
@@ -108,11 +109,20 @@ func TestHotSetSizing(t *testing.T) {
 			if got, want := e.dramNext, uint64(c.threads)*hotSetBytes(c.want); got != want {
 				t.Errorf("%s at %d workers: hot sets take %d B of DRAM, want %d", g.name, c.threads, got, want)
 			}
-			e.RunGroup(1, func(int) {
-				if got := e.Config().HotTupleCap; got != c.want {
-					t.Errorf("%s at %d workers in group mode: capacity %d, want %d", g.name, c.threads, got, c.want)
-				}
-			})
+			// Recovery sizes the sets from the catalog's tables, as New did
+			// from the specs (initWorkers): the same capacity, the same DRAM.
+			cfg := FalconConfig()
+			cfg.Threads = c.threads
+			r, _, err := Recover(e.System().Crash(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Config().HotTupleCap; got != c.want {
+				t.Errorf("%s at %d workers, recovered: derived capacity %d, want %d", g.name, c.threads, got, c.want)
+			}
+			if r.dramNext != e.dramNext {
+				t.Errorf("%s at %d workers, recovered: hot sets take %d B of DRAM, the engine it replaces %d", g.name, c.threads, r.dramNext, e.dramNext)
+			}
 		}
 	}
 

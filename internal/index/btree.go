@@ -311,13 +311,14 @@ func (t *BTreeIndex) childFor(clk *sim.Clock, n *node, key uint64) int {
 
 // storeHead persists n's header and, when entries from position lo on moved,
 // everything up to its last entry, in one store: a crash sees the node either
-// before the change or after it.
-func (t *BTreeIndex) storeHead(clk *sim.Clock, n *node, lo int) {
+// before the change or after it. It returns the length of the store.
+func (t *BTreeIndex) storeHead(clk *sim.Clock, n *node, lo int) int {
 	end := 16
 	if lo < n.count() {
 		end = 16 + 16*n.count()
 	}
 	t.space.Write(clk, t.nodeOff(n.id), n.buf[:end])
+	return end
 }
 
 // allocNode takes a node off the free list, or the next one never used. A
@@ -362,7 +363,7 @@ type treeWalk struct {
 	nodes [maxDepth + 1]node
 	path  [maxDepth]pathEntry
 	spare node
-	train [1]pmem.Span // a finished node's flush, kept here so it does not escape
+	train [2]pmem.Span // a leaf level's write-back, kept here so it does not escape
 }
 
 var walkPool = sync.Pool{New: func() any { return new(treeWalk) }}
@@ -466,11 +467,19 @@ func (t *BTreeIndex) Insert(clk *sim.Clock, key, val uint64) error {
 // of its new right sibling to the level above. Only an append, or a split at
 // the end of a run, leaves n's entries where they are and stores none of
 // them: any other insert reads the occupied lines the search did not.
+//
+// A leaf insert that continues no run (the hint it leaves has run length 1)
+// then writes back the leaf stores it made, as one train and with no fence:
+// no run will store into the node next, and a walk that missed the node's
+// lines has just brought its block into the XPBuffer, where they merge
+// (DESIGN.md §3, "What an index store writes back"). A bulk load (a nil clock) writes
+// nothing back.
 func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node, i int, k, v uint64) error {
 	h := n.hint()
 	if c := n.count(); i < c || (c == nodeEntries && !h.continues(i)) {
 		t.fill(clk, n, 0, entryOff(c))
 	}
+	lone := clk != nil && n.leaf() && !h.continues(i)
 	if n.count() < nodeEntries {
 		n.insertAt(i, k, v)
 		n.setHint(h.after(i, i))
@@ -481,6 +490,12 @@ func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node
 			i = n.count()
 		}
 		t.storeHead(clk, n, i)
+		if lone {
+			// The two stores of an append lie within what an insert in the
+			// middle stores: the header up to the last entry.
+			w.train[0] = pmem.Span{Off: t.nodeOff(n.id), N: 16 + 16*n.count()}
+			t.space.CLWBTrain(clk, w.train[:1])
+		}
 		return nil
 	}
 	rightID, err := t.allocNode(clk)
@@ -517,13 +532,18 @@ func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node
 	// media, and they leave the node cached for the descents that follow.
 	sep := right.key(0)
 	t.space.Write(clk, t.nodeOff(rightID), right.buf[:])
-	t.storeHead(clk, n, moved)
-	if run {
+	stored := t.storeHead(clk, n, moved)
+	switch {
+	case run:
 		// The run will not come back to the node it left: its four lines go
 		// down together, one full-block media write, instead of one by one
 		// as the cache evicts them.
 		w.train[0] = pmem.Span{Off: t.nodeOff(finished), N: nodeBytes}
 		t.space.SFence(clk)
+		t.space.CLWBTrain(clk, w.train[:1])
+	case lone:
+		w.train[0] = pmem.Span{Off: t.nodeOff(n.id), N: stored}
+		w.train[1] = pmem.Span{Off: t.nodeOff(rightID), N: nodeBytes}
 		t.space.CLWBTrain(clk, w.train[:])
 	}
 	if npath > 0 {

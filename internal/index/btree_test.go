@@ -17,7 +17,9 @@ import (
 // one read per run. The stores are the ones the tree made when every walk
 // read whole nodes. A split at a run's insertion point also flushes the node
 // the run leaves: one fence, one train of its four lines, and the node
-// reaches the media as one full block write.
+// reaches the media as one full block write. A leaf insert that continues no
+// run writes back what it stored, as one train and with no fence: the node
+// from its header to its last entry, and a split's new sibling whole.
 func TestBTreeLineBudget(t *testing.T) {
 	sys := newSys()
 	log := &spaceLog{Space: sys.Space}
@@ -35,7 +37,7 @@ func TestBTreeLineBudget(t *testing.T) {
 		}
 	}
 	type span = [2]uint64
-	cost := func(name string, wantLines uint64, wantReads int, wantStores []span, wantTrains [][]span, op func()) {
+	cost := func(name string, wantLines uint64, wantReads int, wantStores []span, wantTrains [][]span, wantFences int, op func()) {
 		t.Helper()
 		lines := log.measure(t, sys, name, op)
 		if len(log.reads) != wantReads || !slices.Equal(log.writes, wantStores) {
@@ -44,8 +46,8 @@ func TestBTreeLineBudget(t *testing.T) {
 		if lines != wantLines {
 			t.Fatalf("%s touched %d lines, want %d", name, lines, wantLines)
 		}
-		if log.fences != len(wantTrains) || !slices.EqualFunc(log.trains, wantTrains, slices.Equal) {
-			t.Fatalf("%s: %d fences and trains %v, want %d and %v", name, log.fences, log.trains, len(wantTrains), wantTrains)
+		if log.fences != wantFences || !slices.EqualFunc(log.trains, wantTrains, slices.Equal) || log.clwbs != nil {
+			t.Fatalf("%s: %d fences, trains %v and CLWBs %v, want %d, %v and none", name, log.fences, log.trains, log.clwbs, wantFences, wantTrains)
 		}
 	}
 	get := func(k uint64, want bool) func() {
@@ -66,26 +68,30 @@ func TestBTreeLineBudget(t *testing.T) {
 
 	// The root's three separators share its header line. Leaf 1's search for
 	// its first key probes entries 7, 3, 1 and 0: lines 2, 1 and 0.
-	cost("get hit", 4, 4, nil, nil, get(160, true))
+	cost("get hit", 4, 4, nil, nil, 0, get(160, true))
 	// 305 sorts after leaf 1's last key: entries 7, 11, 13 and 14.
-	cost("get miss", 4, 4, nil, nil, get(305, false))
+	cost("get miss", 4, 4, nil, nil, 0, get(305, false))
 	// 410 goes after leaf 3's ten keys (probes 5, 8, 9: lines 0-2). An append
-	// stores the entry, then the header.
-	cost("append insert", 6, 4, []span{{node(3) + 176, 16}, {node(3), 16}}, nil, insert(bt, 410))
+	// stores the entry, then the header. It continues the run that filled the
+	// leaf, so it writes nothing back.
+	cost("append insert", 6, 4, []span{{node(3) + 176, 16}, {node(3), 16}}, nil, 0, insert(bt, 410))
 	// 315 goes to position 1 of leaf 3 (probes 5, 2, 1, 0: lines 0 and 1). The
 	// entries after it move, so line 2 comes in, and the node is stored up to
-	// its new last entry, in line 3.
-	cost("middle insert", 8, 4, []span{{node(3), 208}}, nil, insert(bt, 315))
+	// its new last entry, in line 3. It starts no run: the store is written
+	// back.
+	cost("middle insert", 8, 4, []span{{node(3), 208}}, [][]span{{{node(3), 208}}}, 0, insert(bt, 315))
 	// 235 lands at position 8 of full leaf 1 (probes 7, 11, 9, 8: lines 0, 2,
 	// 3), which the run that filled it left behind: it splits in the middle.
 	// Line 1 comes in; node 4 is taken from nextFree and stored whole with
 	// the key and entries 8-14; leaf 1 keeps 8 entries, a header store; the
-	// root takes separator 235 at position 2. A middle split flushes nothing.
-	cost("middle split", 13, 5, []span{{hdr + hdrNextFree, 8}, {node(4), 256}, {node(1), 16}, {node(2), 80}}, nil, insert(bt, 235))
+	// root takes separator 235 at position 2. The leaf level's two stores are
+	// written back in one train; the root's and the tree header's are not.
+	cost("middle split", 13, 5, []span{{hdr + hdrNextFree, 8}, {node(4), 256}, {node(1), 16}, {node(2), 80}},
+		[][]span{{{node(1), 16}, {node(4), 256}}}, 0, insert(bt, 235))
 	// The root now holds 0, 160, 235, 310: 310 is entry 3, in its line 1.
 	// Leaf 3's search for its first key reads lines 0 and 1; the eleven
 	// entries that move down bring lines 2 and 3 in one read.
-	cost("delete", 9, 5, []span{{node(3), 192}}, nil, func() {
+	cost("delete", 9, 5, []span{{node(3), 192}}, nil, 0, func() {
 		if !bt.Delete(clk, 310) {
 			t.Fatal("delete(310) found nothing")
 		}
@@ -96,7 +102,7 @@ func TestBTreeLineBudget(t *testing.T) {
 	// its eight entries' lines 1-2 (one read) are read before the scan stops
 	// at its first key.
 	var got []uint64
-	cost("scan stopping early", 7, 6, nil, nil, func() {
+	cost("scan stopping early", 7, 6, nil, nil, 0, func() {
 		if err := bt.Scan(clk, 200, func(k, _ uint64) bool {
 			got = append(got, k)
 			return len(got) < 5
@@ -128,7 +134,7 @@ func TestBTreeLineBudget(t *testing.T) {
 	// the root split: nextFree, the new root whole, the root word.
 	cost("insertion-point split", 18, 4,
 		[]span{{hdr + hdrNextFree, 8}, {node(1), 256}, {node(0), 176}, {hdr + hdrNextFree, 8}, {node(2), 256}, {hdr + hdrRoot, 8}},
-		[][]span{{{node(1), 256}}}, insert(run, 109))
+		[][]span{{{node(1), 256}}}, 1, insert(run, 109))
 	sys.XPB.Drain(clk)
 	d := sys.Dev.Stats().Snapshot().Sub(before)
 	if d.MediaWrites != 1 || d.FullBlockWrites != 1 || d.PartialBlockWrites != 0 {

@@ -21,21 +21,43 @@ import (
 // scan the model. Until the first delete the tree must use no more nodes than
 // btreeNodes allows for the keys inserted so far, so the fuzzer also hunts
 // for insert orders that fill a tree before its sizing says it can be.
-func btreeOpsAgainstModel(t *testing.T, ops []byte) {
+//
+// The tree runs on a recording space, which checks what each change writes
+// back: every leaf line an insert that continues no run stores, and nothing
+// for a delete. On the NoFlush view (noFlush) no line may reach the media
+// through a write-back at all.
+func btreeOpsAgainstModel(t *testing.T, ops []byte, noFlush bool) {
 	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 4 << 20, CacheBytes: 64 << 10, XPBufferBytes: 16 << 10})
-	bt, err := NewBTree(sys.Space, 0, 4096)
+	log := &spaceLog{Space: sys.Space}
+	if noFlush {
+		log.Space = sys.Space.NoFlush()
+	}
+	bt, err := NewBTree(log, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk := sim.NewClock()
+	w := new(treeWalk)
+	isLeaf := func(line uint64) bool {
+		id := (line - bt.nodeOff(0)) / nodeBytes
+		return line >= bt.nodeOff(0) && id < bt.cap && log.Space.ReadU64(nil, bt.nodeOff(id))&0xff == 0
+	}
 	ref := map[uint64]uint64{}
 	var keys []uint64 // ref's keys in order: what a scan must return is a slice of them
 	insertOnly := true
 	insert := func(k uint64) {
+		log.reset()
 		err := bt.Insert(clk, k, k^0x55)
 		_, dup := ref[k]
 		if dup != (err == ErrDuplicate) || (!dup && err != nil) {
 			t.Fatalf("insert(%d): %v, in the model %v", k, err, dup)
+		}
+		// The key's leaf carries a run of length 1 exactly when the insert
+		// continued none.
+		if missed := log.notWrittenBack(isLeaf); len(missed) > 0 {
+			if leaf, _ := bt.descend(nil, k, w, false); leaf.hint()>>4 == 1 {
+				t.Fatalf("insert(%d) continued no run and did not write back the leaf lines %v it stored", k, missed)
+			}
 		}
 		if !dup {
 			i, _ := slices.BinarySearch(keys, k)
@@ -49,8 +71,12 @@ func btreeOpsAgainstModel(t *testing.T, ops []byte) {
 	remove := func(k uint64) {
 		insertOnly = false
 		_, want := ref[k]
+		log.reset()
 		if got := bt.Delete(clk, k); got != want {
 			t.Fatalf("delete(%d) = %v, in the model %v", k, got, want)
+		}
+		if log.clwbs != nil || log.trains != nil {
+			t.Fatalf("delete(%d) wrote back %v and trains %v, want nothing", k, log.clwbs, log.trains)
 		}
 		if want {
 			i, _ := slices.BinarySearch(keys, k)
@@ -102,6 +128,18 @@ func btreeOpsAgainstModel(t *testing.T, ops []byte) {
 	}
 	checkSound(t, bt)
 	checkAgainstModel(t, bt, ref, 0)
+	if noFlush {
+		noWriteBacks(t, sys)
+	}
+}
+
+// noWriteBacks fails the test if any line of sys reached the media through a
+// CLWB or a flush train.
+func noWriteBacks(t *testing.T, sys *pmem.System) {
+	t.Helper()
+	if s := sys.Dev.Stats().Snapshot(); s.ClwbWritebacks != 0 || s.FlushTrains != 0 || s.FlushTrainLines != 0 {
+		t.Fatalf("on the NoFlush view %d lines were written back, by %d trains of %d lines", s.ClwbWritebacks, s.FlushTrains, s.FlushTrainLines)
+	}
 }
 
 // FuzzBTreeOps feeds arbitrary op streams to the model comparison.
@@ -131,7 +169,10 @@ func FuzzBTreeOps(f *testing.F) {
 		stops = append(stops, 4+6*(i%24), b, 3, b)
 	}
 	f.Add(stops)
-	f.Fuzz(func(t *testing.T, data []byte) { btreeOpsAgainstModel(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		btreeOpsAgainstModel(t, data, false)
+		btreeOpsAgainstModel(t, data, true)
+	})
 }
 
 // hashFuzzKeys is the key space of FuzzHashOps: 160 keys that collide on
@@ -151,17 +192,29 @@ var hashFuzzKeys = sync.OnceValue(func() []uint64 {
 // and get of key operand, a run of 16 inserts from the colliding keys (so a
 // short input fills buckets and chains them), and a crash of the
 // persistent-cache system followed by OpenHash. Every result is compared on
-// the spot; at the end every key must read back as the model has it.
-func hashOpsAgainstModel(t *testing.T, ops []byte) {
+// the spot; at the end every key must read back as the model has it. The
+// index runs on a recording space, which checks that an insert or a delete
+// writes back every line it stores; on the NoFlush view (noFlush) no line may
+// reach the media through a write-back at all.
+func hashOpsAgainstModel(t *testing.T, ops []byte, noFlush bool) {
 	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 1 << 20, CacheBytes: 4 << 10, XPBufferBytes: 4 << 10})
-	h, err := NewHash(sys.Space, 0, 10)
+	log := &spaceLog{}
+	space := func() pmem.Space {
+		if log.Space = sys.Space; noFlush {
+			log.Space = sys.Space.NoFlush()
+		}
+		return log
+	}
+	h, err := NewHash(space(), 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := hashFuzzKeys()
 	clk := sim.NewClock()
 	ref := map[uint64]uint64{}
+	all := func(uint64) bool { return true }
 	insert := func(k, v uint64) {
+		log.reset()
 		err := h.Insert(clk, k, v)
 		_, dup := ref[k]
 		switch {
@@ -169,6 +222,9 @@ func hashOpsAgainstModel(t *testing.T, ops []byte) {
 			t.Fatalf("insert(%d): %v, in the model %v", k, err, dup)
 		case err == nil:
 			ref[k] = v
+		}
+		if missed := log.notWrittenBack(all); len(missed) > 0 {
+			t.Fatalf("insert(%d) did not write back the lines %v it stored", k, missed)
 		}
 	}
 	for n := uint64(0); len(ops) >= 2; ops, n = ops[2:], n+1 {
@@ -178,8 +234,12 @@ func hashOpsAgainstModel(t *testing.T, ops []byte) {
 		case 0:
 			insert(k, n)
 		case 1:
+			log.reset()
 			if got := h.Delete(clk, k); got != exists {
 				t.Fatalf("delete(%d) = %v, in the model %v", k, got, exists)
+			}
+			if missed := log.notWrittenBack(all); len(missed) > 0 {
+				t.Fatalf("delete(%d) did not write back the lines %v it stored", k, missed)
 			}
 			delete(ref, k)
 		case 2:
@@ -195,7 +255,7 @@ func hashOpsAgainstModel(t *testing.T, ops []byte) {
 			}
 		case 4:
 			sys = sys.Crash()
-			if h, err = OpenHash(sys.Space, clk, 0); err != nil {
+			if h, err = OpenHash(space(), clk, 0); err != nil {
 				t.Fatal(err)
 			}
 		default:
@@ -211,6 +271,9 @@ func hashOpsAgainstModel(t *testing.T, ops []byte) {
 			t.Fatalf("at the end get(%d) = %d,%v, model %d,%v", k, got, ok, want, exists)
 		}
 	}
+	if noFlush {
+		noWriteBacks(t, sys)
+	}
 }
 
 // FuzzHashOps feeds arbitrary op streams to the model comparison. The seeds
@@ -220,5 +283,8 @@ func hashOpsAgainstModel(t *testing.T, ops []byte) {
 // shares, and reopen after every operation on a full bucket.
 func FuzzHashOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 200, 5, 1, 2, 1, 1, 1, 5, 1, 4, 0, 5, 200})
-	f.Fuzz(func(t *testing.T, data []byte) { hashOpsAgainstModel(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hashOpsAgainstModel(t, data, false)
+		hashOpsAgainstModel(t, data, true)
+	})
 }

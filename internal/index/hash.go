@@ -196,6 +196,25 @@ func (h *HashIndex) writeHead(clk *sim.Clock, buf *bucketBuf, bi uint64) {
 	h.space.Write(clk, h.bucketOff(bi), buf[:headBytes])
 }
 
+// writeBack writes back what an insert or delete just stored in bucket bi:
+// the line of entry i if the header does not share it (i >= lineEntries;
+// a negative i names no entry), then the header's line. The operation's probe
+// read the header's line a moment ago; if that read missed, it brought the
+// bucket's block into the XPBuffer, and the write-back merges into it: the
+// block leaves as one write with no media read, not as the read-modify-write
+// a later lone eviction costs (DESIGN.md §3, "What an index store writes
+// back"). No fence: the write-back is for the media's sake, and nothing waits
+// for it. A bulk load (a nil clock) writes nothing back.
+func (h *HashIndex) writeBack(clk *sim.Clock, bi uint64, i int) {
+	if clk == nil {
+		return
+	}
+	if i >= lineEntries {
+		h.space.CLWB(clk, h.bucketOff(bi)+uint64(entryOff(i)), entryBytes)
+	}
+	h.space.CLWB(clk, h.bucketOff(bi), headBytes)
+}
+
 // probe is the only read path into a bucket: it loads line 0 of bucket bi
 // into buf and returns match from slot 0. Afterwards buf holds the header,
 // entries 0–2 and the entries match compared; the rest of buf is stale.
@@ -282,7 +301,9 @@ func (h *HashIndex) Insert(clk *sim.Clock, key, val uint64) error {
 	buf[0] = bucketEntries | overflowBit
 	for p := uint64(0); mark != 0; p, mark = p+1, mark>>1 {
 		if mark&1 != 0 {
-			h.space.Write(clk, h.bucketOff((start+p)&(h.nbuckets-1)), buf[:1])
+			bm := (start + p) & (h.nbuckets - 1)
+			h.space.Write(clk, h.bucketOff(bm), buf[:1])
+			h.writeBack(clk, bm, -1)
 		}
 	}
 	if place < 0 {
@@ -299,6 +320,7 @@ func (h *HashIndex) Insert(clk *sim.Clock, key, val uint64) error {
 	buf.set(n, key, val)
 	h.writeEntry(clk, buf, bi, n)
 	h.writeHead(clk, buf, bi)
+	h.writeBack(clk, bi, n)
 	return nil
 }
 
@@ -342,15 +364,17 @@ func (h *HashIndex) Delete(clk *sim.Clock, key uint64) bool {
 		return false
 	}
 	for ; i >= 0; i = h.match(clk, buf, bi, key, fingerprint(hash), i) {
-		last := buf.count() - 1
+		last, stored := buf.count()-1, -1
 		if i != last {
 			h.readEntry(clk, buf, bi, last)
 			buf.set(i, buf.key(last), buf.val(last))
 			h.writeEntry(clk, buf, bi, i)
 			buf[1+i] = buf[1+last]
+			stored = i
 		}
 		buf[0]--
 		h.writeHead(clk, buf, bi)
+		h.writeBack(clk, bi, stored)
 	}
 	return true
 }

@@ -3,6 +3,7 @@ package index
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"falcon/internal/pmem"
@@ -35,9 +36,14 @@ func bucketKeys(b uint64, fp, n int) []uint64 {
 // Space.
 type spaceLog struct {
 	pmem.Space
-	reads, writes [][2]uint64   // offset, length
-	trains        [][][2]uint64 // the spans of each CLWBTrain
-	fences        int
+	reads, writes, clwbs [][2]uint64   // offset, length
+	trains               [][][2]uint64 // the spans of each CLWBTrain
+	fences               int
+}
+
+func (s *spaceLog) CLWB(clk *sim.Clock, off uint64, n int) {
+	s.clwbs = append(s.clwbs, [2]uint64{off, uint64(n)})
+	s.Space.CLWB(clk, off, n)
 }
 
 func (s *spaceLog) Read(clk *sim.Clock, off uint64, dst []byte) {
@@ -74,12 +80,45 @@ func (s *spaceLog) WriteU64(clk *sim.Clock, off uint64, v uint64) {
 	s.Space.WriteU64(clk, off, v)
 }
 
+// reset empties the log.
+func (s *spaceLog) reset() {
+	s.reads, s.writes, s.clwbs, s.trains, s.fences = s.reads[:0], s.writes[:0], nil, nil, 0
+}
+
+// notWrittenBack returns the lines the log holds a store to and no
+// write-back of, by a CLWB or a train, among those keep accepts.
+func (s *spaceLog) notWrittenBack(keep func(line uint64) bool) (missed []uint64) {
+	back := map[uint64]bool{}
+	lines := func(span [2]uint64, fn func(line uint64)) {
+		for l := span[0] &^ (pmem.LineSize - 1); l < span[0]+span[1]; l += pmem.LineSize {
+			fn(l)
+		}
+	}
+	mark := func(l uint64) { back[l] = true }
+	for _, c := range s.clwbs {
+		lines(c, mark)
+	}
+	for _, train := range s.trains {
+		for _, sp := range train {
+			lines(sp, mark)
+		}
+	}
+	for _, w := range s.writes {
+		lines(w, func(l uint64) {
+			if !back[l] && keep(l) {
+				missed = append(missed, l)
+			}
+		})
+	}
+	return missed
+}
+
 // measure runs op on a log over sys's space and returns the cache lines it
 // touched (hits + misses, loads and stores alike), having checked that it read
 // no byte twice. The log then holds op's reads and stores.
 func (s *spaceLog) measure(t *testing.T, sys *pmem.System, name string, op func()) uint64 {
 	t.Helper()
-	s.reads, s.writes, s.trains, s.fences = s.reads[:0], s.writes[:0], nil, 0
+	s.reset()
 	before := sys.Dev.Stats().Snapshot()
 	op()
 	d := sys.Dev.Stats().Snapshot().Sub(before)
@@ -109,12 +148,19 @@ func TestHashLineBudget(t *testing.T) {
 	}
 	clk := sim.NewClock()
 	// cost runs one operation and returns the lines it touched, having checked
-	// that it read no byte twice: in particular no bucket's first line.
-	cost := func(name string, wantReads, wantWrites int, op func()) uint64 {
+	// that it read no byte twice: in particular no bucket's first line. An
+	// insert or delete then writes back the lines it stored, each CLWB
+	// (offset, length) naming the store it covers; an update and a read
+	// write back nothing.
+	type span = [2]uint64
+	cost := func(name string, wantReads, wantWrites int, wantBack []span, op func()) uint64 {
 		t.Helper()
 		lines := log.measure(t, sys, name, op)
 		if len(log.reads) != wantReads || len(log.writes) != wantWrites {
 			t.Fatalf("%s: %d reads %v and %d stores %v, want %d and %d", name, len(log.reads), log.reads, len(log.writes), log.writes, wantReads, wantWrites)
+		}
+		if !slices.Equal(log.clwbs, wantBack) || log.trains != nil || log.fences != 0 {
+			t.Fatalf("%s: write-backs %v, trains %v and %d fences, want %v and neither", name, log.clwbs, log.trains, log.fences, wantBack)
 		}
 		return lines
 	}
@@ -135,10 +181,21 @@ func TestHashLineBudget(t *testing.T) {
 
 	keys := bucketKeys(9, -1, bucketEntries+2)
 	absent := keys[bucketEntries+1]
+	b9, b10 := h.BucketAddr(9), h.BucketAddr(10)
+	head9 := []span{{b9, headBytes}}
+	// back9 is what an insert or delete that stored entry i of bucket 9 and
+	// its header writes back: the entry's line, unless the header shares it,
+	// then the header's.
+	back9 := func(i int) []span {
+		if i < lineEntries {
+			return head9
+		}
+		return []span{{b9 + uint64(entryOff(i)), entryBytes}, {b9, headBytes}}
+	}
 	for i, k := range keys[:bucketEntries-1] {
 		// One read (the header's line), the entry and the header stored: two
 		// lines when the entry shares the header's line, as entries 0-2 do.
-		if got := cost("insert", 1, 2, mustInsert(k)); got != 3 {
+		if got := cost("insert", 1, 2, back9(i), mustInsert(k)); got != 3 {
 			t.Fatalf("insert into slot %d touched %d lines, want 1 read + 2 stored", i, got)
 		}
 	}
@@ -147,34 +204,41 @@ func TestHashLineBudget(t *testing.T) {
 		if i < 3 {
 			want = 1
 		}
-		if got := cost("get", int(want), 0, mustGet(k, true)); got != want {
+		if got := cost("get", int(want), 0, nil, mustGet(k, true)); got != want {
 			t.Fatalf("get of slot %d touched %d lines, want %d", i, got, want)
 		}
 	}
-	if got := cost("get absent", 1, 0, mustGet(absent, false)); got != 1 {
+	if got := cost("get absent", 1, 0, nil, mustGet(absent, false)); got != 1 {
 		t.Fatalf("get of an absent key touched %d lines, want 1", got)
 	}
-	if got := cost("update", 2, 1, func() { h.Update(clk, keys[7], keys[7]+1) }); got != 3 {
+	if got := cost("update", 2, 1, nil, func() { h.Update(clk, keys[7], keys[7]+1) }); got != 3 {
 		t.Fatalf("update of slot 7 touched %d lines, want 2 read + 1 stored", got)
 	}
 	// Slot 1 goes, slot 13 — past the first line — moves into it.
-	if got := cost("delete", 2, 2, func() { h.Delete(clk, keys[1]) }); got != 4 {
+	if got := cost("delete", 2, 2, back9(1), func() { h.Delete(clk, keys[1]) }); got != 4 {
 		t.Fatalf("delete with a move touched %d lines, want 2 read + 2 stored", got)
 	}
-	cost("get moved", 1, 0, mustGet(keys[13], true))
-	cost("get deleted", 1, 0, mustGet(keys[1], false))
+	cost("get moved", 1, 0, nil, mustGet(keys[13], true))
+	cost("get deleted", 1, 0, nil, mustGet(keys[1], false))
+	// Slot 5 goes, slot 12 moves into it: entry 5's line is written back too.
+	cost("delete past the first line", 3, 2, back9(5), func() { h.Delete(clk, keys[5]) })
+	// The delete of the last entry stores the header alone.
+	cost("insert", 1, 2, back9(12), mustInsert(keys[5]))
+	cost("delete of the last entry", 2, 1, head9, func() { h.Delete(clk, keys[5]) })
+	cost("insert", 1, 2, back9(12), mustInsert(keys[5]))
 
-	// Fill the bucket; the next key passes it (one marker byte) into bucket 10
-	// and is found there by a probe that reads one line of each.
-	cost("insert", 1, 2, mustInsert(keys[1]))
-	cost("insert", 1, 2, mustInsert(keys[bucketEntries-1]))
-	if got := cost("insert past a full bucket", 2, 3, mustInsert(keys[bucketEntries])); got != 5 {
+	// Fill the bucket; the next key passes it (one marker byte, written back
+	// like the stores of the bucket it lands in) into bucket 10 and is found
+	// there by a probe that reads one line of each.
+	cost("insert", 1, 2, back9(13), mustInsert(keys[1]))
+	cost("insert", 1, 2, back9(14), mustInsert(keys[bucketEntries-1]))
+	if got := cost("insert past a full bucket", 2, 3, []span{{b9, headBytes}, {b10, headBytes}}, mustInsert(keys[bucketEntries])); got != 5 {
 		t.Fatalf("insert past a full bucket touched %d lines, want 2 read + 3 stored", got)
 	}
-	if got := cost("get past a full bucket", 2, 0, mustGet(keys[bucketEntries], true)); got != 2 {
+	if got := cost("get past a full bucket", 2, 0, nil, mustGet(keys[bucketEntries], true)); got != 2 {
 		t.Fatalf("get past a full bucket touched %d lines, want 2", got)
 	}
-	cost("duplicate", 2, 0, func() {
+	cost("duplicate", 2, 0, nil, func() {
 		if err := h.Insert(clk, keys[bucketEntries], 0); !errors.Is(err, ErrDuplicate) {
 			t.Fatalf("duplicate insert: %v", err)
 		}
@@ -218,6 +282,33 @@ func TestHashLineBudget(t *testing.T) {
 			t.Fatalf("key %d lost", k)
 		}
 		headersOnce("delete")
+	}
+
+	// What the write-back buys: on a cold cache an insert's probe misses the
+	// header's line, and the media read that fetches it brings the whole
+	// bucket into the XPBuffer. The write-back finds the block there, so the
+	// entry's and the header's lines leave as one block write that reads
+	// nothing more. Left to the cache, each would go down alone, later, as a
+	// read-modify-write of its own.
+	sys = newSys()
+	if h, err = NewHash(sys.Space, 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys[:5] {
+		mustInsert(k)()
+	}
+	sys = sys.Crash()
+	if h, err = OpenHash(sys.Space, clk, 0); err != nil {
+		t.Fatal(err)
+	}
+	sys.XPB.Drain(clk)
+	before := sys.Dev.Stats().Snapshot()
+	mustInsert(keys[5])()
+	sys.XPB.Drain(clk)
+	d := sys.Dev.Stats().Snapshot().Sub(before)
+	if d.MediaReads != 1 || d.MediaWrites != 1 || d.PartialBlockWrites != 1 || d.XPBufferWholeEvictions != 1 {
+		t.Fatalf("an insert on a cold cache made %d media reads and %d writes (%d partial, %d of them whole evictions); want the probe's one read and one write that needs no read",
+			d.MediaReads, d.MediaWrites, d.PartialBlockWrites, d.XPBufferWholeEvictions)
 	}
 }
 
