@@ -1,6 +1,6 @@
 # Convenience targets; everything also works with plain go commands.
 
-.PHONY: build test lines race race-par bench bench-quick bench-smoke sweep phase-tables trace-check contend-smoke soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke old-spellings fmt-check
+.PHONY: build test lines race race-par bench bench-smoke sweep phase-tables trace-check contend-smoke soak loadgen-smoke tpcc-aging tpcc-mv-smoke fuzz-smoke old-spellings fmt-check
 
 build:
 	go build ./...
@@ -43,16 +43,12 @@ race:
 race-par:
 	GOMAXPROCS=4 go test -race -short -count=1 ./internal/crashtest ./internal/core ./internal/pmem ./internal/bench ./internal/index ./internal/workload/tpcc ./internal/sim
 
-# Append a full host-performance run (micro ops, one YCSB cell, the default
-# Figure-11 grid) to BENCH_hostperf.json. Speedups are against the first
-# (baseline) run, the -check gate against the best comparable one; see README
-# "Tracking host performance".
+# Time the default Figure-11 sweep built from the working tree against the
+# one built from HEAD, in alternating pairs, and append the pair entry to
+# BENCH_hostperf.json (~5 min on two cores); see README "Tracking host
+# performance".
 bench:
-	go run ./cmd/falcon hostbench -label "$(shell git rev-parse --short HEAD)"
-
-# Grid-free variant for quick checks (~10 s).
-bench-quick:
-	go run ./cmd/falcon hostbench -quick -label "$(shell git rev-parse --short HEAD)-quick"
+	go run ./cmd/falcon hostbench -against HEAD -label "$(shell git rev-parse --short HEAD)"
 
 # The benchmark's own smoke tests (BENCHMARK.json's program at reduced scale:
 # every workload end to end, its checks, the metric tables). benchmark/ is a
@@ -93,6 +89,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzXPIndex -fuzztime 10s -fuzzminimizetime 1s ./internal/pmem
 	go test -run '^$$' -fuzz FuzzXPBufferModel -fuzztime 10s -fuzzminimizetime 1s ./internal/pmem
 	go test -run '^$$' -fuzz FuzzHotSetModel -fuzztime 10s -fuzzminimizetime 1s ./internal/core
+	go test -run '^$$' -fuzz FuzzReadCatalog -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 sweep:

@@ -7,260 +7,242 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"falcon/internal/bench"
-	"falcon/internal/pmem"
-	"falcon/internal/sim"
 )
 
-// hostbench measures the HOST cost of the simulation: wall-clock nanoseconds
-// per simulated pmem operation, per YCSB transaction, and for the default
-// Figure-11 grid — bench.Fig11 at bench.SweepScale, the very cells `falcon
-// sweep` renders. Virtual-time results (the numbers the paper reports) are
-// independent of everything measured here — this tracks how much sweep fits
-// in a CI budget, and whether a change regressed the engine's host hot path.
-//
-// Results append to a JSON baseline file (default BENCH_hostperf.json). Each
-// run adds one entry; speedups are reported against the file's first entry,
-// so the first committed entry is the tracked baseline, while the -check
-// regression gate compares against the best comparable entry. Compare runs
-// with: jq '.runs[] | {label, grid_s, pmem_store64_ns}' BENCH_hostperf.json
+// hostbench times what the simulation costs the host, in pairs: `falcon
+// sweep` with no flags (bench.Fig11 at bench.SweepScale, the default grid)
+// built from a git revision, against the same sweep built from the working
+// tree. Both are exported into sibling scratch directories and built with
+// -trimpath: a checkout's path alone moves host metrics by a few percent. A
+// shared host drifts by tens of percent within minutes, so the pairs
+// alternate which side runs first and only the two sides of a pair are
+// compared. The gate reads CPU seconds (user + system): on a 2-core host, 29
+// no-change pairs read 0.90-1.13 in CPU seconds, 3 of them above 1.10, and
+// 8 timed while other work ran 0.96-1.05 in CPU but 0.81-1.35 in wall seconds.
+const (
+	hostPairs = 7
+	// slowRatio marks a slow pair: the tree's CPU seconds above slowRatio
+	// times the revision's.
+	slowRatio = 1.10
+	// slowPairsToFail, a majority of the pairs, fails the run. Were pairs
+	// independent, a no-change run would fail about once in 300 and a 20 %
+	// slowdown pass about once in 1 000; whole runs lean by up to 9 %.
+	slowPairsToFail = 4
+)
 
-// hostRun is one measurement session appended to the baseline file.
-type hostRun struct {
+// hostPair is one run's entry; pair i ran the revision first when i is even.
+type hostPair struct {
+	Schema     string `json:"schema"`
 	Label      string `json:"label"`
 	Date       string `json:"date"`
 	GoMaxProcs int    `json:"gomaxprocs"`
-	Quick      bool   `json:"quick,omitempty"`
-	// Host nanoseconds per simulated 64 B operation (32 MiB working set on
-	// a 64 MiB device — miss-heavy, the expensive path).
-	PmemStore64Ns   float64 `json:"pmem_store64_ns"`
-	PmemLoad64Ns    float64 `json:"pmem_load64_ns"`
-	PmemStoreCLWBNs float64 `json:"pmem_store_clwb_ns"`
-	// One end-to-end cell of the grid, Falcon on YCSB-A Zipfian with 8
-	// workers under the group-mode token (50k records, 600 txns + 150 warmup
-	// each): host seconds for the whole cell including load, and host
-	// nanoseconds per measured transaction.
-	YCSBCellS        float64 `json:"ycsb_cell_s"`
-	YCSBCellNsPerTxn float64 `json:"ycsb_cell_host_ns_per_txn"`
-	// Host seconds for the default Figure-11 grid (3 workloads x 5 engines x
-	// threads 2,4,8,12,16), GOMAXPROCS cells at once. Omitted by -quick.
-	GridS float64 `json:"grid_s,omitempty"`
-	// Speedup of this run's grid vs the file's first entry with a grid.
-	GridSpeedupVsBase float64 `json:"grid_speedup_vs_baseline,omitempty"`
+	// Against is the revision's commit, Tree the working tree's git tree.
+	Against string `json:"against"`
+	Tree    string `json:"tree"`
+	// Host seconds of each pair's sweep, per side.
+	BaseCPUS  []float64 `json:"base_cpu_s"`
+	TreeCPUS  []float64 `json:"tree_cpu_s"`
+	BaseWallS []float64 `json:"base_wall_s"`
+	TreeWallS []float64 `json:"tree_wall_s"`
+	SlowPairs int       `json:"slow_pairs"`
+	Pass      bool      `json:"pass"`
+	// SameStdout: the two sides of every pair printed the same bytes, so the
+	// change moved no virtual result of the grid. Reported, not gated.
+	SameStdout bool `json:"same_stdout"`
 }
 
-// hostBaseline is the tracked file layout.
-type hostBaseline struct {
-	Schema      string    `json:"schema,omitempty"`
-	Description string    `json:"description"`
-	Runs        []hostRun `json:"runs"`
+// hostFile is the tracked file. Its entries stay raw JSON, so an append
+// leaves every earlier one, of either schema, byte for byte as it was.
+type hostFile struct {
+	Schema      string            `json:"schema"`
+	Description string            `json:"description"`
+	Runs        []json.RawMessage `json:"runs"`
 }
 
-// gridRegressionLimit is the -check gate: the run fails when grid_s exceeds
-// the best comparable entry by more than this factor.
-const gridRegressionLimit = 1.10
+const hostDescription = "Host cost of the simulation; virtual-time results are unaffected. Stamped entries are falcon hostbench " +
+	"pairs (the default sweep built from a revision and from the working tree); unstamped ones are v1 single-host runs, kept for history."
 
-// checkGrid is the -check verdict on r: the entry it was measured against —
-// the fastest gridded entry at the same GOMAXPROCS, nil when there is none —
-// and the regression, if any. The gate measures against the best, not the
-// first: the file's first entry is the pre-optimisation baseline, and a gate
-// anchored there lets every gain since be given back unnoticed.
-func checkGrid(runs []hostRun, r hostRun) (best *hostRun, err error) {
-	for i := range runs {
-		p := &runs[i]
-		if p.GridS > 0 && p.GoMaxProcs == r.GoMaxProcs && (best == nil || p.GridS < best.GridS) {
-			best = p
-		}
-	}
-	if best != nil && r.GridS > best.GridS*gridRegressionLimit {
-		err = fmt.Errorf("grid_s %.2fs regressed more than %.0f%% vs the best comparable entry %q (%.2fs)",
-			r.GridS, (gridRegressionLimit-1)*100, best.Label, best.GridS)
-	}
-	return best, err
+// sweepTime is one timed sweep.
+type sweepTime struct {
+	cpuS, wallS float64
+	stdout      []byte
 }
 
 func runHostbench(args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("hostbench", stderr)
 	out := fs.String("out", "BENCH_hostperf.json", "baseline file to append this run to")
-	label := fs.String("label", "", "label for this run (default: hostbench-<date>)")
-	quick := fs.Bool("quick", false, "skip the full Figure-11 grid (CI-friendly, ~10s)")
-	procs := fs.Int("gomaxprocs", 0, "set runtime.GOMAXPROCS before timing (0 = leave as-is); the effective value is recorded in the run entry")
-	check := fs.Bool("check", false, "regression gate: compare this run's grid_s against the baseline file's best (fastest) gridded entry with the same gomaxprocs, and exit 1 on a >10% regression (a grid that reads regressed is timed up to three times and the best pass counts, as tracked entries are minima); the run is not appended to the baseline")
+	date := time.Now().UTC().Format("2006-01-02")
+	label := fs.String("label", "hostbench-"+date, "label for this run")
+	procs := fs.Int("gomaxprocs", 0, "GOMAXPROCS of each timed sweep (0 = this process's)")
+	against := fs.String("against", "HEAD", "git revision whose build the working tree's is timed against")
 	if code, done := parse(fs, args); done {
 		return code
 	}
-	if *check && *quick {
-		return refuse(fs, stderr, fmt.Errorf("-check needs the full Figure-11 grid; drop -quick"))
+	commit, err := git(nil, "rev-parse", "--verify", "--quiet", *against+"^{commit}")
+	if err != nil {
+		return refuse(fs, stderr, fmt.Errorf("-against %q is not a commit of this repository", *against))
 	}
-	if err := hostbench(stdout, stderr, *out, *label, *quick, *check, *procs); err != nil {
+	e := hostPair{Label: *label, Date: date, GoMaxProcs: *procs, Against: commit}
+	if e.GoMaxProcs <= 0 {
+		e.GoMaxProcs = runtime.GOMAXPROCS(0)
+	}
+	dir, err := os.MkdirTemp("", "hostbench-")
+	if err == nil {
+		defer os.RemoveAll(dir)
+		var sweep func(side int) (sweepTime, error)
+		if sweep, err = buildPair(stderr, dir, &e); err == nil {
+			err = timePairs(stdout, *out, e, sweep)
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(stderr, "falcon hostbench:", err)
 		return 1
 	}
 	return 0
 }
 
-func hostbench(stdout, stderr io.Writer, out, label string, quick, check bool, procs int) error {
-	if procs > 0 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	}
-	r := hostRun{
-		Label:      label,
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Quick:      quick,
-	}
-	if r.Label == "" {
-		r.Label = "hostbench-" + r.Date
-	}
-	base, err := loadBaseline(out)
-	if err != nil {
-		return err
-	}
-
-	// Micro loops and the cell take the best of three passes: host noise is
-	// strictly additive, so the minimum is the stablest estimator. The values
-	// of one micro pass stay together (mixing minima across passes would
-	// fabricate a measurement no pass produced).
-	for pass := 0; pass < 3; pass++ {
-		if st, ld, cl := pmemMicro(2_000_000); pass == 0 || st < r.PmemStore64Ns {
-			r.PmemStore64Ns, r.PmemLoad64Ns, r.PmemStoreCLWBNs = st, ld, cl
+// buildPair builds `falcon` from e.Against in dir/base and from the working
+// tree in dir/tree, and returns the sweep of side 0 (base) or 1 (tree).
+func buildPair(stderr io.Writer, dir string, e *hostPair) (func(side int) (sweepTime, error), error) {
+	// The working tree as `git add -A` would commit it, staged in an index
+	// of its own: the repository's index and refs stay as they are.
+	index := []string{"GIT_INDEX_FILE=" + filepath.Join(dir, "index")}
+	var err error
+	for _, args := range [][]string{{"read-tree", "HEAD"}, {"add", "-A"}, {"write-tree"}} {
+		if e.Tree, err = git(index, args...); err != nil {
+			return nil, err
 		}
 	}
-	fmt.Fprintf(stdout, "pmem store64:     %8.1f host-ns/op\n", r.PmemStore64Ns)
-	fmt.Fprintf(stdout, "pmem load64:      %8.1f host-ns/op\n", r.PmemLoad64Ns)
-	fmt.Fprintf(stdout, "pmem store+clwb:  %8.1f host-ns/op\n", r.PmemStoreCLWBNs)
-
-	scale := bench.SweepScale()
-	grid := bench.Fig11(scale)
-	const cellWorkers = 8
-	cell, err := grid.Cell(fmt.Sprintf("Falcon/YCSB-A Zipfian/%d", cellWorkers))
-	if err != nil {
-		return err
-	}
-	for pass := 0; pass < 3; pass++ {
-		start := time.Now()
-		if _, err := cell.Run(); err != nil {
-			return fmt.Errorf("ycsb cell: %w", err)
-		}
-		if s := time.Since(start).Seconds(); pass == 0 || s < r.YCSBCellS {
-			r.YCSBCellS = s
-		}
-	}
-	r.YCSBCellNsPerTxn = r.YCSBCellS * 1e9 / float64(cellWorkers*scale.Txns)
-	fmt.Fprintf(stdout, "ycsb cell:        %8.3f host-s  (%0.f host-ns/txn)\n", r.YCSBCellS, r.YCSBCellNsPerTxn)
-
-	// timeGrid runs every cell of the grid and returns the host seconds.
-	timeGrid := func() (float64, error) {
-		start := time.Now()
-		results := bench.RunCells(grid.Cells(), 0)
-		elapsed := time.Since(start).Seconds()
-		for _, cr := range results {
-			if cr.Err != nil {
-				return 0, fmt.Errorf("grid cell %s failed: %w", cr.Label, cr.Err)
-			}
-		}
-		return elapsed, nil
-	}
-	if !quick {
-		if r.GridS, err = timeGrid(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "fig11 grid:       %8.2f host-s\n", r.GridS)
-		// Speedups are against the file's first gridded entry.
-		for _, prev := range base.Runs {
-			if prev.GridS > 0 {
-				r.GridSpeedupVsBase = prev.GridS / r.GridS
-				fmt.Fprintf(stdout, "grid speedup vs %q: %.2fx\n", prev.Label, r.GridSpeedupVsBase)
-				break
+	sides := [2]string{filepath.Join(dir, "base"), filepath.Join(dir, "tree")}
+	for i, treeish := range [2]string{e.Against, e.Tree} {
+		fmt.Fprintf(stderr, "building %.12s in %s\n", treeish, sides[i])
+		build := exec.Command("go", "build", "-trimpath", "-o", "falcon", "./cmd/falcon")
+		// A revision's go line must not send the build to the network.
+		build.Dir, build.Env = sides[i], append(os.Environ(), "GOTOOLCHAIN=local")
+		for _, c := range []*exec.Cmd{
+			exec.Command("git", "archive", "--prefix="+filepath.Base(sides[i])+"/", "-o", sides[i]+".tar", treeish),
+			exec.Command("tar", "-xf", sides[i]+".tar", "-C", dir),
+			build,
+		} {
+			if msg, err := c.CombinedOutput(); err != nil {
+				return nil, fmt.Errorf("%s: %v\n%s", strings.Join(c.Args, " "), err, msg)
 			}
 		}
 	}
-	if check {
-		best, verdict := checkGrid(base.Runs, r)
-		// Tracked grid_s are minima over several runs (host noise only adds),
-		// so a pass that reads regressed gets two more to show it was noise.
-		for pass := 1; verdict != nil && pass < 3; pass++ {
-			s, err := timeGrid()
+	return func(side int) (sweepTime, error) {
+		var out, errs bytes.Buffer
+		cmd := exec.Command(filepath.Join(sides[side], "falcon"), "sweep")
+		cmd.Dir, cmd.Stdout, cmd.Stderr = sides[side], &out, &errs
+		cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", e.GoMaxProcs))
+		start := time.Now()
+		if err := cmd.Run(); err != nil {
+			return sweepTime{}, fmt.Errorf("%s sweep: %v\n%s", sides[side], err, errs.Bytes())
+		}
+		cpu := cmd.ProcessState.UserTime() + cmd.ProcessState.SystemTime()
+		return sweepTime{cpu.Seconds(), time.Since(start).Seconds(), out.Bytes()}, nil
+	}, nil
+}
+
+// git runs git with env added and returns its trimmed stdout.
+func git(env []string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Env = append(os.Environ(), env...)
+	out, err := cmd.Output()
+	return strings.TrimSpace(string(out)), err
+}
+
+// timePairs times hostPairs alternating pairs of sweeps, prints them and the
+// verdict, appends entry e to the baseline file out, and fails when the
+// tree's sweep is slow in slowPairsToFail pairs.
+func timePairs(stdout io.Writer, out string, e hostPair, sweep func(side int) (sweepTime, error)) error {
+	e.Schema, e.SameStdout = bench.HostPerfSchema, true
+	rev := e.Against[:7]
+	fmt.Fprintf(stdout, "falcon sweep, %d pairs at GOMAXPROCS %d, host seconds %s / tree\n", hostPairs, e.GoMaxProcs, rev)
+	var ratios []float64
+	for i := 0; i < hostPairs; i++ {
+		var pair [2]sweepTime
+		for _, side := range [2]int{i % 2, 1 - i%2} {
+			t, err := sweep(side)
 			if err != nil {
 				return err
 			}
-			r.GridS = min(r.GridS, s)
-			fmt.Fprintf(stdout, "fig11 grid:       %8.2f host-s (best of %d)\n", r.GridS, pass+1)
-			best, verdict = checkGrid(base.Runs, r)
+			pair[side] = t
 		}
-		if verdict != nil {
-			return fmt.Errorf("check: %w", verdict)
-		}
-		if best == nil {
-			fmt.Fprintf(stderr, "check: no comparable gridded entry in %s; nothing to gate against\n", out)
-		} else {
-			fmt.Fprintf(stdout, "check: grid_s within the regression limit of %q (%.2fs)\n", best.Label, best.GridS)
-		}
-		return nil
+		e.SameStdout = e.SameStdout && bytes.Equal(pair[0].stdout, pair[1].stdout)
+		e.BaseCPUS, e.TreeCPUS = append(e.BaseCPUS, pair[0].cpuS), append(e.TreeCPUS, pair[1].cpuS)
+		e.BaseWallS, e.TreeWallS = append(e.BaseWallS, pair[0].wallS), append(e.TreeWallS, pair[1].wallS)
+		ratios = append(ratios, pair[1].cpuS/pair[0].cpuS)
+		fmt.Fprintf(stdout, "pair %d, %-7s first: CPU %6.2f / %6.2f  ratio %.3f   wall %6.2f / %6.2f\n",
+			i+1, []string{rev, "tree"}[i%2], pair[0].cpuS, pair[1].cpuS, ratios[i], pair[0].wallS, pair[1].wallS)
 	}
-	base.Runs = append(base.Runs, r)
-	base.Schema = bench.HostPerfSchema
-	data, err := json.MarshalIndent(base, "", "  ")
-	if err == nil {
-		err = os.WriteFile(out, append(data, '\n'), 0o644)
+	for i, s := range [2][2][]float64{{e.BaseCPUS, e.BaseWallS}, {e.TreeCPUS, e.TreeWallS}} {
+		c, w := quartiles(s[0]), quartiles(s[1])
+		fmt.Fprintf(stdout, "%-7s CPU median %.2f (quartiles %.2f, %.2f)   wall median %.2f (quartiles %.2f, %.2f)\n",
+			[]string{rev, "tree"}[i], c[1], c[0], c[2], w[1], w[0], w[2])
 	}
-	if err != nil {
-		return fmt.Errorf("write baseline: %w", err)
+	e.SlowPairs, e.Pass = pairVerdict(e.BaseCPUS, e.TreeCPUS)
+	slices.Sort(ratios)
+	won, _ := slices.BinarySearch(ratios, 1)
+	fmt.Fprintf(stdout, "tree faster in %d of %d pairs, median CPU ratio %.3f\n", won, hostPairs, quartiles(ratios)[1])
+	fmt.Fprintf(stdout, "sweep stdout byte-identical: %v\n", e.SameStdout)
+	if err := appendPair(out, e); err != nil {
+		return err
 	}
-	fmt.Fprintln(stdout, "appended run to", out)
+	fmt.Fprintf(stdout, "appended pair %q to %s\n", e.Label, out)
+	verdict := fmt.Sprintf("%d of %d pairs more than %.0f %% slower in CPU s (the gate fails at %d)",
+		e.SlowPairs, hostPairs, (slowRatio-1)*100, slowPairsToFail)
+	if !e.Pass {
+		return fmt.Errorf("slower than %s: %s", rev, verdict)
+	}
+	fmt.Fprintln(stdout, "pass:", verdict)
 	return nil
 }
 
-// loadBaseline reads the tracked file; a missing file is an empty baseline.
-// It refuses a file that does not decode, in particular one whose entries
-// carry fields this binary does not know: appending would mix two
-// incompatible run schemas in one tracked file and silently strip the unknown
-// fields on rewrite. Entries merely missing newer fields are fine — the
-// schema only grows.
-func loadBaseline(path string) (hostBaseline, error) {
-	b := hostBaseline{Description: "Host wall-clock cost of the simulation; virtual-time results are unaffected. First entry is the tracked baseline."}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return b, nil
-	} else if err != nil {
-		return b, err
+// pairVerdict counts the pairs whose tree took more than slowRatio times its
+// revision, and passes the run when they are fewer than slowPairsToFail.
+func pairVerdict(base, tree []float64) (slow int, pass bool) {
+	for i := range base {
+		if tree[i] > base[i]*slowRatio {
+			slow++
+		}
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&b); err != nil {
-		return b, fmt.Errorf("%s is not a baseline this binary can append to (migrate the file or rebuild falcon): %w", path, err)
-	}
-	return b, nil
+	return slow, slow < slowPairsToFail
 }
 
-// pmemMicro mirrors internal/pmem's BenchmarkHost* loop shapes exactly:
-// 64 B ops striding a 32 MiB working set on a 64 MiB device.
-func pmemMicro(n int) (store, loadNs, storeCLWB float64) {
-	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 64 << 20, CacheBytes: 2 << 20})
-	clk := sim.NewClock()
-	buf := make([]byte, 64)
+// quartiles returns the lower quartile, the median and the upper quartile of
+// xs, each the middle (or the mean of the two middle values) of its part.
+func quartiles(xs []float64) [3]float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	mid := func(s []float64) float64 { return (s[(len(s)-1)/2] + s[len(s)/2]) / 2 }
+	return [3]float64{mid(s[:len(s)/2]), mid(s), mid(s[(len(s)+1)/2:])}
+}
 
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		sys.Space.Write(clk, uint64(i*64)%(32<<20), buf)
+// appendPair appends e to the baseline file at path, creating it if missing.
+func appendPair(path string, e hostPair) error {
+	var f hostFile
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &f)
 	}
-	store = float64(time.Since(start).Nanoseconds()) / float64(n)
-
-	start = time.Now()
-	for i := 0; i < n; i++ {
-		sys.Space.Read(clk, uint64(i*64)%(32<<20), buf)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	loadNs = float64(time.Since(start).Nanoseconds()) / float64(n)
-
-	start = time.Now()
-	for i := 0; i < n; i++ {
-		a := uint64(i*64) % (32 << 20)
-		sys.Space.Write(clk, a, buf)
-		sys.Space.CLWB(clk, a, 64)
+	raw, err := json.Marshal(e)
+	if err != nil {
+		return err
 	}
-	storeCLWB = float64(time.Since(start).Nanoseconds()) / float64(n)
-	return store, loadNs, storeCLWB
+	f.Schema, f.Description, f.Runs = bench.HostPerfSchema, hostDescription, append(f.Runs, raw)
+	if data, err = json.MarshalIndent(f, "", "  "); err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -28,7 +28,7 @@ var commands = []struct {
 	{"ycsb", "Figure 9: YCSB A-F x Uniform/Zipfian, every engine", runYCSB},
 	{"sweep", "Figure 11 (ablation scalability) and, with -tuplesize, Figure 12", runSweep},
 	{"recovery", "recovery-time study and, with -faults N, the crash-consistency matrix", runRecovery},
-	{"hostbench", "host cost of the simulation, appended to BENCH_hostperf.json", runHostbench},
+	{"hostbench", "host cost of the default sweep: the working tree's build against a git revision's, in pairs", runHostbench},
 	{"serve", "serve one engine over HTTP with admission control and exactly-once retries", runServe},
 	{"loadgen", "drive a `falcon serve` endpoint with closed- or open-loop load", runLoadgen},
 	{"tracecheck", "validate Chrome trace-event JSON files written by -trace", runTracecheck},

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -197,7 +198,9 @@ func TestBadInputIsRefused(t *testing.T) {
 		"recovery -records 0",
 		"recovery -records 2000,x",
 		"recovery -faults 1 -records 2000",
-		"hostbench -check -quick",
+		"hostbench -check",
+		"hostbench -quick",
+		"hostbench -against no-such-rev",
 		"serve -preset nope",
 		"ycsb -no-such-flag",
 		"tracecheck",
@@ -250,86 +253,92 @@ func TestTraceAndTracecheck(t *testing.T) {
 	}
 }
 
-// TestHostbenchQuick appends one schema-stamped entry to a copy of the
-// tracked baseline (which must therefore pass the schema guard), and refuses
-// a baseline carrying a field it does not know.
-func TestHostbenchQuick(t *testing.T) {
+// TestPairVerdict: the gate fails a change slow in enough pairs, and not one
+// whose sides are equal or that has one slow outlier pair.
+func TestPairVerdict(t *testing.T) {
+	base := []float64{30, 31, 29, 30, 32, 33, 29}
+	scaled := func(f float64) []float64 {
+		out := slices.Clone(base)
+		for i := range out {
+			out[i] *= f
+		}
+		return out
+	}
+	outlier := slices.Clone(base)
+	outlier[2] *= 1.5
+	for _, tc := range []struct {
+		name string
+		tree []float64
+		slow int
+		pass bool
+	}{
+		{"equal sides", base, 0, true},
+		{"every pair 20 % slower", scaled(1.2), hostPairs, false},
+		{"one slow outlier pair", outlier, 1, true},
+		{"every pair 5 % faster", scaled(0.95), 0, true},
+	} {
+		if slow, pass := pairVerdict(base, tc.tree); slow != tc.slow || pass != tc.pass {
+			t.Errorf("%s: %d slow pairs, pass %v; want %d, %v", tc.name, slow, pass, tc.slow, tc.pass)
+		}
+	}
+}
+
+// TestHostbenchAppendsAPair times pairs through a stand-in runner, so nothing
+// is built, against a copy of the tracked baseline file: the earlier entries
+// come back byte for byte, followed by one schema-stamped pair entry.
+func TestHostbenchAppendsAPair(t *testing.T) {
 	tracked, err := os.ReadFile("../../BENCH_hostperf.json")
 	if err != nil {
-		t.Fatal(err)
-	}
-	var before hostBaseline
-	if err := json.Unmarshal(tracked, &before); err != nil {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "hostperf.json")
 	if err := os.WriteFile(out, tracked, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := falcon("hostbench", "-quick", "-label", "test", "-out", out)
-	if code != 0 || !strings.Contains(stdout, "appended run to "+out) {
-		t.Fatalf("exit %d\n%s%s", code, stdout, stderr)
+	var order []int
+	sweep := func(side int) (sweepTime, error) {
+		order = append(order, side)
+		return sweepTime{cpuS: 30 + float64(side), wallS: 15, stdout: []byte("grid\n")}, nil
 	}
+	e := hostPair{Label: "test", Against: strings.Repeat("ab", 20), Tree: "tree", GoMaxProcs: 2}
+	var stdout bytes.Buffer
+	if err := timePairs(&stdout, out, e, sweep); err != nil {
+		t.Fatalf("%v\n%s", err, stdout.String())
+	}
+	if want := []int{0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1}; !slices.Equal(order, want) {
+		t.Errorf("sides ran in the order %v, want %v", order, want)
+	}
+	for _, line := range []string{"median CPU ratio 1.033", "sweep stdout byte-identical: true", "pass: 0 of 7 pairs"} {
+		if !strings.Contains(stdout.String(), line) {
+			t.Errorf("stdout lacks %q:\n%s", line, stdout.String())
+		}
+	}
+	var before, after hostFile
 	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var after hostBaseline
+	if err := json.Unmarshal(tracked, &before); err != nil {
+		t.Fatal(err)
+	}
 	if err := json.Unmarshal(data, &after); err != nil {
 		t.Fatal(err)
 	}
 	if after.Schema != bench.HostPerfSchema || len(after.Runs) != len(before.Runs)+1 {
 		t.Fatalf("schema %q, %d runs; want %q and %d", after.Schema, len(after.Runs), bench.HostPerfSchema, len(before.Runs)+1)
 	}
-	if r := after.Runs[len(after.Runs)-1]; r.Label != "test" || !r.Quick || r.GridS != 0 || r.PmemStore64Ns <= 0 || r.YCSBCellS <= 0 {
-		t.Errorf("appended entry %+v", r)
+	for i, raw := range before.Runs {
+		if !bytes.Equal(after.Runs[i], raw) {
+			t.Errorf("entry %d moved:\n%s\nwas\n%s", i, after.Runs[i], raw)
+		}
 	}
-
-	foreign := filepath.Join(t.TempDir(), "foreign.json")
-	if err := os.WriteFile(foreign, []byte(`{"runs":[{"label":"x","worker_par":true}]}`), 0o644); err != nil {
+	var got hostPair
+	if err := json.Unmarshal(after.Runs[len(before.Runs)], &got); err != nil {
 		t.Fatal(err)
 	}
-	if code, _, stderr := falcon("hostbench", "-quick", "-out", foreign); code != 1 || !strings.Contains(stderr, `"worker_par"`) {
-		t.Errorf("baseline with an unknown field: exit %d, stderr %q", code, stderr)
-	}
-}
-
-// TestCheckGatesAgainstBestComparable: the gate must bite relative to the
-// fastest entry that timed the same machine, not the file's first entry
-// (the slow pre-optimisation baseline).
-func TestCheckGatesAgainstBestComparable(t *testing.T) {
-	runs := []hostRun{
-		{Label: "baseline", GoMaxProcs: 1, GridS: 48.2},
-		{Label: "opt", GoMaxProcs: 1, GridS: 30.9},
-		{Label: "quick", GoMaxProcs: 1, Quick: true},
-		{Label: "two-procs", GoMaxProcs: 2, GridS: 32.0},
-	}
-	for _, tc := range []struct {
-		run  hostRun
-		best string // label the verdict must be relative to; "" = nothing comparable
-		fail bool
-	}{
-		{hostRun{GoMaxProcs: 1, GridS: 30.9 * 1.15}, "opt", true}, // 35.5 s: passes against 48.2, must fail
-		{hostRun{GoMaxProcs: 1, GridS: 30.9 * 1.05}, "opt", false},
-		{hostRun{GoMaxProcs: 1, GridS: 25.0}, "opt", false},
-		{hostRun{GoMaxProcs: 2, GridS: 32.0 * 1.15}, "two-procs", true},
-		{hostRun{GoMaxProcs: 2, GridS: 33.0}, "two-procs", false},
-		{hostRun{GoMaxProcs: 4, GridS: 500}, "", false},
-	} {
-		best, err := checkGrid(runs, tc.run)
-		gotBest := ""
-		if best != nil {
-			gotBest = best.Label
-		}
-		if gotBest != tc.best {
-			t.Errorf("%+v: measured against %q, want %q", tc.run, gotBest, tc.best)
-		}
-		if (err != nil) != tc.fail {
-			t.Errorf("%+v: checkGrid = %v, want failure %v", tc.run, err, tc.fail)
-		}
-		if err != nil && !strings.Contains(err.Error(), tc.best) {
-			t.Errorf("%+v: verdict %q does not name entry %q", tc.run, err, tc.best)
-		}
+	if got.Schema != bench.HostPerfSchema || got.Label != "test" || len(got.TreeCPUS) != hostPairs || got.TreeCPUS[0] != 31 ||
+		got.BaseWallS[4] != 15 || !got.Pass || !got.SameStdout {
+		t.Errorf("appended entry %+v", got)
 	}
 }
 

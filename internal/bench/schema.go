@@ -11,9 +11,9 @@ const (
 	StreamSchema = "falcon/stream/v2"
 	// SweepCellSchema marks `falcon sweep` -json grid cells.
 	SweepCellSchema = "falcon/sweep-cell/v2"
-	// HostPerfSchema marks the `falcon hostbench` baseline file
-	// (BENCH_hostperf.json).
-	HostPerfSchema = "falcon/hostperf/v1"
+	// HostPerfSchema marks BENCH_hostperf.json and each `falcon hostbench`
+	// pair entry in it (its unstamped entries are v1's single-host runs).
+	HostPerfSchema = "falcon/hostperf/v2"
 	// LoadgenSchema marks `falcon loadgen` -json reports (loadgen.Report).
 	LoadgenSchema = "falcon/loadgen/v1"
 )

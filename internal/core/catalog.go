@@ -7,6 +7,7 @@ import (
 
 	"falcon/internal/layout"
 	"falcon/internal/sim"
+	"falcon/internal/wal"
 )
 
 // The catalog (paper §5.1) records database metadata in NVM: table schemas,
@@ -29,14 +30,12 @@ type catalogTable struct {
 }
 
 type catalogImage struct {
-	threads                      int
-	update                       UpdateScheme
-	windowSlots, windowSlotBytes int
-	windowOverflow               int
-	windowFlush                  bool
-	windowBase, markerBase       uint64
-	epochBase                    uint64
-	tables                       []catalogTable
+	threads                int
+	update                 UpdateScheme
+	window                 wal.Config
+	windowBase, markerBase uint64
+	epochBase              uint64
+	tables                 []catalogTable
 }
 
 func (e *Engine) writeCatalog(clk *sim.Clock) error {
@@ -83,6 +82,31 @@ func (e *Engine) writeCatalog(clk *sim.Clock) error {
 	return nil
 }
 
+// ErrCatalogCorrupt wraps every reason recovery finds no catalog it can read.
+var ErrCatalogCorrupt = errors.New("core: catalog corrupt")
+
+// catalogReader decodes the catalog body. A read past its end yields zeros
+// and marks the reader short, so one check after the fields refuses it.
+type catalogReader struct {
+	buf   []byte
+	short bool
+}
+
+func (r *catalogReader) next(n int) []byte {
+	if n > len(r.buf) {
+		r.short, r.buf = true, nil
+		return make([]byte, n)
+	}
+	b := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+func (r *catalogReader) u8() byte    { return r.next(1)[0] }
+func (r *catalogReader) u16() int    { return int(binary.LittleEndian.Uint16(r.next(2))) }
+func (r *catalogReader) u32() int    { return int(binary.LittleEndian.Uint32(r.next(4))) }
+func (r *catalogReader) u64() uint64 { return binary.LittleEndian.Uint64(r.next(8)) }
+
 func readCatalog(space interface {
 	Read(*sim.Clock, uint64, []byte)
 }, clk *sim.Clock) (*catalogImage, error) {
@@ -90,62 +114,45 @@ func readCatalog(space interface {
 	space.Read(clk, catalogBase, lenb[:])
 	n := binary.LittleEndian.Uint64(lenb[:])
 	if n == 0 || n > catalogBytes {
-		return nil, errors.New("core: no catalog found (was the engine ever created?)")
+		return nil, fmt.Errorf("%w: no catalog found (was the engine ever created?)", ErrCatalogCorrupt)
 	}
 	buf := make([]byte, n)
 	space.Read(clk, catalogBase+8, buf)
-	if binary.LittleEndian.Uint64(buf) != catalogMagic {
-		return nil, errors.New("core: catalog magic mismatch")
+	r := &catalogReader{buf: buf}
+	if r.u64() != catalogMagic {
+		return nil, fmt.Errorf("%w: magic mismatch", ErrCatalogCorrupt)
 	}
 	img := &catalogImage{}
-	pos := 8
-	img.threads = int(binary.LittleEndian.Uint32(buf[pos:]))
-	pos += 4
-	img.update = UpdateScheme(buf[pos])
-	pos++
-	img.windowFlush = buf[pos] != 0
-	pos++
-	img.windowSlots = int(binary.LittleEndian.Uint32(buf[pos:]))
-	pos += 4
-	img.windowSlotBytes = int(binary.LittleEndian.Uint32(buf[pos:]))
-	pos += 4
-	img.windowOverflow = int(binary.LittleEndian.Uint32(buf[pos:]))
-	pos += 4
-	img.windowBase = binary.LittleEndian.Uint64(buf[pos:])
-	pos += 8
-	img.markerBase = binary.LittleEndian.Uint64(buf[pos:])
-	pos += 8
-	img.epochBase = binary.LittleEndian.Uint64(buf[pos:])
-	pos += 8
-	ntables := int(binary.LittleEndian.Uint16(buf[pos:]))
-	pos += 2
+	img.threads = r.u32()
+	img.update = UpdateScheme(r.u8())
+	img.window.Flush = r.u8() != 0
+	img.window.Slots = r.u32()
+	img.window.SlotBytes = r.u32()
+	img.window.OverflowBytes = r.u32()
+	img.windowBase = r.u64()
+	img.markerBase = r.u64()
+	img.epochBase = r.u64()
+	ntables := r.u16()
 	for i := 0; i < ntables; i++ {
 		var ct catalogTable
-		nameLen := int(binary.LittleEndian.Uint16(buf[pos:]))
-		pos += 2
-		ct.name = string(buf[pos : pos+nameLen])
-		pos += nameLen
-		ct.keyCol = int(binary.LittleEndian.Uint16(buf[pos:]))
-		pos += 2
-		ct.secondaryCol = int(binary.LittleEndian.Uint16(buf[pos:]))
-		pos += 2
-		ct.indexKind = buf[pos]
-		pos++
-		ct.capacity = binary.LittleEndian.Uint64(buf[pos:])
-		pos += 8
-		ct.heapBase = binary.LittleEndian.Uint64(buf[pos:])
-		pos += 8
-		ct.priBase = binary.LittleEndian.Uint64(buf[pos:])
-		pos += 8
-		ct.secBase = binary.LittleEndian.Uint64(buf[pos:])
-		pos += 8
-		sch, consumed, err := layout.DecodeSchema(buf[pos:])
+		ct.name = string(r.next(r.u16()))
+		ct.keyCol = r.u16()
+		ct.secondaryCol = r.u16()
+		ct.indexKind = r.u8()
+		ct.capacity = r.u64()
+		ct.heapBase = r.u64()
+		ct.priBase = r.u64()
+		ct.secBase = r.u64()
+		sch, consumed, err := layout.DecodeSchema(r.buf) // refuses the nil buf of a short reader
 		if err != nil {
-			return nil, fmt.Errorf("core: catalog table %d: %w", i, err)
+			return nil, fmt.Errorf("%w: table %d: %w", ErrCatalogCorrupt, i, err)
 		}
-		pos += consumed
+		r.next(consumed)
 		ct.schema = sch
 		img.tables = append(img.tables, ct)
+	}
+	if r.short {
+		return nil, fmt.Errorf("%w: %d bytes end inside a field", ErrCatalogCorrupt, n)
 	}
 	return img, nil
 }

@@ -82,6 +82,10 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 	if img.update != cfg.Update {
 		return nil, nil, fmt.Errorf("core: catalog update scheme %v, config %v", img.update, cfg.Update)
 	}
+	// Another geometry would place, read and reset each window elsewhere.
+	if img.window != cfg.Window {
+		return nil, nil, fmt.Errorf("core: catalog log window %+v, config %+v", img.window, cfg.Window)
+	}
 
 	e := &Engine{
 		cfg:    cfg,

@@ -532,10 +532,23 @@ func TestRecoverRejectsMismatchedConfig(t *testing.T) {
 	if _, err := New(sys, cfg, kvSpec(index.Hash, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	bad := cfg
-	bad.Update = OutOfPlace
-	if _, _, err := Recover(sys.Crash(), bad); err == nil {
-		t.Fatal("Recover accepted a mismatched update scheme")
+	outp := cfg
+	outp.Update = OutOfPlace
+	// Inp shares Falcon's update scheme, but its flushed log has another
+	// window geometry: recovered with it, each thread's window would be
+	// looked for, and reset, at the wrong address.
+	inp := InpConfig()
+	inp.Threads = cfg.Threads
+	for _, tc := range []struct {
+		name string
+		bad  Config
+	}{{"update scheme", outp}, {"log scheme", inp}} {
+		if _, _, err := Recover(sys.Crash(), tc.bad); err == nil {
+			t.Errorf("Recover accepted a mismatched %s", tc.name)
+		}
+	}
+	if _, _, err := Recover(sys.Crash(), cfg); err != nil {
+		t.Fatalf("Recover with the engine's own config: %v", err)
 	}
 }
 

@@ -30,6 +30,7 @@ func DecodeSchema(src []byte) (*Schema, int, error) {
 	n := int(binary.LittleEndian.Uint16(src))
 	pos := 2
 	cols := make([]Column, 0, n)
+	seen := make(map[string]bool, n)
 	for i := 0; i < n; i++ {
 		if pos >= len(src) {
 			return nil, 0, fmt.Errorf("layout: truncated schema at column %d", i)
@@ -45,6 +46,11 @@ func DecodeSchema(src []byte) (*Schema, int, error) {
 		pos++
 		size := int(binary.LittleEndian.Uint32(src[pos:]))
 		pos += 4
+		// What NewSchema would refuse by panicking is a corrupt image here.
+		if name == "" || seen[name] || kind == Bytes && size == 0 {
+			return nil, 0, fmt.Errorf("layout: schema column %d (%q): empty, duplicate or zero-width", i, name)
+		}
+		seen[name] = true
 		cols = append(cols, Column{Name: name, Kind: kind, Size: size})
 	}
 	return NewSchema(cols...), pos, nil

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -101,6 +102,31 @@ func TestDecodeSchemaTruncated(t *testing.T) {
 			if cut < 2 {
 				t.Fatalf("DecodeSchema accepted a %d-byte prefix", cut)
 			}
+		}
+	}
+}
+
+// TestDecodeSchemaRefusesBadColumns: what NewSchema panics on comes back
+// from DecodeSchema as an error, since its input is a device image.
+func TestDecodeSchemaRefusesBadColumns(t *testing.T) {
+	col := func(name string, kind Kind, size uint32) []byte {
+		b := append([]byte{byte(len(name))}, name...)
+		return binary.LittleEndian.AppendUint32(append(b, byte(kind)), size)
+	}
+	for _, tc := range []struct {
+		name string
+		cols [][]byte
+	}{
+		{"empty name", [][]byte{col("", Uint64, 8)}},
+		{"duplicate name", [][]byte{col("a", Uint64, 8), col("a", Int64, 8)}},
+		{"zero-width bytes", [][]byte{col("a", Bytes, 0)}},
+	} {
+		enc := binary.LittleEndian.AppendUint16(nil, uint16(len(tc.cols)))
+		for _, c := range tc.cols {
+			enc = append(enc, c...)
+		}
+		if _, _, err := DecodeSchema(enc); err == nil {
+			t.Errorf("%s: DecodeSchema accepted it", tc.name)
 		}
 	}
 }
