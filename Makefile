@@ -148,8 +148,9 @@ contend-smoke:
 # the one machine under a token, and the free-running figure schedule, its
 # worker-scheduling flag and the sweep's and hostbench's cell-count flags into
 # that token with GOMAXPROCS cells at once, and group mode's enter, begin,
-# leave and exit calls into the one Engine.RunGroup; fail when a removed spelling comes
-# back (same lane CI runs). CHANGES.md, ROADMAP.md and benchmark/ are history
+# leave and exit calls into the one Engine.RunGroup, and the ADR hit
+# validation and log-driven index repair into one index rebuild from the
+# heap; fail when a removed spelling comes back (same lane CI runs). CHANGES.md, ROADMAP.md and benchmark/ are history
 # and exempt, and so are the tests that check a removed flag is refused. The
 # [-], the [R]s and the like keep this recipe from matching itself.
 old-spellings:
@@ -170,6 +171,8 @@ old-spellings:
 	! grep -rnE --exclude='*_test.go' -- '-[p]arworkers|(sweep|hostbench)\b.*[[:space:]]-[p]ar\b' \
 		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 	! grep -rnE --exclude='*_test.go' -- 'Enter[G]roup|Leave[G]roup|Group\(\)\.' \
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
+	! grep -rnE 'validate[H]its|adrIndex[F]ix|rebuild[D]RAMIndexes' \
 		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 
 # Every Go file gofmt-clean, benchmark/ included (same lane CI runs).

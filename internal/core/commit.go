@@ -268,15 +268,9 @@ func (tx *Txn) applyInsert(ins *txnOp) {
 // (the reservation is held; a secondary key by the table's contract) and the
 // index is built never to fill before the heap (Config.IndexKeys). An error
 // is therefore a bug, and dropping it would leave a committed row that no
-// lookup finds, so it panics. The one duplicate that is no bug is the stale
-// entry of a key whose delete an ADR crash lost (Engine.validateHits): it is
-// repointed, as recovery repoints moved keys.
+// lookup finds, so it panics.
 func (t *Table) indexInsert(clk *sim.Clock, idx index.Index, key, slot uint64) {
-	err := idx.Insert(clk, key, slot)
-	if errors.Is(err, index.ErrDuplicate) && t.e.validateHits && idx.Update(clk, key, slot) {
-		return
-	}
-	if err != nil {
+	if err := idx.Insert(clk, key, slot); err != nil {
 		panic(fmt.Sprintf("core: table %q: index insert of committed key %d (slot %d): %v", t.name, key, slot, err))
 	}
 }

@@ -72,13 +72,6 @@ type Engine struct {
 	// while disarmed).
 	tracer      *obs.Tracer
 	observatory *obs.Observatory
-	// validateHits makes index lookups verify the tuple's key column and
-	// treat mismatches as misses. Recover enables it for NVM-index engines
-	// restarted under ADR: index mutations travel through the volatile
-	// cache, so the media can retain an entry whose delete was lost and
-	// whose slot has since been recycled by another row — following it
-	// blindly would serve that row's tuple under the wrong key.
-	validateHits bool
 }
 
 // workerScratch holds a worker's reusable buffers, padded against false
@@ -327,12 +320,12 @@ func (e *Engine) createTable(clk *sim.Clock, spec TableSpec) (*Table, error) {
 		return nil, err
 	}
 
-	t.primary, t.priBase, err = e.buildIndex(clk, spec.IndexKind, spec.Capacity)
+	t.primary, t.priBase, err = e.buildIndex(clk, spec.IndexKind, spec.Capacity, 0)
 	if err != nil {
 		return nil, err
 	}
 	if t.secondaryCol > 0 {
-		t.secondary, t.secBase, err = e.buildIndex(clk, index.BTree, spec.Capacity)
+		t.secondary, t.secBase, err = e.buildIndex(clk, index.BTree, spec.Capacity, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -355,9 +348,13 @@ func (e *Engine) ensureTupleCache(slotBytes int) {
 	}
 }
 
-// buildIndex places the index of a table of the given capacity on NVM or
-// DRAM per the configuration.
-func (e *Engine) buildIndex(clk *sim.Clock, kind index.Kind, capacity uint64) (index.Index, uint64, error) {
+// buildIndex places an empty index for a table of the given capacity on NVM
+// or DRAM per the configuration. An NVM index takes a new arena region, or,
+// when nvmBase is not 0, the region at nvmBase that a crashed engine's
+// catalog names, which it clears first (NewHash reads zeroed buckets as
+// empty). Recover calls it before any line of that region is cached, so the
+// clearing leaves no stale line above it.
+func (e *Engine) buildIndex(clk *sim.Clock, kind index.Kind, capacity, nvmBase uint64) (index.Index, uint64, error) {
 	capacity = e.cfg.IndexKeys(kind, capacity)
 	var bytes uint64
 	if kind == index.Hash {
@@ -373,9 +370,17 @@ func (e *Engine) buildIndex(clk *sim.Clock, kind index.Kind, capacity uint64) (i
 		idx, err := e.newIndexOn(e.dram, off, kind, capacity)
 		return idx, off, err
 	}
-	off, err := e.arena.Alloc(clk, bytes)
-	if err != nil {
-		return nil, 0, err
+	off := nvmBase
+	if off == 0 {
+		var err error
+		if off, err = e.arena.Alloc(clk, bytes); err != nil {
+			return nil, 0, err
+		}
+	} else {
+		var zero [4096]byte
+		for o := off; o < off+bytes; o += uint64(len(zero)) {
+			e.nvm.BulkWrite(o, zero[:min(uint64(len(zero)), off+bytes-o)])
+		}
 	}
 	idx, err := e.newIndexOn(e.nvmIndexSpace(), off, kind, capacity)
 	return idx, off, err

@@ -110,12 +110,6 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 	e.windowBase = img.windowBase
 	e.markerBase = img.markerBase
 	e.epochBase = img.epochBase
-	// An NVM index that crashed with a volatile cache cannot be trusted
-	// blindly: entries whose delete never reached the media may still map
-	// dead keys to recycled slots. Hash indexes cannot be enumerated to
-	// purge such entries, so instead every post-recovery lookup validates
-	// the hit against the tuple's key column (see Engine.validateHits).
-	e.validateHits = cfg.Index == IndexNVM && sys.Config().Mode == pmem.ADR
 
 	// Reopen heaps; shadow CC metadata comes back zeroed — the paper's
 	// "clear the lock bits" step.
@@ -149,11 +143,17 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 		e.addTable(t)
 	}
 
-	// Index recovery step 1: NVM indexes reattach structurally ("instant
-	// recovery"); DRAM indexes must be recreated and are filled below.
+	// Index recovery step 1: under a persistent cache an NVM index reattaches
+	// structurally ("instant recovery"), since the crash flush wrote back
+	// every index line the cache held. Under ADR the crash dropped them, so
+	// the media holds whichever lines happened to reach it; the index is
+	// built empty again, like a DRAM index, in the region the catalog names,
+	// and filled from the heap below.
 	pr.To(obs.PhaseRecIndex)
+	adr := sys.Config().Mode == pmem.ADR
+	reattach := cfg.Index == IndexNVM && !adr
 	for _, t := range e.tables {
-		if cfg.Index == IndexNVM {
+		if reattach {
 			t.primary, err = e.openIndexOn(e.nvmIndexSpace(), clk, t.priBase, t.indexKind)
 			if err != nil {
 				return nil, nil, err
@@ -164,41 +164,42 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 					return nil, nil, err
 				}
 			}
-		} else {
-			t.primary, t.priBase, err = e.buildIndex(clk, t.indexKind, t.capacity)
+			continue
+		}
+		t.primary, t.priBase, err = e.buildIndex(clk, t.indexKind, t.capacity, t.priBase)
+		if err != nil {
+			return nil, nil, err
+		}
+		if t.secondaryCol > 0 {
+			t.secondary, t.secBase, err = e.buildIndex(clk, index.BTree, t.capacity, t.secBase)
 			if err != nil {
 				return nil, nil, err
-			}
-			if t.secondaryCol > 0 {
-				t.secondary, t.secBase, err = e.buildIndex(clk, index.BTree, t.capacity)
-				if err != nil {
-					return nil, nil, err
-				}
 			}
 		}
 	}
 
 	var maxTID uint64
 	if cfg.Update == InPlace {
-		// DRAM index rebuild needs the post-replay heap image, but replay
-		// needs indexes for its idempotent fixups. Order: replay first with
-		// NVM-index fixups; for DRAM indexes skip fixups and rebuild after.
+		// An index built empty is filled from the post-replay heap image, so
+		// replay fixes up only a reattached one.
 		pr.To(obs.PhaseRecReplay)
 		// Published-record gate: under persistent cache the publish point is
 		// physically durable, so every published record replays; under ADR
 		// only epochs the durable marker covers were sealed — records beyond
 		// it are at most partially durable and the whole epoch drops.
 		epochCutoff := ^uint64(0)
-		if sys.Config().Mode == pmem.ADR {
+		if adr {
 			epochCutoff = e.nvm.ReadU64(clk, e.epochBase)
 		}
-		maxTID, err = e.replayLogs(clk, rep, cfg.Index == IndexNVM, epochCutoff)
+		maxTID, err = e.replayLogs(clk, rep, reattach, epochCutoff)
 		if err != nil {
 			return nil, nil, err
 		}
-		if cfg.Index == IndexDRAM {
+		if !reattach {
 			pr.To(obs.PhaseRecHeapScan)
-			e.rebuildDRAMIndexes(clk, rep)
+			if err := e.rebuildIndexes(clk, rep); err != nil {
+				return nil, nil, err
+			}
 		}
 	} else {
 		// Out-of-place: resolve committedness against the per-thread
@@ -212,6 +213,15 @@ func Recover(sys *pmem.System, cfg Config) (*Engine, *RecoveryReport, error) {
 			return nil, nil, err2
 		}
 		maxTID = m
+	}
+	// What recovery stored (replayed records, rolled-back versions, repaired
+	// cursors, a rebuilt index) went through the cache. Under ADR the cache
+	// is volatile and the windows are reset below: write it all back first,
+	// or the next commit in a reused window slot overwrites the only durable
+	// copy of a replayed record, and a second crash loses that record's
+	// update.
+	if adr {
+		e.sys.Sync(clk)
 	}
 
 	// Restore the TID clock past everything ever issued.
@@ -258,15 +268,10 @@ func (e *Engine) openIndexOn(space pmem.Space, clk *sim.Clock, off uint64, kind 
 // and clobber-free (§5.3). epochCutoff gates group-commit records: published
 // records tagged with an epoch beyond it never had their epoch sealed, so
 // their durability is not guaranteed and the whole epoch is dropped. Legacy
-// commit records carry epoch 0 and always replay.
+// commit records carry epoch 0 and always replay. fixIndexes is set for a
+// reattached index, which is the pre-crash one and is repaired as records
+// apply; an index built empty is filled after replay.
 func (e *Engine) replayLogs(clk *sim.Clock, rep *RecoveryReport, fixIndexes bool, epochCutoff uint64) (uint64, error) {
-	// Under eADR the crash flush preserved every in-cache index mutation, so
-	// the reattached NVM index is exactly the pre-crash state and must not
-	// be second-guessed. Under ADR index mutations may have been lost, so
-	// replay additionally repairs entries from the log (see the OpInsert and
-	// OpDelete arms); entries whose records rotated out of the window are
-	// caught lazily by Engine.validateHits.
-	adrIndexFix := fixIndexes && e.sys.Config().Mode == pmem.ADR
 	winBytes := wal.BytesNeeded(e.cfg.Window)
 	var recs []wal.Record
 	for t := 0; t < e.cfg.Threads; t++ {
@@ -304,25 +309,6 @@ func (e *Engine) replayLogs(clk *sim.Clock, rep *RecoveryReport, fixIndexes bool
 			// record may be gone; replaying would clobber it.
 			cur := t.heap.ReadTS(clk, op.Slot)
 			if rec.TID < cur {
-				// The slot was overwritten by a later committed transaction
-				// (e.g. the delete's slot was recycled by a newer insert).
-				// The heap write must be skipped, but under ADR a stale
-				// index entry left by the lost in-cache delete may still map
-				// the dead key to the recycled slot — serving another row's
-				// tuple. Remove it iff it still points at this slot and the
-				// slot's durable occupant is not a live newer version of the
-				// same key (the key may have been re-inserted right back
-				// into its recycled slot).
-				if op.Type == wal.OpDelete && adrIndexFix {
-					if s, ok := t.primary.Get(clk, op.Key); ok && s == op.Slot {
-						var b [8]byte
-						t.heap.ReadRange(clk, op.Slot, t.schema.Offset(t.keyCol), b[:])
-						dead := t.heap.ReadFlags(clk, op.Slot)&(heap.FlagDeleted|heap.FlagInvalidated) != 0
-						if leU64(b[:]) != op.Key || dead {
-							t.primary.Delete(clk, op.Key)
-						}
-					}
-				}
 				continue
 			}
 			switch op.Type {
@@ -332,19 +318,9 @@ func (e *Engine) replayLogs(clk *sim.Clock, rep *RecoveryReport, fixIndexes bool
 			case wal.OpInsert:
 				// Same publish as the runtime: occupied flag last.
 				t.heap.Publish(clk, op.Slot, rec.TID, op.Data, &e.scratch[0].img)
-				if adrIndexFix {
-					// Repoint rather than skip: the key may still carry a
-					// stale entry from a lost in-cache index update.
-					key := t.schema.GetUint64(op.Data, t.keyCol)
-					t.indexRestore(clk, t.primary, key, op.Slot, true)
-					if t.secondary != nil {
-						t.indexRestore(clk, t.secondary, t.schema.GetUint64(op.Data, t.secondaryCol), op.Slot, true)
-					}
-				} else if fixIndexes {
-					key := t.schema.GetUint64(op.Data, t.keyCol)
-					t.indexRestore(clk, t.primary, key, op.Slot, false)
-					if t.secondary != nil {
-						t.indexRestore(clk, t.secondary, t.schema.GetUint64(op.Data, t.secondaryCol), op.Slot, false)
+				if fixIndexes {
+					if err := t.restoreEntries(clk, op.Data, op.Slot, false); err != nil {
+						return 0, err
 					}
 				}
 			case wal.OpDelete:
@@ -382,23 +358,42 @@ func (e *Engine) replayLogs(clk *sim.Clock, rep *RecoveryReport, fixIndexes bool
 	for _, t := range e.tables {
 		rep.StaleFreeDropped += t.heap.ScrubDeletedLists(clk)
 	}
-	// Flush replayed state so a crash during recovery restarts cleanly.
+	// The fence closes replay. It makes nothing durable: under eADR the
+	// replayed stores are durable as they land, and under ADR Recover writes
+	// them back before it resets the windows.
 	e.nvm.SFence(clk)
 	return maxTID, nil
 }
 
+// ErrIndexRestore wraps every failure to put a recovered tuple back in an
+// index, for instance an index too small for the live tuples of the heap it
+// is rebuilt from.
+var ErrIndexRestore = errors.New("core: index restore failed")
+
+// restoreEntries puts a recovered tuple, payload in slot, back in its table's
+// primary and secondary index.
+func (t *Table) restoreEntries(clk *sim.Clock, payload []byte, slot uint64, repoint bool) error {
+	if err := t.indexRestore(clk, t.primary, t.schema.GetUint64(payload, t.keyCol), slot, repoint); err != nil {
+		return err
+	}
+	if t.secondary == nil {
+		return nil
+	}
+	return t.indexRestore(clk, t.secondary, t.schema.GetUint64(payload, t.secondaryCol), slot, repoint)
+}
+
 // indexRestore puts a recovered tuple back in one of its table's indexes,
 // where the entry may exist already: repoint moves an existing entry to slot
-// (an NVM index may hold the stale entry of a lost update), otherwise it
-// stays (replay is idempotent). Any other failure is the bug indexInsert
-// describes.
-func (t *Table) indexRestore(clk *sim.Clock, idx index.Index, key, slot uint64, repoint bool) {
+// (the reattached index of an out-of-place engine may still name a version
+// the scan retired), otherwise it stays (replay is idempotent).
+func (t *Table) indexRestore(clk *sim.Clock, idx index.Index, key, slot uint64, repoint bool) error {
 	if repoint && idx.Update(clk, key, slot) {
-		return
+		return nil
 	}
 	if err := idx.Insert(clk, key, slot); err != nil && !errors.Is(err, index.ErrDuplicate) {
-		panic(fmt.Sprintf("core: table %q: index insert of recovered key %d (slot %d): %v", t.name, key, slot, err))
+		return fmt.Errorf("%w: table %q: %v key %d (slot %d): %w", ErrIndexRestore, t.name, idx.Kind(), key, slot, err)
 	}
+	return nil
 }
 
 // dropEntries removes key's primary entry, and the secondary entry of the key
@@ -415,23 +410,34 @@ func (t *Table) dropEntries(clk *sim.Clock, key, slot uint64) {
 	}
 }
 
-// rebuildDRAMIndexes scans every heap and reinserts live tuples — the slow
-// path the paper attributes to DRAM-index engines.
-func (e *Engine) rebuildDRAMIndexes(clk *sim.Clock, rep *RecoveryReport) {
+// rebuildIndexes scans every heap and inserts its live tuples in the
+// indexes Recover built empty — the slow path the paper attributes to
+// DRAM-index engines, and an NVM-index engine's under ADR. Under ADR the
+// allocation cursors are lost cached state as well (see heap.ScanAll): the
+// scan covers every slot and moves each cursor past the tuples it finds, or
+// the next insert would be handed a live tuple's slot.
+func (e *Engine) rebuildIndexes(clk *sim.Clock, rep *RecoveryReport) error {
+	adr := e.sys.Config().Mode == pmem.ADR
+	var err error
 	for _, t := range e.tables {
-		t := t
-		t.heap.Scan(clk, func(slot, ts uint64, flags uint8, payload []byte) {
+		scan := t.heap.Scan
+		if adr {
+			scan = t.heap.ScanAll
+		}
+		scan(clk, func(slot, ts uint64, flags uint8, payload []byte) {
 			rep.TuplesScanned++
-			if flags&(heap.FlagDeleted|heap.FlagInvalidated) != 0 {
-				return
+			if adr {
+				t.heap.EnsureCursorPast(clk, slot)
 			}
-			key := t.schema.GetUint64(payload, t.keyCol)
-			t.indexRestore(clk, t.primary, key, slot, false)
-			if t.secondary != nil {
-				t.indexRestore(clk, t.secondary, t.schema.GetUint64(payload, t.secondaryCol), slot, false)
+			if err == nil && flags&(heap.FlagDeleted|heap.FlagInvalidated) == 0 {
+				err = t.restoreEntries(clk, payload, slot, false)
 			}
 		})
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // recoverOutOfPlace performs the full heap scan of log-free engines:
@@ -556,11 +562,15 @@ func (e *Engine) recoverOutOfPlace(clk *sim.Clock, rep *RecoveryReport) (uint64,
 		for _, key := range order {
 			b := newest[key]
 			// NVM indexes may hold stale entries; repoint rather than skip.
-			t.indexRestore(clk, t.primary, key, b.slot, true)
+			if err := t.indexRestore(clk, t.primary, key, b.slot, true); err != nil {
+				return 0, err
+			}
 			if t.secondary != nil {
 				scratch := e.scratchFor(0, t.schema.TupleSize())
 				t.heap.ReadPayload(clk, b.slot, scratch)
-				t.indexRestore(clk, t.secondary, t.schema.GetUint64(scratch, t.secondaryCol), b.slot, true)
+				if err := t.indexRestore(clk, t.secondary, t.schema.GetUint64(scratch, t.secondaryCol), b.slot, true); err != nil {
+					return 0, err
+				}
 			}
 		}
 	}

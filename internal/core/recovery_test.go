@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"regexp"
 	"slices"
 	"testing"
 
@@ -316,6 +318,85 @@ func TestRecoveryDoubleCrash(t *testing.T) {
 	}
 }
 
+// TestRecoveryDoubleCrashADR crashes Inp under ADR after an update's record is
+// durable but before its data line is, so recovery replays the record. The
+// recovered engine then commits on the same worker, whose window slots it
+// reuses, and crashes again. Replay stores through the cache, which under ADR
+// is volatile: unless recovery writes the replayed image back before it resets
+// the windows, the second crash loses the update along with its overwritten
+// record, and the row reads 10 again.
+func TestRecoveryDoubleCrashADR(t *testing.T) {
+	cfg := InpConfig()
+	cfg.Threads = 1
+	e, err := New(pmem.NewSystem(pmem.Config{DeviceBytes: 64 << 20, Mode: pmem.ADR}), cfg, kvSpec(index.Hash, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.Table("kv").Schema()
+	for k := uint64(1); k <= 2; k++ {
+		if err := e.Run(0, func(tx *Txn) error { return tx.Insert(e.Table("kv"), k, encodeKV(s, k, 10)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Sync(sim.NewClock())
+	// The third write-back of the update is its data line's: the two before
+	// it made the record durable.
+	e.System().SetFaults(&pmem.FaultPlan{Event: pmem.FaultFlush, N: 3})
+	func() {
+		defer func() {
+			if r := recover(); r != nil && !pmem.IsInjectedCrash(r) {
+				panic(r)
+			}
+		}()
+		e.Run(0, func(tx *Txn) error { return tx.UpdateField(e.Table("kv"), 1, 1, i64le(20)) })
+		t.Fatal("the update did not crash")
+	}()
+	row1 := func(round string) {
+		t.Helper()
+		buf := make([]byte, s.TupleSize())
+		if err := e.RunRO(0, func(tx *Txn) error { return tx.Read(e.Table("kv"), 1, buf) }); err != nil {
+			t.Fatalf("%s recovery: row 1: %v", round, err)
+		}
+		if got := s.GetInt64(buf, 1); got != 20 {
+			t.Fatalf("%s recovery: row 1 = %d, want the committed 20", round, got)
+		}
+	}
+	if e, _, err = Recover(e.System().Crash(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	row1("first")
+	for i := int64(0); i < 4; i++ {
+		if err := e.Run(0, func(tx *Txn) error { return tx.UpdateField(e.Table("kv"), 2, 1, i64le(i)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e, _, err = Recover(e.System().Crash(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	row1("second")
+}
+
+// TestRecoverReportsAnIndexThatCannotTakeTheHeap fills an out-of-place heap,
+// behind the engine's back, with more live tuples than its hash index was
+// sized for. Recovery cannot put them all back in the index, and says so
+// with ErrIndexRestore, naming the table, the key and the slot.
+func TestRecoverReportsAnIndexThatCannotTakeTheHeap(t *testing.T) {
+	cfg := OutpConfig()
+	cfg.Threads = 1
+	e, err := New(pmem.NewSystem(pmem.Config{DeviceBytes: 64 << 20}), cfg, kvSpec(index.Hash, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := e.Table("kv")
+	for slot := uint64(0); slot < kv.Heap().NSlots(); slot++ {
+		kv.Heap().BulkInstall(slot, 0, encodeKV(kv.Schema(), slot+1, 1))
+	}
+	_, _, err = Recover(e.System().Crash(), cfg)
+	if !errors.Is(err, ErrIndexRestore) || !regexp.MustCompile(`table "kv": hash key \d+ \(slot \d+\)`).MatchString(fmt.Sprint(err)) {
+		t.Fatalf("Recover of a heap the index cannot hold: %v, want ErrIndexRestore naming the table, key and slot", err)
+	}
+}
+
 // TestCrashInsideACommitTwice crashes at every store of one transaction that
 // deletes row 2 and inserts row 9 (a table with a secondary index), recovers,
 // crashes again before anything else commits and recovers again. Both
@@ -570,8 +651,8 @@ func TestOutOfPlaceRecoveryIsDeterministic(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			cfg.Threads = 1
-			// ADR: the crash drops the cached index lines, so recovery has
-			// entries to insert, not only to repoint.
+			// ADR: recovery builds the index empty, so it has entries to
+			// insert, not only to repoint.
 			mem := pmem.Config{DeviceBytes: 32 << 20, Mode: pmem.ADR}
 			const keys = 4000
 			e, err := New(pmem.NewSystem(mem), cfg, kvSpec(index.BTree, 2*keys))

@@ -243,28 +243,10 @@ func (tx *Txn) readHead(t *Table, key uint64, write bool, off, n int, dst []byte
 	return slot, false, nil
 }
 
-// resolve looks key up in the primary index. When the engine distrusts its
-// recovered NVM index (see Engine.validateHits) the hit is validated
-// against the tuple's durable key column and flags: a key mismatch or a
-// dead occupant means the entry is a stale survivor of a lost in-cache
-// index update and is treated as a miss. (A key whose live version moved
-// was repointed during recovery, so a surviving dead-slot entry can only
-// belong to a key with no live version.)
+// resolve looks key up in the primary index.
 func (tx *Txn) resolve(t *Table, key uint64) (uint64, bool) {
 	tx.tstat(t).IndexProbes++
-	slot, ok := t.primary.Get(tx.clk, key)
-	if !ok {
-		return 0, false
-	}
-	if tx.e.validateHits {
-		if t.heap.ReadFlags(tx.clk, slot)&(heap.FlagDeleted|heap.FlagInvalidated) != 0 {
-			return 0, false
-		}
-		if t.heap.ReadRangeU64(tx.clk, slot, t.schema.Offset(t.keyCol)) != key {
-			return 0, false
-		}
-	}
-	return slot, true
+	return t.primary.Get(tx.clk, key)
 }
 
 // readResolved is the concurrency-controlled read of an already-resolved
@@ -701,9 +683,4 @@ func (tx *Txn) readPending(ins *txnOp, off, n int, dst []byte) {
 	}
 	copy(dst[:n], data[off:off+n])
 	tx.overlayOwnWrites(ins.t, ins.slot, off, n, dst)
-}
-
-func leU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
