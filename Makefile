@@ -37,11 +37,13 @@ race:
 # and TPC-C packages are here for the B-tree's lock-free readers: what they
 # load beside a writer (root, nextFree, the sequence word) must be atomic.
 # sim is here for the token's coroutine handoff itself, which its own tests
-# drive at GOMAXPROCS 1 and 4.
+# drive at GOMAXPROCS 1 and 4. server is here for two free-running workers
+# inserting into the one idempotency B+-tree while the other's Read probes
+# run beside them (TestTwoWorkersShareTheIdemTree).
 # -count=1 because GOMAXPROCS is not part of Go's test-cache key: right after
 # `make race` the shared packages would otherwise report (cached).
 race-par:
-	GOMAXPROCS=4 go test -race -short -count=1 ./internal/crashtest ./internal/core ./internal/pmem ./internal/bench ./internal/index ./internal/workload/tpcc ./internal/sim
+	GOMAXPROCS=4 go test -race -short -count=1 ./internal/crashtest ./internal/core ./internal/pmem ./internal/bench ./internal/index ./internal/workload/tpcc ./internal/sim ./internal/server
 
 # Time the default Figure-11 sweep built from the working tree against the
 # one built from HEAD, in alternating pairs, and append the pair entry to

@@ -16,6 +16,12 @@ const IdemTable = "__idem"
 // capacity) to a table list, unless one is already present. Engine tables are
 // fixed at core.New, so callers do this before opening the engine. A record
 // is the request key, the result digest and an outcome code.
+//
+// The index is a B+-tree because clients number their requests in ascending
+// order (loadgen's and the benchmark's per-connection sequences): a record
+// lands at a right edge whose path the cache holds, and a finished leaf
+// leaves as one full-block train. A hash put every record in a cold bucket,
+// one media read and one block write per request (DESIGN.md §10).
 func WithIdemTable(specs []core.TableSpec, capacity uint64) []core.TableSpec {
 	for _, s := range specs {
 		if s.Name == IdemTable {
@@ -31,7 +37,7 @@ func WithIdemTable(specs []core.TableSpec, capacity uint64) []core.TableSpec {
 		),
 		Capacity:  capacity,
 		KeyCol:    0,
-		IndexKind: index.Hash,
+		IndexKind: index.BTree,
 	})
 }
 
