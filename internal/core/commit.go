@@ -254,9 +254,9 @@ func (tx *Txn) applyInsert(ins *txnOp) {
 	tx.publishTuple(t, ins.slot, payload)
 	tx.stampWord(t, ins.slot)
 	prev := tx.pr.To(obs.PhaseIndexUpdate)
-	t.indexInsert(tx.clk, t.primary, ins.key, ins.slot)
+	t.indexInsert(tx.clk, tx.primary(t), ins.key, ins.slot)
 	if t.secondary != nil {
-		t.indexInsert(tx.clk, t.secondary, t.schema.GetUint64(payload, t.secondaryCol), ins.slot)
+		t.indexInsert(tx.clk, tx.secondary(t), t.schema.GetUint64(payload, t.secondaryCol), ins.slot)
 	}
 	tx.pr.To(prev)
 	tx.e.resv.release(tx.clk, t.id, ins.key)
@@ -282,9 +282,9 @@ func (tx *Txn) applyDelete(w *txnOp) {
 	// drain before it is recycled.
 	t.heap.Retire(tx.clk, w.slot, tx.tid, tx.e.gen.Next(tx.worker), false)
 	prev := tx.pr.To(obs.PhaseIndexUpdate)
-	t.primary.Delete(tx.clk, w.key)
+	tx.primary(t).Delete(tx.clk, w.key)
 	if t.secondary != nil {
-		t.secondary.Delete(tx.clk, w.secKey)
+		tx.secondary(t).Delete(tx.clk, w.secKey)
 	}
 	tx.pr.To(prev)
 	tx.e.tcache.invalidate(tx.clk, t.id, w.key)
@@ -497,14 +497,14 @@ func (e *Engine) run(worker int, ro bool, canceled func() bool, fn func(*Txn) er
 // returns false or limit tuples have been visited (limit <= 0 means no
 // limit). The primary index must be a btree. It is ScanCols over every column.
 func (tx *Txn) Scan(t *Table, from uint64, limit int, fn func(key uint64, payload []byte) bool) (int, error) {
-	return tx.scanIndex(t, t.primary, from, limit, t.schema.TupleSize(), fn)
+	return tx.scanIndex(t, tx.primary(t), from, limit, t.schema.TupleSize(), fn)
 }
 
 // ScanCols is Scan bounded to the first cols columns, as ReadCols bounds Read:
 // fn's payload is the tuple's first Schema.PrefixSize(cols) bytes, at their
 // schema offsets.
 func (tx *Txn) ScanCols(t *Table, from uint64, limit, cols int, fn func(key uint64, payload []byte) bool) (int, error) {
-	return tx.scanIndex(t, t.primary, from, limit, t.schema.PrefixSize(cols), fn)
+	return tx.scanIndex(t, tx.primary(t), from, limit, t.schema.PrefixSize(cols), fn)
 }
 
 // ScanSecondary iterates via the secondary index.
@@ -517,7 +517,7 @@ func (tx *Txn) ScanSecondaryCols(t *Table, from uint64, limit, cols int, fn func
 	if t.secondary == nil {
 		return 0, index.ErrUnordered
 	}
-	return tx.scanIndex(t, t.secondary, from, limit, t.schema.PrefixSize(cols), fn)
+	return tx.scanIndex(t, tx.secondary(t), from, limit, t.schema.PrefixSize(cols), fn)
 }
 
 // scanIndex hands fn payload bytes [0, n) of each tuple it visits.

@@ -89,7 +89,10 @@ type workerScratch struct {
 	ops             []txnOp
 	spans           []pmem.Span
 	flushed, elided uint64
-	_               [4]uint64
+	// fingers holds, per table, the worker's finger on its primary and its
+	// secondary index (index.Finger).
+	fingers [][2]index.Finger
+	_       [4]uint64
 }
 
 // Table is one relation: a tuple heap plus its indexes and (for MVCC) the
@@ -255,6 +258,7 @@ func (e *Engine) addTable(t *Table) {
 	e.byName[t.name] = t
 	for w := range e.tstats {
 		e.tstats[w] = append(e.tstats[w], paddedTableStats{})
+		e.scratch[w].fingers = append(e.scratch[w].fingers, [2]index.Finger{})
 	}
 }
 
@@ -486,6 +490,10 @@ func (e *Engine) ResetCounters() {
 	for w := range e.tstats {
 		for i := range e.tstats[w] {
 			e.tstats[w][i] = paddedTableStats{}
+			for k := range e.scratch[w].fingers[i] {
+				f := &e.scratch[w].fingers[i][k]
+				f.Hits, f.Misses = 0, 0
+			}
 		}
 	}
 }
@@ -523,6 +531,10 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 		var agg obs.TableStats
 		for w := range e.tstats {
 			agg.Add(e.tstats[w][t.id].TableStats)
+			for _, f := range e.scratch[w].fingers[t.id] {
+				agg.FingerHits += f.Hits
+				agg.FingerMisses += f.Misses
+			}
 		}
 		for _, idx := range []index.Index{t.primary, t.secondary} {
 			if r, ok := idx.(interface{ Restarts() uint64 }); ok {

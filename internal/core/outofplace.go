@@ -142,9 +142,9 @@ func (tx *Txn) commitOutOfPlace() error {
 	for gi := range groups {
 		g := &groups[gi]
 		if g.del {
-			g.t.primary.Delete(tx.clk, g.key)
+			tx.primary(g.t).Delete(tx.clk, g.key)
 			if g.t.secondary != nil {
-				g.t.secondary.Delete(tx.clk, g.oldSec)
+				tx.secondary(g.t).Delete(tx.clk, g.oldSec)
 			}
 			e.tcache.invalidate(tx.clk, g.t.id, g.key)
 			tx.pr.To(obs.PhaseHeapWrite)
@@ -170,13 +170,13 @@ func (tx *Txn) commitOutOfPlace() error {
 			// secondary still to come then, this store would put it back on a
 			// slot that writer has retired.
 			if g.oldSec == g.newSec {
-				g.t.secondary.Update(tx.clk, g.newSec, g.newSlot)
+				tx.secondary(g.t).Update(tx.clk, g.newSec, g.newSlot)
 			} else {
-				g.t.secondary.Delete(tx.clk, g.oldSec)
-				g.t.indexInsert(tx.clk, g.t.secondary, g.newSec, g.newSlot)
+				tx.secondary(g.t).Delete(tx.clk, g.oldSec)
+				g.t.indexInsert(tx.clk, tx.secondary(g.t), g.newSec, g.newSlot)
 			}
 		}
-		g.t.primary.Update(tx.clk, g.key, g.newSlot)
+		tx.primary(g.t).Update(tx.clk, g.key, g.newSlot)
 		tx.pr.To(obs.PhaseHeapWrite)
 		g.t.heap.Retire(tx.clk, g.oldSlot, tx.tid, e.gen.Next(tx.worker), true)
 		tx.pr.To(obs.PhaseIndexUpdate)
@@ -188,9 +188,9 @@ func (tx *Txn) commitOutOfPlace() error {
 		}
 		tx.stampWord(ins.t, ins.slot)
 		if ins.t.secondary != nil { // before the primary, as above
-			ins.t.indexInsert(tx.clk, ins.t.secondary, ins.t.schema.GetUint64(ins.data, ins.t.secondaryCol), ins.slot)
+			ins.t.indexInsert(tx.clk, tx.secondary(ins.t), ins.t.schema.GetUint64(ins.data, ins.t.secondaryCol), ins.slot)
 		}
-		ins.t.indexInsert(tx.clk, ins.t.primary, ins.key, ins.slot)
+		ins.t.indexInsert(tx.clk, tx.primary(ins.t), ins.key, ins.slot)
 		e.resv.release(tx.clk, ins.t.id, ins.key)
 		e.tcache.put(tx.clk, ins.t.id, ins.key, ins.slot, ins.data)
 	}

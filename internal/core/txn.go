@@ -7,6 +7,7 @@ import (
 
 	"falcon/internal/cc"
 	"falcon/internal/heap"
+	"falcon/internal/index"
 	"falcon/internal/obs"
 	"falcon/internal/sim"
 	"falcon/internal/wal"
@@ -246,7 +247,17 @@ func (tx *Txn) readHead(t *Table, key uint64, write bool, off, n int, dst []byte
 // resolve looks key up in the primary index.
 func (tx *Txn) resolve(t *Table, key uint64) (uint64, bool) {
 	tx.tstat(t).IndexProbes++
-	return t.primary.Get(tx.clk, key)
+	return tx.primary(t).Get(tx.clk, key)
+}
+
+// primary and secondary return t's indexes as tx's worker reaches them: a
+// B+-tree through the worker's finger on it (index.Finger).
+func (tx *Txn) primary(t *Table) index.Index {
+	return tx.e.scratch[tx.worker].fingers[t.id][0].On(t.primary)
+}
+
+func (tx *Txn) secondary(t *Table) index.Index {
+	return tx.e.scratch[tx.worker].fingers[t.id][1].On(t.secondary)
 }
 
 // readResolved is the concurrency-controlled read of an already-resolved

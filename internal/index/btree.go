@@ -3,6 +3,7 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,6 +49,9 @@ const (
 // that a crash between two stores leaves a tree that answers correctly, with
 // one exception: a split's right half is reachable by scans only until its
 // separator lands in the parent (DESIGN.md §3).
+//
+// An owner that holds a Finger (Finger.On) starts its operations at the leaf
+// its last descent reached while the tree's shape is the one it saw then.
 type BTreeIndex struct {
 	space pmem.Space
 	base  uint64
@@ -56,6 +60,10 @@ type BTreeIndex struct {
 	mu       sync.Mutex    // writers, and a reader out of tries
 	seq      atomic.Uint64 // DRAM only; odd while a writer is storing
 	restarts atomic.Uint64 // reads thrown away because seq moved under them
+	// shape is the structure version: every split and every leaf unlink (and
+	// so every root change) bumps it, while seq is odd. A finger recorded at
+	// one shape names the right leaf for its keys until the next.
+	shape atomic.Uint64
 	// root, nextFree and freeHead mirror the persistent header (written under
 	// mu, rebuilt from the header on Open; readers load the first two).
 	// freeHead is the first node of the free list plus one, 0 for an empty
@@ -290,10 +298,14 @@ func (t *BTreeIndex) searchLeaf(clk *sim.Clock, n *node, key uint64) (int, bool)
 	return lo, lo < n.count() && n.key(lo) == key
 }
 
-// childFor returns the entry of inner node n to descend for key: the last
-// separator <= key, defaulting to 0. Like searchLeaf it reads only the lines
-// its probes land in, and the entry it returns is one of them or entry 0.
-func (t *BTreeIndex) childFor(clk *sim.Clock, n *node, key uint64) int {
+// upper returns the position of the first separator of inner node n above
+// key; the entry to descend is the one before it, or entry 0. Like searchLeaf
+// it reads only the lines its probes land in. Entry 0's key is no bound: keys
+// below it go to entry 0 too, and a node that the unlink of its left
+// neighbour has handed lower keys keeps it. But the separators that bound the
+// entry to descend, key(i) for i > 0 and key(i+1), are always among the
+// probes: a search that ends at position 0 or 1 has probed position 1.
+func (t *BTreeIndex) upper(clk *sim.Clock, n *node, key uint64) int {
 	lo, hi := 0, n.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -303,10 +315,7 @@ func (t *BTreeIndex) childFor(clk *sim.Clock, n *node, key uint64) int {
 			hi = mid
 		}
 	}
-	if lo == 0 {
-		return 0
-	}
-	return lo - 1
+	return lo
 }
 
 // storeHead persists n's header and, when entries from position lo on moved,
@@ -364,24 +373,40 @@ type treeWalk struct {
 	path  [maxDepth]pathEntry
 	spare node
 	train [2]pmem.Span // a leaf level's write-back, kept here so it does not escape
+	// The leaf a descent reached and the keys [lo, hi] the separators on its
+	// way send there; sound is false for a walk that ended on no leaf of the
+	// tree (see descend). A finger is made of them.
+	leaf   uint64
+	lo, hi uint64
+	sound  bool
 }
 
 var walkPool = sync.Pool{New: func() any { return new(treeWalk) }}
 
 // descend walks from the root to the leaf for key using w's node buffers,
 // recording the path of (node, childEntry) when record is true. npath is the
-// leaf's depth; w.path[:npath] is valid when recorded.
+// leaf's depth; w.path[:npath] is valid when recorded. The leaf's key bounds
+// come from the separators around each level's position, which its binary
+// search has read already.
 func (t *BTreeIndex) descend(clk *sim.Clock, key uint64, w *treeWalk, record bool) (n *node, npath int) {
 	n = &w.nodes[0]
+	w.lo, w.hi, w.sound = 0, math.MaxUint64, false
 	for id := t.root.Load(); id < t.cap; npath++ {
 		n = t.loadHead(clk, id, &w.nodes[npath])
 		if n.leaf() {
+			w.leaf, w.sound = id, true
 			return n, npath
 		}
 		if npath >= maxDepth {
 			break
 		}
-		i := t.childFor(clk, n, key)
+		i := max(t.upper(clk, n, key)-1, 0)
+		if i > 0 {
+			w.lo = max(w.lo, n.key(i))
+		}
+		if i+1 < n.count() {
+			w.hi = min(w.hi, n.key(i+1)-1)
+		}
 		if record {
 			w.path[npath] = pathEntry{n: n, idx: i}
 		}
@@ -432,34 +457,79 @@ func (t *BTreeIndex) read(fn func(s uint64)) uint64 {
 func (t *BTreeIndex) Restarts() uint64 { return t.restarts.Load() }
 
 // Get returns the value for key.
-func (t *BTreeIndex) Get(clk *sim.Clock, key uint64) (v uint64, ok bool) {
+func (t *BTreeIndex) Get(clk *sim.Clock, key uint64) (uint64, bool) { return t.get(clk, nil, key) }
+
+func (t *BTreeIndex) get(clk *sim.Clock, f *Finger, key uint64) (v uint64, ok bool) {
 	w := walkPool.Get().(*treeWalk)
+	var hit bool
+	var shape uint64
 	t.read(func(uint64) {
-		n, _ := t.descend(clk, key, w, false)
+		shape = t.shape.Load()
+		var n *node
+		n, hit = t.locate(clk, f, shape, key, w)
 		var i int
 		if i, ok = t.searchLeaf(clk, n, key); ok {
 			v = n.val(i)
 		}
 	})
+	f.keep(hit, shape, w)
 	walkPool.Put(w)
 	return v, ok
 }
 
+// locate finds the leaf for key in a reader's view at the given shape: f's
+// leaf when f covers key at that shape, a walk from the root otherwise. It
+// reports whether the finger served. Looking at f is charged as one cached
+// line; a nil f is no finger and costs nothing.
+func (t *BTreeIndex) locate(clk *sim.Clock, f *Finger, shape, key uint64, w *treeWalk) (*node, bool) {
+	if f.covers(clk, shape, key) {
+		return t.loadHead(clk, f.leaf, &w.nodes[0]), true
+	}
+	n, _ := t.descend(clk, key, w, false)
+	return n, false
+}
+
+// start finds the leaf for key for a writer, which holds mu: f's leaf when f
+// covers key and fits accepts the leaf's entry count, and otherwise a walk
+// from the root that records the path (a split or an unlink needs it). A leaf
+// fits refused has had its header line read for nothing.
+func (t *BTreeIndex) start(clk *sim.Clock, f *Finger, key uint64, w *treeWalk, fits func(count int) bool) (n *node, npath int, hit bool) {
+	if f.covers(clk, t.shape.Load(), key) {
+		if n = t.loadHead(clk, f.leaf, &w.nodes[0]); fits(n.count()) {
+			return n, 0, true
+		}
+	}
+	n, npath = t.descend(clk, key, w, true)
+	return n, npath, false
+}
+
 // Insert adds key→val, splitting nodes as needed.
 func (t *BTreeIndex) Insert(clk *sim.Clock, key, val uint64) error {
+	return t.insert(clk, nil, key, val)
+}
+
+func (t *BTreeIndex) insert(clk *sim.Clock, f *Finger, key, val uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
-	n, npath := t.descend(clk, key, w, true)
+	n, npath, hit := t.start(clk, f, key, w, func(c int) bool { return c < nodeEntries })
 	i, exists := t.searchLeaf(clk, n, key)
+	if !exists {
+		t.seq.Add(1)
+		err := t.insertEntry(clk, w, npath, n, i, key, val)
+		t.seq.Add(1)
+		if err != nil {
+			f.drop()
+			return err
+		}
+	}
+	f.keep(hit, t.shape.Load(), w)
 	if exists {
 		return ErrDuplicate
 	}
-	t.seq.Add(1)
-	defer t.seq.Add(1)
-	return t.insertEntry(clk, w, npath, n, i, key, val)
+	return nil
 }
 
 // insertEntry places (k, v) at position i of n, the node w.path[:npath]
@@ -502,6 +572,7 @@ func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node
 	if err != nil {
 		return err
 	}
+	t.shape.Add(1)
 	// Left keeps [0,mid), right gets [mid,count), and the key goes to one of
 	// them, which carries the run on; the other is left with no hint.
 	mid, toLeft, run := h.split(i)
@@ -531,6 +602,14 @@ func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node
 	// A new node is stored whole: whole-line stores need no fill from the
 	// media, and they leave the node cached for the descents that follow.
 	sep := right.key(0)
+	if n.leaf() {
+		// The walk's bounds now belong to the half that holds the key.
+		if toLeft {
+			w.hi = sep - 1
+		} else {
+			w.leaf, w.lo = rightID, sep
+		}
+	}
 	t.space.Write(clk, t.nodeOff(rightID), right.buf[:])
 	stored := t.storeHead(clk, n, moved)
 	switch {
@@ -568,11 +647,16 @@ func (t *BTreeIndex) insertEntry(clk *sim.Clock, w *treeWalk, npath int, n *node
 
 // Update repoints an existing key.
 func (t *BTreeIndex) Update(clk *sim.Clock, key, val uint64) bool {
+	return t.update(clk, nil, key, val)
+}
+
+func (t *BTreeIndex) update(clk *sim.Clock, f *Finger, key, val uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
-	n, _ := t.descend(clk, key, w, false)
+	n, _, hit := t.start(clk, f, key, w, func(int) bool { return true })
+	f.keep(hit, t.shape.Load(), w)
 	i, ok := t.searchLeaf(clk, n, key)
 	if !ok {
 		return false
@@ -585,23 +669,25 @@ func (t *BTreeIndex) Update(clk *sim.Clock, key, val uint64) bool {
 }
 
 // Delete removes key; a leaf it empties leaves the tree.
-func (t *BTreeIndex) Delete(clk *sim.Clock, key uint64) bool {
+func (t *BTreeIndex) Delete(clk *sim.Clock, key uint64) bool { return t.delete(clk, nil, key) }
+
+func (t *BTreeIndex) delete(clk *sim.Clock, f *Finger, key uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
-	n, npath := t.descend(clk, key, w, true)
+	n, npath, hit := t.start(clk, f, key, w, func(c int) bool { return c > 1 })
 	i, ok := t.searchLeaf(clk, n, key)
-	if !ok {
-		return false
+	if ok {
+		t.seq.Add(1)
+		t.removeEntry(clk, n, i)
+		if n.count() == 0 {
+			t.unlinkLeaf(clk, w, npath, n)
+		}
+		t.seq.Add(1)
 	}
-	t.seq.Add(1)
-	defer t.seq.Add(1)
-	t.removeEntry(clk, n, i)
-	if n.count() == 0 {
-		t.unlinkLeaf(clk, w, npath, n)
-	}
-	return true
+	f.keep(hit, t.shape.Load(), w)
+	return ok
 }
 
 // removeEntry takes entry i out of n and stores the change. Unless i is the
@@ -633,6 +719,8 @@ func (t *BTreeIndex) unlinkLeaf(clk *sim.Clock, w *treeWalk, npath int, leaf *no
 	if a < 0 {
 		return // the tree's only leaf stays, empty, as a root leaf does
 	}
+	t.shape.Add(1)
+	w.sound = false // the walk's leaf is leaving the tree
 	prev, hasPrev := t.prevLeaf(clk, w, npath)
 	p := w.path[a]
 	t.removeEntry(clk, p.n, p.idx)
@@ -679,6 +767,10 @@ func (t *BTreeIndex) prevLeaf(clk *sim.Clock, w *treeWalk, npath int) (uint64, b
 // What it delivers of a leaf, the occupied lines from its start position on,
 // is read inside the validated read, so no stale or torn byte reaches fn.
 func (t *BTreeIndex) Scan(clk *sim.Clock, from uint64, fn func(key, val uint64) bool) error {
+	return t.scan(clk, nil, from, fn)
+}
+
+func (t *BTreeIndex) scan(clk *sim.Clock, f *Finger, from uint64, fn func(key, val uint64) bool) error {
 	w := walkPool.Get().(*treeWalk)
 	defer walkPool.Put(w)
 	var (
@@ -687,23 +779,30 @@ func (t *BTreeIndex) Scan(clk *sim.Clock, from uint64, fn func(key, val uint64) 
 		nxt, at   uint64 // the leaf after n, as of sequence at
 		chained   bool
 		delivered bool
+		placed    bool // the last read found n by key, not by the chain
+		hit       bool
+		shape     uint64
 	)
 	// The chain of a sound tree ascends and is shorter than nextFree; the
 	// torn image of an ADR crash may do neither.
 	for hops, least := uint64(0), from; hops < t.nextFree.Load(); hops++ {
 		at = t.read(func(s uint64) {
-			if chained && s == at {
+			if placed = !chained || s != at; !placed {
 				n, i = t.loadHead(clk, nxt, &w.nodes[0]), 0
 			} else {
 				// The tree changed since nxt was read, and its node may be
 				// another leaf's by now: go by the smallest key not yet
 				// delivered.
-				n, _ = t.descend(clk, least, w, false)
+				shape = t.shape.Load()
+				n, hit = t.locate(clk, f, shape, least, w)
 				i, _ = t.searchLeaf(clk, n, least)
 				hops = 0
 			}
 			t.fill(clk, n, entryOff(i), entryOff(n.count()))
 		})
+		if placed {
+			f.keep(hit, shape, w)
+		}
 		for ; i < n.count(); i++ {
 			k := n.key(i)
 			if k < least {

@@ -19,7 +19,9 @@ import (
 // the run leaves: one fence, one train of its four lines, and the node
 // reaches the media as one full block write. A leaf insert that continues no
 // run writes back what it stored, as one train and with no fence: the node
-// from its header to its last entry, and a split's new sibling whole.
+// from its header to its last entry, and a split's new sibling whole. An
+// operation through a finger on a key within its leaf's bounds reads the
+// leaf alone, until a split anywhere in the tree sends it from the root again.
 func TestBTreeLineBudget(t *testing.T) {
 	sys := newSys()
 	log := &spaceLog{Space: sys.Space}
@@ -114,6 +116,56 @@ func TestBTreeLineBudget(t *testing.T) {
 		t.Fatalf("scan from 200 gave %v, want %v", got, want)
 	}
 
+	// A finger's first get walks as a bare one does (the root's probes 2 and
+	// 1 in line 0; leaf 1's probes 4, 2, 1 and 0 in lines 1 and 0) and keeps
+	// leaf 1 with the bounds the root's separators 160 and 235 give it.
+	var mine, other Finger
+	fget := func(f *Finger, k uint64) func() {
+		return func() {
+			if v, ok := f.On(bt).Get(clk, k); !ok || v != k+1 {
+				t.Fatalf("finger get(%d) = %d,%v", k, v, ok)
+			}
+		}
+	}
+	cost("finger's first get", 3, 3, nil, nil, 0, fget(&mine, 170))
+	// The next get in [160, 234] reads leaf 1 alone: its header line and
+	// probes 4, 6 and 5 in line 1. The check of the finger is one cached
+	// line of virtual time, not a line of the tree (TestFingerCheckCost).
+	cost("get on the finger's leaf", 2, 2, nil, nil, 0, fget(&mine, 210))
+	if mine.Hits != 1 || mine.Misses != 1 {
+		t.Fatalf("finger hits %d, misses %d; want 1 and 1", mine.Hits, mine.Misses)
+	}
+	// Another owner fills leaf 3 and splits it at the end of its run. The
+	// split changes the tree's shape, so the first finger walks in full
+	// again (the root's probes 2 and 1, still in line 0) and records leaf 1
+	// anew, and the get after it reads the leaf alone.
+	for _, k := range []uint64{415, 420, 425, 430, 435} {
+		if err := other.On(bt).Insert(clk, k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cost("finger left behind by a split", 3, 3, nil, nil, 0, fget(&mine, 200))
+	cost("finger recorded again", 2, 2, nil, nil, 0, fget(&mine, 210))
+	if mine.Hits != 2 || mine.Misses != 2 {
+		t.Fatalf("finger hits %d, misses %d; want 2 and 2", mine.Hits, mine.Misses)
+	}
+	// An insert on the finger's leaf, which has room, and a delete that
+	// leaves it keys read the leaf alone and store what a walk's would. 215
+	// goes to position 6 (probes 4, 6, 5: lines 0 and 1), line 2 comes in for
+	// the entries that move, and the leaf is stored up to its ninth entry and
+	// written back, as the insert continues no run. The delete probes the
+	// same lines, and the move brings line 2 in again.
+	cost("insert on the finger's leaf", 6, 3, []span{{node(1), 160}}, [][]span{{{node(1), 160}}}, 0, func() {
+		if err := mine.On(bt).Insert(clk, 215, 216); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cost("delete on the finger's leaf", 6, 3, []span{{node(1), 144}}, nil, 0, func() {
+		if !mine.On(bt).Delete(clk, 215) {
+			t.Fatal("delete(215) found nothing")
+		}
+	})
+
 	// A second tree, one leaf: the next range's head, 1000-6000, then a run
 	// from 100 ahead of it. The run's tenth key, 109, finds the leaf full
 	// after a run of nine at positions 0-8.
@@ -142,5 +194,36 @@ func TestBTreeLineBudget(t *testing.T) {
 	}
 	if got := scanKeys(t, run, 0, func(k uint64) uint64 { return k + 1 }); len(got) != 16 || got[9] != 109 || got[10] != 1000 {
 		t.Fatalf("after the split the tree scans %v", got)
+	}
+}
+
+// TestFingerCheckCost pins what looking at a finger costs: one cached line of
+// virtual time. On a tree whose root is its only leaf a walk and the finger
+// read the same lines, so a get through the finger takes that much longer
+// than a bare one, and a finger saves time only where it skips inner nodes.
+func TestFingerCheckCost(t *testing.T) {
+	bt, err := NewBTree(newSys().Space, 0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 10; k++ {
+		if err := bt.Insert(nil, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var f Finger
+	took := func(idx Index) uint64 {
+		clk := sim.NewClock()
+		if v, ok := idx.Get(clk, 7); !ok || v != 7 {
+			t.Fatalf("get(7) = %d,%v", v, ok)
+		}
+		return clk.Nanos()
+	}
+	took(bt)
+	took(f.On(bt)) // records the finger; every line is cached from here on
+	bare, fingered := took(bt), took(f.On(bt))
+	if fingered != bare+sim.CacheHitLine || f.Hits != 1 || f.Misses != 1 {
+		t.Fatalf("get through the finger took %d ns (hits %d, misses %d), a bare get %d ns; want %d more and one hit",
+			fingered, f.Hits, f.Misses, bare, sim.CacheHitLine)
 	}
 }

@@ -14,8 +14,10 @@ import (
 // and deletes the run again, so whole leaves fill, empty, leave the tree and
 // are reused under the readers' feet. Every Get of a permanent key must find
 // it, every Scan must ascend and deliver each permanent key in its range
-// exactly once, and the tree must be sound at the end. Run it under -race with
-// GOMAXPROCS > 1 (make race-par).
+// exactly once, and the tree must be sound at the end. Each goroutine works
+// through a finger of its own (Finger.On), which the others' splits and
+// unlinks keep leaving behind. Run it under -race with GOMAXPROCS > 1 (make
+// race-par).
 func TestBTreeReadsBesideChurn(t *testing.T) {
 	const (
 		perm   = 500
@@ -38,15 +40,19 @@ func TestBTreeReadsBesideChurn(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	start := func(seed int64, fn func(clk *sim.Clock, rng *rand.Rand)) {
+	var fingers [6]Finger // one per goroutine
+	started := 0
+	start := func(seed int64, fn func(clk *sim.Clock, rng *rand.Rand, bt Index)) {
 		wg.Add(1)
+		f := &fingers[started]
+		started++
 		go func() {
 			defer wg.Done()
-			fn(sim.NewClock(), rand.New(rand.NewSource(seed)))
+			fn(sim.NewClock(), rand.New(rand.NewSource(seed)), f.On(bt))
 		}()
 	}
 	for w := uint64(0); w < 2; w++ {
-		start(int64(w), func(clk *sim.Clock, rng *rand.Rand) {
+		start(int64(w), func(clk *sim.Clock, rng *rand.Rand, bt Index) {
 			for r := 0; r < rounds; r++ {
 				base := uint64(rng.Intn(perm))*stride + 1 + w*stride/2
 				for k := base; k < base+run; k++ {
@@ -65,7 +71,7 @@ func TestBTreeReadsBesideChurn(t *testing.T) {
 		})
 	}
 	for r := int64(0); r < 2; r++ {
-		start(10+r, func(clk *sim.Clock, rng *rand.Rand) {
+		start(10+r, func(clk *sim.Clock, rng *rand.Rand, bt Index) {
 			for i := 0; i < gets; i++ {
 				k := uint64(rng.Intn(perm)) * stride
 				if v, ok := bt.Get(clk, k); !ok || v != k+1 {
@@ -74,7 +80,7 @@ func TestBTreeReadsBesideChurn(t *testing.T) {
 				}
 			}
 		})
-		start(20+r, func(clk *sim.Clock, rng *rand.Rand) {
+		start(20+r, func(clk *sim.Clock, rng *rand.Rand, bt Index) {
 			for i := 0; i < scans; i++ {
 				from := uint64(rng.Intn(perm * stride))
 				next := (from + stride - 1) / stride * stride // the permanent key due
@@ -117,5 +123,12 @@ func TestBTreeReadsBesideChurn(t *testing.T) {
 		ref[k*stride] = k*stride + 1
 	}
 	checkAgainstModel(t, bt, ref, 0)
-	t.Logf("%d reads restarted", bt.Restarts())
+	var hits, misses uint64
+	for _, f := range fingers {
+		hits, misses = hits+f.Hits, misses+f.Misses
+	}
+	t.Logf("%d reads restarted; fingers hit %d times and missed %d", bt.Restarts(), hits, misses)
+	if hits == 0 {
+		t.Error("no operation started at a finger")
+	}
 }

@@ -22,36 +22,65 @@ import (
 // btreeNodes allows for the keys inserted so far, so the fuzzer also hunts
 // for insert orders that fill a tree before its sizing says it can be.
 //
+// The opcode also names the owner an op runs as: one of three fingers
+// (Finger.On) or none. The owners interleave, so each one's finger is often
+// left behind by another's split or unlink. A twin tree on a system of its own
+// runs every op with no finger, and each op must give the twin's result and
+// make the twin's stores and write-backs, byte range for byte range: a finger
+// saves reads and changes nothing else.
+//
 // The tree runs on a recording space, which checks what each change writes
 // back: every leaf line an insert that continues no run stores, and nothing
 // for a delete. On the NoFlush view (noFlush) no line may reach the media
 // through a write-back at all.
 func btreeOpsAgainstModel(t *testing.T, ops []byte, noFlush bool) {
-	sys := pmem.NewSystem(pmem.Config{DeviceBytes: 4 << 20, CacheBytes: 64 << 10, XPBufferBytes: 16 << 10})
-	log := &spaceLog{Space: sys.Space}
-	if noFlush {
-		log.Space = sys.Space.NoFlush()
+	newTree := func() (*pmem.System, *spaceLog, *BTreeIndex) {
+		sys := pmem.NewSystem(pmem.Config{DeviceBytes: 4 << 20, CacheBytes: 64 << 10, XPBufferBytes: 16 << 10})
+		log := &spaceLog{Space: sys.Space}
+		if noFlush {
+			log.Space = sys.Space.NoFlush()
+		}
+		bt, err := NewBTree(log, 0, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, log, bt
 	}
-	bt, err := NewBTree(log, 0, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, log, bt := newTree()
+	twinSys, twinLog, twin := newTree()
+	var fingers [3]Finger
+	owners := []Index{fingers[0].On(bt), fingers[1].On(bt), fingers[2].On(bt), bt}
+	var idx Index // the owner of the op in progress
 	clk := sim.NewClock()
 	w := new(treeWalk)
 	isLeaf := func(line uint64) bool {
 		id := (line - bt.nodeOff(0)) / nodeBytes
 		return line >= bt.nodeOff(0) && id < bt.cap && log.Space.ReadU64(nil, bt.nodeOff(id))&0xff == 0
 	}
+	reset := func() { log.reset(); twinLog.reset() }
+	// sameChanges demands the twin's stores, trains and fences of the op
+	// since reset.
+	sameChanges := func(op string, k uint64) {
+		if !slices.Equal(log.writes, twinLog.writes) || !slices.EqualFunc(log.trains, twinLog.trains, slices.Equal) ||
+			!slices.Equal(log.clwbs, twinLog.clwbs) || log.fences != twinLog.fences {
+			t.Fatalf("%s(%d) stored %v, trained %v, fenced %d; the twin without fingers %v, %v, %d",
+				op, k, log.writes, log.trains, log.fences, twinLog.writes, twinLog.trains, twinLog.fences)
+		}
+	}
 	ref := map[uint64]uint64{}
 	var keys []uint64 // ref's keys in order: what a scan must return is a slice of them
 	insertOnly := true
 	insert := func(k uint64) {
-		log.reset()
-		err := bt.Insert(clk, k, k^0x55)
+		reset()
+		err := idx.Insert(clk, k, k^0x55)
 		_, dup := ref[k]
 		if dup != (err == ErrDuplicate) || (!dup && err != nil) {
 			t.Fatalf("insert(%d): %v, in the model %v", k, err, dup)
 		}
+		if twinErr := twin.Insert(clk, k, k^0x55); twinErr != err {
+			t.Fatalf("insert(%d): %v, the twin %v", k, err, twinErr)
+		}
+		sameChanges("insert", k)
 		// The key's leaf carries a run of length 1 exactly when the insert
 		// continued none.
 		if missed := log.notWrittenBack(isLeaf); len(missed) > 0 {
@@ -71,10 +100,14 @@ func btreeOpsAgainstModel(t *testing.T, ops []byte, noFlush bool) {
 	remove := func(k uint64) {
 		insertOnly = false
 		_, want := ref[k]
-		log.reset()
-		if got := bt.Delete(clk, k); got != want {
+		reset()
+		if got := idx.Delete(clk, k); got != want {
 			t.Fatalf("delete(%d) = %v, in the model %v", k, got, want)
 		}
+		if got := twin.Delete(clk, k); got != want {
+			t.Fatalf("delete(%d) = %v on the twin, in the model %v", k, got, want)
+		}
+		sameChanges("delete", k)
 		if log.clwbs != nil || log.trains != nil {
 			t.Fatalf("delete(%d) wrote back %v and trains %v, want nothing", k, log.clwbs, log.trains)
 		}
@@ -87,22 +120,25 @@ func btreeOpsAgainstModel(t *testing.T, ops []byte, noFlush bool) {
 	scan := func(from uint64, stop int) {
 		i, _ := slices.BinarySearch(keys, from)
 		want := keys[i:]
-		n := 0
-		if err := bt.Scan(clk, from, func(key, val uint64) bool {
-			if n >= len(want) || key != want[n] || val != ref[key] {
-				t.Fatalf("scan from %d: key %d at %d, model %v", from, key, n, want[:min(n+1, len(want))])
+		for _, x := range []Index{idx, twin} {
+			n := 0
+			if err := x.Scan(clk, from, func(key, val uint64) bool {
+				if n >= len(want) || key != want[n] || val != ref[key] {
+					t.Fatalf("scan from %d: key %d at %d, model %v", from, key, n, want[:min(n+1, len(want))])
+				}
+				n++
+				return n < stop
+			}); err != nil {
+				t.Fatal(err)
 			}
-			n++
-			return n < stop
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if n < min(stop, len(want)) {
-			t.Fatalf("scan from %d stopped after %d of %d keys", from, n, len(want))
+			if n < min(stop, len(want)) {
+				t.Fatalf("scan from %d stopped after %d of %d keys", from, n, len(want))
+			}
 		}
 	}
 	for ; len(ops) >= 2; ops = ops[2:] {
 		k := uint64(ops[1])
+		idx = owners[int(ops[0]/6)%len(owners)]
 		switch ops[0] % 6 {
 		case 0:
 			insert(k * 16)
@@ -120,16 +156,28 @@ func btreeOpsAgainstModel(t *testing.T, ops []byte, noFlush bool) {
 		case 4:
 			scan(k*16, 24-int(ops[0]/6)%24)
 		default:
-			got, ok := bt.Get(clk, k*16)
-			if want, exists := ref[k*16]; ok != exists || got != want {
-				t.Fatalf("get(%d) = %d,%v, model %d,%v", k*16, got, ok, want, exists)
+			want, exists := ref[k*16]
+			for _, x := range []Index{idx, twin} {
+				if got, ok := x.Get(clk, k*16); ok != exists || got != want {
+					t.Fatalf("get(%d) = %d,%v, model %d,%v", k*16, got, ok, want, exists)
+				}
 			}
+			// The update leaves the value as it was, so the model holds.
+			reset()
+			for _, x := range []Index{idx, twin} {
+				if x.Update(clk, k*16, want) != exists {
+					t.Fatalf("update(%d) disagrees with the model's %v", k*16, exists)
+				}
+			}
+			sameChanges("update", k*16)
 		}
 	}
 	checkSound(t, bt)
 	checkAgainstModel(t, bt, ref, 0)
+	checkAgainstModel(t, twin, ref, 0)
 	if noFlush {
 		noWriteBacks(t, sys)
+		noWriteBacks(t, twinSys)
 	}
 }
 
@@ -169,6 +217,52 @@ func FuzzBTreeOps(f *testing.F) {
 		stops = append(stops, 4+6*(i%24), b, 3, b)
 	}
 	f.Add(stops)
+	// The four owners take turns. Each fills a block beside the others', so
+	// its splits leave their fingers behind, and reads the block's first key,
+	// which its own split may have left in the other half; another owner
+	// reads it too, and a third inserts a key far off. Then every third
+	// block is read by one owner, drained by another, which unlinks the
+	// first one's leaf, and written again by the first.
+	var turns []byte
+	for b := byte(0); b < 48; b++ {
+		a := b % 4
+		turns = append(turns, 2+6*a, b, 5+6*a, b, 5+6*((a+1)%4), b, 6*((a+2)%4), b+100)
+	}
+	for b := byte(0); b < 48; b += 3 {
+		a := b % 4
+		turns = append(turns, 5+6*a, b, 3+6*((a+1)%4), b, 6*a, b, 5+6*((a+3)%4), b, 2+6*((a+2)%4), b, 1+6*a, b+100)
+	}
+	f.Add(turns)
+	// Descending single keys split leaves in the middle, so the keys a
+	// finger's bounds name move to a new right half under the other owners,
+	// who then read and delete them.
+	var desc []byte
+	for k := 255; k >= 0; k-- {
+		desc = append(desc, byte(6*(k%4)), byte(k), byte(5+6*((k+1)%4)), byte(k+9), byte(5+6*((k+2)%4)), byte(k+40))
+		if k%5 == 0 {
+			desc = append(desc, byte(1+6*((k+3)%4)), byte(k+20))
+		}
+	}
+	f.Add(desc)
+	// Drain the front of a three-level tree and fill it again: the inner
+	// node that takes over the drained keys keeps its entry 0 key, now above
+	// separators inserted after it, and a walk that ends in entry 0 must not
+	// take that key for a bound. A third owner then reads the front block by
+	// block.
+	var front []byte
+	for b := byte(0); b < 128; b++ {
+		front = append(front, 2, b)
+	}
+	for b := byte(0); b < 48; b++ {
+		front = append(front, 3+18, b)
+	}
+	for b := byte(0); b < 48; b++ {
+		front = append(front, 2+6, b)
+	}
+	for b := byte(0); b < 48; b++ {
+		front = append(front, 5+12, b)
+	}
+	f.Add(front)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		btreeOpsAgainstModel(t, data, false)
 		btreeOpsAgainstModel(t, data, true)

@@ -170,6 +170,13 @@ type TableStats struct {
 	// not of a worker, and stays 0 where no writer runs beside the readers
 	// (one worker; deterministic group mode).
 	IndexRestarts uint64 `json:",omitempty"`
+	// FingerHits counts B-tree operations that started at their worker's
+	// finger, the leaf its last descent reached, and FingerMisses those that
+	// walked from the root instead (the tree's shape had changed, the key lay
+	// outside the leaf's bounds, or the worker had no leaf yet). Hash indexes
+	// count neither.
+	FingerHits   uint64 `json:",omitempty"`
+	FingerMisses uint64 `json:",omitempty"`
 }
 
 var tableMetrics = []metric[TableStats]{
@@ -178,6 +185,8 @@ var tableMetrics = []metric[TableStats]{
 	row(counter, "falcon_table_versions_total", "Versions installed per table.", func(s *TableStats) *uint64 { return &s.Versions }),
 	row(counter, "falcon_table_index_probes_total", "Index lookups per table.", func(s *TableStats) *uint64 { return &s.IndexProbes }),
 	row(counter, "falcon_table_index_restarts_total", "B-tree reads made again because a writer stored under them.", func(s *TableStats) *uint64 { return &s.IndexRestarts }),
+	row(counter, "falcon_table_finger_hits_total", "B-tree operations that started at the worker's finger leaf.", func(s *TableStats) *uint64 { return &s.FingerHits }),
+	row(counter, "falcon_table_finger_misses_total", "B-tree operations that walked from the root past the worker's finger.", func(s *TableStats) *uint64 { return &s.FingerMisses }),
 }
 
 // Add sums o into s.
@@ -301,6 +310,9 @@ func (s Snapshot) Text() string {
 			t := s.Tables[name]
 			fmt.Fprintf(&b, "  %-14s %10d %10d %10d %10d",
 				name, t.Reads, t.Writes, t.Versions, t.IndexProbes)
+			if t.FingerHits+t.FingerMisses > 0 {
+				fmt.Fprintf(&b, "  fingers %d hit %d missed", t.FingerHits, t.FingerMisses)
+			}
 			if t.IndexRestarts > 0 {
 				fmt.Fprintf(&b, "  (%d index reads restarted)", t.IndexRestarts)
 			}
