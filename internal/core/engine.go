@@ -556,6 +556,19 @@ func (e *Engine) Sync(clk *sim.Clock) {
 	e.sys.Sync(clk)
 }
 
+// LastKey returns the largest key in t's primary index, or false for an
+// empty table; the index must be a B+-tree (index.ErrUnordered otherwise).
+// It charges no clock and bypasses concurrency control: a driver reads it
+// while it attaches to a loaded or recovered database, before any
+// transaction runs.
+func (t *Table) LastKey() (uint64, bool, error) {
+	bt, ok := t.primary.(*index.BTreeIndex)
+	if !ok {
+		return 0, false, index.ErrUnordered
+	}
+	return bt.Last(nil)
+}
+
 // Load bulk-installs one tuple during initial data load: a slot from
 // thread's range, the tuple with timestamp 0 (committed whatever the
 // per-thread commit markers say), then its primary and secondary index

@@ -761,6 +761,27 @@ func (t *BTreeIndex) prevLeaf(clk *sim.Clock, w *treeWalk, npath int) (uint64, b
 	return n.id, true
 }
 
+// Last returns the largest key in the tree, or false for an empty tree. It
+// walks the right edge to the last leaf and scans on from that leaf's first
+// key, so the chain also shows it a leaf that a crash left past the edge,
+// off the tree (see Scan). The error is Scan's.
+func (t *BTreeIndex) Last(clk *sim.Clock) (key uint64, ok bool, err error) {
+	w := walkPool.Get().(*treeWalk)
+	var from uint64
+	t.read(func(uint64) {
+		n, _ := t.descend(clk, math.MaxUint64, w, false)
+		if from = 0; n.count() > 0 {
+			from = t.keyAt(clk, n, 0)
+		}
+	})
+	walkPool.Put(w)
+	err = t.Scan(clk, from, func(k, _ uint64) bool {
+		key, ok = k, true
+		return true
+	})
+	return key, ok, err
+}
+
 // Scan iterates keys >= from in ascending order until fn returns false. It
 // reads one leaf at a time into its own buffer and calls fn with nothing held:
 // fn may wait for a writer that is itself waiting to store into this tree.

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
+	"falcon/internal/pmem"
 	"falcon/internal/sim"
 )
 
@@ -225,5 +227,64 @@ func TestFingerCheckCost(t *testing.T) {
 	if fingered != bare+sim.CacheHitLine || f.Hits != 1 || f.Misses != 1 {
 		t.Fatalf("get through the finger took %d ns (hits %d, misses %d), a bare get %d ns; want %d more and one hit",
 			fingered, f.Hits, f.Misses, bare, sim.CacheHitLine)
+	}
+}
+
+// TestBTreeLast: Last returns the largest key as the model has it through
+// inserts and deletes down to an empty tree, and after a crash cuts the
+// split of the right edge it also finds the key in the new leaf that only
+// the chain reaches.
+func TestBTreeLast(t *testing.T) {
+	bt, err := NewBTree(newSys().Space, 0, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := sim.NewClock()
+	ref := map[uint64]uint64{}
+	rng := rand.New(rand.NewSource(1))
+	check := func() {
+		t.Helper()
+		want, any := uint64(0), false
+		for k := range ref {
+			want, any = max(want, k), true
+		}
+		if got, ok, err := bt.Last(clk); err != nil || ok != any || got != want {
+			t.Fatalf("Last() = %d,%v,%v; model %d,%v", got, ok, err, want, any)
+		}
+	}
+	check()
+	for i := 0; i < 3000; i++ {
+		k := uint64(rng.Intn(2000))
+		if i < 1500 || rng.Intn(3) == 0 {
+			applyOp(t, bt, clk, ref, treeOp{key: k})
+		} else {
+			applyOp(t, bt, clk, ref, treeOp{key: k, del: true})
+		}
+		check()
+	}
+	for k := range ref {
+		applyOp(t, bt, clk, ref, treeOp{key: k, del: true})
+		check()
+	}
+
+	// Keys 1-15 fill the root leaf; 16 splits it at the end of the run, and
+	// the crash comes after the leaf's store, before the new root's.
+	var ops []treeOp
+	for k := uint64(1); k <= 16; k++ {
+		ops = append(ops, treeOp{key: k})
+	}
+	sys, _, at := runUntilCrash(t, pmem.EADR, 0, ops, &pmem.FaultPlan{Event: pmem.FaultStore, N: 34})
+	if at != 15 {
+		t.Fatalf("store 34 falls in op %d, want the insert of 16", at)
+	}
+	bt, err = OpenBTree(sys.Crash().Space, sim.NewClock(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := checkInvariants(t, bt); rep.offTree != 1 {
+		t.Fatalf("%+v, want the split's right half off the tree", rep)
+	}
+	if got, ok, err := bt.Last(nil); err != nil || !ok || got != 16 {
+		t.Fatalf("after the crash Last() = %d,%v,%v, want 16", got, ok, err)
 	}
 }

@@ -209,7 +209,9 @@ func stockSchema() *layout.Schema {
 
 // TableSpecs declares the nine tables for the engine. Ordered tables (order,
 // new_order, order_line) use btrees for the scans Delivery, OrderStatus and
-// StockLevel need; point-access tables use the hash index.
+// StockLevel need, and history one for its ascending keys, which append at
+// the tree's right edge and let a driver find the largest by a walk down it
+// (Table.LastKey); point-access tables use the hash index.
 func TableSpecs(cfg Config) []core.TableSpec {
 	cfg = cfg.withDefaults()
 	w := uint64(cfg.Warehouses)
@@ -220,7 +222,7 @@ func TableSpecs(cfg Config) []core.TableSpec {
 		{Name: TDistrict, Schema: districtSchema(), Capacity: w*Districts + 1, KeyCol: DKey, IndexKind: index.Hash},
 		{Name: TCustomer, Schema: customerSchema(), Capacity: cust + 1, KeyCol: CKey,
 			IndexKind: index.Hash, SecondaryCol: CSecKey},
-		{Name: THistory, Schema: historySchema(), Capacity: cust*uint64(cfg.OrderHeadroom) + 1024, KeyCol: HKey, IndexKind: index.Hash},
+		{Name: THistory, Schema: historySchema(), Capacity: cust*uint64(cfg.OrderHeadroom) + 1024, KeyCol: HKey, IndexKind: index.BTree},
 		{Name: TNewOrder, Schema: newOrderSchema(), Capacity: orders + 1024, KeyCol: NOKey, IndexKind: index.BTree},
 		{Name: TOrder, Schema: orderSchema(), Capacity: orders + 1024, KeyCol: OKey,
 			IndexKind: index.BTree, SecondaryCol: OSecKey},

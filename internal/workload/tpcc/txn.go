@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 
 	"falcon/internal/core"
-	"falcon/internal/heap"
-	"falcon/internal/sim"
 )
 
 // Driver issues TPC-C transactions. One Driver serves all workers.
@@ -73,7 +71,13 @@ func NewDriver(e *core.Engine, cfg Config) (*Driver, error) {
 			return nil, fmt.Errorf("tpcc: table %q missing", bind.name)
 		}
 	}
-	d.hbase = historyFrontier(e, d.history)
+	last, _, err := d.history.LastKey()
+	if err != nil {
+		return nil, fmt.Errorf("tpcc: history frontier: %w", err)
+	}
+	// Fresh history keys start above every existing one, so a driver attached
+	// to a recovered database continues the sequence instead of colliding.
+	d.hbase = last + 1
 	d.workers = make([]tpccWorker, e.Config().Threads)
 	for w := range d.workers {
 		ws := &d.workers[w]
@@ -678,25 +682,6 @@ func (d *Driver) StockLevelTxn(w int) error {
 		_ = low
 		return nil
 	})
-}
-
-// historyFrontier finds the first history key above every existing one, so a
-// driver attached to a recovered database continues the sequence instead of
-// colliding. Per-worker interleaved key draws leave holes when workers commit
-// unevenly, so this scans for the maximum rather than binary-searching a
-// dense range.
-func historyFrontier(e *core.Engine, hist *core.Table) uint64 {
-	s := hist.Schema()
-	var max uint64
-	hist.Heap().Scan(sim.NewClock(), func(slot, ts uint64, flags uint8, payload []byte) {
-		if flags&heap.FlagOccupied == 0 || flags&heap.FlagDeleted != 0 {
-			return
-		}
-		if k := s.GetUint64(payload, HKey); k > max {
-			max = k
-		}
-	})
-	return max + 1
 }
 
 func putI64(b []byte, v int64) {
