@@ -300,11 +300,11 @@ func (t *BTreeIndex) searchLeaf(clk *sim.Clock, n *node, key uint64) (int, bool)
 
 // upper returns the position of the first separator of inner node n above
 // key; the entry to descend is the one before it, or entry 0. Like searchLeaf
-// it reads only the lines its probes land in. Entry 0's key is no bound: keys
-// below it go to entry 0 too, and a node that the unlink of its left
-// neighbour has handed lower keys keeps it. But the separators that bound the
-// entry to descend, key(i) for i > 0 and key(i+1), are always among the
-// probes: a search that ends at position 0 or 1 has probed position 1.
+// it reads only the lines its probes land in. The separators that bound the
+// entry descended, key(i) for i > 0 and key(i+1), are among the probes (a
+// search that ends at position 0 or 1 has probed position 1). Entry 0's key
+// bounds nothing: keys below it go to entry 0 too, and once an unlink has
+// handed the node its left neighbour's keys it may lie above later separators.
 func (t *BTreeIndex) upper(clk *sim.Clock, n *node, key uint64) int {
 	lo, hi := 0, n.count()
 	for lo < hi {
@@ -516,19 +516,16 @@ func (t *BTreeIndex) insert(clk *sim.Clock, f *Finger, key, val uint64) error {
 	defer walkPool.Put(w)
 	n, npath, hit := t.start(clk, f, key, w, func(c int) bool { return c < nodeEntries })
 	i, exists := t.searchLeaf(clk, n, key)
-	if !exists {
-		t.seq.Add(1)
-		err := t.insertEntry(clk, w, npath, n, i, key, val)
-		t.seq.Add(1)
-		if err != nil {
-			f.drop()
-			return err
-		}
-	}
-	f.keep(hit, t.shape.Load(), w)
 	if exists {
+		f.keep(hit, t.shape.Load(), w)
 		return ErrDuplicate
 	}
+	t.seq.Add(1)
+	defer t.seq.Add(1)
+	if err := t.insertEntry(clk, w, npath, n, i, key, val); err != nil {
+		return err // a finger recorded before a split is stale by its shape
+	}
+	f.keep(hit, t.shape.Load(), w)
 	return nil
 }
 

@@ -62,13 +62,6 @@ func (f *Finger) keep(hit bool, shape uint64, w *treeWalk) {
 	}
 }
 
-// drop forgets f's leaf.
-func (f *Finger) drop() {
-	if f != nil {
-		f.shape = 0
-	}
-}
-
 // Get is BTreeIndex.Get from f's leaf.
 func (f *Finger) Get(clk *sim.Clock, key uint64) (uint64, bool) { return f.t.get(clk, f, key) }
 

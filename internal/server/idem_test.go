@@ -17,6 +17,9 @@ import (
 // stream of requests reads nothing from the media. A hash of the same
 // capacity (falcon serve's default, 2^20 keys: a 32 MiB bucket array against
 // a 2 MiB cache) put each key in a cold bucket, one read fill per request.
+// The worker's three visits to the tree per request (the replay lookup, the
+// insert's duplicate check, the commit's insert) start at its finger's leaf
+// (index.Finger) but where a leaf split sends them from the root.
 func TestIdemRecordStaysCached(t *testing.T) {
 	const capacity = 1 << 20
 	const warm, n = 2000, 1000
@@ -41,14 +44,20 @@ func TestIdemRecordStaysCached(t *testing.T) {
 	for k := uint64(2); k <= warm; k++ {
 		apply(k, add)
 	}
-	before := e.ObsSnapshot().Mem.XPBufferReadFills
+	before := e.ObsSnapshot()
 	for k := uint64(warm + 1); k <= warm+n; k++ {
 		apply(k, add)
 	}
-	fills := e.ObsSnapshot().Mem.XPBufferReadFills - before
+	after := e.ObsSnapshot()
+	fills := after.Mem.XPBufferReadFills - before.Mem.XPBufferReadFills
 	t.Logf("%d read fills over %d requests", fills, n)
 	if fills >= n/10 {
 		t.Fatalf("%d read fills over %d requests with ascending keys, want fewer than %d", fills, n, n/10)
+	}
+	idem := after.Tables[IdemTable].Sub(before.Tables[IdemTable])
+	t.Logf("finger hits %d, misses %d", idem.FingerHits, idem.FingerMisses)
+	if visits := idem.FingerHits + idem.FingerMisses; visits != 3*n || idem.FingerMisses > n/5 {
+		t.Fatalf("finger hits %d and misses %d; want %d visits, at most %d of them walks", idem.FingerHits, idem.FingerMisses, 3*n, n/5)
 	}
 }
 
