@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"falcon/internal/cc"
 	"falcon/internal/index"
@@ -452,5 +453,19 @@ func TestInPlaceTupleCacheRefused(t *testing.T) {
 	}
 	if _, _, err := Recover(newKVEngine(t, FalconConfig()).System().Crash(), cfg); err == nil || !strings.Contains(err.Error(), "tuple cache") {
 		t.Errorf("Recover: %v, want the tuple cache refused", err)
+	}
+}
+
+// TestPerWorkerRowsAreWholeLines: a worker's scratch and its counter row per
+// table fill whole 64 B lines, so no two workers' per-operation writes share
+// one. A field added to either struct must take its bytes from the padding.
+func TestPerWorkerRowsAreWholeLines(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"workerScratch":    unsafe.Sizeof(workerScratch{}),
+		"paddedTableStats": unsafe.Sizeof(paddedTableStats{}),
+	} {
+		if size%64 != 0 {
+			t.Errorf("%s is %d B, not whole lines", name, size)
+		}
 	}
 }
