@@ -152,7 +152,8 @@ contend-smoke:
 # that token with GOMAXPROCS cells at once, and group mode's enter, begin,
 # leave and exit calls into the one Engine.RunGroup, and the ADR hit
 # validation and log-driven index repair into one index rebuild from the
-# heap; fail when a removed spelling comes back (same lane CI runs). CHANGES.md, ROADMAP.md and benchmark/ are history
+# heap, and TPC-C stock's one 240 B s_dist column, sliced by hand, into the
+# spec's ten s_dist_xx columns; fail when a removed spelling comes back (same lane CI runs). CHANGES.md, ROADMAP.md and benchmark/ are history
 # and exempt, and so are the tests that check a removed flag is refused. The
 # [-], the [R]s and the like keep this recipe from matching itself.
 old-spellings:
@@ -175,6 +176,8 @@ old-spellings:
 	! grep -rnE --exclude='*_test.go' -- 'Enter[G]roup|Leave[G]roup|Group\(\)\.' \
 		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 	! grep -rnE 'validate[H]its|adrIndex[F]ix|rebuild[D]RAMIndexes' \
+		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
+	! grep -rnE 'Offset\(SDist\) \+' \
 		Makefile .github scripts README.md DESIGN.md EXPERIMENTS.md .claude cmd internal *.go
 
 # Every Go file gofmt-clean, benchmark/ included (same lane CI runs).

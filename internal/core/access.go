@@ -13,9 +13,11 @@ import "falcon/internal/wal"
 //     index).
 //
 // Every operation reaches a tuple the same way: enter (cancel poll, op cost) →
-// the transaction's own pending insert, or resolve → the slot's access entry →
-// the algorithm's step (readResolved, writeIntentCC) → payload →
-// overlayOwnWrites. DESIGN.md §3 "Access set and op list" has the traps.
+// the transaction's own pending insert, or lookup (the attempt's live entry for
+// the key, else the primary index) → the slot's access entry → the algorithm's
+// step (readResolved, writeIntentCC) → payload → overlayOwnWrites. Insert alone
+// probes the index whatever the access set holds. DESIGN.md §3 "Access set and
+// op list" has the traps.
 
 // accessMode says what the attempt has done to a slot and holds on it.
 type accessMode uint8
@@ -39,9 +41,12 @@ const (
 type access struct {
 	t    *Table
 	slot uint64
-	key  uint64 // primary key (contention attribution)
+	key  uint64 // primary key (lookup, contention attribution), or the secondary key when bySec
 	mode accessMode
-	pre  uint64 // the word under our write lock (TO/OCC: restored on abort)
+	// bySec: a secondary scan made the entry, so key is a secondary key and
+	// the entry never answers a primary lookup.
+	bySec bool
+	pre   uint64 // the word under our write lock (TO/OCC: restored on abort)
 	// word is the first version word an OCC read observed. A later read of
 	// the slot must not refresh it: validating the newer word would pass a
 	// non-repeatable read. The abort stays at validation.
@@ -60,14 +65,35 @@ func (tx *Txn) find(t *Table, slot uint64) *access {
 }
 
 // access returns the entry for (t, slot), creating it on first touch — the only
-// place entries are made. The pointer is into the set: it is good until the
-// next call, which may grow the slice and move the entries.
-func (tx *Txn) access(t *Table, slot, key uint64) *access {
+// place entries are made. bySec says key is a secondary key; a primary key
+// replaces one on an entry a secondary scan made. The pointer is into the set:
+// it is good until the next call, which may grow the slice and move the
+// entries.
+func (tx *Txn) access(t *Table, slot, key uint64, bySec bool) *access {
 	if a := tx.find(t, slot); a != nil {
+		if a.bySec && !bySec {
+			a.key, a.bySec = key, false
+		}
 		return a
 	}
-	tx.acc = append(tx.acc, access{t: t, slot: slot, key: key})
+	tx.acc = append(tx.acc, access{t: t, slot: slot, key: key, bySec: bySec})
 	return &tx.acc[len(tx.acc)-1]
+}
+
+// lookup returns the slot of t's primary key: the slot of the attempt's live
+// entry for it (any mode bit set: the attempt read it under concurrency control
+// or holds it), else the primary index's answer. Reusing the slot is safe as a
+// validated optimistic read is: OCC validates the first word it observed at
+// commit (a row superseded or deleted since fails it), and the lock-based
+// algorithms hold the slot. A dead entry (mode 0: the read found the row gone,
+// or lost a conflict) answers nothing, and Insert never asks (see Txn.Insert).
+func (tx *Txn) lookup(t *Table, key uint64) (uint64, bool) {
+	for i := range tx.acc {
+		if a := &tx.acc[i]; a.key == key && a.t == t && a.mode != 0 && !a.bySec {
+			return a.slot, true
+		}
+	}
+	return tx.resolve(t, key)
 }
 
 // owned reports whether the attempt may write the slot: it holds the write

@@ -497,14 +497,14 @@ func (e *Engine) run(worker int, ro bool, canceled func() bool, fn func(*Txn) er
 // returns false or limit tuples have been visited (limit <= 0 means no
 // limit). The primary index must be a btree. It is ScanCols over every column.
 func (tx *Txn) Scan(t *Table, from uint64, limit int, fn func(key uint64, payload []byte) bool) (int, error) {
-	return tx.scanIndex(t, tx.primary(t), from, limit, t.schema.TupleSize(), fn)
+	return tx.scanIndex(t, false, from, limit, t.schema.TupleSize(), fn)
 }
 
 // ScanCols is Scan bounded to the first cols columns, as ReadCols bounds Read:
 // fn's payload is the tuple's first Schema.PrefixSize(cols) bytes, at their
 // schema offsets.
 func (tx *Txn) ScanCols(t *Table, from uint64, limit, cols int, fn func(key uint64, payload []byte) bool) (int, error) {
-	return tx.scanIndex(t, tx.primary(t), from, limit, t.schema.PrefixSize(cols), fn)
+	return tx.scanIndex(t, false, from, limit, t.schema.PrefixSize(cols), fn)
 }
 
 // ScanSecondary iterates via the secondary index.
@@ -517,11 +517,16 @@ func (tx *Txn) ScanSecondaryCols(t *Table, from uint64, limit, cols int, fn func
 	if t.secondary == nil {
 		return 0, index.ErrUnordered
 	}
-	return tx.scanIndex(t, tx.secondary(t), from, limit, t.schema.PrefixSize(cols), fn)
+	return tx.scanIndex(t, true, from, limit, t.schema.PrefixSize(cols), fn)
 }
 
-// scanIndex hands fn payload bytes [0, n) of each tuple it visits.
-func (tx *Txn) scanIndex(t *Table, idx index.Index, from uint64, limit, n int, fn func(uint64, []byte) bool) (int, error) {
+// scanIndex hands fn payload bytes [0, n) of each tuple it visits, in the
+// order of t's primary index or, when bySec, its secondary one.
+func (tx *Txn) scanIndex(t *Table, bySec bool, from uint64, limit, n int, fn func(uint64, []byte) bool) (int, error) {
+	idx := tx.primary(t)
+	if bySec {
+		idx = tx.secondary(t)
+	}
 	// A buffer of the scan's own: fn may issue reads that use the worker
 	// scratch. The worker's scan buffer is taken while the scan runs, so a
 	// scan that fn starts allocates one for itself.
@@ -541,7 +546,7 @@ func (tx *Txn) scanIndex(t *Table, idx index.Index, from uint64, limit, n int, f
 		if limit > 0 && visited >= limit {
 			return false
 		}
-		if err := tx.readSlot(t, key, slot, scratch); err != nil {
+		if err := tx.readSlot(t, key, slot, bySec, scratch); err != nil {
 			if errors.Is(err, ErrNotFound) {
 				return true // concurrently deleted; skip
 			}
@@ -558,11 +563,11 @@ func (tx *Txn) scanIndex(t *Table, idx index.Index, from uint64, limit, n int, f
 }
 
 // readSlot performs the CC read of an already-resolved slot (scan path):
-// payload bytes [0, len(dst)).
-func (tx *Txn) readSlot(t *Table, key, slot uint64, dst []byte) error {
+// payload bytes [0, len(dst)). bySec says key is the slot's secondary key.
+func (tx *Txn) readSlot(t *Table, key, slot uint64, bySec bool, dst []byte) error {
 	if err := tx.enter(t, key, false); err != nil {
 		return err
 	}
 	tx.tstat(t).Reads++
-	return tx.readResolved(t, key, slot, 0, len(dst), dst)
+	return tx.readResolved(t, key, slot, bySec, 0, len(dst), dst)
 }

@@ -34,7 +34,7 @@ func (tx *Txn) readForUpdate(t *Table, key uint64, off, n int, dst []byte) error
 		return err
 	}
 	if tx.e.cfg.CC.Base() == cc.OCC {
-		if err := tx.readResolved(t, key, slot, off, n, dst); err != nil {
+		if err := tx.readResolved(t, key, slot, false, off, n, dst); err != nil {
 			return err
 		}
 		return tx.writeIntent(t, key, slot)
@@ -45,5 +45,5 @@ func (tx *Txn) readForUpdate(t *Table, key uint64, off, n int, dst []byte) error
 	if err := liveErr(t, tx.clk, slot); err != nil {
 		return err
 	}
-	return tx.readResolved(t, key, slot, off, n, dst)
+	return tx.readResolved(t, key, slot, false, off, n, dst)
 }

@@ -223,11 +223,11 @@ func (tx *Txn) read(t *Table, key uint64, off, n int, dst []byte) error {
 	if done || err != nil {
 		return err
 	}
-	return tx.readResolved(t, key, slot, off, n, dst)
+	return tx.readResolved(t, key, slot, false, off, n, dst)
 }
 
 // readHead is the way in read and readForUpdate share: enter, the read count,
-// then the attempt's own pending insert (read here: done) or the index.
+// then the attempt's own pending insert (read here: done) or lookup.
 func (tx *Txn) readHead(t *Table, key uint64, write bool, off, n int, dst []byte) (slot uint64, done bool, err error) {
 	if err := tx.enter(t, key, write); err != nil {
 		return 0, false, err
@@ -237,7 +237,7 @@ func (tx *Txn) readHead(t *Table, key uint64, write bool, off, n int, dst []byte
 		tx.readPending(ins, off, n, dst)
 		return 0, true, nil
 	}
-	slot, ok := tx.resolve(t, key)
+	slot, ok := tx.lookup(t, key)
 	if !ok {
 		return 0, false, ErrNotFound
 	}
@@ -261,13 +261,14 @@ func (tx *Txn) secondary(t *Table) index.Index {
 }
 
 // readResolved is the concurrency-controlled read of an already-resolved
-// heap slot, shared by point reads, ReadForUpdate and scans.
-func (tx *Txn) readResolved(t *Table, key, slot uint64, off, n int, dst []byte) error {
+// heap slot, shared by point reads, ReadForUpdate and scans. bySec says key is
+// a secondary key (a secondary scan).
+func (tx *Txn) readResolved(t *Table, key, slot uint64, bySec bool, off, n int, dst []byte) error {
 	if tx.snapshotRead() {
 		return tx.snapshotReadSlot(t, key, slot, off, n, dst)
 	}
 
-	a := tx.access(t, slot, key)
+	a := tx.access(t, slot, key, bySec)
 
 	// Read-your-own-write: the slot is ours to write; read the base tuple and
 	// overlay pending ops.
@@ -475,7 +476,7 @@ func (tx *Txn) Update(t *Table, key uint64, off int, data []byte) error {
 	if ins := tx.findInsert(t, key); ins != nil {
 		return tx.updatePendingInsert(ins, off, data)
 	}
-	slot, ok := tx.resolve(t, key)
+	slot, ok := tx.lookup(t, key)
 	if !ok {
 		return ErrNotFound
 	}
@@ -501,7 +502,7 @@ func (tx *Txn) Delete(t *Table, key uint64) error {
 	if err := tx.enter(t, key, true); err != nil {
 		return err
 	}
-	slot, ok := tx.resolve(t, key)
+	slot, ok := tx.lookup(t, key)
 	if !ok {
 		return ErrNotFound
 	}
@@ -532,6 +533,9 @@ func (tx *Txn) Insert(t *Table, key uint64, payload []byte) error {
 		// Another in-flight insert holds the key latch.
 		return tx.ccConflict(t, key, 0, 0, obs.ConflictLockFail)
 	}
+	// The index, never lookup: an entry for the key may name a slot the row
+	// has left (a 2PL read that found it deleted keeps its shared lock), and
+	// the duplicate check is the index's answer.
 	if _, exists := tx.resolve(t, key); exists {
 		tx.e.resv.release(tx.clk, t.id, key)
 		return ErrDuplicateKey
@@ -580,7 +584,7 @@ func (tx *Txn) writeIntent(t *Table, key, slot uint64) error {
 }
 
 func (tx *Txn) writeIntentCC(t *Table, key, slot uint64) error {
-	a := tx.access(t, slot, key)
+	a := tx.access(t, slot, key, false)
 	if a.owned() {
 		if a.mode&accDeleted != 0 {
 			return ErrNotFound // the transaction sees its own delete

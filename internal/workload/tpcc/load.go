@@ -111,7 +111,9 @@ func (l *loader) stock(w int) error {
 		}
 		s.PutUint64(buf, SKey, sKey(w, i))
 		s.PutInt64(buf, SQuantity, int64(l.rng.Intn(91)+10))
-		l.fillString(s, buf, SDist, 240, 240)
+		for d := 0; d < Districts; d++ {
+			l.fillString(s, buf, SDist01+d, 24, 24)
+		}
 		l.fillString(s, buf, SData, 26, 50)
 		if err := l.install(t, sKey(w, i), buf); err != nil {
 			return err

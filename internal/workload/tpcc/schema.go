@@ -10,6 +10,8 @@
 package tpcc
 
 import (
+	"fmt"
+
 	"falcon/internal/core"
 	"falcon/internal/index"
 	"falcon/internal/layout"
@@ -86,8 +88,8 @@ const (
 	OLKey, OLIID, OLSupplyW, OLDeliveryD, OLQuantity, OLAmount, OLDistInfo = 0, 1, 2, 3, 4, 5, 6
 	// item
 	IID, IImID, IPrice, IName, IData = 0, 1, 2, 3, 4
-	// stock
-	SKey, SQuantity, SYtd, SOrderCnt, SRemoteCnt, SDist, SData = 0, 1, 2, 3, 4, 5, 6
+	// stock: s_dist_01 … s_dist_10 are columns SDist01 … SDist01+9
+	SKey, SQuantity, SYtd, SOrderCnt, SRemoteCnt, SDist01, SData = 0, 1, 2, 3, 4, 5, 15
 )
 
 func warehouseSchema() *layout.Schema {
@@ -196,15 +198,17 @@ func itemSchema() *layout.Schema {
 }
 
 func stockSchema() *layout.Schema {
-	return layout.NewSchema(
-		layout.Column{Name: "s_key", Kind: layout.Uint64},
-		layout.Column{Name: "s_quantity", Kind: layout.Int64},
-		layout.Column{Name: "s_ytd", Kind: layout.Int64},
-		layout.Column{Name: "s_order_cnt", Kind: layout.Int64},
-		layout.Column{Name: "s_remote_cnt", Kind: layout.Int64},
-		layout.Column{Name: "s_dist", Kind: layout.Bytes, Size: 240}, // 10 × 24
-		layout.Column{Name: "s_data", Kind: layout.Bytes, Size: 50},
-	)
+	cols := []layout.Column{
+		{Name: "s_key", Kind: layout.Uint64},
+		{Name: "s_quantity", Kind: layout.Int64},
+		{Name: "s_ytd", Kind: layout.Int64},
+		{Name: "s_order_cnt", Kind: layout.Int64},
+		{Name: "s_remote_cnt", Kind: layout.Int64},
+	}
+	for d := 1; d <= Districts; d++ {
+		cols = append(cols, layout.Column{Name: fmt.Sprintf("s_dist_%02d", d), Kind: layout.Bytes, Size: 24})
+	}
+	return layout.NewSchema(append(cols, layout.Column{Name: "s_data", Kind: layout.Bytes, Size: 50})...)
 }
 
 // TableSpecs declares the nine tables for the engine. Ordered tables (order,

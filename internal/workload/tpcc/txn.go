@@ -316,8 +316,15 @@ func (d *Driver) NewOrderTxn(w int) error {
 			}
 			_ = is
 
-			// Stock: read, then update quantity/ytd/order_cnt(/remote_cnt).
-			if err := tx.ReadForUpdate(d.stock, sKey(ln.supply, ln.item), ws.sbuf); err != nil {
+			// Stock: read the counters and the district's s_dist_xx (never
+			// s_data: brand-generic is not modelled), then update
+			// quantity/ytd/order_cnt(/remote_cnt).
+			if err := tx.ReadColsForUpdate(d.stock, sKey(ln.supply, ln.item), SRemoteCnt+1, ws.sbuf); err != nil {
+				return err
+			}
+			distOff := ss.Offset(SDist01 + did - 1)
+			dist := ws.sbuf[distOff : distOff+24]
+			if err := tx.ReadField(d.stock, sKey(ln.supply, ln.item), SDist01+did-1, dist); err != nil {
 				return err
 			}
 			qty := ss.GetInt64(ws.sbuf, SQuantity)
@@ -350,8 +357,7 @@ func (d *Driver) NewOrderTxn(w int) error {
 			ols.PutInt64(olbuf, OLSupplyW, int64(ln.supply))
 			ols.PutInt64(olbuf, OLQuantity, ln.qty)
 			ols.PutInt64(olbuf, OLAmount, amount)
-			distOff := ss.Offset(SDist) + (did-1)*24
-			ols.PutBytes(olbuf, OLDistInfo, ws.sbuf[distOff:distOff+24])
+			ols.PutBytes(olbuf, OLDistInfo, dist)
 			if err := tx.Insert(d.orderLine, olKey(home, did, oid, i+1), olbuf); err != nil {
 				if errors.Is(err, core.ErrDuplicateKey) {
 					return core.ErrConflict
